@@ -16,7 +16,10 @@
 //! All three must agree on `serve_queries` / `serve_hits` /
 //! `serve_errors` within 1% (absolute slack of 1 absorbs the
 //! documented in-flight off-by-one: a metrics op builds its reply
-//! before it is itself counted). Any violation panics, so the script
+//! before it is itself counted). The same session gates the transport:
+//! the median closed-loop `ping` round trip must stay under 5 ms, which
+//! a reply leaving in more than one segment (~40 ms behind the client's
+//! delayed ACK) cannot meet. Any violation panics, so the script
 //! harnesses treat this binary as a pass/fail gate.
 //!
 //! ```text
@@ -29,8 +32,13 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Instant;
 
 const BLOCKS: u32 = 8;
+/// Closed-loop pings timed for the transport gate, and the limit on
+/// their median round trip.
+const PINGS: usize = 25;
+const PING_MEDIAN_LIMIT_MS: f64 = 5.0;
 
 fn field_of(j: &Json, key: &str) -> Json {
     let Json::Obj(pairs) = j else {
@@ -56,9 +64,12 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= (0.01 * a.abs().max(b.abs())).max(1.0)
 }
 
-/// One line-JSON exchange on an existing connection.
+/// One line-JSON exchange on an existing connection; the request goes
+/// out in one write so the client never stalls its own segments.
 fn ask(reader: &mut impl BufRead, writer: &mut impl Write, line: &str) -> String {
-    writeln!(writer, "{line}").expect("send request");
+    writer
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send request");
     writer.flush().expect("flush request");
     let mut resp = String::new();
     reader.read_line(&mut resp).expect("read response");
@@ -148,6 +159,7 @@ fn main() {
 
     // ---- workload: a mixed stream on one line-JSON connection ----
     let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("TCP_NODELAY on the client");
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
     let n_keys = keys.len();
@@ -175,6 +187,24 @@ fn main() {
         assert!(!resp.is_empty(), "empty response to {line}");
         sent += 1;
     }
+
+    // ---- transport gate: closed-loop ping round trips ----
+    let mut ping_ms: Vec<f64> = (0..PINGS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let pong = ask(&mut reader, &mut writer, "{\"op\":\"ping\"}");
+            assert!(pong.contains("\"ok\":true"), "ping failed: {pong}");
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    sent += PINGS as u64;
+    ping_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    let ping_median_ms = ping_ms[PINGS / 2];
+    assert!(
+        ping_median_ms < PING_MEDIAN_LIMIT_MS,
+        "median ping round trip {ping_median_ms:.3} ms over {PINGS} pings \
+         (limit {PING_MEDIAN_LIMIT_MS} ms): replies are not leaving in one segment"
+    );
 
     // ---- surface 1: the JSON metrics snapshot ----
     let metrics_resp = ask(&mut reader, &mut writer, "{\"op\":\"metrics\"}");
@@ -278,7 +308,8 @@ fn main() {
 
     println!(
         "metrics check OK: {} queries, {} exposition sample(s), {} histogram family(ies) \
-         cumulative-consistent, report/json/prometheus counters agree within 1%",
+         cumulative-consistent, report/json/prometheus counters agree within 1%; \
+         median ping round trip {ping_median_ms:.3} ms (limit {PING_MEDIAN_LIMIT_MS} ms)",
         sent,
         prom.len(),
         hist_families

@@ -8,8 +8,9 @@
 //!
 //! * `repeat` — thresholds drawn from a pool of 4, so a warm cache
 //!   answers almost everything (hit rate must be high);
-//! * `scan` — a long stride of distinct thresholds, defeating a small
-//!   cache (every materialization is paid).
+//! * `scan` — a long ascending stride over the recorded keys: every
+//!   distinct prefix is materialized once, as a delta replay off the
+//!   previous one, whatever the cache size.
 //!
 //! Knobs:
 //!
@@ -148,7 +149,8 @@ fn main() {
                 let t = match mix {
                     // 4 hot thresholds: the cache should absorb these
                     "repeat" => key_at([0.2, 0.5, 0.8, 1.0][rng.next() as usize % 4]),
-                    // a long stride of distinct thresholds: mostly misses
+                    // a long ascending stride: one delta replay per
+                    // distinct prefix
                     _ => key_at(i as f64 / queries as f64),
                 };
                 let (line, is_thr) = match rng.next() % 10 {
@@ -243,6 +245,10 @@ fn main() {
                 ("queries", Json::U64(queries as u64)),
                 ("hits", Json::U64(as_u64(&stats, "hits"))),
                 ("misses", Json::U64(as_u64(&stats, "misses"))),
+                (
+                    "replayed_records",
+                    Json::U64(as_u64(&stats, "replayed_records")),
+                ),
                 ("hit_rate", Json::F64(hit_rate)),
                 ("qps", Json::F64(qps)),
                 ("thr_exact_p50_us", Json::U64(exact_p50)),

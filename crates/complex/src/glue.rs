@@ -179,7 +179,7 @@ pub fn glue_with(
         node_map.push((id, false));
     }
 
-    let mut geom_map = std::collections::HashMap::new();
+    let mut geom_map = Vec::new();
     for a in &incoming.arcs {
         if !a.alive {
             return Err(GlueError::DeadIncomingArc {

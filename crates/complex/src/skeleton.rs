@@ -18,6 +18,10 @@ pub type NodeId = u32;
 pub type ArcId = u32;
 pub type GeomId = u32;
 
+/// "Not copied yet" in the dense old-id → new-id tables of
+/// [`MsComplex::compact`] and [`MsComplex::copy_geom_into`].
+const UNMAPPED: u32 = u32::MAX;
+
 /// A node of the complex: a critical cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Node {
@@ -330,34 +334,47 @@ impl MsComplex {
     /// the paper's geometry objects are stored by reference, §IV-E),
     /// rebuild adjacency and the address index, and clear the hierarchy
     /// (keeping only the coarsest level, as the paper does before
-    /// communication, §IV-F1).
+    /// communication, §IV-F1). Ids are dense, so the old→new maps are
+    /// plain vectors and every adjacency list is allocated once at its
+    /// final degree.
     pub fn compact(&mut self) {
-        let mut out = MsComplex::new(self.refined, self.member_blocks.clone());
-        let mut node_map: HashMap<NodeId, NodeId> = HashMap::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.alive {
-                let id = out.add_node(n.addr, n.index, n.value, n.boundary);
-                node_map.insert(i as NodeId, id);
-            }
+        let mut out = MsComplex::new(self.refined, std::mem::take(&mut self.member_blocks));
+        let live = self.nodes.iter().filter(|n| n.alive).count();
+        out.nodes.reserve_exact(live);
+        out.adj.reserve_exact(live);
+        out.addr_index.reserve(live);
+        let mut node_map = vec![UNMAPPED; self.nodes.len()];
+        for (i, n) in self.nodes.iter().enumerate().filter(|(_, n)| n.alive) {
+            node_map[i] = out.add_node(n.addr, n.index, n.value, n.boundary);
         }
-        let mut geom_map: HashMap<GeomId, GeomId> = HashMap::new();
+        let mut degree = vec![0usize; live];
+        for a in self.arcs.iter().filter(|a| a.alive) {
+            degree[node_map[a.upper as usize] as usize] += 1;
+            degree[node_map[a.lower as usize] as usize] += 1;
+        }
+        out.arcs.reserve_exact(degree.iter().sum::<usize>() / 2);
+        for (adj, d) in out.adj.iter_mut().zip(degree) {
+            adj.reserve_exact(d);
+        }
+        let mut geom_map = Vec::new();
         for a in self.arcs.iter().filter(|a| a.alive) {
             let g = self.copy_geom_into(a.geom, &mut out, &mut geom_map);
-            out.add_arc(node_map[&a.upper], node_map[&a.lower], g);
+            out.add_arc(node_map[a.upper as usize], node_map[a.lower as usize], g);
         }
         *self = out;
     }
 
     /// Recursively copy the geometry DAG rooted at `g` into `out`,
-    /// deduplicating shared records through `map`.
-    pub fn copy_geom_into(
-        &self,
-        g: GeomId,
-        out: &mut MsComplex,
-        map: &mut HashMap<GeomId, GeomId>,
-    ) -> GeomId {
-        if let Some(&id) = map.get(&g) {
-            return id;
+    /// deduplicating shared records through `map`: a dense old-id →
+    /// new-id table over this complex's geometry records, grown on
+    /// first use (start from an empty vector and keep passing the same
+    /// one for every copy into the same `out`).
+    pub fn copy_geom_into(&self, g: GeomId, out: &mut MsComplex, map: &mut Vec<GeomId>) -> GeomId {
+        if map.len() < self.geoms.len() {
+            map.resize(self.geoms.len(), UNMAPPED);
+        }
+        if map[g as usize] != UNMAPPED {
+            return map[g as usize];
         }
         let id = match self.geoms[g as usize] {
             GeomRec::Leaf { offset, len } => {
@@ -371,7 +388,7 @@ impl MsComplex {
                 out.add_cancel_geom(f, m, l)
             }
         };
-        map.insert(g, id);
+        map[g as usize] = id;
         id
     }
 

@@ -98,23 +98,30 @@ pub fn partition_complex(
     }
 
     // distribute arcs: one part each, chosen by the upper node's primary
-    // part; replicate missing endpoints as boundary stubs
-    let mut geom_maps: Vec<HashMap<u32, u32>> = vec![HashMap::new(); parts.len()];
-    for a in ms.arcs.iter().filter(|a| a.alive) {
-        let p = primary_part[a.upper as usize];
-        for end in [a.upper, a.lower] {
-            if !local_ids[end as usize].contains_key(&p) {
-                let n = &ms.nodes[end as usize];
-                let id = out[p].add_node(n.addr, n.index, n.value, true);
-                local_ids[end as usize].insert(p, id);
+    // part; replicate missing endpoints as boundary stubs. Part by part,
+    // so one dense geometry table (sized to the source) serves them all.
+    let mut geom_map = Vec::new();
+    for (p, part) in out.iter_mut().enumerate() {
+        geom_map.clear();
+        let mine = ms
+            .arcs
+            .iter()
+            .filter(|a| a.alive && primary_part[a.upper as usize] == p);
+        for a in mine {
+            for end in [a.upper, a.lower] {
+                if !local_ids[end as usize].contains_key(&p) {
+                    let n = &ms.nodes[end as usize];
+                    let id = part.add_node(n.addr, n.index, n.value, true);
+                    local_ids[end as usize].insert(p, id);
+                }
             }
+            let g = ms.copy_geom_into(a.geom, part, &mut geom_map);
+            part.add_arc(
+                local_ids[a.upper as usize][&p],
+                local_ids[a.lower as usize][&p],
+                g,
+            );
         }
-        let g = ms.copy_geom_into(a.geom, &mut out[p], &mut geom_maps[p]);
-        out[p].add_arc(
-            local_ids[a.upper as usize][&p],
-            local_ids[a.lower as usize][&p],
-            g,
-        );
     }
     out
 }

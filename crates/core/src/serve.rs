@@ -31,6 +31,13 @@
 //! `ordering` to `difference`. Errors come back as
 //! `{"ok":false,"error":...}` and never tear the connection down.
 //!
+//! Every reply — a JSON line with its newline, or an HTTP head with its
+//! body — is assembled in one buffer and leaves in one write
+//! (`write_reply`, the only function that writes to a client), and
+//! accepted sockets have `TCP_NODELAY` set: one reply is one segment,
+//! so a closed-loop client never waits out a delayed ACK between the
+//! pieces of an answer.
+//!
 //! A TCP connection whose first bytes spell `GET ` or `HEAD` is served
 //! as HTTP instead (sniffed without consuming them): `GET /metrics`
 //! answers Prometheus text exposition format from the same live
@@ -41,10 +48,17 @@
 //! ## Cache
 //!
 //! Materializations are memoized in an LRU cache keyed by `(dataset,
-//! block, ordering, threshold)`. Concurrent requests for the same key
-//! coalesce: the first computes, the rest block on a condition variable
-//! and reuse the cached result (counted as `serve_coalesced`). The
-//! cache tracks resident *bytes* per entry (capacity-based estimates) —
+//! block, ordering, prefix length)`: replay is positional, so a
+//! threshold matters only through the record prefix it selects, and two
+//! thresholds between the same pair of record keys share one entry. A
+//! miss extends the longest cached prefix of the same sequence that is
+//! no longer than the requested one, replaying only the records in
+//! between (`serve_replayed_records` counts them); with nothing shorter
+//! cached it replays from the base complex. Either way the result is
+//! bit-identical to a from-scratch replay. Concurrent requests for the
+//! same key coalesce: the first computes, the rest block on a condition
+//! variable and reuse the cached result (counted as `serve_coalesced`).
+//! The cache tracks resident *bytes* per entry (capacity-based estimates) —
 //! the substrate for evict-by-bytes budgeting — exported via the
 //! `serve_cache_bytes` / `serve_dataset_bytes` gauges.
 //!
@@ -63,7 +77,8 @@
 use crate::pipeline::{check_persistence, msh_output_path, seg_output_path};
 use msp_complex::{wire as cwire, MsComplex};
 use msp_hierarchy::{
-    compress_forwards, remap_tables, wire as hwire, Materialized, Ordering, SlotHierarchy,
+    compress_forwards, remap_tables, wire as hwire, HierarchyError, Materialized, Ordering,
+    SlotHierarchy,
 };
 use msp_segment::{wire as segwire, BlockSegmentation, DRAIN_ADDR, DRAIN_LABEL};
 use msp_telemetry::{
@@ -217,14 +232,16 @@ impl Default for ServeConfig {
     }
 }
 
-/// The cache key: everything a materialization depends on. Thresholds
-/// key by bit pattern (NaN is rejected before a key is ever built).
+/// The cache key: everything a materialization depends on. Replay is
+/// positional, so a threshold matters only through the length of the
+/// record prefix it selects — two thresholds with the same prefix are
+/// the same complex and share one entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     dataset: usize,
     slot: usize,
     ordering: Ordering,
-    threshold_bits: u32,
+    prefix_len: usize,
 }
 
 /// Hand-rolled LRU over a `HashMap` with monotonic access stamps;
@@ -257,6 +274,21 @@ impl Lru {
             *s = stamp;
             v.clone()
         })
+    }
+
+    /// The longest cached prefix of `key`'s sequence that `key` extends
+    /// (same dataset, slot and ordering, `prefix_len` at most `key`'s):
+    /// the cheapest starting point for materializing `key`. Reading a
+    /// starting point is not a use of it, so no stamp is touched.
+    fn longest_prefix(&self, key: &CacheKey) -> Option<Arc<Materialized>> {
+        self.map
+            .iter()
+            .filter(|(k, _)| {
+                (k.dataset, k.slot, k.ordering) == (key.dataset, key.slot, key.ordering)
+                    && k.prefix_len <= key.prefix_len
+            })
+            .max_by_key(|(k, _)| k.prefix_len)
+            .map(|(_, (v, _, _))| v.clone())
     }
 
     fn put(&mut self, key: CacheKey, value: Arc<Materialized>) {
@@ -311,6 +343,7 @@ struct ServeMetrics {
     hits: Arc<LiveCounter>,
     misses: Arc<LiveCounter>,
     coalesced: Arc<LiveCounter>,
+    replayed: Arc<LiveCounter>,
     errors: Arc<LiveCounter>,
     slow: Arc<LiveCounter>,
     scrapes: Arc<LiveCounter>,
@@ -333,6 +366,10 @@ impl ServeMetrics {
         let coalesced = c(
             "serve_coalesced",
             "Requests that piggybacked on an in-flight replay",
+        );
+        let replayed = c(
+            "serve_replayed_records",
+            "Cancellation records replayed by cache misses",
         );
         let errors = c("serve_errors", "Requests answered with ok:false");
         let slow = c(
@@ -390,6 +427,7 @@ impl ServeMetrics {
             hits,
             misses,
             coalesced,
+            replayed,
             errors,
             slow,
             scrapes,
@@ -585,7 +623,9 @@ impl ServerCore {
         Ok((ordering, t))
     }
 
-    /// The cached, coalescing materialization path.
+    /// The cached, coalescing materialization path. A miss replays only
+    /// the records between the longest cached prefix and the requested
+    /// one (from the base complex when nothing shorter is cached).
     fn materialized(
         &self,
         di: usize,
@@ -593,11 +633,14 @@ impl ServerCore {
         ordering: Ordering,
         t: f32,
     ) -> Result<Arc<Materialized>, String> {
+        let ds = &self.datasets[di];
+        let hierarchy = &ds.hierarchies[slot];
+        let failed = |e: HierarchyError| format!("materialize failed: {e}");
         let key = CacheKey {
             dataset: di,
             slot,
             ordering,
-            threshold_bits: t.to_bits(),
+            prefix_len: hierarchy.prefix_len(ordering, t).map_err(failed)?,
         };
         let mut waited = false;
         loop {
@@ -608,8 +651,7 @@ impl ServerCore {
                 }
                 return Ok(v);
             }
-            let busy = self.inflight.lock().unwrap();
-            let mut busy = busy;
+            let mut busy = self.inflight.lock().unwrap();
             if busy.insert(key) {
                 break; // this request owns the computation
             }
@@ -618,21 +660,24 @@ impl ServerCore {
             waited = true;
             let _unused = self.inflight_cv.wait(busy).unwrap();
         }
-        let ds = &self.datasets[di];
-        let result = ds.hierarchies[slot]
-            .materialize(&ds.bases[slot], ordering, t)
-            .map_err(|e| e.to_string());
+        let from = self.cache.lock().unwrap().longest_prefix(&key);
+        let result = match &from {
+            Some(m) => hierarchy.extend(m, ordering, key.prefix_len),
+            None => hierarchy.materialize_k(&ds.bases[slot], ordering, key.prefix_len),
+        };
         let out = match result {
             Ok(m) => {
+                let replayed = m.applied - from.map_or(0, |f| f.applied);
                 let m = Arc::new(m);
                 self.cache.lock().unwrap().put(key, m.clone());
                 self.metrics.misses.inc();
+                self.metrics.replayed.add(replayed as u64);
                 if waited {
                     self.metrics.coalesced.inc();
                 }
                 Ok(m)
             }
-            Err(e) => Err(format!("materialize failed: {e}")),
+            Err(e) => Err(failed(e)),
         };
         let mut busy = self.inflight.lock().unwrap();
         busy.remove(&key);
@@ -877,6 +922,7 @@ impl ServerCore {
                 ("hits", Json::U64(hits)),
                 ("misses", Json::U64(misses)),
                 ("coalesced", Json::U64(self.metrics.coalesced.get())),
+                ("replayed_records", Json::U64(self.metrics.replayed.get())),
                 ("errors", Json::U64(self.metrics.errors.get())),
                 ("qps", Json::F64(qps)),
                 ("hit_rate", Json::F64(hit_rate)),
@@ -1081,6 +1127,18 @@ fn wants_close(line: &str) -> bool {
     false
 }
 
+/// The one way a reply leaves the process, on every transport: the
+/// caller completes `reply` in its own buffer (a JSON reply with its
+/// newline pushed on, or an HTTP head with the body appended) and it is
+/// handed to the writer in a single `write_all`. On a socket that is
+/// one segment per reply; written piecewise, the tail of a reply would
+/// sit behind the peer's delayed ACK of its head (~40 ms a request on a
+/// closed-loop connection).
+fn write_reply(writer: &mut impl Write, reply: &str) -> std::io::Result<()> {
+    writer.write_all(reply.as_bytes())?;
+    writer.flush()
+}
+
 /// State of the in-order response writer: workers finish in any order
 /// but write strictly by sequence number.
 struct OutState<W> {
@@ -1130,16 +1188,14 @@ where
                     }
                 };
                 let Some((seq, line)) = job else { return };
-                let (resp, _close) = core.handle_line(&line);
+                let (mut resp, _close) = core.handle_line(&line);
+                resp.push('\n');
                 let mut g = out.lock().unwrap();
                 while g.next != seq {
                     g = out_cv.wait(g).unwrap();
                 }
                 if g.error.is_none() {
-                    let r = writeln!(g.writer, "{resp}").and_then(|()| g.writer.flush());
-                    if let Err(e) = r {
-                        g.error = Some(e);
-                    }
+                    g.error = write_reply(&mut g.writer, &resp).err();
                 }
                 g.next += 1;
                 out_cv.notify_all();
@@ -1194,6 +1250,8 @@ pub fn serve_tcp(core: &ServerCore, listener: TcpListener) -> std::io::Result<()
 
 fn serve_connection(core: &ServerCore, stream: TcpStream) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
+    // replies are whole frames already: nothing for Nagle to gather
+    stream.set_nodelay(true)?;
     if sniff_http(&stream)? {
         return serve_http(core, stream);
     }
@@ -1204,9 +1262,9 @@ fn serve_connection(core: &ServerCore, stream: TcpStream) -> std::io::Result<()>
         if line.trim().is_empty() {
             continue;
         }
-        let (resp, close) = core.handle_line(&line);
-        writeln!(writer, "{resp}")?;
-        writer.flush()?;
+        let (mut resp, close) = core.handle_line(&line);
+        resp.push('\n');
+        write_reply(&mut writer, &resp)?;
         if close {
             break;
         }
@@ -1266,15 +1324,14 @@ fn serve_http(core: &ServerCore, mut stream: TcpStream) -> std::io::Result<()> {
             "not found\n".to_string(),
         ),
     };
-    write!(
-        stream,
+    let mut reply = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )?;
+    );
     if method != "HEAD" {
-        stream.write_all(body.as_bytes())?;
+        reply.push_str(&body);
     }
-    stream.flush()
+    write_reply(&mut stream, &reply)
 }
 
 #[cfg(test)]
@@ -1286,13 +1343,18 @@ mod tests {
     use std::io::{Cursor, Read};
     use std::sync::Barrier;
 
-    /// Build a real dataset by running the pipeline with artifacts on
-    /// disk, loading them back, and cleaning up.
     fn dataset(tag: &str) -> Dataset {
+        dataset_of(tag, 9)
+    }
+
+    /// Build a real dataset (white noise on a `size`³ grid) by running
+    /// the pipeline with artifacts on disk, loading them back, and
+    /// cleaning up.
+    fn dataset_of(tag: &str, size: u32) -> Dataset {
         let mut path = std::env::temp_dir();
         path.push(format!("msp_serve_{}_{tag}.msc", std::process::id()));
         let input = Input::Memory(std::sync::Arc::new(msp_synth::white_noise(
-            Dims::cube(9),
+            Dims::cube(size),
             17,
         )));
         let params = PipelineParams {
@@ -1319,6 +1381,22 @@ mod tests {
 
     fn field<'a>(pairs: &'a [(String, Json)], key: &str) -> &'a Json {
         get(pairs, key).unwrap_or_else(|| panic!("missing {key}"))
+    }
+
+    /// Two distinct thresholds that select the same nonempty record
+    /// prefix, and its length: a record whose key exceeds every earlier
+    /// key opens a gap `[running max, key)` in which every threshold
+    /// stops the positional replay at that record.
+    fn same_prefix_pair(recs: &[msp_complex::CancelRecord]) -> (usize, f32, f32) {
+        let mut lo = recs[0].key;
+        for (at, r) in recs.iter().enumerate().skip(1) {
+            let between = lo + (r.key - lo) / 2.0;
+            if lo < between && between < r.key {
+                return (at, lo, between);
+            }
+            lo = lo.max(r.key);
+        }
+        panic!("no gap between record keys");
     }
 
     #[test]
@@ -1409,13 +1487,17 @@ mod tests {
     #[test]
     fn concurrent_identical_requests_coalesce() {
         let core = ServerCore::new(vec![dataset("coalesce")], ServeConfig::default());
+        // identical means "same prefix": two thresholds, one key
+        let (_, lo, between) = same_prefix_pair(&core.datasets[0].hierarchies[0].difference);
         let n = 8;
         let barrier = Barrier::new(n);
         std::thread::scope(|s| {
-            for _ in 0..n {
-                s.spawn(|| {
+            for i in 0..n {
+                let (core, barrier) = (&core, &barrier);
+                s.spawn(move || {
                     barrier.wait();
-                    let m = core.materialized(0, 0, Ordering::Difference, 0.25).unwrap();
+                    let t = if i % 2 == 0 { lo } else { between };
+                    let m = core.materialized(0, 0, Ordering::Difference, t).unwrap();
                     assert!(m.complex.n_live_nodes() > 0);
                 });
             }
@@ -1424,6 +1506,57 @@ mod tests {
         assert_eq!(hits + misses, n as u64);
         assert_eq!(misses, 1, "one computation for {n} identical requests");
         assert_eq!(hits, n as u64 - 1);
+    }
+
+    #[test]
+    fn thresholds_with_one_prefix_share_an_entry_and_misses_replay_the_delta() {
+        let core = ServerCore::new(vec![dataset("prefix")], ServeConfig::default());
+        let recs = &core.datasets[0].hierarchies[0].difference;
+        let (at, lo, between) = same_prefix_pair(recs);
+        let counts = || {
+            let m = &core.metrics;
+            (m.hits.get(), m.misses.get(), m.replayed.get())
+        };
+        let a = core.materialized(0, 0, Ordering::Difference, lo).unwrap();
+        assert_eq!(a.applied, at);
+        assert_eq!(counts(), (0, 1, at as u64), "cold miss replays from zero");
+        let b = core
+            .materialized(0, 0, Ordering::Difference, between)
+            .unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "same prefix, same cached complex");
+        assert_eq!(counts(), (1, 1, at as u64));
+        // a longer prefix extends the cached one: exactly k - k0 records
+        let all = core
+            .materialized(0, 0, Ordering::Difference, f32::INFINITY)
+            .unwrap();
+        assert_eq!(all.applied, recs.len());
+        assert_eq!(counts(), (1, 2, recs.len() as u64));
+        // and extending is invisible in the answer
+        let direct = core.datasets[0].hierarchies[0]
+            .materialize(
+                &core.datasets[0].bases[0],
+                Ordering::Difference,
+                f32::INFINITY,
+            )
+            .unwrap();
+        assert_eq!(
+            cwire::serialize(&all.complex),
+            cwire::serialize(&direct.complex)
+        );
+        assert_eq!(all.forwards, direct.forwards);
+        assert_eq!(all.stats, direct.stats);
+        // a shorter prefix has nothing to extend: from the base again
+        let none = core.materialized(0, 0, Ordering::Difference, -1.0).unwrap();
+        assert_eq!(none.applied, 0);
+        assert_eq!(counts(), (1, 3, recs.len() as u64));
+        let (stats, _) = core.handle_line("{\"op\":\"stats\"}");
+        assert_eq!(
+            field(&parsed(&stats), "replayed_records"),
+            &Json::U64(recs.len() as u64)
+        );
+        assert!(core
+            .prometheus_text()
+            .contains(&format!("serve_replayed_records {}", recs.len())));
     }
 
     #[test]
@@ -1660,11 +1793,11 @@ mod tests {
     #[test]
     fn lru_evicts_stalest_key() {
         let mut lru = Lru::new(2);
-        let key = |i: u32| CacheKey {
+        let key = |i: usize| CacheKey {
             dataset: 0,
             slot: 0,
             ordering: Ordering::Difference,
-            threshold_bits: i,
+            prefix_len: i,
         };
         let dummy = |applied: usize| {
             Arc::new(Materialized {
@@ -1724,6 +1857,57 @@ mod tests {
         for l in &lines {
             assert!(Json::parse(l).is_ok());
         }
+    }
+
+    #[test]
+    fn tcp_replies_arrive_whole_and_without_a_delayed_ack_stall() {
+        let core = Arc::new(ServerCore::new(
+            vec![dataset_of("frames", 15)],
+            ServeConfig::default(),
+        ));
+        // fully simplified, arcs are few and long: take the longest
+        let t = f32::MAX;
+        let m = core.materialized(0, 0, Ordering::Difference, t).unwrap();
+        let live = m.complex.arcs.iter().enumerate().filter(|(_, a)| a.alive);
+        let (arc, _) = live
+            .max_by_key(|(_, a)| m.complex.geom_len(a.geom))
+            .expect("a live arc");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|s| {
+            let server = {
+                let core = core.clone();
+                s.spawn(move || serve_tcp(&core, listener))
+            };
+            // a client that never delays its own segments: what is left
+            // of a round trip is the server's doing
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut ask = |req: &str| {
+                stream.write_all(format!("{req}\n").as_bytes()).unwrap();
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                line
+            };
+            ask("{\"op\":\"ping\"}"); // accepted and sniffed
+            let t0 = Instant::now();
+            let pongs: Vec<String> = (0..25).map(|_| ask("{\"op\":\"ping\"}")).collect();
+            let took = t0.elapsed();
+            let req = format!("{{\"op\":\"arc-geometry\",\"t\":{t},\"arc\":{arc}}}");
+            let reply = ask(&req);
+            // stop the server before asserting: a panic in here would
+            // leave the scope waiting on the accept loop forever
+            ask("{\"op\":\"shutdown\"}");
+            server.join().unwrap().unwrap();
+            assert!(pongs.iter().all(|p| p == "{\"ok\":true,\"op\":\"ping\"}\n"));
+            assert!(
+                took < Duration::from_millis(500),
+                "25 closed-loop pings took {took:?}: replies are leaving in pieces"
+            );
+            assert!(reply.len() > 2048, "wanted a multi-kilobyte reply: {reply}");
+            assert_eq!(reply, core.handle_line(&req).0 + "\n");
+        });
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //! is what makes the materialized complex (and its segmentation forward
 //! entries) bit-identical to a direct `simplify` run at `t`.
 //!
+//! Positional replay is also incremental: prefix `k` extends any prefix
+//! `k0 ≤ k`, so [`SlotHierarchy::extend`] continues from an already
+//! materialized (compacted) complex and replays only records `k0..k`.
+//! [`SlotHierarchy::materialize_k`] from the base is the `k0 = 0` case
+//! of the same function body.
+//!
 //! The on-disk artifact is the versioned `MSH1` format ([`wire`]); the
 //! pipeline writes one payload per output slot via the collective write,
 //! so `<out>.msh` is byte-identical across ranks/threads/schedules.
@@ -142,6 +148,9 @@ pub enum HierarchyError {
     MissingOrdering(Ordering),
     /// `materialize_k` beyond the recorded sequence.
     PrefixOutOfRange { k: usize, len: usize },
+    /// `extend` towards a prefix shorter than the one it starts from —
+    /// replay only ever moves forward.
+    NotAnExtension { from: usize, k: usize },
     /// NaN threshold — no prefix is defined.
     NanThreshold,
     /// A record failed to re-execute: the base complex does not match
@@ -157,6 +166,9 @@ impl fmt::Display for HierarchyError {
             }
             HierarchyError::PrefixOutOfRange { k, len } => {
                 write!(f, "prefix length {k} out of range (sequence has {len})")
+            }
+            HierarchyError::NotAnExtension { from, k } => {
+                write!(f, "prefix {k} does not extend materialized prefix {from}")
             }
             HierarchyError::NanThreshold => write!(f, "materialization threshold is NaN"),
             HierarchyError::Replay { index, source } => {
@@ -269,10 +281,49 @@ impl SlotHierarchy {
         self.materialize_k(base, ordering, k)
     }
 
-    /// Materialize by replaying exactly the first `k` records.
+    /// Materialize by replaying exactly the first `k` records: the
+    /// extension of the empty prefix (`base` itself, nothing applied).
     pub fn materialize_k(
         &self,
         base: &MsComplex,
+        ordering: Ordering,
+        k: usize,
+    ) -> Result<Materialized, HierarchyError> {
+        self.extend_prefix(base, &[], SimplifyStats::default(), 0, ordering, k)
+    }
+
+    /// Materialize prefix `k` from an already materialized shorter (or
+    /// equal) prefix of the same base and ordering: replay only records
+    /// `from.applied..k` on a clone of its compacted complex. Replay is
+    /// positional, so prefix `k` is by construction an extension of any
+    /// prefix `k0 ≤ k`, and compaction preserves the relative order of
+    /// nodes, arcs and adjacency — the result is bit-identical (complex
+    /// wire bytes, forwards, stats) to [`Self::materialize_k`] from the
+    /// base.
+    pub fn extend(
+        &self,
+        from: &Materialized,
+        ordering: Ordering,
+        k: usize,
+    ) -> Result<Materialized, HierarchyError> {
+        self.extend_prefix(
+            &from.complex,
+            &from.forwards,
+            from.stats,
+            from.applied,
+            ordering,
+            k,
+        )
+    }
+
+    /// The one materialization body: `complex`/`forwards`/`stats` are
+    /// the state after records `0..k0`; replay `k0..k` and compact.
+    fn extend_prefix(
+        &self,
+        complex: &MsComplex,
+        forwards: &[(u64, u64)],
+        mut stats: SimplifyStats,
+        k0: usize,
         ordering: Ordering,
         k: usize,
     ) -> Result<Materialized, HierarchyError> {
@@ -282,10 +333,12 @@ impl SlotHierarchy {
         if k > recs.len() {
             return Err(HierarchyError::PrefixOutOfRange { k, len: recs.len() });
         }
-        let mut ms = base.clone();
-        let mut stats = SimplifyStats::default();
-        let mut forwards = Vec::new();
-        for (i, r) in recs[..k].iter().enumerate() {
+        if k0 > k {
+            return Err(HierarchyError::NotAnExtension { from: k0, k });
+        }
+        let mut ms = complex.clone();
+        let mut forwards = forwards.to_vec();
+        for (i, r) in recs.iter().enumerate().take(k).skip(k0) {
             let fwd = replay_cancellation(
                 &mut ms,
                 r.upper_addr,
@@ -419,6 +472,35 @@ mod tests {
             );
             assert_eq!(got.forwards, wfw, "threshold {t}");
         }
+    }
+
+    #[test]
+    fn extension_across_the_prune_cadence_equals_from_scratch() {
+        // long enough that prefixes sit on both sides of a 512-record
+        // adjacency prune, which an extension skips or shifts
+        let base = serial(&msp_synth::white_noise(Dims::cube(15), 3));
+        let h = record(&base, ReplayParams::default(), None).unwrap();
+        let n = h.difference.len();
+        assert!(n > 600, "only {n} records");
+        let mut extended = h.materialize_k(&base, Ordering::Difference, 0).unwrap();
+        for k in [0, 300, 511, 512, 513, n] {
+            extended = h.extend(&extended, Ordering::Difference, k).unwrap();
+            let scratch = h.materialize_k(&base, Ordering::Difference, k).unwrap();
+            assert_eq!(
+                cwire::serialize(&extended.complex),
+                cwire::serialize(&scratch.complex),
+                "prefix {k}"
+            );
+            assert_eq!(extended.forwards, scratch.forwards, "prefix {k}");
+            assert_eq!(extended.stats, scratch.stats, "prefix {k}");
+            assert_eq!(extended.applied, k);
+        }
+        // replay only moves forward
+        assert_eq!(
+            h.extend(&extended, Ordering::Difference, n - 1)
+                .unwrap_err(),
+            HierarchyError::NotAnExtension { from: n, k: n - 1 }
+        );
     }
 
     #[test]

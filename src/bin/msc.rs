@@ -769,8 +769,13 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
         Some(addr) => {
             let listener =
                 std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+            // the bound address, not the requested one: `--listen host:0`
+            // asks the OS for a port and this line is how a client learns it
+            let bound = listener
+                .local_addr()
+                .map_err(|e| format!("local address of {addr}: {e}"))?;
             eprintln!(
-                "serving on {addr} (send {{\"op\":\"shutdown\"}} or Ctrl-C to stop; \
+                "serving on {bound} (send {{\"op\":\"shutdown\"}} or Ctrl-C to stop; \
                  GET /metrics for Prometheus text)"
             );
             // The accept loop polls `is_shutdown`, so turning Ctrl-C

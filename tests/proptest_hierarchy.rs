@@ -4,9 +4,13 @@
 //! 1-rank/1-thread run, and prefix replay at any threshold must
 //! reproduce a direct simplification of the base complex bit for bit —
 //! wire bytes, forward entries, and the remapped segmentation label
-//! tables alike.
+//! tables alike. Materializing by extension — replaying only the records
+//! between an already materialized prefix and a longer one — must be
+//! indistinguishable from both.
 
-use morse_smale_parallel::complex::{simplify_with, wire as cwire, CancelOrder, SimplifyParams};
+use morse_smale_parallel::complex::{
+    simplify_with, wire as cwire, CancelOrder, SimplifyParams, SimplifyStats,
+};
 use morse_smale_parallel::core::{run_parallel, Input, MergePlan, PipelineParams, RunResult};
 use morse_smale_parallel::grid::Dims;
 use morse_smale_parallel::hierarchy::{
@@ -134,6 +138,85 @@ proptest! {
                     .unwrap();
                 let b = remapped_seg_bytes(&got, &gm.forwards);
                 prop_assert_eq!(a, b, "slot {} {:?} remapped labels", slot, ordering);
+            }
+        }
+    }
+
+    #[test]
+    fn extension_chains_equal_from_scratch_and_direct(
+        seed in 0u64..10_000,
+        size in 9u32..13,
+        kind in 0usize..3,
+        blocks_exp in 1u32..4,
+        full in any::<bool>(),
+        f0 in 0.0f64..1.0,
+        f1 in 0.0f64..1.0,
+        f2 in 0.0f64..1.0,
+    ) {
+        let blocks = 1u32 << blocks_exp;
+        let input = Input::Memory(Arc::new(make_field(kind, Dims::cube(size), seed)));
+        let r = run(&input, 1, blocks, 1, full);
+        let sizes = region_sizes(r.segmentation.iter());
+        for (slot, (h, base)) in r.hierarchies.iter().zip(&r.outputs).enumerate() {
+            for ordering in h.orderings() {
+                // a chain k0 <= k1 <= k2 of prefixes that thresholds can
+                // name (so a direct run exists to compare against)
+                let records = h.records(ordering).unwrap();
+                let mut chain: Vec<(usize, f32)> = [f0, f1, f2]
+                    .iter()
+                    .map(|f| match records.len() {
+                        0 => f32::INFINITY,
+                        n => records[((n - 1) as f64 * f) as usize].key,
+                    })
+                    .map(|t| (h.prefix_len(ordering, t).unwrap(), t))
+                    .collect();
+                chain.sort_by_key(|&(k, _)| k);
+                let mut extended = h.materialize_k(base, ordering, 0).unwrap();
+                for (k, t) in chain {
+                    extended = h.extend(&extended, ordering, k).unwrap();
+                    let scratch = h.materialize_k(base, ordering, k).unwrap();
+                    let mut direct = base.clone();
+                    let mut order = match ordering {
+                        Ordering::Difference => CancelOrder::Difference,
+                        Ordering::Count => CancelOrder::Count(sizes.clone()),
+                    };
+                    let mut fw = Vec::new();
+                    let stats = simplify_with(
+                        &mut direct,
+                        SimplifyParams {
+                            threshold: t,
+                            max_new_arcs: h.params.max_new_arcs,
+                            max_parallel_arcs: h.params.max_parallel_arcs,
+                        },
+                        &mut order,
+                        None,
+                        Some(&mut fw),
+                    )
+                    .unwrap();
+                    direct.compact();
+                    let at = format!("slot {} {:?} prefix {} (t={})", slot, ordering, k, t);
+                    let bytes = cwire::serialize(&extended.complex);
+                    prop_assert_eq!(&bytes, &cwire::serialize(&scratch.complex), "{}", at);
+                    prop_assert_eq!(&bytes, &cwire::serialize(&direct), "{}", at);
+                    prop_assert_eq!(&extended.forwards, &scratch.forwards, "{}", at);
+                    prop_assert_eq!(&extended.forwards, &fw, "{}", at);
+                    prop_assert_eq!(extended.stats, scratch.stats, "{}", at);
+                    // a replay executes cancellations only: the pairs the
+                    // live loop popped and skipped are not part of it
+                    let executed = SimplifyStats {
+                        skipped_multiplicity: 0,
+                        skipped_valence: 0,
+                        ..stats
+                    };
+                    prop_assert_eq!(extended.stats, executed, "{}", at);
+                    prop_assert_eq!((extended.applied, scratch.applied), (k, k), "{}", at);
+
+                    // compact: a sound complex, and a fixed point
+                    prop_assert_eq!(direct.check_integrity(), Ok(()), "{}", at);
+                    direct.compact();
+                    prop_assert_eq!(direct.check_integrity(), Ok(()), "{}", at);
+                    prop_assert_eq!(&cwire::serialize(&direct), &bytes, "recompacted {}", at);
+                }
             }
         }
     }
