@@ -20,6 +20,24 @@
 //! then be re-executed positionally by [`replay_cancellation`] — both
 //! paths share [`execute_cancellation`] verbatim, which is what makes
 //! hierarchy replay bit-identical to a direct simplification run.
+//!
+//! **Cost.** A cancellation costs what the neighbourhood it rewrites
+//! costs. The splice counts each upper neighbour `x`'s living down-arcs
+//! per lower endpoint once, into the complex's per-node scratch table,
+//! and reads the parallel-arc cap for every `y` off that table:
+//! `Σ_x (deg x + |below|)` steps, not a `multiplicity(x, y)` scan per
+//! pair. The legality test stops at the second connecting arc, on the
+//! shorter incidence list. Degrees count tombstones, which the loop
+//! sweeps out every 512 cancellations.
+//!
+//! **Queue.** Only arcs the pass can still cancel are queued. Never
+//! pushed: an arc with a boundary endpoint (flags are fixed for a pass),
+//! an arc whose key is above the threshold (keys never shrink), and a
+//! splice arc that is the second or later parallel arc of its pair (a
+//! doubled pair stays doubled while both ends live). Dropping them
+//! changes no pop the loop would have acted on, so the sequence, the
+//! created arcs and their ids are those of the unfiltered queue; the
+//! pass ends when the queue is empty.
 
 use crate::skeleton::{ArcId, Cancellation, MsComplex, NodeId};
 use msp_grid::field::OrderedF32;
@@ -41,9 +59,12 @@ pub struct SimplifyParams {
     /// multiplicity never decreases while both endpoints live, and pair
     /// existence is preserved — so capping only bounds memory and output
     /// size on degenerate (perfectly symmetric) fields, where
-    /// composite-arc counts would otherwise grow combinatorially. `None`
+    /// composite-arc counts would otherwise grow combinatorially. The
+    /// same invariant (stored multiplicity never falls either) is why the
+    /// loop queues only the first arc a splice creates for a pair. `None`
     /// stores every composite arc, as the paper's data structure [14]
-    /// does.
+    /// does. `Some(1)` is *not* neutral: a pair that should be doubled is
+    /// stored, and cancelled, as single.
     pub max_parallel_arcs: Option<u32>,
 }
 
@@ -63,7 +84,6 @@ pub struct SimplifyStats {
     pub cancellations: u64,
     pub arcs_removed: u64,
     pub arcs_created: u64,
-    pub skipped_multiplicity: u64,
     pub skipped_valence: u64,
     /// Composite arcs not stored because the pair hit `max_parallel_arcs`.
     pub capped_parallel: u64,
@@ -209,8 +229,10 @@ pub fn simplify_with(
     let mut since_prune = 0u32;
     let mut heap: BinaryHeap<Reverse<(OrderedF32, ArcId)>> = BinaryHeap::new();
     for (i, _) in ms.arcs.iter().enumerate().filter(|(_, a)| a.alive) {
-        push_candidate(ms, i as ArcId, order, &mut heap);
+        push_candidate(ms, i as ArcId, order, params.threshold, &mut heap);
     }
+    // everything queued is within the threshold, so the pass ends when
+    // the heap runs dry
     while let Some(Reverse((k, a))) = heap.pop() {
         if !ms.arcs[a as usize].alive {
             continue;
@@ -219,24 +241,21 @@ pub fn simplify_with(
         let (u, l) = (arc.upper, arc.lower);
         let now = order_key(ms, order, u, l);
         if OrderedF32::new(now) != k {
-            // Stale key: a Count size grew since the push. Reinsert at
-            // the current key; everything still in the heap sits at or
-            // above `k` and true keys never shrink, so the ordering and
-            // the break below stay sound. (Difference keys never change,
-            // so this branch is unreachable there.)
+            // Stale key: a Count size grew since the push. Requeue at the
+            // current key (unless that left the threshold behind);
+            // everything still in the heap sits at or above `k` and true
+            // keys never shrink, so the ordering stays sound. (Difference
+            // keys never change, so this branch is unreachable there.)
             debug_assert!(now > k.value());
-            heap.push(Reverse((OrderedF32::new(now), a)));
+            if now <= params.threshold {
+                heap.push(Reverse((OrderedF32::new(now), a)));
+            }
             continue;
         }
-        if now > params.threshold {
-            break; // heap is key-ordered; nothing lower remains
-        }
-        if ms.nodes[u as usize].boundary || ms.nodes[l as usize].boundary {
-            continue; // boundary nodes are anchors for gluing
-        }
-        if ms.multiplicity(u, l) != 1 {
-            stats.skipped_multiplicity += 1;
-            continue;
+        debug_assert!(now <= params.threshold);
+        debug_assert!(!ms.nodes[u as usize].boundary && !ms.nodes[l as usize].boundary);
+        if ms.arcs_between(u, l).nth(1).is_some() {
+            continue; // doubled since it was queued
         }
         // neighbourhood arcs
         let above: Vec<ArcId> = ms.arcs_above(l).filter(|&x| x != a).collect();
@@ -262,7 +281,7 @@ pub fn simplify_with(
             current,
             params.max_parallel_arcs,
             &mut stats,
-            |m, id| push_candidate(m, id, ord, &mut heap),
+            |m, id| push_candidate(m, id, ord, params.threshold, &mut heap),
         );
         if let CancelOrder::Count(sizes) = &mut *order {
             if let Some((dead, target)) = fwd {
@@ -292,6 +311,7 @@ pub fn simplify_with(
             since_prune = 0;
         }
     }
+    debug_assert!(ms.down_count.iter().all(|&c| c == 0));
     Ok(stats)
 }
 
@@ -315,18 +335,19 @@ pub fn replay_cancellation(
     let l = ms
         .node_at(lower_addr)
         .ok_or(ReplayError::UnknownNode { addr: lower_addr })?;
-    let connecting: Vec<ArcId> = ms
-        .arcs_below(u)
-        .filter(|&x| ms.arcs[x as usize].lower == l)
-        .collect();
-    if connecting.len() != 1 {
-        return Err(ReplayError::BadMultiplicity {
-            upper: upper_addr,
-            lower: lower_addr,
-            n: connecting.len(),
-        });
-    }
-    let a = connecting[0];
+    let a = {
+        let mut connecting = ms.arcs_between(u, l);
+        match (connecting.next(), connecting.next()) {
+            (Some(a), None) => a,
+            (first, _) => {
+                return Err(ReplayError::BadMultiplicity {
+                    upper: upper_addr,
+                    lower: lower_addr,
+                    n: first.map_or(0, |_| 2 + connecting.count()),
+                })
+            }
+        }
+    };
     let above: Vec<ArcId> = ms.arcs_above(l).filter(|&x| x != a).collect();
     let below: Vec<ArcId> = ms.arcs_below(u).filter(|&x| x != a).collect();
     let current = persistence(ms, u, l);
@@ -345,9 +366,10 @@ pub fn replay_cancellation(
 /// Execute one legal cancellation of arc `a = (u, l)`: create the splice
 /// arcs over `above × below` (respecting the parallel-arc cap), delete
 /// every arc incident to the pair, kill both nodes, and append the
-/// hierarchy record. `on_new_arc` sees each created arc (the live loop
-/// pushes heap candidates; replay ignores it). Returns the segmentation
-/// forward entry, if the cancellation killed an extremum.
+/// hierarchy record. `on_new_arc` sees each created arc that is the only
+/// one between its endpoints (the live loop queues it; replay ignores
+/// it). Returns the segmentation forward entry, if the cancellation
+/// killed an extremum.
 #[allow(clippy::too_many_arguments)]
 fn execute_cancellation(
     ms: &mut MsComplex,
@@ -363,29 +385,33 @@ fn execute_cancellation(
     let (u, l) = (arc.upper, arc.lower);
     let fwd = forward_entry(ms, u, l, above, below);
     // create replacement arcs x -> y
+    let cap = max_parallel_arcs.unwrap_or(u32::MAX);
     let mut n_created = 0u32;
     for &a1 in above {
+        let (x, first) = (ms.arcs[a1 as usize].upper, ms.arcs[a1 as usize].geom);
+        debug_assert_ne!(x, u);
+        // counted once for every y below, not scanned per pair
+        ms.count_down_arcs(x);
         for &a2 in below {
-            let x = ms.arcs[a1 as usize].upper;
-            let y = ms.arcs[a2 as usize].lower;
-            debug_assert_ne!(x, u);
+            let (y, last) = (ms.arcs[a2 as usize].lower, ms.arcs[a2 as usize].geom);
             debug_assert_ne!(y, l);
-            if let Some(cap) = max_parallel_arcs {
-                if ms.multiplicity(x, y) >= cap as usize {
-                    stats.capped_parallel += 1;
-                    continue;
-                }
+            let parallel = ms.down_count[y as usize];
+            if parallel >= cap {
+                stats.capped_parallel += 1;
+                continue;
             }
-            let g = ms.add_cancel_geom(
-                ms.arcs[a1 as usize].geom,
-                ms.arcs[a as usize].geom,
-                ms.arcs[a2 as usize].geom,
-            );
+            let g = ms.add_cancel_geom(first, arc.geom, last);
             let id = ms.add_arc(x, y, g);
-            on_new_arc(ms, id);
+            ms.down_count[y as usize] = parallel + 1;
+            // a pair that is doubled stays doubled while both ends live,
+            // so only the first arc of a pair is ever a candidate
+            if parallel == 0 {
+                on_new_arc(ms, id);
+            }
             stats.arcs_created += 1;
             n_created += 1;
         }
+        ms.clear_down_counts(x);
     }
     // delete all arcs incident to u or l, then the nodes
     let doomed: Vec<ArcId> = ms.arcs_of(u).chain(ms.arcs_of(l)).collect();
@@ -472,15 +498,24 @@ fn order_key(ms: &MsComplex, order: &CancelOrder, u: NodeId, l: NodeId) -> f32 {
     }
 }
 
+/// Queue arc `a` under its current key — unless this pass can never
+/// cancel it: boundary flags are fixed for a pass, and a key above the
+/// threshold stays there (keys never shrink under either ordering).
 fn push_candidate(
     ms: &MsComplex,
     a: ArcId,
     order: &CancelOrder,
+    threshold: f32,
     heap: &mut BinaryHeap<Reverse<(OrderedF32, ArcId)>>,
 ) {
     let arc = &ms.arcs[a as usize];
+    if ms.nodes[arc.upper as usize].boundary || ms.nodes[arc.lower as usize].boundary {
+        return; // boundary nodes are anchors for gluing
+    }
     let k = order_key(ms, order, arc.upper, arc.lower);
-    heap.push(Reverse((OrderedF32::new(k), a)));
+    if k <= threshold {
+        heap.push(Reverse((OrderedF32::new(k), a)));
+    }
 }
 
 #[cfg(test)]
@@ -503,6 +538,159 @@ mod tests {
         c[0] as i64 - c[1] as i64 + c[2] as i64 - c[3] as i64
     }
 
+    /// Pseudo-random positive region size per extremum, for `Count`.
+    fn synthetic_sizes(ms: &MsComplex) -> HashMap<u64, u64> {
+        ms.nodes
+            .iter()
+            .filter(|n| n.alive && (n.index == 0 || n.index == 3))
+            .map(|n| (n.addr, 1 + (n.addr % 97)))
+            .collect()
+    }
+
+    /// Living arcs a pass to `threshold` could still cancel: no boundary
+    /// endpoint, singly connected, key at most `threshold` (`order` holds
+    /// the sizes as the pass left them). Only the valence guard may leave
+    /// any, and each one it leaves it skipped once in that pass.
+    fn legal_pairs_left(ms: &MsComplex, order: &CancelOrder, threshold: f32) -> u64 {
+        let legal = |a: &&crate::skeleton::Arc| {
+            a.alive
+                && !ms.nodes[a.upper as usize].boundary
+                && !ms.nodes[a.lower as usize].boundary
+                && ms.multiplicity(a.upper, a.lower) == 1
+                && order_key(ms, order, a.upper, a.lower) <= threshold
+        };
+        ms.arcs.iter().filter(legal).count() as u64
+    }
+
+    /// What `two_pass_counts` returns — `[cancellations, arcs_created,
+    /// arcs_removed, capped_parallel, skipped_valence]` — one row per
+    /// field × ordering × valence guard in the order
+    /// `queue_keeps_every_legal_pair_and_the_pinned_counts` loops, one
+    /// entry per `max_parallel_arcs` of `None, Some(1), Some(2), Some(3)`.
+    /// Captured by running that test at commit 22d1297 (the parent of the
+    /// linear-splice engine); re-capture only when a synthetic generator
+    /// changes, never to make an engine change pass.
+    const PINNED_COUNTS: [[[u64; 5]; 4]; 8] = [
+        [
+            [229, 1029, 2217, 0, 0],
+            [228, 435, 1806, 147, 0],
+            [229, 564, 1904, 214, 0],
+            [229, 639, 1965, 268, 0],
+        ],
+        [
+            [221, 356, 1646, 0, 79],
+            [224, 319, 1660, 50, 76],
+            [222, 350, 1650, 15, 77],
+            [221, 353, 1645, 3, 79],
+        ],
+        [
+            [231, 10099, 11475, 0, 0],
+            [203, 1740, 3083, 2815, 0],
+            [231, 2184, 3560, 1551, 0],
+            [231, 2785, 4161, 1961, 0],
+        ],
+        [
+            [203, 361, 1557, 0, 506],
+            [207, 272, 1550, 85, 446],
+            [205, 353, 1562, 16, 501],
+            [203, 358, 1554, 3, 506],
+        ],
+        [
+            [197, 775, 1817, 0, 0],
+            [196, 400, 1565, 195, 0],
+            [197, 559, 1676, 149, 0],
+            [197, 615, 1716, 137, 0],
+        ],
+        [
+            [195, 346, 1477, 0, 65],
+            [195, 295, 1447, 31, 47],
+            [195, 339, 1473, 7, 65],
+            [195, 344, 1476, 2, 65],
+        ],
+        [
+            [199, 2445, 3614, 0, 0],
+            [186, 653, 1799, 685, 0],
+            [199, 1043, 2212, 804, 0],
+            [199, 1304, 2473, 766, 0],
+        ],
+        [
+            [185, 294, 1370, 0, 268],
+            [185, 233, 1347, 56, 230],
+            [186, 281, 1361, 17, 266],
+            [185, 290, 1366, 4, 268],
+        ],
+    ];
+
+    /// The counters of a thresholded pass and the pass to infinity that
+    /// follows it (the pipeline's simplify, then re-simplify), summed
+    /// over the four blocks of `d`; asserts after each pass that nothing
+    /// the queue filter dropped was cancellable.
+    fn two_pass_counts(
+        f: &ScalarField,
+        d: &Decomposition,
+        sized: bool,
+        mid: f32,
+        max_new_arcs: Option<u64>,
+        max_parallel_arcs: Option<u32>,
+    ) -> [u64; 5] {
+        let mut total = [0u64; 5];
+        for b in d.blocks() {
+            let (mut ms, _) = build_block_complex(&f.extract_block(b), d, TraceLimits::default());
+            assert!(ms.nodes.iter().any(|n| n.boundary));
+            let mut order = if sized {
+                CancelOrder::Count(synthetic_sizes(&ms))
+            } else {
+                CancelOrder::Difference
+            };
+            for threshold in [mid, f32::INFINITY] {
+                let params = SimplifyParams {
+                    threshold,
+                    max_new_arcs,
+                    max_parallel_arcs,
+                };
+                let st = simplify_with(&mut ms, params, &mut order, None, None).unwrap();
+                assert!(
+                    legal_pairs_left(&ms, &order, threshold) <= st.skipped_valence,
+                    "legal pairs left behind by {params:?}"
+                );
+                ms.check_integrity().unwrap();
+                let st = [
+                    st.cancellations,
+                    st.arcs_created,
+                    st.arcs_removed,
+                    st.capped_parallel,
+                    st.skipped_valence,
+                ];
+                for (t, s) in total.iter_mut().zip(st) {
+                    *t += s;
+                }
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn queue_keeps_every_legal_pair_and_the_pinned_counts() {
+        let dims = Dims::cube(9);
+        let d = Decomposition::bisect(dims, 4);
+        let fields = [
+            (msp_synth::white_noise(dims, 12), 0.3),
+            (msp_synth::plateau(dims, 12, 4), 1.0),
+        ];
+        let mut got = Vec::new();
+        for (f, difference_mid) in &fields {
+            for (sized, mid) in [(false, *difference_mid), (true, 30.0)] {
+                for max_new_arcs in [None, Some(6)] {
+                    got.push(
+                        [None, Some(1), Some(2), Some(3)]
+                            .map(|cap| two_pass_counts(f, &d, sized, mid, max_new_arcs, cap)),
+                    );
+                }
+            }
+        }
+        assert_eq!(got, PINNED_COUNTS, "counted now: {got:?}");
+    }
+
     #[test]
     fn full_simplification_of_noise_leaves_chi() {
         let f = msp_synth::white_noise(Dims::new(8, 8, 8), 2);
@@ -512,15 +700,13 @@ mod tests {
         assert!(stats.cancellations > 0);
         assert_eq!(chi(&ms), chi_before);
         ms.check_integrity().unwrap();
-        // full simplification leaves only pairs blocked by the
-        // multiplicity rule: every remaining live arc must connect nodes
-        // joined by two or more arcs (a doubled arc cannot be cancelled)
-        for a in ms.arcs.iter().filter(|a| a.alive) {
-            assert!(
-                ms.multiplicity(a.upper, a.lower) >= 2,
-                "a singly-connected pair should have been cancelled"
-            );
-        }
+        // no boundary, no guard, no threshold: only pairs blocked by the
+        // multiplicity rule remain (a doubled arc cannot be cancelled)
+        assert_eq!(
+            legal_pairs_left(&ms, &CancelOrder::Difference, f32::INFINITY),
+            0,
+            "a singly-connected pair should have been cancelled"
+        );
         // and the complex must have shrunk dramatically
         assert!(ms.n_live_nodes() <= 16, "got {:?}", ms.node_census());
     }
@@ -784,13 +970,7 @@ mod tests {
     fn count_order_uses_and_updates_sizes() {
         let f = msp_synth::white_noise(Dims::new(9, 9, 9), 23);
         let base = serial(&f);
-        // synthetic region sizes: pseudo-random positive size per extremum
-        let sizes: HashMap<u64, u64> = base
-            .nodes
-            .iter()
-            .filter(|n| n.alive && (n.index == 0 || n.index == 3))
-            .map(|n| (n.addr, 1 + (n.addr % 97)))
-            .collect();
+        let sizes = synthetic_sizes(&base);
         let mut log = Vec::new();
         let mut full = base.clone();
         simplify_with(

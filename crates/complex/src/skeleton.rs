@@ -87,6 +87,12 @@ pub struct MsComplex {
     /// Arc ids incident to each node (may contain dead arcs; filtered on
     /// access).
     adj: Vec<Vec<ArcId>>,
+    /// Per-node counter lent to the cancellation splice: between
+    /// [`MsComplex::count_down_arcs`] and [`MsComplex::clear_down_counts`]
+    /// of one upper node it holds that node's living down-arcs per lower
+    /// endpoint; all zero otherwise. Grown to the node count on use;
+    /// [`MsComplex::compact`] starts over with an empty one.
+    pub(crate) down_count: Vec<u32>,
     /// Global address → node id, for boundary matching during gluing.
     addr_index: HashMap<u64, NodeId>,
     /// Refined dims of the full dataset (address codec).
@@ -244,14 +250,44 @@ impl MsComplex {
             .filter(move |&a| self.arcs[a as usize].lower == l)
     }
 
+    /// Living arcs from `u` down to `l`, found on the shorter of the two
+    /// incidence lists (so in no particular order).
+    pub(crate) fn arcs_between(&self, u: NodeId, l: NodeId) -> impl Iterator<Item = ArcId> + '_ {
+        let (of_u, of_l) = (&self.adj[u as usize], &self.adj[l as usize]);
+        let shorter = if of_l.len() < of_u.len() { of_l } else { of_u };
+        shorter.iter().copied().filter(move |&a| {
+            let arc = &self.arcs[a as usize];
+            arc.alive && arc.upper == u && arc.lower == l
+        })
+    }
+
     /// Number of living arcs connecting `u` and `l`.
     pub fn multiplicity(&self, u: NodeId, l: NodeId) -> usize {
-        self.arcs_of(u)
-            .filter(|&a| {
-                let arc = &self.arcs[a as usize];
-                arc.upper == u && arc.lower == l
-            })
-            .count()
+        self.arcs_between(u, l).count()
+    }
+
+    /// Count `x`'s living down-arcs per lower endpoint into
+    /// `down_count` — one walk of `x`'s incidence list answers "how many
+    /// arcs join `x` and `y`?" for every `y` at once.
+    pub(crate) fn count_down_arcs(&mut self, x: NodeId) {
+        if self.down_count.len() < self.nodes.len() {
+            self.down_count.resize(self.nodes.len(), 0);
+        }
+        for &a in &self.adj[x as usize] {
+            let arc = &self.arcs[a as usize];
+            if arc.alive && arc.upper == x {
+                self.down_count[arc.lower as usize] += 1;
+            }
+        }
+    }
+
+    /// Zero `down_count` again: the same walk, which by now also covers
+    /// the arcs added below `x` since the count (the other entries it
+    /// touches are zero already).
+    pub(crate) fn clear_down_counts(&mut self, x: NodeId) {
+        for &a in &self.adj[x as usize] {
+            self.down_count[self.arcs[a as usize].lower as usize] = 0;
+        }
     }
 
     /// Tombstone an arc.
@@ -307,6 +343,7 @@ impl MsComplex {
             + self.geoms.capacity() * size_of::<GeomRec>()
             + self.addr_buf.capacity() * size_of::<u64>()
             + self.member_blocks.capacity() * size_of::<u32>()
+            + self.down_count.capacity() * size_of::<u32>()
             + self.hierarchy.capacity() * size_of::<Cancellation>();
         let adj: usize = self.adj.capacity() * size_of::<Vec<ArcId>>()
             + self

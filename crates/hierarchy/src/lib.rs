@@ -15,8 +15,9 @@
 //!
 //! **Replay is positional, not filtered.** A threshold-`t` simplification
 //! executes identically to the threshold-∞ recording run up to the first
-//! processed heap pop whose key exceeds `t` (same heap, same state, same
-//! code), so [`SlotHierarchy::materialize`] replays records `0..k` where
+//! processed heap pop whose key exceeds `t` (the same queue less the
+//! entries a pass to `t` can never cancel, same state, same code), so
+//! [`SlotHierarchy::materialize`] replays records `0..k` where
 //! `k` is the position of the *first* record with `key > t` — later
 //! records may carry smaller keys (arcs created by a cancellation can
 //! form lower-key pairs) and must **not** be replayed. Both the recorder
@@ -91,6 +92,10 @@ impl FromStr for Ordering {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayParams {
     /// Valence guard used while recording (`SimplifyParams::max_new_arcs`).
+    /// The [`Default`] here is `None`, which is *not* what the pipeline
+    /// records with: it passes its own `PipelineParams::max_new_arcs`,
+    /// `Some(4096)` by default, and an unguarded recording of the same
+    /// complex is a different (longer) sequence.
     pub max_new_arcs: Option<u64>,
     /// Parallel-arc cap (`SimplifyParams::max_parallel_arcs`).
     pub max_parallel_arcs: Option<u32>,
@@ -546,6 +551,50 @@ mod tests {
         .unwrap();
         want.compact();
         assert_eq!(cwire::serialize(&got.complex), cwire::serialize(&want));
+    }
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a of the `MSH1` bytes `record` writes for each pinned field,
+    /// without the valence guard and with `max_new_arcs: Some(16)`; each
+    /// hierarchy holds both orderings. Captured by running this test
+    /// body at commit 22d1297 (the parent of the linear-splice engine).
+    /// Every other hierarchy test compares the engine with itself, so
+    /// these are what notices a change of tie-breaking, splice order or
+    /// queue content. Re-capture them only when a synthetic generator
+    /// changes, never to make an engine change pass.
+    const PINNED_MSH: [(&str, [u64; 2]); 3] = [
+        ("noise", [0x6350_cad1_c4c1_3976, 0x4333_9618_5718_15fc]),
+        ("plateau", [0x2a54_4a4c_6f92_1e03, 0x2ed4_4cc2_5604_b6f6]),
+        ("sinusoid", [0x2283_23e7_699d_278a, 0xd4da_88a8_3186_16f3]),
+    ];
+
+    #[test]
+    fn recorded_sequences_match_the_pinned_bytes() {
+        let fields = [
+            msp_synth::white_noise(Dims::cube(9), 17),
+            msp_synth::plateau(Dims::cube(9), 17, 4),
+            msp_synth::sinusoid(17, 2),
+        ];
+        let mut got = PINNED_MSH;
+        for (f, (name, hashes)) in fields.iter().zip(&mut got) {
+            let base = serial(f);
+            let sizes = synthetic_sizes(&base);
+            *hashes = [None, Some(16)].map(|max_new_arcs| {
+                let params = ReplayParams {
+                    max_new_arcs,
+                    ..ReplayParams::default()
+                };
+                let h = record(&base, params, Some(sizes.clone())).unwrap();
+                assert!(!h.difference.is_empty() && h.count.is_some(), "{name}");
+                fnv1a64(&wire::serialize(&h))
+            });
+        }
+        assert_eq!(got, PINNED_MSH, "recorded now: {got:#018x?}");
     }
 
     #[test]

@@ -16,6 +16,7 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 stubs="$root/scripts/offline_stubs"
 out="${MSP_OFFLINE_OUT:-/tmp/msp-offline-check}"
 mkdir -p "$out"
+out="$(cd "$out" && pwd)" # absolute: the msc smoke steps run from inside it
 
 RUSTC=(rustc --edition 2021 -C opt-level=2 -C debug-assertions=on -L "$out" --out-dir "$out")
 
@@ -195,26 +196,31 @@ say "segmentation scaling smoke"
 MSP_CHECK=1 MSP_SCALE=small MSP_RANKS=1,2,4 MSP_RESULTS_DIR="$out/results" \
   "$out/bench_segment_scaling"
 
+# ---- msc writes results/<name>.telemetry.json under its working
+# ---- directory; the smoke steps run it from $out so none lands beside
+# ---- the committed artifacts in the repository's results/
+msc() { (cd "$out" && "$out/msc" "$@"); }
+
 # ---- segmentation end-to-end smoke: a 4-rank --segment --check run
 # ---- must write a labeled volume byte-identical to the 1-rank run,
 # ---- and the labeled-volume export must read it back
 say "segmentation end-to-end smoke"
-"$out/msc" synth --kind noise --size 17 --seed 9 --output "$out/seg.raw"
-"$out/msc" compute --input "$out/seg.raw" --dims 17,17,17 --ranks 1 --blocks 8 \
+msc synth --kind noise --size 17 --seed 9 --output "$out/seg.raw"
+msc compute --input "$out/seg.raw" --dims 17,17,17 --ranks 1 --blocks 8 \
   --merge full --segment --check --output "$out/seg1.msc"
-"$out/msc" compute --input "$out/seg.raw" --dims 17,17,17 --ranks 4 --blocks 8 \
+msc compute --input "$out/seg.raw" --dims 17,17,17 --ranks 4 --blocks 8 \
   --merge full --segment --check --output "$out/seg4.msc"
 cmp "$out/seg1.msc.seg" "$out/seg4.msc.seg"
-"$out/msc" export "$out/seg4.msc" --labels combined \
+msc export "$out/seg4.msc" --labels combined \
   --labels-vtk "$out/labels.vtk" --labels-csv "$out/labels.csv"
 
 # ---- irregular-decomposition smoke: adaptive (feature-density) splits
 # ---- on non-power-of-two rank counts must write all three artifacts
 # ---- byte-identical to the canonical 1-rank uniform-free run
 say "irregular decomposition smoke"
-"$out/msc" compute --input "$out/seg.raw" --dims 17,17,17 --ranks 1 --blocks 6 \
+msc compute --input "$out/seg.raw" --dims 17,17,17 --ranks 1 --blocks 6 \
   --decomp adaptive --merge full --hierarchy --check --output "$out/irr1.msc"
-"$out/msc" compute --input "$out/seg.raw" --dims 17,17,17 --ranks 4 --blocks 6 \
+msc compute --input "$out/seg.raw" --dims 17,17,17 --ranks 4 --blocks 6 \
   --decomp adaptive --merge full --hierarchy --check --output "$out/irr4.msc"
 cmp "$out/irr1.msc" "$out/irr4.msc"
 cmp "$out/irr1.msc.seg" "$out/irr4.msc.seg"
@@ -225,7 +231,7 @@ cmp "$out/irr1.msc.msh" "$out/irr4.msc.msh"
 # ---- responses, a nonzero cache hit rate and the p50<=p99 latency
 # ---- self-check in the serve summary
 say "serve smoke"
-"$out/msc" compute --input "$out/seg.raw" --dims 17,17,17 --ranks 2 --blocks 8 \
+msc compute --input "$out/seg.raw" --dims 17,17,17 --ranks 2 --blocks 8 \
   --merge full --hierarchy --check --output "$out/serve.msc"
 printf '%s\n' \
   '{"op":"datasets"}' \
@@ -238,7 +244,7 @@ printf '%s\n' \
   '{"op":"metrics"}' \
   '{"op":"health"}' \
   '{"op":"quit"}' \
-  | "$out/msc" serve "$out/serve.msc" --threads 2 \
+  | msc serve "$out/serve.msc" --threads 2 \
       > "$out/serve_out.jsonl" 2> "$out/serve_err.txt"
 ! grep -q '"ok":false' "$out/serve_out.jsonl" \
   || { echo "serve smoke: error response"; cat "$out/serve_out.jsonl"; exit 1; }

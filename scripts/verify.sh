@@ -43,29 +43,38 @@ MSP_CHECK=1 MSP_SCALE=small MSP_THREADS=1,2,4 MSP_RESULTS_DIR="$tracedir" \
 MSP_CHECK=1 MSP_SCALE=small MSP_RANKS=1,2,4 MSP_RESULTS_DIR="$tracedir" \
   cargo run -q --release -p msp-bench --bin segment_scaling
 
+# msc writes results/<name>.telemetry.json under its working directory;
+# the smoke steps run it from $tracedir so none lands beside the
+# committed artifacts in results/
+root="$PWD"
+msc() {
+  (cd "$tracedir" \
+    && cargo run -q --release --manifest-path "$root/Cargo.toml" --bin msc -- "$@")
+}
+
 # segmentation end-to-end smoke: a 4-rank --segment --check run must
 # write a labeled volume byte-identical to the 1-rank run, and the
 # labeled-volume export must read it back
-cargo run -q --release --bin msc -- synth --kind noise --size 17 --seed 9 \
+msc synth --kind noise --size 17 --seed 9 \
   --output "$tracedir/seg.raw"
-cargo run -q --release --bin msc -- compute --input "$tracedir/seg.raw" \
+msc compute --input "$tracedir/seg.raw" \
   --dims 17,17,17 --ranks 1 --blocks 8 --merge full --segment --check \
   --output "$tracedir/seg1.msc"
-cargo run -q --release --bin msc -- compute --input "$tracedir/seg.raw" \
+msc compute --input "$tracedir/seg.raw" \
   --dims 17,17,17 --ranks 4 --blocks 8 --merge full --segment --check \
   --output "$tracedir/seg4.msc"
 cmp "$tracedir/seg1.msc.seg" "$tracedir/seg4.msc.seg"
-cargo run -q --release --bin msc -- export "$tracedir/seg4.msc" \
+msc export "$tracedir/seg4.msc" \
   --labels combined --labels-vtk "$tracedir/labels.vtk" \
   --labels-csv "$tracedir/labels.csv"
 
 # irregular-decomposition smoke: adaptive (feature-density) splits on
 # non-power-of-two rank counts must write all three artifacts
 # byte-identical to the canonical 1-rank run
-cargo run -q --release --bin msc -- compute --input "$tracedir/seg.raw" \
+msc compute --input "$tracedir/seg.raw" \
   --dims 17,17,17 --ranks 1 --blocks 6 --decomp adaptive --merge full \
   --hierarchy --check --output "$tracedir/irr1.msc"
-cargo run -q --release --bin msc -- compute --input "$tracedir/seg.raw" \
+msc compute --input "$tracedir/seg.raw" \
   --dims 17,17,17 --ranks 4 --blocks 6 --decomp adaptive --merge full \
   --hierarchy --check --output "$tracedir/irr4.msc"
 cmp "$tracedir/irr1.msc" "$tracedir/irr4.msc"
@@ -75,7 +84,7 @@ cmp "$tracedir/irr1.msc.msh" "$tracedir/irr4.msc.msh"
 # serve smoke: precompute an artifact with --hierarchy, drive the query
 # layer over stdio with repeated keys, and gate on all-ok responses, a
 # nonzero cache hit rate and the p50<=p99 latency self-check
-cargo run -q --release --bin msc -- compute --input "$tracedir/seg.raw" \
+msc compute --input "$tracedir/seg.raw" \
   --dims 17,17,17 --ranks 2 --blocks 8 --merge full --hierarchy --check \
   --output "$tracedir/serve.msc"
 printf '%s\n' \
@@ -89,7 +98,7 @@ printf '%s\n' \
   '{"op":"metrics"}' \
   '{"op":"health"}' \
   '{"op":"quit"}' \
-  | cargo run -q --release --bin msc -- serve "$tracedir/serve.msc" --threads 2 \
+  | msc serve "$tracedir/serve.msc" --threads 2 \
       > "$tracedir/serve_out.jsonl" 2> "$tracedir/serve_err.txt"
 ! grep -q '"ok":false' "$tracedir/serve_out.jsonl" \
   || { echo "serve smoke: error response"; cat "$tracedir/serve_out.jsonl"; exit 1; }

@@ -204,7 +204,6 @@ proptest! {
                     // a replay executes cancellations only: the pairs the
                     // live loop popped and skipped are not part of it
                     let executed = SimplifyStats {
-                        skipped_multiplicity: 0,
                         skipped_valence: 0,
                         ..stats
                     };
