@@ -29,7 +29,7 @@ use msp_core::{
     parse_persistence, run_parallel, Dataset, Input, MergePlan, PipelineParams, RunResult,
     ServeConfig, ServerCore,
 };
-use msp_telemetry::{bucket_width, Json};
+use msp_telemetry::Json;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -193,23 +193,6 @@ fn main() {
                     "{mix}/{cache}: histogram quantiles above client-exact \
                      (p50 {p50} vs {exact_p50}, p99 {p99} vs {exact_p99})"
                 );
-                // one log-bucket width of rounding + a small allowance
-                // for the timing the client sees but the server doesn't
-                const OVERHEAD_US: u64 = 25;
-                assert!(
-                    d_p50 <= bucket_width(exact_p50).max(1) + OVERHEAD_US,
-                    "{mix}/{cache}: p50 delta {d_p50} exceeds bucket width \
-                     {} + {OVERHEAD_US}",
-                    bucket_width(exact_p50)
-                );
-                assert!(
-                    d_p99 <= bucket_width(exact_p99).max(1) + OVERHEAD_US,
-                    "{mix}/{cache}: p99 delta {d_p99} exceeds bucket width \
-                     {} + {OVERHEAD_US}",
-                    bucket_width(exact_p99)
-                );
-            }
-            if check {
                 assert_eq!(as_u64(&stats, "errors"), 0, "{mix}/{cache}: errors");
                 assert!(p50 <= p99, "{mix}/{cache}: p50 {p50} > p99 {p99}");
                 let Json::Obj(cls) = &classes else {

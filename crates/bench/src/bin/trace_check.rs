@@ -13,7 +13,7 @@
 //! * absent faults, every recv has a matching send and vice versa.
 //!
 //! Prints the computed critical path and exits non-zero on any violation,
-//! so `scripts/verify.sh` / `scripts/check-offline.sh` can gate on it.
+//! so `scripts/verify.sh` can gate on it.
 //!
 //! ```text
 //! cargo run --release -p msp-bench --bin trace_check

@@ -30,8 +30,7 @@ pub fn build_block_complex(
     (ms, stats)
 }
 
-/// Build the complex from an already-computed gradient (shared by the
-/// production path and the greedy-ablation benches). Serial tracing;
+/// Build the complex from an already-computed gradient. Serial tracing;
 /// see [`complex_from_gradient_mt`] for the threaded variant.
 pub fn complex_from_gradient(
     field: &BlockField,

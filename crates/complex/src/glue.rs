@@ -95,16 +95,6 @@ impl fmt::Display for GlueError {
 
 impl std::error::Error for GlueError {}
 
-/// Glue `incoming` onto `root`. Both must be compacted (live-only)
-/// complexes over the same refined grid.
-pub fn glue(
-    root: &mut MsComplex,
-    incoming: &MsComplex,
-    decomp: &Decomposition,
-) -> Result<GlueStats, GlueError> {
-    glue_with(root, incoming, decomp, true)
-}
-
 /// True when every cell of the V-path geometry `g` (resolved against
 /// `incoming`) lies inside the region covered by the blocks in
 /// `members`. This is the generalized-glue duplicate test: the gradient
@@ -126,25 +116,21 @@ fn path_in_region(
     })
 }
 
-/// [`glue`] with explicit control over shared-arc deduplication.
+/// Glue `incoming` onto `root`. Both must be compacted (live-only)
+/// complexes over the same refined grid.
 ///
-/// In the standard pipeline (`dedup_shared_arcs = true`) an arc whose
-/// endpoints both match existing root nodes *and* whose V-path stays
-/// inside the root's covered region is guaranteed to be a duplicate and
-/// is skipped; both-endpoints-shared arcs that leave the overlap (only
-/// possible with irregular decompositions, where the merged region can
-/// be non-convex) are real and are added. Complexes produced by
-/// [partitioning](../../msp_core/redistribute/index.html) store each arc
-/// exactly once, so reassembling them must *not* drop those arcs —
-/// pass `false`.
+/// An arc whose endpoints both match existing root nodes *and* whose
+/// V-path stays inside the root's covered region is guaranteed to be a
+/// duplicate and is skipped; both-endpoints-shared arcs that leave the
+/// overlap (only possible with irregular decompositions, where the
+/// merged region can be non-convex) are real and are added.
 ///
 /// On error the root may hold a partially-applied glue; callers treat
 /// the error as fatal for the merge and do not reuse the root.
-pub fn glue_with(
+pub fn glue(
     root: &mut MsComplex,
     incoming: &MsComplex,
     decomp: &Decomposition,
-    dedup_shared_arcs: bool,
 ) -> Result<GlueStats, GlueError> {
     if root.refined != incoming.refined {
         return Err(GlueError::DomainMismatch);
@@ -152,10 +138,8 @@ pub fn glue_with(
     let mut stats = GlueStats::default();
 
     // map incoming node id -> (root node id, was it a shared match).
-    // Matching is by global address alone: in the standard pipeline only
-    // shared-boundary critical cells can collide (interior cells are
-    // unique to a block), and partitioned complexes additionally carry
-    // stub replicas that must unify with their originals.
+    // Matching is by global address alone: only shared-boundary critical
+    // cells can collide (interior cells are unique to a block).
     let mut node_map: Vec<(NodeId, bool)> = Vec::with_capacity(incoming.nodes.len());
     for n in &incoming.nodes {
         if !n.alive {
@@ -189,11 +173,7 @@ pub fn glue_with(
         }
         let (u, u_shared) = node_map[a.upper as usize];
         let (l, l_shared) = node_map[a.lower as usize];
-        if dedup_shared_arcs
-            && u_shared
-            && l_shared
-            && path_in_region(incoming, a.geom, decomp, &root.member_blocks)
-        {
+        if u_shared && l_shared && path_in_region(incoming, a.geom, decomp, &root.member_blocks) {
             // the arc lies entirely in the region the root already
             // covers, so the root traced it too; skip the duplicate
             if root.multiplicity(u, l) == 0 {
@@ -225,20 +205,9 @@ pub fn glue_all(
     incoming: &[MsComplex],
     decomp: &Decomposition,
 ) -> Result<GlueStats, GlueError> {
-    glue_all_with(root, incoming, decomp, true)
-}
-
-/// [`glue_all`] with explicit shared-arc deduplication control (see
-/// [`glue_with`]).
-pub fn glue_all_with(
-    root: &mut MsComplex,
-    incoming: &[MsComplex],
-    decomp: &Decomposition,
-    dedup_shared_arcs: bool,
-) -> Result<GlueStats, GlueError> {
     let mut total = GlueStats::default();
     for inc in incoming {
-        let s = glue_with(root, inc, decomp, dedup_shared_arcs)?;
+        let s = glue(root, inc, decomp)?;
         total.matched_nodes += s.matched_nodes;
         total.added_nodes += s.added_nodes;
         total.added_arcs += s.added_arcs;
@@ -336,7 +305,7 @@ mod tests {
         let addr = inc.nodes[victim as usize].addr;
         inc.kill_node(victim, 0.0);
         assert_eq!(
-            glue_with(&mut root, &inc, &d, true),
+            glue(&mut root, &inc, &d),
             Err(GlueError::DeadIncomingNode { addr })
         );
     }
@@ -349,10 +318,7 @@ mod tests {
         let (_db, mut cb) = block_complexes(&b, 1);
         let mut root = ca.pop().unwrap();
         let inc = cb.pop().unwrap();
-        assert_eq!(
-            glue_with(&mut root, &inc, &da, true),
-            Err(GlueError::DomainMismatch)
-        );
+        assert_eq!(glue(&mut root, &inc, &da), Err(GlueError::DomainMismatch));
     }
 
     /// Canonical form of a complex for equality-of-content checks:

@@ -22,7 +22,6 @@
 
 pub mod pipeline;
 pub mod plan;
-pub mod redistribute;
 pub mod sched;
 pub mod serve;
 pub mod simdriver;
@@ -32,7 +31,6 @@ pub use pipeline::{
     FaultConfig, Input, PipelineError, PipelineParams, RunResult,
 };
 pub use plan::MergePlan;
-pub use redistribute::{global_simplify_and_partition, partition_complex};
 pub use sched::{feature_weights, full_merge_plan, Assignment, DecompMode, MergeSchedule};
 pub use serve::{
     load_dataset, serve_lines, serve_tcp, Dataset, ServeConfig, ServeError, ServerCore,

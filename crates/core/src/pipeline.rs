@@ -491,6 +491,7 @@ pub fn run_parallel(
 
     let mut telemetry = None;
     let mut slot_outputs: Vec<(u32, MsComplex)> = Vec::new();
+    let mut output_bytes = 0u64;
     let mut footer = None;
     let mut threshold = 0.0;
     let mut trace = None;
@@ -499,7 +500,7 @@ pub fn run_parallel(
     let mut slot_hierarchies: Vec<(u32, SlotHierarchy)> = Vec::new();
     let mut msh_footer = None;
     for res in results {
-        let (tel, outs, f, th, tr, segs, sf, hiers, hf) = res?;
+        let (tel, outs, out_bytes, f, th, tr, segs, sf, hiers, hf) = res?;
         if tel.is_some() {
             telemetry = tel; // only rank 0 holds the gathered report
         }
@@ -507,6 +508,7 @@ pub fn run_parallel(
             trace = tr; // likewise gathered at rank 0
         }
         slot_outputs.extend(outs);
+        output_bytes += out_bytes;
         if f.is_some() {
             footer = f;
         }
@@ -525,10 +527,6 @@ pub fn run_parallel(
     slot_hierarchies.sort_by_key(|(slot, _)| *slot);
     let hierarchies: Vec<SlotHierarchy> = slot_hierarchies.into_iter().map(|(_, h)| h).collect();
     let outputs: Vec<MsComplex> = slot_outputs.into_iter().map(|(_, c)| c).collect();
-    let output_bytes = outputs
-        .iter()
-        .map(|c| wire::serialize(c).len() as u64)
-        .sum();
     let telemetry = telemetry
         .ok_or_else(|| PipelineError::Telemetry("rank 0 produced no gathered report".into()))?
         .with_meta(
@@ -577,6 +575,7 @@ pub fn run_parallel(
 type RankOut = (
     Option<RunReport>,
     Vec<(u32, MsComplex)>,
+    u64, // wire bytes of this rank's output complexes
     Option<Vec<FooterEntry>>,
     f32,
     Option<RunTrace>,
@@ -820,45 +819,27 @@ fn run_rank(
     let mut pending: Vec<(u64, u64)> = Vec::new();
     // The slice of the global forward map this rank owns.
     let mut owned = ForwardMap::new();
-    if threads == 1 {
-        for (&b, ms) in complexes.iter_mut() {
-            let mut fw = params.segment.then(Vec::new);
-            let st = simplify_forwarding(ms, sp, fw.as_mut()).map_err(|source| {
-                PipelineError::Simplify {
-                    context: format!("simplifying block {b}"),
-                    source,
-                }
+    // blocks simplify independently; collect in block order so the
+    // cancellation counter and `pending` accumulate deterministically
+    let mut work: Vec<(u32, MsComplex)> = complexes.drain().collect();
+    work.sort_by_key(|(b, _)| *b);
+    let segment = params.segment;
+    let results = par_map_mut(threads, &mut work, |_, (b, ms)| {
+        let mut fw = segment.then(Vec::new);
+        let st =
+            simplify_forwarding(ms, sp, fw.as_mut()).map_err(|source| PipelineError::Simplify {
+                context: format!("simplifying block {b}"),
+                source,
             })?;
-            rec.add(Counter::Cancellations, st.cancellations);
-            ms.compact();
-            if let Some(f) = fw {
-                pending.extend(f);
-            }
-        }
-    } else {
-        // blocks simplify independently; collect in block order so the
-        // cancellation counter accumulates deterministically
-        let mut work: Vec<(u32, MsComplex)> = complexes.drain().collect();
-        work.sort_by_key(|(b, _)| *b);
-        let segment = params.segment;
-        let results = par_map_mut(threads, &mut work, |_, (b, ms)| {
-            let mut fw = segment.then(Vec::new);
-            let st = simplify_forwarding(ms, sp, fw.as_mut()).map_err(|source| {
-                PipelineError::Simplify {
-                    context: format!("simplifying block {b}"),
-                    source,
-                }
-            })?;
-            ms.compact();
-            Ok((st.cancellations, fw.unwrap_or_default()))
-        });
-        for r in results {
-            let (n, fw) = r?;
-            rec.add(Counter::Cancellations, n);
-            pending.extend(fw);
-        }
-        complexes.extend(work);
+        ms.compact();
+        Ok((st.cancellations, fw.unwrap_or_default()))
+    });
+    for r in results {
+        let (n, fw) = r?;
+        rec.add(Counter::Cancellations, n);
+        pending.extend(fw);
     }
+    complexes.extend(work);
     rec.end(Phase::Simplify);
 
     // ---- merge rounds ----
@@ -1235,6 +1216,10 @@ fn run_rank(
         }
     }
     my_outputs.sort_by_key(|(s, _)| *s);
+    // Serialized once, path or no path: the lengths are the rank's share
+    // of the run's `output_bytes`.
+    let payloads: Vec<bytes::Bytes> = my_outputs.iter().map(|(_, c)| wire::serialize(c)).collect();
+    let output_bytes: u64 = payloads.iter().map(|b| b.len() as u64).sum();
     // Keyed by output slot: payloads land in global ascending slot order
     // and the footer records slots, not writer ranks — the file is a
     // pure function of `(decomposition, plan, threshold)` even when the
@@ -1242,8 +1227,6 @@ fn run_rank(
     // rank. (For uniform full merges slot 0 lives on rank 0, so the
     // historical bytes are unchanged.)
     let footer = if let Some(path) = output_path {
-        let payloads: Vec<bytes::Bytes> =
-            my_outputs.iter().map(|(_, c)| wire::serialize(c)).collect();
         let keys: Vec<u64> = my_outputs.iter().map(|(s, _)| *s as u64).collect();
         let f = collective_write_blocks_keyed(rank, path, &payloads, &keys).map_err(|source| {
             PipelineError::Io {
@@ -1255,6 +1238,7 @@ fn run_rank(
     } else {
         None
     };
+    drop(payloads);
     // Labeled-volume blocks go to `<out>.seg` through a second collective
     // write (per-link FIFO keeps its file-IO messages behind the first
     // write's). The write is keyed by block id: payloads land in global
@@ -1521,7 +1505,15 @@ fn run_rank(
         None => None,
     };
     Ok((
-        telemetry, my_outputs, footer, threshold, run_trace, my_segs, seg_footer, my_hier,
+        telemetry,
+        my_outputs,
+        output_bytes,
+        footer,
+        threshold,
+        run_trace,
+        my_segs,
+        seg_footer,
+        my_hier,
         msh_footer,
     ))
 }
@@ -1901,6 +1893,7 @@ mod tests {
         let r = run_parallel(&input, 4, 8, &params, Some(&path)).unwrap();
         let footer = r.footer.expect("footer present");
         assert_eq!(footer.len(), 2);
+        assert_eq!(r.output_bytes, footer.iter().map(|e| e.len).sum());
         // reload both blocks and compare with in-memory outputs
         for (entry, ms) in footer.iter().zip(&r.outputs) {
             let payload = msp_vmpi::fileio::read_block_payload(&path, entry).unwrap();

@@ -12,10 +12,8 @@
 //! rounds. When the optimal radix cannot be used, smaller radices should
 //! be used in earlier rounds rather than later rounds."*
 
-use serde::{Deserialize, Serialize};
-
 /// A sequence of merge rounds described by their radices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergePlan {
     pub radices: Vec<u32>,
 }

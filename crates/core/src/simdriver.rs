@@ -31,6 +31,7 @@ use msp_complex::{
     complex_from_gradient, simplify, simplify_forwarding, wire, MsComplex, SimplifyParams,
 };
 use msp_fault::FaultPlan;
+use msp_grid::par::{available_threads, par_map, par_map_mut};
 use msp_grid::rawio::{block_bytes, VolumeDType};
 use msp_grid::{Decomposition, ScalarField};
 use msp_morse::{assign_gradient, TraceLimits};
@@ -42,7 +43,6 @@ use msp_telemetry::{
 };
 use msp_vmpi::comm::{Inject, SendFate};
 use msp_vmpi::{IoParams, NetParams, Torus};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -462,42 +462,38 @@ pub fn simulate(
         t_simplify: f64,
     }
     let rdims = field.dims().refined();
-    let blocks: Vec<BlockOut> = decomp
-        .blocks()
-        .par_iter()
-        .map(|b| {
-            let bf = field.extract_block(b);
-            let t0 = Instant::now();
-            let grad = assign_gradient(&bf, &decomp);
-            let (mut ms, _) = complex_from_gradient(&bf, &decomp, &grad, params.trace_limits);
-            let t_build = t0.elapsed().as_secs_f64();
-            let (seg, t_label) = if params.segment {
-                let tl = Instant::now();
-                let seg = label_block(b, &rdims, &grad, 1);
-                (Some(seg), tl.elapsed().as_secs_f64())
-            } else {
-                (None, 0.0)
-            };
-            let t1 = Instant::now();
-            let mut fw = Vec::new();
-            if params.segment {
-                simplify_forwarding(&mut ms, sp, Some(&mut fw))
-                    .expect("sim-driver fields are finite");
-            } else {
-                simplify(&mut ms, sp).expect("sim-driver fields are finite");
-            }
-            ms.compact();
-            let t_simplify = t1.elapsed().as_secs_f64();
-            BlockOut {
-                ms,
-                seg,
-                fw,
-                t_build,
-                t_label,
-                t_simplify,
-            }
-        })
-        .collect();
+    let threads = available_threads();
+    let blocks: Vec<BlockOut> = par_map(threads, decomp.blocks(), |_, b| {
+        let bf = field.extract_block(b);
+        let t0 = Instant::now();
+        let grad = assign_gradient(&bf, &decomp);
+        let (mut ms, _) = complex_from_gradient(&bf, &decomp, &grad, params.trace_limits);
+        let t_build = t0.elapsed().as_secs_f64();
+        let (seg, t_label) = if params.segment {
+            let tl = Instant::now();
+            let seg = label_block(b, &rdims, &grad, 1);
+            (Some(seg), tl.elapsed().as_secs_f64())
+        } else {
+            (None, 0.0)
+        };
+        let t1 = Instant::now();
+        let mut fw = Vec::new();
+        if params.segment {
+            simplify_forwarding(&mut ms, sp, Some(&mut fw)).expect("sim-driver fields are finite");
+        } else {
+            simplify(&mut ms, sp).expect("sim-driver fields are finite");
+        }
+        ms.compact();
+        let t_simplify = t1.elapsed().as_secs_f64();
+        BlockOut {
+            ms,
+            seg,
+            fw,
+            t_build,
+            t_label,
+            t_simplify,
+        }
+    });
 
     let compute_s = blocks.iter().map(|b| b.t_build).fold(0.0, f64::max);
     let seg_label_s = blocks.iter().map(|b| b.t_label).fold(0.0, f64::max);
@@ -677,48 +673,37 @@ pub fn simulate(
             }
             work.push((*root, root_ms, root_clock, inputs));
         }
-        type GlueOut = (u32, MsComplex, f64, f64, f64, u64, Vec<(u64, u64)>);
-        let results: Vec<GlueOut> = work
-            .into_par_iter()
-            .map(|(root, mut root_ms, root_clock, inputs)| {
+        type GlueOut = (f64, f64, f64, u64, Vec<(u64, u64)>);
+        let results: Vec<GlueOut> =
+            par_map_mut(threads, &mut work, |_, (_, root_ms, root_clock, inputs)| {
                 // modeled arrival: the root can start gluing once every
                 // member's message has landed; the root link serializes
                 // the payloads
-                let mut start = root_clock;
+                let mut start = *root_clock;
                 let mut sum_bytes = 0u64;
-                for m in &inputs {
+                for m in inputs.iter() {
                     sum_bytes += m.bytes;
                     start = start.max(m.arrive_s);
                 }
                 let comm = sum_bytes as f64 * params.net.byte_time_s;
                 let t0 = Instant::now();
-                let incoming: Vec<MsComplex> = inputs.into_iter().map(|m| m.ms).collect();
-                glue_all(&mut root_ms, &incoming, &decomp)
-                    .expect("sim-driver complexes glue cleanly");
+                let incoming: Vec<MsComplex> = inputs.drain(..).map(|m| m.ms).collect();
+                glue_all(root_ms, &incoming, &decomp).expect("sim-driver complexes glue cleanly");
                 let mut fw = Vec::new();
                 if params.segment {
-                    simplify_forwarding(&mut root_ms, sp, Some(&mut fw))
+                    simplify_forwarding(root_ms, sp, Some(&mut fw))
                         .expect("sim-driver fields are finite");
                 } else {
-                    simplify(&mut root_ms, sp).expect("sim-driver fields are finite");
+                    simplify(root_ms, sp).expect("sim-driver fields are finite");
                 }
                 root_ms.compact();
                 let glue = t0.elapsed().as_secs_f64();
-                (
-                    root,
-                    root_ms,
-                    start + comm + glue,
-                    comm,
-                    glue,
-                    sum_bytes,
-                    fw,
-                )
-            })
-            .collect();
+                (start + comm + glue, comm, glue, sum_bytes, fw)
+            });
         let mut comm_max = 0.0f64;
         let mut glue_max = 0.0f64;
         let mut bytes_moved = 0u64;
-        for (root, ms, clock, comm, glue, bytes, fw) in results {
+        for ((root, ms, _, _), (clock, comm, glue, bytes, fw)) in work.into_iter().zip(results) {
             comm_max = comm_max.max(comm);
             glue_max = glue_max.max(glue);
             bytes_moved += bytes;

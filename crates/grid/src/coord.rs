@@ -1,7 +1,6 @@
 //! Refined-grid coordinates.
 
 use crate::dims::RefinedDims;
-use serde::{Deserialize, Serialize};
 
 /// A coordinate on the refined grid of the **full dataset**.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// that axis: even ⇒ flat (vertex-aligned), odd ⇒ extends. Component
 /// values fit comfortably in `u32` (a 1152³ dataset has refined extent
 /// 2303 per axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RCoord {
     pub x: u32,
     pub y: u32,

@@ -15,10 +15,9 @@
 use crate::coord::RCoord;
 use crate::dims::Dims;
 use crate::topology::RBox;
-use serde::{Deserialize, Serialize};
 
 /// A block of the decomposition: an inclusive box in **vertex** space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockBox {
     pub id: u32,
     /// Inclusive lower vertex corner.
@@ -101,7 +100,7 @@ impl OwnerSet {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     /// Split along `axis` at vertex plane `plane`: coordinates `< plane`
     /// go left, `> plane` right, `== plane` to **both** (shared layer).
@@ -117,7 +116,7 @@ enum Node {
 }
 
 /// A complete recursive-bisection decomposition of a vertex grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Decomposition {
     domain: Dims,
     blocks: Vec<BlockBox>,

@@ -1,14 +1,12 @@
 //! Grid dimensions in vertex space and refined (cell) space.
 
-use serde::{Deserialize, Serialize};
-
 /// Dimensions of a structured grid in **vertex** space.
 ///
 /// A `Dims { nx, ny, nz }` grid has `nx·ny·nz` vertices and
 /// `(nx−1)·(ny−1)·(nz−1)` hexahedral cells. All axes must hold at least
 /// one vertex; degenerate (flat) grids with an axis of a single vertex
 /// are allowed and simply carry no cells extending along that axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dims {
     pub nx: u32,
     pub ny: u32,
@@ -77,7 +75,7 @@ impl Dims {
 /// the cell's *address*; on the refined grid of the full dataset this is
 /// the **global address** used to match cells across blocks (§IV-F1 of
 /// the paper).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RefinedDims {
     pub rx: u64,
     pub ry: u64,

@@ -5,10 +5,8 @@
 //! **bit-exact regardless of thread count**. These helpers provide the
 //! one scheduling discipline that makes this trivial to reason about:
 //! workers may run in any order, but results are always *placed and
-//! consumed in input order*. Built on `std::thread::scope` so the
-//! parallelism is real in every build environment (the offline container
-//! stubs rayon with a sequential shim — see `scripts/offline_stubs/`),
-//! with zero new dependencies.
+//! consumed in input order*. Built on `std::thread::scope`, with no
+//! dependency: this is the workspace's only data-parallel substrate.
 //!
 //! Threads are spawned per call. A call amortizes spawn cost over a
 //! whole pipeline stage (milliseconds to seconds of work), so a pool is

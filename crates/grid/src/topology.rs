@@ -5,10 +5,9 @@
 //! inclusive on both ends and live in global refined coordinates.
 
 use crate::coord::RCoord;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned inclusive box in refined coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RBox {
     pub lo: RCoord,
     pub hi: RCoord,
@@ -118,7 +117,7 @@ impl Iterator for CellIter {
 }
 
 /// Identifies one of the six axis-aligned directions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaceDir {
     /// Axis 0..3.
     pub axis: u8,

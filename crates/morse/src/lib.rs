@@ -21,8 +21,6 @@
 //!   keys, zero allocations per vertex;
 //! * [`kernel`] — kernel selection (`MSP_KERNEL=flat|heap`) and the
 //!   [`KernelStats`] fed into telemetry;
-//! * [`greedy::assign_gradient_greedy`] — the dimension-sorted greedy
-//!   assignment of [10], kept as an ablation baseline;
 //! * [`trace`] — V-path tracing from critical cells, producing the arcs
 //!   and geometric embeddings that the MS complex is built from;
 //! * [`validate`] — structural validity checks (pairing legality,
@@ -31,7 +29,6 @@
 
 mod flat;
 pub mod gradient;
-pub mod greedy;
 pub mod kernel;
 pub mod lower_star;
 mod pool;

@@ -25,7 +25,7 @@
 //! complex.
 
 use crate::reference::reference_gradient;
-use msp_complex::glue::glue_with;
+use msp_complex::glue::glue;
 use msp_complex::MsComplex;
 use msp_grid::field::BlockField;
 use msp_grid::topology::RBox;
@@ -465,8 +465,7 @@ pub fn check_glue_idempotent(ms: &MsComplex, decomp: &Decomposition) -> Result<(
     let mut base = ms.clone();
     base.compact();
     let mut doubled = base.clone();
-    let stats = glue_with(&mut doubled, &base, decomp, true)
-        .map_err(|e| format!("self-glue failed: {e}"))?;
+    let stats = glue(&mut doubled, &base, decomp).map_err(|e| format!("self-glue failed: {e}"))?;
     if stats.added_nodes != 0 || stats.added_arcs != 0 {
         return Err(format!(
             "self-glue added {} node(s) and {} arc(s)",

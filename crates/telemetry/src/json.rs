@@ -1,7 +1,7 @@
 //! Minimal JSON document builder.
 //!
-//! The workspace registry is offline-only, so the report writer cannot
-//! pull in `serde_json`; this module is the (tiny) subset we need:
+//! The workspace depends on nothing outside this repository, so the
+//! report writer carries its own JSON — the (tiny) subset we need:
 //! building a tree of values, rendering it as pretty-printed
 //! deterministic JSON text, and parsing it back ([`Json::parse`]) so
 //! the trace self-checks can round-trip the documents we emit.

@@ -19,7 +19,7 @@
 //!   trace-event export for Perfetto, and critical-path analysis
 //!   ([`CriticalPath`]);
 //! * [`Json`] — the dependency-free JSON document builder/parser the
-//!   writers use (the build is offline; no serde_json);
+//!   writers use;
 //! * [`live`] — the *live* (scrapeable, lock-light) metric surface:
 //!   atomic counters/gauges, log-bucketed histograms with bounded
 //!   memory, windowed rates, a Prometheus/JSON [`Registry`], and the

@@ -9,11 +9,9 @@
 //! ±2× changes here, which EXPERIMENTS.md demonstrates with a parameter
 //! note.
 
-use serde::{Deserialize, Serialize};
-
 /// A 3D torus with `dims[0] · dims[1] · dims[2] >= n_ranks` nodes,
 /// factored as near-cubically as possible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Torus {
     pub dims: [u32; 3],
 }
@@ -85,7 +83,7 @@ impl Torus {
 }
 
 /// LogGP-style point-to-point message cost parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NetParams {
     /// Software + injection latency per message (s).
     pub latency_s: f64,
@@ -121,7 +119,7 @@ impl NetParams {
 }
 
 /// Shared-parallel-filesystem model (collective read/write).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IoParams {
     /// Aggregate filesystem bandwidth (bytes/s) across all ranks.
     pub aggregate_bw: f64,
