@@ -15,10 +15,6 @@
 //! * `MSP_SCALE=small|default|large` — volume size;
 //! * `MSP_THREADS=1,2,4` — comma list of thread counts (default
 //!   `1,2,4,8`);
-//! * `MSP_KERNEL=heap` — escape hatch running the whole sweep on the
-//!   pre-rework two-heap/recursive kernels instead of the flat SoA
-//!   path; the active side is recorded in the `kernel` column so a
-//!   differential run is self-describing;
 //! * `MSP_ASSERT_SPEEDUP=1` — additionally require that threads=2 does
 //!   not regress below serial (≥1.0× gradient+trace on hosts with ≥2
 //!   CPUs; on a 1-CPU host the sweep is pure oversubscription, so the

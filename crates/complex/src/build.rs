@@ -6,7 +6,7 @@ use crate::skeleton::MsComplex;
 use msp_grid::decomp::Decomposition;
 use msp_grid::field::BlockField;
 use msp_morse::gradient::GradientField;
-use msp_morse::{active_kernel, assign_gradient, trace_all_arcs_kernel, TraceLimits, TraceStats};
+use msp_morse::{active_kernel, assign_gradient, trace_arcs_from, TraceLimits, TraceStats};
 
 /// Counters from one block build.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,12 +54,15 @@ pub fn complex_from_gradient_mt(
 ) -> (MsComplex, BuildStats) {
     let refined = field.domain().refined();
     let mut ms = MsComplex::new(refined, vec![field.block().id]);
+    // one pass over the gradient bytes serves the node list, the tracer
+    // and the pair count
+    let (critical, cells_paired) = grad.critical_cells_and_paired_count();
     let mut stats = BuildStats {
-        cells_paired: grad.n_paired_cells(),
+        cells_paired,
         ..BuildStats::default()
     };
 
-    for c in grad.critical_cells() {
+    for &c in &critical {
         let boundary = decomp.owners(c).is_shared();
         ms.add_node(
             c.address(&refined),
@@ -74,7 +77,7 @@ pub fn complex_from_gradient_mt(
     }
 
     let (arcs, tstats): (_, TraceStats) =
-        trace_all_arcs_kernel(grad, limits, threads, active_kernel());
+        trace_arcs_from(grad, critical, limits, threads, active_kernel());
     stats.truncated_nodes = tstats.truncated_nodes;
     let mut path_addrs = Vec::new();
     for arc in arcs.iter() {

@@ -4,10 +4,13 @@
 //! A vertex's lower star lives entirely in the 3×3×3 cube of refined
 //! cells centered on the vertex. Indexing every offset `(dx, dy, dz) ∈
 //! {−1, 0, 1}³` as `oi = (dx+1) + 3(dy+1) + 9(dz+1)` turns the star into
-//! a 27-bit set, and the three relations the kernel needs — "which
-//! vertex neighbors are a cell's corners", "which star cells are a
-//! cell's facets", and "which offsets survive box clipping" — into
-//! constant bitmask lookups. The same offset index serves two coordinate
+//! a 27-bit set. The relations the kernel needs are then either constant
+//! bitmask lookups — "which star cells are a cell's facets"
+//! ([`STAR_FACETS`]), "which offsets survive box clipping"
+//! ([`clip_mask`]) — or a few shifts of the whole set along one axis of
+//! the cube ([`CENTER_SLICES`]): "which cells have all their corners in
+//! this set" ([`star_members`]) and "which cells have exactly one facet
+//! in this set" ([`one_facet`]). The same offset index serves two coordinate
 //! systems at once: refined-cell offsets (`rv + δ`, one refined step)
 //! and vertex-neighbor offsets (`v + δ` in vertex space, one vertex
 //! step), because the box-validity condition is identical for both (see
@@ -99,12 +102,74 @@ const fn build_facets() -> [u32; 27] {
 /// `STAR_CORNERS[oi]`: vertex-neighbor offsets that are corners of the
 /// cell at offset `oi`, excluding the center vertex. A cell belongs to
 /// the center's lower star iff all these corners are SoS-below the
-/// center.
+/// center: the definition [`star_members`] is tested against.
 pub const STAR_CORNERS: [u32; 27] = build_corners();
 
 /// `STAR_FACETS[oi]`: offsets of the facets of the cell at `oi` that lie
 /// in the same lower star (one nonzero axis zeroed).
 pub const STAR_FACETS: [u32; 27] = build_facets();
+
+const fn build_slices() -> [(u32, u32); 3] {
+    let mut t = [(0u32, 1u32), (0, 3), (0, 9)];
+    let mut oi = 0;
+    while oi < 27 {
+        let (dx, dy, dz) = offset_of(oi);
+        let d = [dx, dy, dz];
+        let mut a = 0;
+        while a < 3 {
+            if d[a] == 0 {
+                t[a].0 |= 1 << oi;
+            }
+            a += 1;
+        }
+        oi += 1;
+    }
+    t
+}
+
+/// Per axis, `(slice, shift)`: the nine offsets whose component along
+/// the axis is 0, and the bit distance of one step along it. A slice
+/// shifted left or right by its shift lands on the +1 or −1 slice of the
+/// same axis with the other two components unchanged, which is what lets
+/// one shift move a whole face of the cube onto its neighbours.
+pub const CENTER_SLICES: [(u32, u32); 3] = build_slices();
+
+/// The lower star of the center as a bit set, from the set `below` of
+/// vertex neighbors SoS-below it: the center cell plus every cell all of
+/// whose other corners are below — [`STAR_CORNERS`]'s test for all 27
+/// cells at once. A cell's corners are its projections onto every subset
+/// of its nonzero axes, so keeping, axis by axis, only the cells whose
+/// projection onto that axis's center slice is still present leaves
+/// exactly the cells whose eight projections were all in `below`.
+///
+/// The member cells' offsets double as the offsets of their corners: a
+/// member's corners are projections of it, hence members themselves, and
+/// every member's own offset is a corner of it. So the vertex neighbors
+/// the star's keys are built from are `star_members(below) & !CENTER`.
+#[inline]
+pub fn star_members(below: u32) -> u32 {
+    let mut m = below | 1 << CENTER;
+    for (slice, s) in CENTER_SLICES {
+        let c = m & slice;
+        m &= c | c << s | c >> s;
+    }
+    m
+}
+
+/// The cells of `un` (a set of star cells) with exactly one facet in
+/// `un` — `(STAR_FACETS[oi] & un).count_ones() == 1` for all 27 cells at
+/// once. A cell has at most one in-star facet per axis, its projection
+/// onto that axis's center slice, so shifting each slice of `un` onto its
+/// two neighbours gives three "has a facet along this axis" sets, and
+/// exactly one of three bits is their parity minus all three.
+#[inline]
+pub fn one_facet(un: u32) -> u32 {
+    let [fx, fy, fz] = CENTER_SLICES.map(|(slice, s)| {
+        let c = un & slice;
+        c << s | c >> s
+    });
+    un & (fx ^ fy ^ fz) & !(fx & fy & fz)
+}
 
 const fn clip(axis: usize, lo_ok: bool, hi_ok: bool) -> u32 {
     let mut mask = 0u32;
@@ -269,8 +334,8 @@ mod tests {
 
     #[test]
     fn facets_are_strict_corner_subsets() {
-        // the packed-key prefix property rests on this: a facet's corner
-        // set is a strict subset of its coface's corner set
+        // "a facet's key is strictly smaller" rests on this: a facet's
+        // corner set is a strict subset of its coface's corner set
         for oi in 0..27 {
             let mut m = STAR_FACETS[oi];
             while m != 0 {
@@ -280,6 +345,82 @@ mod tests {
                 assert_eq!(fc & cc, fc, "facet corners ⊆ cell corners");
                 assert!(fc != cc, "strict subset");
             }
+        }
+    }
+
+    /// SplitMix64, for the seeded mask tables below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn center_slices_are_the_zero_planes() {
+        for (axis, (slice, shift)) in CENTER_SLICES.into_iter().enumerate() {
+            assert_eq!(shift, [1, 3, 9][axis]);
+            for oi in 0..27 {
+                let (dx, dy, dz) = offset_of(oi);
+                assert_eq!(slice >> oi & 1 == 1, [dx, dy, dz][axis] == 0);
+            }
+            // one step along the axis from the slice stays in the cube
+            assert_eq!((slice << shift | slice >> shift) & slice, 0);
+            assert_eq!(slice | slice << shift | slice >> shift, ALL_OFFSETS);
+        }
+    }
+
+    #[test]
+    fn star_members_matches_corner_table() {
+        // the definition star_members replaces: a cell is a member iff
+        // every corner in STAR_CORNERS is below the center
+        let by_table = |below: u32| {
+            let mut member = 1 << CENTER;
+            for (oi, &sc) in STAR_CORNERS.iter().enumerate() {
+                if oi != CENTER && below & sc == sc {
+                    member |= 1 << oi;
+                }
+            }
+            member
+        };
+        let mut few_bits = vec![0u32];
+        for a in 0..27 {
+            few_bits.push(1 << a);
+            few_bits.extend((0..a).map(|b| 1 << a | 1 << b));
+        }
+        let mut state = 22u64;
+        let seeded: Vec<u32> = (0..50_000)
+            .map(|_| next(&mut state) as u32 & ALL_OFFSETS)
+            .collect();
+        for clip in 0..64usize {
+            let ok = |bit: usize| clip >> bit & 1 == 1;
+            let valid = clip_mask(0, ok(0), ok(1))
+                & clip_mask(1, ok(2), ok(3))
+                & clip_mask(2, ok(4), ok(5));
+            for &raw in few_bits.iter().chain(&seeded) {
+                let below = raw & valid & !(1 << CENTER);
+                assert_eq!(
+                    star_members(below),
+                    by_table(below),
+                    "below {below:#x}, clip {clip:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_facet_matches_facet_table() {
+        let mut state = 5u64;
+        for _ in 0..50_000 {
+            let un = next(&mut state) as u32 & ALL_OFFSETS;
+            let mut by_table = 0u32;
+            for (oi, &facets) in STAR_FACETS.iter().enumerate() {
+                if un >> oi & 1 == 1 && (facets & un).count_ones() == 1 {
+                    by_table |= 1 << oi;
+                }
+            }
+            assert_eq!(one_facet(un), by_table, "un {un:#x}");
         }
     }
 

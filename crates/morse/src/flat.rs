@@ -2,36 +2,54 @@
 //!
 //! Computes byte-identical output to the two-heap homotopy expansion in
 //! `lower_star.rs` (the Robins-Wood-Sheppard rule) without heaps,
-//! `CellKey` materialization, or any per-vertex allocation. The rework
-//! rests on three observations:
+//! `CellKey` materialization, or any per-vertex allocation. Every
+//! candidate cell lives in the 3×3×3 refined cube around the vertex, so
+//! the star is a 27-bit set ([`msp_grid::offsets`]) and each step below
+//! works on the whole set at once. It rests on three observations and
+//! one argument about block boundaries:
 //!
-//! 1. **The lower star is a 27-bit set.** Every candidate cell lives in
-//!    the 3×3×3 refined cube around the vertex, so membership, facet
-//!    relations and box clipping become constant bitmask lookups from
-//!    [`msp_grid::offsets`]. A cell belongs to the lower star iff all of
-//!    its non-center corner vertices are SoS-below the center — one mask
-//!    comparison against a 26-bit "below" mask built from a linear scan
-//!    of precomputed `OrderedF32` key words.
+//! 1. **The star's corners are its members' offsets.** The same offset
+//!    index names a refined cell and a vertex neighbor. A cell is in the
+//!    lower star iff all of its non-center corners are SoS-below the
+//!    center, and its corners are its projections onto every subset of
+//!    its nonzero axes — [`star_members`] tests that for all 27 cells in
+//!    three shift-and-mask rounds over the "below" mask. A member's
+//!    projections are members too, and a member's own offset is its far
+//!    corner, so the vertices whose order the keys need are exactly
+//!    `member & !CENTER`: no second table walk.
 //!
-//! 2. **In-star cell keys pack into one `u64`.** All member cells share
-//!    the center as their SoS-maximal vertex, so `CellKey` order
-//!    restricted to one star is the lexicographic order of the
-//!    *descending sequences of the remaining corners*. Ranking the ≤ 26
-//!    distinct corner vertices once (codes 1..=26, 5 bits each) and
-//!    packing each cell's descending codes left-aligned into a `u64`
-//!    (zero-filled — a facet's shorter sequence compares exactly like
-//!    `CellKey`'s shorter-prefix-is-less rule) turns every key
-//!    comparison the expansion makes into one integer compare.
+//! 2. **In-star cell keys are rank sets.** All member cells share the
+//!    center as their SoS-maximal vertex, so `CellKey` order restricted
+//!    to one star is the lexicographic order of the *descending
+//!    sequences of the remaining corners*, a proper prefix being less.
+//!    Rank the ≤ 26 distinct corners once (by counting, over the words
+//!    `ord << 5 | oi`: offset order is global-id order, which is the SoS
+//!    tie-break) and let a cell's key be the set of its corners' ranks
+//!    as a `u32` bit mask. Then `key(a) < key(b)` as integers iff
+//!    `CellKey(a) < CellKey(b)`: let `r` be the highest rank in exactly
+//!    one of the two sets, say `b`'s. Above `r` the descending sequences
+//!    agree; at that position `b` has `r` and `a` has a smaller rank or
+//!    has ended. Either way `a` is less, and `r` is also the highest bit
+//!    in which the integers differ.
 //!
-//! 3. **The two-queue rule has a scan form.** The heap algorithm always
-//!    pairs the minimum-key cell that has exactly one unassigned
-//!    same-group facet, and when no such cell exists it marks the
-//!    minimum-key unassigned cell critical (which then necessarily has
-//!    zero unassigned facets, since a facet's key is strictly smaller
-//!    than its coface's). Over a ≤ 27-element bitmask that selection is
-//!    a handful of `trailing_zeros` loops — no queues, no re-push
-//!    bookkeeping, and per-group independence means owner-set groups can
-//!    run one after another.
+//! 3. **The two-queue rule is an eligibility mask and a minimum.** The
+//!    heap algorithm always pairs the minimum-key cell that has exactly
+//!    one unassigned same-group facet, and when no such cell exists it
+//!    marks the minimum-key unassigned cell critical (which then
+//!    necessarily has zero unassigned facets, since a facet's key is a
+//!    strict subset of its coface's). [`one_facet`] gives "exactly one
+//!    unassigned facet" for every cell of the group at once; the
+//!    minimum runs over those cells, or over the whole group when there
+//!    are none. Per-group independence means owner-set groups can run
+//!    one after another.
+//!
+//! **Boundaries.** Pairing is restricted to cells with equal owner sets
+//! (paper §IV-C). Every star cell has the vertex as a corner, so a block
+//! whose box contains the cell contains the vertex: `owners(cell) ⊆
+//! owners(vertex)`, and a block of `owners(vertex)` owns the cell iff
+//! its box keeps that offset around the vertex. One `owners` walk for
+//! the vertex plus one clip mask per other owner therefore partitions
+//! the members by owner set.
 //!
 //! The sweep reads one precomputed array: the block's vertex values
 //! mapped through [`OrderedF32`] (a pooled `Vec<u32>`, see
@@ -40,10 +58,10 @@
 //! allocations after the per-block key array is built.
 
 use crate::gradient::{GradientField, ASSIGNED, CRITICAL, PAIRED, TAIL};
-use msp_grid::decomp::{Decomposition, OwnerSet};
+use msp_grid::decomp::Decomposition;
 use msp_grid::field::{BlockField, OrderedF32};
 use msp_grid::offsets::{
-    clip_mask, offset_of, ALL_OFFSETS, CENTER, NEG_GID, STAR_CORNERS, STAR_FACETS,
+    clip_mask, offset_of, one_facet, star_members, ALL_OFFSETS, CENTER, NEG_GID, STAR_FACETS,
 };
 use msp_grid::{Dims, RCoord};
 
@@ -59,8 +77,7 @@ pub(crate) fn ordered_keys_into(field: &BlockField, out: &mut Vec<u32>) {
 }
 
 /// Immutable per-block state of the flat sweep, shared by every slab
-/// thread. Holds the three precomputed 27-entry delta tables that turn
-/// neighborhood addressing into add-and-index.
+/// thread.
 pub(crate) struct FlatSweep<'a> {
     decomp: &'a Decomposition,
     /// `OrderedF32` words of the block's vertices (block-local layout).
@@ -73,23 +90,26 @@ pub(crate) struct FlatSweep<'a> {
     bd: Dims,
     /// Block-local vertex index delta per offset.
     ld: [isize; 27],
-    /// Global vertex id delta per offset (SoS gid tiebreak within the
-    /// star: `gid_a < gid_b ⇔ gd[a] < gd[b]`, same center).
-    gd: [i64; 27],
+}
+
+/// The offset mask a box `[lo, hi]` (vertex coordinates) keeps around the
+/// vertex `v` inside it.
+#[inline]
+fn box_clip(v: [u32; 3], lo: &[u32; 3], hi: &[u32; 3]) -> u32 {
+    clip_mask(0, v[0] > lo[0], v[0] < hi[0])
+        & clip_mask(1, v[1] > lo[1], v[1] < hi[1])
+        & clip_mask(2, v[2] > lo[2], v[2] < hi[2])
 }
 
 impl<'a> FlatSweep<'a> {
     pub(crate) fn new(field: &'a BlockField, decomp: &'a Decomposition, ord: &'a [u32]) -> Self {
         let block = field.block();
         let bd = block.dims();
-        let dom = field.domain();
         debug_assert_eq!(ord.len() as u64, bd.n_verts());
         let mut ld = [0isize; 27];
-        let mut gd = [0i64; 27];
-        for oi in 0..27 {
+        for (oi, l) in ld.iter_mut().enumerate() {
             let (dx, dy, dz) = offset_of(oi);
-            ld[oi] = dx as isize + bd.nx as isize * (dy as isize + bd.ny as isize * dz as isize);
-            gd[oi] = dx as i64 + dom.nx as i64 * (dy as i64 + dom.ny as i64 * dz as i64);
+            *l = dx as isize + bd.nx as isize * (dy as isize + bd.ny as isize * dz as isize);
         }
         FlatSweep {
             decomp,
@@ -99,7 +119,6 @@ impl<'a> FlatSweep<'a> {
             bhi: block.hi,
             bd,
             ld,
-            gd,
         }
     }
 
@@ -122,7 +141,7 @@ impl<'a> FlatSweep<'a> {
                 let mut gi = grad.linear_index(RCoord::of_vertex(self.blo[0], y, z));
                 for (k, x) in (self.blo[0]..=self.bhi[0]).enumerate() {
                     let valid = my & clip_mask(0, x > self.blo[0], x < self.bhi[0]);
-                    self.process_vertex(li0 + k, gi, (x, y, z), valid, &rd, grad);
+                    self.process_vertex(li0 + k, gi, [x, y, z], valid, &rd, grad);
                     gi += 2;
                 }
             }
@@ -136,149 +155,126 @@ impl<'a> FlatSweep<'a> {
         &self,
         li: usize,
         gi: usize,
-        v: (u32, u32, u32),
+        v: [u32; 3],
         valid: u32,
         rd: &[isize; 27],
         grad: &mut GradientField,
     ) {
-        let k0 = self.ord[li];
-
-        // 26-bit mask of neighbor vertices SoS-below the center: value
-        // compare on the OrderedF32 words, gid tiebreak from NEG_GID.
-        let mut below = 0u32;
-        let mut m = valid & !CENTER_BIT;
-        while m != 0 {
-            let oi = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let kn = self.ord[(li as isize + self.ld[oi]) as usize];
-            let b = ((kn < k0) as u32) | (((kn == k0) as u32) & (NEG_GID >> oi & 1));
-            below |= b << oi;
-        }
-
-        // Membership: a cell is in the lower star iff all of its
-        // non-center corners are below the center.
-        let mut member = CENTER_BIT;
-        let mut m = valid & !CENTER_BIT;
-        while m != 0 {
-            let oi = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let sc = STAR_CORNERS[oi];
-            member |= (((below & sc) == sc) as u32) << oi;
-        }
-
-        // Local SoS minimum: the star is just the vertex, critical.
+        let mut keys = [0u32; 27];
+        let member = self.star_keys(li, valid, &mut keys);
         if member == CENTER_BIT {
+            // Local SoS minimum: the star is just the vertex, critical.
             grad.write_byte(gi, ASSIGNED | CRITICAL);
-            return;
-        }
-
-        // Rank the corner vertices the member cells actually use,
-        // ascending by (value word, gid); codes 1..=n, 5 bits each.
-        let mut needed = 0u32;
-        let mut m = member & !CENTER_BIT;
-        while m != 0 {
-            let oi = m.trailing_zeros() as usize;
-            m &= m - 1;
-            needed |= STAR_CORNERS[oi];
-        }
-        let mut order = [(0u32, 0i64, 0u8); 26];
-        let mut n = 0usize;
-        let mut m = needed;
-        while m != 0 {
-            let oi = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let item = (
-                self.ord[(li as isize + self.ld[oi]) as usize],
-                self.gd[oi],
-                oi as u8,
-            );
-            let mut j = n;
-            while j > 0 && (order[j - 1].0, order[j - 1].1) > (item.0, item.1) {
-                order[j] = order[j - 1];
-                j -= 1;
-            }
-            order[j] = item;
-            n += 1;
-        }
-        let mut code = [0u8; 27];
-        for (r, &(_, _, oi)) in order[..n].iter().enumerate() {
-            code[oi as usize] = r as u8 + 1;
-        }
-
-        // Pack each member cell's descending corner codes into a u64.
-        // Left-aligned with zero fill: within one star this compares
-        // exactly like CellKey (all members share the center as their
-        // maximal vertex, and a facet's corner set is a strict subset of
-        // its coface's, so the 0-fill reproduces shorter-prefix-is-less).
-        let mut keys = [0u64; 27];
-        let mut m = member & !CENTER_BIT;
-        while m != 0 {
-            let oi = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let cm = STAR_CORNERS[oi];
-            let mut codemask = 0u32;
-            let mut cc = cm;
-            while cc != 0 {
-                let ci = cc.trailing_zeros() as usize;
-                cc &= cc - 1;
-                codemask |= 1 << code[ci];
-            }
-            let mut key = 0u64;
-            while codemask != 0 {
-                let b = 31 - codemask.leading_zeros();
-                codemask &= !(1 << b);
-                key = (key << 5) | b as u64;
-            }
-            keys[oi] = key << (5 * (7 - cm.count_ones()));
-        }
-        // keys[CENTER] stays 0: the vertex's sequence is empty, the
-        // smallest — matching CellKey order.
-
-        if valid == ALL_OFFSETS {
+        } else if valid == ALL_OFFSETS {
             // Interior fast path: the whole star has the singleton owner
             // set {block}, one group.
             expand_group(member, &keys, gi, rd, grad);
-            return;
+        } else {
+            // Boundary: stratify members into owner-set groups (paper
+            // §IV-C's pairing restriction) and expand each independently.
+            // Cross-group operations commute — bytes only depend on the
+            // within-group sequence — so sequential groups reproduce the
+            // heap's interleaved order bit for bit, in any group order.
+            let mut groups = [0u32; 27];
+            let n = self.owner_groups(v, member, &mut groups);
+            for &g in &groups[..n] {
+                expand_group(g, &keys, gi, rd, grad);
+            }
+        }
+    }
+
+    /// The lower star of the vertex at `ord[li]` as a member mask, and
+    /// into the zeroed `keys` the rank-set key of every member cell by
+    /// offset (the center's key is the empty set, the smallest).
+    #[inline]
+    fn star_keys(&self, li: usize, valid: u32, keys: &mut [u32; 27]) -> u32 {
+        // The 27 neighbor words; a clipped offset reads the center, which
+        // is never below itself.
+        let mut w = [0u32; 27];
+        for (oi, w) in w.iter_mut().enumerate() {
+            let d = if valid >> oi & 1 != 0 { self.ld[oi] } else { 0 };
+            *w = self.ord[(li as isize + d) as usize];
+        }
+        let k0 = w[CENTER];
+        let mut below = 0u32;
+        for (oi, &kn) in w.iter().enumerate() {
+            let b = ((kn < k0) as u32) | (((kn == k0) as u32) & (NEG_GID >> oi & 1));
+            below |= b << oi;
+        }
+        let member = star_members(below & valid);
+        if member == CENTER_BIT {
+            return member;
         }
 
-        // Boundary: stratify members into owner-set groups (paper
-        // §IV-C's pairing restriction) and expand each independently.
-        // Cross-group operations commute — bytes only depend on the
-        // within-group sequence — so sequential groups reproduce the
-        // heap's interleaved order bit for bit.
-        let rv = RCoord::of_vertex(v.0, v.1, v.2);
-        let mut gsets = [OwnerSet::empty(); 27];
-        let mut gmask = [0u32; 27];
-        let mut ngroups = 0usize;
-        let mut m = member;
+        // Rank the star's corners (observation 1: the member offsets) by
+        // counting; the words `ord << 5 | oi` are distinct.
+        let mut corner = [0u64; 26];
+        let mut n = 0usize;
+        let mut m = member & !CENTER_BIT;
         while m != 0 {
-            let oi = m.trailing_zeros() as usize;
+            let oi = m.trailing_zeros();
             m &= m - 1;
-            let (dx, dy, dz) = offset_of(oi);
-            let c = RCoord::new(
-                (rv.x as i32 + dx) as u32,
-                (rv.y as i32 + dy) as u32,
-                (rv.z as i32 + dz) as u32,
-            );
-            let owners = if self.decomp.interior_to(self.block_id, c) {
-                let mut o = OwnerSet::empty();
-                o.push(self.block_id);
-                o
-            } else {
-                self.decomp.owners(c)
-            };
-            match gsets[..ngroups].iter().position(|g| *g == owners) {
-                Some(g) => gmask[g] |= 1 << oi,
-                None => {
-                    gsets[ngroups] = owners;
-                    gmask[ngroups] = 1 << oi;
-                    ngroups += 1;
+            corner[n] = (w[oi as usize] as u64) << 5 | oi as u64;
+            n += 1;
+        }
+        let mut rank = [0u32; 26];
+        for i in 1..n {
+            for j in 0..i {
+                let lt = (corner[j] < corner[i]) as u32;
+                rank[i] += lt;
+                rank[j] += 1 - lt;
+            }
+        }
+
+        // Observation 2: put each corner's rank bit at its own offset,
+        // then or every cell into its two cofaces along x, then y, then
+        // z. Each cell ends up with the bits of all its projections, its
+        // corners. (Non-member cells collect bits nobody reads.)
+        for (&c, &r) in corner[..n].iter().zip(&rank) {
+            keys[(c & 31) as usize] = 1 << r;
+        }
+        for b in (1..27).step_by(3) {
+            keys[b - 1] |= keys[b];
+            keys[b + 1] |= keys[b];
+        }
+        for b in [3, 4, 5, 12, 13, 14, 21, 22, 23] {
+            keys[b - 3] |= keys[b];
+            keys[b + 3] |= keys[b];
+        }
+        for b in 9..18 {
+            keys[b - 9] |= keys[b];
+            keys[b + 9] |= keys[b];
+        }
+        member
+    }
+
+    /// Partition the member cells around the block-surface vertex `v` by
+    /// owner set: two cells have the same owner set iff every other
+    /// owner of the vertex keeps both or neither in its box (module
+    /// docs, "Boundaries"). Fills `groups` and returns their count.
+    #[inline]
+    fn owner_groups(&self, v: [u32; 3], member: u32, groups: &mut [u32; 27]) -> usize {
+        groups[0] = member;
+        let mut n = 1usize;
+        let owners = self.decomp.owners(RCoord::of_vertex(v[0], v[1], v[2]));
+        for &b in owners.as_slice() {
+            if b == self.block_id {
+                continue;
+            }
+            let other = self.decomp.block(b);
+            let keeps = box_clip(v, &other.lo, &other.hi);
+            // split every group that straddles this owner's box
+            let before = n;
+            for g in 0..before {
+                let out = groups[g] & !keeps;
+                if out != 0 && out != groups[g] {
+                    groups[g] &= keeps;
+                    groups[n] = out;
+                    n += 1;
                 }
             }
         }
-        for &gm in gmask.iter().take(ngroups) {
-            expand_group(gm, &keys, gi, rd, grad);
-        }
+        n
     }
 }
 
@@ -290,37 +286,29 @@ impl<'a> FlatSweep<'a> {
 /// critical.
 fn expand_group(
     mut un: u32,
-    keys: &[u64; 27],
+    keys: &[u32; 27],
     gi: usize,
     rd: &[isize; 27],
     grad: &mut GradientField,
 ) {
     while un != 0 {
-        let mut best_e = 27usize;
-        let mut best_e_key = u64::MAX;
-        let mut best_a = 27usize;
-        let mut best_a_key = u64::MAX;
-        let mut m = un;
+        let eligible = one_facet(un);
+        let mut m = if eligible != 0 { eligible } else { un };
+        // keys are distinct, so the low five bits only carry the index
+        let mut best = u32::MAX;
         while m != 0 {
-            let oi = m.trailing_zeros() as usize;
+            let oi = m.trailing_zeros();
             m &= m - 1;
-            let k = keys[oi];
-            if k < best_a_key {
-                best_a_key = k;
-                best_a = oi;
-            }
-            if (STAR_FACETS[oi] & un).count_ones() == 1 && k < best_e_key {
-                best_e_key = k;
-                best_e = oi;
-            }
+            best = best.min(keys[oi as usize] << 5 | oi);
         }
-        if best_e < 27 {
-            let fj = (STAR_FACETS[best_e] & un).trailing_zeros() as usize;
-            write_pair(gi, rd, fj, best_e, grad);
-            un &= !((1u32 << best_e) | (1u32 << fj));
+        let oi = (best & 31) as usize;
+        if eligible != 0 {
+            let fj = (STAR_FACETS[oi] & un).trailing_zeros() as usize;
+            write_pair(gi, rd, fj, oi, grad);
+            un &= !((1u32 << oi) | (1u32 << fj));
         } else {
-            grad.write_byte(at(gi, rd[best_a]), ASSIGNED | CRITICAL);
-            un &= !(1u32 << best_a);
+            grad.write_byte(at(gi, rd[oi]), ASSIGNED | CRITICAL);
+            un &= !(1u32 << oi);
         }
     }
 }
@@ -332,8 +320,9 @@ fn at(gi: usize, d: isize) -> usize {
 
 /// Write the two bytes of a gradient pair directly: `tail_oi` (the
 /// facet, flow leaves through it) and `head_oi` (its coface) differ on
-/// exactly one axis by one refined step. Mirrors `GradientField::pair`'s
-/// byte encoding without re-deriving coordinates.
+/// exactly one axis by one refined step, so their offset indices differ
+/// by ±1, ±3 or ±9. Mirrors `GradientField::pair`'s byte encoding without
+/// re-deriving coordinates.
 fn write_pair(
     gi: usize,
     rd: &[isize; 27],
@@ -341,15 +330,9 @@ fn write_pair(
     head_oi: usize,
     grad: &mut GradientField,
 ) {
-    let t = offset_of(tail_oi);
-    let h = offset_of(head_oi);
-    let (axis, positive) = if t.0 != h.0 {
-        (0u8, h.0 > t.0)
-    } else if t.1 != h.1 {
-        (1, h.1 > t.1)
-    } else {
-        (2, h.2 > t.2)
-    };
+    let step = head_oi as i32 - tail_oi as i32;
+    let axis = (step.abs() >= 3) as u8 + (step.abs() >= 9) as u8;
+    let positive = step > 0;
     let fwd = axis * 2 + positive as u8;
     let bwd = axis * 2 + (!positive) as u8;
     grad.write_byte(at(gi, rd[tail_oi]), ASSIGNED | PAIRED | TAIL | fwd);
@@ -359,7 +342,8 @@ fn write_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msp_grid::decomp::Decomposition;
+    use msp_grid::decomp::OwnerSet;
+    use msp_grid::topology::RBox;
     use msp_grid::ScalarField;
 
     #[test]
@@ -383,23 +367,145 @@ mod tests {
         }
     }
 
+    /// The refined cell at offset `oi` from the vertex `v`.
+    fn cell_at(v: [u32; 3], oi: usize) -> RCoord {
+        let (dx, dy, dz) = offset_of(oi);
+        RCoord::new(
+            (2 * v[0] as i32 + dx) as u32,
+            (2 * v[1] as i32 + dy) as u32,
+            (2 * v[2] as i32 + dz) as u32,
+        )
+    }
+
+    /// Call `f(sweep, li, v, valid)` for every vertex of every block.
+    fn for_each_vertex(
+        field: &ScalarField,
+        decomp: &Decomposition,
+        mut f: impl FnMut(&FlatSweep, &BlockField, usize, [u32; 3], u32),
+    ) {
+        for b in decomp.blocks() {
+            let bf = field.extract_block(b);
+            let mut ord = Vec::new();
+            ordered_keys_into(&bf, &mut ord);
+            let sweep = FlatSweep::new(&bf, decomp, &ord);
+            let mut li = 0;
+            for z in b.lo[2]..=b.hi[2] {
+                for y in b.lo[1]..=b.hi[1] {
+                    for x in b.lo[0]..=b.hi[0] {
+                        let v = [x, y, z];
+                        f(&sweep, &bf, li, v, box_clip(v, &b.lo, &b.hi));
+                        li += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rank_set_order_is_cell_key_order() {
+        // observation 2 against the definition it replaces, on distinct
+        // values and on plateaus (equal words ranked by offset); two
+        // blocks so that clipped stars are covered
+        let dims = Dims::cube(6);
+        let noise = msp_synth::white_noise(dims, 41);
+        let plateau = msp_synth::plateau(dims, 41, 3);
+        let decomp = Decomposition::bisect(dims, 2);
+        let mut pairs = 0u64;
+        for field in [&noise, &plateau] {
+            for_each_vertex(field, &decomp, |sweep, bf, li, v, valid| {
+                let mut keys = [0u32; 27];
+                let member = sweep.star_keys(li, valid, &mut keys);
+                let vkey = bf.vertex_key(RCoord::of_vertex(v[0], v[1], v[2]));
+                let cells: Vec<usize> = (0..27).filter(|&oi| valid >> oi & 1 == 1).collect();
+                for &a in &cells {
+                    let ka = bf.cell_key(cell_at(v, a));
+                    assert_eq!(
+                        member >> a & 1 == 1,
+                        ka.max_vertex() == vkey,
+                        "membership of offset {a} around {v:?}"
+                    );
+                    if member >> a & 1 == 0 {
+                        continue;
+                    }
+                    for &b in cells.iter().filter(|&&b| member >> b & 1 == 1) {
+                        let kb = bf.cell_key(cell_at(v, b));
+                        assert_eq!(ka < kb, keys[a] < keys[b], "offsets {a}, {b} around {v:?}");
+                        pairs += 1;
+                    }
+                }
+            });
+        }
+        assert!(pairs > 10_000, "only {pairs} member pairs compared");
+    }
+
+    #[test]
+    fn owner_groups_partition_members_by_owner_set() {
+        // the boundary argument where it can fail: irregular trees with
+        // T-junctions, every surface vertex of every block
+        let dims = Dims::new(11, 9, 10);
+        let field = msp_synth::white_noise(dims, 8);
+        let weights: Vec<u64> = field.data().iter().map(|v| (v * 50.0) as u64).collect();
+        let mut decomps: Vec<Decomposition> = (0..8)
+            .map(|seed| Decomposition::random_tree(dims, 2 + seed as u32 % 10, seed))
+            .collect();
+        decomps.push(Decomposition::adaptive(dims, 5, &weights));
+        decomps.push(Decomposition::adaptive(dims, 7, &weights));
+        let mut shared = 0u64;
+        for decomp in &decomps {
+            for_each_vertex(&field, decomp, |sweep, _, li, v, valid| {
+                if valid == ALL_OFFSETS {
+                    return;
+                }
+                let mut keys = [0u32; 27];
+                let member = sweep.star_keys(li, valid, &mut keys);
+                let mut groups = [0u32; 27];
+                let n = sweep.owner_groups(v, member, &mut groups);
+                let mut got = groups[..n].to_vec();
+                got.sort_unstable();
+                let mut by_owners: Vec<(OwnerSet, u32)> = Vec::new();
+                for oi in (0..27).filter(|&oi| member >> oi & 1 == 1) {
+                    let owners = decomp.owners(cell_at(v, oi));
+                    match by_owners.iter_mut().find(|(o, _)| *o == owners) {
+                        Some((_, mask)) => *mask |= 1 << oi,
+                        None => by_owners.push((owners, 1 << oi)),
+                    }
+                }
+                let mut want: Vec<u32> = by_owners.iter().map(|&(_, mask)| mask).collect();
+                want.sort_unstable();
+                assert_eq!(got, want, "vertex {v:?} of block {}", sweep.block_id);
+                shared += (n > 1) as u64;
+            });
+        }
+        assert!(
+            shared > 500,
+            "only {shared} vertices with more than one group"
+        );
+    }
+
     #[test]
     fn write_pair_matches_gradient_pair() {
-        use msp_grid::offsets::index_of;
-        use msp_grid::topology::RBox;
+        // all 54 (facet, coface) pairs of the star, both directions of
+        // every axis
         let bbox = RBox::new(RCoord::new(0, 0, 0), RCoord::new(4, 4, 4));
-        // pair the vertex cell (2,2,2) with the edge toward -y, both ways
-        let mut a = GradientField::new(bbox);
-        a.pair(RCoord::new(2, 2, 2), RCoord::new(2, 1, 2));
-        let mut b = GradientField::new(bbox);
-        let (sx, sxy) = b.strides();
+        let v = [1, 1, 1];
         let mut rd = [0isize; 27];
+        let (sx, sxy) = GradientField::new(bbox).strides();
         for (oi, r) in rd.iter_mut().enumerate() {
             let (dx, dy, dz) = offset_of(oi);
             *r = dx as isize + sx as isize * dy as isize + sxy as isize * dz as isize;
         }
-        let gi = b.linear_index(RCoord::new(2, 2, 2));
-        write_pair(gi, &rd, CENTER, index_of(0, -1, 0), &mut b);
-        assert_eq!(a.bytes(), b.bytes());
+        let mut n = 0;
+        for (head, &facets) in STAR_FACETS.iter().enumerate() {
+            for tail in (0..27).filter(|&t| facets >> t & 1 == 1) {
+                let mut a = GradientField::new(bbox);
+                a.pair(cell_at(v, tail), cell_at(v, head));
+                let mut b = GradientField::new(bbox);
+                let gi = b.linear_index(cell_at(v, CENTER));
+                write_pair(gi, &rd, tail, head, &mut b);
+                assert_eq!(a.bytes(), b.bytes(), "tail {tail} head {head}");
+                n += 1;
+            }
+        }
+        assert_eq!(n, 54);
     }
 }

@@ -286,23 +286,44 @@ impl GradientField {
         *self.byte_mut(c) = ASSIGNED | CRITICAL;
     }
 
-    /// All critical cells, in address order. Scans the byte array
-    /// linearly (x-fastest, matching `bbox.iter()` order) instead of
-    /// recomputing a strided index per cell.
+    /// All critical cells, in address order (x-fastest, matching
+    /// `bbox.iter()` order).
     pub fn critical_cells(&self) -> Vec<RCoord> {
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        for z in self.bbox.lo.z..=self.bbox.hi.z {
-            for y in self.bbox.lo.y..=self.bbox.hi.y {
-                for x in self.bbox.lo.x..=self.bbox.hi.x {
-                    if self.bytes[i] & CRITICAL != 0 {
-                        out.push(RCoord::new(x, y, z));
-                    }
-                    i += 1;
-                }
+        self.critical_cells_and_paired_count().0
+    }
+
+    /// [`critical_cells`](GradientField::critical_cells) and
+    /// [`n_paired_cells`](GradientField::n_paired_cells) from one pass
+    /// over the bytes. Critical cells are rare, so the scan tests eight
+    /// bytes at a time and derives coordinates only on a hit.
+    pub fn critical_cells_and_paired_count(&self) -> (Vec<RCoord>, u64) {
+        const EACH_BYTE: u64 = 0x0101_0101_0101_0101;
+        let lo = self.bbox.lo;
+        let mut critical = Vec::new();
+        let mut paired = 0u64;
+        let mut visit = |base: usize, word: [u8; 8]| {
+            let w = u64::from_le_bytes(word);
+            paired += (w & (EACH_BYTE * PAIRED as u64)).count_ones() as u64;
+            let mut hits = w & (EACH_BYTE * CRITICAL as u64);
+            while hits != 0 {
+                let i = (base + hits.trailing_zeros() as usize / 8) as u64;
+                hits &= hits - 1;
+                critical.push(RCoord::new(
+                    lo.x + (i % self.sx) as u32,
+                    lo.y + (i % self.sxy / self.sx) as u32,
+                    lo.z + (i / self.sxy) as u32,
+                ));
             }
+        };
+        let words = self.bytes.chunks_exact(8);
+        let tail = words.remainder();
+        for (k, word) in words.enumerate() {
+            visit(8 * k, word.try_into().expect("chunks_exact(8)"));
         }
-        out
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        visit(self.bytes.len() - tail.len(), last);
+        (critical, paired)
     }
 
     /// Count of critical cells per index (0..=3).
@@ -381,6 +402,31 @@ mod tests {
         g.mark_critical(RCoord::new(3, 3, 3)); // voxel
         assert_eq!(g.census(), [1, 1, 1, 2]);
         assert_eq!(g.critical_cells().len(), 5);
+    }
+
+    #[test]
+    fn word_scan_matches_cell_by_cell_scan() {
+        // extents that leave every remainder length, cells of every kind
+        // at every position within a word
+        for (nx, ny, nz) in [(4, 4, 4), (5, 3, 2), (6, 2, 2), (0, 0, 0), (8, 1, 0)] {
+            let bbox = RBox::new(RCoord::new(2, 4, 6), RCoord::new(2 + nx, 4 + ny, 6 + nz));
+            let mut g = GradientField::new(bbox);
+            for (i, c) in bbox.iter().enumerate() {
+                if g.is_assigned(c) {
+                    continue; // the head of an earlier pair
+                }
+                match (i * 7 + i / 5) % 4 {
+                    0 => g.mark_critical(c),
+                    1 if c.x % 2 == 0 && c.x < bbox.hi.x => g.pair(c, c.with(0, c.x + 1)),
+                    _ => {}
+                }
+            }
+            let naive: Vec<RCoord> = bbox.iter().filter(|&c| g.is_critical(c)).collect();
+            let (critical, paired) = g.critical_cells_and_paired_count();
+            assert_eq!(critical, naive, "box {nx}x{ny}x{nz}");
+            assert_eq!(paired, g.n_paired_cells());
+            assert_eq!(g.critical_cells(), naive);
+        }
     }
 
     #[test]

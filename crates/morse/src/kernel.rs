@@ -1,22 +1,20 @@
-//! Gradient/trace kernel selection and per-call statistics.
+//! The local-stage kernels and their per-call statistics.
 //!
-//! Two implementations of the local stage coexist: the original
+//! The flat structure-of-arrays kernels (`flat`) are the implementation:
+//! they compute the gradient bytes and arc stores without heaps,
+//! `CellKey` materialization or per-vertex allocation. The original
 //! two-priority-queue lower-star expansion plus recursive tracing
-//! (`heap`), kept as a differential reference, and the flat
-//! structure-of-arrays kernels (`flat`, the default) that compute the
-//! same bytes without heaps, `CellKey` materialization or per-vertex
-//! allocation. `MSP_KERNEL=heap` switches every dispatching entry point
-//! back to the old path for one release; the proptest suite pins the two
-//! bit-identical.
-
-use std::sync::OnceLock;
+//! (`heap`) stays runnable through the explicit [`Kernel`] argument of
+//! the `*_kernel` entry points only, as the differential reference the
+//! unit tests, the proptest suite and `kernel_bench` pin the flat
+//! kernels against.
 
 /// Which implementation of the hot local-stage kernels to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
-    /// Flat SoA kernels: branch-light lower-star membership over
-    /// precomputed offset tables, packed-u64 in-star keys, batched
-    /// iterative V-path tracing. The production default.
+    /// Flat SoA kernels: the lower star as a 27-bit set, rank-set
+    /// in-star keys, batched iterative V-path tracing. What production
+    /// runs.
     #[default]
     Flat,
     /// The original two-heap lower-star expansion and one-path-at-a-time
@@ -34,22 +32,11 @@ impl Kernel {
     }
 }
 
-static ACTIVE: OnceLock<Kernel> = OnceLock::new();
-
-/// The process-wide kernel selection: `MSP_KERNEL=heap` re-enables the
-/// old path, anything else (including unset) means [`Kernel::Flat`].
-/// Read once and cached — benches that want both sides in one process
-/// pass an explicit [`Kernel`] to the `*_kernel` entry points instead.
+/// The kernel every dispatching entry point runs: [`Kernel::Flat`].
+/// Callers that want the reference side pass [`Kernel::Heap`] to the
+/// `*_kernel` entry points instead.
 pub fn active_kernel() -> Kernel {
-    *ACTIVE.get_or_init(|| match std::env::var("MSP_KERNEL") {
-        Ok(v) if v == "heap" => Kernel::Heap,
-        Ok(v) if v == "flat" || v.is_empty() => Kernel::Flat,
-        Ok(v) => {
-            eprintln!("MSP_KERNEL={v:?} not recognized (expected flat|heap); using flat");
-            Kernel::Flat
-        }
-        Err(_) => Kernel::Flat,
-    })
+    Kernel::Flat
 }
 
 /// Allocation/throughput accounting for one gradient-kernel call, fed

@@ -16,11 +16,12 @@
 //!   per-vertex lower-star homotopy expansion, stratified by the owner
 //!   sets of the decomposition (the boundary restriction);
 //! * [`flat`] (internal) — the flat structure-of-arrays kernel behind
-//!   the default [`Kernel::Flat`] path: branch-light lower-star
-//!   membership over precomputed offset tables, packed-`u64` in-star
+//!   [`Kernel::Flat`]: the lower star as a 27-bit set, membership and
+//!   pairing eligibility for all its cells at once, rank-set in-star
 //!   keys, zero allocations per vertex;
-//! * [`kernel`] — kernel selection (`MSP_KERNEL=flat|heap`) and the
-//!   [`KernelStats`] fed into telemetry;
+//! * [`kernel`] — the [`Kernel`] argument (the two-heap path survives
+//!   behind it as the tests' reference) and the [`KernelStats`] fed
+//!   into telemetry;
 //! * [`trace`] — V-path tracing from critical cells, producing the arcs
 //!   and geometric embeddings that the MS complex is built from;
 //! * [`validate`] — structural validity checks (pairing legality,
@@ -39,5 +40,6 @@ pub use gradient::GradientField;
 pub use kernel::{active_kernel, Kernel, KernelStats};
 pub use lower_star::{assign_gradient, assign_gradient_kernel, assign_gradient_par};
 pub use trace::{
-    trace_all_arcs, trace_all_arcs_kernel, ArcStore, TraceLimits, TraceStats, TracedArc,
+    trace_all_arcs, trace_all_arcs_kernel, trace_arcs_from, ArcStore, TraceLimits, TraceStats,
+    TracedArc,
 };

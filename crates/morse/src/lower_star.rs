@@ -71,8 +71,8 @@ impl Scratch {
 }
 
 /// Compute the discrete gradient of one block, restricted so that shared
-/// block faces are assigned identically in all owning blocks. Dispatches
-/// to the process-wide kernel selection (`MSP_KERNEL`).
+/// block faces are assigned identically in all owning blocks. Serial, on
+/// the production kernel.
 pub fn assign_gradient(field: &BlockField, decomp: &Decomposition) -> GradientField {
     assign_gradient_kernel(field, decomp, 1, active_kernel()).0
 }
@@ -568,6 +568,41 @@ mod tests {
                         b.id
                     );
                     assert_eq!(stats.cells, heap.bbox().len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_kernel_bitwise_equals_heap_on_irregular_trees() {
+        // bisect() never makes a T-junction; random and weight-steered
+        // trees do, which is where "one owner walk per boundary vertex"
+        // could diverge from the heap's walk per cell. Plateaus force
+        // the equal-word tie-break on top.
+        let dims = Dims::new(12, 10, 11);
+        let fields = [
+            msp_synth::white_noise(dims, 61),
+            msp_synth::plateau(dims, 62, 3),
+        ];
+        for (fi, f) in fields.iter().enumerate() {
+            let weights: Vec<u64> = f.data().iter().map(|v| 1 + (v * 40.0) as u64).collect();
+            let mut decomps: Vec<Decomposition> = (2..12)
+                .map(|n| Decomposition::random_tree(dims, n, 100 * fi as u64 + n as u64))
+                .collect();
+            decomps.extend([3, 6, 9].map(|n| Decomposition::adaptive(dims, n, &weights)));
+            for (di, d) in decomps.iter().enumerate() {
+                for b in d.blocks() {
+                    let bf = f.extract_block(b);
+                    let (heap, _) = assign_gradient_kernel(&bf, d, 1, Kernel::Heap);
+                    for threads in [1, 3] {
+                        let (flat, _) = assign_gradient_kernel(&bf, d, threads, Kernel::Flat);
+                        assert_eq!(
+                            flat.bytes(),
+                            heap.bytes(),
+                            "field {fi} decomposition {di} block {} threads {threads}",
+                            b.id
+                        );
+                    }
                 }
             }
         }

@@ -158,13 +158,23 @@ pub fn trace_all_arcs_kernel(
     threads: usize,
     kernel: Kernel,
 ) -> (ArcStore, TraceStats) {
+    trace_arcs_from(grad, grad.critical_cells(), limits, threads, kernel)
+}
+
+/// [`trace_all_arcs_kernel`] for a caller that already holds
+/// `grad.critical_cells()` (the complex builder adds them as nodes
+/// first): `critical` must be that list, in address order. Taken by
+/// value so the list's buffer becomes the tracer's work list.
+pub fn trace_arcs_from(
+    grad: &GradientField,
+    critical: Vec<RCoord>,
+    limits: TraceLimits,
+    threads: usize,
+    kernel: Kernel,
+) -> (ArcStore, TraceStats) {
     let mut arcs = ArcStore::new();
     let mut stats = TraceStats::default();
-    let crits: Vec<RCoord> = grad
-        .critical_cells()
-        .into_iter()
-        .filter(|c| c.cell_dim() >= 1)
-        .collect();
+    let crits: Vec<RCoord> = critical.into_iter().filter(|c| c.cell_dim() >= 1).collect();
     match kernel {
         Kernel::Heap => {
             for &c in &crits {
