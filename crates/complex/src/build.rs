@@ -62,6 +62,7 @@ pub fn complex_from_gradient_mt(
         ..BuildStats::default()
     };
 
+    ms.reserve(critical.len(), 0, 0, 0);
     for &c in &critical {
         let boundary = decomp.owners(c).is_shared();
         ms.add_node(
@@ -79,11 +80,11 @@ pub fn complex_from_gradient_mt(
     let (arcs, tstats): (_, TraceStats) =
         trace_arcs_from(grad, critical, limits, threads, active_kernel());
     stats.truncated_nodes = tstats.truncated_nodes;
-    let mut path_addrs = Vec::new();
+    // a traced leaf is its 8-byte start plus one code per later cell
+    let cells: usize = arcs.iter().map(|a| a.geom.len()).sum();
+    ms.reserve(0, arcs.len(), cells + 7 * arcs.len(), arcs.len());
     for arc in arcs.iter() {
-        path_addrs.clear();
-        path_addrs.extend(arc.geom.iter().map(|c| c.address(&refined)));
-        let g = ms.add_leaf_geom(&path_addrs);
+        let g = ms.add_vpath_geom(arc.geom);
         let u = ms
             .node_at(arc.upper.address(&refined))
             .expect("upper critical cell has a node");
@@ -92,7 +93,7 @@ pub fn complex_from_gradient_mt(
             .expect("lower critical cell has a node");
         ms.add_arc(u, l, g);
         stats.arcs += 1;
-        stats.geometry_cells += path_addrs.len() as u64;
+        stats.geometry_cells += arc.geom.len() as u64;
     }
     (ms, stats)
 }

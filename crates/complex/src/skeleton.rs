@@ -1,8 +1,9 @@
 //! Flat-array storage of the MS complex 1-skeleton.
 //!
 //! Nodes and arcs are constant-sized records in `Vec`s ([11]); arc
-//! geometry is a DAG of geometry records — a `Leaf` is a range into one
-//! shared address buffer, and a `Cancel` record references the three
+//! geometry is a DAG of geometry records — a `Leaf` is a range of one
+//! shared byte buffer holding a V-path as its start address plus one
+//! direction code per step, and a `Cancel` record references the three
 //! geometries a cancellation concatenates (paper §IV-E: "the geometry of
 //! the new arcs is inherited from the deleted arcs, and a new geometry
 //! object is created that references the geometry objects that were
@@ -12,6 +13,7 @@
 
 use msp_grid::dims::RefinedDims;
 use msp_grid::RCoord;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 pub type NodeId = u32;
@@ -21,6 +23,25 @@ pub type GeomId = u32;
 /// "Not copied yet" in the dense old-id → new-id tables of
 /// [`MsComplex::compact`] and [`MsComplex::copy_geom_into`].
 const UNMAPPED: u32 = u32::MAX;
+
+/// Step code announcing that the next cell's address follows verbatim
+/// (8 bytes, little-endian) instead of a unit move; codes `0..=5` are the
+/// moves −x, +x, −y, +y, −z, +z on the refined grid.
+pub(crate) const STEP_ESCAPE: u8 = 6;
+
+/// Address change of each unit-move step code, in wrapping `u64`
+/// arithmetic (addresses are `x + rx·(y + ry·z)`).
+fn step_deltas(refined: &RefinedDims) -> [u64; 6] {
+    let (x, y, z) = (1u64, refined.rx, refined.rx.wrapping_mul(refined.ry));
+    [
+        x.wrapping_neg(),
+        x,
+        y.wrapping_neg(),
+        y,
+        z.wrapping_neg(),
+        z,
+    ]
+}
 
 /// A node of the complex: a critical cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,11 +74,15 @@ pub struct Arc {
 }
 
 /// Geometry record: either a verbatim V-path or a cancellation splice.
+/// Both variants are three `u32`s, so a record is 16 bytes.
 #[derive(Debug, Clone, Copy)]
 pub enum GeomRec {
-    /// `addr_buf[offset .. offset + len]`, ordered from the upper node's
-    /// cell to the lower node's cell.
-    Leaf { offset: u64, len: u32 },
+    /// A path of `len` cells, ordered from the upper node's cell to the
+    /// lower node's cell, stored as `steps[offset .. offset + bytes]`:
+    /// the first cell's address (8 bytes, little-endian), then one step
+    /// code per later cell ([`STEP_ESCAPE`] followed by that cell's
+    /// address when it is not a unit move). Empty when `len` is 0.
+    Leaf { offset: u32, bytes: u32, len: u32 },
     /// Concatenation `first ++ reverse(mid) ++ last`, produced when a
     /// cancellation splices `x→l`, reversed `u→l`, and `u→y` into `x→y`.
     Cancel {
@@ -83,7 +108,10 @@ pub struct MsComplex {
     pub nodes: Vec<Node>,
     pub arcs: Vec<Arc>,
     pub(crate) geoms: Vec<GeomRec>,
-    pub(crate) addr_buf: Vec<u64>,
+    /// The bytes of every leaf geometry, back to back in creation order
+    /// (see [`GeomRec::Leaf`]); a traced V-path costs 8 bytes plus one
+    /// per step. Decoded only by [`MsComplex::flatten_geom`].
+    pub(crate) steps: Vec<u8>,
     /// Arc ids incident to each node (may contain dead arcs; filtered on
     /// access).
     adj: Vec<Vec<ArcId>>,
@@ -116,10 +144,25 @@ impl MsComplex {
 
     /// Add a node; panics if a node with the same address already exists.
     pub fn add_node(&mut self, addr: u64, index: u8, value: f32, boundary: bool) -> NodeId {
+        self.try_add_node(addr, index, value, boundary)
+            .unwrap_or_else(|| panic!("duplicate node address {addr}"))
+    }
+
+    /// [`MsComplex::add_node`], or `None` and no change when a node with
+    /// the same address already exists.
+    pub(crate) fn try_add_node(
+        &mut self,
+        addr: u64,
+        index: u8,
+        value: f32,
+        boundary: bool,
+    ) -> Option<NodeId> {
         debug_assert!(index <= 3);
         let id = self.nodes.len() as NodeId;
-        let prev = self.addr_index.insert(addr, id);
-        assert!(prev.is_none(), "duplicate node address {addr}");
+        match self.addr_index.entry(addr) {
+            Entry::Occupied(_) => return None,
+            Entry::Vacant(slot) => slot.insert(id),
+        };
         self.nodes.push(Node {
             addr,
             index,
@@ -129,7 +172,7 @@ impl MsComplex {
             cancel_persistence: f32::INFINITY,
         });
         self.adj.push(Vec::new());
-        id
+        Some(id)
     }
 
     /// Add an arc between `upper` (index d) and `lower` (index d−1).
@@ -151,14 +194,75 @@ impl MsComplex {
         id
     }
 
-    /// Store a verbatim V-path as a leaf geometry.
+    /// Reserve room for `nodes` more nodes, `geoms` more geometry
+    /// records, `steps` more leaf bytes and `arcs` more arcs.
+    pub(crate) fn reserve(&mut self, nodes: usize, geoms: usize, steps: usize, arcs: usize) {
+        self.nodes.reserve(nodes);
+        self.adj.reserve(nodes);
+        self.addr_index.reserve(nodes);
+        self.geoms.reserve(geoms);
+        self.steps.reserve(steps);
+        self.arcs.reserve(arcs);
+    }
+
+    /// Store any path of cell addresses as a leaf geometry: each step
+    /// that is a unit move on the refined grid costs one byte, any other
+    /// (tests build such leaves) an escape plus the address.
     pub fn add_leaf_geom(&mut self, path: &[u64]) -> GeomId {
+        let offset = self.steps.len();
+        if let Some((&first, rest)) = path.split_first() {
+            let deltas = step_deltas(&self.refined);
+            self.steps.extend_from_slice(&first.to_le_bytes());
+            let mut prev = first;
+            for &addr in rest {
+                match deltas.iter().position(|&d| d == addr.wrapping_sub(prev)) {
+                    Some(code) => self.steps.push(code as u8),
+                    None => {
+                        self.steps.push(STEP_ESCAPE);
+                        self.steps.extend_from_slice(&addr.to_le_bytes());
+                    }
+                }
+                prev = addr;
+            }
+        }
+        self.seal_leaf(offset, path.len())
+    }
+
+    /// Store a traced V-path. Consecutive cells of a V-path differ by ±1
+    /// on one axis (checked in debug builds; store any other path with
+    /// [`MsComplex::add_leaf_geom`]), so each step's code is
+    /// `2·axis + (step > 0)`, read straight off the coordinates without
+    /// a branch.
+    pub(crate) fn add_vpath_geom(&mut self, path: &[RCoord]) -> GeomId {
+        let Some(first) = path.first() else {
+            return self.add_leaf_geom(&[]);
+        };
+        let offset = self.steps.len();
+        self.steps
+            .extend_from_slice(&first.address(&self.refined).to_le_bytes());
+        self.steps.extend(path.iter().zip(&path[1..]).map(|(p, q)| {
+            debug_assert_eq!(
+                u64::from(p.x.abs_diff(q.x))
+                    + u64::from(p.y.abs_diff(q.y))
+                    + u64::from(p.z.abs_diff(q.z)),
+                1,
+                "not a V-path step: {p:?} -> {q:?}"
+            );
+            let axis = u8::from(q.y != p.y) + 2 * u8::from(q.z != p.z);
+            2 * axis + (u8::from(q.x > p.x) | u8::from(q.y > p.y) | u8::from(q.z > p.z))
+        }));
+        self.seal_leaf(offset, path.len())
+    }
+
+    /// Record `steps[offset..]` as a leaf of `len` cells.
+    pub(crate) fn seal_leaf(&mut self, offset: usize, len: usize) -> GeomId {
+        let end = u32::try_from(self.steps.len()).expect("leaf bytes exceed u32 addressing");
         let id = self.geoms.len() as GeomId;
         self.geoms.push(GeomRec::Leaf {
-            offset: self.addr_buf.len() as u64,
-            len: path.len() as u32,
+            offset: offset as u32,
+            bytes: end - offset as u32,
+            len: len as u32,
         });
-        self.addr_buf.extend_from_slice(path);
         id
     }
 
@@ -170,21 +274,45 @@ impl MsComplex {
     }
 
     /// Resolve a geometry record to the flat list of cell addresses,
-    /// ordered from the upper end to the lower end.
+    /// ordered from the upper end to the lower end. This is the one
+    /// decoder of leaf bytes.
     pub fn flatten_geom(&self, g: GeomId) -> Vec<u64> {
         let mut out = Vec::new();
         self.flatten_into(g, false, &mut out);
         out
     }
 
+    /// The start address and step codes of a non-empty leaf.
+    pub(crate) fn leaf_parts(&self, offset: u32, bytes: u32) -> (u64, &[u8]) {
+        let (start, codes) = self.steps[offset as usize..(offset + bytes) as usize]
+            .split_first_chunk::<8>()
+            .expect("a non-empty leaf starts with its address");
+        (u64::from_le_bytes(*start), codes)
+    }
+
     fn flatten_into(&self, g: GeomId, rev: bool, out: &mut Vec<u64>) {
         match self.geoms[g as usize] {
-            GeomRec::Leaf { offset, len } => {
-                let s = &self.addr_buf[offset as usize..offset as usize + len as usize];
+            GeomRec::Leaf { offset, bytes, len } => {
+                let at = out.len();
+                if len > 0 {
+                    let deltas = step_deltas(&self.refined);
+                    let (mut addr, mut codes) = self.leaf_parts(offset, bytes);
+                    out.push(addr);
+                    while let Some((&code, rest)) = codes.split_first() {
+                        codes = rest;
+                        if code == STEP_ESCAPE {
+                            let (next, rest) =
+                                codes.split_first_chunk::<8>().expect("escape address");
+                            addr = u64::from_le_bytes(*next);
+                            codes = rest;
+                        } else {
+                            addr = addr.wrapping_add(deltas[code as usize]);
+                        }
+                        out.push(addr);
+                    }
+                }
                 if rev {
-                    out.extend(s.iter().rev());
-                } else {
-                    out.extend_from_slice(s);
+                    out[at..].reverse();
                 }
             }
             GeomRec::Cancel { first, mid, last } => {
@@ -335,13 +463,15 @@ impl MsComplex {
     /// Estimated resident heap footprint in bytes, from the container
     /// capacities (the serve layer's byte gauges and the future
     /// evict-by-bytes budget read this; exactness to the allocator is
-    /// not required, stability across calls is).
+    /// not required, stability across calls is). Leaf geometry counts
+    /// as its encoded `steps` bytes — about one per path cell — since
+    /// addresses are decoded only on demand.
     pub fn mem_bytes(&self) -> u64 {
         use std::mem::size_of;
         let vecs = self.nodes.capacity() * size_of::<Node>()
             + self.arcs.capacity() * size_of::<Arc>()
             + self.geoms.capacity() * size_of::<GeomRec>()
-            + self.addr_buf.capacity() * size_of::<u64>()
+            + self.steps.capacity()
             + self.member_blocks.capacity() * size_of::<u32>()
             + self.down_count.capacity() * size_of::<u32>()
             + self.hierarchy.capacity() * size_of::<Cancellation>();
@@ -414,9 +544,13 @@ impl MsComplex {
             return map[g as usize];
         }
         let id = match self.geoms[g as usize] {
-            GeomRec::Leaf { offset, len } => {
-                let s = &self.addr_buf[offset as usize..offset as usize + len as usize];
-                out.add_leaf_geom(s)
+            GeomRec::Leaf { offset, bytes, len } => {
+                // step codes are relative to the refined dims
+                debug_assert_eq!(self.refined, out.refined);
+                let at = out.steps.len();
+                out.steps
+                    .extend_from_slice(&self.steps[offset as usize..(offset + bytes) as usize]);
+                out.seal_leaf(at, len as usize)
             }
             GeomRec::Cancel { first, mid, last } => {
                 let f = self.copy_geom_into(first, out, map);
@@ -586,5 +720,35 @@ mod tests {
         assert_eq!(ms.multiplicity(n1, n0), 2);
         assert_eq!(ms.arcs_below(n1).count(), 2);
         assert_eq!(ms.arcs_above(n0).count(), 2);
+    }
+
+    fn leaf_bytes(ms: &MsComplex, g: GeomId) -> &[u8] {
+        match ms.geoms[g as usize] {
+            GeomRec::Leaf { offset, bytes, .. } => {
+                &ms.steps[offset as usize..(offset + bytes) as usize]
+            }
+            GeomRec::Cancel { .. } => panic!("not a leaf"),
+        }
+    }
+
+    #[test]
+    fn vpath_codes_equal_the_address_encoder() {
+        let mut ms = tiny();
+        // every axis in both directions
+        let xyz = [(3, 3, 3), (4, 3, 3), (4, 4, 3), (4, 4, 4), (4, 4, 3)];
+        let mut path: Vec<RCoord> = xyz.iter().map(|&(x, y, z)| RCoord::new(x, y, z)).collect();
+        path.extend([(4, 3, 3), (3, 3, 3), (2, 3, 3)].map(|(x, y, z)| RCoord::new(x, y, z)));
+        let addrs: Vec<u64> = path.iter().map(|c| c.address(&ms.refined)).collect();
+        let traced = ms.add_vpath_geom(&path);
+        let generic = ms.add_leaf_geom(&addrs);
+        assert_eq!(leaf_bytes(&ms, traced), leaf_bytes(&ms, generic));
+        assert_eq!(leaf_bytes(&ms, traced)[8..], [1, 3, 5, 4, 2, 0, 0]);
+        assert_eq!(ms.flatten_geom(traced), addrs);
+        // a non-unit step costs an escape and the address
+        let a = addrs[0];
+        let jumped = ms.add_leaf_geom(&[a, a + 2, a + 3]);
+        let escaped = [&[STEP_ESCAPE][..], &(a + 2).to_le_bytes(), &[1]].concat();
+        assert_eq!(leaf_bytes(&ms, jumped)[8..], escaped);
+        assert_eq!(ms.steps.len(), 2 * (8 + 7) + (8 + 1 + 8 + 1));
     }
 }

@@ -18,6 +18,28 @@ fn chi(ms: &MsComplex) -> i64 {
     c[0] as i64 - c[1] as i64 + c[2] as i64 - c[3] as i64
 }
 
+/// Leaf paths no tracer emits: empty, one cell, non-unit steps, a
+/// `u64::MAX → 0` wrap and a repeated cell.
+fn odd_paths(seed: u64) -> [Vec<u64>; 5] {
+    [
+        vec![],
+        vec![seed],
+        vec![seed, seed + 5, seed + 1000, seed + 999],
+        vec![u64::MAX - 1, u64::MAX, 0, 1],
+        vec![seed + 1, seed + 1, seed],
+    ]
+}
+
+/// Every arc's geometry, flattened, in arc order.
+fn flat_arcs(ms: &MsComplex) -> Vec<Vec<u64>> {
+    ms.arcs.iter().map(|a| ms.flatten_geom(a.geom)).collect()
+}
+
+#[test]
+fn geometry_records_stay_16_bytes() {
+    assert!(std::mem::size_of::<msp_complex::skeleton::GeomRec>() <= 16);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -67,8 +89,34 @@ proptest! {
             build_block_complex(&field.extract_block(d.block(0)), &d, TraceLimits::default());
         simplify(&mut ms, SimplifyParams::up_to(pct as f32 / 100.0)).unwrap();
         ms.compact();
+        // leaves that are not V-paths, each as an arc of its own and as
+        // the reversed middle of a cancel record, between two extra
+        // nodes off the grid
+        let hi = ms.add_node(u64::MAX - 1, 1, 2.0, true);
+        let lo = ms.add_node(u64::MAX - 2, 0, 1.0, true);
+        let edge = ms.add_leaf_geom(&[3, 4]);
+        for path in odd_paths(pct as u64) {
+            let g = ms.add_leaf_geom(&path);
+            prop_assert_eq!(&ms.flatten_geom(g), &path);
+            let spliced = ms.add_cancel_geom(edge, g, edge);
+            let reversed: Vec<u64> = path.iter().rev().copied().collect();
+            let expected = [&[3, 4], &reversed[..], &[3, 4]].concat();
+            prop_assert_eq!(ms.flatten_geom(spliced), expected);
+            ms.add_arc(hi, lo, g);
+            ms.add_arc(hi, lo, spliced);
+        }
+        let paths = flat_arcs(&ms);
+        let mut compacted = ms.clone();
+        compacted.compact();
+        prop_assert_eq!(&flat_arcs(&compacted), &paths);
+        let (mut copy, mut map) = (MsComplex::new(ms.refined, vec![]), Vec::new());
+        for (a, path) in ms.arcs.iter().zip(&paths) {
+            let g = ms.copy_geom_into(a.geom, &mut copy, &mut map);
+            prop_assert_eq!(&copy.flatten_geom(g), path);
+        }
         let bytes = wire::serialize(&ms);
         let back = wire::deserialize(&bytes).unwrap();
+        prop_assert_eq!(&flat_arcs(&back), &paths);
         prop_assert_eq!(wire::serialize(&back), bytes);
         prop_assert_eq!(back.node_census(), ms.node_census());
     }

@@ -18,9 +18,12 @@
 //! round   u32        merge-plan cursor: rounds completed when saved
 //! thresh  f32        persistence threshold the run resolved
 //! n_slots u32
-//! slot[i] block u32, len u32, wire bytes (MSC2 payload)
+//! slot[i] block u32, len u32, wire bytes (MSC3 payload)
 //! crc     u32        CRC-32 (IEEE) over everything above
 //! ```
+//!
+//! The version stays 1 across wire format changes: this layout is
+//! unchanged, and each slot payload names its own format in its magic.
 
 use crate::crc32;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
