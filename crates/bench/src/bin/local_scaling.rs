@@ -31,7 +31,7 @@ use msp_bench::{results_dir, Scale, Table};
 use msp_complex::wire;
 use msp_core::{run_parallel, Input, MergePlan, PipelineParams, RunResult};
 use msp_grid::par::available_threads;
-use msp_telemetry::Json;
+use msp_telemetry::{check_from_env, progress_interval_from_env, Json};
 use std::sync::Arc;
 
 const BLOCKS: u32 = 8;
@@ -84,6 +84,8 @@ fn main() {
             persistence_frac: 0.01,
             plan: MergePlan::full_merge(BLOCKS),
             threads: Some(t),
+            check: check_from_env(),
+            progress: progress_interval_from_env(),
             ..Default::default()
         };
         let r = run_parallel(&input, 1, BLOCKS, &params, None)

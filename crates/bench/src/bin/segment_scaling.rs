@@ -27,7 +27,7 @@
 use msp_bench::{results_dir, Scale, Table};
 use msp_core::{run_parallel, Input, MergePlan, PipelineParams, RunResult};
 use msp_segment::{jump_round_bound, wire as segwire};
-use msp_telemetry::Json;
+use msp_telemetry::{check_from_env, progress_interval_from_env, Json};
 use std::sync::Arc;
 
 const BLOCKS: u32 = 8;
@@ -72,6 +72,8 @@ fn main() {
             persistence_frac: 0.01,
             plan: MergePlan::full_merge(BLOCKS),
             segment: true,
+            check: check_from_env(),
+            progress: progress_interval_from_env(),
             ..Default::default()
         };
         let r = run_parallel(&input, n, BLOCKS, &params, None)

@@ -17,8 +17,9 @@
 //! * `MSP_SCALE=small|default|large` — volume size and query count;
 //! * `MSP_PERSISTENCE=F` — ingest-run threshold (default 0, the full
 //!   hierarchy), validated by the shared `parse_persistence` helper;
-//! * `MSP_CHECK=1` — also assert every response is ok, the repeat mix
-//!   hits the cache, and p50 ≤ p99 per class.
+//! * `MSP_CHECK=1` — run the oracle invariant checker inside the ingest
+//!   run, and assert every response is ok, the repeat mix hits the
+//!   cache, and p50 ≤ p99 per class.
 //!
 //! ```text
 //! cargo run --release -p msp-bench --bin serve_latency
@@ -29,7 +30,7 @@ use msp_core::{
     parse_persistence, run_parallel, Dataset, Input, MergePlan, PipelineParams, RunResult,
     ServeConfig, ServerCore,
 };
-use msp_telemetry::Json;
+use msp_telemetry::{check_from_env, Json};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -84,7 +85,7 @@ fn dataset_of(r: &RunResult) -> Dataset {
 }
 
 fn main() {
-    let check = std::env::var("MSP_CHECK").is_ok_and(|v| v == "1");
+    let check = check_from_env();
     let scale = Scale::from_env();
     let size = scale.pick(17, 33, 65);
     let queries = scale.pick(300usize, 2_000, 10_000);
@@ -102,6 +103,7 @@ fn main() {
         plan: MergePlan::full_merge(BLOCKS),
         segment: true,
         hierarchy: true,
+        check,
         ..Default::default()
     };
     let r = run_parallel(&input, 2, BLOCKS, &params, None).expect("pipeline run");

@@ -6,13 +6,14 @@
 //! Ross — *The Parallel Computation of Morse-Smale Complexes*, IPDPS
 //! 2012).
 //!
-//! Two execution paths share all the algorithmic code:
+//! The algorithm is written once, as the bulk-synchronous stage list of
+//! `stages.rs`, and run by two machines:
 //!
-//! * [`pipeline::run_parallel`] — real parallel execution on the
-//!   threaded message-passing backend (`msp_vmpi::comm`): use for runs at
-//!   workstation scale and to validate correctness end-to-end, including
-//!   the collective output file.
-//! * [`simdriver::simulate`] — virtual-rank execution with measured
+//! * [`pipeline::run_parallel`] — the threaded backend: one OS thread and
+//!   one message-passing endpoint (`msp_vmpi::comm`) per rank, measured
+//!   phases; use for runs at workstation scale and to validate
+//!   correctness end-to-end, including the collective output files.
+//! * [`simdriver::simulate`] — virtual ranks in one process with measured
 //!   compute and modeled communication/I-O, scaling to tens of thousands
 //!   of ranks on one machine: use to regenerate the paper's scaling
 //!   figures and merge-strategy tables.
@@ -25,6 +26,7 @@ pub mod plan;
 pub mod sched;
 pub mod serve;
 pub mod simdriver;
+mod stages;
 
 pub use pipeline::{
     check_persistence, msh_output_path, parse_persistence, run_parallel, seg_output_path,

@@ -1,64 +1,33 @@
-//! The paper's Algorithm 1 on the **threaded backend**: a genuinely
-//! parallel run with one OS thread per rank and real message passing.
+//! The **threaded backend**: a genuinely parallel run of the stage list
+//! (`stages.rs`) with one OS thread per rank and real message passing.
 //!
-//! ```text
-//! Decompose domain            (§IV-A)
-//! Read data blocks            (§IV-B)
-//! for all local blocks:
-//!     compute discrete gradient (§IV-C)
-//!     compute MS complex        (§IV-D)
-//!     simplify MS complex       (§IV-E)
-//! for each merge round:
-//!     merge MS complex blocks   (§IV-F)
-//! Write MS complex blocks     (§IV-G)
-//! ```
-//!
-//! Blocks are assigned to ranks round-robin (block-cyclic), so the number
-//! of blocks may exceed the number of ranks; the paper's usual
-//! configuration is one block per process.
-//!
-//! ## Fault tolerance (DESIGN.md §9)
-//!
-//! The bulk-synchronous shape makes every merge-round boundary a
-//! consistent cut: all messages of round *k* are matched before anyone
-//! enters round *k + 1*. With a [`FaultConfig`] active, each rank saves
-//! a [`Checkpoint`] of its living complexes at every cut (and once more
-//! before the collective write). An injected crash destroys a rank's
-//! in-memory state at the cut; the rank restarts from its own
-//! checkpoint, while the roots expecting its merge messages detect the
-//! failure by receive deadline and replay the lost round from the dead
-//! rank's checkpoint — producing a final complex bit-identical to the
-//! fault-free run. When no checkpoint exists, the run degrades instead
-//! of dying: the root absorbs the orphaned block and the loss is
-//! recorded in telemetry (`blocks_absorbed`).
+//! Each rank's [`Machine`] hosts exactly that rank: steps run inline on
+//! its thread with the `--threads` budget inside, messages go through
+//! its `vmpi::Rank`, and phases are measured with `Instant` into the
+//! [`Recorder`] (mirrored into a [`TraceSink`] when tracing). Blocks
+//! may outnumber ranks; uniform runs assign them block-cyclically,
+//! irregular ones by LPT over per-block cost estimates.
 
 use crate::plan::MergePlan;
-use crate::sched::{feature_weights, Assignment, DecompMode, MergeSchedule};
+use crate::sched::DecompMode;
+use crate::stages::{self, Io, Job, Machine, Node, Output, Source};
 use bytes::Bytes;
-use msp_complex::glue::glue_all;
-use msp_complex::{
-    complex_from_gradient_mt, simplify_forwarding, simplify_with, wire, CancelOrder, MsComplex,
-    SimplifyParams,
-};
+use msp_complex::{wire, MsComplex};
 use msp_fault::checkpoint::CheckpointError;
-use msp_fault::{Checkpoint, CheckpointStore, FaultPlan};
-use msp_grid::par::{available_threads, par_map, par_map_mut};
-use msp_grid::rawio::{read_block, read_raw, VolumeDType};
-use msp_grid::{Decomposition, Dims, ScalarField};
-use msp_hierarchy::{wire as hwire, ReplayParams, SlotHierarchy};
-use msp_morse::{active_kernel, assign_gradient_kernel, TraceLimits};
-use msp_segment::{
-    label_block, owner_rank, wire as segwire, BlockSegmentation, ForwardMap, DRAIN_ADDR,
-};
+use msp_fault::FaultPlan;
+use msp_grid::par::available_threads;
+use msp_grid::rawio::VolumeDType;
+use msp_grid::{Dims, ScalarField};
+use msp_hierarchy::SlotHierarchy;
+use msp_morse::TraceLimits;
+use msp_segment::BlockSegmentation;
 use msp_telemetry::{
-    progress_interval_from_env, Counter, Heartbeat, Json, Phase, ProgressPhase, ProgressState,
-    RankReport, RankTrace, Recorder, RunReport, RunTrace, TraceSink,
+    Counter, Heartbeat, Json, Phase, RankReport, RankTrace, Recorder, RunReport, RunTrace,
+    TraceSink,
 };
 use msp_vmpi::comm::{CommError, Inject};
 use msp_vmpi::fileio::{collective_write_blocks_keyed, FooterEntry};
-use msp_vmpi::pairmsg::{exchange_pairs, exchange_u64s};
 use msp_vmpi::{Rank, Universe};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,34 +39,19 @@ const TAG_TELEMETRY_GATHER: u32 = 9100;
 const TAG_TELEMETRY_SHIP: u32 = 9110;
 const TAG_TRACE_GATHER: u32 = 9120;
 
-/// Tags of the segmentation resolution protocol (`--segment`). They live
-/// in their own high namespace, far above the merge tags (`round << 20 |
-/// slot`) and below the barrier tag (`0x7FF0_0000`). Per-round tags are
-/// `base | round`, so no two rounds ever share a tag.
-const TAG_SEG_ROUTE: u32 = 0x4000_0000; // | merge round (forward flush)
-const TAG_SEG_ROUTE_FINAL: u32 = 0x40F0_0000; // pre-resolve flush
-const TAG_SEG_QUERY: u32 = 0x4100_0000; // | jump round
-const TAG_SEG_REPLY: u32 = 0x4200_0000; // | jump round
-const TAG_SEG_FIXED: u32 = 0x4300_0000; // | jump round << 1 (allreduce pair)
-const TAG_SEG_TABLE_Q: u32 = 0x4400_0000;
-const TAG_SEG_TABLE_R: u32 = 0x4500_0000;
-
-/// Tag of the hierarchy region-size broadcast (`--hierarchy`): one
-/// all-to-all after segmentation resolution, in the same high namespace.
-const TAG_HIER_SIZES: u32 = 0x4600_0000;
-
 /// Fault-tolerance configuration of a run.
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
-    /// Faults to inject (crashes at the pipeline layer; message
-    /// drops/delays at the comm layer). `None` injects nothing.
+    /// Faults to inject (crashes at the stage list; message drops and
+    /// delays at the machine; slow ranks on the simulator only). `None`
+    /// injects nothing.
     pub plan: Option<FaultPlan>,
     /// Checkpoint every rank's state at each merge-round boundary and
     /// before the write, enabling exact recovery.
     pub checkpoint: bool,
     /// How long a root waits for a group member's merge message before
-    /// declaring it dead and recovering. Only applied while a fault
-    /// config is active.
+    /// declaring it dead and recovering (on the simulator: the modeled
+    /// wait). Only applied while a fault config is active.
     pub deadline: Duration,
 }
 
@@ -126,12 +80,6 @@ impl FaultConfig {
     /// engaged?
     pub fn active(&self) -> bool {
         self.checkpoint || self.plan.is_some()
-    }
-
-    fn should_crash(&self, rank: u32, round: u32) -> bool {
-        self.plan
-            .as_ref()
-            .is_some_and(|p| p.should_crash(rank as usize, round))
     }
 }
 
@@ -211,7 +159,12 @@ impl std::error::Error for PipelineError {
     }
 }
 
-fn comm_err(context: impl Into<String>) -> impl FnOnce(CommError) -> PipelineError {
+pub(crate) fn io_err(context: impl Into<String>) -> impl FnOnce(std::io::Error) -> PipelineError {
+    let context = context.into();
+    move |source| PipelineError::Io { context, source }
+}
+
+pub(crate) fn comm_err(context: impl Into<String>) -> impl FnOnce(CommError) -> PipelineError {
     let context = context.into();
     move |source| PipelineError::Comm { context, source }
 }
@@ -248,8 +201,7 @@ pub struct PipelineParams {
     /// telemetry (`checks_run`, `check_structural`, `check_euler`,
     /// `check_boundary`, `check_vpath`) and described on stderr; they
     /// never abort the run (a rank returning early from inside the
-    /// collective section would deadlock its peers). `MSP_CHECK=1` in
-    /// the environment forces this on.
+    /// collective section would deadlock its peers).
     pub check: bool,
     /// Compute the full Morse-Smale segmentation: per-vertex descending
     /// (minimum-basin) and per-voxel ascending (maximum-mountain) labels,
@@ -267,8 +219,7 @@ pub struct PipelineParams {
     pub hierarchy: bool,
     /// Emit a progress heartbeat (phase, ranks done, bytes moved) as a
     /// JSON line on stderr every this-many seconds — the live surface
-    /// for long paper-scale runs. `None` falls back to the
-    /// `MSP_PROGRESS` environment variable (seconds; unset = off).
+    /// for long paper-scale runs. `None` is off.
     pub progress: Option<f64>,
 }
 
@@ -396,137 +347,36 @@ pub fn run_parallel(
     params: &PipelineParams,
     output_path: Option<&Path>,
 ) -> Result<RunResult, PipelineError> {
-    if n_ranks < 1 || n_blocks < n_ranks {
-        return Err(PipelineError::Config(format!(
-            "need >= 1 block per rank (got {n_blocks} blocks on {n_ranks} ranks)"
-        )));
-    }
-    let red = params.plan.reduction();
-    if params.decomp.is_uniform() && !n_blocks.is_multiple_of(red) {
-        return Err(PipelineError::Config(format!(
-            "plan reduction {red} must divide the block count {n_blocks}"
-        )));
-    }
-    let dims = input.dims();
-    // Build the decomposition and, for irregular modes, the per-block
-    // cost estimates that drive the LPT assignment. The adaptive
-    // splitter needs the whole field once, up front — for file inputs
-    // that is one extra full read by the driver before any rank starts.
-    let (decomp, costs): (Decomposition, Option<Vec<u64>>) = match params.decomp {
-        DecompMode::Uniform => (Decomposition::bisect(dims, n_blocks), None),
-        DecompMode::Adaptive => {
-            let weights = match input {
-                Input::Memory(f) => feature_weights(f),
-                Input::File { path, dims, dtype } => {
-                    let f = read_raw(path, *dims, *dtype).map_err(|source| PipelineError::Io {
-                        context: format!("reading {} for adaptive splitting", path.display()),
-                        source,
-                    })?;
-                    feature_weights(&f)
-                }
-            };
-            let d = Decomposition::adaptive(dims, n_blocks, &weights);
-            let c = d.block_costs(&weights);
-            (d, Some(c))
-        }
-        DecompMode::RandomTree { seed } => {
-            let d = Decomposition::random_tree(dims, n_blocks, seed);
-            let c = d.blocks().iter().map(|b| b.n_verts()).collect();
-            (d, Some(c))
-        }
+    let (src, dtype) = match input {
+        Input::Memory(f) => (Source::Memory(f), VolumeDType::F32),
+        Input::File { path, dims, dtype } => (Source::File(path, *dims), *dtype),
     };
-    let sched = match params.decomp {
-        DecompMode::Uniform => MergeSchedule::uniform(&params.plan, n_blocks),
-        _ => MergeSchedule::contract(&decomp, &params.plan),
-    };
-    let assign = match &costs {
-        None => Assignment::round_robin(n_blocks, n_ranks),
-        Some(c) => Assignment::lpt(c, n_ranks),
-    };
-
-    // Stable storage stand-in shared by all ranks; populated only when
-    // checkpointing is on.
-    let store = CheckpointStore::new();
-    let inject: Option<Arc<dyn Inject>> = params
-        .fault
-        .plan
-        .clone()
-        .map(|p| Arc::new(p) as Arc<dyn Inject>);
-
+    let mut job = Job::layout(src, dtype, params, n_ranks, n_blocks)?;
     // One time base for every rank's trace sink, taken before any rank
     // starts, so cross-rank timestamps are causally comparable.
     let epoch = Instant::now();
-    // Progress heartbeat for long runs: a background thread prints a
-    // JSON line (phase, ranks done, bytes moved) on an interval; ranks
-    // update the shared state with relaxed stores, so the hot path pays
-    // one atomic per phase transition.
-    let heartbeat = params
-        .progress
-        .or_else(progress_interval_from_env)
-        .filter(|&s| s > 0.0 && s.is_finite())
-        .map(|secs| {
-            Heartbeat::spawn(
-                "pipeline",
-                n_ranks as usize,
-                std::time::Duration::from_secs_f64(secs),
-            )
-        });
-    let progress = heartbeat.as_ref().map(|h| h.state());
+    let heartbeat = heartbeat("pipeline", n_ranks, params.progress);
+    job.progress = heartbeat.as_ref().map(|h| h.state());
+    let inject = (params.fault.plan.clone()).map(|p| Arc::new(p) as Arc<dyn Inject>);
     let results = Universe::run_with_inject(n_ranks as usize, inject, |rank| {
-        run_rank(
-            rank,
-            input,
-            &decomp,
-            &sched,
-            &assign,
-            costs.as_deref(),
-            params,
-            output_path,
-            &store,
-            epoch,
-            progress.as_deref(),
-        )
+        let mut m = Threaded::new(rank, params, epoch);
+        let run = stages::run(&mut m, &job, output_path);
+        m.finish(run)
     });
     drop(heartbeat);
 
-    let mut telemetry = None;
-    let mut slot_outputs: Vec<(u32, MsComplex)> = Vec::new();
-    let mut output_bytes = 0u64;
-    let mut footer = None;
-    let mut threshold = 0.0;
-    let mut trace = None;
-    let mut segmentation: Vec<BlockSegmentation> = Vec::new();
-    let mut seg_footer = None;
-    let mut slot_hierarchies: Vec<(u32, SlotHierarchy)> = Vec::new();
-    let mut msh_footer = None;
+    let (mut telemetry, mut trace, mut threshold) = (None, None, 0.0);
+    let mut out = stages::RankOut::default();
     for res in results {
-        let (tel, outs, out_bytes, f, th, tr, segs, sf, hiers, hf) = res?;
-        if tel.is_some() {
-            telemetry = tel; // only rank 0 holds the gathered report
-        }
-        if tr.is_some() {
-            trace = tr; // likewise gathered at rank 0
-        }
-        slot_outputs.extend(outs);
-        output_bytes += out_bytes;
-        if f.is_some() {
-            footer = f;
-        }
-        segmentation.extend(segs);
-        if sf.is_some() {
-            seg_footer = sf;
-        }
-        slot_hierarchies.extend(hiers);
-        if hf.is_some() {
-            msh_footer = hf;
-        }
+        let (th, rank_out, tel, tr) = res?;
+        // only rank 0 holds the gathered report and trace
+        telemetry = telemetry.or(tel);
+        trace = trace.or(tr);
         threshold = th; // identical on every rank (all-reduced)
+        out.absorb(rank_out);
     }
-    segmentation.sort_by_key(|s| s.block_id);
-    slot_outputs.sort_by_key(|(slot, _)| *slot);
-    slot_hierarchies.sort_by_key(|(slot, _)| *slot);
-    let hierarchies: Vec<SlotHierarchy> = slot_hierarchies.into_iter().map(|(_, h)| h).collect();
-    let outputs: Vec<MsComplex> = slot_outputs.into_iter().map(|(_, c)| c).collect();
+    let dims = input.dims();
+    let radices = params.plan.radices.iter().map(|&r| Json::U64(r as u64));
     let telemetry = telemetry
         .ok_or_else(|| PipelineError::Telemetry("rank 0 produced no gathered report".into()))?
         .with_meta(
@@ -535,23 +385,13 @@ pub fn run_parallel(
         )
         .with_meta("n_blocks", Json::U64(n_blocks as u64))
         .with_meta("decomp", Json::str(params.decomp.to_string()))
-        .with_meta(
-            "merge_radices",
-            Json::Arr(
-                params
-                    .plan
-                    .radices
-                    .iter()
-                    .map(|&r| Json::U64(r as u64))
-                    .collect(),
-            ),
-        )
+        .with_meta("merge_radices", Json::Arr(radices.collect()))
         .with_meta(
             "persistence_frac",
             Json::F64(params.persistence_frac as f64),
         )
         .with_meta("threshold", Json::F64(threshold as f64))
-        .with_meta("output_bytes", Json::U64(output_bytes));
+        .with_meta("output_bytes", Json::U64(out.output_bytes));
     // The critical path — the longest causally-ordered chain of span
     // time — rides along in the telemetry report meta.
     let telemetry = match trace.as_ref().and_then(|t| t.critical_path()) {
@@ -560,968 +400,228 @@ pub fn run_parallel(
     };
     Ok(RunResult {
         telemetry,
-        outputs,
-        footer,
-        output_bytes,
+        outputs: out.outputs.into_iter().map(|(_, c)| c).collect(),
+        footer: out.footer,
+        output_bytes: out.output_bytes,
         threshold,
         trace,
-        segmentation,
-        seg_footer,
-        hierarchies,
-        msh_footer,
+        segmentation: out.segs,
+        seg_footer: out.seg_footer,
+        hierarchies: out.hier.into_iter().map(|(_, h)| h).collect(),
+        msh_footer: out.msh_footer,
     })
 }
 
-type RankOut = (
-    Option<RunReport>,
-    Vec<(u32, MsComplex)>,
-    u64, // wire bytes of this rank's output complexes
-    Option<Vec<FooterEntry>>,
-    f32,
-    Option<RunTrace>,
-    Vec<BlockSegmentation>,
-    Option<Vec<FooterEntry>>,
-    Vec<(u32, SlotHierarchy)>,
-    Option<Vec<FooterEntry>>,
-);
-
-/// Route pending forward pairs to their owner ranks (the hashed
-/// [`owner_rank`] map — see msp-segment for why plain `addr % n_ranks`
-/// is biased) and absorb the pairs this rank owns. Bucket contents
-/// are sorted before they touch the wire, so message bytes are a pure
-/// function of the pairs' content. Collective: every rank must call this
-/// at the same point, pending entries or not.
-fn flush_forwards(
-    rank: &Rank,
-    rec: &mut Recorder,
-    tag: u32,
-    pending: &mut Vec<(u64, u64)>,
-    owned: &mut ForwardMap,
-) -> Result<(), PipelineError> {
-    let size = rank.size() as u64;
-    let mut buckets: Vec<Vec<(u64, u64)>> = vec![Vec::new(); rank.size()];
-    for &(dead, target) in pending.iter() {
-        buckets[owner_rank(dead, size) as usize].push((dead, target));
-    }
-    for b in &mut buckets {
-        b.sort_unstable();
-    }
-    rec.add(Counter::SegForwards, pending.len() as u64);
-    pending.clear();
-    let (incoming, sent) =
-        exchange_pairs(rank, tag, &buckets).map_err(comm_err("routing segmentation forwards"))?;
-    rec.add(Counter::SegBoundaryBytes, sent);
-    for bucket in incoming {
-        for (dead, target) in bucket {
-            owned.insert(dead, target);
-        }
-    }
-    Ok(())
-}
-
-/// Snapshot every living complex into the checkpoint store at merge
-/// cursor `round` and account the serialized volume.
-fn save_checkpoint(
-    rec: &mut Recorder,
-    store: &CheckpointStore,
-    rank: u32,
-    round: u32,
-    threshold: f32,
-    complexes: &HashMap<u32, MsComplex>,
-) {
-    let mut slots: Vec<(u32, MsComplex)> = complexes.iter().map(|(b, c)| (*b, c.clone())).collect();
-    slots.sort_by_key(|(b, _)| *b);
-    let ck = Checkpoint {
-        rank,
-        round,
-        threshold,
-        slots,
-    };
-    let encoded = ck.encode();
-    rec.add(Counter::CheckpointBytes, encoded.len() as u64);
-    store.save(rank, round, encoded);
-}
-
-/// Restore a rank's own state after an injected crash: reload its
-/// checkpoint at `round`, except the slots in `skip` (their recovery now
-/// belongs to the roots that were expecting them). Returns false when no
-/// checkpoint exists — the degraded path, where the rank's blocks stay
-/// lost and its peers absorb them.
-fn restore_own_state(
-    rec: &mut Recorder,
-    store: &CheckpointStore,
-    rank: u32,
-    round: u32,
-    skip: &[u32],
-    complexes: &mut HashMap<u32, MsComplex>,
-) -> Result<bool, PipelineError> {
-    let t0 = Instant::now();
-    let recovered = match store.load(rank, round) {
-        Some(encoded) => {
-            let ck = Checkpoint::decode(&encoded).map_err(|source| PipelineError::Checkpoint {
-                context: format!("restoring rank {rank} at round cursor {round}"),
-                source,
-            })?;
-            for (slot, ms) in ck.slots {
-                if !skip.contains(&slot) {
-                    complexes.insert(slot, ms);
-                }
-            }
-            rec.add(Counter::RoundsReplayed, 1);
-            true
-        }
-        None => false,
-    };
-    rec.add(Counter::RecoveryMs, t0.elapsed().as_millis() as u64);
-    Ok(recovered)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_rank(
-    rank: &mut Rank,
-    input: &Input,
-    decomp: &Decomposition,
-    sched: &MergeSchedule,
-    assign: &Assignment,
-    costs: Option<&[u64]>,
-    params: &PipelineParams,
-    output_path: Option<&Path>,
-    store: &CheckpointStore,
-    epoch: Instant,
-    progress: Option<&ProgressState>,
-) -> Result<RankOut, PipelineError> {
-    let p = rank.rank() as u32;
-    let n_ranks = rank.size() as u32;
-    let fault = &params.fault;
-    let my_blocks: Vec<u32> = assign.blocks_of(p);
-    // Estimated local-stage cost of this rank's blocks. The cross-rank
-    // imbalance of this counter is the load-balance figure of merit the
-    // `balance_sweep` bench gates on; uniform runs count 1 per block so
-    // the same report stays meaningful for block-cyclic layouts.
-    let my_cost: u64 = match costs {
-        Some(c) => my_blocks.iter().map(|&b| c[b as usize].max(1)).sum(),
-        None => my_blocks.len() as u64,
-    };
-    // One relaxed store per coarse stage keeps the heartbeat honest
-    // without touching the hot paths.
-    let phase = |ph: ProgressPhase| {
-        if let Some(st) = progress {
-            st.set_phase(p as usize, ph);
-        }
-    };
-    let mut rec = Recorder::new(p);
-    rec.add(Counter::AssignCost, my_cost);
-    // Causal tracing: one sink shared by the recorder (span events) and
-    // the comm endpoint (message stamps), all against the shared epoch.
-    let sink = params.trace.then(|| TraceSink::new(p, epoch));
-    if let Some(s) = &sink {
-        rec.attach_trace(s.clone());
-        rank.attach_tracer(s.clone());
-    }
-    rec.begin(Phase::Total);
-
-    // Intra-rank thread budget for the local stage. `threads == 1` is
-    // the single-threaded code path; larger counts produce bit-identical
-    // output (deterministic block/slab merge order, see msp-morse), so
-    // the budget is a scheduling hint and gets capped at host
-    // parallelism — oversubscribing CPUs buys nothing and pays spawn
-    // and slab-merge overhead for it.
-    let threads = params
-        .threads
-        .unwrap_or_else(available_threads)
-        .min(available_threads())
-        .max(1);
-
-    // ---- read ----
-    // The min/max scan is folded into block extraction (one pass over
-    // the data instead of a second full sweep); per-block f32 extrema
-    // are reduced in block order, which equals the old per-value f64
-    // fold exactly because f32→f64 is exact and monotone.
-    phase(ProgressPhase::Read);
-    rec.begin(Phase::Read);
-    let loaded = par_map(threads, &my_blocks, |_, &b| match input {
-        Input::Memory(f) => Ok(f.extract_block_minmax(decomp.block(b))),
-        Input::File { path, dims, dtype } => {
-            let bf = read_block(path, *dims, decomp.block(b), *dtype).map_err(|source| {
-                PipelineError::Io {
-                    context: format!("reading block {b} from {}", path.display()),
-                    source,
-                }
-            })?;
-            let (lo, hi) = bf.min_max();
-            Ok((bf, lo, hi))
-        }
-    });
-    let mut fields = HashMap::new();
-    let mut local_min = f64::INFINITY;
-    let mut local_max = f64::NEG_INFINITY;
-    for (i, res) in loaded.into_iter().enumerate() {
-        let (bf, lo, hi) = res?;
-        local_min = local_min.min(lo as f64);
-        local_max = local_max.max(hi as f64);
-        fields.insert(my_blocks[i], bf);
-    }
-    // global range for the persistence threshold
-    let (gmin, gmax) = rank
-        .allreduce_min_max(100, local_min, local_max)
-        .map_err(comm_err("all-reducing the global value range"))?;
-    let threshold = params.persistence_frac * (gmax - gmin) as f32;
-    rec.end(Phase::Read);
-
-    // ---- compute: gradient assignment, then V-path tracing ----
-    // Blocks run sequentially with the whole thread budget spent
-    // *inside* each block: z-slab-parallel gradient, chunk-parallel
-    // tracing. A block always has enough rows/critical cells to feed
-    // every thread (one block per rank is the paper's usual
-    // configuration), and keeping phases sequential per block means the
-    // Gradient/Trace buckets measure pure phase wall clock — no
-    // cross-phase overlap between concurrent block workers to inflate
-    // the per-phase attribution on oversubscribed hosts.
-    phase(ProgressPhase::Local);
-    let mut complexes: HashMap<u32, MsComplex> = HashMap::new();
-    // Block segmentations stay put on the rank that computed them (only
-    // complexes travel during merges); resolved at SegResolve below.
-    let mut segs: HashMap<u32, BlockSegmentation> = HashMap::new();
-    let rdims = input.dims().refined();
-    for &b in &my_blocks {
-        let (grad, kstats) = rec.time(Phase::Gradient, |_| {
-            assign_gradient_kernel(&fields[&b], decomp, threads, active_kernel())
-        });
-        let (ms, bstats) = rec.time(Phase::Trace, |_| {
-            complex_from_gradient_mt(&fields[&b], decomp, &grad, params.trace_limits, threads)
-        });
-        rec.add(Counter::CellsPaired, bstats.cells_paired);
-        rec.add(Counter::CriticalCells, bstats.critical_cells);
-        rec.add(Counter::ArcsTraced, bstats.arcs);
-        rec.add(Counter::KernelCells, kstats.cells);
-        rec.add(Counter::ScratchReuse, kstats.scratch_reuse);
-        rec.add(Counter::KernelAllocs, kstats.kernel_allocs);
-        if params.segment {
-            let seg = rec.time(Phase::Segment, |_| {
-                label_block(decomp.block(b), &rdims, &grad, threads)
-            });
-            segs.insert(b, seg);
-        }
-        complexes.insert(b, ms);
-    }
-    drop(fields);
-
-    // ---- local simplification ----
-    phase(ProgressPhase::Simplify);
-    rec.begin(Phase::Simplify);
-    let sp = SimplifyParams {
-        threshold,
-        max_new_arcs: params.max_new_arcs,
-        max_parallel_arcs: Some(2),
-    };
-    // Forward entries of extrema cancelled on this rank, awaiting their
-    // routed flush to owner ranks (piggybacked on merge-round ends).
-    let mut pending: Vec<(u64, u64)> = Vec::new();
-    // The slice of the global forward map this rank owns.
-    let mut owned = ForwardMap::new();
-    // blocks simplify independently; collect in block order so the
-    // cancellation counter and `pending` accumulate deterministically
-    let mut work: Vec<(u32, MsComplex)> = complexes.drain().collect();
-    work.sort_by_key(|(b, _)| *b);
-    let segment = params.segment;
-    let results = par_map_mut(threads, &mut work, |_, (b, ms)| {
-        let mut fw = segment.then(Vec::new);
-        let st =
-            simplify_forwarding(ms, sp, fw.as_mut()).map_err(|source| PipelineError::Simplify {
-                context: format!("simplifying block {b}"),
-                source,
-            })?;
-        ms.compact();
-        Ok((st.cancellations, fw.unwrap_or_default()))
-    });
-    for r in results {
-        let (n, fw) = r?;
-        rec.add(Counter::Cancellations, n);
-        pending.extend(fw);
-    }
-    complexes.extend(work);
-    rec.end(Phase::Simplify);
-
-    // ---- merge rounds ----
-    phase(ProgressPhase::Merge);
-    for (r, round) in sched.rounds.iter().enumerate() {
-        rank.barrier()
-            .map_err(comm_err(format!("barrier entering merge round {r}")))?;
-        rec.begin(Phase::MergeRound(r as u16));
-        let groups = &round.groups;
-        let tag_base = (r as u32) << 20;
-
-        // The barrier above closed round r-1: a consistent cut. Persist
-        // it before anything of round r happens.
-        if fault.checkpoint {
-            save_checkpoint(&mut rec, store, p, r as u32, threshold, &complexes);
-        }
-        // An injected crash destroys this rank's state at the cut: it
-        // will ship nothing this round, and the roots expecting its
-        // slots must recover them from the checkpoint just taken.
-        let crashed = fault.should_crash(p, r as u32 + 1);
-        if crashed {
-            rec.add(Counter::Crashes, 1);
-            complexes.clear();
-        }
-
-        // send phase: every non-root slot this rank owns
-        let mut shipped: Vec<u32> = Vec::new();
-        for (root, members) in groups {
-            for &m in &members[1..] {
-                if assign.rank_of(m) != p {
-                    continue;
-                }
-                shipped.push(m);
-                if crashed {
-                    continue; // "down" for this round: nothing goes out
-                }
-                let ms = complexes.remove(&m).ok_or(PipelineError::MissingComplex {
-                    slot: m,
-                    context: "merge send",
-                })?;
-                rec.add(Counter::NodesShipped, ms.n_live_nodes());
-                rec.add(Counter::ArcsShipped, ms.n_live_arcs());
-                let payload = wire::serialize(&ms);
-                rec.add(Counter::ShipBytes, payload.len() as u64);
-                if let Some(st) = progress {
-                    st.add_bytes(payload.len() as u64);
-                }
-                rank.send(assign.rank_of(*root) as usize, tag_base | m, payload)
-                    .map_err(comm_err(format!("shipping slot {m} in round {r}")))?;
-            }
-        }
-
-        // The crashed rank "reboots" from its own checkpoint — except
-        // the slots it would have shipped, whose custody passed to the
-        // receiving roots. Without a checkpoint its blocks stay lost.
-        if crashed {
-            let recover_t0 = sink.as_ref().map(|s| s.now_ns());
-            restore_own_state(&mut rec, store, p, r as u32, &shipped, &mut complexes)?;
-            if let (Some(s), Some(r0)) = (&sink, recover_t0) {
-                s.span_at("recover", r0, s.now_ns());
-            }
-        }
-
-        // receive + glue phase: every root slot this rank owns
-        for (root, members) in groups {
-            if assign.rank_of(*root) != p {
-                continue;
-            }
-            if !complexes.contains_key(root) {
-                // Degraded: the root slot itself was lost to an
-                // unrecoverable crash. The whole group is orphaned; its
-                // members' messages stay unconsumed.
-                rec.add(Counter::BlocksAbsorbed, members.len() as u64);
-                continue;
-            }
-            let mut incoming = Vec::with_capacity(members.len() - 1);
-            for &m in &members[1..] {
-                let owner = assign.rank_of(m);
-                let deadline = fault.active().then_some(fault.deadline);
-                match rank.recv_deadline(owner as usize, tag_base | m, deadline) {
-                    Ok(payload) => {
-                        incoming.push(wire::deserialize(&payload).map_err(|source| {
-                            PipelineError::Wire {
-                                context: format!("merge payload for slot {m} in round {r}"),
-                                source,
-                            }
-                        })?);
-                    }
-                    Err(CommError::Timeout { waited, .. }) => {
-                        // Dead group member. Promote ourselves to its
-                        // recovery agent: replay the lost send from its
-                        // round-boundary checkpoint, or absorb the
-                        // orphaned block if there is none.
-                        let t0 = Instant::now();
-                        let recover_t0 = sink.as_ref().map(|s| s.now_ns());
-                        rec.add(Counter::Retries, 1);
-                        let recovered = match store.load(owner, r as u32) {
-                            Some(encoded) => {
-                                let ck = Checkpoint::decode(&encoded).map_err(|source| {
-                                    PipelineError::Checkpoint {
-                                        context: format!(
-                                            "recovering slot {m} from rank {owner} at round {r}"
-                                        ),
-                                        source,
-                                    }
-                                })?;
-                                ck.slot(m).cloned()
-                            }
-                            None => None,
-                        };
-                        match recovered {
-                            Some(ms) => {
-                                rec.add(Counter::RoundsReplayed, 1);
-                                incoming.push(ms);
-                            }
-                            None => rec.add(Counter::BlocksAbsorbed, 1),
-                        }
-                        rec.add(
-                            Counter::RecoveryMs,
-                            (waited + t0.elapsed()).as_millis() as u64,
-                        );
-                        // Replay work happens HERE, so the trace charges
-                        // the recovering rank (this root), not the dead
-                        // member whose slot was replayed.
-                        if let (Some(s), Some(r0)) = (&sink, recover_t0) {
-                            s.span_at("recover", r0, s.now_ns());
-                        }
-                    }
-                    Err(e) => {
-                        return Err(PipelineError::Comm {
-                            context: format!("receiving slot {m} in round {r}"),
-                            source: e,
-                        })
-                    }
-                }
-            }
-            let ms = complexes.get_mut(root).expect("checked above");
-            rec.time(Phase::Glue, |_| glue_all(ms, &incoming, decomp))
-                .map_err(|source| PipelineError::Glue {
-                    context: format!(
-                        "gluing {} member(s) into slot {root} in round {r}",
-                        incoming.len()
-                    ),
-                    source,
-                })?;
-            rec.begin(Phase::Resimplify);
-            let mut fw = params.segment.then(Vec::new);
-            let st = simplify_forwarding(ms, sp, fw.as_mut()).map_err(|source| {
-                PipelineError::Simplify {
-                    context: format!("re-simplifying slot {root} after round {r}"),
-                    source,
-                }
-            })?;
-            rec.add(Counter::Cancellations, st.cancellations);
-            ms.compact();
-            if let Some(f) = fw {
-                pending.extend(f);
-            }
-            rec.end(Phase::Resimplify);
-        }
-        // Piggybacked forward flush: the round's cancellations routed to
-        // their owner ranks while everyone is synchronized anyway. Runs
-        // on every rank — including one that crashed this round (the
-        // thread keeps executing; segmentation state rides outside the
-        // checkpoint model, so nothing of it is lost or replayed).
-        if params.segment {
-            flush_forwards(
-                rank,
-                &mut rec,
-                TAG_SEG_ROUTE | r as u32,
-                &mut pending,
-                &mut owned,
-            )?;
-        }
-        rec.end(Phase::MergeRound(r as u16));
-    }
-
-    // ---- segmentation resolution (DESIGN.md §11) ----
-    // Compress every chain of cancelled-extremum forwards to its live
-    // root by synchronized pointer jumping, then rewrite each block's
-    // extremum tables through the resolved representatives. Global state
-    // at every round boundary is a pure function of the forward-pair
-    // content (messages sorted, jumps synchronized), so the resolved
-    // labels are bit-identical for any rank count, thread count or merge
-    // schedule.
-    if params.segment {
-        phase(ProgressPhase::SegResolve);
-        rec.begin(Phase::SegResolve);
-        // Flush whatever was not piggybacked on a merge round (all local
-        // forwards when the plan has no rounds).
-        flush_forwards(
-            rank,
-            &mut rec,
-            TAG_SEG_ROUTE_FINAL,
-            &mut pending,
-            &mut owned,
-        )?;
-        let n_ranks_u64 = n_ranks as u64;
-        let mut jump_round: u32 = 0;
-        loop {
-            let t0 = sink.as_ref().map(|s| s.now_ns());
-            // Ask each target's owner what it currently forwards to.
-            // Queries are sorted + deduplicated per owner.
-            let mut qbuckets: Vec<Vec<u64>> = vec![Vec::new(); n_ranks as usize];
-            for (_, target) in owned.sorted_entries() {
-                if target != DRAIN_ADDR {
-                    qbuckets[owner_rank(target, n_ranks_u64) as usize].push(target);
-                }
-            }
-            for qb in &mut qbuckets {
-                qb.sort_unstable();
-                qb.dedup();
-            }
-            let (queries, qsent) = exchange_u64s(rank, TAG_SEG_QUERY | jump_round, &qbuckets)
-                .map_err(comm_err("exchanging jump queries"))?;
-            // Answer from the PRE-round state (replies are built before
-            // this rank applies its own updates): only dead addresses
-            // get an entry, live ones are absent = already resolved.
-            let rbuckets: Vec<Vec<(u64, u64)>> = queries
-                .iter()
-                .map(|bucket| {
-                    bucket
-                        .iter()
-                        .filter_map(|&a| owned.get(a).map(|t| (a, t)))
-                        .collect()
-                })
-                .collect();
-            let (replies, rsent) = exchange_pairs(rank, TAG_SEG_REPLY | jump_round, &rbuckets)
-                .map_err(comm_err("exchanging jump replies"))?;
-            rec.add(Counter::SegBoundaryBytes, qsent + rsent);
-            let lookup: HashMap<u64, u64> = replies.into_iter().flatten().collect();
-            let changed = owned.jump_pass(&lookup);
-            rec.add(Counter::SegRelabels, changed);
-            rec.add(Counter::SegRounds, 1);
-            let global_changed = rank
-                .allreduce_u64(TAG_SEG_FIXED | (jump_round << 1), changed, |a, b| a + b)
-                .map_err(comm_err("all-reducing jump fixed point"))?;
-            if let (Some(s), Some(t0)) = (&sink, t0) {
-                s.span_at("seg_round", t0, s.now_ns());
-            }
-            jump_round += 1;
-            if global_changed == 0 {
-                break;
-            }
-        }
-        // Table resolution: every extremum address in this rank's tables
-        // is resolved by its owner against the now-compressed map.
-        let mut addrs: Vec<u64> = segs
-            .values()
-            .flat_map(|s| s.mins.iter().chain(s.maxs.iter()).copied())
-            .collect();
-        addrs.sort_unstable();
-        addrs.dedup();
-        let mut tbuckets: Vec<Vec<u64>> = vec![Vec::new(); n_ranks as usize];
-        for a in addrs {
-            tbuckets[owner_rank(a, n_ranks_u64) as usize].push(a);
-        }
-        let (tqueries, tqsent) = exchange_u64s(rank, TAG_SEG_TABLE_Q, &tbuckets)
-            .map_err(comm_err("exchanging table-resolution queries"))?;
-        let trbuckets: Vec<Vec<(u64, u64)>> = tqueries
-            .iter()
-            .map(|bucket| bucket.iter().map(|&a| (a, owned.resolve(a))).collect())
-            .collect();
-        let (treplies, trsent) = exchange_pairs(rank, TAG_SEG_TABLE_R, &trbuckets)
-            .map_err(comm_err("exchanging table-resolution replies"))?;
-        rec.add(Counter::SegBoundaryBytes, tqsent + trsent);
-        let resolved: HashMap<u64, u64> = treplies.into_iter().flatten().collect();
-        let mut block_ids: Vec<u32> = segs.keys().copied().collect();
-        block_ids.sort_unstable();
-        let mut relabels = 0;
-        for b in block_ids {
-            let seg = segs.get_mut(&b).expect("own block");
-            let rm: Vec<u64> = seg.mins.iter().map(|a| resolved[a]).collect();
-            let rx: Vec<u64> = seg.maxs.iter().map(|a| resolved[a]).collect();
-            relabels += seg.apply_resolution(&rm, &rx);
-        }
-        rec.add(Counter::SegRelabels, relabels);
-        rec.end(Phase::SegResolve);
-    }
-
-    // ---- hierarchy recording (DESIGN.md §12) ----
-    // Simplify each output slot once to persistence ∞ with full logging;
-    // the recorded cancellation sequences replay to any threshold later
-    // (compute once, query many — `msc serve`). Runs after segmentation
-    // resolution so the count ordering can key on globally-summed region
-    // sizes of the resolved extremum tables.
-    let mut my_hier: Vec<(u32, SlotHierarchy)> = Vec::new();
-    let mut global_sizes: Option<HashMap<u64, u64>> = None;
-    if params.hierarchy {
-        phase(ProgressPhase::Hierarchy);
-        rec.begin(Phase::Hierarchy);
-        if params.segment {
-            // Every rank broadcasts its sorted local (extremum, count)
-            // tallies and sums what it receives; addition commutes and
-            // buckets arrive in rank order, so the global map is
-            // identical on every rank for every schedule.
-            let local = msp_hierarchy::region_sizes(segs.values());
-            let mut pairs: Vec<(u64, u64)> = local.into_iter().collect();
-            pairs.sort_unstable();
-            let buckets: Vec<Vec<(u64, u64)>> = vec![pairs; n_ranks as usize];
-            let (incoming, sent) = exchange_pairs(rank, TAG_HIER_SIZES, &buckets)
-                .map_err(comm_err("broadcasting hierarchy region sizes"))?;
-            rec.add(Counter::SegBoundaryBytes, sent);
-            let mut sizes: HashMap<u64, u64> = HashMap::new();
-            for bucket in incoming {
-                for (addr, n) in bucket {
-                    *sizes.entry(addr).or_insert(0) += n;
-                }
-            }
-            global_sizes = Some(sizes);
-        }
-        let rp = ReplayParams {
-            max_new_arcs: params.max_new_arcs,
-            max_parallel_arcs: Some(2),
-        };
-        for &s in sched.outputs.iter().filter(|s| assign.rank_of(**s) == p) {
-            // Degraded mode: a slot lost to an unrecoverable crash has
-            // no hierarchy; the write stage accounts the loss.
-            let Some(ms) = complexes.get(&s) else {
-                continue;
-            };
-            let h = msp_hierarchy::record(ms, rp, global_sizes.clone()).map_err(|source| {
-                PipelineError::Simplify {
-                    context: format!("recording hierarchy for slot {s}"),
-                    source,
-                }
-            })?;
-            let n_records = h.difference.len() + h.count.as_ref().map_or(0, |c| c.len());
-            rec.add(Counter::HierarchyRecords, n_records as u64);
-            my_hier.push((s, h));
-        }
-        my_hier.sort_by_key(|(s, _)| *s);
-        rec.end(Phase::Hierarchy);
-    }
-
-    // ---- pre-write cut ----
-    // One more consistent cut after the last merge round protects the
-    // fully-merged state against a crash before the collective write.
-    if fault.active() {
-        let cursor = sched.rounds.len() as u32;
-        rank.barrier()
-            .map_err(comm_err("barrier at the pre-write cut"))?;
-        if fault.checkpoint {
-            save_checkpoint(&mut rec, store, p, cursor, threshold, &complexes);
-        }
-        if fault.should_crash(p, cursor + 1) {
-            rec.add(Counter::Crashes, 1);
-            complexes.clear();
-            // nothing ships between here and the write: a full restore
-            let recover_t0 = sink.as_ref().map(|s| s.now_ns());
-            restore_own_state(&mut rec, store, p, cursor, &[], &mut complexes)?;
-            if let (Some(s), Some(r0)) = (&sink, recover_t0) {
-                s.span_at("recover", r0, s.now_ns());
-            }
-        }
-    }
-
-    // ---- write ----
-    phase(ProgressPhase::Write);
-    rec.begin(Phase::Write);
-    let mut my_outputs: Vec<(u32, MsComplex)> = Vec::new();
-    for &s in sched.outputs.iter().filter(|s| assign.rank_of(**s) == p) {
-        match complexes.remove(&s) {
-            Some(c) => my_outputs.push((s, c)),
-            // Degraded: the slot died with a rank that had no
-            // checkpoint; the run completes without it.
-            None if fault.active() => rec.add(Counter::BlocksAbsorbed, 1),
-            None => {
-                return Err(PipelineError::MissingComplex {
-                    slot: s,
-                    context: "output collection",
-                })
-            }
-        }
-    }
-    my_outputs.sort_by_key(|(s, _)| *s);
-    // Serialized once, path or no path: the lengths are the rank's share
-    // of the run's `output_bytes`.
-    let payloads: Vec<bytes::Bytes> = my_outputs.iter().map(|(_, c)| wire::serialize(c)).collect();
-    let output_bytes: u64 = payloads.iter().map(|b| b.len() as u64).sum();
-    // Keyed by output slot: payloads land in global ascending slot order
-    // and the footer records slots, not writer ranks — the file is a
-    // pure function of `(decomposition, plan, threshold)` even when the
-    // LPT assignment parks an output slot on a rank-count-dependent
-    // rank. (For uniform full merges slot 0 lives on rank 0, so the
-    // historical bytes are unchanged.)
-    let footer = if let Some(path) = output_path {
-        let keys: Vec<u64> = my_outputs.iter().map(|(s, _)| *s as u64).collect();
-        let f = collective_write_blocks_keyed(rank, path, &payloads, &keys).map_err(|source| {
-            PipelineError::Io {
-                context: format!("collective write to {}", path.display()),
-                source,
-            }
-        })?;
-        (p == 0).then_some(f)
-    } else {
-        None
-    };
-    drop(payloads);
-    // Labeled-volume blocks go to `<out>.seg` through a second collective
-    // write (per-link FIFO keeps its file-IO messages behind the first
-    // write's). The write is keyed by block id: payloads land in global
-    // ascending block-id order and the footer records keys, not writer
-    // ranks, so the file is byte-identical for every rank count.
-    let mut my_segs: Vec<BlockSegmentation> = segs.into_values().collect();
-    my_segs.sort_by_key(|s| s.block_id);
-    let seg_footer = if let (true, Some(path)) = (params.segment, output_path) {
-        let seg_path = seg_output_path(path);
-        let payloads: Vec<bytes::Bytes> = my_segs.iter().map(segwire::serialize).collect();
-        let keys: Vec<u64> = my_segs.iter().map(|s| s.block_id as u64).collect();
-        let f =
-            collective_write_blocks_keyed(rank, &seg_path, &payloads, &keys).map_err(|source| {
-                PipelineError::Io {
-                    context: format!("collective segmentation write to {}", seg_path.display()),
-                    source,
-                }
-            })?;
-        (p == 0).then_some(f)
-    } else {
-        None
-    };
-    // The hierarchy artifact is a third keyed collective write: one
-    // `MSH1` payload per output slot, landing in ascending slot order,
-    // so `<out>.msh` is byte-identical across ranks/threads/schedules.
-    let msh_footer = if let (true, Some(path)) = (params.hierarchy, output_path) {
-        let msh_path = msh_output_path(path);
-        let payloads: Vec<bytes::Bytes> =
-            my_hier.iter().map(|(_, h)| hwire::serialize(h)).collect();
-        let keys: Vec<u64> = my_hier.iter().map(|(s, _)| *s as u64).collect();
-        let f =
-            collective_write_blocks_keyed(rank, &msh_path, &payloads, &keys).map_err(|source| {
-                PipelineError::Io {
-                    context: format!("collective hierarchy write to {}", msh_path.display()),
-                    source,
-                }
-            })?;
-        (p == 0).then_some(f)
-    } else {
-        None
-    };
-    rec.end(Phase::Write);
-
-    // ---- oracle check (opt-in) ----
-    // Violations are recorded as telemetry counters and stderr notes,
-    // never as an early return: a rank bailing out here while its peers
-    // sit in the final collectives would deadlock the run. Callers gate
-    // on the counters instead (see `msc --check` and `oracle_fuzz`).
-    let check =
-        params.check || std::env::var("MSP_CHECK").map(|v| v == "1" || v == "true") == Ok(true);
-    if check {
-        phase(ProgressPhase::Check);
-        rec.begin(Phase::Check);
-        let opts = msp_oracle::CheckOptions::default();
-        for (slot, ms) in &my_outputs {
-            let mut report = msp_oracle::InvariantReport::default();
-            msp_oracle::check_structural(ms, decomp, &opts, &mut report);
-            // The semantic tier needs the member scalar blocks back
-            // (they were dropped after the local stage to bound memory).
-            let mut member_fields = Vec::new();
-            let mut have_fields = true;
-            for &b in &ms.member_blocks {
-                match input {
-                    Input::Memory(f) => member_fields.push(f.extract_block(decomp.block(b))),
-                    Input::File { path, dims, dtype } => {
-                        match read_block(path, *dims, decomp.block(b), *dtype) {
-                            Ok(bf) => member_fields.push(bf),
-                            Err(e) => {
-                                eprintln!(
-                                    "[msp-check] rank {p} slot {slot}: cannot re-read \
-                                     block {b} for the semantic tier: {e}"
-                                );
-                                have_fields = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            if have_fields {
-                msp_oracle::check_semantic(ms, decomp, &member_fields, &opts, &mut report);
-            }
-            if let Err(e) = msp_oracle::check_glue_idempotent(ms, decomp) {
-                report.structural += 1;
-                report.notes.push(format!("glue idempotency: {e}"));
-            }
-            rec.add(Counter::ChecksRun, 1);
-            rec.add(Counter::CheckStructural, report.structural);
-            rec.add(Counter::CheckEuler, report.euler);
-            rec.add(Counter::CheckBoundary, report.boundary);
-            rec.add(Counter::CheckVpath, report.vpath);
-            for note in &report.notes {
-                eprintln!("[msp-check] rank {p} slot {slot}: {note}");
-            }
-        }
-        // Segmentation invariants are per original block and fully
-        // local: rebuild the independent reference gradient of each
-        // owned block and check the resolved labels never change along
-        // a V-path. (Representative liveness needs the gathered outputs
-        // and runs on the driver side — see `check_segmentation_tables`.)
-        if params.segment {
-            for seg in &my_segs {
-                let b = decomp.block(seg.block_id);
-                let bf = match input {
-                    Input::Memory(f) => Some(f.extract_block(b)),
-                    Input::File { path, dims, dtype } => match read_block(path, *dims, b, *dtype) {
-                        Ok(bf) => Some(bf),
-                        Err(e) => {
-                            eprintln!(
-                                "[msp-check] rank {p} seg block {}: cannot re-read \
-                                     the block: {e}",
-                                seg.block_id
-                            );
-                            None
-                        }
-                    },
-                };
-                let Some(bf) = bf else { continue };
-                let grad = msp_oracle::reference_gradient(&bf, decomp);
-                let view = msp_oracle::SegView {
-                    block_id: seg.block_id,
-                    vdims: seg.vdims,
-                    mins: &seg.mins,
-                    maxs: &seg.maxs,
-                    min_label: &seg.min_label,
-                    max_label: &seg.max_label,
-                };
-                let mut report = msp_oracle::InvariantReport::default();
-                msp_oracle::check_segmentation_block(&view, b, &rdims, &grad, &opts, &mut report);
-                rec.add(Counter::CheckSegment, report.segment);
-                for note in &report.notes {
-                    eprintln!("[msp-check] rank {p}: {note}");
-                }
-            }
-        }
-        // Hierarchy replay conformance: materializing a sampled
-        // threshold from the recorded sequence must reproduce a direct
-        // simplification of the same base bit-for-bit — wire bytes and
-        // forward entries both.
-        if params.hierarchy {
-            for (slot, h) in &my_hier {
-                let Some((_, base)) = my_outputs.iter().find(|(s, _)| s == slot) else {
-                    continue;
-                };
-                for ordering in h.orderings() {
-                    let recs = h.records(ordering).expect("listed ordering");
-                    let mut thresholds = vec![f32::INFINITY];
-                    if !recs.is_empty() {
-                        thresholds.push(recs[recs.len() / 2].key);
-                    }
-                    for t in thresholds {
-                        let mut fail = |note: String| {
-                            rec.add(Counter::CheckHierarchy, 1);
-                            eprintln!("[msp-check] rank {p} slot {slot}: {note}");
-                        };
-                        let got = match h.materialize(base, ordering, t) {
-                            Ok(m) => m,
-                            Err(e) => {
-                                fail(format!("hierarchy {ordering} materialize({t}): {e}"));
-                                continue;
-                            }
-                        };
-                        let mut want = base.clone();
-                        let mut order = match ordering {
-                            msp_hierarchy::Ordering::Difference => CancelOrder::Difference,
-                            msp_hierarchy::Ordering::Count => {
-                                CancelOrder::Count(global_sizes.clone().unwrap_or_default())
-                            }
-                        };
-                        let mut wfw = Vec::new();
-                        let direct = simplify_with(
-                            &mut want,
-                            SimplifyParams {
-                                threshold: t,
-                                max_new_arcs: params.max_new_arcs,
-                                max_parallel_arcs: Some(2),
-                            },
-                            &mut order,
-                            None,
-                            Some(&mut wfw),
-                        );
-                        if let Err(e) = direct {
-                            fail(format!("hierarchy {ordering} direct simplify({t}): {e}"));
-                            continue;
-                        }
-                        want.compact();
-                        if wire::serialize(&got.complex) != wire::serialize(&want)
-                            || got.forwards != wfw
-                        {
-                            fail(format!(
-                                "hierarchy {ordering} materialize({t}) diverges from a \
-                                 direct simplify run ({} record(s) replayed)",
-                                got.applied
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        rec.end(Phase::Check);
-    }
-    rec.end(Phase::Total);
-    phase(ProgressPhase::Done);
-
-    // Stop tracing before the telemetry/trace exchange below: the
-    // gathers are bookkeeping, not pipeline work, and must not observe
-    // themselves (same rule as the counter snapshot).
-    rank.detach_tracer();
-    rec.detach_trace();
-
-    // Counter snapshot happens BEFORE the telemetry exchange below, so
-    // the reported traffic is exactly the pipeline's own.
-    let cs = rank.comm_stats();
-    rec.add(Counter::BytesSent, cs.bytes_sent);
-    rec.add(Counter::BytesRecv, cs.bytes_recv);
-    rec.add(Counter::MsgsSent, cs.msgs_sent);
-    rec.add(Counter::MsgsRecv, cs.msgs_recv);
-    let report = rec.finish();
-
-    // Exact global merge traffic via the integer all-reduce; lands in the
-    // report meta on rank 0.
-    let global_ship_bytes = rank
-        .allreduce_u64(TAG_TELEMETRY_SHIP, report.counter("ship_bytes"), |a, b| {
-            a + b
-        })
-        .map_err(comm_err("all-reducing global ship bytes"))?;
-    let encoded = Bytes::from(report.encode());
-    let gathered = rank
-        .gather(0, TAG_TELEMETRY_GATHER, encoded)
-        .map_err(comm_err("gathering telemetry reports"))?;
-    let telemetry = match gathered {
-        Some(all) => {
-            let mut ranks = Vec::with_capacity(all.len());
-            for b in &all {
-                ranks.push(RankReport::decode(b).map_err(PipelineError::Telemetry)?);
-            }
-            Some(
-                RunReport::from_ranks("run", ranks)
-                    .with_meta("global_ship_bytes", Json::U64(global_ship_bytes)),
-            )
-        }
-        None => None,
-    };
-
-    // Ship the frozen per-rank traces to root over the same collective
-    // (a second gather on its own tag; runs only when tracing is on).
-    let run_trace = match &sink {
-        Some(s) => {
-            let encoded = Bytes::from(s.finish().encode());
-            let gathered = rank
-                .gather(0, TAG_TRACE_GATHER, encoded)
-                .map_err(comm_err("gathering rank traces"))?;
-            match gathered {
-                Some(all) => {
-                    let mut traces = Vec::with_capacity(all.len());
-                    for b in &all {
-                        traces.push(RankTrace::decode(b).map_err(PipelineError::Telemetry)?);
-                    }
-                    Some(RunTrace::from_ranks(traces))
-                }
-                None => None,
-            }
-        }
-        None => None,
-    };
-    Ok((
-        telemetry,
-        my_outputs,
-        output_bytes,
-        footer,
-        threshold,
-        run_trace,
-        my_segs,
-        seg_footer,
-        my_hier,
-        msh_footer,
+/// The progress heartbeat of a run (`None`: off).
+pub(crate) fn heartbeat(source: &str, n_ranks: u32, secs: Option<f64>) -> Option<Heartbeat> {
+    let secs = secs.filter(|&s| s > 0.0 && s.is_finite())?;
+    Some(Heartbeat::spawn(
+        source,
+        n_ranks as usize,
+        Duration::from_secs_f64(secs),
     ))
+}
+
+pub(crate) type RankResult = (f32, stages::RankOut, Option<RunReport>, Option<RunTrace>);
+
+/// The threaded machine: hosts one rank, on that rank's own thread.
+pub(crate) struct Threaded<'r> {
+    comm: &'r Rank,
+    rec: Recorder,
+    /// Causal tracing: one sink shared by the recorder (span events)
+    /// and the comm endpoint (message stamps).
+    sink: Option<TraceSink>,
+    /// Trace time at which the open pointer-jump round began.
+    round_t0: Option<u64>,
+    threads: usize,
+}
+
+impl<'r> Threaded<'r> {
+    pub(crate) fn new(comm: &'r Rank, params: &PipelineParams, epoch: Instant) -> Self {
+        let p = comm.rank() as u32;
+        let mut rec = Recorder::new(p);
+        let sink = params.trace.then(|| TraceSink::new(p, epoch));
+        if let Some(s) = &sink {
+            rec.attach_trace(s.clone());
+            comm.attach_tracer(s.clone());
+        }
+        // `threads == 1` is the serial code path; larger budgets give
+        // bit-identical output, so the budget is capped at host
+        // parallelism, where oversubscribing buys nothing.
+        let host = available_threads();
+        let threads = params.threads.unwrap_or(host).min(host).max(1);
+        Threaded {
+            comm,
+            rec,
+            sink,
+            round_t0: None,
+            threads,
+        }
+    }
+
+    /// Gather the counters and traces at rank 0. Tracing stops first and
+    /// the traffic counters are read first: the gathers are bookkeeping
+    /// and must not observe themselves.
+    pub(crate) fn finish(
+        mut self,
+        run: Result<(f32, stages::RankOut), PipelineError>,
+    ) -> Result<RankResult, PipelineError> {
+        let (threshold, out) = run?;
+        let rank = self.comm;
+        rank.detach_tracer();
+        self.rec.detach_trace();
+        let cs = rank.comm_stats();
+        self.rec.add(Counter::BytesSent, cs.bytes_sent);
+        self.rec.add(Counter::BytesRecv, cs.bytes_recv);
+        self.rec.add(Counter::MsgsSent, cs.msgs_sent);
+        self.rec.add(Counter::MsgsRecv, cs.msgs_recv);
+        let report = self.rec.finish();
+        // exact global merge traffic, in the report meta on rank 0
+        let global_ship_bytes = rank
+            .allreduce_u64(TAG_TELEMETRY_SHIP, report.counter("ship_bytes"), |a, b| {
+                a + b
+            })
+            .map_err(comm_err("all-reducing global ship bytes"))?;
+        let gathered = rank
+            .gather(0, TAG_TELEMETRY_GATHER, Bytes::from(report.encode()))
+            .map_err(comm_err("gathering telemetry reports"))?;
+        let telemetry = match gathered {
+            Some(all) => {
+                let ranks = all.iter().map(|b| RankReport::decode(b));
+                let ranks = ranks.collect::<Result<Vec<_>, _>>();
+                Some(
+                    RunReport::from_ranks("run", ranks.map_err(PipelineError::Telemetry)?)
+                        .with_meta("global_ship_bytes", Json::U64(global_ship_bytes)),
+                )
+            }
+            None => None,
+        };
+        let trace = match &self.sink {
+            Some(s) => rank
+                .gather(0, TAG_TRACE_GATHER, Bytes::from(s.finish().encode()))
+                .map_err(comm_err("gathering rank traces"))?
+                .map(|all| all.iter().map(|b| RankTrace::decode(b)).collect())
+                .transpose()
+                .map_err(PipelineError::Telemetry)?
+                .map(RunTrace::from_ranks),
+            None => None,
+        };
+        Ok((threshold, out, telemetry, trace))
+    }
+}
+
+impl Node for Threaded<'_> {
+    fn rank(&self) -> u32 {
+        self.comm.rank() as u32
+    }
+
+    fn threads(&self) -> usize {
+        self.threads
+    }
+
+    fn add(&mut self, c: Counter, n: u64) {
+        self.rec.add(c, n);
+    }
+
+    fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
+        self.rec.time(phase, |_| f())
+    }
+
+    fn send(&mut self, to: u32, tag: u32, payload: Bytes) -> Result<(), CommError> {
+        self.comm.send(to as usize, tag, payload)
+    }
+
+    fn recv(
+        &mut self,
+        from: u32,
+        tag: u32,
+        deadline: Option<Duration>,
+    ) -> Result<Bytes, CommError> {
+        self.comm.recv_deadline(from as usize, tag, deadline)
+    }
+
+    /// The trace charges replay work to the rank doing it.
+    fn recover<R>(&mut self, _from: u32, f: impl FnOnce() -> (R, u64)) -> (R, Duration) {
+        let t0 = Instant::now();
+        let r0 = self.sink.as_ref().map(|s| s.now_ns());
+        let (r, _) = f();
+        if let (Some(s), Some(r0)) = (&self.sink, r0) {
+            s.span_at("recover", r0, s.now_ns());
+        }
+        (r, t0.elapsed())
+    }
+}
+
+impl Machine for Threaded<'_> {
+    type Node = Self;
+    const MODELS_IO: bool = false;
+
+    fn size(&self) -> u32 {
+        self.comm.size() as u32
+    }
+
+    fn ranks(&self) -> Vec<u32> {
+        vec![self.comm.rank() as u32]
+    }
+
+    fn each<S: Send, R: Send>(
+        &mut self,
+        st: &mut [S],
+        f: impl Fn(&mut Self, &mut S) -> R + Sync,
+    ) -> Vec<R> {
+        st.iter_mut().map(|s| f(self, s)).collect()
+    }
+
+    fn begin(&mut self, phase: Phase) {
+        self.rec.begin(phase);
+    }
+
+    fn end(&mut self, phase: Phase) {
+        self.rec.end(phase);
+    }
+
+    fn seg_round(&mut self, open: bool) {
+        let Some(s) = &self.sink else { return };
+        match self.round_t0.take() {
+            Some(t0) if !open => s.span_at("seg_round", t0, s.now_ns()),
+            _ => self.round_t0 = Some(s.now_ns()),
+        }
+    }
+
+    fn barrier(&mut self) -> Result<(), CommError> {
+        self.comm.barrier()
+    }
+
+    fn allreduce_min_max(&mut self, tag: u32, v: &[(f64, f64)]) -> Result<(f64, f64), CommError> {
+        self.comm.allreduce_min_max(tag, v[0].0, v[0].1)
+    }
+
+    fn allreduce_sum(&mut self, tag: u32, v: &[u64]) -> Result<u64, CommError> {
+        self.comm.allreduce_u64(tag, v[0], |a, b| a + b)
+    }
+
+    fn io(&mut self, _: Io, _: &[u64]) {}
+
+    fn write(
+        &mut self,
+        path: Option<&Path>,
+        _: Output,
+        blocks: Vec<Vec<(u32, Bytes)>>,
+    ) -> std::io::Result<Option<Vec<FooterEntry>>> {
+        let Some(path) = path else { return Ok(None) };
+        let blocks = blocks.into_iter().flatten().map(|(k, p)| (k as u64, p));
+        let (keys, payloads): (Vec<u64>, Vec<Bytes>) = blocks.unzip();
+        let footer = collective_write_blocks_keyed(self.comm, path, &payloads, &keys)?;
+        Ok((self.comm.rank() == 0).then_some(footer))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use msp_complex::{simplify_with, CancelOrder, SimplifyParams};
+    use msp_hierarchy::wire as hwire;
+    use msp_segment::wire as segwire;
 
     fn noise_input(n: u32, seed: u64) -> Input {
         Input::Memory(Arc::new(msp_synth::white_noise(Dims::cube(n), seed)))
@@ -1861,16 +961,12 @@ mod tests {
             .materialize(&base, msp_hierarchy::Ordering::Difference, t)
             .unwrap();
         let mut want = base.clone();
-        simplify_forwarding(
-            &mut want,
-            SimplifyParams {
-                threshold: t,
-                max_new_arcs: params.max_new_arcs,
-                max_parallel_arcs: Some(2),
-            },
-            None,
-        )
-        .unwrap();
+        let sp = SimplifyParams {
+            threshold: t,
+            max_new_arcs: params.max_new_arcs,
+            max_parallel_arcs: Some(2),
+        };
+        simplify_with(&mut want, sp, &mut CancelOrder::Difference, None, None).unwrap();
         want.compact();
         assert_eq!(wire::serialize(&got.complex), wire::serialize(&want));
         for p in [&pa, &pb] {

@@ -21,7 +21,7 @@
 //! byte-identical to their canonical 1-rank execution.
 
 use crate::plan::MergePlan;
-use msp_grid::{Decomposition, ScalarField};
+use msp_grid::{Decomposition, Dims, ScalarField};
 
 /// How the domain is decomposed into blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -323,6 +323,59 @@ impl MergeSchedule {
     }
 }
 
+/// A run's layout: decomposition, per-block cost estimates (irregular
+/// modes), merge schedule and block-to-rank assignment — a pure function
+/// of `(mode, plan, n_blocks)` plus the field weights, which the adaptive
+/// splitter alone reads (`weights` is called only then).
+pub(crate) struct Layout {
+    pub decomp: Decomposition,
+    pub costs: Option<Vec<u64>>,
+    pub sched: MergeSchedule,
+    pub assign: Assignment,
+}
+
+impl Layout {
+    pub fn new<E>(
+        dims: Dims,
+        mode: DecompMode,
+        plan: &MergePlan,
+        n_ranks: u32,
+        n_blocks: u32,
+        weights: impl FnOnce() -> Result<Vec<u64>, E>,
+    ) -> Result<Layout, E> {
+        let (decomp, costs) = match mode {
+            DecompMode::Uniform => (Decomposition::bisect(dims, n_blocks), None),
+            DecompMode::Adaptive => {
+                let weights = weights()?;
+                let d = Decomposition::adaptive(dims, n_blocks, &weights);
+                let c = d.block_costs(&weights);
+                (d, Some(c))
+            }
+            DecompMode::RandomTree { seed } => {
+                let d = Decomposition::random_tree(dims, n_blocks, seed);
+                let c = d.blocks().iter().map(|b| b.n_verts()).collect();
+                (d, Some(c))
+            }
+        };
+        let (sched, assign) = match &costs {
+            None => (
+                MergeSchedule::uniform(plan, n_blocks),
+                Assignment::round_robin(n_blocks, n_ranks),
+            ),
+            Some(c) => (
+                MergeSchedule::contract(&decomp, plan),
+                Assignment::lpt(c, n_ranks),
+            ),
+        };
+        Ok(Layout {
+            decomp,
+            costs,
+            sched,
+            assign,
+        })
+    }
+}
+
 /// A full-merge plan valid for any block count: the power-of-two
 /// [`MergePlan::full_merge`] heuristic applied to the next power of two.
 /// Under [`MergeSchedule::contract`] only the round count and radices
@@ -335,7 +388,6 @@ pub fn full_merge_plan(n_blocks: u32) -> MergePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msp_grid::Dims;
 
     #[test]
     fn parse_round_trips() {

@@ -38,8 +38,8 @@
 pub mod wire;
 
 use msp_complex::{
-    replay_cancellation, simplify_with, CancelOrder, CancelRecord, MsComplex, ReplayError,
-    SimplifyError, SimplifyParams, SimplifyStats,
+    replay_cancellation, simplify_with, wire as cwire, CancelOrder, CancelRecord, MsComplex,
+    ReplayError, SimplifyError, SimplifyParams, SimplifyStats,
 };
 use msp_segment::{BlockSegmentation, DRAIN_ADDR, DRAIN_LABEL};
 use std::collections::HashMap;
@@ -247,6 +247,59 @@ impl SlotHierarchy {
             .collect()
     }
 
+    /// Replay conformance against `base`, the complex this hierarchy was
+    /// recorded from: materializing ∞ and the median record's key of
+    /// every ordering must reproduce a direct simplification of `base`
+    /// bit for bit (wire bytes and forward entries). `sizes` are the
+    /// region sizes the count ordering was recorded with. Returns one
+    /// note per divergence; empty means conformant.
+    pub fn check_replay(&self, base: &MsComplex, sizes: Option<&HashMap<u64, u64>>) -> Vec<String> {
+        let mut notes = Vec::new();
+        for ordering in self.orderings() {
+            let recs = self.records(ordering).expect("listed ordering");
+            let mut thresholds = vec![f32::INFINITY];
+            if !recs.is_empty() {
+                thresholds.push(recs[recs.len() / 2].key);
+            }
+            for t in thresholds {
+                let got = match self.materialize(base, ordering, t) {
+                    Ok(m) => m,
+                    Err(e) => {
+                        notes.push(format!("hierarchy {ordering} materialize({t}): {e}"));
+                        continue;
+                    }
+                };
+                let mut want = base.clone();
+                let mut order = match ordering {
+                    Ordering::Difference => CancelOrder::Difference,
+                    Ordering::Count => CancelOrder::Count(sizes.cloned().unwrap_or_default()),
+                };
+                let sp = SimplifyParams {
+                    threshold: t,
+                    max_new_arcs: self.params.max_new_arcs,
+                    max_parallel_arcs: self.params.max_parallel_arcs,
+                };
+                let mut forwards = Vec::new();
+                if let Err(e) = simplify_with(&mut want, sp, &mut order, None, Some(&mut forwards))
+                {
+                    notes.push(format!("hierarchy {ordering} direct simplify({t}): {e}"));
+                    continue;
+                }
+                want.compact();
+                if cwire::serialize(&got.complex) != cwire::serialize(&want)
+                    || got.forwards != forwards
+                {
+                    notes.push(format!(
+                        "hierarchy {ordering} materialize({t}) diverges from a direct \
+                         simplify run ({} record(s) replayed)",
+                        got.applied
+                    ));
+                }
+            }
+        }
+        notes
+    }
+
     /// Estimated resident heap footprint in bytes (capacity-based, for
     /// the serve layer's byte gauges).
     pub fn mem_bytes(&self) -> u64 {
@@ -433,7 +486,7 @@ pub fn region_sizes<'a>(
 mod tests {
     use super::*;
     use msp_complex::build::build_block_complex;
-    use msp_complex::{simplify_forwarding, wire as cwire};
+    use msp_complex::simplify_forwarding;
     use msp_grid::{Decomposition, Dims, ScalarField};
     use msp_morse::TraceLimits;
 

@@ -669,12 +669,6 @@ impl ProgressState {
         }
     }
 
-    pub fn set_phase_all(&self, phase: ProgressPhase) {
-        for p in &self.phases {
-            p.store(phase as usize, Ordering::Relaxed);
-        }
-    }
-
     pub fn add_bytes(&self, n: u64) {
         self.bytes_moved.fetch_add(n, Ordering::Relaxed);
     }
@@ -721,6 +715,12 @@ pub fn progress_interval_from_env() -> Option<f64> {
         .ok()
         .and_then(|s| s.trim().parse::<f64>().ok())
         .filter(|&s| s > 0.0 && s.is_finite())
+}
+
+/// Whether `MSP_CHECK` asks for the oracle invariant checker (`1` or
+/// `true`).
+pub fn check_from_env() -> bool {
+    matches!(std::env::var("MSP_CHECK").as_deref(), Ok("1" | "true"))
 }
 
 /// A background thread printing [`ProgressState::line`] to stderr every
@@ -939,7 +939,9 @@ mod tests {
     fn progress_state_tracks_phases_and_bytes() {
         let p = ProgressState::new("test", 4);
         assert_eq!(p.min_phase(), ProgressPhase::Idle);
-        p.set_phase_all(ProgressPhase::Read);
+        for r in 0..4 {
+            p.set_phase(r, ProgressPhase::Read);
+        }
         p.set_phase(0, ProgressPhase::Merge);
         assert_eq!(p.min_phase(), ProgressPhase::Read);
         p.add_bytes(1234);
@@ -959,7 +961,7 @@ mod tests {
         // can't capture stderr cheaply; just exercise spawn/drop for
         // panics and thread leaks
         let hb = Heartbeat::spawn("test", 2, Duration::from_millis(5));
-        hb.state().set_phase_all(ProgressPhase::Local);
+        hb.state().set_phase(1, ProgressPhase::Local);
         std::thread::sleep(Duration::from_millis(30));
         drop(hb);
     }

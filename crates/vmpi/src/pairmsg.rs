@@ -1,20 +1,12 @@
-//! Typed `u64`-pair and `u64`-list messages, plus symmetric all-to-all
-//! exchange helpers.
+//! Typed `u64`-pair and `u64`-list messages.
 //!
 //! The segmentation resolution protocol ships exactly two payload
 //! shapes between ranks: lists of `(u64, u64)` pairs (forward entries,
 //! query replies) and flat lists of `u64` addresses (queries). Both get
 //! a length-prefixed little-endian encoding here so every message is
-//! validated on receipt, and both get an `exchange_*` helper that
-//! performs a deterministic all-to-all: send the bucket for every other
-//! rank (sends are non-blocking, so send-all-then-receive-all cannot
-//! deadlock), deliver the self bucket locally without touching the
-//! transport, and receive from peers in ascending rank order.
-//!
-//! Senders must pre-sort bucket contents — the helpers preserve order,
-//! so sorted-in means deterministic-out regardless of arrival order.
+//! validated on receipt. The all-to-all exchange that carries them is a
+//! step pair of the pipeline's stage list, so it runs on both backends.
 
-use crate::comm::{CommError, Rank};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Encode a pair list: `u32` count, then `(u64, u64)` little-endian.
@@ -62,86 +54,9 @@ pub fn decode_u64s(mut b: &[u8]) -> Result<Vec<u64>, String> {
     Ok((0..n).map(|_| b.get_u64_le()).collect())
 }
 
-fn protocol_err(what: &str, from: usize, tag: u32, e: String) -> CommError {
-    // An in-process peer sent a malformed typed message: that is a
-    // protocol bug, not a transport fault, but surfacing it as a typed
-    // error keeps the pipeline's error path uniform.
-    CommError::Protocol {
-        from,
-        tag,
-        detail: format!("{what}: {e}"),
-    }
-}
-
-/// Per-source buckets of `(u64, u64)` pairs, indexed by rank.
-pub type PairBuckets = Vec<Vec<(u64, u64)>>;
-
-/// All-to-all exchange of pair buckets. `outgoing[p]` is sent to rank
-/// `p` (the self bucket is delivered locally, unserialized). Returns
-/// per-source incoming buckets (`incoming[me] == outgoing[me]`) and the
-/// wire bytes this rank actually sent.
-pub fn exchange_pairs(
-    rank: &Rank,
-    tag: u32,
-    outgoing: &[Vec<(u64, u64)>],
-) -> Result<(PairBuckets, u64), CommError> {
-    let (me, size) = (rank.rank(), rank.size());
-    debug_assert_eq!(outgoing.len(), size);
-    let mut sent = 0u64;
-    for (p, bucket) in outgoing.iter().enumerate() {
-        if p == me {
-            continue;
-        }
-        let payload = encode_pairs(bucket);
-        sent += payload.len() as u64;
-        rank.send(p, tag, payload)?;
-    }
-    let mut incoming = vec![Vec::new(); size];
-    incoming[me] = outgoing[me].clone();
-    for (p, slot) in incoming.iter_mut().enumerate() {
-        if p == me {
-            continue;
-        }
-        let b = rank.recv(p, tag)?;
-        *slot = decode_pairs(&b).map_err(|e| protocol_err("pair message", p, tag, e))?;
-    }
-    Ok((incoming, sent))
-}
-
-/// All-to-all exchange of address buckets; same contract as
-/// [`exchange_pairs`].
-pub fn exchange_u64s(
-    rank: &Rank,
-    tag: u32,
-    outgoing: &[Vec<u64>],
-) -> Result<(Vec<Vec<u64>>, u64), CommError> {
-    let (me, size) = (rank.rank(), rank.size());
-    debug_assert_eq!(outgoing.len(), size);
-    let mut sent = 0u64;
-    for (p, bucket) in outgoing.iter().enumerate() {
-        if p == me {
-            continue;
-        }
-        let payload = encode_u64s(bucket);
-        sent += payload.len() as u64;
-        rank.send(p, tag, payload)?;
-    }
-    let mut incoming = vec![Vec::new(); size];
-    incoming[me] = outgoing[me].clone();
-    for (p, slot) in incoming.iter_mut().enumerate() {
-        if p == me {
-            continue;
-        }
-        let b = rank.recv(p, tag)?;
-        *slot = decode_u64s(&b).map_err(|e| protocol_err("u64 message", p, tag, e))?;
-    }
-    Ok((incoming, sent))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::Universe;
 
     #[test]
     fn pair_round_trip() {
@@ -167,34 +82,5 @@ mod tests {
         let mut extra = encode_u64s(&[9]).to_vec();
         extra.push(0);
         assert!(decode_u64s(&extra).is_err());
-    }
-
-    #[test]
-    fn all_to_all_routes_buckets() {
-        let results = Universe::run(3, |rank| {
-            let me = rank.rank() as u64;
-            // bucket for p carries (me, p) pairs, p+1 of them
-            let outgoing: Vec<Vec<(u64, u64)>> =
-                (0..3).map(|p| vec![(me, p as u64); p + 1]).collect();
-            let (incoming, sent) = exchange_pairs(rank, 0x4000_0000, &outgoing).unwrap();
-            for (src, bucket) in incoming.iter().enumerate() {
-                assert_eq!(bucket.len(), rank.rank() + 1);
-                assert!(bucket.iter().all(|&(s, d)| s == src as u64 && d == me));
-            }
-            // two peers get buckets of (me+1 ... ) pairs each
-            let expected: u64 = (0..3)
-                .filter(|&p| p != rank.rank())
-                .map(|p| 4 + 16 * (p as u64 + 1))
-                .sum();
-            assert_eq!(sent, expected);
-
-            let addr_out: Vec<Vec<u64>> = (0..3).map(|p| vec![me * 10 + p as u64]).collect();
-            let (addr_in, _) = exchange_u64s(rank, 0x4100_0000, &addr_out).unwrap();
-            for (src, bucket) in addr_in.iter().enumerate() {
-                assert_eq!(bucket, &vec![src as u64 * 10 + me]);
-            }
-            1u32
-        });
-        assert_eq!(results, vec![1, 1, 1]);
     }
 }

@@ -123,6 +123,13 @@ cargo run -q --release -p msp-bench --bin metrics_check
 MSP_SCALE=small MSP_RESULTS_DIR="$tracedir" \
   cargo run -q --release -p msp-bench --bin balance_sweep
 
+# simulator smoke: the figure and table binaries run the stage list on
+# virtual ranks (a panic or error fails the gate)
+for bin in fig5_workloads fig6_sweep fig9_jet fig10_rt table1_merge_cost table2_strategy; do
+  MSP_SCALE=small MSP_RESULTS_DIR="$tracedir" \
+    cargo run -q --release -p msp-bench --bin "$bin" > /dev/null
+done
+
 # benchmark drift report (warn-only): committed BENCH_*.json vs the
 # baselines under results/baselines
 cargo run -q --release -p msp-bench --bin bench_trend

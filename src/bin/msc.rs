@@ -23,6 +23,7 @@ use morse_smale_parallel::grid::rawio::{write_raw, VolumeDType};
 use morse_smale_parallel::grid::Dims;
 use morse_smale_parallel::segment::{wire as segwire, BlockSegmentation};
 use morse_smale_parallel::synth;
+use morse_smale_parallel::telemetry::{check_from_env, progress_interval_from_env};
 use morse_smale_parallel::vmpi::fileio::{read_block_payload, read_footer};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -321,7 +322,7 @@ fn cmd_compute(o: &Opts) -> Result<(), String> {
                 .filter(|s| *s > 0.0 && s.is_finite())
                 .ok_or_else(|| format!("bad value for --progress: {v}"))?,
         ),
-        None => None,
+        None => progress_interval_from_env(),
     };
     let params = PipelineParams {
         persistence_frac: persistence,
@@ -330,7 +331,7 @@ fn cmd_compute(o: &Opts) -> Result<(), String> {
         fault,
         trace: o.has("trace"),
         threads,
-        check: o.has("check"),
+        check: o.has("check") || check_from_env(),
         // the count ordering needs region sizes, so --hierarchy turns
         // the segmentation stage on too
         segment: o.has("segment") || o.has("hierarchy"),

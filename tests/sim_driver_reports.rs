@@ -1,10 +1,14 @@
 //! Integration tests of the simulation driver's report structure: the
 //! quantities the figure binaries print must be internally consistent.
 
-use morse_smale_parallel::core::{simulate, MergePlan, SimParams};
+use morse_smale_parallel::core::{
+    full_merge_plan, simulate, DecompMode, FaultConfig, MergePlan, SimParams, SimReport,
+};
+use morse_smale_parallel::fault::FaultPlan;
 use morse_smale_parallel::grid::Dims;
 use morse_smale_parallel::synth;
 use morse_smale_parallel::vmpi::{IoParams, NetParams};
+use std::time::Duration;
 
 fn base_params(plan: MergePlan) -> SimParams {
     SimParams {
@@ -103,6 +107,105 @@ fn no_merge_means_no_rounds_and_many_outputs() {
     assert_eq!(r.merge_s, r.local_simplify_s, "merge = local simplify only");
 }
 
+/// The deterministic part of a simulated run: everything but the
+/// measured and modeled seconds.
+fn ledger(r: &SimReport) -> String {
+    let rounds: Vec<String> = r
+        .rounds
+        .iter()
+        .map(|x| format!("{}:{}", x.radix, x.bytes_moved))
+        .collect();
+    format!(
+        "out {} {} nodes {} arcs {} th {:#x} rounds [{}] seg {} {} {} {} fault {} {} {}",
+        r.output_blocks,
+        r.output_bytes,
+        r.live_nodes,
+        r.live_arcs,
+        r.threshold.to_bits(),
+        rounds.join(" "),
+        r.seg_rounds,
+        r.seg_forwards,
+        r.seg_bytes,
+        r.seg_output_bytes,
+        r.crashes,
+        r.retries,
+        r.retry_bytes,
+    )
+}
+
+#[test]
+fn deterministic_ledger_is_pinned() {
+    let jet = synth::jet(Dims::new(48, 56, 32), 160, 2012);
+    let jet_run = |p: u32| {
+        let params = SimParams {
+            persistence_frac: 0.01,
+            plan: MergePlan::full_merge(p),
+            ..Default::default()
+        };
+        ledger(&simulate(&jet, p, &params).unwrap())
+    };
+    let noise = synth::white_noise(Dims::cube(13), 3);
+    let seg16 = SimParams {
+        plan: MergePlan::rounds(vec![2, 4]),
+        segment: true,
+        ..base_params(MergePlan::none())
+    };
+    let adaptive = SimParams {
+        plan: full_merge_plan(6),
+        decomp: DecompMode::Adaptive,
+        segment: true,
+        ..base_params(MergePlan::none())
+    };
+    let faulted = |plan: FaultPlan, checkpoint: bool| SimParams {
+        fault: FaultConfig {
+            plan: Some(plan),
+            checkpoint,
+            deadline: Duration::from_millis(250),
+        },
+        ..base_params(MergePlan::full_merge(8))
+    };
+    let got = [
+        jet_run(8),
+        jet_run(32),
+        jet_run(128),
+        ledger(&simulate(&noise, 16, &seg16).unwrap()),
+        ledger(&simulate(&noise, 6, &adaptive).unwrap()),
+        ledger(&simulate(&noise, 8, &faulted(FaultPlan::new().crash(3, 1), true)).unwrap()),
+        ledger(
+            &simulate(
+                &noise,
+                8,
+                &faulted(FaultPlan::new().drop_msg(1, 0, 1), false),
+            )
+            .unwrap(),
+        ),
+    ];
+    // captured from the simulator before the stage list was shared with
+    // the threaded backend; `fig9_jet`'s small points come first
+    let want = [
+        "out 1 979400 nodes 4977 arcs 51326 th 0x3c656042 rounds [8:944643] \
+         seg 0 0 0 0 fault 0 0 0",
+        "out 1 929940 nodes 4963 arcs 51690 th 0x3c656042 rounds [4:819186 8:911908] \
+         seg 0 0 0 0 fault 0 0 0",
+        "out 1 756791 nodes 4937 arcs 40432 th 0x3c656042 \
+         rounds [2:697402 8:1002372 8:770602] seg 0 0 0 0 fault 0 0 0",
+        "out 2 82787 nodes 1596 arcs 5011 th 0x3ca396c8 rounds [2:57000 4:73905] \
+         seg 2 136 30224 25352 fault 0 0 0",
+        "out 1 76183 nodes 1327 arcs 4600 th 0x3ca396c8 rounds [8:80206] \
+         seg 2 101 14384 21640 fault 0 0 0",
+        // re-pinned on purpose: the crashed member ships nothing, so its
+        // 11155 bytes leave `bytes_moved` (85975 before) and stay in
+        // `retry_bytes`, the root's replay from its checkpoint
+        "out 1 75980 nodes 1327 arcs 4571 th 0x3ca396c8 rounds [8:74820] \
+         seg 0 0 0 0 fault 1 1 11155",
+        "out 1 75980 nodes 1327 arcs 4571 th 0x3ca396c8 rounds [8:85975] \
+         seg 0 0 0 0 fault 0 1 11300",
+    ];
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g, w);
+    }
+}
+
 #[test]
 fn live_counts_match_threaded_backend_across_plans() {
     use morse_smale_parallel::core::{run_parallel, Input, PipelineParams};
@@ -141,4 +244,27 @@ fn live_counts_match_threaded_backend_across_plans() {
         assert_eq!(sim.live_arcs, thr_arcs);
         assert_eq!(sim.output_bytes, thr.output_bytes);
     }
+}
+
+#[test]
+fn both_backends_report_a_non_finite_value_as_the_same_error() {
+    use morse_smale_parallel::core::{run_parallel, Input, PipelineParams};
+    use morse_smale_parallel::grid::ScalarField;
+    use std::sync::Arc;
+    let noise = synth::white_noise(Dims::cube(9), 4);
+    let field = ScalarField::from_fn(noise.dims(), |x, y, z| match (x, y, z) {
+        (4, 4, 4) => f32::INFINITY,
+        _ => noise.value(x, y, z),
+    });
+    let sim = simulate(&field, 1, &SimParams::default()).unwrap_err();
+    let input = Input::Memory(Arc::new(field));
+    let thr = run_parallel(&input, 1, 1, &PipelineParams::default(), None).err();
+    let thr = thr.expect("a non-finite node value fails the threaded run");
+    let want = "simplifying block 0: node at address ";
+    assert!(thr.to_string().starts_with(want), "{thr}");
+    assert!(
+        thr.to_string().ends_with(" has non-finite value inf"),
+        "{thr}"
+    );
+    assert_eq!(sim.to_string(), thr.to_string(), "same block, same address");
 }

@@ -125,3 +125,35 @@ fn crash_recovery_attributes_replayed_slots_to_recovering_ranks() {
         m.edges
     );
 }
+
+#[test]
+fn simulated_crash_trace_pairs_messages_and_charges_the_root() {
+    use morse_smale_parallel::core::{simulate, SimParams};
+    let field = synth::gaussian_bumps(Dims::cube(17), 3, 0.12, 41);
+    // rank 3 dies at the round-1 cut of a radix-8 full merge: root 0
+    // waits out the deadline and replays block 3 from its checkpoint
+    let params = SimParams {
+        persistence_frac: 0.02,
+        plan: MergePlan::full_merge(8),
+        trace: true,
+        fault: FaultConfig::with_plan(FaultPlan::new().crash(3, 1)),
+        ..Default::default()
+    };
+    let r = simulate(&field, 8, &params).unwrap();
+    assert_eq!(r.crashes, 1);
+    let tr = r.trace.as_ref().expect("trace requested");
+    let m = tr.match_messages();
+    assert!(!m.edges.is_empty());
+    assert!(m.unmatched_recvs.is_empty(), "{:?}", m.unmatched_recvs);
+    assert!(m.unmatched_sends.is_empty(), "{:?}", m.unmatched_sends);
+    for e in &m.edges {
+        assert!(e.t_recv_ns >= e.t_send_ns, "causality on the virtual clock");
+    }
+    let t0 = tr.ranks.iter().find(|t| t.rank == 0).unwrap();
+    assert_eq!(t0.timeouts.len(), 1, "the crash's timeout is the one gap");
+    assert_eq!(t0.timeouts[0].src, 3);
+    assert!(t0.span_seconds("recover") > 0.0, "the root owns the replay");
+    let cp = tr.critical_path().expect("non-empty trace has a path");
+    assert!(cp.total_ns > 0);
+    assert!(cp.total_ns as f64 * 1e-9 <= r.total_s * (1.0 + 1e-9));
+}
