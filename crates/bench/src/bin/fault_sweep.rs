@@ -9,7 +9,8 @@
 //! Two claims are measured: (1) checkpointing alone (fault rate 0) costs
 //! little — the acceptance bar is <15% over baseline; (2) recovered runs
 //! stay *bit-identical* to the fault-free result while paying only the
-//! detection deadline + replay cost per crash.
+//! detection deadline + replay cost per crash. The second is asserted:
+//! the binary fails if any recovered run differs from the baseline.
 
 use msp_bench::{emit_doc, emit_trace, trace_enabled, Scale, Table};
 use msp_core::{run_parallel, FaultConfig, Input, MergePlan, PipelineParams};
@@ -74,6 +75,7 @@ fn main() {
     ]);
 
     let mut runs = Vec::new();
+    let mut diverged = Vec::new();
     for rate in [0.0f64, 0.02, 0.05, 0.10] {
         let plan = (rate > 0.0)
             .then(|| FaultPlan::seeded_crashes(2012, RANKS as usize, ROUNDS.len() as u32, rate));
@@ -97,6 +99,9 @@ fn main() {
                 .all(|(c, want)| msp_complex::wire::serialize(c) == *want);
         let tel = &r.telemetry;
         let label = format!("{:.0}%", rate * 100.0);
+        if !identical {
+            diverged.push(label.clone());
+        }
         t.row(&[
             label.clone(),
             format!("{wall_s:.3}"),
@@ -157,5 +162,9 @@ fn main() {
          {}ms detection deadline plus one round replay, and every\n\
          recovered run stays bit-identical to the baseline.",
         deadline.as_millis()
+    );
+    assert!(
+        diverged.is_empty(),
+        "recovered runs differ from the baseline at fault rate(s) {diverged:?}"
     );
 }

@@ -90,11 +90,19 @@ fn arc_deltas(ms: &MsComplex) -> impl Iterator<Item = [u64; 3]> + '_ {
 /// Panics if the complex still contains tombstones — call
 /// [`MsComplex::compact`] first.
 pub fn serialize(ms: &MsComplex) -> Bytes {
+    let mut buf = Vec::with_capacity(estimate_size(ms));
+    serialize_into(ms, &mut buf);
+    debug_assert_eq!(buf.len(), estimate_size(ms));
+    Bytes::from(buf)
+}
+
+/// [`serialize`], appended to `buf` (which grows as needed): the entry
+/// point for a container that embeds payloads, such as a checkpoint.
+pub fn serialize_into(ms: &MsComplex, buf: &mut Vec<u8>) {
     assert!(
         ms.nodes.iter().all(|n| n.alive) && ms.arcs.iter().all(|a| a.alive),
         "serialize requires a compacted complex"
     );
-    let mut buf = Vec::with_capacity(estimate_size(ms));
     buf.put_slice(MAGIC);
     buf.put_u64_le(ms.refined.rx);
     buf.put_u64_le(ms.refined.ry);
@@ -118,10 +126,10 @@ pub fn serialize(ms: &MsComplex) -> Bytes {
         match *g {
             GeomRec::Leaf { offset, bytes, len } => {
                 buf.push(TAG_LEAF);
-                put_varint(&mut buf, u64::from(len));
+                put_varint(buf, u64::from(len));
                 if len > 0 {
                     let (start, codes) = ms.leaf_parts(offset, bytes);
-                    put_varint(&mut buf, zigzag(start.wrapping_sub(prev_start) as i64));
+                    put_varint(buf, zigzag(start.wrapping_sub(prev_start) as i64));
                     prev_start = start;
                     buf.extend_from_slice(codes);
                 }
@@ -129,7 +137,7 @@ pub fn serialize(ms: &MsComplex) -> Bytes {
             GeomRec::Cancel { first, mid, last } => {
                 buf.push(TAG_CANCEL);
                 for child in [first, mid, last] {
-                    put_varint(&mut buf, (i - 1 - child as usize) as u64);
+                    put_varint(buf, (i - 1 - child as usize) as u64);
                 }
             }
         }
@@ -137,11 +145,9 @@ pub fn serialize(ms: &MsComplex) -> Bytes {
     buf.put_u32_le(ms.arcs.len() as u32);
     for d in arc_deltas(ms) {
         for v in d {
-            put_varint(&mut buf, v);
+            put_varint(buf, v);
         }
     }
-    debug_assert_eq!(buf.len(), estimate_size(ms));
-    Bytes::from(buf)
 }
 
 /// Exact serialized size of a compacted complex, in one pass (used for

@@ -51,7 +51,10 @@ pub struct FaultConfig {
     pub checkpoint: bool,
     /// How long a root waits for a group member's merge message before
     /// declaring it dead and recovering (on the simulator: the modeled
-    /// wait). Only applied while a fault config is active.
+    /// wait). On the threaded backend it also bounds every other receive:
+    /// the run fails once all ranks have waited this long for messages
+    /// that cannot come (a lost collective message). Only applied while a
+    /// fault config is active.
     pub deadline: Duration,
 }
 
@@ -450,6 +453,12 @@ impl<'r> Threaded<'r> {
         // parallelism, where oversubscribing buys nothing.
         let host = available_threads();
         let threads = params.threads.unwrap_or(host).min(host).max(1);
+        // With faults active no receive may hang: one that names no
+        // deadline of its own (collectives, barriers, the all-to-all)
+        // fails once the whole universe has waited a deadline for a
+        // message that cannot come.
+        let fault = &params.fault;
+        comm.set_stall_deadline(fault.active().then_some(fault.deadline));
         Threaded {
             comm,
             rec,

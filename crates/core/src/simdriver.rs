@@ -520,6 +520,7 @@ impl Node for VRank<'_> {
             }
             return Err(CommError::Timeout {
                 from: from as usize,
+                to: self.p as usize,
                 tag,
                 waited,
             });

@@ -26,14 +26,16 @@
 //! Every merge-round boundary is a consistent cut: all messages of round
 //! *k* are matched before anyone enters round *k + 1*. With a
 //! [`FaultConfig`](crate::FaultConfig) active, each rank saves a
-//! [`Checkpoint`] of its living complexes at every cut (and once more
-//! before the write). An injected crash destroys a rank's state at the
-//! cut; the rank restarts from its own checkpoint, while the roots
-//! expecting its merge messages detect the failure by receive deadline
-//! and replay the lost round from the dead rank's checkpoint —
-//! bit-identical to the fault-free run. Without a checkpoint the run
-//! degrades instead of dying: the root absorbs the orphaned block and
-//! the loss is counted (`blocks_absorbed`).
+//! checkpoint of its living complexes at every cut (and once more
+//! before the write). The slots are serialized once, at the cut: the
+//! same bytes go into the checkpoint, out with the round's ship and,
+//! at the pre-write cut, into the output file. An injected crash
+//! destroys a rank's state at the cut; the rank restarts from its own
+//! checkpoint, while the roots expecting its merge messages detect the
+//! failure by receive deadline and replay the lost round from the dead
+//! rank's checkpoint — bit-identical to the fault-free run. Without a
+//! checkpoint the run degrades instead of dying: the root absorbs the
+//! orphaned block and the loss is counted (`blocks_absorbed`).
 
 use crate::pipeline::{
     comm_err, io_err, msh_output_path, seg_output_path, PipelineError, PipelineParams,
@@ -42,7 +44,7 @@ use crate::sched::{feature_weights, Assignment, Layout, MergeSchedule};
 use bytes::Bytes;
 use msp_complex::glue::glue_all;
 use msp_complex::{complex_from_gradient_mt, simplify_forwarding, wire, MsComplex, SimplifyParams};
-use msp_fault::{Checkpoint, CheckpointStore};
+use msp_fault::{encode_slots, CheckpointStore, CheckpointView};
 use msp_grid::par::{par_map, par_map_mut};
 use msp_grid::rawio::{block_bytes, read_block, read_raw, VolumeDType};
 use msp_grid::{BlockField, Decomposition, Dims, ScalarField};
@@ -87,7 +89,9 @@ pub(crate) trait Node {
     /// Run `f` as one occurrence of compute phase `phase`.
     fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R;
     fn send(&mut self, to: u32, tag: u32, payload: Bytes) -> Result<(), CommError>;
-    /// Receive a message sent in an earlier step; `None` waits forever.
+    /// Receive a message sent in an earlier step; `None` waits as long
+    /// as the machine allows (the threaded machine fails a faulted run
+    /// whose ranks all wait a deadline on messages that cannot come).
     fn recv(&mut self, from: u32, tag: u32, deadline: Option<Duration>)
         -> Result<Bytes, CommError>;
     /// Run a recovery that loads `f`'s byte count from `from`'s
@@ -259,6 +263,9 @@ struct RankState {
     blocks: Vec<u32>,
     fields: HashMap<u32, BlockField>,
     complexes: HashMap<u32, MsComplex>,
+    /// The MSC3 bytes each slot had at the latest checkpoint cut, for
+    /// the ship or write that follows it while the slot is unchanged.
+    cut: HashMap<u32, Bytes>,
     /// Block segmentations stay on the rank that computed them.
     segs: HashMap<u32, BlockSegmentation>,
     /// Forward entries of cancelled extrema awaiting their routed flush.
@@ -489,24 +496,19 @@ impl<M: Machine> Run<'_, M> {
     }
 
     /// Snapshot every living complex into the checkpoint store at merge
-    /// cursor `cursor` (when checkpointing is on).
+    /// cursor `cursor` (when checkpointing is on), serializing each slot
+    /// once: its bytes stay in `cut` for the ship or write that follows.
     fn checkpoint(&mut self, cursor: u32) {
         let (job, threshold) = (self.job, self.sp.threshold);
         if !job.params.fault.checkpoint {
             return;
         }
         let bytes = self.m.each(&mut self.st, |node, s| {
-            let mut slots: Vec<(u32, MsComplex)> =
-                s.complexes.iter().map(|(b, c)| (*b, c.clone())).collect();
-            slots.sort_by_key(|(b, _)| *b);
-            let (rank, round) = (s.p, cursor);
-            let encoded = Checkpoint {
-                rank,
-                round,
-                threshold,
-                slots,
-            }
-            .encode();
+            let mut blocks: Vec<u32> = s.complexes.keys().copied().collect();
+            blocks.sort_unstable();
+            let slots = blocks.iter().map(|b| (*b, &s.complexes[b]));
+            let (encoded, payloads) = encode_slots(s.p, cursor, threshold, slots);
+            s.cut = blocks.into_iter().zip(payloads).collect();
             let n = encoded.len() as u64;
             node.add(Counter::CheckpointBytes, n);
             job.store.save(s.p, cursor, encoded);
@@ -527,6 +529,7 @@ impl<M: Machine> Run<'_, M> {
             }
             node.add(Counter::Crashes, 1);
             s.complexes.clear();
+            s.cut.clear();
             // nothing ships between here and the write: a full restore
             restore(node, job, s, cursor, &[])
         }))
@@ -783,11 +786,18 @@ impl<M: Machine> Run<'_, M> {
         self.progress(ProgressPhase::Write);
         self.m.begin(Phase::Write);
         let fault_active = job.params.fault.active();
+        // Each output is serialized once, path or no path (the lengths
+        // are the run's `output_bytes`), or not at all after a pre-write
+        // cut, whose bytes it still has.
         let outputs = all(self.m.each(&mut self.st, |node, s| {
-            let mut outs = Vec::new();
+            let (mut outs, mut blocks) = (Vec::new(), Vec::new());
             for slot in job.outputs_of(s.p) {
                 match s.complexes.remove(&slot) {
-                    Some(c) => outs.push((slot, c)),
+                    Some(c) => {
+                        let bytes = s.cut.remove(&slot);
+                        blocks.push((slot, bytes.unwrap_or_else(|| wire::serialize(&c))));
+                        outs.push((slot, c));
+                    }
                     // Degraded: the slot died with a rank that had no
                     // checkpoint; the run completes without it.
                     None if fault_active => node.add(Counter::BlocksAbsorbed, 1),
@@ -799,19 +809,11 @@ impl<M: Machine> Run<'_, M> {
                     }
                 }
             }
-            Ok(outs)
+            Ok((outs, blocks))
         }))?;
+        let (outputs, blocks): (Vec<_>, _) = outputs.into_iter().unzip();
         let mut out = RankOut::default();
-        // Serialized once, path or no path: the lengths are the run's
-        // `output_bytes`.
-        let blocks = outputs
-            .iter()
-            .map(|o| o.iter().map(|(s, c)| (*s, wire::serialize(c))));
-        (out.footer, out.output_bytes) = self.write_file(
-            Output::Complex,
-            output,
-            blocks.map(Iterator::collect).collect(),
-        )?;
+        (out.footer, out.output_bytes) = self.write_file(Output::Complex, output, blocks)?;
         out.outputs = outputs.into_iter().flatten().collect();
         let st = self.st.iter_mut();
         let segs: Vec<Vec<BlockSegmentation>> = (st.map(|s| {
@@ -981,11 +983,14 @@ fn simplify(
     Ok((st.cancellations, fw.unwrap_or_default()))
 }
 
-/// The send half of round `r`. An injected crash destroys the rank's
+/// The send half of round `r`, shipping each member slot as the bytes
+/// of the cut when there was one. An injected crash destroys the rank's
 /// state at the cut: it ships nothing, and restores from its own
 /// checkpoint all but the slots whose custody passed to their roots.
 fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
     let crashed = job.should_crash(s.p, r as u32 + 1);
+    // the slots left after the ship are this round's to change
+    let mut cut = std::mem::take(&mut s.cut);
     if crashed {
         node.add(Counter::Crashes, 1);
         s.complexes.clear();
@@ -1007,7 +1012,7 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
             let ms = s.complexes.remove(&mb).ok_or(missing)?;
             node.add(Counter::NodesShipped, ms.n_live_nodes());
             node.add(Counter::ArcsShipped, ms.n_live_arcs());
-            let payload = wire::serialize(&ms);
+            let payload = cut.remove(&mb).unwrap_or_else(|| wire::serialize(&ms));
             node.add(Counter::ShipBytes, payload.len() as u64);
             if let Some(st) = &job.progress {
                 st.add_bytes(payload.len() as u64);
@@ -1023,22 +1028,23 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
     Ok(())
 }
 
-/// Reload this rank's own checkpoint at `cursor`, except the slots in
-/// `skip`. Without a checkpoint its blocks stay lost (degraded mode).
+/// Reload this rank's own checkpoint at `cursor`, decoding all but the
+/// slots in `skip`. Without a checkpoint its blocks stay lost (degraded
+/// mode).
 fn restore<N: Node>(node: &mut N, job: &Job, s: &mut RankState, cursor: u32, skip: &[u32]) -> Res {
-    let (ck, took) = node.recover(s.p, || match job.store.load(s.p, cursor) {
-        Some(encoded) => (Some(Checkpoint::decode(&encoded)), encoded.len() as u64),
+    let (kept, took) = node.recover(s.p, || match job.store.load(s.p, cursor) {
+        Some(encoded) => {
+            let view = CheckpointView::parse(&encoded);
+            let kept = view.and_then(|v| v.decode(|slot| !skip.contains(&slot)));
+            (Some(kept), encoded.len() as u64)
+        }
         None => (None, 0),
     });
-    if let Some(ck) = ck {
-        let ck = ck.map_err(|source| PipelineError::Checkpoint {
+    if let Some(kept) = kept {
+        let kept = kept.map_err(|source| PipelineError::Checkpoint {
             context: format!("restoring rank {} at round cursor {cursor}", s.p),
             source,
         })?;
-        let kept = ck
-            .slots
-            .into_iter()
-            .filter(|(slot, _)| !skip.contains(slot));
         s.complexes.extend(kept);
         node.add(Counter::RoundsReplayed, 1);
     }
@@ -1079,17 +1085,17 @@ fn glue_groups<N: Node>(
                 })?),
                 Err(CommError::Timeout { waited, .. }) => {
                     node.add(Counter::Retries, 1);
+                    // only the lost slot is decoded, and its payload is
+                    // what the re-ship costs
                     let (ms, took) = node.recover(owner, || {
-                        let ck = job
-                            .store
-                            .load(owner, r as u32)
-                            .map(|b| Checkpoint::decode(&b));
-                        let ms = ck
-                            .transpose()
-                            .map(|ck| ck.and_then(|ck| ck.slot(mb).cloned()));
-                        let bytes = ms.as_ref().ok().and_then(Option::as_ref);
-                        let bytes = bytes.map_or(0, |ms| wire::estimate_size(ms) as u64);
-                        (ms, bytes)
+                        let Some(encoded) = job.store.load(owner, r as u32) else {
+                            return (Ok(None), 0);
+                        };
+                        let view = CheckpointView::parse(&encoded);
+                        let payload = view.as_ref().ok().and_then(|v| v.slot(mb));
+                        let bytes = payload.map_or(0, |p| p.len() as u64);
+                        let ms = view.and_then(|v| v.decode(|slot| slot == mb));
+                        (ms.map(|mut slots| slots.pop().map(|(_, ms)| ms)), bytes)
                     });
                     let ms = ms.map_err(|source| PipelineError::Checkpoint {
                         context: format!("recovering slot {mb} from rank {owner} at round {r}"),

@@ -22,16 +22,41 @@
 //! crc     u32        CRC-32 (IEEE) over everything above
 //! ```
 //!
-//! The version stays 1 across wire format changes: this layout is
-//! unchanged, and each slot payload names its own format in its magic.
+//! ## Encoding: one serialization per slot
+//!
+//! A cut costs one serialization of each living slot and one CRC pass,
+//! nothing more. [`encode_slots`] writes the header, serializes each
+//! complex straight into the MSK1 buffer behind its `(block, len)` prefix
+//! (`wire::serialize_into`: no clone, no temporary payload, no sizing
+//! pass) and appends the CRC. It hands back, beside the checkpoint, each
+//! slot's MSC3 payload as a view into that buffer: the bytes the merge
+//! round ships and the write stores, so no slot is serialized twice and
+//! none is copied. [`Checkpoint::encode`] is the same encoder.
+//!
+//! Decoding goes through [`CheckpointView`], which checks magic, CRC,
+//! version and the slot table once and decodes no slot; a root replaying
+//! one lost member decodes that member's slot only.
+//!
+//! ## Why the version stays 1
+//!
+//! The layout above is the one version 1 has always had: the encoders
+//! are new ways of producing the same bytes (pinned below by
+//! `encoded_bytes_match_the_pinned_hash`), and a wire format change
+//! needs no checkpoint version because each slot payload names its own
+//! format in its magic.
 
 use crate::crc32;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use msp_complex::wire::{self, WireError};
 use msp_complex::MsComplex;
 
 const MAGIC: &[u8; 4] = b"MSK1";
 const VERSION: u16 = 1;
+/// Magic, version, rank, round, threshold and slot count.
+const HEADER_BYTES: usize = 4 + 2 + 4 + 4 + 4 + 4;
+/// A slot's block id and payload length.
+const SLOT_BYTES: usize = 8;
+const CRC_BYTES: usize = 4;
 
 /// One rank's recoverable state at a merge-round boundary.
 #[derive(Debug, Clone)]
@@ -47,7 +72,7 @@ pub struct Checkpoint {
     pub slots: Vec<(u32, MsComplex)>,
 }
 
-/// Errors from [`Checkpoint::decode`].
+/// Errors from [`Checkpoint::decode`] and [`CheckpointView::parse`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum CheckpointError {
     BadMagic,
@@ -58,6 +83,8 @@ pub enum CheckpointError {
         expected: u32,
         found: u32,
     },
+    /// The buffer ends early, or declares more slots or payload bytes
+    /// than it holds (checked before allocating for them).
     Truncated,
     /// A slot's embedded complex failed wire decoding.
     Wire(WireError),
@@ -88,44 +115,85 @@ impl From<WireError> for CheckpointError {
     }
 }
 
+/// The MSK1 bytes of `rank`'s cut at merge cursor `round`, holding
+/// `slots` (`(block id, complex)`, stored in the order given), and each
+/// slot's MSC3 payload as a view into them, in the same order. Complexes
+/// must be compacted (the wire layer requires it).
+pub fn encode_slots<'a>(
+    rank: u32,
+    round: u32,
+    threshold: f32,
+    slots: impl ExactSizeIterator<Item = (u32, &'a MsComplex)>,
+) -> (Bytes, Vec<Bytes>) {
+    let mut buf = Vec::new();
+    buf.put_slice(MAGIC);
+    buf.put_u16_le(VERSION);
+    buf.put_u32_le(rank);
+    buf.put_u32_le(round);
+    buf.put_f32_le(threshold);
+    buf.put_u32_le(slots.len() as u32);
+    let mut spans = Vec::with_capacity(slots.len());
+    for (block, complex) in slots {
+        buf.put_u32_le(block);
+        let len_at = buf.len();
+        buf.put_u32_le(0);
+        wire::serialize_into(complex, &mut buf);
+        let span = len_at + 4..buf.len();
+        let len = u32::try_from(span.len()).expect("an MSK1 slot holds under 4 GiB");
+        buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+        spans.push(span);
+    }
+    let crc = crc32::checksum(&buf);
+    buf.put_u32_le(crc);
+    let encoded = Bytes::from(buf);
+    let payloads = spans.into_iter().map(|s| encoded.slice(s)).collect();
+    (encoded, payloads)
+}
+
 impl Checkpoint {
-    /// Serialize to the versioned, CRC-protected format. Complexes must
-    /// be compacted (the wire layer requires it).
+    /// Serialize to the versioned, CRC-protected format ([`encode_slots`]).
     pub fn encode(&self) -> Bytes {
-        let body: usize = self
-            .slots
-            .iter()
-            .map(|(_, c)| 8 + wire::estimate_size(c))
-            .sum();
-        let mut buf = BytesMut::with_capacity(4 + 2 + 4 + 4 + 4 + 4 + body + 4);
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u32_le(self.rank);
-        buf.put_u32_le(self.round);
-        buf.put_f32_le(self.threshold);
-        buf.put_u32_le(self.slots.len() as u32);
-        for (block, complex) in &self.slots {
-            let payload = wire::serialize(complex);
-            buf.put_u32_le(*block);
-            buf.put_u32_le(payload.len() as u32);
-            buf.put_slice(&payload);
-        }
-        let crc = crc32::checksum(&buf);
-        buf.put_u32_le(crc);
-        buf.freeze()
+        let slots = self.slots.iter().map(|(b, c)| (*b, c));
+        encode_slots(self.rank, self.round, self.threshold, slots).0
     }
 
     /// Decode and fully validate (magic, version, CRC, every embedded
     /// complex).
     pub fn decode(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        if data.len() < 4 + 2 + 4 + 4 + 4 + 4 + 4 {
+        let view = CheckpointView::parse(data)?;
+        Ok(Checkpoint {
+            rank: view.rank,
+            round: view.round,
+            threshold: view.threshold,
+            slots: view.decode(|_| true)?,
+        })
+    }
+}
+
+/// A checkpoint whose magic, CRC, version and slot table are checked but
+/// whose slots are still MSC3 payloads, decoded only on request.
+#[derive(Debug)]
+pub struct CheckpointView<'a> {
+    pub rank: u32,
+    pub round: u32,
+    pub threshold: f32,
+    /// `(block id, MSC3 payload)` per slot, in stored order.
+    pub slots: Vec<(u32, &'a [u8])>,
+}
+
+impl<'a> CheckpointView<'a> {
+    /// Check `data` in the order magic → CRC → version → slot table →
+    /// trailing bytes. Every declared count and length is checked
+    /// against the bytes that remain before anything is allocated.
+    pub fn parse(data: &'a [u8]) -> Result<CheckpointView<'a>, CheckpointError> {
+        if data.len() < HEADER_BYTES + CRC_BYTES {
             return Err(CheckpointError::Truncated);
         }
         if &data[..4] != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
-        let (body, crc_bytes) = data.split_at(data.len() - 4);
-        let found = u32::from_le_bytes(crc_bytes.try_into().unwrap());
+        let (body, crc_bytes) = data.split_at(data.len() - CRC_BYTES);
+        let found = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
         let expected = crc32::checksum(body);
         if expected != found {
             return Err(CheckpointError::BadCrc { expected, found });
@@ -139,9 +207,12 @@ impl Checkpoint {
         let round = buf.get_u32_le();
         let threshold = buf.get_f32_le();
         let n_slots = buf.get_u32_le() as usize;
+        if n_slots > buf.remaining() / SLOT_BYTES {
+            return Err(CheckpointError::Truncated);
+        }
         let mut slots = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {
-            if buf.remaining() < 8 {
+            if buf.remaining() < SLOT_BYTES {
                 return Err(CheckpointError::Truncated);
             }
             let block = buf.get_u32_le();
@@ -149,16 +220,16 @@ impl Checkpoint {
             if buf.remaining() < len {
                 return Err(CheckpointError::Truncated);
             }
-            let complex = wire::deserialize(&buf[..len])?;
-            buf.advance(len);
-            slots.push((block, complex));
+            let (payload, rest) = buf.split_at(len);
+            slots.push((block, payload));
+            buf = rest;
         }
-        if buf.remaining() > 0 {
+        if !buf.is_empty() {
             return Err(CheckpointError::Wire(WireError::Corrupt(
                 "trailing bytes after last slot",
             )));
         }
-        Ok(Checkpoint {
+        Ok(CheckpointView {
             rank,
             round,
             threshold,
@@ -166,16 +237,33 @@ impl Checkpoint {
         })
     }
 
-    /// The complex checkpointed for `block`, if present.
-    pub fn slot(&self, block: u32) -> Option<&MsComplex> {
-        self.slots.iter().find(|(b, _)| *b == block).map(|(_, c)| c)
+    /// The MSC3 payload checkpointed for `block`, if present.
+    pub fn slot(&self, block: u32) -> Option<&'a [u8]> {
+        self.slots
+            .iter()
+            .find(|(b, _)| *b == block)
+            .map(|(_, p)| *p)
+    }
+
+    /// Decode the slots whose block `keep` accepts, in stored order.
+    pub fn decode(
+        &self,
+        keep: impl Fn(u32) -> bool,
+    ) -> Result<Vec<(u32, MsComplex)>, CheckpointError> {
+        let kept = self.slots.iter().filter(|(block, _)| keep(*block));
+        kept.map(|&(block, payload)| Ok((block, wire::deserialize(payload)?)))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msp_complex::build_block_complex;
+    use msp_complex::simplify::{simplify, SimplifyParams};
+    use msp_grid::decomp::Decomposition;
     use msp_grid::dims::RefinedDims;
+    use msp_grid::Dims;
 
     fn sample_complex(blocks: Vec<u32>, n_nodes: u32) -> MsComplex {
         let refined = RefinedDims {
@@ -212,6 +300,62 @@ mod tests {
         }
     }
 
+    /// Rank 1's cut at cursor 2 holding blocks 0 and 1 of
+    /// `bisect(dims, 8)` over noise of side `n`, each traced and
+    /// simplified locally at 1 % of the value range, as the pipeline's
+    /// local stage leaves them.
+    fn real_checkpoint(n: u32) -> Checkpoint {
+        let field = msp_synth::white_noise(Dims::cube(n), 1);
+        let (lo, hi) = field.min_max();
+        let threshold = 0.01 * (hi - lo);
+        let d = Decomposition::bisect(field.dims(), 8);
+        let slots = (0..2)
+            .map(|b| {
+                let bf = field.extract_block(d.block(b));
+                let (mut ms, _) = build_block_complex(&bf, &d, Default::default());
+                simplify(&mut ms, SimplifyParams::up_to(threshold)).unwrap();
+                ms.compact();
+                (b, ms)
+            })
+            .collect();
+        Checkpoint {
+            rank: 1,
+            round: 2,
+            threshold,
+            slots,
+        }
+    }
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a-64 of `real_checkpoint(17).encode()`. It moves only when
+    /// the MSK1 layout or the MSC3 wire format changes on purpose (or the
+    /// local stage changes the complexes); a new encoder must not move it.
+    const PINNED_MSK1: u64 = 0xc9c3_28dd_af1a_6a46;
+
+    #[test]
+    fn encoded_bytes_match_the_pinned_hash() {
+        let got = fnv1a64(&real_checkpoint(17).encode());
+        assert_eq!(got, PINNED_MSK1, "encoded now: {got:#018x}");
+    }
+
+    #[test]
+    fn slot_views_are_the_wire_payloads() {
+        let ck = real_checkpoint(9);
+        let slots = ck.slots.iter().map(|(b, c)| (*b, c));
+        let (encoded, payloads) = encode_slots(ck.rank, ck.round, ck.threshold, slots);
+        assert_eq!(encoded, ck.encode());
+        let view = CheckpointView::parse(&encoded).unwrap();
+        for ((b, c), (p, (vb, vp))) in ck.slots.iter().zip(payloads.iter().zip(&view.slots)) {
+            assert_eq!(*p, wire::serialize(c));
+            assert_eq!((b, &p[..]), (vb, *vp));
+        }
+    }
+
     #[test]
     fn round_trip_preserves_everything() {
         let ck = sample_checkpoint();
@@ -227,8 +371,22 @@ mod tests {
             // equality of re-serialization proves structural equality
             assert_eq!(wire::serialize(c0), wire::serialize(c1));
         }
-        assert_eq!(back.slot(5).unwrap().nodes.len(), 3);
-        assert!(back.slot(7).is_none());
+        assert_eq!(back.slots[1].1.nodes.len(), 3);
+    }
+
+    #[test]
+    fn view_hands_out_one_slot_undecoded() {
+        let ck = sample_checkpoint();
+        let bytes = ck.encode();
+        let view = CheckpointView::parse(&bytes).unwrap();
+        assert_eq!((view.rank, view.round), (3, 2));
+        assert_eq!(view.slots.len(), 3);
+        let payload = view.slot(5).unwrap();
+        assert_eq!(payload, &wire::serialize(&ck.slots[1].1)[..]);
+        assert!(view.slot(7).is_none());
+        let five = view.decode(|b| b == 5).unwrap();
+        assert_eq!(five.len(), 1);
+        assert_eq!(wire::serialize(&five[0].1), wire::serialize(&ck.slots[1].1));
     }
 
     #[test]
@@ -259,19 +417,63 @@ mod tests {
         );
     }
 
+    /// Overwrite the CRC so only the edited field is at fault.
+    fn reseal(bad: &mut [u8]) {
+        let n = bad.len();
+        let crc = crc32::checksum(&bad[..n - 4]);
+        bad[n - 4..].copy_from_slice(&crc.to_le_bytes());
+    }
+
     #[test]
     fn future_version_is_rejected() {
         let bytes = sample_checkpoint().encode();
         let mut bad = bytes.to_vec();
         bad[4] = 99; // version field, little-endian low byte
-        let n = bad.len();
-        // re-seal the CRC so only the version is at fault
-        let crc = crc32::checksum(&bad[..n - 4]);
-        bad[n - 4..].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut bad);
         assert_eq!(
             Checkpoint::decode(&bad).err(),
             Some(CheckpointError::BadVersion(99))
         );
+    }
+
+    #[test]
+    fn huge_slot_count_is_refused_before_allocating() {
+        let mut bad = sample_checkpoint().encode().to_vec();
+        bad[18..22].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut bad);
+        assert_eq!(
+            Checkpoint::decode(&bad).err(),
+            Some(CheckpointError::Truncated)
+        );
+    }
+
+    #[test]
+    fn hostile_checkpoints_never_panic() {
+        let ck = real_checkpoint(7);
+        assert_eq!(ck.slots.len(), 2);
+        let bytes = ck.encode().to_vec();
+        assert!(Checkpoint::decode(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert!(Checkpoint::decode(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
+        let mut flipped = bytes.clone();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                assert!(Checkpoint::decode(&flipped).is_err(), "byte {at} bit {bit}");
+                flipped[at] ^= 1 << bit;
+            }
+        }
+        // the same flips with the CRC re-sealed, over the header and the
+        // first slot's prefix: the slot table itself must hold
+        for at in 0..HEADER_BYTES + SLOT_BYTES {
+            for bit in 0..8 {
+                let mut b = bytes.clone();
+                b[at] ^= 1 << bit;
+                reseal(&mut b);
+                let _ = Checkpoint::decode(&b);
+            }
+        }
     }
 
     #[test]

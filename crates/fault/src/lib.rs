@@ -21,15 +21,15 @@
 //!   for stable storage, from which survivors reload a dead peer's
 //!   state to replay the affected round.
 //!
-//! The recovery protocol itself lives in `msp-core::pipeline` (threaded
-//! runs) and `msp-core::simdriver` (modeled runs); this crate only
-//! provides the deterministic inputs and durable state they need.
+//! The recovery protocol itself lives in `msp-core`'s stage list, which
+//! both the threaded and the simulated backend run; this crate only
+//! provides the deterministic inputs and durable state it needs.
 
 pub mod checkpoint;
 pub mod crc32;
 pub mod plan;
 pub mod store;
 
-pub use checkpoint::{Checkpoint, CheckpointError};
+pub use checkpoint::{encode_slots, Checkpoint, CheckpointError, CheckpointView};
 pub use plan::{FaultEvent, FaultPlan, PlanParseError};
 pub use store::CheckpointStore;

@@ -2,10 +2,15 @@
 //!
 //! Stands in for the stable storage (parallel filesystem or buddy-rank
 //! memory) a production deployment would use: ranks save encoded
-//! checkpoints keyed by `(rank, round)`, and any survivor can later load
-//! a *peer's* checkpoint to replay a lost round. Encoded bytes are
-//! stored, not live objects — recovery pays the same decode + CRC cost a
-//! disk-based store would.
+//! checkpoints, and any survivor can later load a *peer's* checkpoint to
+//! replay a lost round. Encoded bytes are stored, not live objects —
+//! recovery pays the same decode + CRC cost a disk-based store would.
+//!
+//! Only each rank's latest cut is kept. Recovery at cursor *r* reads
+//! only checkpoints saved at *r* (a crashed rank restores the cut it
+//! crashed at; a root replays its member's cut of the same round), and a
+//! rank saves *r + 1* only after the barrier that ends round *r*, so an
+//! older cut is never read again.
 
 use bytes::Bytes;
 use std::collections::HashMap;
@@ -14,7 +19,8 @@ use std::sync::{Arc, Mutex};
 /// Cloneable handle; all clones share one underlying map.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
-    inner: Arc<Mutex<HashMap<(u32, u32), Bytes>>>,
+    /// Rank → (merge cursor, encoded checkpoint).
+    inner: Arc<Mutex<HashMap<u32, (u32, Bytes)>>>,
 }
 
 impl CheckpointStore {
@@ -23,25 +29,20 @@ impl CheckpointStore {
     }
 
     /// Save `rank`'s checkpoint for merge-round cursor `round`,
-    /// replacing any previous one. Returns the encoded size in bytes
-    /// (what the caller should account as `checkpoint_bytes`).
+    /// replacing any previous one of that rank. Returns the encoded size
+    /// in bytes (what the caller should account as `checkpoint_bytes`).
     pub fn save(&self, rank: u32, round: u32, encoded: Bytes) -> usize {
         let n = encoded.len();
-        self.inner.lock().unwrap().insert((rank, round), encoded);
+        self.inner.lock().unwrap().insert(rank, (round, encoded));
         n
     }
 
-    /// Load the checkpoint `rank` saved at `round`, if any.
+    /// Load the checkpoint `rank` saved at `round`, if it is the latest.
     pub fn load(&self, rank: u32, round: u32) -> Option<Bytes> {
-        self.inner.lock().unwrap().get(&(rank, round)).cloned()
-    }
-
-    /// Latest round ≤ `round` for which `rank` has a checkpoint.
-    pub fn latest(&self, rank: u32, round: u32) -> Option<(u32, Bytes)> {
         let map = self.inner.lock().unwrap();
-        (0..=round)
-            .rev()
-            .find_map(|k| map.get(&(rank, k)).map(|b| (k, b.clone())))
+        map.get(&rank)
+            .filter(|(r, _)| *r == round)
+            .map(|(_, b)| b.clone())
     }
 
     /// Number of checkpoints currently held.
@@ -55,7 +56,8 @@ impl CheckpointStore {
 
     /// Total encoded bytes currently held.
     pub fn total_bytes(&self) -> usize {
-        self.inner.lock().unwrap().values().map(Bytes::len).sum()
+        let map = self.inner.lock().unwrap();
+        map.values().map(|(_, b)| b.len()).sum()
     }
 }
 
@@ -68,18 +70,17 @@ mod tests {
         let store = CheckpointStore::new();
         assert!(store.is_empty());
         store.save(1, 0, Bytes::from_static(b"r1k0"));
-        store.save(1, 2, Bytes::from_static(b"r1k2"));
         store.save(0, 1, Bytes::from_static(b"r0k1"));
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.total_bytes(), 12);
-        assert_eq!(store.load(1, 2).unwrap(), Bytes::from_static(b"r1k2"));
+        assert_eq!(store.load(1, 0).unwrap(), Bytes::from_static(b"r1k0"));
+        // a later cut replaces the rank's earlier one
+        store.save(1, 2, Bytes::from_static(b"r1k2!"));
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.total_bytes(), 9);
+        assert_eq!(store.load(1, 2).unwrap(), Bytes::from_static(b"r1k2!"));
+        assert!(store.load(1, 0).is_none(), "the older cut is gone");
         assert!(store.load(1, 1).is_none());
-        // latest walks backwards from the requested round
-        let (k, b) = store.latest(1, 3).unwrap();
-        assert_eq!((k, b), (2, Bytes::from_static(b"r1k2")));
-        let (k, _) = store.latest(1, 1).unwrap();
-        assert_eq!(k, 0);
-        assert!(store.latest(7, 5).is_none());
+        assert_eq!(store.load(0, 1).unwrap(), Bytes::from_static(b"r0k1"));
+        assert!(store.load(7, 2).is_none());
     }
 
     #[test]

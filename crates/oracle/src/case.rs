@@ -256,6 +256,18 @@ pub struct Case {
     pub fault: Option<String>,
 }
 
+/// The most merge rounds `schedule` can run on `blocks` blocks: exact on
+/// the uniform radix tree; on an irregular decomposition an upper bound,
+/// since the contraction of the block neighbor graph merges at least one
+/// slot per round and may finish sooner.
+fn max_rounds(decomp: DecompKind, schedule: &Schedule, blocks: u32) -> u32 {
+    match schedule {
+        _ if decomp.is_uniform() => schedule.n_rounds(blocks),
+        Schedule::None => 0,
+        _ => blocks.saturating_sub(1),
+    }
+}
+
 impl Case {
     /// Internal-consistency check: a case the driver can actually run.
     pub fn validate(&self) -> Result<(), String> {
@@ -297,23 +309,14 @@ impl Case {
             return Err(format!("persistence {} invalid", self.persistence));
         }
         if let Some(f) = &self.fault {
-            if !self.decomp.is_uniform() {
-                // The contracted round count is a property of the
-                // neighbor graph, not of the schedule text, so a
-                // fault's round bound cannot be validated here.
-                return Err("fault injection requires a uniform decomposition".into());
-            }
-            let (r, k) = parse_fault(f)?;
+            let (r, _) = parse_fault(f)?;
             if self.ranks < 2 {
                 return Err("fault injection needs >= 2 ranks".into());
             }
             if r == 0 || r >= self.ranks {
                 return Err(format!("fault rank {r} must be in 1..{}", self.ranks));
             }
-            let rounds = self.schedule.n_rounds(self.blocks);
-            if k == 0 || k > rounds {
-                return Err(format!("fault round {k} must be in 1..={rounds}"));
-            }
+            self.check_fault_round(self.max_rounds())?;
         }
         match self.kind {
             FieldKind::Plateau(0) => Err("plateau needs >= 1 level".into()),
@@ -323,7 +326,35 @@ impl Case {
         }
     }
 
-    /// Generate a random valid case from a PRNG.
+    /// The most merge rounds the case's schedule can run (see
+    /// [`max_rounds`]); exact for uniform decompositions.
+    pub fn max_rounds(&self) -> u32 {
+        max_rounds(self.decomp, &self.schedule, self.blocks)
+    }
+
+    /// Check the fault's round against a schedule of `rounds` merge
+    /// rounds. [`Case::validate`] checks it against
+    /// [`Case::max_rounds`]; on an irregular decomposition only the
+    /// fuzz runner (`src/fuzz.rs`), which builds the contracted schedule,
+    /// knows the count.
+    pub fn check_fault_round(&self, rounds: u32) -> Result<(), String> {
+        let Some(f) = &self.fault else { return Ok(()) };
+        let (_, k) = parse_fault(f)?;
+        if k == 0 || k > rounds {
+            return Err(format!("fault round {k} must be in 1..={rounds}"));
+        }
+        Ok(())
+    }
+
+    /// Re-fit the fault to a schedule of `rounds` merge rounds: clamp its
+    /// round, or drop it when the case can no longer host one.
+    pub fn fit_fault(&mut self, rounds: u32) {
+        self.fault = clamp_fault(self, rounds);
+    }
+
+    /// Generate a random valid case from a PRNG. An irregular case's
+    /// fault round is drawn up to [`Case::max_rounds`]; the fuzz runner fits
+    /// it to the schedule it builds ([`Case::fit_fault`]).
     pub fn generate(rng: &mut SplitMix64) -> Case {
         let kind = match rng.below(5) {
             0 => FieldKind::Noise,
@@ -397,8 +428,8 @@ impl Case {
         };
         let persistence = *rng.pick(&[0.0f32, 0.01, 0.05, 0.2]);
         let hierarchy = rng.below(3) == 0;
-        let rounds = schedule.n_rounds(blocks);
-        let fault = if decomp.is_uniform() && ranks >= 2 && rounds >= 1 && rng.below(4) == 0 {
+        let rounds = max_rounds(decomp, &schedule, blocks);
+        let fault = if ranks >= 2 && rounds >= 1 && rng.below(4) == 0 {
             let r = 1 + rng.below((ranks - 1) as u64) as u32;
             let k = 1 + rng.below(rounds as u64) as u32;
             Some(format!("crash:{r}@{k}"))
@@ -475,7 +506,7 @@ impl Case {
         if self.ranks > 1 {
             let mut c = self.clone();
             c.ranks /= 2;
-            c.fault = clamp_fault(&c);
+            c.fault = clamp_fault(&c, c.max_rounds());
             push(c);
         }
         match &self.schedule {
@@ -494,7 +525,7 @@ impl Case {
                 } else {
                     Schedule::Rounds(v)
                 };
-                c.fault = clamp_fault(&c);
+                c.fault = clamp_fault(&c, c.max_rounds());
                 push(c);
             }
             Schedule::None => {}
@@ -514,7 +545,7 @@ impl Case {
                     Schedule::None
                 };
             }
-            c.fault = clamp_fault(&c);
+            c.fault = clamp_fault(&c, c.max_rounds());
             push(c);
         }
         if !self.decomp.is_uniform() && self.blocks > 1 {
@@ -570,11 +601,10 @@ pub fn parse_fault(s: &str) -> Result<(u32, u32), String> {
     Ok((r, k))
 }
 
-/// Re-fit a fault spec to a (possibly shrunk) case; drop it if the case
-/// can no longer host one.
-fn clamp_fault(c: &Case) -> Option<String> {
+/// Re-fit a fault spec to a (possibly shrunk) case with `rounds` merge
+/// rounds; drop it if the case can no longer host one.
+fn clamp_fault(c: &Case, rounds: u32) -> Option<String> {
     let (r, k) = parse_fault(c.fault.as_deref()?).ok()?;
-    let rounds = c.schedule.n_rounds(c.blocks);
     if c.ranks < 2 || rounds == 0 {
         return None;
     }
@@ -782,9 +812,19 @@ mod tests {
             "6 blocks needs an irregular decomp"
         );
 
+        // 6 blocks contract in at most 5 rounds; how many the neighbor
+        // graph takes is the fuzz runner's to check
         let mut faulted = c.clone();
         faulted.fault = Some("crash:1@1".into());
-        assert!(faulted.validate().is_err(), "faults are uniform-only");
+        faulted.validate().unwrap();
+        assert!(faulted.check_fault_round(1).is_ok());
+        faulted.fault = Some("crash:1@5".into());
+        faulted.validate().unwrap();
+        assert!(faulted.check_fault_round(2).is_err());
+        faulted.fit_fault(2);
+        assert_eq!(faulted.fault.as_deref(), Some("crash:1@2"));
+        faulted.fault = Some("crash:1@6".into());
+        assert!(faulted.validate().is_err(), "past the contraction bound");
 
         let mut huge = c.clone();
         huge.blocks = MAX_IRREGULAR_BLOCKS + 1;

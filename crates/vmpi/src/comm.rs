@@ -15,6 +15,14 @@
 //! fault-tolerant pipeline needs: a lost message or dead group member
 //! surfaces as a typed, recoverable error at the caller.
 //!
+//! Receives that name no deadline of their own — collectives, barriers —
+//! can be bounded too ([`Rank::set_stall_deadline`]): such a receive
+//! fails once every live rank of the universe has waited in one for the
+//! whole deadline with no message moving. That state is a deadlock (a
+//! lost collective message, a peer that returned early), never a busy
+//! peer, so the bound cuts no legitimate wait short however long a peer
+//! computes or recovers.
+//!
 //! Fault injection plugs in through the [`Inject`] hook
 //! ([`Universe::run_with_inject`]): a deterministic plan can drop or
 //! delay the n-th message on any directed link without the pipeline
@@ -33,6 +41,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use msp_telemetry::TraceSink;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,9 +63,11 @@ const TAG_BARRIER: u32 = 0x7FF0_0000;
 /// the receiver waited).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
-    /// A receive deadline expired with no matching message.
+    /// A receive on rank `to` from rank `from` expired with no matching
+    /// message: its own deadline, or the universe's stall deadline.
     Timeout {
         from: usize,
+        to: usize,
         tag: u32,
         waited: Duration,
     },
@@ -74,9 +85,14 @@ pub enum CommError {
 impl std::fmt::Display for CommError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CommError::Timeout { from, tag, waited } => write!(
+            CommError::Timeout {
+                from,
+                to,
+                tag,
+                waited,
+            } => write!(
                 f,
-                "receive from rank {from} (tag {tag:#x}) timed out after {:.3}s",
+                "receive on rank {to} from rank {from} (tag {tag:#x}) timed out after {:.3}s",
                 waited.as_secs_f64()
             ),
             CommError::Disconnected { peer, tag } => {
@@ -157,11 +173,16 @@ impl Universe {
             receivers.push(rx);
         }
         let senders = Arc::new(senders);
+        let stall = Arc::new(Stall {
+            live: AtomicUsize::new(world),
+            ..Default::default()
+        });
         let f = &f;
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(world);
             for (rank, rx) in receivers.into_iter().enumerate() {
                 let senders = Arc::clone(&senders);
+                let stall = Arc::clone(&stall);
                 let inject = inject.clone();
                 handles.push(scope.spawn(move || {
                     let mut r = Rank {
@@ -175,6 +196,8 @@ impl Universe {
                         link_seq: RefCell::new(vec![0; world]),
                         inject,
                         tracer: RefCell::new(None),
+                        stall,
+                        stall_deadline: Cell::new(None),
                     };
                     f(&mut r)
                 }));
@@ -190,6 +213,49 @@ impl Universe {
 /// Out-of-order messages parked until their `(source, tag)` is asked
 /// for, each alongside its envelope sequence number.
 type Stash = HashMap<(usize, u32), VecDeque<(Bytes, u64)>>;
+
+/// What a universe's ranks share to tell a deadlock from a slow peer.
+#[derive(Default)]
+struct Stall {
+    /// Ranks whose endpoint still exists.
+    live: AtomicUsize,
+    /// Ranks inside a stall-bounded receive.
+    waiting: AtomicUsize,
+    /// Messages taken off any rank's channel so far.
+    moved: AtomicU64,
+}
+
+/// One rank inside a stall-bounded receive, for as long as it lives.
+struct Waiting<'a>(&'a Stall);
+
+impl<'a> Waiting<'a> {
+    fn enter(stall: &'a Stall) -> Self {
+        stall.waiting.fetch_add(1, Ordering::SeqCst);
+        Waiting(stall)
+    }
+
+    /// Has every live rank been waiting, with no message moving, for
+    /// `d`? `quiet` carries when this rank first saw that state (and the
+    /// message count then) across its polls.
+    fn stalled(&self, d: Duration, quiet: &mut Option<(Instant, u64)>) -> bool {
+        let s = self.0;
+        let all = s.waiting.load(Ordering::SeqCst) >= s.live.load(Ordering::SeqCst);
+        let moved = s.moved.load(Ordering::SeqCst);
+        match *quiet {
+            Some((since, m)) if all && m == moved => since.elapsed() >= d,
+            _ => {
+                *quiet = all.then(|| (Instant::now(), moved));
+                false
+            }
+        }
+    }
+}
+
+impl Drop for Waiting<'_> {
+    fn drop(&mut self) {
+        self.0.waiting.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
 /// A rank's communication endpoint. Not `Sync`: it lives on one thread.
 pub struct Rank {
@@ -208,6 +274,15 @@ pub struct Rank {
     inject: Option<Arc<dyn Inject>>,
     /// Optional causal tracer stamping data-plane sends/recvs.
     tracer: RefCell<Option<TraceSink>>,
+    stall: Arc<Stall>,
+    /// Bound on receives that name no deadline (`None`: wait forever).
+    stall_deadline: Cell<Option<Duration>>,
+}
+
+impl Drop for Rank {
+    fn drop(&mut self) {
+        self.stall.live.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl Rank {
@@ -230,6 +305,15 @@ impl Rank {
     /// gathered, so the gather does not observe itself).
     pub fn detach_tracer(&self) -> Option<TraceSink> {
         self.tracer.borrow_mut().take()
+    }
+
+    /// Bound every later receive that names no deadline of its own —
+    /// plain receives, collectives, barrier tokens: it fails with
+    /// [`CommError::Timeout`] once every live rank of the universe has
+    /// been waiting in such a receive for `d` with no message moving.
+    /// `None` (the default) waits forever.
+    pub fn set_stall_deadline(&self, d: Option<Duration>) {
+        self.stall_deadline.set(d);
     }
 
     /// Snapshot of this rank's cumulative traffic counters.
@@ -320,7 +404,8 @@ impl Rank {
         self.recv_deadline(from, tag, None)
     }
 
-    /// [`Rank::recv`] with an optional deadline. `None` waits forever;
+    /// [`Rank::recv`] with an optional deadline. `None` waits forever
+    /// (or up to the stall deadline, [`Rank::set_stall_deadline`]);
     /// `Some(d)` returns [`CommError::Timeout`] if no matching message
     /// arrives within `d` — the detection primitive the fault-tolerant
     /// pipeline uses to declare a group member dead.
@@ -330,43 +415,66 @@ impl Rank {
         tag: u32,
         deadline: Option<Duration>,
     ) -> Result<Bytes, CommError> {
+        let (b, seq) = self.take(from, tag, deadline)?;
+        self.count_recv(b.len());
+        self.trace_recv(from, tag, seq, b.len());
+        Ok(b)
+    }
+
+    /// The matching half of every receive: the first message from
+    /// `from` on `tag` with its sequence number, stashing the others
+    /// that arrive meanwhile.
+    fn take(
+        &self,
+        from: usize,
+        tag: u32,
+        deadline: Option<Duration>,
+    ) -> Result<(Bytes, u64), CommError> {
         if let Some(q) = self.stash.borrow_mut().get_mut(&(from, tag)) {
-            if let Some((b, seq)) = q.pop_front() {
-                self.count_recv(b.len());
-                self.trace_recv(from, tag, seq, b.len());
-                return Ok(b);
+            if let Some(hit) = q.pop_front() {
+                return Ok(hit);
             }
         }
         let started = Instant::now();
+        let timeout = |waited| {
+            self.trace_timeout(from, tag, waited);
+            CommError::Timeout {
+                from,
+                to: self.rank,
+                tag,
+                waited,
+            }
+        };
+        let disconnected = || CommError::Disconnected { peer: from, tag };
+        let stall = (deadline.is_none())
+            .then(|| self.stall_deadline.get())
+            .flatten()
+            .map(|d| (d, Waiting::enter(&self.stall)));
+        let mut quiet = None;
         loop {
-            let msg = match deadline {
-                None => self
-                    .receiver
-                    .recv()
-                    .map_err(|_| CommError::Disconnected { peer: from, tag })?,
-                Some(d) => {
+            let msg = match (deadline, &stall) {
+                (Some(d), _) => {
                     let waited = started.elapsed();
-                    let left = d.checked_sub(waited).ok_or_else(|| {
-                        self.trace_timeout(from, tag, waited);
-                        CommError::Timeout { from, tag, waited }
-                    })?;
+                    let left = d.checked_sub(waited).ok_or_else(|| timeout(waited))?;
                     match self.receiver.recv_timeout(left) {
                         Ok(m) => m,
-                        Err(RecvTimeoutError::Timeout) => {
-                            let waited = started.elapsed();
-                            self.trace_timeout(from, tag, waited);
-                            return Err(CommError::Timeout { from, tag, waited });
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(CommError::Disconnected { peer: from, tag })
-                        }
+                        Err(RecvTimeoutError::Timeout) => return Err(timeout(started.elapsed())),
+                        Err(RecvTimeoutError::Disconnected) => return Err(disconnected()),
                     }
                 }
+                (None, Some((d, waiting))) => match self.receiver.recv_timeout(*d / 8) {
+                    Ok(m) => m,
+                    Err(RecvTimeoutError::Timeout) if waiting.stalled(*d, &mut quiet) => {
+                        return Err(timeout(started.elapsed()))
+                    }
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return Err(disconnected()),
+                },
+                (None, None) => self.receiver.recv().map_err(|_| disconnected())?,
             };
+            self.stall.moved.fetch_add(1, Ordering::SeqCst);
             if msg.from == from && msg.tag == tag {
-                self.count_recv(msg.payload.len());
-                self.trace_recv(from, tag, msg.seq, msg.payload.len());
-                return Ok(msg.payload);
+                return Ok((msg.payload, msg.seq));
             }
             self.stash
                 .borrow_mut()
@@ -417,25 +525,7 @@ impl Rank {
     /// Receive a control token without counting it (pair of
     /// [`Rank::send_control`]).
     fn recv_control(&self, from: usize, tag: u32) -> Result<(), CommError> {
-        if let Some(q) = self.stash.borrow_mut().get_mut(&(from, tag)) {
-            if q.pop_front().is_some() {
-                return Ok(());
-            }
-        }
-        loop {
-            let msg = self
-                .receiver
-                .recv()
-                .map_err(|_| CommError::Disconnected { peer: from, tag })?;
-            if msg.from == from && msg.tag == tag {
-                return Ok(());
-            }
-            self.stash
-                .borrow_mut()
-                .entry((msg.from, msg.tag))
-                .or_default()
-                .push_back((msg.payload, msg.seq));
-        }
+        self.take(from, tag, None).map(drop)
     }
 
     /// Gather every rank's payload at `root`; returns `Some(vec indexed
@@ -754,13 +844,66 @@ mod tests {
             }
         });
         match out[1].clone().unwrap() {
-            CommError::Timeout { from, tag, waited } => {
-                assert_eq!(from, 0);
+            CommError::Timeout {
+                from,
+                to,
+                tag,
+                waited,
+            } => {
+                assert_eq!((from, to), (0, 1));
                 assert_eq!(tag, 42);
                 assert!(waited >= Duration::from_millis(30));
             }
             other => panic!("expected timeout, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn stall_deadline_ends_a_deadlock_but_not_a_slow_peer() {
+        let d = Duration::from_millis(40);
+        let out = Universe::run(3, |r| {
+            r.set_stall_deadline(Some(d));
+            // rank 2 computes for 5 deadlines before it sends: a slow
+            // peer, which nobody may mistake for a dead one
+            if r.rank() == 2 {
+                std::thread::sleep(5 * d);
+                r.send(0, 1, Bytes::from_static(b"late")).unwrap();
+            }
+            r.barrier().unwrap();
+            let slow = (r.rank() == 0).then(|| r.recv(2, 1).unwrap());
+            // then every rank waits for a message nobody sends
+            let t0 = Instant::now();
+            let err = r.recv((r.rank() + 1) % 3, 7).unwrap_err();
+            (slow, err, t0.elapsed())
+        });
+        assert_eq!(&out[0].0.as_ref().unwrap()[..], b"late");
+        for (rank, (_, err, waited)) in out.iter().enumerate() {
+            match err {
+                CommError::Timeout { from, to, tag, .. } => {
+                    assert_eq!((*from, *to, *tag), ((rank + 1) % 3, rank, 7));
+                }
+                other => panic!("rank {rank}: expected timeout, got {other:?}"),
+            }
+            assert!(*waited >= d && *waited < 50 * d, "rank {rank}: {waited:?}");
+        }
+    }
+
+    #[test]
+    fn stall_deadline_ends_the_wait_on_a_departed_peer() {
+        let out = Universe::run(2, |r| {
+            r.set_stall_deadline(Some(Duration::from_millis(30)));
+            // rank 1 returns without sending what rank 0 waits for
+            (r.rank() == 0).then(|| r.recv(1, 3).unwrap_err())
+        });
+        assert!(matches!(
+            out[0],
+            Some(CommError::Timeout {
+                from: 1,
+                to: 0,
+                tag: 3,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! `bytes` stand-in: the subset used by msp-complex::wire, msp-vmpi and
-//! msp-core (cheaply-cloneable `Bytes`, growable `BytesMut`, little-
-//! endian `Buf`/`BufMut` cursors).
+//! msp-core (cheaply-cloneable `Bytes` with zero-copy `slice`, growable
+//! `BytesMut`, little-endian `Buf`/`BufMut` cursors).
 
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-/// Cheaply-cloneable immutable byte buffer (Arc-backed, with an offset
-/// so `advance` works like the real crate's view semantics).
+/// Cheaply-cloneable immutable byte buffer (Arc-backed, a `start..end`
+/// view so `advance` and `slice` share storage like the real crate's).
 #[derive(Clone, Debug, Default)]
 pub struct Bytes {
     data: Arc<Vec<u8>>,
     start: usize,
+    end: usize,
 }
 
 impl Bytes {
@@ -19,10 +20,7 @@ impl Bytes {
     }
 
     pub fn copy_from_slice(s: &[u8]) -> Bytes {
-        Bytes {
-            data: Arc::new(s.to_vec()),
-            start: 0,
-        }
+        Bytes::from(s.to_vec())
     }
 
     pub fn from_static(s: &'static [u8]) -> Bytes {
@@ -30,7 +28,7 @@ impl Bytes {
     }
 
     pub fn len(&self) -> usize {
-        self.data.len() - self.start
+        self.end - self.start
     }
 
     pub fn is_empty(&self) -> bool {
@@ -38,7 +36,17 @@ impl Bytes {
     }
 
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..]
+        &self.data[self.start..self.end]
+    }
+
+    /// The bytes in `range` of this view, sharing its storage.
+    pub fn slice(&self, range: Range<usize>) -> Bytes {
+        assert!(range.start <= range.end && range.end <= self.len());
+        Bytes {
+            data: Arc::clone(&self.data),
+            start: self.start + range.start,
+            end: self.start + range.end,
+        }
     }
 
     pub fn to_vec(&self) -> Vec<u8> {
@@ -62,6 +70,7 @@ impl AsRef<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         Bytes {
+            end: v.len(),
             data: Arc::new(v),
             start: 0,
         }

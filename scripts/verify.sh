@@ -74,6 +74,23 @@ cmp "$tracedir/irr1.msc" "$tracedir/irr4.msc"
 cmp "$tracedir/irr1.msc.seg" "$tracedir/irr4.msc.seg"
 cmp "$tracedir/irr1.msc.msh" "$tracedir/irr4.msc.msh"
 
+# fault-recovery smoke: the same adaptive run with checkpoints and rank 1
+# crashing at the first merge round must recover all three artifacts
+# byte-identical to the canonical 1-rank run
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 4 --blocks 6 --decomp adaptive --merge full \
+  --hierarchy --check --checkpoint --faults 'crash:1@1' --deadline-ms 200 \
+  --output "$tracedir/irrf.msc"
+cmp "$tracedir/irr1.msc" "$tracedir/irrf.msc"
+cmp "$tracedir/irr1.msc.seg" "$tracedir/irrf.msc.seg"
+cmp "$tracedir/irr1.msc.msh" "$tracedir/irrf.msc.msh"
+
+# fault sweep smoke: checkpointed runs at crash rates 0-10 % on a small
+# jet; the binary asserts every recovered run is bit-identical to the
+# fault-free baseline (its overhead column is not gated)
+MSP_SCALE=small MSP_RESULTS_DIR="$tracedir" \
+  cargo run -q --release -p msp-bench --bin fault_sweep > /dev/null
+
 # serve smoke: precompute an artifact with --hierarchy, drive the query
 # layer over stdio with repeated keys, and gate on all-ok responses, a
 # nonzero cache hit rate and the p50<=p99 latency self-check

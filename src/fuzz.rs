@@ -29,7 +29,7 @@
 
 use msp_core::{
     feature_weights, full_merge_plan, run_parallel, DecompMode, FaultConfig, Input, MergePlan,
-    PipelineParams, RunResult,
+    MergeSchedule, PipelineParams, RunResult,
 };
 use msp_fault::FaultPlan;
 use msp_grid::{Decomposition, Dims, ScalarField};
@@ -44,6 +44,7 @@ use msp_oracle::{
 };
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The synthetic field a case describes.
 pub fn build_field(case: &Case) -> ScalarField {
@@ -92,11 +93,35 @@ pub fn build_decomp(case: &Case, field: &ScalarField) -> Decomposition {
     }
 }
 
+/// Merge rounds of the schedule the pipeline builds for `case` on
+/// `decomp`: the radix tree's for a uniform decomposition, the
+/// neighbor-graph contraction's for an irregular one.
+fn merge_rounds(case: &Case, decomp: &Decomposition) -> u32 {
+    let plan = merge_plan(case);
+    let sched = match case.decomp {
+        DecompKind::Uniform => MergeSchedule::uniform(&plan, case.blocks),
+        _ => MergeSchedule::contract(decomp, &plan),
+    };
+    sched.n_rounds() as u32
+}
+
+/// `case` with its fault fitted to the schedule the pipeline builds.
+fn fitted(mut case: Case) -> Case {
+    let decomp = build_decomp(&case, &build_field(&case));
+    case.fit_fault(merge_rounds(&case, &decomp));
+    case
+}
+
 fn pipeline_params(case: &Case, canonical: bool) -> PipelineParams {
     let fault = match (&case.fault, canonical) {
         (Some(f), false) => {
             let (r, k) = parse_fault(f).expect("validated fault spec");
-            FaultConfig::with_plan(FaultPlan::new().crash(r as usize, k))
+            FaultConfig {
+                // a crashed member costs its root one deadline; waiting
+                // too short only replays a live member's identical bytes
+                deadline: Duration::from_millis(250),
+                ..FaultConfig::with_plan(FaultPlan::new().crash(r as usize, k))
+            }
         }
         _ => FaultConfig::default(),
     };
@@ -151,6 +176,7 @@ pub fn run_case(case: &Case) -> Result<(), String> {
 fn run_case_inner(case: &Case) -> Result<(), String> {
     let field = build_field(case);
     let decomp = build_decomp(case, &field);
+    case.check_fault_round(merge_rounds(case, &decomp))?;
 
     // 1. per-block differential against the reference oracle
     for b in decomp.blocks() {
@@ -320,10 +346,9 @@ fn run_case_inner(case: &Case) -> Result<(), String> {
 pub fn shrink(case: &Case, max_steps: usize) -> Case {
     let mut cur = case.clone();
     for _ in 0..max_steps {
-        let Some(next) = cur
-            .shrink_candidates()
-            .into_iter()
-            .find(|c| run_case(c).is_err())
+        let Some(next) = (cur.shrink_candidates().into_iter())
+            .map(fitted)
+            .find(|c| *c != cur && run_case(c).is_err())
         else {
             break;
         };
@@ -354,7 +379,7 @@ pub fn fuzz(
 ) -> Result<u64, Box<FuzzFailure>> {
     let mut rng = msp_oracle::case::SplitMix64::new(seed);
     for i in 0..iters {
-        let case = Case::generate(&mut rng);
+        let case = fitted(Case::generate(&mut rng));
         progress(i, &case);
         if let Err(reason) = run_case(&case) {
             let shrunk = shrink(&case, 64);
@@ -465,6 +490,20 @@ mod tests {
         // 6 blocks / 3 ranks: non-power-of-two everything
         let mut c = quick_case(FieldKind::Noise, 6, 3, Schedule::Full);
         c.decomp = DecompKind::Adaptive;
+        run_case(&c).unwrap();
+    }
+
+    #[test]
+    fn irregular_faults_fit_the_contracted_schedule() {
+        let mut c = quick_case(FieldKind::Noise, 6, 3, Schedule::Full);
+        c.decomp = DecompKind::Random(42);
+        c.fault = Some("crash:2@5".into());
+        let decomp = build_decomp(&c, &build_field(&c));
+        let rounds = merge_rounds(&c, &decomp);
+        assert!((1..5).contains(&rounds), "{rounds} contracted rounds");
+        assert!(run_case(&c).unwrap_err().contains("fault round 5"));
+        let c = fitted(c);
+        assert_eq!(c.fault, Some(format!("crash:2@{rounds}")));
         run_case(&c).unwrap();
     }
 

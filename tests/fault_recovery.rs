@@ -6,12 +6,16 @@
 //! **bitwise identical** to the fault-free run.
 
 use morse_smale_parallel::complex::wire;
-use morse_smale_parallel::core::{run_parallel, FaultConfig, Input, MergePlan, PipelineParams};
+use morse_smale_parallel::core::{
+    feature_weights, run_parallel, Assignment, DecompMode, FaultConfig, Input, MergePlan,
+    MergeSchedule, PipelineError, PipelineParams, RunResult,
+};
 use morse_smale_parallel::fault::FaultPlan;
-use morse_smale_parallel::grid::Dims;
-use morse_smale_parallel::synth;
+use morse_smale_parallel::grid::{Decomposition, Dims, ScalarField};
+use morse_smale_parallel::vmpi::comm::CommError;
+use morse_smale_parallel::{hierarchy, segment, synth};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const RANKS: u32 = 4;
 const BLOCKS: u32 = 8;
@@ -30,15 +34,21 @@ fn base_params() -> PipelineParams {
     }
 }
 
-fn fault_params(plan: FaultPlan, checkpoint: bool) -> PipelineParams {
+const DEADLINE: Duration = Duration::from_millis(400);
+
+fn faulted(plan: FaultPlan, checkpoint: bool, base: PipelineParams) -> PipelineParams {
     PipelineParams {
         fault: FaultConfig {
             plan: Some(plan),
             checkpoint,
-            deadline: Duration::from_millis(400),
+            deadline: DEADLINE,
         },
-        ..base_params()
+        ..base
     }
+}
+
+fn fault_params(plan: FaultPlan, checkpoint: bool) -> PipelineParams {
+    faulted(plan, checkpoint, base_params())
 }
 
 /// Serialized output blocks of a fault-free reference run.
@@ -207,7 +217,7 @@ fn checkpoint_only_run_is_bitwise_clean_and_accounts_bytes() {
         fault: FaultConfig {
             plan: None,
             checkpoint: true,
-            deadline: Duration::from_millis(400),
+            deadline: DEADLINE,
         },
         ..base_params()
     };
@@ -218,4 +228,138 @@ fn checkpoint_only_run_is_bitwise_clean_and_accounts_bytes() {
     assert_eq!(tel.counter_total("crashes"), 0);
     assert_eq!(tel.counter_total("retries"), 0);
     assert_eq!(tel.counter_total("recovery_ms"), 0);
+}
+
+#[test]
+fn dropped_collective_message_fails_the_run_instead_of_hanging() {
+    // The first message rank 1 sends rank 0 is its leg of the
+    // value-range all-reduce, which no checkpoint can replay: every rank
+    // ends up waiting for a message that cannot come. The run must fail
+    // with the link and tag that missed, within a few deadlines.
+    let input = test_input();
+    let params = fault_params(FaultPlan::new().drop_msg(1, 0, 1), true);
+    let t0 = Instant::now();
+    let err = run_parallel(&input, RANKS, BLOCKS, &params, None).err();
+    let waited = t0.elapsed();
+    match err {
+        Some(PipelineError::Comm {
+            source:
+                CommError::Timeout {
+                    from: 1,
+                    to: 0,
+                    tag: 100,
+                    ..
+                },
+            ..
+        }) => {}
+        other => panic!("expected the gather's timeout, got {other:?}"),
+    }
+    assert!(waited < 5 * DEADLINE, "failed after {waited:?}");
+}
+
+/// An irregular tree: a 17³ noise field cut into `blocks` blocks over
+/// `RANKS` ranks, contracted by a radix-2 and then a radix-4 round, with
+/// the segmentation and the hierarchy on.
+struct Tree {
+    field: Arc<ScalarField>,
+    mode: DecompMode,
+    blocks: u32,
+}
+
+impl Tree {
+    fn params(&self) -> PipelineParams {
+        PipelineParams {
+            persistence_frac: 0.02,
+            plan: MergePlan::rounds(vec![2, 4]),
+            decomp: self.mode,
+            segment: true,
+            hierarchy: true,
+            ..Default::default()
+        }
+    }
+
+    fn run(&self, params: &PipelineParams) -> RunResult {
+        let input = Input::Memory(self.field.clone());
+        run_parallel(&input, RANKS, self.blocks, params, None).unwrap()
+    }
+
+    /// The layout `run_parallel` builds: LPT over the per-block cost
+    /// estimates and the contracted merge schedule.
+    fn layout(&self) -> (Assignment, MergeSchedule) {
+        let (dims, n) = (self.field.dims(), self.blocks);
+        let (decomp, costs) = match self.mode {
+            DecompMode::Adaptive => {
+                let w = feature_weights(&self.field);
+                let d = Decomposition::adaptive(dims, n, &w);
+                let costs = d.block_costs(&w);
+                (d, costs)
+            }
+            DecompMode::RandomTree { seed } => {
+                let d = Decomposition::random_tree(dims, n, seed);
+                let costs = d.blocks().iter().map(|b| b.n_verts()).collect();
+                (d, costs)
+            }
+            DecompMode::Uniform => unreachable!("irregular trees only"),
+        };
+        let sched = MergeSchedule::contract(&decomp, &self.params().plan);
+        (Assignment::lpt(&costs, RANKS), sched)
+    }
+}
+
+/// Every artifact of a run, as bytes: complexes, labels, hierarchies.
+fn artifacts(r: &RunResult) -> Vec<bytes::Bytes> {
+    let complexes = r.outputs.iter().map(wire::serialize);
+    let labels = r.segmentation.iter().map(segment::wire::serialize);
+    let hierarchies = r.hierarchies.iter().map(hierarchy::wire::serialize);
+    complexes.chain(labels).chain(hierarchies).collect()
+}
+
+/// On `tree`, a rank that only ships in round 1, a rank that only roots
+/// in round 1 and a crash at the pre-write cut each recover every
+/// artifact bit for bit.
+fn irregular_recovery_is_bitwise_identical(tree: Tree) {
+    let (assign, sched) = tree.layout();
+    assert!(sched.rounds.len() >= 2, "two contracted rounds");
+    let groups = &sched.rounds[0].groups;
+    let roots: Vec<u32> = groups.iter().map(|(r, _)| assign.rank_of(*r)).collect();
+    let members: Vec<u32> = (groups.iter())
+        .flat_map(|(_, g)| g[1..].iter().map(|&m| assign.rank_of(m)))
+        .collect();
+    let only =
+        |mine: &[u32], theirs: &[u32]| (0..RANKS).find(|p| mine.contains(p) && !theirs.contains(p));
+    let member = only(&members, &roots).expect("a rank that only ships in round 1");
+    let root = only(&roots, &members).expect("a rank that only roots in round 1");
+    let pre_write = sched.rounds.len() as u32 + 1;
+
+    let want = artifacts(&tree.run(&tree.params()));
+    // only the member's crash leaves a root to replay a lost slot
+    for (rank, round, replayed) in [(member, 1, true), (root, 1, false), (0, pre_write, false)] {
+        let plan = FaultPlan::new().crash(rank as usize, round);
+        let r = tree.run(&faulted(plan, true, tree.params()));
+        let spec = format!("{} crash:{rank}@{round}", tree.mode);
+        assert!(artifacts(&r) == want, "{spec}: artifacts differ");
+        let tel = &r.telemetry;
+        assert_eq!(tel.counter_total("crashes"), 1, "{spec}");
+        assert_eq!(tel.counter_total("blocks_absorbed"), 0, "{spec}");
+        let replays = tel.counter_total("retries");
+        assert_eq!(replays > 0, replayed, "{spec}: {replays} root replays");
+    }
+}
+
+#[test]
+fn crashes_on_an_adaptive_tree_recover_bitwise_identical() {
+    irregular_recovery_is_bitwise_identical(Tree {
+        field: Arc::new(synth::white_noise(Dims::cube(17), 9)),
+        mode: DecompMode::Adaptive,
+        blocks: 6,
+    });
+}
+
+#[test]
+fn crashes_on_a_random_tree_recover_bitwise_identical() {
+    irregular_recovery_is_bitwise_identical(Tree {
+        field: Arc::new(synth::white_noise(Dims::cube(17), 9)),
+        mode: DecompMode::RandomTree { seed: 7 },
+        blocks: 7,
+    });
 }
