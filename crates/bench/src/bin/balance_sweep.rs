@@ -249,17 +249,10 @@ fn main() {
     let text = std::fs::read_to_string(&path).expect("read back BENCH_balance.json");
     let parsed =
         Json::parse(&text).unwrap_or_else(|e| panic!("{} does not re-parse: {e}", path.display()));
-    let Json::Obj(top) = &parsed else {
-        panic!("BENCH_balance.json top level is not an object");
+    let Some(Json::Arr(runs)) = parsed.get("runs") else {
+        panic!("BENCH_balance.json has no runs array");
     };
-    let n_runs = top
-        .iter()
-        .find(|(k, _)| k == "runs")
-        .map(|(_, v)| match v {
-            Json::Arr(a) => a.len(),
-            _ => panic!("runs is not an array"),
-        })
-        .expect("runs present");
+    let n_runs = runs.len();
     assert_eq!(n_runs, ranks_list.len(), "round-trip preserves the sweep");
     println!("schema self-check OK ({n_runs} runs)");
 }

@@ -40,23 +40,12 @@ const BLOCKS: u32 = 8;
 const PINGS: usize = 25;
 const PING_MEDIAN_LIMIT_MS: f64 = 5.0;
 
-fn field_of(j: &Json, key: &str) -> Json {
-    let Json::Obj(pairs) = j else {
-        panic!("expected object around {key}")
-    };
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.clone())
-        .unwrap_or_else(|| panic!("missing field {key}"))
-}
-
 fn counter_of(metrics: &Json, name: &str) -> f64 {
-    match field_of(&field_of(metrics, "counters"), name) {
-        Json::U64(n) => n as f64,
-        Json::F64(v) => v,
-        other => panic!("counter {name} is not a number: {other:?}"),
-    }
+    metrics
+        .get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("counter {name} missing or not a number"))
 }
 
 /// `|a - b| <= max(1, 1% of scale)` — the agreement contract.

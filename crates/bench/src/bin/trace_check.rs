@@ -29,29 +29,6 @@ use std::sync::Arc;
 const RANKS: u32 = 4;
 const ROUNDS: &[u32] = &[2, 2]; // 4 blocks -> 2 -> 1
 
-fn obj_get<'a>(j: &'a Json, key: &str) -> Option<&'a Json> {
-    match j {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn as_str(j: &Json) -> Option<&str> {
-    match j {
-        Json::Str(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn as_f64(j: &Json) -> Option<f64> {
-    match j {
-        Json::F64(v) => Some(*v),
-        Json::U64(v) => Some(*v as f64),
-        Json::I64(v) => Some(*v as f64),
-        _ => None,
-    }
-}
-
 fn main() {
     let field = Arc::new(msp_synth::sinusoid(33, 3));
     let params = PipelineParams {
@@ -124,7 +101,7 @@ fn main() {
             exit(1);
         }
     };
-    let events = match obj_get(&doc, "traceEvents") {
+    let events = match doc.get("traceEvents") {
         Some(Json::Arr(evs)) => evs,
         _ => {
             eprintln!("FAIL: document has no traceEvents array");
@@ -138,17 +115,18 @@ fn main() {
     let mut flow_finishes: HashMap<u64, u32> = HashMap::new();
     let mut well_formed = true;
     for ev in events {
-        let ph = obj_get(ev, "ph").and_then(as_str).unwrap_or("");
+        let ph = ev.get("ph").and_then(Json::as_str).unwrap_or("");
         match ph {
             "X" => {
                 n_spans += 1;
-                well_formed &= obj_get(ev, "dur")
-                    .and_then(as_f64)
+                well_formed &= ev
+                    .get("dur")
+                    .and_then(Json::as_f64)
                     .is_some_and(|d| d >= 0.0)
-                    && obj_get(ev, "ts").and_then(as_f64).is_some();
+                    && ev.get("ts").and_then(Json::as_f64).is_some();
             }
             "s" | "f" => {
-                let Some(id) = obj_get(ev, "id").and_then(as_f64) else {
+                let Some(id) = ev.get("id").and_then(Json::as_f64) else {
                     well_formed = false;
                     continue;
                 };

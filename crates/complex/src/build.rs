@@ -6,7 +6,7 @@ use crate::skeleton::MsComplex;
 use msp_grid::decomp::Decomposition;
 use msp_grid::field::BlockField;
 use msp_morse::gradient::GradientField;
-use msp_morse::{active_kernel, assign_gradient, trace_arcs_from, TraceLimits, TraceStats};
+use msp_morse::{assign_gradient, trace_arcs_from, TraceLimits, TraceStats};
 
 /// Counters from one block build.
 #[derive(Debug, Clone, Copy, Default)]
@@ -77,8 +77,7 @@ pub fn complex_from_gradient_mt(
         }
     }
 
-    let (arcs, tstats): (_, TraceStats) =
-        trace_arcs_from(grad, critical, limits, threads, active_kernel());
+    let (arcs, tstats): (_, TraceStats) = trace_arcs_from(grad, critical, limits, threads);
     stats.truncated_nodes = tstats.truncated_nodes;
     // a traced leaf is its 8-byte start plus one code per later cell
     let cells: usize = arcs.iter().map(|a| a.geom.len()).sum();

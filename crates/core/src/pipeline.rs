@@ -710,11 +710,8 @@ mod tests {
             .meta
             .iter()
             .find(|(k, _)| k == "global_ship_bytes")
-            .map(|(_, v)| match v {
-                msp_telemetry::Json::U64(n) => *n,
-                _ => panic!("global_ship_bytes must be u64"),
-            })
-            .expect("global_ship_bytes in meta");
+            .and_then(|(_, v)| v.as_u64())
+            .expect("global_ship_bytes in meta, as u64");
         assert_eq!(meta_ship, tel.counter_total("ship_bytes"));
         assert!(meta_ship > 0);
     }

@@ -546,22 +546,23 @@ impl ServerCore {
                     }
                     eprintln!(
                         "{}",
-                        compact(&Json::obj(vec![
+                        Json::obj(vec![
                             ("event", Json::str("slow_request")),
                             ("class", Json::str(class)),
                             ("us", Json::U64(us)),
                             ("request", Json::str(req)),
-                        ]))
+                        ])
+                        .compact()
                     );
                 }
             }
         }
-        (compact(&json), close)
+        (json.compact(), close)
     }
 
     fn dispatch(&self, line: &str) -> (&'static str, Result<Json, String>, bool) {
         let req = match Json::parse(line.trim()) {
-            Ok(Json::Obj(pairs)) => pairs,
+            Ok(req @ Json::Obj(_)) => req,
             Ok(_) => {
                 return (
                     "invalid",
@@ -571,7 +572,7 @@ impl ServerCore {
             }
             Err(e) => return ("invalid", Err(format!("bad request: {e}")), false),
         };
-        let Some(op) = get_str(&req, "op") else {
+        let Some(op) = req.get("op").and_then(Json::as_str) else {
             return ("invalid", Err("missing \"op\"".to_string()), false);
         };
         match op {
@@ -594,8 +595,8 @@ impl ServerCore {
     }
 
     /// Resolve the `(dataset, block)` a request targets.
-    fn target(&self, req: &[(String, Json)]) -> Result<(usize, usize), String> {
-        let di = match get_str(req, "dataset") {
+    fn target(&self, req: &Json) -> Result<(usize, usize), String> {
+        let di = match req.get("dataset").and_then(Json::as_str) {
             Some(name) => *self
                 .by_name
                 .get(name)
@@ -606,7 +607,7 @@ impl ServerCore {
             .datasets
             .get(di)
             .ok_or_else(|| "no datasets loaded".to_string())?;
-        let slot = get_u64(req, "block").unwrap_or(0) as usize;
+        let slot = req.get("block").and_then(Json::as_u64).unwrap_or(0) as usize;
         if slot >= ds.bases.len() {
             return Err(format!(
                 "block {slot} out of range ({} block(s))",
@@ -616,9 +617,16 @@ impl ServerCore {
         Ok((di, slot))
     }
 
-    fn ordering_and_t(&self, req: &[(String, Json)]) -> Result<(Ordering, f32), String> {
-        let ordering: Ordering = get_str(req, "ordering").unwrap_or("difference").parse()?;
-        let t = get_f64(req, "t").ok_or_else(|| "missing threshold \"t\"".to_string())? as f32;
+    fn ordering_and_t(&self, req: &Json) -> Result<(Ordering, f32), String> {
+        let ordering: Ordering = req
+            .get("ordering")
+            .and_then(Json::as_str)
+            .unwrap_or("difference")
+            .parse()?;
+        let t = req
+            .get("t")
+            .and_then(Json::as_f64)
+            .ok_or_else(|| "missing threshold \"t\"".to_string())? as f32;
         let t = check_persistence(t).map_err(|e| format!("bad threshold \"t\": {e}"))?;
         Ok((ordering, t))
     }
@@ -716,7 +724,7 @@ impl ServerCore {
         ok_obj("datasets", vec![("datasets", Json::Arr(items))])
     }
 
-    fn q_threshold(&self, req: &[(String, Json)]) -> Result<Json, String> {
+    fn q_threshold(&self, req: &Json) -> Result<Json, String> {
         let (di, slot) = self.target(req)?;
         let (ordering, t) = self.ordering_and_t(req)?;
         let m = self.materialized(di, slot, ordering, t)?;
@@ -738,16 +746,16 @@ impl ServerCore {
         ))
     }
 
-    fn q_extrema(&self, req: &[(String, Json)]) -> Result<Json, String> {
+    fn q_extrema(&self, req: &Json) -> Result<Json, String> {
         let (di, slot) = self.target(req)?;
         let (ordering, t) = self.ordering_and_t(req)?;
-        let kind = get_str(req, "kind").unwrap_or("max");
+        let kind = req.get("kind").and_then(Json::as_str).unwrap_or("max");
         let index = match kind {
             "max" => 3u8,
             "min" => 0u8,
             other => return Err(format!("unknown kind {other:?} (want min|max)")),
         };
-        let top = get_u64(req, "top").unwrap_or(10) as usize;
+        let top = req.get("top").and_then(Json::as_u64).unwrap_or(10) as usize;
         let m = self.materialized(di, slot, ordering, t)?;
         let mut extrema: Vec<(u64, f32)> = m
             .complex
@@ -789,10 +797,13 @@ impl ServerCore {
         ))
     }
 
-    fn q_arc_geometry(&self, req: &[(String, Json)]) -> Result<Json, String> {
+    fn q_arc_geometry(&self, req: &Json) -> Result<Json, String> {
         let (di, slot) = self.target(req)?;
         let (ordering, t) = self.ordering_and_t(req)?;
-        let arc = get_u64(req, "arc").ok_or_else(|| "missing arc index \"arc\"".to_string())?;
+        let arc = req
+            .get("arc")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| "missing arc index \"arc\"".to_string())?;
         let m = self.materialized(di, slot, ordering, t)?;
         let a = m
             .complex
@@ -824,7 +835,7 @@ impl ServerCore {
         ))
     }
 
-    fn q_segment_stats(&self, req: &[(String, Json)]) -> Result<Json, String> {
+    fn q_segment_stats(&self, req: &Json) -> Result<Json, String> {
         let (di, slot) = self.target(req)?;
         let (ordering, t) = self.ordering_and_t(req)?;
         let ds = &self.datasets[di];
@@ -1051,80 +1062,15 @@ fn ok_obj(op: &str, rest: Vec<(&str, Json)>) -> Json {
     Json::obj(pairs)
 }
 
-fn get<'a>(req: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    req.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_str<'a>(req: &'a [(String, Json)], key: &str) -> Option<&'a str> {
-    match get(req, key) {
-        Some(Json::Str(s)) => Some(s),
-        _ => None,
-    }
-}
-
-fn get_u64(req: &[(String, Json)], key: &str) -> Option<u64> {
-    match get(req, key) {
-        Some(Json::U64(n)) => Some(*n),
-        _ => None,
-    }
-}
-
-fn get_f64(req: &[(String, Json)], key: &str) -> Option<f64> {
-    match get(req, key) {
-        Some(Json::F64(v)) => Some(*v),
-        Some(Json::U64(n)) => Some(*n as f64),
-        Some(Json::I64(n)) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-/// Render a [`Json`] value on one line (the pretty renderer inserts
-/// newlines, which would break line-delimited framing).
-fn compact(j: &Json) -> String {
-    let mut out = String::new();
-    compact_into(j, &mut out);
-    out
-}
-
-fn compact_into(j: &Json, out: &mut String) {
-    match j {
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                compact_into(item, out);
-            }
-            out.push(']');
-        }
-        Json::Obj(pairs) => {
-            out.push('{');
-            for (i, (k, v)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&Json::str(k.clone()).to_string());
-                out.push(':');
-                compact_into(v, out);
-            }
-            out.push('}');
-        }
-        // scalars never render with newlines
-        other => out.push_str(&other.to_string()),
-    }
-}
-
 /// Does this request line ask to stop reading (quit/shutdown)? Used by
 /// the stdio reader so a batch ending in `{"op":"quit"}` terminates
 /// without waiting for EOF.
 fn wants_close(line: &str) -> bool {
-    if let Ok(Json::Obj(pairs)) = Json::parse(line.trim()) {
-        if let Some(op) = get_str(&pairs, "op") {
-            return op == "quit" || op == "shutdown";
-        }
-    }
-    false
+    Json::parse(line.trim()).is_ok_and(|req| {
+        req.get("op")
+            .and_then(Json::as_str)
+            .is_some_and(|op| op == "quit" || op == "shutdown")
+    })
 }
 
 /// The one way a reply leaves the process, on every transport: the
@@ -1316,7 +1262,7 @@ fn serve_http(core: &ServerCore, mut stream: TcpStream) -> std::io::Result<()> {
         "/healthz" => (
             "200 OK",
             "application/json",
-            compact(&core.health_json()) + "\n",
+            core.health_json().compact() + "\n",
         ),
         _ => (
             "404 Not Found",
@@ -1372,15 +1318,15 @@ mod tests {
         ds
     }
 
-    fn parsed(line: &str) -> Vec<(String, Json)> {
+    fn parsed(line: &str) -> Json {
         match Json::parse(line).unwrap() {
-            Json::Obj(pairs) => pairs,
+            obj @ Json::Obj(_) => obj,
             other => panic!("response must be an object, got {other:?}"),
         }
     }
 
-    fn field<'a>(pairs: &'a [(String, Json)], key: &str) -> &'a Json {
-        get(pairs, key).unwrap_or_else(|| panic!("missing {key}"))
+    fn field<'a>(obj: &'a Json, key: &str) -> &'a Json {
+        obj.get(key).unwrap_or_else(|| panic!("missing {key}"))
     }
 
     /// Two distinct thresholds that select the same nonempty record
@@ -1429,7 +1375,7 @@ mod tests {
         assert!(matches!(field(&ps, "descending_regions"), Json::U64(n) if *n > 0));
         // find a live arc index from the materialized complex, then ask
         // for its geometry
-        let (_, slot) = core.target(&[]).unwrap();
+        let (_, slot) = core.target(&Json::Obj(Vec::new())).unwrap();
         let m = core
             .materialized(0, slot, Ordering::Difference, t as f32)
             .unwrap();
@@ -1446,6 +1392,8 @@ mod tests {
         assert!(matches!(field(&pst, "hits"), Json::U64(n) if *n > 0));
         assert!(matches!(field(&pst, "misses"), Json::U64(n) if *n > 0));
         assert!(matches!(field(&pst, "hit_rate"), Json::F64(r) if *r > 0.0));
+        let [hits, misses] = ["hits", "misses"].map(|k| field(&pst, k).as_f64().unwrap());
+        assert_eq!(field(&pst, "hit_rate"), &Json::F64(hits / (hits + misses)));
         // and the telemetry report carries the same counters
         let report = core.report("serve_test");
         assert!(report.counter_total("serve_queries") > 0);
@@ -1571,37 +1519,28 @@ mod tests {
         assert!(!close);
         let p = parsed(&resp);
         assert_eq!(field(&p, "ok"), &Json::Bool(true));
-        let counters = field(&p, "counters");
-        let Json::Obj(c) = counters else {
-            panic!("counters object")
-        };
+        let c = field(&p, "counters");
         // 3 thresholds + 1 invalid; the in-flight metrics op is not yet
         // counted when its own snapshot is taken
-        assert_eq!(get(c, "serve_queries"), Some(&Json::U64(4)));
-        assert_eq!(get(c, "serve_errors"), Some(&Json::U64(1)));
-        assert_eq!(get(c, "serve_hits"), Some(&Json::U64(2)));
-        assert_eq!(get(c, "serve_misses"), Some(&Json::U64(1)));
-        let Json::Obj(gauges) = field(&p, "gauges") else {
-            panic!("gauges object")
-        };
+        assert_eq!(c.get("serve_queries"), Some(&Json::U64(4)));
+        assert_eq!(c.get("serve_errors"), Some(&Json::U64(1)));
+        assert_eq!(c.get("serve_hits"), Some(&Json::U64(2)));
+        assert_eq!(c.get("serve_misses"), Some(&Json::U64(1)));
+        let gauges = field(&p, "gauges");
         // byte gauges are live and nonzero once something is cached
         assert!(
-            matches!(get(gauges, "serve_cache_bytes"), Some(Json::U64(b)) if *b > 0),
+            matches!(gauges.get("serve_cache_bytes"), Some(Json::U64(b)) if *b > 0),
             "{resp}"
         );
         assert!(
-            matches!(get(gauges, "serve_dataset_bytes{dataset=\"noise\"}"),
+            matches!(gauges.get("serve_dataset_bytes{dataset=\"noise\"}"),
                      Some(Json::U64(b)) if *b > 0),
             "{resp}"
         );
-        let Json::Obj(hists) = field(&p, "histograms") else {
-            panic!("histograms object")
-        };
-        let thr = get(hists, "serve_latency_us{class=\"threshold\"}").expect("threshold series");
-        let Json::Obj(thr) = thr else {
-            panic!("histogram entry object")
-        };
-        assert_eq!(get(thr, "count"), Some(&Json::U64(3)));
+        let thr = field(&p, "histograms")
+            .get("serve_latency_us{class=\"threshold\"}")
+            .expect("threshold series");
+        assert_eq!(thr.get("count"), Some(&Json::U64(3)));
         // health reflects the not-yet-stopped server
         let (resp, _) = core.handle_line("{\"op\":\"health\"}");
         let p = parsed(&resp);

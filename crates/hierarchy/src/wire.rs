@@ -113,8 +113,10 @@ pub fn deserialize(data: &[u8]) -> Result<SlotHierarchy, WireError> {
     for _ in 0..n_seqs {
         need(9, &buf)?;
         let tag = buf.get_u8();
-        let n = buf.get_u64_le() as usize;
-        let mut recs = Vec::with_capacity(n.min(1 << 20));
+        let n = buf.get_u64_le();
+        // the count comes from the payload: reserve no more records than
+        // the remaining bytes could hold (a record is at least 25 bytes)
+        let mut recs = Vec::with_capacity(n.min(buf.remaining() as u64 / 25) as usize);
         for _ in 0..n {
             need(25, &buf)?;
             let upper_addr = buf.get_u64_le();
@@ -148,6 +150,9 @@ pub fn deserialize(data: &[u8]) -> Result<SlotHierarchy, WireError> {
         if slot.replace(recs).is_some() {
             return Err(WireError::Corrupt("duplicate ordering sequence"));
         }
+    }
+    if buf.remaining() > 0 {
+        return Err(WireError::Corrupt("trailing bytes"));
     }
     Ok(SlotHierarchy {
         params: ReplayParams {
@@ -199,6 +204,43 @@ mod tests {
             max_parallel_arcs: None,
         };
         assert_eq!(deserialize(&serialize(&h)).unwrap().params, h.params);
+    }
+
+    #[test]
+    fn huge_record_count_is_refused_before_allocating() {
+        // 26 bytes that claim 2^63 records
+        let mut bad = MAGIC.to_vec();
+        bad.extend_from_slice(&u64::MAX.to_le_bytes());
+        bad.extend_from_slice(&u32::MAX.to_le_bytes());
+        bad.extend_from_slice(&[1, 0]);
+        bad.extend_from_slice(&(1u64 << 63).to_le_bytes());
+        assert_eq!(bad.len(), 26);
+        assert_eq!(deserialize(&bad).unwrap_err(), WireError::Truncated);
+    }
+
+    #[test]
+    fn hostile_payloads_never_panic() {
+        for with_count in [false, true] {
+            let bytes = serialize(&sample(with_count)).to_vec();
+            for cut in 0..bytes.len() {
+                assert!(deserialize(&bytes[..cut]).is_err(), "prefix {cut}");
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(deserialize(&long).is_err(), "trailing byte");
+            let mut flipped = bytes.clone();
+            for at in 0..bytes.len() {
+                for bit in 0..8 {
+                    flipped[at] ^= 1 << bit;
+                    // an edit either errs or decodes to a hierarchy that
+                    // writes back exactly the edited bytes
+                    if let Ok(h) = deserialize(&flipped) {
+                        assert_eq!(serialize(&h)[..], flipped[..], "byte {at} bit {bit}");
+                    }
+                    flipped[at] ^= 1 << bit;
+                }
+            }
+        }
     }
 
     #[test]

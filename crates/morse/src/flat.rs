@@ -1,8 +1,9 @@
 //! Flat structure-of-arrays lower-star kernel.
 //!
-//! Computes byte-identical output to the two-heap homotopy expansion in
-//! `lower_star.rs` (the Robins-Wood-Sheppard rule) without heaps,
-//! `CellKey` materialization, or any per-vertex allocation. Every
+//! Runs the lower-star homotopy expansion (the Robins-Wood-Sheppard rule,
+//! which `msp-oracle`'s `reference_gradient` writes out literally)
+//! without priority queues, `CellKey` materialization, or any per-vertex
+//! allocation. Every
 //! candidate cell lives in the 3×3×3 refined cube around the vertex, so
 //! the star is a 27-bit set ([`msp_grid::offsets`]) and each step below
 //! works on the whole set at once. It rests on three observations and
@@ -32,8 +33,8 @@
 //!    has ended. Either way `a` is less, and `r` is also the highest bit
 //!    in which the integers differ.
 //!
-//! 3. **The two-queue rule is an eligibility mask and a minimum.** The
-//!    heap algorithm always pairs the minimum-key cell that has exactly
+//! 3. **The expansion rule is an eligibility mask and a minimum.** The
+//!    rule always pairs the minimum-key cell that has exactly
 //!    one unassigned same-group facet, and when no such cell exists it
 //!    marks the minimum-key unassigned cell critical (which then
 //!    necessarily has zero unassigned facets, since a facet's key is a
@@ -124,8 +125,7 @@ impl<'a> FlatSweep<'a> {
 
     /// Run the flat sweep for every vertex with z ∈ `[z0, z1]` (global
     /// vertex coordinates), writing into `grad` — which may cover just a
-    /// slab's refined sub-box. The drop-in replacement for the heap
-    /// kernel's `sweep_z_range`.
+    /// slab's refined sub-box.
     pub(crate) fn sweep_z_range(&self, z0: u32, z1: u32, grad: &mut GradientField) {
         let (sx, sxy) = grad.strides();
         let mut rd = [0isize; 27];
@@ -173,8 +173,8 @@ impl<'a> FlatSweep<'a> {
             // Boundary: stratify members into owner-set groups (paper
             // §IV-C's pairing restriction) and expand each independently.
             // Cross-group operations commute — bytes only depend on the
-            // within-group sequence — so sequential groups reproduce the
-            // heap's interleaved order bit for bit, in any group order.
+            // within-group sequence — so running the groups one after
+            // another writes the bytes of any interleaving.
             let mut groups = [0u32; 27];
             let n = self.owner_groups(v, member, &mut groups);
             for &g in &groups[..n] {
@@ -279,7 +279,7 @@ impl<'a> FlatSweep<'a> {
 }
 
 /// Homotopy-expand one owner-set group of a lower star, given as a
-/// bitmask of unassigned member cells. The scan form of the two-queue
+/// bitmask of unassigned member cells. The scan form of the expansion
 /// rule: pair the min-key cell with exactly one unassigned same-group
 /// facet; when none exists, the min-key unassigned cell (then
 /// necessarily facet-free, as facet keys are strictly smaller) becomes

@@ -1,40 +1,24 @@
-//! The local-stage kernels and their per-call statistics.
+//! The local-stage kernel argument and per-call statistics.
 //!
-//! The flat structure-of-arrays kernels (`flat`) are the implementation:
-//! they compute the gradient bytes and arc stores without heaps,
-//! `CellKey` materialization or per-vertex allocation. The original
-//! two-priority-queue lower-star expansion plus recursive tracing
-//! (`heap`) stays runnable through the explicit [`Kernel`] argument of
-//! the `*_kernel` entry points only, as the differential reference the
-//! unit tests, the proptest suite and `kernel_bench` pin the flat
-//! kernels against.
+//! One implementation computes the gradient bytes and the arc stores:
+//! the flat structure-of-arrays kernels (`flat`, and `trace.rs`'s
+//! `FlatTracer`). `tests/pinned_bytes.rs` pins their output, and
+//! `msp-oracle`'s independent reference is diffed against it.
 
-/// Which implementation of the hot local-stage kernels to run.
+/// The local-stage kernel. It has one variant and nothing branches on
+/// it. It remains because the benchmark walk (`benchmark/src/walk.rs`,
+/// versioned with the benchmark) passes [`active_kernel`] to
+/// [`assign_gradient_kernel`](crate::assign_gradient_kernel) and
+/// [`trace_all_arcs_kernel`](crate::trace_all_arcs_kernel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
     /// Flat SoA kernels: the lower star as a 27-bit set, rank-set
-    /// in-star keys, batched iterative V-path tracing. What production
-    /// runs.
+    /// in-star keys, batched iterative V-path tracing.
     #[default]
     Flat,
-    /// The original two-heap lower-star expansion and one-path-at-a-time
-    /// recursive tracing, kept runnable as a differential reference.
-    Heap,
 }
 
-impl Kernel {
-    /// Stable name used in bench tables and JSON documents.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Flat => "flat",
-            Kernel::Heap => "heap",
-        }
-    }
-}
-
-/// The kernel every dispatching entry point runs: [`Kernel::Flat`].
-/// Callers that want the reference side pass [`Kernel::Heap`] to the
-/// `*_kernel` entry points instead.
+/// The kernel every entry point runs: [`Kernel::Flat`].
 pub fn active_kernel() -> Kernel {
     Kernel::Flat
 }
@@ -69,13 +53,6 @@ impl KernelStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(Kernel::Flat.name(), "flat");
-        assert_eq!(Kernel::Heap.name(), "heap");
-        assert_eq!(Kernel::default(), Kernel::Flat);
-    }
 
     #[test]
     fn stats_tally() {

@@ -12,16 +12,16 @@
 //!
 //! * [`gradient::GradientField`] — the paper's one-byte-per-cell refined
 //!   grid encoding of pairing direction, criticality and assignment;
-//! * [`lower_star::assign_gradient`] — the production algorithm:
-//!   per-vertex lower-star homotopy expansion, stratified by the owner
-//!   sets of the decomposition (the boundary restriction);
-//! * [`flat`] (internal) — the flat structure-of-arrays kernel behind
-//!   [`Kernel::Flat`]: the lower star as a 27-bit set, membership and
-//!   pairing eligibility for all its cells at once, rank-set in-star
-//!   keys, zero allocations per vertex;
-//! * [`kernel`] — the [`Kernel`] argument (the two-heap path survives
-//!   behind it as the tests' reference) and the [`KernelStats`] fed
-//!   into telemetry;
+//! * [`lower_star::assign_gradient`] — the gradient: per-vertex
+//!   lower-star homotopy expansion, stratified by the owner sets of the
+//!   decomposition (the boundary restriction), swept over z-slabs;
+//! * [`flat`] (internal) — the structure-of-arrays kernel behind it: the
+//!   lower star as a 27-bit set, membership and pairing eligibility for
+//!   all its cells at once, rank-set in-star keys, zero allocations per
+//!   vertex;
+//! * [`kernel`] — the one-variant [`Kernel`] argument the `*_kernel`
+//!   entry points still take, and the [`KernelStats`] fed into
+//!   telemetry;
 //! * [`trace`] — V-path tracing from critical cells, producing the arcs
 //!   and geometric embeddings that the MS complex is built from;
 //! * [`validate`] — structural validity checks (pairing legality,

@@ -8,8 +8,7 @@
 //! per *slab* (take/put around a multi-millisecond sweep), so contention
 //! is unmeasurable; in exchange the threads≥2 path stops paying a fresh
 //! `vec![0; plane·rows]` (page faults included) per slab per run, which
-//! was the single largest cause of the threads=2 regression recorded in
-//! `results/BENCH_local.json` before this rework.
+//! was what once made the two-thread gradient slower than the serial one.
 //!
 //! Buffers are handed out zeroed (`u8`) or cleared (`u32`), and the pool
 //! is capped so pathological fan-outs cannot hoard memory.

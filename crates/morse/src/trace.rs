@@ -14,20 +14,17 @@
 //! multiple arcs to the *same* destination — the multiplicity matters for
 //! cancellation legality and is preserved.
 //!
-//! Two tracers exist behind the [`Kernel`](crate::Kernel) switch. The
-//! original coordinate-at-a-time DFS (`trace_from`) recomputes a strided
-//! byte index and re-derives facet coordinates for every step; the flat
-//! tracer ([`trace_all_arcs_kernel`] with `Kernel::Flat`, the default)
-//! walks the same DFS over **linear byte indices** — facet neighbors are
-//! `± stride` hops, cell state is one pooled byte read — and batches the
-//! address-ordered critical list into contiguous chunks traced on
-//! separate threads into per-chunk [`ArcStore`] arenas that are
+//! The tracer is a depth-first search over **linear byte indices** — facet
+//! neighbors are `± stride` hops, cell state is one pooled byte read —
+//! and batches the address-ordered critical list into contiguous chunks
+//! traced on separate threads into per-chunk [`ArcStore`] arenas that are
 //! concatenated in chunk order, making the emitted arc sequence (and
 //! therefore the stores' bytes) identical to the serial trace for every
-//! thread count.
+//! thread count. `tests/pinned_bytes.rs` pins that sequence;
+//! `msp-oracle`'s `reference_arcs` checks the arcs as a multiset.
 
 use crate::gradient::{GradientField, CRITICAL, DIR_MASK, PAIRED, TAIL};
-use crate::kernel::{active_kernel, Kernel};
+use crate::kernel::Kernel;
 use msp_grid::RCoord;
 
 /// One traced arc: from a critical `upper` cell of index `d` down to a
@@ -142,23 +139,22 @@ pub struct TraceStats {
 
 /// Trace every descending V-path from every critical cell of positive
 /// index, returning all arcs of the block's MS complex 1-skeleton.
-/// Serial, dispatching to the process-wide kernel selection.
+/// Serial.
 pub fn trace_all_arcs(grad: &GradientField, limits: TraceLimits) -> (ArcStore, TraceStats) {
-    trace_all_arcs_kernel(grad, limits, 1, active_kernel())
+    trace_arcs_from(grad, grad.critical_cells(), limits, 1)
 }
 
-/// [`trace_all_arcs`] with explicit thread count and kernel choice. The
-/// flat kernel chunks the address-ordered critical list contiguously
-/// across threads and concatenates the per-chunk stores in chunk order,
-/// so the result is identical for every thread count; the heap kernel is
-/// the original serial coordinate-at-a-time reference.
+/// [`trace_all_arcs`] on `threads` workers: the address-ordered critical
+/// list is chunked contiguously across them and the per-chunk stores are
+/// concatenated in chunk order, so the result is identical for every
+/// thread count. The [`Kernel`] argument selects nothing (see its docs).
 pub fn trace_all_arcs_kernel(
     grad: &GradientField,
     limits: TraceLimits,
     threads: usize,
-    kernel: Kernel,
+    _kernel: Kernel,
 ) -> (ArcStore, TraceStats) {
-    trace_arcs_from(grad, grad.critical_cells(), limits, threads, kernel)
+    trace_arcs_from(grad, grad.critical_cells(), limits, threads)
 }
 
 /// [`trace_all_arcs_kernel`] for a caller that already holds
@@ -170,43 +166,33 @@ pub fn trace_arcs_from(
     critical: Vec<RCoord>,
     limits: TraceLimits,
     threads: usize,
-    kernel: Kernel,
 ) -> (ArcStore, TraceStats) {
     let mut arcs = ArcStore::new();
     let mut stats = TraceStats::default();
     let crits: Vec<RCoord> = critical.into_iter().filter(|c| c.cell_dim() >= 1).collect();
-    match kernel {
-        Kernel::Heap => {
-            for &c in &crits {
-                trace_from(grad, c, limits, &mut arcs, &mut stats);
-            }
+    let workers = threads.min(crits.len()).max(1);
+    if workers <= 1 {
+        let mut tracer = FlatTracer::new(grad);
+        for &c in &crits {
+            tracer.trace_from(grad, c, limits, &mut arcs, &mut stats);
         }
-        Kernel::Flat => {
-            let workers = threads.min(crits.len()).max(1);
-            if workers <= 1 {
-                let mut tracer = FlatTracer::new(grad);
-                for &c in &crits {
-                    tracer.trace_from(grad, c, limits, &mut arcs, &mut stats);
-                }
-            } else {
-                let chunk = crits.len().div_ceil(workers);
-                let chunks: Vec<&[RCoord]> = crits.chunks(chunk).collect();
-                let parts = msp_grid::par::par_map(workers, &chunks, |_, ch| {
-                    let mut a = ArcStore::new();
-                    let mut s = TraceStats::default();
-                    let mut tracer = FlatTracer::new(grad);
-                    for &c in ch.iter() {
-                        tracer.trace_from(grad, c, limits, &mut a, &mut s);
-                    }
-                    (a, s)
-                });
-                for (a, s) in parts {
-                    arcs.append(a);
-                    stats.arcs += s.arcs;
-                    stats.truncated_nodes += s.truncated_nodes;
-                    stats.path_cells_total += s.path_cells_total;
-                }
+    } else {
+        let chunk = crits.len().div_ceil(workers);
+        let chunks: Vec<&[RCoord]> = crits.chunks(chunk).collect();
+        let parts = msp_grid::par::par_map(workers, &chunks, |_, ch| {
+            let mut a = ArcStore::new();
+            let mut s = TraceStats::default();
+            let mut tracer = FlatTracer::new(grad);
+            for &c in ch.iter() {
+                tracer.trace_from(grad, c, limits, &mut a, &mut s);
             }
+            (a, s)
+        });
+        for (a, s) in parts {
+            arcs.append(a);
+            stats.arcs += s.arcs;
+            stats.truncated_nodes += s.truncated_nodes;
+            stats.path_cells_total += s.path_cells_total;
         }
     }
     (arcs, stats)
@@ -242,8 +228,8 @@ impl FlatTracer {
 
     /// Push the facets of `c` in `FaceDir::ALL` order (axis-major,
     /// negative before positive) — the exact order
-    /// `msp_grid::topology::facets` yields, so the LIFO pops and hence
-    /// the arc emission order match the reference tracer bit for bit.
+    /// `msp_grid::topology::facets` yields, which fixes the LIFO pops and
+    /// hence the arc emission order that `tests/pinned_bytes.rs` pins.
     /// `skip` is the linear index of the facet the path arrived from.
     #[inline]
     fn push_facets(&mut self, c: RCoord, ci: usize, depth: usize, skip: usize) {
@@ -268,8 +254,10 @@ impl FlatTracer {
         }
     }
 
-    /// Trace all descending paths from one critical cell — the iterative
-    /// DFS of [`trace_from`] over linear indices.
+    /// Trace all descending paths from one critical cell by an explicit
+    /// DFS over linear indices. The path alternates (d−1)-cells and
+    /// d-cells; `path` holds the current prefix, and each frame records
+    /// the depth to truncate it to before expanding its cell.
     fn trace_from(
         &mut self,
         grad: &GradientField,
@@ -322,58 +310,6 @@ impl FlatTracer {
             self.path.push(beta);
             let next_depth = self.path.len();
             self.push_facets(beta, bi, next_depth, ai);
-        }
-    }
-}
-
-/// Trace all descending paths from one critical cell.
-pub fn trace_from(
-    grad: &GradientField,
-    from: RCoord,
-    limits: TraceLimits,
-    arcs: &mut ArcStore,
-    stats: &mut TraceStats,
-) {
-    debug_assert!(grad.is_critical(from));
-    debug_assert!(from.cell_dim() >= 1);
-    let bbox = *grad.bbox();
-    let mut emitted = 0usize;
-
-    // Explicit DFS. The path alternates (d−1)-cells and d-cells; `path`
-    // holds the current prefix; frames record (cell to expand, depth to
-    // truncate the path to before expanding).
-    let mut path: Vec<RCoord> = vec![from];
-    let mut stack: Vec<(RCoord, usize)> = Vec::new();
-    for (_, f) in msp_grid::topology::facets(from, &bbox) {
-        stack.push((f, 1));
-    }
-    while let Some((alpha, depth)) = stack.pop() {
-        path.truncate(depth);
-        path.push(alpha);
-        if grad.is_critical(alpha) {
-            if emitted >= limits.max_paths_per_node {
-                stats.truncated_nodes += 1;
-                break;
-            }
-            emitted += 1;
-            stats.arcs += 1;
-            stats.path_cells_total += path.len() as u64;
-            arcs.push(from, alpha, &path);
-            continue;
-        }
-        if !grad.is_tail(alpha) {
-            continue; // head cell: flow does not continue through it
-        }
-        let beta = grad.partner(alpha).expect("tail has a partner");
-        if beta.cell_dim() != from.cell_dim() {
-            continue; // paired upward out of our tracing dimension
-        }
-        path.push(beta);
-        let next_depth = path.len();
-        for (_, f2) in msp_grid::topology::facets(beta, &bbox) {
-            if f2 != alpha {
-                stack.push((f2, next_depth));
-            }
         }
     }
 }
@@ -467,43 +403,6 @@ mod tests {
             reach.values().any(|s| s.len() == 2),
             "a 2-saddle should connect the two maxima"
         );
-    }
-
-    #[test]
-    fn flat_tracer_equals_recursive_reference() {
-        // stores are PartialEq: record order, endpoints and the full
-        // geometry arena must all match, for every thread count
-        for (dims, seed) in [
-            (Dims::new(9, 8, 7), 7u64),
-            (Dims::new(10, 10, 10), 5),
-            (Dims::new(6, 5, 1), 13),
-        ] {
-            let f = msp_synth::white_noise(dims, seed);
-            let g = grad_of(&f);
-            let (heap, hs) = trace_all_arcs_kernel(&g, TraceLimits::default(), 1, Kernel::Heap);
-            for threads in [1, 2, 3, 8] {
-                let (flat, fs) =
-                    trace_all_arcs_kernel(&g, TraceLimits::default(), threads, Kernel::Flat);
-                assert_eq!(flat, heap, "dims {dims:?} threads {threads}");
-                assert_eq!(fs.arcs, hs.arcs);
-                assert_eq!(fs.path_cells_total, hs.path_cells_total);
-            }
-        }
-    }
-
-    #[test]
-    fn flat_tracer_respects_truncation_identically() {
-        let f = msp_synth::white_noise(Dims::new(10, 10, 10), 5);
-        let g = grad_of(&f);
-        let limits = TraceLimits {
-            max_paths_per_node: 3,
-        };
-        let (heap, hs) = trace_all_arcs_kernel(&g, limits, 1, Kernel::Heap);
-        for threads in [1, 4] {
-            let (flat, fs) = trace_all_arcs_kernel(&g, limits, threads, Kernel::Flat);
-            assert_eq!(flat, heap, "threads {threads}");
-            assert_eq!(fs.truncated_nodes, hs.truncated_nodes);
-        }
     }
 
     #[test]

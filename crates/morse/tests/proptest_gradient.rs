@@ -8,28 +8,12 @@ use msp_morse::lower_star::{assign_gradient, assign_gradient_par};
 use msp_morse::validate::{
     boundary_consistent, check_valid, euler_characteristic, pairs_respect_owners,
 };
-use msp_morse::{assign_gradient_kernel, trace_all_arcs, trace_all_arcs_kernel};
-use msp_morse::{Kernel, TraceLimits};
+use msp_morse::{trace_all_arcs, TraceLimits};
 use proptest::prelude::*;
 
 fn arb_field() -> impl Strategy<Value = ScalarField> {
     ((3u32..8, 3u32..8, 3u32..8), 0u64..1_000_000)
         .prop_map(|((x, y, z), seed)| msp_synth::white_noise(Dims::new(x, y, z), seed))
-}
-
-/// Smooth analytic fields: many regular cells, few critical ones — the
-/// opposite stress profile from noise.
-fn arb_sinusoid_field() -> impl Strategy<Value = ScalarField> {
-    ((4u32..9, 4u32..9, 4u32..9), 1u32..4).prop_map(|((x, y, z), complexity)| {
-        msp_synth::sinusoid_dims(Dims::new(x, y, z), complexity)
-    })
-}
-
-/// Union of the three field families the flat-vs-heap contract must hold
-/// on: white noise (dense criticality), quantized plateaus (SoS
-/// tie-breaking), smooth sinusoids (long V-paths).
-fn arb_any_field() -> impl Strategy<Value = ScalarField> {
-    prop_oneof![arb_field(), arb_plateau_field(), arb_sinusoid_field()]
 }
 
 /// Quantized fields create plateaus, stressing simulation of simplicity.
@@ -141,59 +125,6 @@ proptest! {
             prop_assert_eq!(st_s.arcs, st_p.arcs);
             prop_assert_eq!(st_s.path_cells_total, st_p.path_cells_total);
         }
-    }
-
-    #[test]
-    fn flat_kernel_bit_identical_to_heap(
-        field in arb_any_field(),
-        blocks in 1u32..4,
-        threads in 1usize..9,
-    ) {
-        // the rework contract: the flat SoA kernels reproduce the
-        // two-heap gradient bytes and the recursive tracer's arc store
-        // exactly, on every block and under every slab split
-        let dims = field.dims();
-        let cells = (dims.nx as u64 - 1) * (dims.ny as u64 - 1) * (dims.nz as u64 - 1);
-        prop_assume!(cells >= blocks as u64 * 4);
-        let d = match std::panic::catch_unwind(|| Decomposition::bisect(dims, blocks)) {
-            Ok(d) => d,
-            Err(_) => return Ok(()),
-        };
-        for b in d.blocks() {
-            let bf = field.extract_block(b);
-            let (heap, _) = assign_gradient_kernel(&bf, &d, 1, Kernel::Heap);
-            let (flat, stats) = assign_gradient_kernel(&bf, &d, threads, Kernel::Flat);
-            prop_assert_eq!(
-                flat.bytes(), heap.bytes(),
-                "block {} flat kernel with {} threads diverged from heap", b.id, threads
-            );
-            prop_assert_eq!(stats.cells, heap.bbox().len());
-            let (arcs_h, st_h) = trace_all_arcs_kernel(
-                &heap, TraceLimits::default(), 1, Kernel::Heap);
-            let (arcs_f, st_f) = trace_all_arcs_kernel(
-                &flat, TraceLimits::default(), threads, Kernel::Flat);
-            prop_assert_eq!(arcs_h, arcs_f, "block {} arc stores diverged", b.id);
-            prop_assert_eq!(st_h.arcs, st_f.arcs);
-            prop_assert_eq!(st_h.path_cells_total, st_f.path_cells_total);
-            prop_assert_eq!(st_h.truncated_nodes, st_f.truncated_nodes);
-        }
-    }
-
-    #[test]
-    fn flat_kernel_respects_trace_truncation(
-        field in arb_field(),
-        cap in 1usize..4,
-    ) {
-        // truncation limits must bind identically in both tracers
-        let d = Decomposition::bisect(field.dims(), 1);
-        let bf = field.extract_block(d.block(0));
-        let limits = TraceLimits { max_paths_per_node: cap };
-        let (heap, _) = assign_gradient_kernel(&bf, &d, 1, Kernel::Heap);
-        let (arcs_h, st_h) = trace_all_arcs_kernel(&heap, limits, 1, Kernel::Heap);
-        let (arcs_f, st_f) = trace_all_arcs_kernel(&heap, limits, 4, Kernel::Flat);
-        prop_assert_eq!(arcs_h, arcs_f);
-        prop_assert_eq!(st_h.arcs, st_f.arcs);
-        prop_assert_eq!(st_h.truncated_nodes, st_f.truncated_nodes);
     }
 
     #[test]

@@ -17,11 +17,13 @@
 //!   coordinate parity tricks;
 //! * V-paths are enumerated by plain recursion, collecting whole paths.
 //!
-//! Equivalence with the production two-queue expansion follows from the
-//! key order: a facet's vertex set is a strict subset of its cofacet's,
-//! so a facet's SoS key is strictly smaller — hence the smallest
-//! unassigned cell of a group never has unassigned facets, and the
-//! production zero-queue pop always coincides with this rule.
+//! Equivalence with the production expansion (`msp-morse`'s flat kernel
+//! pairs the minimum-key eligible cell, else marks the minimum-key
+//! unassigned cell critical) follows from the key order: a facet's
+//! vertex set is a strict subset of its cofacet's, so a facet's SoS key
+//! is strictly smaller — hence the smallest unassigned cell of a group
+//! never has unassigned facets, and the production critical step always
+//! coincides with this rule.
 
 use msp_grid::decomp::{Decomposition, OwnerSet};
 use msp_grid::dims::RefinedDims;
@@ -285,46 +287,86 @@ pub fn diff_arcs(got: &[RefArc], want: &[RefArc]) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msp_grid::Dims;
-    use msp_morse::{assign_gradient, trace_all_arcs, TraceLimits};
+    use msp_grid::{Dims, ScalarField};
+    use msp_morse::{assign_gradient, assign_gradient_par, trace_all_arcs, TraceLimits};
 
-    fn both(
-        dims: Dims,
-        seed: u64,
-        blocks: u32,
-    ) -> (Decomposition, Vec<(GradientField, GradientField)>) {
-        let f = msp_synth::white_noise(dims, seed);
-        let d = Decomposition::bisect(dims, blocks);
-        let pairs = d
-            .blocks()
-            .iter()
-            .map(|b| {
-                let bf = f.extract_block(b);
-                (assign_gradient(&bf, &d), reference_gradient(&bf, &d))
-            })
+    /// Every block of `f` under `d`: the production gradient on each of
+    /// `threads` slabs equals the reference byte for byte.
+    fn assert_matches(f: &ScalarField, d: &Decomposition, threads: &[usize], what: &str) {
+        for b in d.blocks() {
+            let bf = f.extract_block(b);
+            let want = reference_gradient(&bf, d);
+            for &t in threads {
+                let got = assign_gradient_par(&bf, d, t);
+                assert_eq!(
+                    diff_gradient(&got, &want),
+                    None,
+                    "{what}: block {} threads {t}",
+                    b.id
+                );
+            }
+        }
+    }
+
+    /// A smooth field with long V-paths.
+    fn sin_cos(dims: Dims) -> ScalarField {
+        ScalarField::from_fn(dims, |x, y, z| {
+            (x as f32 * 0.7).sin() + (y as f32 * 0.5).cos() + (z as f32 * 0.9).sin()
+        })
+    }
+
+    /// Random trees and weight-steered splits of `f`'s domain. Unlike
+    /// `bisect` they make T-junctions, where one owner walk per boundary
+    /// vertex could part from one walk per cell.
+    fn irregular(f: &ScalarField, seed: u64) -> Vec<Decomposition> {
+        let dims = f.dims();
+        let weights: Vec<u64> = f.data().iter().map(|v| 1 + (v * 40.0) as u64).collect();
+        let mut decomps: Vec<Decomposition> = (2..12)
+            .map(|n| Decomposition::random_tree(dims, n, seed + n as u64))
             .collect();
-        (d, pairs)
+        decomps.extend([3, 6, 9].map(|n| Decomposition::adaptive(dims, n, &weights)));
+        decomps
     }
 
     #[test]
     fn reference_matches_production_on_noise() {
+        // the last two are degenerate: a 2D slab and a one-cell-thick
+        // column, where the clip masks must kill whole axes
         for (dims, seed) in [
             (Dims::new(6, 6, 6), 1u64),
             (Dims::new(7, 5, 6), 99),
             (Dims::new(5, 8, 5), 1234),
+            (Dims::new(6, 5, 1), 31),
+            (Dims::new(2, 7, 6), 31),
         ] {
-            let (_, pairs) = both(dims, seed, 1);
-            for (prod, refg) in &pairs {
-                assert_eq!(diff_gradient(prod, refg), None);
-            }
+            let f = msp_synth::white_noise(dims, seed);
+            let d = Decomposition::bisect(dims, 1);
+            assert_matches(&f, &d, &[1, 4], &format!("noise {dims:?}"));
         }
     }
 
     #[test]
     fn reference_matches_production_on_blocks() {
-        let (_, pairs) = both(Dims::new(9, 9, 9), 7, 4);
-        for (prod, refg) in &pairs {
-            assert_eq!(diff_gradient(prod, refg), None);
+        let cube = Dims::new(9, 9, 9);
+        let noise = msp_synth::white_noise(cube, 7);
+        assert_matches(&noise, &Decomposition::bisect(cube, 4), &[1], "noise 9^3");
+        // noise, a quantized stair field and a smooth sinusoid under
+        // every slab split
+        let dims = Dims::new(9, 8, 7);
+        let d = Decomposition::bisect(dims, 4);
+        for (what, f) in [
+            ("noise", msp_synth::white_noise(dims, 173)),
+            (
+                "stairs",
+                ScalarField::from_fn(dims, |x, y, z| ((x / 3 + y / 2 + z / 3) % 3) as f32),
+            ),
+            ("sinusoid", sin_cos(dims)),
+        ] {
+            assert_matches(&f, &d, &[1, 2, 3, 8], what);
+        }
+        let noise = msp_synth::white_noise(Dims::new(12, 10, 11), 61);
+        for (i, d) in irregular(&noise, 0).iter().enumerate() {
+            assert_matches(&noise, d, &[1, 3], &format!("noise, irregular tree {i}"));
         }
     }
 
@@ -334,28 +376,45 @@ mod tests {
             let dims = Dims::new(6, 7, 5);
             let f = msp_synth::plateau(dims, 5, levels);
             let d = Decomposition::bisect(dims, 2);
-            for b in d.blocks() {
-                let bf = f.extract_block(b);
-                let prod = assign_gradient(&bf, &d);
-                let refg = reference_gradient(&bf, &d);
-                assert_eq!(diff_gradient(&prod, &refg), None, "levels {levels}");
-            }
+            assert_matches(&f, &d, &[1], &format!("levels {levels}"));
+        }
+        // equal values force the tie-break on top of the T-junctions
+        let plateau = msp_synth::plateau(Dims::new(12, 10, 11), 62, 3);
+        for (i, d) in irregular(&plateau, 100).iter().enumerate() {
+            assert_matches(
+                &plateau,
+                d,
+                &[1, 3],
+                &format!("plateau, irregular tree {i}"),
+            );
         }
     }
 
     #[test]
     fn reference_arcs_match_traced_arcs() {
-        let dims = Dims::new(7, 7, 7);
-        let refined = dims.refined();
-        let f = msp_synth::white_noise(dims, 21);
-        let d = Decomposition::bisect(dims, 2);
-        for b in d.blocks() {
-            let bf = f.extract_block(b);
-            let g = assign_gradient(&bf, &d);
-            let (store, _) = trace_all_arcs(&g, TraceLimits::default());
-            let got = arcs_of_store(&store, &refined);
-            let want = reference_arcs(&g, &refined);
-            assert_eq!(diff_arcs(&got, &want), None);
+        for (f, blocks) in [
+            (msp_synth::white_noise(Dims::new(7, 7, 7), 21), 2u32),
+            (msp_synth::white_noise(Dims::new(9, 8, 7), 7), 1),
+            (msp_synth::white_noise(Dims::new(10, 10, 10), 5), 1),
+            (msp_synth::white_noise(Dims::new(6, 5, 1), 13), 1),
+            (sin_cos(Dims::new(9, 8, 7)), 4),
+        ] {
+            let refined = f.dims().refined();
+            let d = Decomposition::bisect(f.dims(), blocks);
+            for b in d.blocks() {
+                let bf = f.extract_block(b);
+                let g = assign_gradient(&bf, &d);
+                let (store, _) = trace_all_arcs(&g, TraceLimits::default());
+                let got = arcs_of_store(&store, &refined);
+                let want = reference_arcs(&g, &refined);
+                assert_eq!(
+                    diff_arcs(&got, &want),
+                    None,
+                    "{:?} block {}",
+                    f.dims(),
+                    b.id
+                );
+            }
         }
     }
 

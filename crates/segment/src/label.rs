@@ -19,8 +19,8 @@
 //! how the domain is distributed over ranks.
 //!
 //! Plateau tie-breaking needs no extra rule here: successors follow the
-//! gradient's own pairings, which were chosen under the production
-//! two-heap comparison order (simulation of simplicity), so flat
+//! gradient's own pairings, which were chosen under the
+//! simulation-of-simplicity order, so flat
 //! regions inherit exactly the same deterministic owners the complex
 //! construction sees.
 

@@ -55,12 +55,57 @@ impl Json {
     /// Render with 2-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.render(&mut out, 0);
+        self.render(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn render(&self, out: &mut String, depth: usize) {
+    /// Render on one line with no whitespace between tokens: the framing
+    /// of a line-delimited protocol such as `msc serve`'s replies.
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, None);
+        out
+    }
+
+    /// The value under `key`, when this is an object that holds one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The text of a string value.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// An unsigned integer; any other value, other numbers included,
+    /// gives `None`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::U64(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// Any number, as `f64`.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::F64(v) => Some(*v),
+            Json::U64(n) => Some(*n as f64),
+            Json::I64(n) => Some(*n as f64),
+            _ => None,
+        }
+    }
+
+    /// `depth` is the indentation level of the pretty form, or `None`
+    /// for the one-line form.
+    fn render(&self, out: &mut String, depth: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -77,44 +122,13 @@ impl Json {
             Json::U64(v) => out.push_str(&v.to_string()),
             Json::I64(v) => out.push_str(&v.to_string()),
             Json::Str(s) => escape_into(s, out),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.render(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    escape_into(k, out);
-                    out.push_str(": ");
-                    v.render(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
+            Json::Arr(items) => render_seq(out, depth, ['[', ']'], items.iter().map(|v| (None, v))),
+            Json::Obj(pairs) => render_seq(
+                out,
+                depth,
+                ['{', '}'],
+                pairs.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
 }
@@ -122,9 +136,42 @@ impl Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut s = String::new();
-        self.render(&mut s, 0);
+        self.render(&mut s, Some(0));
         f.write_str(&s)
     }
+}
+
+/// An array's items or an object's members between `brackets`: in the
+/// pretty form one per line at `depth + 1`, in the one-line form
+/// separated by bare commas. An empty sequence is its brackets alone.
+fn render_seq<'a>(
+    out: &mut String,
+    depth: Option<usize>,
+    brackets: [char; 2],
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    out.push(brackets[0]);
+    let mut empty = true;
+    for (key, v) in items {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        if let Some(d) = depth {
+            out.push('\n');
+            indent(out, d + 1);
+        }
+        if let Some(k) = key {
+            escape_into(k, out);
+            out.push_str(if depth.is_some() { ": " } else { ":" });
+        }
+        v.render(out, depth.map(|d| d + 1));
+    }
+    if let (Some(d), false) = (depth, empty) {
+        out.push('\n');
+        indent(out, d);
+    }
+    out.push(brackets[1]);
 }
 
 fn indent(out: &mut String, depth: usize) {
@@ -381,6 +428,30 @@ mod tests {
         assert_eq!(s.matches('{').count(), s.matches('}').count(),);
         assert_eq!(s.matches('[').count(), s.matches(']').count());
         assert!(s.ends_with('\n'));
+    }
+
+    #[test]
+    fn compact_form_and_accessors() {
+        let v = Json::obj(vec![
+            ("a", Json::Arr(vec![Json::U64(1), Json::Obj(vec![])])),
+            ("b", Json::obj(vec![("c", Json::str("x y"))])),
+            ("d", Json::Arr(vec![])),
+            ("e", Json::I64(-2)),
+        ]);
+        assert_eq!(v.compact(), r#"{"a":[1,{}],"b":{"c":"x y"},"d":[],"e":-2}"#);
+        assert_eq!(
+            v.pretty(),
+            "{\n  \"a\": [\n    1,\n    {}\n  ],\n  \"b\": {\n    \"c\": \"x y\"\n  },\n  \"d\": [],\n  \"e\": -2\n}\n"
+        );
+        assert_eq!(Json::parse(&v.compact()).unwrap(), v);
+        let c = v.get("b").and_then(|b| b.get("c"));
+        assert_eq!(c.and_then(Json::as_str), Some("x y"));
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(Json::U64(3).get("a"), None);
+        assert_eq!(v.get("e").and_then(Json::as_u64), None);
+        assert_eq!(v.get("e").and_then(Json::as_f64), Some(-2.0));
+        assert_eq!(Json::F64(0.5).as_u64(), None);
+        assert_eq!(Json::U64(7).as_f64(), Some(7.0));
     }
 
     #[test]

@@ -90,14 +90,15 @@ impl RankReport {
         let rank = c.u32()?;
         let unbalanced = c.u32()?;
         let n_phases = c.u32()? as usize;
-        let mut phases = Vec::with_capacity(n_phases.min(4096));
+        // a phase or counter entry is a key length plus 8 bytes
+        let mut phases = Vec::with_capacity(c.capacity(n_phases, 10));
         for _ in 0..n_phases {
             let k = c.string()?;
             let s = c.f64()?;
             phases.push((k, s));
         }
         let n_counters = c.u32()? as usize;
-        let mut counters = Vec::with_capacity(n_counters.min(4096));
+        let mut counters = Vec::with_capacity(c.capacity(n_counters, 10));
         for _ in 0..n_counters {
             let k = c.string()?;
             let v = c.u64()?;
@@ -411,8 +412,10 @@ mod tests {
         let mut good = rank_report(0, 1.0, 1).encode();
         good.push(0); // trailing byte
         assert!(RankReport::decode(&good).is_err());
-        let truncated = &rank_report(0, 1.0, 1).encode()[..10];
-        assert!(RankReport::decode(truncated).is_err());
+        let bytes = rank_report(0, 1.0, 1).encode();
+        for cut in 0..bytes.len() {
+            assert!(RankReport::decode(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
     }
 
     #[test]

@@ -207,7 +207,9 @@ impl RankTrace {
         let rank = c.u32()?;
         let unbalanced = c.u32()?;
         let n_spans = c.u32()? as usize;
-        let mut spans = Vec::with_capacity(n_spans.min(65536));
+        // key length + two timestamps; a message stamp is 36 bytes, a
+        // timeout stamp 24
+        let mut spans = Vec::with_capacity(c.capacity(n_spans, 18));
         for _ in 0..n_spans {
             let key = c.string()?;
             let t0_ns = c.u64()?;
@@ -217,7 +219,7 @@ impl RankTrace {
         let mut msg_lists = Vec::with_capacity(2);
         for _ in 0..2 {
             let n = c.u32()? as usize;
-            let mut msgs = Vec::with_capacity(n.min(65536));
+            let mut msgs = Vec::with_capacity(c.capacity(n, 36));
             for _ in 0..n {
                 msgs.push(MsgStamp {
                     src: c.u32()?,
@@ -233,7 +235,7 @@ impl RankTrace {
         let recvs = msg_lists.pop().unwrap();
         let sends = msg_lists.pop().unwrap();
         let n_timeouts = c.u32()? as usize;
-        let mut timeouts = Vec::with_capacity(n_timeouts.min(65536));
+        let mut timeouts = Vec::with_capacity(c.capacity(n_timeouts, 24));
         for _ in 0..n_timeouts {
             timeouts.push(TimeoutStamp {
                 src: c.u32()?,
@@ -905,8 +907,7 @@ mod tests {
         assert_eq!(t.merged_span_seconds("missing"), 0.0);
     }
 
-    #[test]
-    fn encode_decode_round_trip() {
+    fn sample_trace() -> RankTrace {
         let mut t = RankTrace::new(5);
         t.span("read", 10, 250);
         t.span("merge_round[0]", 300, 900);
@@ -919,8 +920,38 @@ mod tests {
             waited_ns: 250,
         });
         t.unbalanced = 1;
+        t
+    }
+
+    #[test]
+    fn encode_decode_round_trip() {
+        let t = sample_trace();
         let back = RankTrace::decode(&t.encode()).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn hostile_traces_never_panic() {
+        let bytes = sample_trace().encode();
+        for cut in 0..bytes.len() {
+            assert!(RankTrace::decode(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
+        let mut flipped = bytes.clone();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                // an edit either errs or decodes to a trace that encodes
+                // back to exactly the edited bytes
+                if let Ok(t) = RankTrace::decode(&flipped) {
+                    assert_eq!(t.encode(), flipped, "byte {at} bit {bit}");
+                }
+                flipped[at] ^= 1 << bit;
+            }
+        }
+        // u32::MAX spans claimed by a 16-byte header
+        let mut huge = RankTrace::new(0).encode();
+        huge[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(RankTrace::decode(&huge).is_err());
     }
 
     #[test]
@@ -1054,28 +1085,10 @@ mod tests {
         let run = RunTrace::from_ranks(vec![r0, r1]);
         let doc = run.to_chrome_json("unit").pretty();
         let parsed = Json::parse(&doc).expect("self-emitted JSON parses");
-        let Json::Obj(top) = &parsed else {
-            panic!("top level is an object")
-        };
-        let events = top
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .map(|(_, v)| v)
-            .unwrap();
-        let Json::Arr(events) = events else {
+        let Some(Json::Arr(events)) = parsed.get("traceEvents") else {
             panic!("traceEvents is an array")
         };
-        let phase_of = |e: &Json| match e {
-            Json::Obj(o) => o
-                .iter()
-                .find(|(k, _)| k == "ph")
-                .and_then(|(_, v)| match v {
-                    Json::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
-                .unwrap(),
-            _ => panic!("event is an object"),
-        };
+        let phase_of = |e: &Json| e.get("ph").and_then(Json::as_str).unwrap().to_string();
         let count = |ph: &str| events.iter().filter(|e| phase_of(e) == ph).count();
         assert_eq!(count("X"), 2, "two spans");
         assert_eq!(count("s"), 1, "one flow start");
@@ -1090,14 +1103,7 @@ mod tests {
                 p == "s" || p == "f"
             })
             .collect();
-        let id_of = |e: &Json| match e {
-            Json::Obj(o) => o
-                .iter()
-                .find(|(k, _)| k == "id")
-                .map(|(_, v)| v.clone())
-                .unwrap(),
-            _ => unreachable!(),
-        };
+        let id_of = |e: &Json| e.get("id").cloned().unwrap();
         assert_eq!(id_of(ids[0]), id_of(ids[1]));
     }
 

@@ -54,6 +54,13 @@ impl<'a> Cursor<'a> {
         String::from_utf8(b.to_vec()).map_err(|_| format!("{} key is not UTF-8", self.what))
     }
 
+    /// How many of `n` records, each at least `min_bytes` long, the
+    /// unread bytes could hold: the most a decoder may reserve for a
+    /// count it read from the input.
+    pub(crate) fn capacity(&self, n: usize, min_bytes: usize) -> usize {
+        n.min((self.buf.len() - self.pos) / min_bytes)
+    }
+
     /// Error unless the whole buffer was consumed.
     pub(crate) fn expect_end(&self) -> Result<(), String> {
         if self.pos != self.buf.len() {

@@ -92,8 +92,8 @@ proptest! {
 }
 
 /// Flat-plateau regression: on fields with massive value ties the
-/// labels are decided purely by the production two-heap comparison
-/// order (simulation of simplicity). A tie-breaking divergence between
+/// labels are decided purely by the simulation-of-simplicity order the
+/// gradient pairs cells by. A tie-breaking divergence between
 /// the labeler and the gradient/simplifier shows up here as a byte
 /// difference between rank counts.
 #[test]

@@ -79,36 +79,18 @@ fn chrome_export_round_trips_with_paired_flow_edges() {
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_dir_all(&dir).ok();
     let doc = Json::parse(&text).expect("trace file parses");
-    let Json::Obj(top) = &doc else {
-        panic!("top level is an object")
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        panic!("no traceEvents array")
     };
-    let events = top
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| match v {
-            Json::Arr(evs) => evs,
-            other => panic!("traceEvents not an array: {other:?}"),
-        })
-        .expect("traceEvents present");
     assert!(!events.is_empty());
-    let ph_of = |ev: &Json, want: &str| -> bool {
-        matches!(ev, Json::Obj(pairs)
-            if pairs.iter().any(|(k, v)| k == "ph" && matches!(v, Json::Str(s) if s == want)))
-    };
     let ids = |want: &str| -> Vec<u64> {
         let mut v: Vec<u64> = events
             .iter()
-            .filter(|e| ph_of(e, want))
-            .map(|e| match e {
-                Json::Obj(pairs) => pairs
-                    .iter()
-                    .find(|(k, _)| k == "id")
-                    .map(|(_, v)| match v {
-                        Json::U64(n) => *n,
-                        other => panic!("flow id not u64: {other:?}"),
-                    })
-                    .expect("flow event has id"),
-                _ => unreachable!(),
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some(want))
+            .map(|e| {
+                e.get("id")
+                    .and_then(Json::as_u64)
+                    .expect("flow event has a u64 id")
             })
             .collect();
         v.sort_unstable();
