@@ -23,10 +23,17 @@
 //! 3. boundary flags are recomputed against the merged member-block set,
 //!    turning interior boundary artifacts into cancellation candidates.
 //!
-//! Malformed inputs (uncompacted complexes, mismatched domains, address
-//! collisions at different Morse indices) are reported as [`GlueError`]s
-//! instead of panicking, so a corrupted peer complex arriving over the
-//! wire cannot take the rank down.
+//! Either complex may hold tombstones: the pipeline compacts a complex
+//! only when it leaves its rank, so a root carries the tombstones of its
+//! re-simplifications and a member on its root's rank arrives live.
+//! Gluing skips dead nodes and arcs and copies the live arcs' geometry in
+//! the order compacting first would give, so the glued complex compacts
+//! to the same bytes either way.
+//!
+//! Malformed inputs (mismatched domains, address collisions at different
+//! Morse indices) are reported as [`GlueError`]s instead of panicking, so
+//! a corrupted peer complex arriving over the wire cannot take the rank
+//! down.
 
 use crate::skeleton::{GeomId, MsComplex, NodeId};
 use msp_grid::{Decomposition, RCoord};
@@ -49,11 +56,6 @@ pub enum GlueError {
     /// The two complexes disagree on the refined dims of the full
     /// dataset — their global addresses are not comparable.
     DomainMismatch,
-    /// The incoming complex carries a dead (tombstoned) node: it was not
-    /// compacted before shipping.
-    DeadIncomingNode { addr: u64 },
-    /// The incoming complex carries a dead (tombstoned) arc.
-    DeadIncomingArc { upper: u64, lower: u64 },
     /// Both complexes hold a node at the same global address but with
     /// different Morse indices — the gradients disagreed on a shared
     /// face.
@@ -68,15 +70,6 @@ impl fmt::Display for GlueError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GlueError::DomainMismatch => write!(f, "complexes do not share a refined domain"),
-            GlueError::DeadIncomingNode { addr } => {
-                write!(f, "incoming complex not compacted: dead node at {addr}")
-            }
-            GlueError::DeadIncomingArc { upper, lower } => {
-                write!(
-                    f,
-                    "incoming complex not compacted: dead arc {upper} -> {lower}"
-                )
-            }
             GlueError::IndexMismatch {
                 addr,
                 root,
@@ -95,8 +88,8 @@ impl fmt::Display for GlueError {
 
 impl std::error::Error for GlueError {}
 
-/// True when every cell of the V-path geometry `g` (resolved against
-/// `incoming`) lies inside the region covered by the blocks in
+/// True when every cell of the V-path geometry `g` (decoded in place
+/// from `incoming`) lies inside the region covered by the blocks in
 /// `members`. This is the generalized-glue duplicate test: the gradient
 /// is computed identically everywhere two groups' regions overlap, so a
 /// path confined to the overlap was traced by both sides.
@@ -106,7 +99,7 @@ fn path_in_region(
     decomp: &Decomposition,
     members: &[u32],
 ) -> bool {
-    incoming.flatten_geom(g).iter().all(|&addr| {
+    incoming.geom_all(g, &mut |addr| {
         let c = RCoord::from_address(addr, &incoming.refined);
         decomp
             .owners(c)
@@ -116,8 +109,8 @@ fn path_in_region(
     })
 }
 
-/// Glue `incoming` onto `root`. Both must be compacted (live-only)
-/// complexes over the same refined grid.
+/// Glue `incoming` onto `root`, two complexes over the same refined
+/// grid. Either may hold tombstones; those of `incoming` are skipped.
 ///
 /// An arc whose endpoints both match existing root nodes *and* whose
 /// V-path stays inside the root's covered region is guaranteed to be a
@@ -137,13 +130,15 @@ pub fn glue(
     }
     let mut stats = GlueStats::default();
 
-    // map incoming node id -> (root node id, was it a shared match).
-    // Matching is by global address alone: only shared-boundary critical
-    // cells can collide (interior cells are unique to a block).
+    // map incoming node id -> (root node id, was it a shared match); a
+    // dead node maps nowhere, since no live arc names it. Matching is by
+    // global address alone: only shared-boundary critical cells can
+    // collide (interior cells are unique to a block).
     let mut node_map: Vec<(NodeId, bool)> = Vec::with_capacity(incoming.nodes.len());
     for n in &incoming.nodes {
         if !n.alive {
-            return Err(GlueError::DeadIncomingNode { addr: n.addr });
+            node_map.push((NodeId::MAX, false));
+            continue;
         }
         if let Some(existing) = root.node_at(n.addr) {
             let root_index = root.nodes[existing as usize].index;
@@ -164,13 +159,7 @@ pub fn glue(
     }
 
     let mut geom_map = Vec::new();
-    for a in &incoming.arcs {
-        if !a.alive {
-            return Err(GlueError::DeadIncomingArc {
-                upper: incoming.nodes[a.upper as usize].addr,
-                lower: incoming.nodes[a.lower as usize].addr,
-            });
-        }
+    for a in incoming.arcs.iter().filter(|a| a.alive) {
         let (u, u_shared) = node_map[a.upper as usize];
         let (l, l_shared) = node_map[a.lower as usize];
         if u_shared && l_shared && path_in_region(incoming, a.geom, decomp, &root.member_blocks) {
@@ -222,6 +211,7 @@ mod tests {
     use super::*;
     use crate::build::build_block_complex;
     use crate::simplify::{simplify, SimplifyParams};
+    use crate::wire;
     use msp_grid::{Dims, ScalarField};
     use msp_morse::TraceLimits;
 
@@ -287,27 +277,26 @@ mod tests {
     }
 
     #[test]
-    fn uncompacted_incoming_is_a_typed_error() {
+    fn uncompacted_incoming_glues_like_its_compaction() {
+        // a member on its root's rank arrives live, with the tombstones
+        // of its simplification: gluing it must give the bytes of gluing
+        // its compacted form
         let dims = Dims::new(9, 9, 9);
         let f = msp_synth::white_noise(dims, 8);
         let (d, mut cs) = block_complexes(&f, 2);
-        let mut inc = cs.pop().unwrap();
-        let mut root = cs.pop().unwrap();
-        // tombstone one node without compacting: the glue must refuse
-        let victim = inc
-            .nodes
-            .iter()
-            .position(|n| n.alive && !n.boundary)
-            .expect("interior node exists") as u32;
-        for a in inc.arcs_of(victim).collect::<Vec<_>>() {
-            inc.kill_arc(a);
-        }
-        let addr = inc.nodes[victim as usize].addr;
-        inc.kill_node(victim, 0.0);
-        assert_eq!(
-            glue(&mut root, &inc, &d),
-            Err(GlueError::DeadIncomingNode { addr })
-        );
+        let mut loose = cs.pop().unwrap();
+        let root = cs.pop().unwrap();
+        simplify(&mut loose, SimplifyParams::up_to(0.2)).unwrap();
+        assert!(loose.nodes.iter().any(|n| !n.alive), "no tombstones");
+        let mut packed = loose.clone();
+        packed.compact();
+        let glued = |inc: &MsComplex| {
+            let mut r = root.clone();
+            glue_all(&mut r, std::slice::from_ref(inc), &d).unwrap();
+            r.compact();
+            wire::serialize(&r)
+        };
+        assert_eq!(glued(&loose), glued(&packed));
     }
 
     #[test]

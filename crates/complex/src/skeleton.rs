@@ -8,13 +8,18 @@
 //! the new arcs is inherited from the deleted arcs, and a new geometry
 //! object is created that references the geometry objects that were
 //! merged"). Deletion is by tombstone (`alive` flags) so record ids stay
-//! stable; [`MsComplex::compact`] rebuilds dense arrays before
-//! communication.
+//! stable; [`MsComplex::compact`] rebuilds dense arrays when a complex
+//! leaves its rank. A complex that stays on its rank is glued and
+//! re-simplified with its tombstones: every pass sees the live records in
+//! the same relative order either way.
 
+use msp_grid::coord::mix_address;
 use msp_grid::dims::RefinedDims;
 use msp_grid::RCoord;
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 pub type NodeId = u32;
 pub type ArcId = u32;
@@ -41,6 +46,78 @@ fn step_deltas(refined: &RefinedDims) -> [u64; 6] {
         z.wrapping_neg(),
         z,
     ]
+}
+
+/// The address index's hashing: the splitmix64 finalizer
+/// ([`mix_address`]) of the address xor a per-process random key — one
+/// multiply-xorshift chain per probe, where the std hasher runs SipHash.
+/// The key keeps addresses read from a payload from being chosen to
+/// collide.
+#[derive(Debug, Clone, Copy)]
+struct AddrHashing(u64);
+
+impl Default for AddrHashing {
+    fn default() -> Self {
+        static KEY: OnceLock<u64> = OnceLock::new();
+        AddrHashing(*KEY.get_or_init(|| RandomState::new().hash_one(0u64)))
+    }
+}
+
+impl BuildHasher for AddrHashing {
+    type Hasher = AddrHasher;
+
+    fn build_hasher(&self) -> AddrHasher {
+        AddrHasher(self.0)
+    }
+}
+
+/// See [`AddrHashing`].
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, addr: u64) {
+        self.0 = mix_address(self.0 ^ addr);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The cells of one leaf geometry, decoded from its step codes as they
+/// are read.
+struct LeafCells<'a> {
+    next: Option<u64>,
+    codes: &'a [u8],
+    deltas: [u64; 6],
+}
+
+impl Iterator for LeafCells<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        let addr = self.next?;
+        let codes = self.codes;
+        self.next = match codes.split_first() {
+            None => None,
+            Some((&STEP_ESCAPE, rest)) => {
+                let (to, rest) = rest.split_first_chunk::<8>().expect("escape address");
+                self.codes = rest;
+                Some(u64::from_le_bytes(*to))
+            }
+            Some((&code, rest)) => {
+                self.codes = rest;
+                Some(addr.wrapping_add(self.deltas[code as usize]))
+            }
+        };
+        Some(addr)
+    }
 }
 
 /// A node of the complex: a critical cell.
@@ -122,7 +199,7 @@ pub struct MsComplex {
     /// [`MsComplex::compact`] starts over with an empty one.
     pub(crate) down_count: Vec<u32>,
     /// Global address → node id, for boundary matching during gluing.
-    addr_index: HashMap<u64, NodeId>,
+    addr_index: HashMap<u64, NodeId, AddrHashing>,
     /// Refined dims of the full dataset (address codec).
     pub refined: RefinedDims,
     /// Blocks merged into this complex, sorted.
@@ -274,12 +351,25 @@ impl MsComplex {
     }
 
     /// Resolve a geometry record to the flat list of cell addresses,
-    /// ordered from the upper end to the lower end. This is the one
-    /// decoder of leaf bytes.
+    /// ordered from the upper end to the lower end.
     pub fn flatten_geom(&self, g: GeomId) -> Vec<u64> {
         let mut out = Vec::new();
         self.flatten_into(g, false, &mut out);
         out
+    }
+
+    /// True when `pred` holds for every cell of geometry `g`. The cells
+    /// are decoded in place, in no particular order, and the walk stops
+    /// at the first one that fails.
+    pub(crate) fn geom_all(&self, g: GeomId, pred: &mut impl FnMut(u64) -> bool) -> bool {
+        match self.geoms[g as usize] {
+            GeomRec::Leaf { offset, bytes, len } => {
+                self.leaf_cells(offset, bytes, len).all(&mut *pred)
+            }
+            GeomRec::Cancel { first, mid, last } => {
+                self.geom_all(first, pred) && self.geom_all(mid, pred) && self.geom_all(last, pred)
+            }
+        }
     }
 
     /// The start address and step codes of a non-empty leaf.
@@ -290,27 +380,28 @@ impl MsComplex {
         (u64::from_le_bytes(*start), codes)
     }
 
+    /// The cells of a leaf, upper end first: the one decoder of leaf
+    /// bytes.
+    fn leaf_cells(&self, offset: u32, bytes: u32, len: u32) -> LeafCells<'_> {
+        let (next, codes) = match len {
+            0 => (None, &[][..]),
+            _ => {
+                let (start, codes) = self.leaf_parts(offset, bytes);
+                (Some(start), codes)
+            }
+        };
+        LeafCells {
+            next,
+            codes,
+            deltas: step_deltas(&self.refined),
+        }
+    }
+
     fn flatten_into(&self, g: GeomId, rev: bool, out: &mut Vec<u64>) {
         match self.geoms[g as usize] {
             GeomRec::Leaf { offset, bytes, len } => {
                 let at = out.len();
-                if len > 0 {
-                    let deltas = step_deltas(&self.refined);
-                    let (mut addr, mut codes) = self.leaf_parts(offset, bytes);
-                    out.push(addr);
-                    while let Some((&code, rest)) = codes.split_first() {
-                        codes = rest;
-                        if code == STEP_ESCAPE {
-                            let (next, rest) =
-                                codes.split_first_chunk::<8>().expect("escape address");
-                            addr = u64::from_le_bytes(*next);
-                            codes = rest;
-                        } else {
-                            addr = addr.wrapping_add(deltas[code as usize]);
-                        }
-                        out.push(addr);
-                    }
-                }
+                out.extend(self.leaf_cells(offset, bytes, len));
                 if rev {
                     out[at..].reverse();
                 }
@@ -504,6 +595,12 @@ impl MsComplex {
     /// communication, §IV-F1). Ids are dense, so the old→new maps are
     /// plain vectors and every adjacency list is allocated once at its
     /// final degree.
+    ///
+    /// Live nodes, arcs and incidence lists keep their relative order,
+    /// and the geometry is copied depth-first in arc order, so a complex
+    /// serializes the same whether it was compacted after every pass or
+    /// only at the end: the pipeline compacts a block after its local
+    /// simplification and otherwise only when a complex leaves its rank.
     pub fn compact(&mut self) {
         let mut out = MsComplex::new(self.refined, std::mem::take(&mut self.member_blocks));
         let live = self.nodes.iter().filter(|n| n.alive).count();
@@ -591,21 +688,22 @@ impl MsComplex {
         (seen.len() as u64, cells)
     }
 
-    /// Recompute each living node's boundary flag against the current
-    /// member-block set: a node stays boundary iff its address is shared
-    /// with a block outside this complex (paper §IV-F3: "the boundary
-    /// status of each node is updated according to the bounds of the
-    /// merged blocks").
+    /// Recompute the boundary flags against the current member-block
+    /// set: a node stays boundary iff its address is shared with a block
+    /// outside this complex (paper §IV-F3: "the boundary status of each
+    /// node is updated according to the bounds of the merged blocks").
+    /// Member sets only grow, so a flag only ever goes from true to
+    /// false: interior nodes are skipped, and membership is a binary
+    /// search in the sorted `member_blocks`.
     pub fn reflag_boundaries(&mut self, decomp: &msp_grid::Decomposition) {
-        let members: std::collections::HashSet<u32> = self.member_blocks.iter().copied().collect();
-        let refined = self.refined;
-        for n in self.nodes.iter_mut().filter(|n| n.alive) {
+        let (members, refined) = (&self.member_blocks, self.refined);
+        for n in self.nodes.iter_mut().filter(|n| n.alive && n.boundary) {
             let c = RCoord::from_address(n.addr, &refined);
             n.boundary = decomp
                 .owners(c)
                 .as_slice()
                 .iter()
-                .any(|b| !members.contains(b));
+                .any(|b| members.binary_search(b).is_err());
         }
     }
 

@@ -438,8 +438,11 @@ mod tests {
     }
 
     /// Every block of `field` on `bisect(dims, n_blocks)`, simplified
-    /// locally at `t`, glued into one complex and re-simplified at `t`.
-    fn merged(field: &ScalarField, n_blocks: u32, t: f32) -> MsComplex {
+    /// locally at `t`, glued into one complex, re-simplified at `t` and
+    /// compacted. With `tidy` each block is compacted before the glue, as
+    /// the pipeline does; without it the glue and the re-simplification
+    /// see every tombstone of the local pass.
+    fn merged(field: &ScalarField, n_blocks: u32, t: f32, tidy: bool) -> MsComplex {
         let d = Decomposition::bisect(field.dims(), n_blocks);
         let mut cs: Vec<MsComplex> = d
             .blocks()
@@ -448,7 +451,9 @@ mod tests {
                 let (mut ms, _) =
                     build_block_complex(&field.extract_block(b), &d, TraceLimits::default());
                 simplify(&mut ms, SimplifyParams::up_to(t)).unwrap();
-                ms.compact();
+                if tidy {
+                    ms.compact();
+                }
                 ms
             })
             .collect();
@@ -495,7 +500,7 @@ mod tests {
         let (mut block, _) =
             build_block_complex(&noise.extract_block(d.block(1)), &d, TraceLimits::default());
         block.compact();
-        let glued = merged(&noise, 2, 0.1);
+        let glued = merged(&noise, 2, 0.1, true);
         assert!(glued
             .geoms
             .iter()
@@ -553,19 +558,23 @@ mod tests {
             msp_synth::plateau(Dims::cube(17), 1, 3),
             msp_synth::sinusoid(33, 4),
         ];
-        let mut got = PINNED_MSC3;
-        for (f, (_, hash)) in fields.iter().zip(&mut got) {
+        // each merge twice: compacted between the steps, and not
+        let mut got = Vec::new();
+        for (f, (name, _)) in fields.iter().zip(PINNED_MSC3) {
             let (lo, hi) = f.min_max();
-            let ms = merged(f, 8, 0.02 * (hi - lo));
-            *hash = fnv1a64(&serialize(&ms));
+            for tidy in [true, false] {
+                let ms = merged(f, 8, 0.02 * (hi - lo), tidy);
+                got.push((name, fnv1a64(&serialize(&ms))));
+            }
         }
-        assert_eq!(got, PINNED_MSC3, "serialized now: {got:#018x?}");
+        let want: Vec<_> = PINNED_MSC3.iter().flat_map(|&p| [p, p]).collect();
+        assert_eq!(got, want, "serialized now: {got:#018x?}");
     }
 
     #[test]
     fn estimate_is_exact() {
         let noise = msp_synth::white_noise(Dims::cube(9), 4);
-        let glued = merged(&noise, 4, 0.2);
+        let glued = merged(&noise, 4, 0.2, true);
         let cancels = glued
             .geoms
             .iter()

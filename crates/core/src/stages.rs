@@ -21,17 +21,34 @@
 //! filesystem). Everything the algorithm decides lives here; a machine
 //! only moves bytes and keeps time.
 //!
+//! ## Merging (DESIGN.md §4)
+//!
+//! A member slot moves to its root at most once per round. When the root
+//! lives on another rank the member is compacted, serialized and sent;
+//! when it lives on the member's own rank the live complex is handed
+//! over (`RankState::handoff`), tombstones and all: nothing is
+//! serialized, sent or decoded, and the ship counters do not count it. A
+//! complex is compacted after its block's local simplification and after
+//! that only when it leaves its rank — a remote ship, a checkpoint cut,
+//! hierarchy recording, the write — so a root keeps the tombstones of its
+//! re-simplifications from round to round. Compaction keeps every live
+//! node, arc and incidence list in relative order, which is all that
+//! gluing, the `(key, ArcId)` cancellation order and serialization see,
+//! so the bytes are those of compacting after every pass.
+//!
 //! ## Fault tolerance (DESIGN.md §9)
 //!
 //! Every merge-round boundary is a consistent cut: all messages of round
 //! *k* are matched before anyone enters round *k + 1*. With a
 //! [`FaultConfig`](crate::FaultConfig) active, each rank saves a
 //! checkpoint of its living complexes at every cut (and once more
-//! before the write). The slots are serialized once, at the cut: the
-//! same bytes go into the checkpoint, out with the round's ship and,
-//! at the pre-write cut, into the output file. An injected crash
-//! destroys a rank's state at the cut; the rank restarts from its own
-//! checkpoint, while the roots expecting its merge messages detect the
+//! before the write). The slots are compacted and serialized once, at
+//! the cut: the same bytes go into the checkpoint, out with the round's
+//! ship to another rank and, at the pre-write cut, into the output file;
+//! a member handed to a root on its own rank drops them. An injected
+//! crash destroys a rank's state at the cut; the rank restarts from its
+//! own checkpoint, while the roots expecting its members — its own roots
+//! included, since a crashed rank hands nothing over — detect the
 //! failure by receive deadline and replay the lost round from the dead
 //! rank's checkpoint — bit-identical to the fault-free run. Without a
 //! checkpoint the run degrades instead of dying: the root absorbs the
@@ -58,7 +75,7 @@ use msp_telemetry::{Counter, Phase, ProgressPhase, ProgressState};
 use msp_vmpi::comm::CommError;
 use msp_vmpi::fileio::FooterEntry;
 use msp_vmpi::pairmsg::{decode_pairs, decode_u64s, encode_pairs, encode_u64s};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -264,8 +281,15 @@ struct RankState {
     fields: HashMap<u32, BlockField>,
     complexes: HashMap<u32, MsComplex>,
     /// The MSC3 bytes each slot had at the latest checkpoint cut, for
-    /// the ship or write that follows it while the slot is unchanged.
+    /// the remote ship or write that follows it while the slot is
+    /// unchanged.
     cut: HashMap<u32, Bytes>,
+    /// This round's members whose root is on this rank: the live
+    /// complexes `glue_groups` takes in place of a message.
+    handoff: HashMap<u32, MsComplex>,
+    /// Slots holding the tombstones of a re-simplification, compacted
+    /// when they leave the rank.
+    loose: HashSet<u32>,
     /// Block segmentations stay on the rank that computed them.
     segs: HashMap<u32, BlockSegmentation>,
     /// Forward entries of cancelled extrema awaiting their routed flush.
@@ -277,6 +301,17 @@ struct RankState {
     hier: Vec<(u32, SlotHierarchy)>,
     /// Globally summed region sizes (count ordering).
     sizes: Option<HashMap<u64, u64>>,
+}
+
+impl RankState {
+    /// Compact every slot a re-simplification left tombstones in.
+    fn tidy(&mut self) {
+        for b in self.loose.drain() {
+            if let Some(ms) = self.complexes.get_mut(&b) {
+                ms.compact();
+            }
+        }
+    }
 }
 
 /// The hosted ranks' results, in ascending slot and block order.
@@ -457,7 +492,12 @@ impl<M: Machine> Run<'_, M> {
             work.sort_by_key(|(b, _)| *b);
             let results = node.time(Phase::Simplify, || {
                 par_map_mut(threads, &mut work, |_, (b, ms)| {
-                    simplify(ms, sp, params.segment, || format!("simplifying block {b}"))
+                    let context = || format!("simplifying block {b}");
+                    let done = simplify(ms, sp, params.segment, context);
+                    // a block's own tombstones would otherwise ride along
+                    // through every round
+                    ms.compact();
+                    done
                 })
             });
             s.complexes.extend(work);
@@ -496,14 +536,16 @@ impl<M: Machine> Run<'_, M> {
     }
 
     /// Snapshot every living complex into the checkpoint store at merge
-    /// cursor `cursor` (when checkpointing is on), serializing each slot
-    /// once: its bytes stay in `cut` for the ship or write that follows.
+    /// cursor `cursor` (when checkpointing is on), compacting and
+    /// serializing each slot once: its bytes stay in `cut` for the remote
+    /// ship or write that follows.
     fn checkpoint(&mut self, cursor: u32) {
         let (job, threshold) = (self.job, self.sp.threshold);
         if !job.params.fault.checkpoint {
             return;
         }
         let bytes = self.m.each(&mut self.st, |node, s| {
+            s.tidy();
             let mut blocks: Vec<u32> = s.complexes.keys().copied().collect();
             blocks.sort_unstable();
             let slots = blocks.iter().map(|b| (*b, &s.complexes[b]));
@@ -754,6 +796,8 @@ impl<M: Machine> Run<'_, M> {
             max_parallel_arcs: Some(2),
         };
         all(self.m.each(&mut self.st, |node, s| {
+            // recorded from the complex the write stores
+            s.tidy();
             for slot in job.outputs_of(s.p) {
                 // a slot lost to an unrecoverable crash has no
                 // hierarchy; the write stage accounts the loss
@@ -790,6 +834,7 @@ impl<M: Machine> Run<'_, M> {
         // are the run's `output_bytes`), or not at all after a pre-write
         // cut, whose bytes it still has.
         let outputs = all(self.m.each(&mut self.st, |node, s| {
+            s.tidy();
             let (mut outs, mut blocks) = (Vec::new(), Vec::new());
             for slot in job.outputs_of(s.p) {
                 match s.complexes.remove(&slot) {
@@ -966,8 +1011,8 @@ type Codec<T> = (fn(&[T]) -> Bytes, fn(&[u8]) -> Result<Vec<T>, String>);
 const PAIRS: Codec<(u64, u64)> = (encode_pairs, decode_pairs);
 const ADDRS: Codec<u64> = (encode_u64s, decode_u64s);
 
-/// Simplify and compact one complex: the cancellation count and the
-/// forward entries of cancelled extrema (`--segment`).
+/// Simplify one complex: the cancellation count and the forward entries
+/// of cancelled extrema (`--segment`).
 fn simplify(
     ms: &mut MsComplex,
     sp: SimplifyParams,
@@ -979,14 +1024,15 @@ fn simplify(
         let context = context();
         PipelineError::Simplify { context, source }
     })?;
-    ms.compact();
     Ok((st.cancellations, fw.unwrap_or_default()))
 }
 
-/// The send half of round `r`, shipping each member slot as the bytes
-/// of the cut when there was one. An injected crash destroys the rank's
-/// state at the cut: it ships nothing, and restores from its own
-/// checkpoint all but the slots whose custody passed to their roots.
+/// The send half of round `r`. A member whose root is on another rank
+/// ships as the bytes of the cut when there was one, else compacted and
+/// serialized; one whose root is on this rank is handed over live. An
+/// injected crash destroys the rank's state at the cut: it ships and
+/// hands over nothing, and restores from its own checkpoint all but the
+/// slots whose custody passed to their roots.
 fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
     let crashed = job.should_crash(s.p, r as u32 + 1);
     // the slots left after the ship are this round's to change
@@ -997,6 +1043,7 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
     }
     let mut shipped = Vec::new();
     for (root, members) in &job.sched.rounds[r].groups {
+        let to = job.assign.rank_of(*root);
         for &mb in members[1..]
             .iter()
             .filter(|&&mb| job.assign.rank_of(mb) == s.p)
@@ -1009,7 +1056,15 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
                 slot: mb,
                 context: "merge send",
             };
-            let ms = s.complexes.remove(&mb).ok_or(missing)?;
+            let mut ms = s.complexes.remove(&mb).ok_or(missing)?;
+            let loose = s.loose.remove(&mb);
+            if to == s.p {
+                s.handoff.insert(mb, ms);
+                continue;
+            }
+            if loose {
+                ms.compact();
+            }
             node.add(Counter::NodesShipped, ms.n_live_nodes());
             node.add(Counter::ArcsShipped, ms.n_live_arcs());
             let payload = cut.remove(&mb).unwrap_or_else(|| wire::serialize(&ms));
@@ -1017,7 +1072,6 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
             if let Some(st) = &job.progress {
                 st.add_bytes(payload.len() as u64);
             }
-            let to = job.assign.rank_of(*root);
             (node.send(to, (r as u32) << 20 | mb, payload))
                 .map_err(comm_err(format!("shipping slot {mb} in round {r}")))?;
         }
@@ -1053,9 +1107,12 @@ fn restore<N: Node>(node: &mut N, job: &Job, s: &mut RankState, cursor: u32, ski
 }
 
 /// The receive half of round `r`: every root slot this rank owns takes
-/// its members one at a time, in schedule order, then glues and
-/// re-simplifies. A member that misses the deadline is replayed from its
-/// checkpoint here, on the recovering root.
+/// its members one at a time, in schedule order — from the handoff when
+/// the member lives on this rank, else by message — then glues and
+/// re-simplifies, keeping the root's tombstones until it leaves the
+/// rank. A member that misses the deadline (a handoff lost to a crash
+/// included) is replayed from its checkpoint here, on the recovering
+/// root.
 fn glue_groups<N: Node>(
     node: &mut N,
     job: &Job,
@@ -1076,6 +1133,10 @@ fn glue_groups<N: Node>(
         }
         let mut incoming = Vec::with_capacity(members.len() - 1);
         for &mb in &members[1..] {
+            if let Some(ms) = s.handoff.remove(&mb) {
+                incoming.push(ms);
+                continue;
+            }
             let owner = job.assign.rank_of(mb);
             let deadline = fault.active().then_some(fault.deadline);
             match node.recv(owner, (r as u32) << 20 | mb, deadline) {
@@ -1131,6 +1192,7 @@ fn glue_groups<N: Node>(
         })?;
         node.add(Counter::Cancellations, n);
         s.pending.extend(fw);
+        s.loose.insert(*root);
     }
     Ok(())
 }

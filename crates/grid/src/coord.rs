@@ -99,6 +99,17 @@ impl RCoord {
     }
 }
 
+/// The splitmix64 finalizer: a bijection of `u64` that spreads any
+/// structured set of global addresses (parity-skewed, strided or sparse)
+/// over all 64 bits. The segmentation's owner map and the complex's
+/// address index both hash addresses through it.
+pub fn mix_address(addr: u64) -> u64 {
+    let mut z = addr.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

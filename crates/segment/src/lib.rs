@@ -119,18 +119,15 @@ impl ForwardMap {
 /// that addresses — and the block ids folded into them — are dense and
 /// contiguous, which irregular block trees break. Mixing the address
 /// through a splitmix64 finalizer first spreads any structured address
-/// set (parity-skewed, strided, or sparse) evenly over the ranks.
+/// set (parity-skewed, strided, or sparse) evenly over the ranks
+/// ([`mix_address`](msp_grid::coord::mix_address)).
 ///
 /// Every participant in the resolution protocol must use this one
 /// function: the fixed point itself is partition-independent, but rounds
 /// are synchronized, so routing must agree across ranks and drivers.
 pub fn owner_rank(addr: u64, n_ranks: u64) -> u64 {
     debug_assert!(n_ranks >= 1);
-    let mut z = addr.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    z % n_ranks
+    msp_grid::coord::mix_address(addr) % n_ranks
 }
 
 /// Upper bound on the number of pointer-jump rounds needed to reach the

@@ -69,6 +69,19 @@ cmp "$tracedir/irr1.msc" "$tracedir/irrf.msc"
 cmp "$tracedir/irr1.msc.seg" "$tracedir/irrf.msc.seg"
 cmp "$tracedir/irr1.msc.msh" "$tracedir/irrf.msc.msh"
 
+# same-rank handoff smoke: 8 blocks on 2 ranks merged by three radix-2
+# rounds put every round-1 and round-2 root on rank 0 beside its members,
+# which are handed over in memory; rank 0 crashing at the second cut must
+# replay them from its own checkpoint byte-identical to the 1-rank run
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 1 --blocks 8 --merge 2,2,2 \
+  --output "$tracedir/hand1.msc"
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 2 --blocks 8 --merge 2,2,2 \
+  --checkpoint --faults 'crash:0@2' --deadline-ms 200 \
+  --output "$tracedir/handf.msc"
+cmp "$tracedir/hand1.msc" "$tracedir/handf.msc"
+
 # fault sweep smoke: checkpointed runs at crash rates 0-10 % on a small
 # jet; the binary asserts every recovered run is bit-identical to the
 # fault-free baseline (its overhead column is not gated)

@@ -115,6 +115,31 @@ fn crash_of_a_root_rank_recovers_bitwise_identical() {
 }
 
 #[test]
+fn crash_of_a_rank_holding_its_own_members_recovers_bitwise_identical() {
+    // 8 blocks round-robin on 2 ranks, three radix-2 rounds: rank 0 roots
+    // every group of rounds 1 and 2 and owns their members (2 and 6, then
+    // 4), which it hands over without a message. A crash at either cut
+    // leaves nothing handed over: the root times out on its own rank and
+    // replays each member from its own checkpoint.
+    let input = test_input();
+    let params = || PipelineParams {
+        plan: MergePlan::rounds(vec![2, 2, 2]),
+        ..base_params()
+    };
+    let run = |p: &PipelineParams| run_parallel(&input, 2, BLOCKS, p, None).unwrap();
+    let bytes = |r: &RunResult| r.outputs.iter().map(wire::serialize).collect::<Vec<_>>();
+    let want = bytes(&run(&params()));
+    for (round, members) in [(2, 2), (3, 1)] {
+        let r = run(&faulted(FaultPlan::new().crash(0, round), true, params()));
+        assert!(bytes(&r) == want, "crash:0@{round}: outputs differ");
+        let tel = &r.telemetry;
+        assert_eq!(tel.counter_total("crashes"), 1, "crash:0@{round}");
+        assert_eq!(tel.counter_total("retries"), members, "crash:0@{round}");
+        assert_eq!(tel.counter_total("blocks_absorbed"), 0, "crash:0@{round}");
+    }
+}
+
+#[test]
 fn crash_at_the_pre_write_cut_recovers_bitwise_identical() {
     // Round 3 on a 2-round plan = after the last merge, before the
     // write: the fully-merged state must come back from the final cut.
