@@ -126,27 +126,62 @@ mod tests {
         assert_eq!(MergePlan::none().output_blocks(64), 64);
     }
 
+    /// Every radix vector over {2, 4, 8} of length ≤ 3 (40 plans), on
+    /// the first four multiples of its reduction: every round's groups
+    /// (radix members, rooted at their minimum) partition the alive
+    /// slots, and the roots left are the output slots.
     #[test]
-    fn groups_partition_slots() {
-        let p = MergePlan::rounds(vec![4, 2, 8]);
-        let n = 64;
-        let mut alive: Vec<u32> = (0..n).collect();
-        for r in 0..p.radices.len() {
-            let groups = p.groups(r, n);
-            // members of all groups = alive slots exactly
-            let mut members: Vec<u32> =
-                groups.iter().flat_map(|(_, m)| m.iter().copied()).collect();
-            members.sort_unstable();
-            assert_eq!(members, alive, "round {r}");
-            // each group's root is its minimum
-            for (root, m) in &groups {
-                assert_eq!(*root, *m.iter().min().unwrap());
-                assert_eq!(m.len() as u32, p.radices[r]);
-            }
-            alive = groups.iter().map(|(root, _)| *root).collect();
+    fn plan_arithmetic() {
+        let mut plans = vec![vec![]];
+        for len in 1..=3 {
+            let longer: Vec<Vec<u32>> = (plans.iter().filter(|p| p.len() == len - 1))
+                .flat_map(|p| [2, 4, 8].map(|r| [&p[..], &[r]].concat()))
+                .collect();
+            plans.extend(longer);
         }
-        assert_eq!(alive, p.output_slots(n));
-        assert_eq!(alive.len() as u32, p.output_blocks(n));
+        assert_eq!(plans.len(), 40);
+        for radices in plans {
+            let plan = MergePlan::rounds(radices.clone());
+            let red = plan.reduction();
+            assert_eq!(red, radices.iter().product::<u32>());
+            for extra in 0..4 {
+                // any multiple of the reduction is a valid block count
+                let blocks = red << extra;
+                assert_eq!(plan.output_blocks(blocks), blocks / red);
+                // group structure is a partition at every round
+                let mut alive: Vec<u32> = (0..blocks).collect();
+                for r in 0..plan.radices.len() {
+                    let groups = plan.groups(r, blocks);
+                    let mut members: Vec<u32> =
+                        groups.iter().flat_map(|(_, m)| m.iter().copied()).collect();
+                    members.sort_unstable();
+                    assert_eq!(members, alive, "{radices:?} on {blocks} blocks, round {r}");
+                    for (root, m) in &groups {
+                        assert_eq!(*root, *m.iter().min().unwrap());
+                        assert_eq!(m.len() as u32, plan.radices[r]);
+                    }
+                    alive = groups.iter().map(|(root, _)| *root).collect();
+                }
+                assert_eq!(alive, plan.output_slots(blocks));
+            }
+        }
+    }
+
+    /// Every power-of-two block count up to 2^13: the full merge reduces
+    /// to one block, uses radix 8 whenever possible (at most one other
+    /// round) and puts the smaller radix first.
+    #[test]
+    fn heuristic_plan_properties() {
+        for exp in 0..14 {
+            let blocks = 1u32 << exp;
+            let plan = MergePlan::full_merge(blocks);
+            assert_eq!(plan.reduction(), blocks);
+            let non8 = plan.radices.iter().filter(|&&r| r != 8).count();
+            assert!(non8 <= 1, "{blocks}: {:?}", plan.radices);
+            if non8 == 1 {
+                assert_ne!(plan.radices[0], 8, "{blocks}: {:?}", plan.radices);
+            }
+        }
     }
 
     #[test]

@@ -46,9 +46,30 @@ pub fn write_raw(path: &Path, field: &ScalarField, dtype: VolumeDType) -> io::Re
     f.write_all(&buf)
 }
 
+/// Open a raw volume and check that it holds `dims` samples of `dtype`
+/// before anything is allocated for them: a short file or overflowing
+/// dims are `InvalidData` naming both sizes.
+fn open_checked(path: &Path, dims: Dims, dtype: VolumeDType) -> io::Result<File> {
+    let f = File::open(path)?;
+    let have = f.metadata()?.len();
+    let need = [dims.ny as u64, dims.nz as u64, dtype.size_bytes()]
+        .into_iter()
+        .try_fold(dims.nx as u64, u64::checked_mul);
+    if need.is_some_and(|n| n <= have) {
+        return Ok(f);
+    }
+    let need = need.map_or("more than 2^64".into(), |n| n.to_string());
+    let (x, y, z) = (dims.nx, dims.ny, dims.nz);
+    let msg = format!(
+        "{}: {have} bytes, but {x}x{y}x{z} {dtype:?} need {need}",
+        path.display()
+    );
+    Err(io::Error::new(io::ErrorKind::InvalidData, msg))
+}
+
 /// Read a full raw volume file into a scalar field.
 pub fn read_raw(path: &Path, dims: Dims, dtype: VolumeDType) -> io::Result<ScalarField> {
-    let mut f = File::open(path)?;
+    let mut f = open_checked(path, dims, dtype)?;
     let n = dims.n_verts() as usize;
     let mut buf = vec![0u8; n * dtype.size_bytes() as usize];
     f.read_exact(&mut buf)?;
@@ -94,7 +115,7 @@ pub fn read_block(
     block: &BlockBox,
     dtype: VolumeDType,
 ) -> io::Result<BlockField> {
-    let mut f = File::open(path)?;
+    let mut f = open_checked(path, domain, dtype)?;
     let runs = block_runs(domain, block, dtype);
     let total: u64 = runs.iter().map(|r| r.1).sum();
     let mut buf = Vec::with_capacity(total as usize);
@@ -170,6 +191,38 @@ mod tests {
             let via_mem = f.extract_block(b);
             assert_eq!(via_file.data(), via_mem.data(), "block {}", b.id);
         }
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn short_files_and_overflowing_dims_are_invalid_data() {
+        let dims = Dims::new(4, 4, 4);
+        let p = tempfile("short.raw");
+        write_raw(
+            &p,
+            &ScalarField::from_fn(dims, |_, _, _| 1.0),
+            VolumeDType::U8,
+        )
+        .unwrap();
+        let block = Decomposition::bisect(Dims::new(40, 40, 40), 2).blocks()[0];
+        for (dims, need) in [
+            (Dims::new(4, 4, 5), "need 320"),
+            (Dims::new(4000, 4000, 4000), "need 256000000000"),
+            (
+                Dims::new(u32::MAX, u32::MAX, u32::MAX),
+                "need more than 2^64",
+            ),
+        ] {
+            for err in [
+                read_raw(&p, dims, VolumeDType::F32).unwrap_err(),
+                read_block(&p, dims, &block, VolumeDType::F32).unwrap_err(),
+            ] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                let msg = err.to_string();
+                assert!(msg.contains("64 bytes") && msg.contains(need), "{msg}");
+            }
+        }
+        assert_eq!(read_raw(&p, dims, VolumeDType::U8).unwrap().data()[0], 1.0);
         std::fs::remove_file(&p).ok();
     }
 

@@ -160,7 +160,8 @@ pub fn boundary_critical_count(grad: &GradientField, decomp: &Decomposition) -> 
 }
 
 /// Spot-check that cofacet enumeration agrees with facet enumeration
-/// (used by proptests; cheap smoke version of the duality test).
+/// (a cheap smoke version of the randomized duality test,
+/// `facet_cofacet_duality` in `msp-grid`'s tests).
 pub fn facet_duality_holds(grad: &GradientField) -> bool {
     let bbox = *grad.bbox();
     bbox.iter()

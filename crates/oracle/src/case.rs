@@ -381,14 +381,10 @@ impl Case {
             // any count, deliberately including non-powers-of-two
             1 + rng.below(8) as u32
         };
-        let ranks = if decomp.is_uniform() {
-            let opts: Vec<u32> = [1u32, 2, 4].into_iter().filter(|&r| r <= blocks).collect();
-            *rng.pick(&opts)
-        } else {
-            // irregular runs allow any rank count up to the block count
-            1 + rng.below(blocks as u64) as u32
-        };
-        let threads = 1 + rng.below(4) as u32;
+        // any rank count up to the block count: counts that do not
+        // divide it give ranks uneven block sets
+        let ranks = 1 + rng.below(blocks as u64) as u32;
+        let threads = 1 + rng.below(6) as u32;
         let schedule = if decomp.is_uniform() {
             match rng.below(3) {
                 0 => Schedule::None,

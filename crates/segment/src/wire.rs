@@ -4,8 +4,13 @@
 //! sorted, labels in block-local x-fastest order — so two runs that
 //! computed the same labeled volume produce byte-identical payloads
 //! regardless of rank count, thread count or merge schedule. This is
-//! the byte-identity contract the proptests and the verify smoke gate
-//! on.
+//! the byte-identity contract the differential fuzzer (`src/fuzz.rs`)
+//! and the verify smoke gate on.
+//!
+//! `.seg` files are outside input (`msc serve`, `msc export`), so the
+//! decoder returns an error, never a panic, on hostile bytes: sizes are
+//! checked before anything is allocated, and every label must index
+//! its table (or be the drain).
 //!
 //! ```text
 //! "SEG1"                       magic
@@ -18,7 +23,7 @@
 //! u32 ×n_voxels max_label      (u32::MAX = drain)
 //! ```
 
-use crate::BlockSegmentation;
+use crate::{BlockSegmentation, DRAIN_LABEL};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"SEG1";
@@ -72,11 +77,10 @@ pub fn deserialize(mut b: &[u8]) -> Result<BlockSegmentation, String> {
     let block_id = b.get_u32_le();
     let vdims = [b.get_u32_le(), b.get_u32_le(), b.get_u32_le()];
     let origin = [b.get_u32_le(), b.get_u32_le(), b.get_u32_le()];
-    let n_verts = vdims.iter().map(|&d| d as usize).product::<usize>();
-    let n_voxels = vdims
-        .iter()
-        .map(|&d| d.saturating_sub(1) as usize)
-        .product::<usize>();
+    // label-array byte sizes, `None` when one overflows
+    let count = |dims: [u32; 3]| (dims.iter()).try_fold(4usize, |n, &d| n.checked_mul(d as usize));
+    let n_verts = count(vdims);
+    let n_voxels = count(vdims.map(|d| d.saturating_sub(1)));
     let read_table = |b: &mut &[u8]| -> Result<Vec<u64>, String> {
         need(b, 4, "table length")?;
         let n = b.get_u32_le() as usize;
@@ -85,14 +89,21 @@ pub fn deserialize(mut b: &[u8]) -> Result<BlockSegmentation, String> {
     };
     let mins = read_table(&mut b)?;
     let maxs = read_table(&mut b)?;
-    let read_labels = |b: &mut &[u8], n: usize| -> Result<Vec<u32>, String> {
-        need(b, 4 * n, "labels")?;
-        Ok((0..n).map(|_| b.get_u32_le()).collect())
+    let read_labels = |b: &mut &[u8], bytes: Option<usize>| -> Result<Vec<u32>, String> {
+        let bytes = bytes.ok_or_else(|| format!("SEG1 block dims {vdims:?} overflow"))?;
+        need(b, bytes, "labels")?;
+        Ok((0..bytes / 4).map(|_| b.get_u32_le()).collect())
     };
     let min_label = read_labels(&mut b, n_verts)?;
     let max_label = read_labels(&mut b, n_voxels)?;
     if !b.is_empty() {
         return Err(format!("{} trailing byte(s) in SEG1 payload", b.len()));
+    }
+    if let Some(l) = min_label.iter().find(|&&l| l as usize >= mins.len()) {
+        return Err(format!("SEG1 vertex label {l} past {} minima", mins.len()));
+    }
+    if let Some(l) = (max_label.iter()).find(|&&l| l != DRAIN_LABEL && l as usize >= maxs.len()) {
+        return Err(format!("SEG1 voxel label {l} past {} maxima", maxs.len()));
     }
     Ok(BlockSegmentation {
         block_id,
@@ -126,6 +137,43 @@ mod tests {
         let s = sample();
         let enc = serialize(&s);
         assert_eq!(deserialize(&enc).unwrap(), s);
+    }
+
+    #[test]
+    fn hostile_payloads_never_panic() {
+        let bytes = serialize(&sample()).to_vec();
+        for cut in 0..bytes.len() {
+            assert!(deserialize(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
+        let mut flipped = bytes.clone();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                // an edit either errs or decodes to a segmentation whose
+                // labels all resolve and that writes back the edited bytes
+                if let Ok(s) = deserialize(&flipped) {
+                    let addrs = (s.min_label.iter().map(|&l| s.min_addr(l)))
+                        .chain(s.max_label.iter().map(|&l| s.max_addr(l)));
+                    assert_eq!(addrs.count(), 9);
+                    assert_eq!(serialize(&s)[..], flipped[..], "byte {at} bit {bit}");
+                }
+                flipped[at] ^= 1 << bit;
+            }
+        }
+        // a 40-byte header whose label counts overflow
+        let mut huge = b"SEG1".to_vec();
+        huge.extend(
+            [0u32, u32::MAX, u32::MAX, u32::MAX, 0, 0, 0, 0, 0]
+                .map(u32::to_le_bytes)
+                .concat(),
+        );
+        assert_eq!(huge.len(), 40);
+        assert!(deserialize(&huge).unwrap_err().contains("overflow"));
+        // a vertex label past the minima table
+        let mut past = sample();
+        past.min_label[2] = 7;
+        let err = deserialize(&serialize(&past)).unwrap_err();
+        assert!(err.contains("vertex label 7"), "{err}");
     }
 
     #[test]

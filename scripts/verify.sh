@@ -137,12 +137,14 @@ for bin in fig5_workloads fig6_sweep fig9_jet fig10_rt table1_merge_cost table2_
     cargo run -q --release -p msp-bench --bin "$bin" > /dev/null
 done
 
-# differential-fuzz smoke: seeded oracle fuzz iterations plus a replay
-# of the shrunk reproducer corpus; any diff against the reference
-# oracle or any invariant violation exits non-zero (segmentation is
-# fuzzed four ways: raw labeler diff, wire byte-compare, per-block
-# invariants, table liveness)
-cargo run -q --release --bin oracle_fuzz -- --iters 25 --seed 5
+# differential fuzz, the repository's property harness: seeded oracle
+# fuzz iterations (a seed the tier-1 spine test does not use) plus a
+# replay of the shrunk reproducer corpus; any diff against the reference
+# oracle or the canonical 1-rank/1-thread run (bytes, files, work
+# counters, hierarchy prefixes) or any invariant violation exits
+# non-zero (segmentation is fuzzed four ways: raw labeler diff, wire
+# byte-compare, per-block invariants, table liveness)
+cargo run -q --release --bin oracle_fuzz -- --iters 150 --seed 5
 cargo run -q --release --bin oracle_fuzz -- --replay tests/cases
 
 echo "verify OK"

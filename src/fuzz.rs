@@ -13,38 +13,58 @@
 //!    arcs, and raw segmentation labels (`label_block`) against the
 //!    reference implementations, byte for byte / address by address.
 //! 2. **Pipeline run at the case's configuration** (ranks, threads,
-//!    merge schedule, injected fault) with the invariant checker and
-//!    segmentation on: every `check_*` telemetry counter must come back
-//!    zero.
+//!    decomposition, merge schedule, injected fault) with the invariant
+//!    checker and segmentation on: every `check_*` telemetry counter
+//!    must come back zero, and the outputs' member blocks must partition
+//!    the block set (`blocks / reduction` outputs on a uniform tree).
 //! 3. **Canonical replay** — the same field and schedule at 1 rank /
-//!    1 thread, no faults: outputs *and* resolved segmentations must be
-//!    bit-identical to run 2's.
+//!    1 thread, no faults: outputs, resolved segmentations and
+//!    hierarchies must be bit-identical to run 2's, in memory and in the
+//!    `.msc`/`.seg`/`.msh` files both runs write, and so must the work
+//!    counters (cells paired, critical cells, arcs traced,
+//!    cancellations, segmentation forwards and rounds).
 //! 4. **Post-hoc invariants** — `check_complex` + glue idempotency +
 //!    segmentation-table liveness over the outputs on the driver side
 //!    (belt and braces: this also covers the checker's own wiring into
-//!    the pipeline).
+//!    the pipeline), and, with a hierarchy, a chain of three replay
+//!    prefixes per slot and ordering drawn from the case seed: `extend`,
+//!    `materialize_k` and a direct simplification agree, and the
+//!    remapped label tables agree between the two runs.
 //!
 //! Failures shrink greedily through [`Case::shrink_candidates`] until no
 //! smaller case still fails, then dump as a replayable `.case` file.
 
+use msp_complex::{simplify_with, wire as cwire, CancelOrder, SimplifyParams, SimplifyStats};
 use msp_core::{
-    feature_weights, full_merge_plan, run_parallel, DecompMode, FaultConfig, Input, MergePlan,
-    MergeSchedule, PipelineParams, RunResult,
+    feature_weights, full_merge_plan, msh_output_path, run_parallel, seg_output_path, DecompMode,
+    FaultConfig, Input, MergePlan, MergeSchedule, PipelineParams, RunResult,
 };
 use msp_fault::FaultPlan;
 use msp_grid::{Decomposition, Dims, ScalarField};
+use msp_hierarchy::{compress_forwards, region_sizes, remap_tables, Materialized, Ordering};
 use msp_morse::{assign_gradient, assign_gradient_par, trace_all_arcs};
 use msp_oracle::reference::{
     arcs_of_store, diff_arcs, diff_gradient, reference_arcs, reference_gradient,
 };
 use msp_oracle::segcheck::{diff_segmentation, reference_segmentation};
 use msp_oracle::{
-    case::parse_fault, check_complex, check_glue_idempotent, Case, CheckOptions, DecompKind,
-    FieldKind, Schedule,
+    case::parse_fault, case::SplitMix64, check_complex, check_glue_idempotent, Case, CheckOptions,
+    DecompKind, FieldKind, Schedule,
 };
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Counters that measure work done (not timing): a case run must count
+/// exactly what its canonical run counts. `seg_forwards` stays last.
+const WORK_COUNTERS: [&str; 5] = [
+    "cells_paired",
+    "critical_cells",
+    "arcs_traced",
+    "cancellations",
+    "seg_forwards",
+];
 
 /// The synthetic field a case describes.
 pub fn build_field(case: &Case) -> ScalarField {
@@ -138,7 +158,14 @@ fn pipeline_params(case: &Case, canonical: bool) -> PipelineParams {
     }
 }
 
-fn run_pipeline(field: &ScalarField, case: &Case, canonical: bool) -> Result<RunResult, String> {
+/// Run the case (or its canonical form), writing its artifacts to
+/// `output` and the `.seg`/`.msh` files beside it.
+fn run_pipeline(
+    field: &ScalarField,
+    case: &Case,
+    canonical: bool,
+    output: &Path,
+) -> Result<RunResult, String> {
     let input = Input::Memory(Arc::new(field.clone()));
     let ranks = if canonical { 1 } else { case.ranks };
     run_parallel(
@@ -146,7 +173,7 @@ fn run_pipeline(field: &ScalarField, case: &Case, canonical: bool) -> Result<Run
         ranks,
         case.blocks,
         &pipeline_params(case, canonical),
-        None,
+        Some(output),
     )
     .map_err(|e| {
         format!(
@@ -159,7 +186,13 @@ fn run_pipeline(field: &ScalarField, case: &Case, canonical: bool) -> Result<Run
 /// Run one case through every comparison. `Ok(())` means clean.
 pub fn run_case(case: &Case) -> Result<(), String> {
     case.validate()?;
-    let result = std::panic::catch_unwind(|| run_case_inner(case));
+    // a directory of its own for the case's artifact files
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, AtomicOrdering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("msp_fuzz_{}_{n}", std::process::id()));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    let result = std::panic::catch_unwind(|| run_case_inner(case, &dir));
+    std::fs::remove_dir_all(&dir).ok();
     match result {
         Ok(r) => r,
         Err(p) => {
@@ -173,7 +206,8 @@ pub fn run_case(case: &Case) -> Result<(), String> {
     }
 }
 
-fn run_case_inner(case: &Case) -> Result<(), String> {
+/// [`run_case`] with `dir` for the artifact files.
+fn run_case_inner(case: &Case, dir: &Path) -> Result<(), String> {
     let field = build_field(case);
     let decomp = build_decomp(case, &field);
     case.check_fault_round(merge_rounds(case, &decomp))?;
@@ -218,7 +252,8 @@ fn run_case_inner(case: &Case) -> Result<(), String> {
     }
 
     // 2. the case's configuration, invariant checker on
-    let run = run_pipeline(&field, case, false)?;
+    let (run_path, canon_path) = (dir.join("case.msc"), dir.join("canon.msc"));
+    let run = run_pipeline(&field, case, false, &run_path)?;
     for key in [
         "check_structural",
         "check_euler",
@@ -239,73 +274,32 @@ fn run_case_inner(case: &Case) -> Result<(), String> {
             run.outputs.len()
         ));
     }
+    // the outputs' members partition the blocks, `blocks / reduction`
+    // outputs of them on a uniform tree
+    let mut members: Vec<u32> = (run.outputs.iter())
+        .flat_map(|c| c.member_blocks.iter().copied())
+        .collect();
+    members.sort_unstable();
+    let outputs = run.outputs.len() as u32;
+    if members != (0..case.blocks).collect::<Vec<_>>()
+        || (case.decomp.is_uniform() && outputs != case.blocks / merge_plan(case).reduction())
+    {
+        return Err(format!("{outputs} output(s) with members {members:?}"));
+    }
 
     // 3. canonical replay: 1 rank, 1 thread, no fault — bit-identical
-    let canon = run_pipeline(&field, case, true)?;
-    if run.outputs.len() != canon.outputs.len() {
-        return Err(format!(
-            "output count {} != canonical {}",
-            run.outputs.len(),
-            canon.outputs.len()
-        ));
-    }
-    for (i, (a, b)) in run.outputs.iter().zip(&canon.outputs).enumerate() {
-        let (wa, wb) = (
-            msp_complex::wire::serialize(a),
-            msp_complex::wire::serialize(b),
-        );
-        if wa != wb {
+    let canon = run_pipeline(&field, case, true, &canon_path)?;
+    compare_with_canonical(case, &run, &canon)?;
+    let read = |p: &Path| std::fs::read(p).map_err(|e| format!("reading {}: {e}", p.display()));
+    for (a, b) in artifact_paths(case, &run_path)
+        .iter()
+        .zip(artifact_paths(case, &canon_path))
+    {
+        if read(a)? != read(&b)? {
             return Err(format!(
-                "output {i} differs from the canonical 1-rank/1-thread run \
-                 ({} vs {} bytes)",
-                wa.len(),
-                wb.len()
+                "file {:?} differs from the canonical 1-rank/1-thread run's",
+                a.file_name().unwrap_or_default()
             ));
-        }
-    }
-    if run.segmentation.len() != canon.segmentation.len() {
-        return Err(format!(
-            "seg block count {} != canonical {}",
-            run.segmentation.len(),
-            canon.segmentation.len()
-        ));
-    }
-    for (a, b) in run.segmentation.iter().zip(&canon.segmentation) {
-        let (wa, wb) = (
-            msp_segment::wire::serialize(a),
-            msp_segment::wire::serialize(b),
-        );
-        if wa != wb {
-            return Err(format!(
-                "seg block {} differs from the canonical 1-rank/1-thread run \
-                 ({} vs {} bytes)",
-                a.block_id,
-                wa.len(),
-                wb.len()
-            ));
-        }
-    }
-    if case.hierarchy {
-        if run.hierarchies.len() != canon.hierarchies.len() {
-            return Err(format!(
-                "hierarchy count {} != canonical {}",
-                run.hierarchies.len(),
-                canon.hierarchies.len()
-            ));
-        }
-        for (i, (a, b)) in run.hierarchies.iter().zip(&canon.hierarchies).enumerate() {
-            let (wa, wb) = (
-                msp_hierarchy::wire::serialize(a),
-                msp_hierarchy::wire::serialize(b),
-            );
-            if wa != wb {
-                return Err(format!(
-                    "hierarchy {i} differs from the canonical 1-rank/1-thread \
-                     run ({} vs {} bytes)",
-                    wa.len(),
-                    wb.len()
-                ));
-            }
         }
     }
 
@@ -323,8 +317,13 @@ fn run_case_inner(case: &Case) -> Result<(), String> {
         check_glue_idempotent(ms, &decomp)
             .map_err(|e| format!("output {i}: glue idempotency: {e}"))?;
     }
-    // every resolved representative must be a live critical node of
+    // every resolved label indexes its table (the SEG1 decoder checks),
+    // and every representative must be a live critical node of
     // matching Morse index in the covering output complex
+    for seg in &run.segmentation {
+        msp_segment::wire::deserialize(&msp_segment::wire::serialize(seg))
+            .map_err(|e| format!("seg block {}: {e}", seg.block_id))?;
+    }
     let tables: Vec<(u32, Vec<u64>, Vec<u64>)> = run
         .segmentation
         .iter()
@@ -337,6 +336,173 @@ fn run_case_inner(case: &Case) -> Result<(), String> {
             "{} segmentation-table violation(s): {:?}",
             report.segment, report.notes
         ));
+    }
+    if case.hierarchy {
+        check_prefix_chains(case, &run, &canon)?;
+    }
+    Ok(())
+}
+
+/// The artifact files a run of `case` writes to `output`.
+fn artifact_paths(case: &Case, output: &Path) -> Vec<PathBuf> {
+    let mut paths = vec![output.to_path_buf(), seg_output_path(output)];
+    if case.hierarchy {
+        paths.push(msh_output_path(output));
+    }
+    paths
+}
+
+/// `got` must serialize item by item to the same bytes as `want`.
+fn same_bytes<T>(
+    what: &str,
+    got: &[T],
+    want: &[T],
+    serialize: impl Fn(&T) -> bytes::Bytes,
+) -> Result<(), String> {
+    if got.len() != want.len() {
+        return Err(format!(
+            "{what} count {} != canonical {}",
+            got.len(),
+            want.len()
+        ));
+    }
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        let (wa, wb) = (serialize(a), serialize(b));
+        if wa != wb {
+            return Err(format!(
+                "{what} {i} differs from the canonical 1-rank/1-thread run \
+                 ({} vs {} bytes)",
+                wa.len(),
+                wb.len()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Step 3: the case run's outputs, segmentations, hierarchies and work
+/// counters against the canonical run's.
+fn compare_with_canonical(case: &Case, run: &RunResult, canon: &RunResult) -> Result<(), String> {
+    same_bytes("output", &run.outputs, &canon.outputs, cwire::serialize)?;
+    same_bytes(
+        "seg block",
+        &run.segmentation,
+        &canon.segmentation,
+        msp_segment::wire::serialize,
+    )?;
+    if case.hierarchy {
+        same_bytes(
+            "hierarchy",
+            &run.hierarchies,
+            &canon.hierarchies,
+            msp_hierarchy::wire::serialize,
+        )?;
+    }
+    // the work counters, and the pointer-jumping rounds, which are a
+    // function of the forward graph alone
+    let work = |r: &RunResult| -> Vec<u64> {
+        (WORK_COUNTERS.iter().map(|k| r.telemetry.counter_total(k)))
+            .chain([r.telemetry.ranks[0].counter("seg_rounds")])
+            .collect()
+    };
+    let (got, want) = (work(run), work(canon));
+    let (forwards, rounds) = (got[4], got[5]);
+    if got != want || rounds > msp_segment::jump_round_bound(forwards) {
+        return Err(format!(
+            "work counters {WORK_COUNTERS:?} + seg_rounds: {got:?}, canonical {want:?}"
+        ));
+    }
+    Ok(())
+}
+
+/// The segmentation tables after replaying `forwards` on top of the
+/// resolved base tables, as SEG1 bytes.
+fn remapped_seg_bytes(r: &RunResult, forwards: &[(u64, u64)]) -> Vec<bytes::Bytes> {
+    let resolved = compress_forwards(forwards);
+    (r.segmentation.iter())
+        .map(|seg| {
+            let mut seg = seg.clone();
+            remap_tables(&mut seg, &resolved);
+            msp_segment::wire::serialize(&seg)
+        })
+        .collect()
+}
+
+/// Step 4 with a hierarchy: per slot and ordering, a chain of three
+/// prefixes at thresholds drawn from the case seed, each reached by
+/// `extend` from the last. Every link must equal `materialize_k` from
+/// the base and a direct simplification at its threshold — complex
+/// bytes, forwards, executed stats, records applied — the direct result
+/// must recompact to itself, and the label tables remapped through its
+/// forwards must agree with the canonical run's.
+fn check_prefix_chains(case: &Case, run: &RunResult, canon: &RunResult) -> Result<(), String> {
+    let mut rng = SplitMix64::new(case.seed);
+    let sizes = region_sizes(run.segmentation.iter());
+    let link = |m: &Materialized| (cwire::serialize(&m.complex), m.forwards.clone(), m.stats);
+    for (slot, (h, base)) in run.hierarchies.iter().zip(&run.outputs).enumerate() {
+        for ordering in h.orderings() {
+            let records = h.records(ordering).expect("listed ordering");
+            let mut chain = Vec::with_capacity(3);
+            for _ in 0..3 {
+                let t = match records.len() {
+                    0 => f32::INFINITY,
+                    n => records[rng.below(n as u64) as usize].key,
+                };
+                let k = h.prefix_len(ordering, t).map_err(|e| e.to_string())?;
+                chain.push((k, t));
+            }
+            chain.sort_by_key(|&(k, _)| k);
+            let mut extended = (h.materialize_k(base, ordering, 0)).map_err(|e| e.to_string())?;
+            for (k, t) in chain {
+                let at = format!("hierarchy slot {slot} {ordering} prefix {k} (t={t})");
+                let err = |e: &dyn std::fmt::Display| format!("{at}: {e}");
+                extended = h.extend(&extended, ordering, k).map_err(|e| err(&e))?;
+                let scratch = h.materialize_k(base, ordering, k).map_err(|e| err(&e))?;
+                let mut direct = base.clone();
+                let mut order = match ordering {
+                    Ordering::Difference => CancelOrder::Difference,
+                    Ordering::Count => CancelOrder::Count(sizes.clone()),
+                };
+                let sp = SimplifyParams {
+                    threshold: t,
+                    max_new_arcs: h.params.max_new_arcs,
+                    max_parallel_arcs: h.params.max_parallel_arcs,
+                };
+                let mut fw = Vec::new();
+                let stats = simplify_with(&mut direct, sp, &mut order, None, Some(&mut fw))
+                    .map_err(|e| err(&e))?;
+                direct.compact();
+                // a replay executes cancellations only: the pairs the
+                // live loop popped and skipped are not part of it
+                let executed = SimplifyStats {
+                    skipped_valence: 0,
+                    ..stats
+                };
+                let want = (cwire::serialize(&direct), fw, executed);
+                if link(&extended) != want || link(&scratch) != want {
+                    return Err(err(&"extend, materialize_k and a direct simplify disagree"));
+                }
+                if (extended.applied, scratch.applied) != (k, k) {
+                    return Err(err(&"wrong number of records applied"));
+                }
+                let sound = direct.check_integrity().is_ok();
+                direct.compact();
+                if !sound
+                    || direct.check_integrity().is_err()
+                    || cwire::serialize(&direct) != want.0
+                {
+                    return Err(err(&"recompaction is not a fixed point"));
+                }
+                let cm = canon.hierarchies[slot]
+                    .materialize_k(&canon.outputs[slot], ordering, k)
+                    .map_err(|e| err(&e))?;
+                if remapped_seg_bytes(run, &extended.forwards)
+                    != remapped_seg_bytes(canon, &cm.forwards)
+                {
+                    return Err(err(&"remapped labels differ from the canonical run's"));
+                }
+            }
+        }
     }
     Ok(())
 }
@@ -514,14 +680,38 @@ mod tests {
         run_case(&c).unwrap();
     }
 
+    /// The property spine: generated cases from a fixed seed, which must
+    /// reach every dimension the generator folds in, so a later edit to
+    /// `Case::generate` cannot silently drop one.
     #[test]
     fn short_fuzz_run_is_clean() {
-        let n = fuzz(5, 1234, |_, _| {}).unwrap_or_else(|f| {
+        let mut seen = Vec::new();
+        let n = fuzz(40, 1234, |_, c| seen.push(c.clone())).unwrap_or_else(|f| {
             panic!(
                 "iteration {} failed: {}\nshrunk to:\n{}{}",
                 f.iteration, f.reason, f.shrunk, f.shrunk_reason
             )
         });
-        assert_eq!(n, 5);
+        assert_eq!(n, 40);
+        let hit = |what: &str, p: &dyn Fn(&Case) -> bool| {
+            assert!(seen.iter().any(p), "no generated case with {what}");
+        };
+        hit("noise", &|c| c.kind == FieldKind::Noise);
+        hit("plateaus", &|c| matches!(c.kind, FieldKind::Plateau(_)));
+        hit("a sinusoid", &|c| matches!(c.kind, FieldKind::Sinusoid(_)));
+        hit("bumps", &|c| matches!(c.kind, FieldKind::Bumps(_)));
+        hit("a constant", &|c| c.kind == FieldKind::Constant);
+        hit("a uniform tree", &|c| c.decomp == DecompKind::Uniform);
+        hit("an adaptive tree", &|c| c.decomp == DecompKind::Adaptive);
+        hit("a random tree", &|c| {
+            matches!(c.decomp, DecompKind::Random(_))
+        });
+        hit("a hierarchy", &|c| c.hierarchy);
+        hit("no hierarchy", &|c| !c.hierarchy);
+        hit("a crash", &|c| c.fault.is_some());
+        hit("threads > 2", &|c| c.threads > 2);
+        hit("a non-power-of-two rank count", &|c| {
+            !c.ranks.is_power_of_two()
+        });
     }
 }

@@ -6,12 +6,15 @@
 //! naive reference implementation block by block, (b) runs the pipeline
 //! at the case's rank/thread/schedule configuration with the invariant
 //! checker on and requires zero violation counters, (c) requires the
-//! output bytes to equal the canonical 1-rank/1-thread run, and (d)
-//! re-checks all invariants plus glue idempotency post-hoc.
+//! outputs, the artifact files and the work counters to equal the
+//! canonical 1-rank/1-thread run's, and (d) re-checks all invariants
+//! plus glue idempotency post-hoc.
 //!
 //! The grids here are deliberately tiny: the reference oracle is
-//! exhaustive and the sweep covers {1,2,4} ranks x {1,2,4} threads x
-//! both merge schedules per field.
+//! exhaustive. Each field sweeps {1,2,4} ranks x {1,2,4} threads x
+//! two merge schedules (three on flat fields) on a uniform 4-block tree;
+//! the uniform and adaptive trees with a hierarchy sweep rank counts up
+//! to six.
 
 use morse_smale_parallel::fuzz::run_case;
 use morse_smale_parallel::oracle::{Case, DecompKind, FieldKind, Schedule};
@@ -19,26 +22,46 @@ use morse_smale_parallel::oracle::{Case, DecompKind, FieldKind, Schedule};
 const RANKS: [u32; 3] = [1, 2, 4];
 const THREADS: [u32; 3] = [1, 2, 4];
 
-fn schedules() -> [Schedule; 2] {
-    [Schedule::Full, Schedule::Rounds(vec![2])]
+/// The merge schedules every field sweeps; the flat fields add
+/// `Schedule::None` (their labels come from the simulation-of-simplicity
+/// order alone, so an unmerged run must not depend on ranks or threads
+/// either).
+fn schedules(flat: bool) -> Vec<Schedule> {
+    let unmerged = flat.then_some(Schedule::None);
+    (unmerged.into_iter())
+        .chain([Schedule::Full, Schedule::Rounds(vec![2])])
+        .collect()
 }
 
-fn sweep(kind: FieldKind, dims: [u32; 3], seed: u64, persistence: f32) {
-    for ranks in RANKS {
+/// A uniform 4-block case without hierarchy or fault; [`sweep`] sets
+/// its ranks, threads and schedule.
+fn base(kind: FieldKind, dims: [u32; 3], seed: u64, persistence: f32) -> Case {
+    Case {
+        kind,
+        dims,
+        seed,
+        ranks: 1,
+        blocks: 4,
+        decomp: DecompKind::Uniform,
+        threads: 1,
+        schedule: Schedule::Full,
+        persistence,
+        hierarchy: false,
+        fault: None,
+    }
+}
+
+/// Run `base` at every rank count in `ranks` x {1,2,4} threads x every
+/// schedule in `schedules`.
+fn sweep(base: Case, ranks: &[u32], schedules: &[Schedule]) {
+    for &ranks in ranks {
         for threads in THREADS {
-            for schedule in schedules() {
+            for schedule in schedules {
                 let case = Case {
-                    kind: kind.clone(),
-                    dims,
-                    seed,
                     ranks,
-                    blocks: 4,
-                    decomp: DecompKind::Uniform,
                     threads,
-                    schedule,
-                    persistence,
-                    hierarchy: false,
-                    fault: None,
+                    schedule: schedule.clone(),
+                    ..base.clone()
                 };
                 case.validate().unwrap();
                 run_case(&case).unwrap_or_else(|e| {
@@ -51,26 +74,59 @@ fn sweep(kind: FieldKind, dims: [u32; 3], seed: u64, persistence: f32) {
 
 #[test]
 fn noise_conforms_across_ranks_threads_and_schedules() {
-    sweep(FieldKind::Noise, [6, 7, 6], 2012, 0.05);
+    let case = base(FieldKind::Noise, [6, 7, 6], 2012, 0.05);
+    sweep(case, &RANKS, &schedules(false));
 }
 
 #[test]
 fn plateau_conforms_across_ranks_threads_and_schedules() {
     // adversarial: quantized plateaus, every tie broken by simulation
     // of simplicity
-    sweep(FieldKind::Plateau(2), [6, 6, 6], 7, 0.05);
+    let case = base(FieldKind::Plateau(2), [6, 6, 6], 7, 0.05);
+    sweep(case, &RANKS, &schedules(true));
 }
 
 #[test]
 fn constant_field_conforms_across_ranks_threads_and_schedules() {
     // fully degenerate: one plateau spanning the whole domain
-    sweep(FieldKind::Constant, [6, 6, 6], 1, 0.0);
+    let case = base(FieldKind::Constant, [6, 6, 6], 1, 0.0);
+    sweep(case, &RANKS, &schedules(true));
 }
 
 #[test]
 fn sinusoid_conforms_across_ranks_threads_and_schedules() {
     // saddle-heavy smooth field
-    sweep(FieldKind::Sinusoid(2), [7, 7, 7], 1, 0.01);
+    let case = base(FieldKind::Sinusoid(2), [7, 7, 7], 1, 0.01);
+    sweep(case, &RANKS, &schedules(false));
+}
+
+/// Rank counts that do not divide the block count give ranks uneven
+/// block sets (block-cyclic on uniform trees, LPT on adaptive ones); the
+/// hierarchy adds the `.msh` file and the replay-prefix chains to what
+/// must match.
+const MANY_RANKS: [u32; 5] = [1, 2, 3, 4, 6];
+
+#[test]
+fn uniform_tree_conforms_across_ranks_and_threads_with_hierarchy() {
+    let case = Case {
+        blocks: 8,
+        hierarchy: true,
+        ..base(FieldKind::Noise, [9, 8, 7], 41, 0.05)
+    };
+    sweep(case, &MANY_RANKS, &[Schedule::Full]);
+}
+
+#[test]
+fn adaptive_tree_conforms_across_ranks_and_threads_with_hierarchy() {
+    // 6 blocks: the merge is the neighbor-graph contraction and the
+    // assignment is LPT over feature-weight costs
+    let case = Case {
+        blocks: 6,
+        decomp: DecompKind::Adaptive,
+        hierarchy: true,
+        ..base(FieldKind::Noise, [9, 8, 7], 41, 0.05)
+    };
+    sweep(case, &MANY_RANKS, &[Schedule::Full]);
 }
 
 #[test]

@@ -13,6 +13,27 @@ fn lock_file_names_no_external_source() {
     assert!(external.is_empty(), "external packages: {external:?}");
 }
 
+/// The lock file holds the workspace members and the four in-repo
+/// dependency packages, nothing else.
+#[test]
+fn lock_file_packages_are_the_members_and_four_in_repo_packages() {
+    let names = |toml: &str| -> Vec<String> {
+        let names = toml.lines().filter_map(|l| l.strip_prefix("name = \""));
+        names.map(|n| n.trim_end_matches('"').to_string()).collect()
+    };
+    let mut got = names(include_str!("../Cargo.lock"));
+    // a manifest's first name is its package's
+    let mut want = vec![names(include_str!("../Cargo.toml")).remove(0)];
+    for member in std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/crates")).unwrap() {
+        let manifest = member.unwrap().path().join("Cargo.toml");
+        want.push(names(&std::fs::read_to_string(manifest).unwrap()).remove(0));
+    }
+    want.extend(["bytes", "crossbeam", "rand", "rand_chacha"].map(String::from));
+    got.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(got, want);
+}
+
 /// FNV-1a-64 over the field's little-endian sample bytes.
 fn fnv1a(f: &ScalarField) -> u64 {
     f.data()
