@@ -2,20 +2,29 @@
 //!
 //! Nodes and arcs are constant-sized records in `Vec`s ([11]); arc
 //! geometry is a DAG of geometry records — a `Leaf` is a range of one
-//! shared byte buffer holding a V-path as its start address plus one
-//! direction code per step, and a `Cancel` record references the three
-//! geometries a cancellation concatenates (paper §IV-E: "the geometry of
-//! the new arcs is inherited from the deleted arcs, and a new geometry
-//! object is created that references the geometry objects that were
-//! merged"). Deletion is by tombstone (`alive` flags) so record ids stay
-//! stable; [`MsComplex::compact`] rebuilds dense arrays when a complex
-//! leaves its rank. A complex that stays on its rank is glued and
-//! re-simplified with its tombstones: every pass sees the live records in
-//! the same relative order either way.
+//! byte buffer holding a V-path as its start address plus one direction
+//! code per step, and a `Cancel` record references the three geometries
+//! a cancellation concatenates (paper §IV-E: "the geometry of the new
+//! arcs is inherited from the deleted arcs, and a new geometry object is
+//! created that references the geometry objects that were merged").
+//! Deletion is by tombstone (`alive` flags) so record ids stay stable;
+//! [`MsComplex::compact`] rebuilds dense arrays when a complex leaves its
+//! rank. A complex that stays on its rank is glued and re-simplified with
+//! its tombstones: every pass sees the live records in the same relative
+//! order either way.
+//!
+//! The geometry records are a shared frozen prefix plus the records this
+//! complex owns. [`MsComplex::freeze_geometry`] moves every record and
+//! leaf byte behind an `Arc`; a clone shares that prefix, so it holds
+//! only the records it creates itself (the splices of a replay). A
+//! record id below the prefix length names a shared record, one at or
+//! above it an owned record. The compute pipeline never freezes, so its
+//! prefix is empty and every record is owned.
 
 use msp_grid::coord::mix_address;
 use msp_grid::dims::RefinedDims;
 use msp_grid::RCoord;
+use std::borrow::Cow;
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -46,6 +55,15 @@ fn step_deltas(refined: &RefinedDims) -> [u64; 6] {
         z.wrapping_neg(),
         z,
     ]
+}
+
+/// The start address and step codes of a non-empty leaf stored as
+/// `steps[offset..offset + bytes]`.
+pub(crate) fn leaf_parts(steps: &[u8], offset: u32, bytes: u32) -> (u64, &[u8]) {
+    let (start, codes) = steps[offset as usize..(offset + bytes) as usize]
+        .split_first_chunk::<8>()
+        .expect("a non-empty leaf starts with its address");
+    (u64::from_le_bytes(*start), codes)
 }
 
 /// The address index's hashing: the splitmix64 finalizer
@@ -169,6 +187,15 @@ pub enum GeomRec {
     },
 }
 
+/// The frozen geometry prefix of a complex and its clones: records
+/// `0..geoms.len()` and the leaf bytes their offsets index. Immutable
+/// once built.
+#[derive(Debug)]
+struct FrozenGeom {
+    geoms: Vec<GeomRec>,
+    steps: Vec<u8>,
+}
+
 /// A recorded cancellation (one level of the simplification hierarchy).
 #[derive(Debug, Clone)]
 pub struct Cancellation {
@@ -184,10 +211,15 @@ pub struct Cancellation {
 pub struct MsComplex {
     pub nodes: Vec<Node>,
     pub arcs: Vec<Arc>,
+    /// The shared geometry prefix ([`MsComplex::freeze_geometry`]);
+    /// `None` until frozen, and always in the compute pipeline.
+    frozen: Option<std::sync::Arc<FrozenGeom>>,
+    /// The geometry records this complex owns: record `i` here has id
+    /// `i` plus the frozen prefix's length.
     pub(crate) geoms: Vec<GeomRec>,
-    /// The bytes of every leaf geometry, back to back in creation order
-    /// (see [`GeomRec::Leaf`]); a traced V-path costs 8 bytes plus one
-    /// per step. Decoded only by [`MsComplex::flatten_geom`].
+    /// The bytes of every owned leaf geometry, back to back in creation
+    /// order (see [`GeomRec::Leaf`]); a traced V-path costs 8 bytes plus
+    /// one per step. Decoded only by [`MsComplex::flatten_geom`].
     pub(crate) steps: Vec<u8>,
     /// Arc ids incident to each node (may contain dead arcs; filtered on
     /// access).
@@ -334,7 +366,7 @@ impl MsComplex {
     /// Record `steps[offset..]` as a leaf of `len` cells.
     pub(crate) fn seal_leaf(&mut self, offset: usize, len: usize) -> GeomId {
         let end = u32::try_from(self.steps.len()).expect("leaf bytes exceed u32 addressing");
-        let id = self.geoms.len() as GeomId;
+        let id = self.next_geom_id();
         self.geoms.push(GeomRec::Leaf {
             offset: offset as u32,
             bytes: end - offset as u32,
@@ -345,9 +377,62 @@ impl MsComplex {
 
     /// Store a cancellation-splice geometry.
     pub fn add_cancel_geom(&mut self, first: GeomId, mid: GeomId, last: GeomId) -> GeomId {
-        let id = self.geoms.len() as GeomId;
+        let id = self.next_geom_id();
         self.geoms.push(GeomRec::Cancel { first, mid, last });
         id
+    }
+
+    /// Length of the shared frozen geometry prefix: the id of the first
+    /// owned record.
+    fn n_frozen(&self) -> usize {
+        self.frozen.as_ref().map_or(0, |f| f.geoms.len())
+    }
+
+    fn next_geom_id(&self) -> GeomId {
+        (self.n_frozen() + self.geoms.len()) as GeomId
+    }
+
+    /// Geometry record `g` and the leaf bytes its offsets index: the
+    /// frozen prefix's below its length, this complex's own above.
+    fn rec(&self, g: GeomId) -> (GeomRec, &[u8]) {
+        match &self.frozen {
+            Some(f) if (g as usize) < f.geoms.len() => (f.geoms[g as usize], &f.steps),
+            Some(f) => (self.geoms[g as usize - f.geoms.len()], &self.steps),
+            None => (self.geoms[g as usize], &self.steps),
+        }
+    }
+
+    /// Move every geometry record and leaf byte of this complex into a
+    /// shared frozen prefix. Ids do not change; clones made from now on
+    /// share the records instead of copying them, and own only the
+    /// records they add. Panics if the geometry is frozen already.
+    pub fn freeze_geometry(&mut self) {
+        assert!(self.frozen.is_none(), "geometry frozen twice");
+        let (mut geoms, mut steps) = (
+            std::mem::take(&mut self.geoms),
+            std::mem::take(&mut self.steps),
+        );
+        geoms.shrink_to_fit();
+        steps.shrink_to_fit();
+        self.frozen = Some(std::sync::Arc::new(FrozenGeom { geoms, steps }));
+    }
+
+    /// True when both complexes hold the same frozen geometry prefix
+    /// (one allocation, not two equal copies).
+    pub fn shares_geometry_with(&self, other: &MsComplex) -> bool {
+        matches!((&self.frozen, &other.frozen),
+            (Some(a), Some(b)) if std::sync::Arc::ptr_eq(a, b))
+    }
+
+    /// Geometry bytes `(owned, shared)`: the capacity of this complex's
+    /// own records and leaf bytes, and of its frozen prefix (which every
+    /// complex sharing it reports again).
+    pub fn geometry_bytes(&self) -> (u64, u64) {
+        let size = |geoms: &Vec<GeomRec>, steps: &Vec<u8>| {
+            (geoms.capacity() * std::mem::size_of::<GeomRec>() + steps.capacity()) as u64
+        };
+        let shared = self.frozen.as_ref().map_or(0, |f| size(&f.geoms, &f.steps));
+        (size(&self.geoms, &self.steps), shared)
     }
 
     /// Resolve a geometry record to the flat list of cell addresses,
@@ -362,31 +447,23 @@ impl MsComplex {
     /// are decoded in place, in no particular order, and the walk stops
     /// at the first one that fails.
     pub(crate) fn geom_all(&self, g: GeomId, pred: &mut impl FnMut(u64) -> bool) -> bool {
-        match self.geoms[g as usize] {
-            GeomRec::Leaf { offset, bytes, len } => {
-                self.leaf_cells(offset, bytes, len).all(&mut *pred)
+        match self.rec(g) {
+            (GeomRec::Leaf { offset, bytes, len }, steps) => {
+                self.leaf_cells(steps, offset, bytes, len).all(&mut *pred)
             }
-            GeomRec::Cancel { first, mid, last } => {
+            (GeomRec::Cancel { first, mid, last }, _) => {
                 self.geom_all(first, pred) && self.geom_all(mid, pred) && self.geom_all(last, pred)
             }
         }
     }
 
-    /// The start address and step codes of a non-empty leaf.
-    pub(crate) fn leaf_parts(&self, offset: u32, bytes: u32) -> (u64, &[u8]) {
-        let (start, codes) = self.steps[offset as usize..(offset + bytes) as usize]
-            .split_first_chunk::<8>()
-            .expect("a non-empty leaf starts with its address");
-        (u64::from_le_bytes(*start), codes)
-    }
-
-    /// The cells of a leaf, upper end first: the one decoder of leaf
-    /// bytes.
-    fn leaf_cells(&self, offset: u32, bytes: u32, len: u32) -> LeafCells<'_> {
+    /// The cells of a leaf whose bytes are `steps[offset..offset +
+    /// bytes]`, upper end first: the one decoder of leaf bytes.
+    fn leaf_cells<'a>(&self, steps: &'a [u8], offset: u32, bytes: u32, len: u32) -> LeafCells<'a> {
         let (next, codes) = match len {
             0 => (None, &[][..]),
             _ => {
-                let (start, codes) = self.leaf_parts(offset, bytes);
+                let (start, codes) = leaf_parts(steps, offset, bytes);
                 (Some(start), codes)
             }
         };
@@ -398,15 +475,15 @@ impl MsComplex {
     }
 
     fn flatten_into(&self, g: GeomId, rev: bool, out: &mut Vec<u64>) {
-        match self.geoms[g as usize] {
-            GeomRec::Leaf { offset, bytes, len } => {
+        match self.rec(g) {
+            (GeomRec::Leaf { offset, bytes, len }, steps) => {
                 let at = out.len();
-                out.extend(self.leaf_cells(offset, bytes, len));
+                out.extend(self.leaf_cells(steps, offset, bytes, len));
                 if rev {
                     out[at..].reverse();
                 }
             }
-            GeomRec::Cancel { first, mid, last } => {
+            (GeomRec::Cancel { first, mid, last }, _) => {
                 if rev {
                     self.flatten_into(last, true, out);
                     self.flatten_into(mid, false, out);
@@ -423,7 +500,7 @@ impl MsComplex {
     /// Total number of cells a geometry resolves to (without
     /// materializing it).
     pub fn geom_len(&self, g: GeomId) -> u64 {
-        match self.geoms[g as usize] {
+        match self.rec(g).0 {
             GeomRec::Leaf { len, .. } => len as u64,
             GeomRec::Cancel { first, mid, last } => {
                 self.geom_len(first) + self.geom_len(mid) + self.geom_len(last)
@@ -436,7 +513,7 @@ impl MsComplex {
     /// reversed middle segment and are *not* gradient V-paths, so
     /// path-validity checkers (the oracle crate) only apply to leaves.
     pub fn geom_is_leaf(&self, g: GeomId) -> bool {
-        matches!(self.geoms[g as usize], GeomRec::Leaf { .. })
+        matches!(self.rec(g).0, GeomRec::Leaf { .. })
     }
 
     /// Node id at a global address, if present.
@@ -556,7 +633,9 @@ impl MsComplex {
     /// evict-by-bytes budget read this; exactness to the allocator is
     /// not required, stability across calls is). Leaf geometry counts
     /// as its encoded `steps` bytes — about one per path cell — since
-    /// addresses are decoded only on demand.
+    /// addresses are decoded only on demand. Only owned geometry counts:
+    /// the frozen prefix belongs to whoever froze it (see
+    /// [`MsComplex::geometry_bytes`]).
     pub fn mem_bytes(&self) -> u64 {
         use std::mem::size_of;
         let vecs = self.nodes.capacity() * size_of::<Node>()
@@ -587,22 +666,43 @@ impl MsComplex {
             .sum()
     }
 
-    /// Rebuild dense arrays: drop dead nodes/arcs, keep only geometry
-    /// records reachable from living arcs (preserving the sharing DAG —
-    /// the paper's geometry objects are stored by reference, §IV-E),
-    /// rebuild adjacency and the address index, and clear the hierarchy
-    /// (keeping only the coarsest level, as the paper does before
-    /// communication, §IV-F1). Ids are dense, so the old→new maps are
-    /// plain vectors and every adjacency list is allocated once at its
-    /// final degree.
+    /// Rebuild dense arrays: drop dead nodes/arcs, keep only owned
+    /// geometry records reachable from living arcs (preserving the
+    /// sharing DAG — the paper's geometry objects are stored by
+    /// reference, §IV-E), rebuild adjacency and the address index, and
+    /// clear the hierarchy (keeping only the coarsest level, as the paper
+    /// does before communication, §IV-F1). Ids are dense, so the old→new
+    /// maps are plain vectors and every adjacency list is allocated once
+    /// at its final degree.
     ///
     /// Live nodes, arcs and incidence lists keep their relative order,
-    /// and the geometry is copied depth-first in arc order, so a complex
-    /// serializes the same whether it was compacted after every pass or
-    /// only at the end: the pipeline compacts a block after its local
-    /// simplification and otherwise only when a complex leaves its rank.
+    /// and the owned geometry is copied depth-first in arc order, so a
+    /// complex serializes the same whether it was compacted after every
+    /// pass or only at the end: the pipeline compacts a block after its
+    /// local simplification and otherwise only when a complex leaves its
+    /// rank. The frozen prefix stays shared and keeps its ids, reachable
+    /// or not; only the owned records are copied.
     pub fn compact(&mut self) {
-        let mut out = MsComplex::new(self.refined, std::mem::take(&mut self.member_blocks));
+        *self = self.compacted(self.frozen.clone());
+    }
+
+    /// This complex with all of its geometry owned: itself when nothing
+    /// is frozen, otherwise a compaction that copies the reachable shared
+    /// records too — laid out exactly as [`MsComplex::compact`] lays out
+    /// a complex that never froze anything.
+    pub fn unshared(&self) -> Cow<'_, MsComplex> {
+        match self.frozen {
+            None => Cow::Borrowed(self),
+            Some(_) => Cow::Owned(self.compacted(None)),
+        }
+    }
+
+    /// The compaction of this complex onto the frozen prefix `frozen`:
+    /// records of this complex's own prefix are kept by id when `frozen`
+    /// is that prefix, and copied otherwise.
+    fn compacted(&self, frozen: Option<std::sync::Arc<FrozenGeom>>) -> MsComplex {
+        let mut out = MsComplex::new(self.refined, self.member_blocks.clone());
+        out.frozen = frozen;
         let live = self.nodes.iter().filter(|n| n.alive).count();
         out.nodes.reserve_exact(live);
         out.adj.reserve_exact(live);
@@ -625,31 +725,36 @@ impl MsComplex {
             let g = self.copy_geom_into(a.geom, &mut out, &mut geom_map);
             out.add_arc(node_map[a.upper as usize], node_map[a.lower as usize], g);
         }
-        *self = out;
+        out
     }
 
     /// Recursively copy the geometry DAG rooted at `g` into `out`,
     /// deduplicating shared records through `map`: a dense old-id →
     /// new-id table over this complex's geometry records, grown on
     /// first use (start from an empty vector and keep passing the same
-    /// one for every copy into the same `out`).
+    /// one for every copy into the same `out`). A record of a frozen
+    /// prefix `out` shares is not copied: it keeps its id.
     pub fn copy_geom_into(&self, g: GeomId, out: &mut MsComplex, map: &mut Vec<GeomId>) -> GeomId {
-        if map.len() < self.geoms.len() {
-            map.resize(self.geoms.len(), UNMAPPED);
+        if (g as usize) < out.n_frozen() && self.shares_geometry_with(out) {
+            return g;
+        }
+        let total = self.n_frozen() + self.geoms.len();
+        if map.len() < total {
+            map.resize(total, UNMAPPED);
         }
         if map[g as usize] != UNMAPPED {
             return map[g as usize];
         }
-        let id = match self.geoms[g as usize] {
-            GeomRec::Leaf { offset, bytes, len } => {
+        let id = match self.rec(g) {
+            (GeomRec::Leaf { offset, bytes, len }, steps) => {
                 // step codes are relative to the refined dims
                 debug_assert_eq!(self.refined, out.refined);
                 let at = out.steps.len();
                 out.steps
-                    .extend_from_slice(&self.steps[offset as usize..(offset + bytes) as usize]);
+                    .extend_from_slice(&steps[offset as usize..(offset + bytes) as usize]);
                 out.seal_leaf(at, len as usize)
             }
-            GeomRec::Cancel { first, mid, last } => {
+            (GeomRec::Cancel { first, mid, last }, _) => {
                 let f = self.copy_geom_into(first, out, map);
                 let m = self.copy_geom_into(mid, out, map);
                 let l = self.copy_geom_into(last, out, map);
@@ -676,7 +781,7 @@ impl MsComplex {
             if !seen.insert(g) {
                 continue;
             }
-            match self.geoms[g as usize] {
+            match self.rec(g).0 {
                 GeomRec::Leaf { len, .. } => cells += len as u64,
                 GeomRec::Cancel { first, mid, last } => {
                     stack.push(first);

@@ -35,8 +35,17 @@
 //! one is a "every byte < 6" check plus a copy; escapes take a slow
 //! path. Payloads of the older `MSC2` format are refused with
 //! [`WireError::OlderFormat`].
+//!
+//! The bytes do not depend on what a complex shares: a complex with a
+//! frozen geometry prefix ([`MsComplex::freeze_geometry`]) is written as
+//! its [`MsComplex::unshared`] compaction, the reachable geometry
+//! depth-first in arc order, exactly as a complex that never froze
+//! anything is laid out by [`MsComplex::compact`]. Only serve-side
+//! materializations hold a prefix, and only verification code writes
+//! them; the pipeline's complexes own all of their geometry and are
+//! written as they are.
 
-use crate::skeleton::{GeomRec, MsComplex, STEP_ESCAPE};
+use crate::skeleton::{leaf_parts, GeomRec, MsComplex, STEP_ESCAPE};
 use bytes::{BufMut, Bytes};
 use msp_grid::dims::RefinedDims;
 
@@ -103,6 +112,7 @@ pub fn serialize_into(ms: &MsComplex, buf: &mut Vec<u8>) {
         ms.nodes.iter().all(|n| n.alive) && ms.arcs.iter().all(|a| a.alive),
         "serialize requires a compacted complex"
     );
+    let ms = &*ms.unshared();
     buf.put_slice(MAGIC);
     buf.put_u64_le(ms.refined.rx);
     buf.put_u64_le(ms.refined.ry);
@@ -128,7 +138,7 @@ pub fn serialize_into(ms: &MsComplex, buf: &mut Vec<u8>) {
                 buf.push(TAG_LEAF);
                 put_varint(buf, u64::from(len));
                 if len > 0 {
-                    let (start, codes) = ms.leaf_parts(offset, bytes);
+                    let (start, codes) = leaf_parts(&ms.steps, offset, bytes);
                     put_varint(buf, zigzag(start.wrapping_sub(prev_start) as i64));
                     prev_start = start;
                     buf.extend_from_slice(codes);
@@ -154,12 +164,13 @@ pub fn serialize_into(ms: &MsComplex, buf: &mut Vec<u8>) {
 /// preallocation and as the message size in the communication-cost
 /// model).
 pub fn estimate_size(ms: &MsComplex) -> usize {
+    let ms = &*ms.unshared();
     let mut size = FIXED_BYTES + 4 * ms.member_blocks.len() + NODE_BYTES * ms.nodes.len();
     let mut prev_start = 0u64;
     for (i, g) in ms.geoms.iter().enumerate() {
         size += 1 + match *g {
             GeomRec::Leaf { offset, bytes, len } if len > 0 => {
-                let (start, codes) = ms.leaf_parts(offset, bytes);
+                let (start, codes) = leaf_parts(&ms.steps, offset, bytes);
                 let delta = zigzag(start.wrapping_sub(prev_start) as i64);
                 prev_start = start;
                 varint_len(u64::from(len)) + varint_len(delta) + codes.len()

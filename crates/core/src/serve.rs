@@ -29,7 +29,12 @@
 //!
 //! `dataset` defaults to the first loaded dataset, `block` to 0 and
 //! `ordering` to `difference`. Errors come back as
-//! `{"ok":false,"error":...}` and never tear the connection down.
+//! `{"ok":false,"error":...}` and never tear the connection down, with
+//! one exception: a request line longer than [`MAX_REQUEST_LINE`] bytes
+//! is answered `{"ok":false,"error":"request line exceeds 65536 bytes"}`
+//! (counted in `serve_errors`) and then the connection is closed, its
+//! unread input discarded (on stdio the session ends), so no client can
+//! make the server buffer an unbounded line.
 //!
 //! Every reply — a JSON line with its newline, or an HTTP head with its
 //! body — is assembled in one buffer and leaves in one write
@@ -58,9 +63,15 @@
 //! bit-identical to a from-scratch replay. Concurrent requests for the
 //! same key coalesce: the first computes, the rest block on a condition
 //! variable and reuse the cached result (counted as `serve_coalesced`).
-//! The cache tracks resident *bytes* per entry (capacity-based estimates) —
-//! the substrate for evict-by-bytes budgeting — exported via the
-//! `serve_cache_bytes` / `serve_dataset_bytes` gauges.
+//!
+//! Every loaded base has its geometry frozen ([`load_dataset`]), and an
+//! entry is a clone of the base or of a shorter entry, replayed and
+//! compacted: it shares the base's V-paths and geometry records and owns
+//! only the splice records its replay created. The cache tracks the
+//! resident *bytes* each entry owns (capacity-based estimates) — the
+//! substrate for evict-by-bytes budgeting — exported via the
+//! `serve_cache_bytes` gauge; the shared geometry is counted once, with
+//! its base, in `serve_dataset_bytes`.
 //!
 //! ## Live metrics
 //!
@@ -77,8 +88,7 @@
 use crate::pipeline::{check_persistence, msh_output_path, seg_output_path};
 use msp_complex::{wire as cwire, MsComplex};
 use msp_hierarchy::{
-    compress_forwards, remap_tables, wire as hwire, HierarchyError, Materialized, Ordering,
-    SlotHierarchy,
+    compress_forwards, wire as hwire, HierarchyError, Materialized, Ordering, SlotHierarchy,
 };
 use msp_segment::{wire as segwire, BlockSegmentation, DRAIN_ADDR, DRAIN_LABEL};
 use msp_telemetry::{
@@ -130,17 +140,24 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Estimated resident bytes of the loaded artifacts (bases +
-    /// hierarchies + label tables), exported as `serve_dataset_bytes`.
+    /// Estimated resident bytes of the loaded artifacts (bases with
+    /// their frozen geometry, which every cached materialization of a
+    /// base shares, + hierarchies + label tables), exported as
+    /// `serve_dataset_bytes`.
     pub fn mem_bytes(&self) -> u64 {
-        self.bases.iter().map(|b| b.mem_bytes()).sum::<u64>()
+        self.bases
+            .iter()
+            .map(|b| b.mem_bytes() + b.geometry_bytes().1)
+            .sum::<u64>()
             + self.hierarchies.iter().map(|h| h.mem_bytes()).sum::<u64>()
             + self.segs.iter().map(|s| s.mem_bytes()).sum::<u64>()
     }
 }
 
 /// Load a dataset from `<msc_path>` + `<msc_path>.msh` (required) +
-/// `<msc_path>.seg` (optional).
+/// `<msc_path>.seg` (optional). Each base's geometry is frozen, so every
+/// materialization of it shares the base's V-paths instead of copying
+/// them.
 pub fn load_dataset(name: &str, msc_path: &Path) -> Result<Dataset, ServeError> {
     let io = |context: String| move |source: std::io::Error| ServeError::Io { context, source };
     let footer = read_footer(msc_path).map_err(io(format!("reading {}", msc_path.display())))?;
@@ -148,12 +165,12 @@ pub fn load_dataset(name: &str, msc_path: &Path) -> Result<Dataset, ServeError> 
     for e in &footer {
         let payload = read_block_payload(msc_path, e)
             .map_err(io(format!("reading {}", msc_path.display())))?;
-        bases.push(
-            cwire::deserialize(&payload).map_err(|e| ServeError::Artifact {
-                context: format!("decoding {}", msc_path.display()),
-                detail: e.to_string(),
-            })?,
-        );
+        let mut base = cwire::deserialize(&payload).map_err(|e| ServeError::Artifact {
+            context: format!("decoding {}", msc_path.display()),
+            detail: e.to_string(),
+        })?;
+        base.freeze_geometry();
+        bases.push(base);
     }
     let msh_path = msh_output_path(msc_path);
     let hfooter = read_footer(&msh_path).map_err(io(format!(
@@ -519,6 +536,26 @@ impl ServerCore {
     pub fn handle_line(&self, line: &str) -> (String, bool) {
         let t0 = Instant::now();
         let (class, result, close) = self.dispatch(line);
+        (self.answer(line, t0, class, result), close)
+    }
+
+    /// The reply to a request line longer than [`MAX_REQUEST_LINE`]: an
+    /// `invalid` request answered with an error; the session ends after
+    /// it.
+    fn reject_overlong(&self) -> String {
+        let msg = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+        self.answer("", Instant::now(), "invalid", Err(msg))
+    }
+
+    /// Account a request of `class` that started at `t0` (counters,
+    /// latency, the slow-request log) and render its reply.
+    fn answer(
+        &self,
+        line: &str,
+        t0: Instant,
+        class: &'static str,
+        result: Result<Json, String>,
+    ) -> String {
         let us = t0.elapsed().as_micros() as u64;
         let m = &self.metrics;
         m.queries.inc();
@@ -557,7 +594,7 @@ impl ServerCore {
                 }
             }
         }
-        (json.compact(), close)
+        json.compact()
     }
 
     fn dispatch(&self, line: &str) -> (&'static str, Result<Json, String>, bool) {
@@ -844,34 +881,36 @@ impl ServerCore {
         }
         let m = self.materialized(di, slot, ordering, t)?;
         // Follow the replayed cancellations through the label tables:
-        // compress the prefix's forward chains, rewrite the member
-        // blocks' tables, then census the surviving regions.
+        // compress the prefix's forward chains, rewrite copies of the
+        // member blocks' extremum tables (the label arrays index them and
+        // are read in place), then census the surviving regions.
         let resolved = compress_forwards(&m.forwards);
+        let remapped = |table: &[u64]| -> Vec<u64> {
+            table
+                .iter()
+                .map(|a| *resolved.get(a).unwrap_or(a))
+                .collect()
+        };
         let members = &ds.bases[slot].member_blocks;
         let mut descending: HashMap<u64, u64> = HashMap::new();
         let mut ascending: HashMap<u64, u64> = HashMap::new();
-        let (mut vertices, mut voxels, mut drained) = (0u64, 0u64, 0u64);
+        let mut drained = 0u64;
+        let mut census = |labels: &[u32], table: &[u64], regions: &mut HashMap<u64, u64>| {
+            for &l in labels {
+                match table.get(l as usize) {
+                    Some(&a) if l != DRAIN_LABEL && a != DRAIN_ADDR => {
+                        *regions.entry(a).or_insert(0) += 1;
+                    }
+                    _ => drained += 1,
+                }
+            }
+        };
+        let (mut vertices, mut voxels) = (0u64, 0u64);
         for seg in ds.segs.iter().filter(|s| members.contains(&s.block_id)) {
-            let mut seg = seg.clone();
-            remap_tables(&mut seg, &resolved);
             vertices += seg.min_label.len() as u64;
             voxels += seg.max_label.len() as u64;
-            for &l in &seg.min_label {
-                match seg.mins.get(l as usize) {
-                    Some(&a) if l != DRAIN_LABEL && a != DRAIN_ADDR => {
-                        *descending.entry(a).or_insert(0) += 1;
-                    }
-                    _ => drained += 1,
-                }
-            }
-            for &l in &seg.max_label {
-                match seg.maxs.get(l as usize) {
-                    Some(&a) if l != DRAIN_LABEL && a != DRAIN_ADDR => {
-                        *ascending.entry(a).or_insert(0) += 1;
-                    }
-                    _ => drained += 1,
-                }
-            }
+            census(&seg.min_label, &remapped(&seg.mins), &mut descending);
+            census(&seg.max_label, &remapped(&seg.maxs), &mut ascending);
         }
         let largest = |m: &HashMap<u64, u64>| m.values().max().copied().unwrap_or(0);
         Ok(ok_obj(
@@ -1062,6 +1101,41 @@ fn ok_obj(op: &str, rest: Vec<(&str, Json)>) -> Json {
     Json::obj(pairs)
 }
 
+/// Longest request line a client may send, in bytes, its newline not
+/// counted. A longer one is answered with an error and ends the session,
+/// so one line never makes the server buffer more than this.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// One read from a line-delimited client.
+enum Request {
+    Line(String),
+    /// A line longer than [`MAX_REQUEST_LINE`]; its rest is not read.
+    TooLong,
+    End,
+}
+
+/// Read the next request line, holding at most [`MAX_REQUEST_LINE`] + 1
+/// bytes of it. A line that is not UTF-8 is an `InvalidData` error, as
+/// with `BufRead::lines`.
+fn read_request(reader: &mut impl BufRead) -> std::io::Result<Request> {
+    let mut buf = Vec::new();
+    let cap = MAX_REQUEST_LINE as u64 + 1;
+    if std::io::Read::take(reader, cap).read_until(b'\n', &mut buf)? == 0 {
+        return Ok(Request::End);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_REQUEST_LINE {
+        return Ok(Request::TooLong);
+    }
+    String::from_utf8(buf)
+        .map(Request::Line)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
 /// Does this request line ask to stop reading (quit/shutdown)? Used by
 /// the stdio reader so a batch ending in `{"op":"quit"}` terminates
 /// without waiting for EOF.
@@ -1097,10 +1171,11 @@ struct OutState<W> {
 /// worker pool: the calling thread reads and sequences requests,
 /// `threads` workers process them (cache coalescing happens here), and
 /// responses are written in request order via a ticket on the shared
-/// writer. Stops at EOF or after a `quit`/`shutdown` request.
+/// writer. Stops at EOF, after a `quit`/`shutdown` request, or after
+/// answering a line longer than [`MAX_REQUEST_LINE`].
 pub fn serve_lines<R, W>(
     core: &ServerCore,
-    reader: R,
+    mut reader: R,
     writer: W,
     threads: usize,
 ) -> std::io::Result<()>
@@ -1109,7 +1184,8 @@ where
     W: Write + Send,
 {
     let threads = threads.max(1);
-    type Jobs = Mutex<(VecDeque<(u64, String)>, bool)>;
+    // a job without a line stands for one over the length cap
+    type Jobs = Mutex<(VecDeque<(u64, Option<String>)>, bool)>;
     let jobs: Jobs = Mutex::new((VecDeque::new(), false));
     let jobs_cv = Condvar::new();
     let out = Mutex::new(OutState {
@@ -1134,7 +1210,10 @@ where
                     }
                 };
                 let Some((seq, line)) = job else { return };
-                let (mut resp, _close) = core.handle_line(&line);
+                let mut resp = match line {
+                    Some(line) => core.handle_line(&line).0,
+                    None => core.reject_overlong(),
+                };
                 resp.push('\n');
                 let mut g = out.lock().unwrap();
                 while g.next != seq {
@@ -1148,13 +1227,20 @@ where
             });
         }
         let mut seq = 0u64;
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
+        loop {
+            let line = match read_request(&mut reader) {
+                Ok(Request::Line(line)) => line,
+                Ok(Request::TooLong) => {
+                    jobs.lock().unwrap().0.push_back((seq, None));
+                    break;
+                }
+                Ok(Request::End) | Err(_) => break,
+            };
             if line.trim().is_empty() {
                 continue;
             }
             let stop = wants_close(&line);
-            jobs.lock().unwrap().0.push_back((seq, line));
+            jobs.lock().unwrap().0.push_back((seq, Some(line)));
             jobs_cv.notify_one();
             seq += 1;
             if stop {
@@ -1202,13 +1288,14 @@ fn serve_connection(core: &ServerCore, stream: TcpStream) -> std::io::Result<()>
         return serve_http(core, stream);
     }
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (mut resp, close) = core.handle_line(&line);
+    let mut reader = BufReader::new(stream);
+    loop {
+        let (mut resp, close) = match read_request(&mut reader)? {
+            Request::Line(line) if line.trim().is_empty() => continue,
+            Request::Line(line) => core.handle_line(&line),
+            Request::TooLong => (core.reject_overlong(), true),
+            Request::End => break,
+        };
         resp.push('\n');
         write_reply(&mut writer, &resp)?;
         if close {
@@ -1508,6 +1595,115 @@ mod tests {
     }
 
     #[test]
+    fn cached_entries_share_the_base_geometry_and_own_only_their_splices() {
+        let core = ServerCore::new(vec![dataset("shared")], ServeConfig::default());
+        let base = &core.datasets[0].bases[0];
+        let (base_owned, base_shared) = base.geometry_bytes();
+        assert_eq!(base_owned, 0, "a loaded base keeps all its geometry frozen");
+        let recs = &core.datasets[0].hierarchies[0].difference;
+        // two misses: a cold replay from the base, then an extension of it
+        let mid = recs[recs.len() / 2].key;
+        let a = core.materialized(0, 0, Ordering::Difference, mid).unwrap();
+        let b = core
+            .materialized(0, 0, Ordering::Difference, f32::MAX)
+            .unwrap();
+        assert_eq!(core.metrics.misses.get(), 2);
+        for m in [&a, &b] {
+            assert!(
+                m.complex.shares_geometry_with(base),
+                "a copy, not the base's prefix"
+            );
+            let (owned, shared) = m.complex.geometry_bytes();
+            assert_eq!(shared, base_shared);
+            assert!(
+                owned < base_shared,
+                "entry owns {owned} geometry bytes, the base has {base_shared}"
+            );
+            // and the shared records it reaches stay shared, not copied
+            let (unshared, _) = m.complex.unshared().geometry_bytes();
+            assert!(
+                owned < unshared,
+                "owns {owned} bytes, all it reaches is {unshared}"
+            );
+        }
+        // the byte gauges count the prefix once, with the dataset
+        let cache = core.cache.lock().unwrap().bytes;
+        assert_eq!(
+            cache,
+            a.mem_bytes() + b.mem_bytes(),
+            "cache bytes are what the entries own"
+        );
+        assert!(core.datasets[0].mem_bytes() >= base_shared);
+    }
+
+    #[test]
+    fn segment_stats_census_equals_remapping_cloned_tables() {
+        let core = ServerCore::new(vec![dataset("segstats")], ServeConfig::default());
+        let ds = &core.datasets[0];
+        let members = &ds.bases[0].member_blocks;
+        for ordering in Ordering::ALL {
+            let recs = ds.hierarchies[0].records(ordering).expect("both orderings");
+            for t in [0.0, recs[recs.len() / 2].key, f32::MAX] {
+                // the reference: clone each member block's segmentation
+                // and rewrite its tables with `remap_tables`
+                let m = core.materialized(0, 0, ordering, t).unwrap();
+                let resolved = compress_forwards(&m.forwards);
+                let (mut descending, mut ascending) = (HashMap::new(), HashMap::new());
+                let (mut vertices, mut voxels, mut drained) = (0u64, 0u64, 0u64);
+                for seg in ds.segs.iter().filter(|s| members.contains(&s.block_id)) {
+                    let mut seg = seg.clone();
+                    msp_hierarchy::remap_tables(&mut seg, &resolved);
+                    vertices += seg.min_label.len() as u64;
+                    voxels += seg.max_label.len() as u64;
+                    let sides = [
+                        (&seg.min_label, &seg.mins, &mut descending),
+                        (&seg.max_label, &seg.maxs, &mut ascending),
+                    ];
+                    for (labels, table, regions) in sides {
+                        for &l in labels {
+                            match table.get(l as usize) {
+                                Some(&a) if l != DRAIN_LABEL && a != DRAIN_ADDR => {
+                                    *regions.entry(a).or_insert(0u64) += 1;
+                                }
+                                _ => drained += 1,
+                            }
+                        }
+                    }
+                }
+                let largest = |m: &HashMap<u64, u64>| m.values().max().copied().unwrap_or(0);
+                let want = [
+                    descending.len() as u64,
+                    ascending.len() as u64,
+                    largest(&descending),
+                    largest(&ascending),
+                    vertices,
+                    voxels,
+                    drained,
+                ];
+                let (reply, _) = core.handle_line(&format!(
+                    "{{\"op\":\"segment-stats\",\"ordering\":\"{ordering}\",\"t\":{t}}}"
+                ));
+                let p = parsed(&reply);
+                let got = [
+                    "descending_regions",
+                    "ascending_regions",
+                    "largest_descending",
+                    "largest_ascending",
+                    "vertices",
+                    "voxels",
+                    "drained",
+                ]
+                .map(|k| {
+                    field(&p, k)
+                        .as_u64()
+                        .unwrap_or_else(|| panic!("{k}: {reply}"))
+                });
+                assert_eq!(got, want, "{ordering} at {t}");
+            }
+        }
+    }
+
+    #[test]
     fn metrics_and_health_ops_report_live_state() {
         let core = ServerCore::new(vec![dataset("metrics")], ServeConfig::default());
         let t = core.datasets[0].hierarchies[0].difference[0].key as f64;
@@ -1796,6 +1992,30 @@ mod tests {
         for l in &lines {
             assert!(Json::parse(l).is_ok());
         }
+    }
+
+    #[test]
+    fn an_overlong_request_line_is_refused_and_ends_the_session() {
+        let core = ServerCore::new(Vec::new(), ServeConfig::default());
+        // a ping padded to exactly the cap is still a request
+        let padded = |len: usize| {
+            let head = "{\"op\":\"ping\",\"pad\":\"";
+            format!("{head}{}\"}}", "x".repeat(len - head.len() - 2))
+        };
+        let at_cap = padded(MAX_REQUEST_LINE);
+        assert_eq!(at_cap.len(), MAX_REQUEST_LINE);
+        let batch = format!("{at_cap}\n{}\n{{\"op\":\"ping\"}}\n", padded(1 << 20));
+        let mut out = Vec::new();
+        serve_lines(&core, Cursor::new(batch.as_bytes()), &mut out, 2).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        // the ping after the 1 MiB line is never read
+        assert_eq!(
+            text,
+            "{\"ok\":true,\"op\":\"ping\"}\n\
+             {\"ok\":false,\"error\":\"request line exceeds 65536 bytes\"}\n"
+        );
+        assert_eq!(core.metrics.errors.get(), 1);
+        assert_eq!(core.metrics.queries.get(), 2);
     }
 
     #[test]

@@ -31,6 +31,12 @@
 //! [`SlotHierarchy::materialize_k`] from the base is the `k0 = 0` case
 //! of the same function body.
 //!
+//! A materialization is a clone of its starting complex, so it shares
+//! whatever geometry that complex froze ([`MsComplex::freeze_geometry`]):
+//! from a frozen base (as `msc serve` loads them) it owns only the splice
+//! records its replay created, and its wire bytes are those of the same
+//! complex holding all of its geometry.
+//!
 //! The on-disk artifact is the versioned `MSH1` format ([`wire`]); the
 //! pipeline writes one payload per output slot via the collective write,
 //! so `<out>.msh` is byte-identical across ranks/threads/schedules.
@@ -125,7 +131,8 @@ pub struct SlotHierarchy {
 /// segmentation needs to follow it.
 #[derive(Debug, Clone)]
 pub struct Materialized {
-    /// The compacted complex, bit-identical to a direct `simplify` run.
+    /// The compacted complex, bit-identical to a direct `simplify` run;
+    /// it shares the frozen geometry of the complex it was replayed on.
     pub complex: MsComplex,
     /// Forward entries `(dead extremum, survivor)` of the replayed
     /// prefix, in cancellation order.
@@ -136,7 +143,8 @@ pub struct Materialized {
 }
 
 impl Materialized {
-    /// Estimated resident heap footprint in bytes — the unit the serve
+    /// Estimated resident heap footprint in bytes of what this entry
+    /// owns (shared frozen geometry excluded) — the unit the serve
     /// cache's byte gauges (and the future evict-by-bytes budget) count.
     pub fn mem_bytes(&self) -> u64 {
         (std::mem::size_of::<Materialized>()
@@ -573,6 +581,46 @@ mod tests {
         let b = h.materialize(&loaded, Ordering::Difference, t).unwrap();
         assert_eq!(cwire::serialize(&a.complex), cwire::serialize(&b.complex));
         assert_eq!(a.forwards, b.forwards);
+    }
+
+    #[test]
+    fn materialize_from_a_frozen_base_equals_an_unfrozen_round_trip() {
+        // serving freezes the loaded base so every materialization shares
+        // its geometry; the replay and the written bytes must not notice
+        let base = base_complex(41);
+        let h = record(&base, ReplayParams::default(), Some(synthetic_sizes(&base))).unwrap();
+        let loaded = cwire::deserialize(&cwire::serialize(&base)).unwrap();
+        let mut frozen = loaded.clone();
+        frozen.freeze_geometry();
+        assert_eq!(cwire::serialize(&frozen), cwire::serialize(&loaded));
+        for ordering in Ordering::ALL {
+            let recs = h.records(ordering).unwrap();
+            let mut extended = h.materialize_k(&frozen, ordering, 0).unwrap();
+            for t in [0.0, recs[recs.len() / 2].key, f32::INFINITY] {
+                let b = h.materialize(&loaded, ordering, t).unwrap();
+                let k = h.prefix_len(ordering, t).unwrap();
+                extended = h.extend(&extended, ordering, k).unwrap();
+                for a in [
+                    h.materialize(&frozen, ordering, t).unwrap(),
+                    extended.clone(),
+                ] {
+                    let (ms, want) = (&a.complex, &b.complex);
+                    assert!(ms.shares_geometry_with(&frozen), "{ordering} at {t}");
+                    ms.check_integrity().unwrap();
+                    assert_eq!(
+                        cwire::serialize(ms),
+                        cwire::serialize(want),
+                        "{ordering} at {t}"
+                    );
+                    assert_eq!(a.forwards, b.forwards, "{ordering} at {t}");
+                    assert_eq!(a.stats, b.stats, "{ordering} at {t}");
+                    assert_eq!(ms.arcs.len(), want.arcs.len());
+                    for (x, y) in ms.arcs.iter().zip(&want.arcs) {
+                        assert_eq!(ms.flatten_geom(x.geom), want.flatten_geom(y.geom));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -89,8 +89,10 @@ MSP_SCALE=small MSP_RESULTS_DIR="$tracedir" \
   cargo run -q --release -p msp-bench --bin fault_sweep > /dev/null
 
 # serve smoke: precompute an artifact with --hierarchy, drive the query
-# layer over stdio with repeated keys, and gate on all-ok responses, a
-# nonzero cache hit rate and the p50<=p99 latency self-check
+# layer over stdio with repeated keys, arc geometry read through the
+# base's shared geometry, and a threshold at 0.4 that extends the cached
+# 0.2 entry; gate on all-ok responses, a nonzero cache hit rate and the
+# p50<=p99 latency self-check
 msc compute --input "$tracedir/seg.raw" \
   --dims 17,17,17 --ranks 2 --blocks 8 --merge full --hierarchy --check \
   --output "$tracedir/serve.msc"
@@ -101,6 +103,11 @@ printf '%s\n' \
   '{"op":"threshold","t":40,"ordering":"count"}' \
   '{"op":"extrema","t":0.2,"top":3}' \
   '{"op":"segment-stats","t":0.2}' \
+  '{"op":"arc-geometry","t":0.2,"arc":0}' \
+  '{"op":"arc-geometry","t":0.2,"arc":1}' \
+  '{"op":"arc-geometry","t":0.2,"arc":2}' \
+  '{"op":"arc-geometry","t":0.2,"arc":3}' \
+  '{"op":"threshold","t":0.4}' \
   '{"op":"stats"}' \
   '{"op":"metrics"}' \
   '{"op":"health"}' \
@@ -109,8 +116,8 @@ printf '%s\n' \
       > "$tracedir/serve_out.jsonl" 2> "$tracedir/serve_err.txt"
 ! grep -q '"ok":false' "$tracedir/serve_out.jsonl" \
   || { echo "serve smoke: error response"; cat "$tracedir/serve_out.jsonl"; exit 1; }
-[ "$(wc -l < "$tracedir/serve_out.jsonl")" -eq 10 ] \
-  || { echo "serve smoke: expected 10 responses"; cat "$tracedir/serve_out.jsonl"; exit 1; }
+[ "$(wc -l < "$tracedir/serve_out.jsonl")" -eq 15 ] \
+  || { echo "serve smoke: expected 15 responses"; cat "$tracedir/serve_out.jsonl"; exit 1; }
 hits="$(grep -o '"hits":[0-9]*' "$tracedir/serve_out.jsonl" | tail -1 | cut -d: -f2)"
 [ "${hits:-0}" -gt 0 ] \
   || { echo "serve smoke: cache hit rate is zero"; cat "$tracedir/serve_out.jsonl"; exit 1; }
