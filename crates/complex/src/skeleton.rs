@@ -206,6 +206,41 @@ pub struct Cancellation {
     pub n_created_arcs: u32,
 }
 
+/// What one cancellation's splice needs to know about the pairs it
+/// creates arcs between, reused from cancellation to cancellation.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SpliceScratch {
+    /// Per node: 1 + its slot in `xs` or `ys` while a splice runs, zero
+    /// otherwise. A node is in at most one of them (their Morse indices
+    /// differ by one), so one array marks both. Grown to the node count
+    /// on use.
+    pub slot: Vec<u32>,
+    /// The distinct upper neighbours `x` (index d), in first-seen order.
+    pub xs: Vec<NodeId>,
+    /// The distinct lower neighbours `y` (index d − 1), in first-seen
+    /// order.
+    pub ys: Vec<NodeId>,
+    /// `table[i * ys.len() + j]`: living arcs `xs[i] → ys[j]`.
+    pub table: Vec<u32>,
+}
+
+impl SpliceScratch {
+    /// The table cell of the pair `(x, y)`; both must be marked.
+    pub fn cell(&self, x: NodeId, y: NodeId) -> usize {
+        (self.slot[x as usize] as usize - 1) * self.ys.len() + self.slot[y as usize] as usize - 1
+    }
+
+    /// Unmark every neighbour; the scratch is then ready for the next
+    /// splice.
+    pub fn clear(&mut self) {
+        for &n in self.xs.iter().chain(&self.ys) {
+            self.slot[n as usize] = 0;
+        }
+        self.xs.clear();
+        self.ys.clear();
+    }
+}
+
 /// The 1-skeleton of a Morse-Smale complex covering one or more blocks.
 #[derive(Debug, Clone, Default)]
 pub struct MsComplex {
@@ -224,12 +259,10 @@ pub struct MsComplex {
     /// Arc ids incident to each node (may contain dead arcs; filtered on
     /// access).
     adj: Vec<Vec<ArcId>>,
-    /// Per-node counter lent to the cancellation splice: between
-    /// [`MsComplex::count_down_arcs`] and [`MsComplex::clear_down_counts`]
-    /// of one upper node it holds that node's living down-arcs per lower
-    /// endpoint; all zero otherwise. Grown to the node count on use;
-    /// [`MsComplex::compact`] starts over with an empty one.
-    pub(crate) down_count: Vec<u32>,
+    /// Scratch lent to the cancellation splice
+    /// ([`MsComplex::count_splice_pairs`]); [`MsComplex::compact`]
+    /// starts over with an empty one.
+    pub(crate) splice: SpliceScratch,
     /// Global address → node id, for boundary matching during gluing.
     addr_index: HashMap<u64, NodeId, AddrHashing>,
     /// Refined dims of the full dataset (address codec).
@@ -562,27 +595,68 @@ impl MsComplex {
         self.arcs_between(u, l).count()
     }
 
-    /// Count `x`'s living down-arcs per lower endpoint into
-    /// `down_count` — one walk of `x`'s incidence list answers "how many
-    /// arcs join `x` and `y`?" for every `y` at once.
-    pub(crate) fn count_down_arcs(&mut self, x: NodeId) {
-        if self.down_count.len() < self.nodes.len() {
-            self.down_count.resize(self.nodes.len(), 0);
+    /// Mark the distinct upper endpoints of `above` and lower endpoints
+    /// of `below` in `sp` and count the living arcs between every such
+    /// pair into `sp.table`. Each of those arcs sits on both endpoints'
+    /// incidence lists, so the count walks the lists of whichever side
+    /// holds fewer entries in total, each list once. `sp` must be clear;
+    /// [`SpliceScratch::clear`] unmarks it again.
+    pub(crate) fn count_splice_pairs(
+        &self,
+        sp: &mut SpliceScratch,
+        above: &[ArcId],
+        below: &[ArcId],
+    ) {
+        if sp.slot.len() < self.nodes.len() {
+            sp.slot.resize(self.nodes.len(), 0);
         }
-        for &a in &self.adj[x as usize] {
-            let arc = &self.arcs[a as usize];
-            if arc.alive && arc.upper == x {
-                self.down_count[arc.lower as usize] += 1;
+        let mark = |sp: &mut SpliceScratch, n: NodeId, upper: bool| {
+            if sp.slot[n as usize] != 0 {
+                return 0;
+            }
+            let side = if upper { &mut sp.xs } else { &mut sp.ys };
+            side.push(n);
+            sp.slot[n as usize] = side.len() as u32;
+            self.adj[n as usize].len()
+        };
+        let x_entries: usize = (above.iter())
+            .map(|&a| mark(sp, self.arcs[a as usize].upper, true))
+            .sum();
+        let y_entries: usize = (below.iter())
+            .map(|&a| mark(sp, self.arcs[a as usize].lower, false))
+            .sum();
+        let nb = sp.ys.len();
+        sp.table.clear();
+        sp.table.resize(sp.xs.len() * nb, 0);
+        // the cancelled pair is unmarked, so its own arcs never count
+        if x_entries <= y_entries {
+            for (i, &x) in sp.xs.iter().enumerate() {
+                for &a in &self.adj[x as usize] {
+                    let arc = &self.arcs[a as usize];
+                    let j = sp.slot[arc.lower as usize] as usize;
+                    if arc.alive && arc.upper == x && j != 0 {
+                        sp.table[i * nb + j - 1] += 1;
+                    }
+                }
+            }
+        } else {
+            for (j, &y) in sp.ys.iter().enumerate() {
+                for &a in &self.adj[y as usize] {
+                    let arc = &self.arcs[a as usize];
+                    let i = sp.slot[arc.upper as usize] as usize;
+                    if arc.alive && arc.lower == y && i != 0 {
+                        sp.table[(i - 1) * nb + j] += 1;
+                    }
+                }
             }
         }
-    }
-
-    /// Zero `down_count` again: the same walk, which by now also covers
-    /// the arcs added below `x` since the count (the other entries it
-    /// touches are zero already).
-    pub(crate) fn clear_down_counts(&mut self, x: NodeId) {
-        for &a in &self.adj[x as usize] {
-            self.down_count[self.arcs[a as usize].lower as usize] = 0;
+        if cfg!(debug_assertions) {
+            for &x in &sp.xs {
+                for &y in &sp.ys {
+                    let n = self.multiplicity(x, y);
+                    debug_assert_eq!(sp.table[sp.cell(x, y)] as usize, n, "pair {x}->{y}");
+                }
+            }
         }
     }
 
@@ -643,7 +717,8 @@ impl MsComplex {
             + self.geoms.capacity() * size_of::<GeomRec>()
             + self.steps.capacity()
             + self.member_blocks.capacity() * size_of::<u32>()
-            + self.down_count.capacity() * size_of::<u32>()
+            + (self.splice.slot.capacity() + self.splice.table.capacity()) * size_of::<u32>()
+            + (self.splice.xs.capacity() + self.splice.ys.capacity()) * size_of::<NodeId>()
             + self.hierarchy.capacity() * size_of::<Cancellation>();
         let adj: usize = self.adj.capacity() * size_of::<Vec<ArcId>>()
             + self
