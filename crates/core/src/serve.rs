@@ -1384,6 +1384,12 @@ mod tests {
     /// the pipeline with artifacts on disk, loading them back, and
     /// cleaning up.
     fn dataset_of(tag: &str, size: u32) -> Dataset {
+        with_artifacts(tag, size, |path| load_dataset("noise", path).unwrap())
+    }
+
+    /// Run `f` on the artifacts of a pipeline run over white noise on a
+    /// `size`³ grid, then remove them.
+    fn with_artifacts<R>(tag: &str, size: u32, f: impl FnOnce(&Path) -> R) -> R {
         let mut path = std::env::temp_dir();
         path.push(format!("msp_serve_{}_{tag}.msc", std::process::id()));
         let input = Input::Memory(std::sync::Arc::new(msp_synth::white_noise(
@@ -1398,11 +1404,37 @@ mod tests {
             ..Default::default()
         };
         run_parallel(&input, 2, 8, &params, Some(&path)).unwrap();
-        let ds = load_dataset("noise", &path).unwrap();
+        let r = f(&path);
         for p in [path.clone(), seg_output_path(&path), msh_output_path(&path)] {
             std::fs::remove_file(p).ok();
         }
-        ds
+        r
+    }
+
+    /// An `.msh` whose count sequence sits under the retired
+    /// saddle-first tag (as files written before `count` became a pure
+    /// extremum-merge sequence do) is refused with the error naming it.
+    #[test]
+    fn an_old_count_sequence_is_refused_by_name() {
+        let err = with_artifacts("retired", 9, |path| {
+            let msh = msh_output_path(path);
+            let mut bytes = std::fs::read(&msh).unwrap();
+            for e in read_footer(&msh).unwrap() {
+                let payload = read_block_payload(&msh, &e).unwrap();
+                let h = hwire::deserialize(&payload).unwrap();
+                // the count tag follows the difference sequence
+                let at =
+                    e.offset as usize + hwire::serialize(&SlotHierarchy { count: None, ..h }).len();
+                assert_eq!(bytes[at], 2, "count tag");
+                bytes[at] = 1;
+            }
+            std::fs::write(&msh, bytes).unwrap();
+            load_dataset("old", path)
+                .err()
+                .expect("refused")
+                .to_string()
+        });
+        assert!(err.contains("retired ordering"), "{err}");
     }
 
     fn parsed(line: &str) -> Json {

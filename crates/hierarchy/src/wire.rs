@@ -11,12 +11,18 @@
 //! u32 max_parallel_arcs   (u32::MAX = unlimited)
 //! u8  n_sequences
 //! per sequence:
-//!   u8  ordering tag      (0 = difference, 1 = count)
+//!   u8  ordering tag      (0 = difference, 2 = count)
 //!   u64 n_records
 //!   per record:
 //!     u64 upper_addr, u64 lower_addr, f32 persistence, f32 key,
 //!     u8 has_forward, [u64 dead, u64 target]
 //! ```
+//!
+//! Tag 1 was the retired `count` sequence that cancelled every
+//! saddle–saddle pair first, at key 0. Its answers differ from today's
+//! `count` at every threshold, so it is refused
+//! ([`WireError::RetiredCountOrdering`]) rather than read under the new
+//! meaning; rerun `msc compute --hierarchy` to rewrite such a file.
 
 use crate::{Ordering, ReplayParams, SlotHierarchy};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -24,6 +30,11 @@ use msp_complex::CancelRecord;
 
 /// Format magic + version.
 const MAGIC: &[u8; 4] = b"MSH1";
+
+/// Ordering tags: the retired saddle-first `count` held tag 1.
+const TAG_DIFFERENCE: u8 = 0;
+const TAG_RETIRED_COUNT: u8 = 1;
+const TAG_COUNT: u8 = 2;
 
 /// Serialize a hierarchy to its `MSH1` payload.
 pub fn serialize(h: &SlotHierarchy) -> Bytes {
@@ -33,8 +44,8 @@ pub fn serialize(h: &SlotHierarchy) -> Bytes {
     buf.put_u64_le(h.params.max_new_arcs.unwrap_or(u64::MAX));
     buf.put_u32_le(h.params.max_parallel_arcs.unwrap_or(u32::MAX));
     let seqs: Vec<(u8, &[CancelRecord])> = [
-        Some((0u8, h.difference.as_slice())),
-        h.count.as_deref().map(|c| (1u8, c)),
+        Some((TAG_DIFFERENCE, h.difference.as_slice())),
+        h.count.as_deref().map(|c| (TAG_COUNT, c)),
     ]
     .into_iter()
     .flatten()
@@ -67,6 +78,8 @@ pub enum WireError {
     BadMagic,
     Truncated,
     Corrupt(&'static str),
+    /// A sequence under the retired saddle-first `count` tag.
+    RetiredCountOrdering,
 }
 
 impl std::fmt::Display for WireError {
@@ -75,6 +88,11 @@ impl std::fmt::Display for WireError {
             WireError::BadMagic => write!(f, "bad magic (not an MSH1 payload)"),
             WireError::Truncated => write!(f, "payload truncated"),
             WireError::Corrupt(what) => write!(f, "corrupt payload: {what}"),
+            WireError::RetiredCountOrdering => write!(
+                f,
+                "retired ordering: this count sequence cancels every saddle-saddle pair \
+                 first, which count no longer does; rerun compute --hierarchy"
+            ),
         }
     }
 }
@@ -111,8 +129,14 @@ pub fn deserialize(data: &[u8]) -> Result<SlotHierarchy, WireError> {
     let mut difference: Option<Vec<CancelRecord>> = None;
     let mut count: Option<Vec<CancelRecord>> = None;
     for _ in 0..n_seqs {
-        need(9, &buf)?;
-        let tag = buf.get_u8();
+        need(1, &buf)?;
+        let slot = match buf.get_u8() {
+            TAG_DIFFERENCE => &mut difference,
+            TAG_COUNT => &mut count,
+            TAG_RETIRED_COUNT => return Err(WireError::RetiredCountOrdering),
+            _ => return Err(WireError::Corrupt("unknown ordering tag")),
+        };
+        need(8, &buf)?;
         let n = buf.get_u64_le();
         // the count comes from the payload: reserve no more records than
         // the remaining bytes could hold (a record is at least 25 bytes)
@@ -142,11 +166,6 @@ pub fn deserialize(data: &[u8]) -> Result<SlotHierarchy, WireError> {
                 forward,
             });
         }
-        let slot = match tag {
-            0 => &mut difference,
-            1 => &mut count,
-            _ => return Err(WireError::Corrupt("unknown ordering tag")),
-        };
         if slot.replace(recs).is_some() {
             return Err(WireError::Corrupt("duplicate ordering sequence"));
         }
@@ -222,6 +241,22 @@ mod tests {
     fn hostile_payloads_never_panic() {
         for with_count in [false, true] {
             let bytes = serialize(&sample(with_count)).to_vec();
+            // the last sequence's tag rewritten to the retired count tag,
+            // whole or cut short: the typed error that names it
+            let mut retired = bytes.clone();
+            let at = if with_count {
+                serialize(&sample(false)).len()
+            } else {
+                17
+            };
+            retired[at] = TAG_RETIRED_COUNT;
+            for cut in [at + 1, retired.len()] {
+                assert_eq!(
+                    deserialize(&retired[..cut]).unwrap_err(),
+                    WireError::RetiredCountOrdering,
+                    "cut {cut}"
+                );
+            }
             for cut in 0..bytes.len() {
                 assert!(deserialize(&bytes[..cut]).is_err(), "prefix {cut}");
             }

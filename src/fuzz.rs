@@ -26,7 +26,8 @@
 //! 4. **Post-hoc invariants** — `check_complex` + glue idempotency +
 //!    segmentation-table liveness over the outputs on the driver side
 //!    (belt and braces: this also covers the checker's own wiring into
-//!    the pipeline), and, with a hierarchy, a chain of three replay
+//!    the pipeline), and, with a hierarchy, that every `count` record
+//!    merges an extremum, and a chain of three replay
 //!    prefixes per slot and ordering drawn from the case seed: `extend`,
 //!    `materialize_k` and a direct simplification agree, and the
 //!    remapped label tables agree between the two runs.
@@ -34,7 +35,9 @@
 //! Failures shrink greedily through [`Case::shrink_candidates`] until no
 //! smaller case still fails, then dump as a replayable `.case` file.
 
-use msp_complex::{simplify_with, wire as cwire, CancelOrder, SimplifyParams, SimplifyStats};
+use msp_complex::{
+    simplify_with, wire as cwire, CancelOrder, CancelRecord, SimplifyParams, SimplifyStats,
+};
 use msp_core::{
     feature_weights, full_merge_plan, msh_output_path, run_parallel, seg_output_path, DecompMode,
     FaultConfig, Input, MergePlan, MergeSchedule, PipelineParams, RunResult,
@@ -428,8 +431,10 @@ fn remapped_seg_bytes(r: &RunResult, forwards: &[(u64, u64)]) -> Vec<bytes::Byte
         .collect()
 }
 
-/// Step 4 with a hierarchy: per slot and ordering, a chain of three
-/// prefixes at thresholds drawn from the case seed, each reached by
+/// Step 4 with a hierarchy: every `count` record merges an extremum (it
+/// has a forward entry and does not join two saddles), and per slot and
+/// ordering, a chain of three prefixes at thresholds drawn from the case
+/// seed, each reached by
 /// `extend` from the last. Every link must equal `materialize_k` from
 /// the base and a direct simplification at its threshold — complex
 /// bytes, forwards, executed stats, records applied — the direct result
@@ -440,6 +445,16 @@ fn check_prefix_chains(case: &Case, run: &RunResult, canon: &RunResult) -> Resul
     let sizes = region_sizes(run.segmentation.iter());
     let link = |m: &Materialized| (cwire::serialize(&m.complex), m.forwards.clone(), m.stats);
     for (slot, (h, base)) in run.hierarchies.iter().zip(&run.outputs).enumerate() {
+        // count is a pure extremum-merge sequence
+        let index = |addr| base.node_at(addr).map(|n| base.nodes[n as usize].index);
+        let saddles =
+            |r: &CancelRecord| (index(r.upper_addr), index(r.lower_addr)) == (Some(2), Some(1));
+        let count = h.records(Ordering::Count).unwrap_or_default();
+        if let Some(i) = count.iter().position(|r| r.forward.is_none() || saddles(r)) {
+            return Err(format!(
+                "hierarchy slot {slot} count record {i} merges no extremum"
+            ));
+        }
         for ordering in h.orderings() {
             let records = h.records(ordering).expect("listed ordering");
             let mut chain = Vec::with_capacity(3);
