@@ -1,4 +1,5 @@
-//! Trace-schema self-check: runs a small traced 4-rank, 2-round pipeline,
+//! Trace-schema self-check: runs a small traced 4-rank, 2-round pipeline
+//! with segmentation and a hierarchy (so nested spans are covered),
 //! writes the Chrome trace-event file, parses it back, and verifies the
 //! invariants the rest of the tooling relies on:
 //!
@@ -35,6 +36,9 @@ fn main() {
         persistence_frac: 0.01,
         plan: MergePlan::rounds(ROUNDS.to_vec()),
         trace: true,
+        // the hierarchy's nested sizes and per-ordering record spans too
+        segment: true,
+        hierarchy: true,
         ..Default::default()
     };
     let r = run_parallel(&Input::Memory(field), RANKS, RANKS, &params, None)

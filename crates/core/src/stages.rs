@@ -60,12 +60,14 @@ use crate::pipeline::{
 use crate::sched::{feature_weights, Assignment, Layout, MergeSchedule};
 use bytes::Bytes;
 use msp_complex::glue::glue_all;
-use msp_complex::{complex_from_gradient_mt, simplify_forwarding, wire, MsComplex, SimplifyParams};
+use msp_complex::{
+    complex_from_gradient_mt, simplify_forwarding, wire, CancelOrder, MsComplex, SimplifyParams,
+};
 use msp_fault::{encode_slots, CheckpointStore, CheckpointView};
 use msp_grid::par::{par_map, par_map_mut};
 use msp_grid::rawio::{block_bytes, read_block, read_raw, VolumeDType};
 use msp_grid::{BlockField, Decomposition, Dims, ScalarField};
-use msp_hierarchy::{wire as hwire, ReplayParams, SlotHierarchy};
+use msp_hierarchy::{record_sequence, wire as hwire, ReplayParams, SlotHierarchy};
 use msp_morse::{active_kernel, assign_gradient_kernel};
 use msp_oracle::{CheckOptions, InvariantReport};
 use msp_segment::{
@@ -766,6 +768,7 @@ impl<M: Machine> Run<'_, M> {
         self.progress(ProgressPhase::Hierarchy);
         self.m.begin(Phase::Hierarchy);
         if job.params.segment {
+            self.m.begin(Phase::HierarchySizes);
             // Every rank broadcasts its sorted local tallies and sums
             // what it receives; addition commutes and buckets arrive in
             // rank order, so the map is identical everywhere.
@@ -790,6 +793,7 @@ impl<M: Machine> Run<'_, M> {
                     s.sizes = Some(sizes);
                 },
             )?;
+            self.m.end(Phase::HierarchySizes);
         }
         let rp = ReplayParams {
             max_new_arcs: job.params.max_new_arcs,
@@ -804,12 +808,26 @@ impl<M: Machine> Run<'_, M> {
                 let Some(ms) = s.complexes.get(&slot) else {
                     continue;
                 };
-                let h = msp_hierarchy::record(ms, rp, s.sizes.clone()).map_err(|source| {
-                    PipelineError::Simplify {
-                        context: format!("recording hierarchy for slot {slot}"),
-                        source,
-                    }
-                })?;
+                // `record`, one span per ordering
+                let err = |source| PipelineError::Simplify {
+                    context: format!("recording hierarchy for slot {slot}"),
+                    source,
+                };
+                let difference = node.time(Phase::HierarchyDifference, || {
+                    record_sequence(ms, rp, CancelOrder::Difference)
+                });
+                let difference = difference.map_err(err)?;
+                let count = (s.sizes.clone()).map(|sizes| {
+                    node.time(Phase::HierarchyCount, || {
+                        record_sequence(ms, rp, CancelOrder::Count(sizes))
+                    })
+                });
+                let count = count.transpose().map_err(err)?;
+                let h = SlotHierarchy {
+                    params: rp,
+                    difference,
+                    count,
+                };
                 let n_records = h.difference.len() + h.count.as_ref().map_or(0, |c| c.len());
                 node.add(Counter::HierarchyRecords, n_records as u64);
                 s.hier.push((slot, h));

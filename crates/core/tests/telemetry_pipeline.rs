@@ -108,3 +108,33 @@ fn single_rank_run_has_no_point_to_point_traffic() {
     assert!(tel.counter_total("critical_cells") > 0);
     assert!(tel.counter_total("cells_paired") > 0);
 }
+
+#[test]
+fn hierarchy_span_splits_into_sizes_and_one_record_span_per_ordering() {
+    let input = Input::Memory(Arc::new(msp_synth::white_noise(Dims::cube(9), 23)));
+    let params = PipelineParams {
+        plan: MergePlan::full_merge(4),
+        segment: true,
+        hierarchy: true,
+        ..Default::default()
+    };
+    let r = run_parallel(&input, 2, 4, &params, None).unwrap();
+    // every rank aggregates sizes; only the rank holding the one output
+    // slot records, both orderings, inside its `hierarchy` span
+    let sub = ["hierarchy_sizes", "hierarchy_difference", "hierarchy_count"];
+    let mut recorders = 0;
+    for rank in &r.telemetry.ranks {
+        let hierarchy = rank.phase_seconds("hierarchy").expect("hierarchy span");
+        let parts: Vec<Option<f64>> = sub.iter().map(|k| rank.phase_seconds(k)).collect();
+        assert!(parts[0].is_some(), "rank {}: {:?}", rank.rank, rank.phases);
+        assert_eq!(parts[1].is_some(), parts[2].is_some());
+        recorders += parts[1].is_some() as u32;
+        let sum: f64 = parts.iter().flatten().sum();
+        assert!(
+            sum <= hierarchy + 1e-6,
+            "rank {}: {sum} > {hierarchy}",
+            rank.rank
+        );
+    }
+    assert_eq!(recorders, 1);
+}

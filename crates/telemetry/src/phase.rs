@@ -38,6 +38,13 @@ pub enum Phase {
     /// region-size aggregation plus logged full-simplification runs per
     /// output slot.
     Hierarchy,
+    /// The global region-size aggregation the `count` ordering keys on;
+    /// nested inside `Hierarchy`.
+    HierarchySizes,
+    /// Recording the `difference` sequences; nested inside `Hierarchy`.
+    HierarchyDifference,
+    /// Recording the `count` sequences; nested inside `Hierarchy`.
+    HierarchyCount,
     /// Collective write of output blocks (§IV-G).
     Write,
     /// Invariant checking of the output complexes (`--check` /
@@ -61,6 +68,9 @@ impl Phase {
             Phase::Resimplify => "resimplify".to_string(),
             Phase::SegResolve => "seg_resolve".to_string(),
             Phase::Hierarchy => "hierarchy".to_string(),
+            Phase::HierarchySizes => "hierarchy_sizes".to_string(),
+            Phase::HierarchyDifference => "hierarchy_difference".to_string(),
+            Phase::HierarchyCount => "hierarchy_count".to_string(),
             Phase::Write => "write".to_string(),
             Phase::Check => "check".to_string(),
             Phase::Total => "total".to_string(),
@@ -80,6 +90,9 @@ impl Phase {
             "resimplify" => Some(Phase::Resimplify),
             "seg_resolve" => Some(Phase::SegResolve),
             "hierarchy" => Some(Phase::Hierarchy),
+            "hierarchy_sizes" => Some(Phase::HierarchySizes),
+            "hierarchy_difference" => Some(Phase::HierarchyDifference),
+            "hierarchy_count" => Some(Phase::HierarchyCount),
             "write" => Some(Phase::Write),
             "check" => Some(Phase::Check),
             "total" => Some(Phase::Total),
@@ -120,6 +133,9 @@ mod tests {
             Phase::Resimplify,
             Phase::SegResolve,
             Phase::Hierarchy,
+            Phase::HierarchySizes,
+            Phase::HierarchyDifference,
+            Phase::HierarchyCount,
             Phase::Write,
             Phase::Check,
             Phase::Total,

@@ -90,9 +90,10 @@ MSP_SCALE=small MSP_RESULTS_DIR="$tracedir" \
 
 # serve smoke: precompute an artifact with --hierarchy, drive the query
 # layer over stdio with repeated keys, arc geometry read through the
-# base's shared geometry, and a threshold at 0.4 that extends the cached
-# 0.2 entry; gate on all-ok responses, a nonzero cache hit rate and the
-# p50<=p99 latency self-check
+# base's shared geometry, a count threshold at 400 that extends the
+# cached count entry at 40, and a threshold at 0.4 that extends the
+# cached 0.2 entry; gate on all-ok responses, a nonzero cache hit rate
+# and the p50<=p99 latency self-check
 msc compute --input "$tracedir/seg.raw" \
   --dims 17,17,17 --ranks 2 --blocks 8 --merge full --hierarchy --check \
   --output "$tracedir/serve.msc"
@@ -101,6 +102,7 @@ printf '%s\n' \
   '{"op":"threshold","t":0.2}' \
   '{"op":"threshold","t":0.2}' \
   '{"op":"threshold","t":40,"ordering":"count"}' \
+  '{"op":"threshold","t":400,"ordering":"count"}' \
   '{"op":"extrema","t":0.2,"top":3}' \
   '{"op":"segment-stats","t":0.2}' \
   '{"op":"arc-geometry","t":0.2,"arc":0}' \
@@ -116,8 +118,8 @@ printf '%s\n' \
       > "$tracedir/serve_out.jsonl" 2> "$tracedir/serve_err.txt"
 ! grep -q '"ok":false' "$tracedir/serve_out.jsonl" \
   || { echo "serve smoke: error response"; cat "$tracedir/serve_out.jsonl"; exit 1; }
-[ "$(wc -l < "$tracedir/serve_out.jsonl")" -eq 15 ] \
-  || { echo "serve smoke: expected 15 responses"; cat "$tracedir/serve_out.jsonl"; exit 1; }
+[ "$(wc -l < "$tracedir/serve_out.jsonl")" -eq 16 ] \
+  || { echo "serve smoke: expected 16 responses"; cat "$tracedir/serve_out.jsonl"; exit 1; }
 hits="$(grep -o '"hits":[0-9]*' "$tracedir/serve_out.jsonl" | tail -1 | cut -d: -f2)"
 [ "${hits:-0}" -gt 0 ] \
   || { echo "serve smoke: cache hit rate is zero"; cat "$tracedir/serve_out.jsonl"; exit 1; }
