@@ -54,7 +54,13 @@
 //!
 //! The sweep reads one precomputed array: the block's vertex values
 //! mapped through [`OrderedF32`] (a pooled `Vec<u32>`, see
-//! `crate::pool`), walked x-fastest with incrementally advanced indices.
+//! `crate::pool`), walked x-fastest. A vertex on the block surface loads
+//! its 27 neighbor words one offset at a time, each clipped to the box.
+//! A `(y, z)` row strictly inside the block instead takes the nine rows
+//! around it as slices of that array once, and each of its vertices but
+//! the two ends reads its words as three-word windows `r[x-1..x+2]` of
+//! them, with no per-offset clip; the two ends and every surface row
+//! keep the clipped loads. Everything after the loads is shared.
 //! Everything else is stack scratch, so the kernel performs zero heap
 //! allocations after the per-block key array is built.
 
@@ -127,22 +133,44 @@ impl<'a> FlatSweep<'a> {
     /// vertex coordinates), writing into `grad` — which may cover just a
     /// slab's refined sub-box.
     pub(crate) fn sweep_z_range(&self, z0: u32, z1: u32, grad: &mut GradientField) {
-        let (sx, sxy) = grad.strides();
-        let mut rd = [0isize; 27];
-        for (oi, r) in rd.iter_mut().enumerate() {
-            let (dx, dy, dz) = offset_of(oi);
-            *r = dx as isize + sx as isize * dy as isize + sxy as isize * dz as isize;
-        }
+        let rd = refined_deltas(grad);
+        let nx = self.bd.nx as usize;
         for z in z0..=z1 {
+            let z_inside = z > self.blo[2] && z < self.bhi[2];
             let mz = clip_mask(2, z > self.blo[2], z < self.bhi[2]);
             for y in self.blo[1]..=self.bhi[1] {
                 let my = mz & clip_mask(1, y > self.blo[1], y < self.bhi[1]);
                 let li0 = self.bd.vertex_index(0, y - self.blo[1], z - self.blo[2]) as usize;
-                let mut gi = grad.linear_index(RCoord::of_vertex(self.blo[0], y, z));
-                for (k, x) in (self.blo[0]..=self.bhi[0]).enumerate() {
-                    let valid = my & clip_mask(0, x > self.blo[0], x < self.bhi[0]);
-                    self.process_vertex(li0 + k, gi, [x, y, z], valid, &rd, grad);
-                    gi += 2;
+                let gi0 = grad.linear_index(RCoord::of_vertex(self.blo[0], y, z));
+                if !(z_inside && y > self.blo[1] && y < self.bhi[1] && nx >= 3) {
+                    for (k, x) in (self.blo[0]..=self.bhi[0]).enumerate() {
+                        let valid = my & clip_mask(0, x > self.blo[0], x < self.bhi[0]);
+                        self.process_vertex(li0 + k, gi0 + 2 * k, [x, y, z], valid, &rd, grad);
+                    }
+                    continue;
+                }
+                // Interior row: the nine rows around it as slices, and
+                // every vertex but the two ends reads its 27 words as
+                // three-word windows of them, unclipped.
+                let rows: [&[u32]; 9] = std::array::from_fn(|j| {
+                    let s = (li0 as isize + self.ld[3 * j + 1]) as usize;
+                    &self.ord[s..s + nx]
+                });
+                let ends = [
+                    (0, clip_mask(0, false, true)),
+                    (nx - 1, clip_mask(0, true, false)),
+                ];
+                for (k, mx) in ends {
+                    let v = [self.blo[0] + k as u32, y, z];
+                    self.process_vertex(li0 + k, gi0 + 2 * k, v, my & mx, &rd, grad);
+                }
+                for k in 1..nx - 1 {
+                    let mut w = [0u32; 27];
+                    for (w, r) in w.chunks_exact_mut(3).zip(&rows) {
+                        w.copy_from_slice(&r[k - 1..k + 2]);
+                    }
+                    let v = [self.blo[0] + k as u32, y, z];
+                    self.assign_star(&w, gi0 + 2 * k, v, ALL_OFFSETS, &rd, grad);
                 }
             }
         }
@@ -160,8 +188,35 @@ impl<'a> FlatSweep<'a> {
         rd: &[isize; 27],
         grad: &mut GradientField,
     ) {
+        self.assign_star(&self.neighbor_words(li, valid), gi, v, valid, rd, grad);
+    }
+
+    /// The 27 neighbor words of the vertex at `ord[li]`; a clipped offset
+    /// reads the center, which is never below itself.
+    #[inline]
+    fn neighbor_words(&self, li: usize, valid: u32) -> [u32; 27] {
+        let mut w = [0u32; 27];
+        for (oi, w) in w.iter_mut().enumerate() {
+            let d = if valid >> oi & 1 != 0 { self.ld[oi] } else { 0 };
+            *w = self.ord[(li as isize + d) as usize];
+        }
+        w
+    }
+
+    /// [`process_vertex`](Self::process_vertex) after the loads: assign
+    /// the lower star of the vertex `v` whose neighbor words are `w`.
+    #[inline]
+    fn assign_star(
+        &self,
+        w: &[u32; 27],
+        gi: usize,
+        v: [u32; 3],
+        valid: u32,
+        rd: &[isize; 27],
+        grad: &mut GradientField,
+    ) {
         let mut keys = [0u32; 27];
-        let member = self.star_keys(li, valid, &mut keys);
+        let member = Self::star_keys(w, valid, &mut keys);
         if member == CENTER_BIT {
             // Local SoS minimum: the star is just the vertex, critical.
             grad.write_byte(gi, ASSIGNED | CRITICAL);
@@ -183,18 +238,11 @@ impl<'a> FlatSweep<'a> {
         }
     }
 
-    /// The lower star of the vertex at `ord[li]` as a member mask, and
-    /// into the zeroed `keys` the rank-set key of every member cell by
-    /// offset (the center's key is the empty set, the smallest).
+    /// The lower star of the vertex with neighbor words `w` as a member
+    /// mask, and into the zeroed `keys` the rank-set key of every member
+    /// cell by offset (the center's key is the empty set, the smallest).
     #[inline]
-    fn star_keys(&self, li: usize, valid: u32, keys: &mut [u32; 27]) -> u32 {
-        // The 27 neighbor words; a clipped offset reads the center, which
-        // is never below itself.
-        let mut w = [0u32; 27];
-        for (oi, w) in w.iter_mut().enumerate() {
-            let d = if valid >> oi & 1 != 0 { self.ld[oi] } else { 0 };
-            *w = self.ord[(li as isize + d) as usize];
-        }
+    fn star_keys(w: &[u32; 27], valid: u32, keys: &mut [u32; 27]) -> u32 {
         let k0 = w[CENTER];
         let mut below = 0u32;
         for (oi, &kn) in w.iter().enumerate() {
@@ -276,6 +324,17 @@ impl<'a> FlatSweep<'a> {
         }
         n
     }
+}
+
+/// The linear index delta in `grad` of every star offset.
+fn refined_deltas(grad: &GradientField) -> [isize; 27] {
+    let (sx, sxy) = grad.strides();
+    let mut rd = [0isize; 27];
+    for (oi, r) in rd.iter_mut().enumerate() {
+        let (dx, dy, dz) = offset_of(oi);
+        *r = dx as isize + sx as isize * dy as isize + sxy as isize * dz as isize;
+    }
+    rd
 }
 
 /// Homotopy-expand one owner-set group of a lower star, given as a
@@ -414,7 +473,8 @@ mod tests {
         for field in [&noise, &plateau] {
             for_each_vertex(field, &decomp, |sweep, bf, li, v, valid| {
                 let mut keys = [0u32; 27];
-                let member = sweep.star_keys(li, valid, &mut keys);
+                let w = sweep.neighbor_words(li, valid);
+                let member = FlatSweep::star_keys(&w, valid, &mut keys);
                 let vkey = bf.vertex_key(RCoord::of_vertex(v[0], v[1], v[2]));
                 let cells: Vec<usize> = (0..27).filter(|&oi| valid >> oi & 1 == 1).collect();
                 for &a in &cells {
@@ -457,7 +517,8 @@ mod tests {
                     return;
                 }
                 let mut keys = [0u32; 27];
-                let member = sweep.star_keys(li, valid, &mut keys);
+                let w = sweep.neighbor_words(li, valid);
+                let member = FlatSweep::star_keys(&w, valid, &mut keys);
                 let mut groups = [0u32; 27];
                 let n = sweep.owner_groups(v, member, &mut groups);
                 let mut got = groups[..n].to_vec();
@@ -483,17 +544,63 @@ mod tests {
     }
 
     #[test]
+    fn row_window_sweep_equals_per_vertex_sweep() {
+        // single blocks with vertex extents 2 and 3 on each axis (no
+        // interior column, or exactly one), then irregular trees
+        let mut cases: Vec<(Dims, Decomposition)> = Vec::new();
+        for n in 0..8u32 {
+            let dims = Dims::new(2 + (n & 1), 2 + (n >> 1 & 1), 2 + (n >> 2));
+            cases.push((dims, Decomposition::bisect(dims, 1)));
+        }
+        let dims = Dims::new(11, 9, 10);
+        for seed in 0..6 {
+            cases.push((
+                dims,
+                Decomposition::random_tree(dims, 2 + seed as u32, seed),
+            ));
+        }
+        let mut windowed = 0u64;
+        for (dims, decomp) in &cases {
+            for field in [
+                msp_synth::white_noise(*dims, 5),
+                msp_synth::plateau(*dims, 5, 3),
+            ] {
+                for b in decomp.blocks() {
+                    let bf = field.extract_block(b);
+                    let mut ord = Vec::new();
+                    ordered_keys_into(&bf, &mut ord);
+                    let sweep = FlatSweep::new(&bf, decomp, &ord);
+                    let mut rows = GradientField::new(b.refined_box());
+                    sweep.sweep_z_range(b.lo[2], b.hi[2], &mut rows);
+                    let mut each = GradientField::new(b.refined_box());
+                    let rd = refined_deltas(&each);
+                    let mut li = 0;
+                    for z in b.lo[2]..=b.hi[2] {
+                        for y in b.lo[1]..=b.hi[1] {
+                            for x in b.lo[0]..=b.hi[0] {
+                                let v = [x, y, z];
+                                let gi = each.linear_index(RCoord::of_vertex(x, y, z));
+                                let valid = box_clip(v, &b.lo, &b.hi);
+                                sweep.process_vertex(li, gi, v, valid, &rd, &mut each);
+                                windowed += (valid == ALL_OFFSETS) as u64;
+                                li += 1;
+                            }
+                        }
+                    }
+                    assert_eq!(rows.bytes(), each.bytes(), "block {b:?} of {dims:?}");
+                }
+            }
+        }
+        assert!(windowed > 1000, "only {windowed} interior vertices");
+    }
+
+    #[test]
     fn write_pair_matches_gradient_pair() {
         // all 54 (facet, coface) pairs of the star, both directions of
         // every axis
         let bbox = RBox::new(RCoord::new(0, 0, 0), RCoord::new(4, 4, 4));
         let v = [1, 1, 1];
-        let mut rd = [0isize; 27];
-        let (sx, sxy) = GradientField::new(bbox).strides();
-        for (oi, r) in rd.iter_mut().enumerate() {
-            let (dx, dy, dz) = offset_of(oi);
-            *r = dx as isize + sx as isize * dy as isize + sxy as isize * dz as isize;
-        }
+        let rd = refined_deltas(&GradientField::new(bbox));
         let mut n = 0;
         for (head, &facets) in STAR_FACETS.iter().enumerate() {
             for tail in (0..27).filter(|&t| facets >> t & 1 == 1) {

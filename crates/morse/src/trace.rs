@@ -22,6 +22,25 @@
 //! therefore the stores' bytes) identical to the serial trace for every
 //! thread count. `tests/pinned_bytes.rs` pins that sequence;
 //! `msp-oracle`'s `reference_arcs` checks the arcs as a multiset.
+//!
+//! **Live voxels.** A maximum's DFS would walk its whole descending
+//! manifold, although only the voxels whose paths reach a critical
+//! 2-cell can emit anything. [`LiveVoxels`] marks exactly those, in a
+//! bitset beside the (shared, read-only) gradient bytes: from both voxel
+//! cofacets of every critical 2-cell it walks *upward* along the voxel
+//! successor forest — voxel → its paired quad → that quad's other voxel
+//! — which is unbranched because a voxel has one pair. A walk stops at a
+//! maximum, at the box face, or at an already-marked voxel, so marking
+//! visits each voxel at most once. Every voxel on such a walk is a DFS
+//! ancestor of the critical 2-cell (the quad it steps through is a tail
+//! paired with the next voxel, never the current voxel's own pair), and
+//! every ancestor lies on one. The tracer then expands a voxel reached
+//! from a maximum only if it is live. That cannot move the emission
+//! order: a skipped subtree holds no critical cell, so it would have
+//! emitted nothing, and the frames that do emit are popped in the same
+//! relative order. Arc counts, path lengths and truncation (which only
+//! fires at a critical cell) are therefore unchanged by construction;
+//! only the frames popped in dead subtrees go.
 
 use crate::gradient::{GradientField, CRITICAL, DIR_MASK, PAIRED, TAIL};
 use crate::kernel::Kernel;
@@ -130,7 +149,7 @@ impl Default for TraceLimits {
 }
 
 /// Counters reported by a tracing pass.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     pub arcs: u64,
     pub truncated_nodes: u64,
@@ -171,8 +190,13 @@ pub fn trace_arcs_from(
     let mut stats = TraceStats::default();
     let crits: Vec<RCoord> = critical.into_iter().filter(|c| c.cell_dim() >= 1).collect();
     let workers = threads.min(crits.len()).max(1);
+    let live = crits
+        .iter()
+        .any(|c| c.cell_dim() == 3)
+        .then(|| LiveVoxels::of(grad, &crits));
+    let live = live.as_ref();
     if workers <= 1 {
-        let mut tracer = FlatTracer::new(grad);
+        let mut tracer = FlatTracer::new(grad, live);
         for &c in &crits {
             tracer.trace_from(grad, c, limits, &mut arcs, &mut stats);
         }
@@ -182,7 +206,7 @@ pub fn trace_arcs_from(
         let parts = msp_grid::par::par_map(workers, &chunks, |_, ch| {
             let mut a = ArcStore::new();
             let mut s = TraceStats::default();
-            let mut tracer = FlatTracer::new(grad);
+            let mut tracer = FlatTracer::new(grad, live);
             for &c in ch.iter() {
                 tracer.trace_from(grad, c, limits, &mut a, &mut s);
             }
@@ -198,31 +222,120 @@ pub fn trace_arcs_from(
     (arcs, stats)
 }
 
+/// One bit per voxel of a gradient's box: set iff some descending V-path
+/// from the voxel reaches a critical 2-cell (module docs, "Live voxels").
+struct LiveVoxels {
+    lo: [u32; 3],
+    /// Voxels per row and per plane (a voxel has all coordinates odd).
+    vx: usize,
+    vxy: usize,
+    bits: Vec<u64>,
+}
+
+impl LiveVoxels {
+    /// Mark the live voxels of `grad` by walking upward from both voxel
+    /// cofacets of every critical 2-cell in `critical`.
+    fn of(grad: &GradientField, critical: &[RCoord]) -> Self {
+        let bbox = grad.bbox();
+        let lo = [bbox.lo.x, bbox.lo.y, bbox.lo.z];
+        let per_axis = |a: usize| (bbox.hi.get(a) - lo[a]) as usize / 2 + 1;
+        let (vx, vxy) = (per_axis(0), per_axis(0) * per_axis(1));
+        let mut live = LiveVoxels {
+            lo,
+            vx,
+            vxy,
+            bits: vec![0; (vxy * per_axis(2)).div_ceil(64)],
+        };
+        for &q in critical.iter().filter(|c| c.cell_dim() == 2) {
+            let axis = (0..3)
+                .find(|&a| q.get(a) % 2 == 0)
+                .expect("a 2-cell has an even axis");
+            let c = q.get(axis);
+            for v in [q.with(axis, c.wrapping_sub(1)), q.with(axis, c + 1)] {
+                if bbox.contains(v) {
+                    live.mark_upward(grad, v);
+                }
+            }
+        }
+        live
+    }
+
+    /// Mark `v` and the voxels above it: its paired quad's other voxel,
+    /// and so on, until a maximum, the box face or a marked voxel.
+    fn mark_upward(&mut self, grad: &GradientField, mut v: RCoord) {
+        loop {
+            if self.contains(v) {
+                return;
+            }
+            let i = self.index(v);
+            self.bits[i / 64] |= 1 << (i % 64);
+            let b = grad.byte_at(grad.linear_index(v));
+            if b & PAIRED == 0 {
+                return; // a maximum
+            }
+            // a voxel is always the head: the code points at its quad,
+            // and the quad's other voxel is one more step that way
+            let code = b & DIR_MASK;
+            let axis = (code >> 1) as usize;
+            let c = v.get(axis);
+            let up = if code & 1 == 1 {
+                c + 2
+            } else {
+                c.wrapping_sub(2)
+            };
+            v = v.with(axis, up);
+            if !grad.bbox().contains(v) {
+                return; // the quad lies on the box face
+            }
+        }
+    }
+
+    #[inline]
+    fn index(&self, v: RCoord) -> usize {
+        let at = |a: usize| (v.get(a) - self.lo[a]) as usize / 2;
+        at(0) + self.vx * at(1) + self.vxy * at(2)
+    }
+
+    #[inline]
+    fn contains(&self, v: RCoord) -> bool {
+        let i = self.index(v);
+        self.bits[i / 64] >> (i % 64) & 1 != 0
+    }
+}
+
 /// Reusable scratch of the flat tracer: the DFS stack and path prefix
 /// are cleared — capacity kept — between critical cells, so a whole
 /// chunk traces with zero allocations after warm-up. Frames carry each
 /// cell's linear byte index alongside its coordinate: facet neighbors
 /// are `± stride` hops, and the per-step state test is a single byte
-/// read instead of three strided index computations.
-struct FlatTracer {
+/// read instead of three strided index computations. With `live` set,
+/// a maximum's DFS expands only live voxels; without, it is the plain
+/// DFS.
+struct FlatTracer<'a> {
     lo: [u32; 3],
     hi: [u32; 3],
     strides: [isize; 3],
+    live: Option<&'a LiveVoxels>,
     path: Vec<RCoord>,
     /// (cell, linear index, depth to truncate the path to).
     stack: Vec<(RCoord, usize, usize)>,
+    #[cfg(test)]
+    pops: u64,
 }
 
-impl FlatTracer {
-    fn new(grad: &GradientField) -> Self {
+impl<'a> FlatTracer<'a> {
+    fn new(grad: &GradientField, live: Option<&'a LiveVoxels>) -> Self {
         let bbox = grad.bbox();
         let (sx, sxy) = grad.strides();
         FlatTracer {
             lo: [bbox.lo.x, bbox.lo.y, bbox.lo.z],
             hi: [bbox.hi.x, bbox.hi.y, bbox.hi.z],
             strides: [1, sx as isize, sxy as isize],
+            live,
             path: Vec::new(),
             stack: Vec::new(),
+            #[cfg(test)]
+            pops: 0,
         }
     }
 
@@ -268,12 +381,17 @@ impl FlatTracer {
     ) {
         debug_assert!(from.cell_dim() >= 1);
         let from_idx = grad.linear_index(from);
+        let live = self.live.filter(|_| from.cell_dim() == 3);
         let mut emitted = 0usize;
         self.path.clear();
         self.path.push(from);
         self.stack.clear();
         self.push_facets(from, from_idx, 1, usize::MAX);
         while let Some((alpha, ai, depth)) = self.stack.pop() {
+            #[cfg(test)]
+            {
+                self.pops += 1;
+            }
             self.path.truncate(depth);
             self.path.push(alpha);
             let b = grad.byte_at(ai);
@@ -307,6 +425,9 @@ impl FlatTracer {
             };
             let beta = alpha.with(axis, bv);
             debug_assert_eq!(beta.cell_dim(), from.cell_dim());
+            if live.is_some_and(|l| !l.contains(beta)) {
+                continue; // no critical 2-cell below beta
+            }
             self.path.push(beta);
             let next_depth = self.path.len();
             self.push_facets(beta, bi, next_depth, ai);
@@ -421,7 +542,7 @@ mod tests {
         let mut stats = TraceStats::default();
         for half in [&crits[..mid], &crits[mid..]] {
             let mut a = ArcStore::new();
-            let mut tracer = FlatTracer::new(&g);
+            let mut tracer = FlatTracer::new(&g, None);
             for &c in half {
                 tracer.trace_from(&g, c, TraceLimits::default(), &mut a, &mut stats);
             }
@@ -430,20 +551,84 @@ mod tests {
         assert_eq!(parts, whole);
     }
 
+    /// Each node's arcs in emission order (a node's arcs are contiguous).
+    fn arcs_by_node(store: &ArcStore) -> Vec<(RCoord, Vec<TracedArc<'_>>)> {
+        let mut nodes: Vec<(RCoord, Vec<TracedArc<'_>>)> = Vec::new();
+        for a in store.iter() {
+            match nodes.last_mut() {
+                Some((u, arcs)) if *u == a.upper => arcs.push(a),
+                _ => nodes.push((a.upper, vec![a])),
+            }
+        }
+        nodes
+    }
+
     #[test]
     fn truncation_limit_respected() {
-        let f = msp_synth::white_noise(Dims::new(10, 10, 10), 5);
+        let f = msp_synth::sinusoid_dims(Dims::cube(17), 2);
         let g = grad_of(&f);
         let (full, _) = trace_all_arcs(&g, TraceLimits::default());
-        let (limited, stats) = trace_all_arcs(
-            &g,
-            TraceLimits {
-                max_paths_per_node: 1,
-            },
-        );
-        assert!(limited.len() <= full.len());
-        if limited.len() < full.len() {
-            assert!(stats.truncated_nodes > 0);
+        let full = arcs_by_node(&full);
+        for k in 1..=3 {
+            let limits = TraceLimits {
+                max_paths_per_node: k,
+            };
+            let (limited, stats) = trace_all_arcs(&g, limits);
+            let limited = arcs_by_node(&limited);
+            // every node with an arc keeps at least one, so the nodes align
+            assert_eq!(limited.len(), full.len());
+            for ((u, got), (fu, want)) in limited.iter().zip(&full) {
+                assert_eq!(u, fu);
+                assert_eq!(got[..], want[..want.len().min(k)], "node {u:?}, k = {k}");
+            }
+            let over = full.iter().filter(|(_, a)| a.len() > k).count() as u64;
+            assert!(over > 0, "k = {k} truncates nothing");
+            assert_eq!(stats.truncated_nodes, over, "k = {k}");
+        }
+    }
+
+    /// Trace every critical cell of `g` with one tracer; also returns
+    /// the DFS frames it popped.
+    fn trace_counting(g: &GradientField, live: Option<&LiveVoxels>) -> (ArcStore, TraceStats, u64) {
+        let mut tracer = FlatTracer::new(g, live);
+        let (mut arcs, mut stats) = (ArcStore::new(), TraceStats::default());
+        for c in g.critical_cells().into_iter().filter(|c| c.cell_dim() >= 1) {
+            tracer.trace_from(g, c, TraceLimits::default(), &mut arcs, &mut stats);
+        }
+        (arcs, stats, tracer.pops)
+    }
+
+    #[test]
+    fn live_pruning_keeps_every_arc_in_order() {
+        let dims = Dims::new(21, 19, 17);
+        let fields = [
+            ("sinusoid", msp_synth::sinusoid_dims(dims, 2)),
+            ("jet", msp_synth::jet(dims, 4, 3)),
+            ("noise", msp_synth::white_noise(dims, 7)),
+            ("plateau", msp_synth::plateau(dims, 7, 3)),
+        ];
+        let decomps = [
+            Decomposition::bisect(dims, 4),
+            Decomposition::random_tree(dims, 5, 2),
+        ];
+        for (name, f) in &fields {
+            let mut pops = [0u64; 2];
+            for d in &decomps {
+                for b in d.blocks() {
+                    let g = assign_gradient(&f.extract_block(b), d);
+                    let live = LiveVoxels::of(&g, &g.critical_cells());
+                    let (arcs, stats, plain) = trace_counting(&g, None);
+                    let (pruned_arcs, pruned_stats, pruned) = trace_counting(&g, Some(&live));
+                    assert_eq!(pruned_arcs, arcs, "{name}, block {}", b.id);
+                    assert_eq!(pruned_stats, stats, "{name}, block {}", b.id);
+                    pops[0] += plain;
+                    pops[1] += pruned;
+                }
+            }
+            assert!(pops[1] <= pops[0], "{name}: {pops:?}");
+            if *name == "sinusoid" {
+                assert!(pops[1] < pops[0], "{name}: {pops:?}");
+            }
         }
     }
 }

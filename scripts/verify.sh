@@ -82,6 +82,17 @@ msc compute --input "$tracedir/seg.raw" \
   --output "$tracedir/handf.msc"
 cmp "$tracedir/hand1.msc" "$tracedir/handf.msc"
 
+# threaded-trace smoke: a block's V-path trace chunks its critical cells
+# across threads that share one read-only live-voxel set; a sinusoid run
+# at 3 threads must write the .msc byte-identical to the 1-thread run
+msc synth --kind sinusoid --size 33 --output "$tracedir/sin.raw"
+for t in 1 3; do
+  msc compute --input "$tracedir/sin.raw" \
+    --dims 33,33,33 --ranks 1 --blocks 2 --merge full --threads "$t" --check \
+    --output "$tracedir/sin$t.msc"
+done
+cmp "$tracedir/sin1.msc" "$tracedir/sin3.msc"
+
 # fault sweep smoke: checkpointed runs at crash rates 0-10 % on a small
 # jet; the binary asserts every recovered run is bit-identical to the
 # fault-free baseline (its overhead column is not gated)
