@@ -3,8 +3,9 @@
 //!
 //! Each rank's [`Machine`] hosts exactly that rank: steps run inline on
 //! its thread with the `--threads` budget inside, messages go through
-//! its `vmpi::Rank`, and phases are measured with `Instant` into the
-//! [`Recorder`] (mirrored into a [`TraceSink`] when tracing). Blocks
+//! its `vmpi::Rank`, and phases are recorded once, as spans on the
+//! rank's [`Recorder`]; a traced run adds the message stamps of a
+//! [`TraceSink`] and builds its trace from both. Blocks
 //! may outnumber ranks; uniform runs assign them block-cyclically,
 //! irregular ones by LPT over per-block cost estimates.
 
@@ -36,7 +37,6 @@ use std::time::{Duration, Instant};
 /// range (9001..) and below no one: nothing else speaks after the write
 /// stage.
 const TAG_TELEMETRY_GATHER: u32 = 9100;
-const TAG_TELEMETRY_SHIP: u32 = 9110;
 const TAG_TRACE_GATHER: u32 = 9120;
 
 /// Fault-tolerance configuration of a run.
@@ -431,8 +431,8 @@ pub(crate) type RankResult = (f32, stages::RankOut, Option<RunReport>, Option<Ru
 pub(crate) struct Threaded<'r> {
     comm: &'r Rank,
     rec: Recorder,
-    /// Causal tracing: one sink shared by the recorder (span events)
-    /// and the comm endpoint (message stamps).
+    /// Causal tracing: the message stamps of the comm endpoint and the
+    /// `recover`/`seg_round` marks; the spans come from `rec`.
     sink: Option<TraceSink>,
     /// Trace time at which the open pointer-jump round began.
     round_t0: Option<u64>,
@@ -442,10 +442,9 @@ pub(crate) struct Threaded<'r> {
 impl<'r> Threaded<'r> {
     pub(crate) fn new(comm: &'r Rank, params: &PipelineParams, epoch: Instant) -> Self {
         let p = comm.rank() as u32;
-        let mut rec = Recorder::new(p);
+        let rec = Recorder::new(p, epoch);
         let sink = params.trace.then(|| TraceSink::new(p, epoch));
         if let Some(s) = &sink {
-            rec.attach_trace(s.clone());
             comm.attach_tracer(s.clone());
         }
         // `threads == 1` is the serial code path; larger budgets give
@@ -478,19 +477,12 @@ impl<'r> Threaded<'r> {
         let (threshold, out) = run?;
         let rank = self.comm;
         rank.detach_tracer();
-        self.rec.detach_trace();
         let cs = rank.comm_stats();
         self.rec.add(Counter::BytesSent, cs.bytes_sent);
         self.rec.add(Counter::BytesRecv, cs.bytes_recv);
         self.rec.add(Counter::MsgsSent, cs.msgs_sent);
         self.rec.add(Counter::MsgsRecv, cs.msgs_recv);
         let report = self.rec.finish();
-        // exact global merge traffic, in the report meta on rank 0
-        let global_ship_bytes = rank
-            .allreduce_u64(TAG_TELEMETRY_SHIP, report.counter("ship_bytes"), |a, b| {
-                a + b
-            })
-            .map_err(comm_err("all-reducing global ship bytes"))?;
         let gathered = rank
             .gather(0, TAG_TELEMETRY_GATHER, Bytes::from(report.encode()))
             .map_err(comm_err("gathering telemetry reports"))?;
@@ -498,16 +490,20 @@ impl<'r> Threaded<'r> {
             Some(all) => {
                 let ranks = all.iter().map(|b| RankReport::decode(b));
                 let ranks = ranks.collect::<Result<Vec<_>, _>>();
-                Some(
-                    RunReport::from_ranks("run", ranks.map_err(PipelineError::Telemetry)?)
-                        .with_meta("global_ship_bytes", Json::U64(global_ship_bytes)),
-                )
+                let run = RunReport::from_ranks("run", ranks.map_err(PipelineError::Telemetry)?);
+                // exact global merge traffic, in the report meta
+                let ship = run.counter_total("ship_bytes");
+                Some(run.with_meta("global_ship_bytes", Json::U64(ship)))
             }
             None => None,
         };
         let trace = match &self.sink {
             Some(s) => rank
-                .gather(0, TAG_TRACE_GATHER, Bytes::from(s.finish().encode()))
+                .gather(
+                    0,
+                    TAG_TRACE_GATHER,
+                    Bytes::from(self.rec.trace(s.finish()).encode()),
+                )
                 .map_err(comm_err("gathering rank traces"))?
                 .map(|all| all.iter().map(|b| RankTrace::decode(b)).collect())
                 .transpose()
@@ -705,7 +701,7 @@ mod tests {
         for key in ["checkpoint_bytes", "retries", "rounds_replayed", "crashes"] {
             assert_eq!(tel.counter_total(key), 0, "{key} must be 0 without faults");
         }
-        // the all-reduced global ship total matches the gathered counters
+        // the global ship total in the meta matches the gathered counters
         let meta_ship = tel
             .meta
             .iter()

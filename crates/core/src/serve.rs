@@ -1038,7 +1038,7 @@ impl ServerCore {
     /// data property.
     pub fn report(&self, name: &str) -> RunReport {
         let (queries, hits, misses) = self.counts();
-        let mut rec = Recorder::new(0);
+        let mut rec = Recorder::new(0, self.started);
         rec.add(Counter::ServeQueries, queries);
         rec.add(Counter::ServeHits, hits);
         rec.add(Counter::ServeMisses, misses);

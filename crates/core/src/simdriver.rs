@@ -330,7 +330,8 @@ pub fn simulate(
         seg_bytes: total(Counter::SegBoundaryBytes),
         seg_output_bytes: out.seg_bytes,
         trace: params.trace.then(|| {
-            let traces = m.ranks.iter_mut().filter_map(|v| v.trace.take());
+            let traces = m.ranks.iter_mut();
+            let traces = traces.filter_map(|v| Some(v.rec.trace(v.trace.take()?)));
             RunTrace::from_ranks(traces.collect())
         }),
     })
@@ -345,19 +346,6 @@ struct Msg {
     arrive: f64,
 }
 
-/// The virtual-clock span key of a phase: the names the simulator's
-/// traces have always used.
-fn span_key(phase: Phase) -> Option<String> {
-    Some(match phase {
-        Phase::Gradient | Phase::Trace => "compute".into(),
-        Phase::Simplify => "local_simplify".into(),
-        Phase::Glue | Phase::Resimplify => "glue".into(),
-        // the collective writes stamp their own spans
-        Phase::Write => return None,
-        p => p.key(),
-    })
-}
-
 fn ns(s: f64) -> u64 {
     (s.max(0.0) * 1e9).round() as u64
 }
@@ -368,8 +356,10 @@ pub(crate) struct VRank<'a> {
     params: &'a SimParams,
     torus: Torus,
     clock: f64,
-    /// Counters and per-phase virtual seconds.
+    /// Counters and phase spans on the virtual clock.
     rec: Recorder,
+    /// Message, timeout and modeled-I/O stamps; the phase spans come
+    /// from `rec`.
     trace: Option<RankTrace>,
     /// Messages delivered at step boundaries and not yet received, in
     /// arrival order.
@@ -394,7 +384,7 @@ impl<'a> VRank<'a> {
             params,
             torus,
             clock: 0.0,
-            rec: Recorder::new(p),
+            rec: Recorder::new(p, Instant::now()),
             trace: params.trace.then(|| RankTrace::new(p)),
             inbox: Vec::new(),
             outbox: Vec::new(),
@@ -407,7 +397,8 @@ impl<'a> VRank<'a> {
         }
     }
 
-    /// Advance the clock by `secs`, as span `key` when there is one.
+    /// Advance the clock by modeled `secs`, as trace span `key` when
+    /// there is one.
     fn charge(&mut self, key: Option<&str>, secs: f64) {
         if let (Some(t), Some(key)) = (&mut self.trace, key) {
             t.span(key, ns(self.clock), ns(self.clock + secs));
@@ -443,8 +434,9 @@ impl Node for VRank<'_> {
             .as_ref()
             .map_or(1.0, |p| p.slow_factor(self.p as usize));
         let secs = t0.elapsed().as_secs_f64() * slow;
-        self.charge(span_key(phase).as_deref(), secs);
-        self.rec.add_seconds(phase, secs);
+        let start = self.clock;
+        self.clock += secs;
+        self.rec.span(phase, ns(start), ns(self.clock));
         if phase == Phase::Simplify {
             self.local_end = self.clock;
         }
@@ -645,10 +637,7 @@ impl<'a> Machine for Sim<'a> {
     fn end(&mut self, phase: Phase) {
         for v in &mut self.ranks {
             let t0 = v.open.pop().unwrap_or(0.0);
-            if let (Some(t), Some(key)) = (&mut v.trace, span_key(phase)) {
-                t.span(&key, ns(t0), ns(v.clock));
-            }
-            v.rec.add_seconds(phase, v.clock - t0);
+            v.rec.span(phase, ns(t0), ns(v.clock));
         }
         if let Phase::MergeRound(_) = phase {
             let (before, entry) = &self.round_entry;
@@ -975,6 +964,35 @@ mod tests {
         assert_eq!(faulty.live_nodes, clean.live_nodes);
         assert_eq!(faulty.live_arcs, clean.live_arcs);
         assert_eq!(faulty.output_bytes, clean.output_bytes);
+    }
+
+    #[test]
+    fn sim_trace_spans_are_the_recorded_phase_spans() {
+        let f = msp_synth::white_noise(Dims::cube(9), 4);
+        let params = SimParams {
+            plan: MergePlan::full_merge(8),
+            segment: true,
+            trace: true,
+            fault: FaultConfig::with_plan(FaultPlan::new().crash(3, 1)),
+            ..Default::default()
+        };
+        let r = simulate(&f, 8, &params).unwrap();
+        let tr = r.trace.as_ref().expect("trace requested");
+        let compute = |t: &RankTrace| t.span_seconds("gradient") + t.span_seconds("trace");
+        let slowest = tr.ranks.iter().map(compute).fold(0.0, f64::max);
+        assert_eq!(r.compute_s, slowest);
+        let modeled = ["checkpoint", "write", "seg_write", "msh_write", "recover"];
+        for t in &tr.ranks {
+            for s in &t.spans {
+                let ok = Phase::parse(&s.key).is_some() || modeled.contains(&s.key.as_str());
+                assert!(ok, "rank {} span key '{}'", t.rank, s.key);
+            }
+            assert!(t.span_seconds("simplify") > 0.0, "rank {}", t.rank);
+        }
+        let spans = || tr.ranks.iter().flat_map(|t| &t.spans);
+        for key in ["checkpoint", "recover", "seg_write", "seg_resolve"] {
+            assert!(spans().any(|s| s.key == key), "a '{key}' span");
+        }
     }
 
     #[test]

@@ -463,7 +463,7 @@ impl<M: Machine> Run<'_, M> {
             let threads = node.threads();
             for &b in &s.blocks {
                 let field = &s.fields[&b];
-                let (grad, kstats) = node.time(Phase::Gradient, || {
+                let (grad, _) = node.time(Phase::Gradient, || {
                     assign_gradient_kernel(field, decomp, threads, active_kernel())
                 });
                 let (ms, bstats) = node.time(Phase::Trace, || {
@@ -472,9 +472,6 @@ impl<M: Machine> Run<'_, M> {
                 node.add(Counter::CellsPaired, bstats.cells_paired);
                 node.add(Counter::CriticalCells, bstats.critical_cells);
                 node.add(Counter::ArcsTraced, bstats.arcs);
-                node.add(Counter::KernelCells, kstats.cells);
-                node.add(Counter::ScratchReuse, kstats.scratch_reuse);
-                node.add(Counter::KernelAllocs, kstats.kernel_allocs);
                 if params.segment {
                     let seg = node.time(Phase::Segment, || {
                         label_block(decomp.block(b), &rdims, &grad, threads)

@@ -23,9 +23,8 @@ pub fn active_kernel() -> Kernel {
     Kernel::Flat
 }
 
-/// Allocation/throughput accounting for one gradient-kernel call, fed
-/// into the telemetry counters (`kernel_cells`, `scratch_reuse`,
-/// `kernel_allocs`) by the pipeline.
+/// Allocation/throughput accounting for one gradient-kernel call (the
+/// benchmark's layer walk reads `cells` as its throughput denominator).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Refined cells assigned (the throughput denominator for

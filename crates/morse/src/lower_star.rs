@@ -39,9 +39,8 @@ pub fn assign_gradient(field: &BlockField, decomp: &Decomposition) -> GradientFi
 }
 
 /// [`assign_gradient_par`], also returning the allocation/throughput
-/// stats the telemetry layer feeds into `kernel_cells` /
-/// `scratch_reuse` / `kernel_allocs`. The [`Kernel`] argument selects
-/// nothing (see its docs).
+/// [`KernelStats`]. The [`Kernel`] argument selects nothing (see its
+/// docs).
 pub fn assign_gradient_kernel(
     field: &BlockField,
     decomp: &Decomposition,

@@ -93,14 +93,6 @@ pub enum Counter {
     ServeCoalesced,
     /// Malformed or unanswerable serve requests.
     ServeErrors,
-    /// Refined cells assigned by the gradient kernel (the denominator of
-    /// the `grad_cells_per_s` throughput in bench reports).
-    KernelCells,
-    /// Pooled kernel scratch buffers reused without a fresh allocation.
-    ScratchReuse,
-    /// Pooled kernel scratch buffers that had to be freshly allocated
-    /// (pool misses — near zero in steady state).
-    KernelAllocs,
     /// Estimated cost of the blocks assigned to this rank (feature-
     /// weight integral for adaptive runs, vertex count for other
     /// irregular modes, block count for uniform block-cyclic runs). The
@@ -110,7 +102,7 @@ pub enum Counter {
 }
 
 /// All counters, in report order.
-pub const ALL_COUNTERS: [Counter; 38] = [
+pub const ALL_COUNTERS: [Counter; 35] = [
     Counter::CellsPaired,
     Counter::CriticalCells,
     Counter::ArcsTraced,
@@ -145,9 +137,6 @@ pub const ALL_COUNTERS: [Counter; 38] = [
     Counter::ServeMisses,
     Counter::ServeCoalesced,
     Counter::ServeErrors,
-    Counter::KernelCells,
-    Counter::ScratchReuse,
-    Counter::KernelAllocs,
     Counter::AssignCost,
 ];
 
@@ -191,9 +180,6 @@ impl Counter {
             Counter::ServeMisses => "serve_misses",
             Counter::ServeCoalesced => "serve_coalesced",
             Counter::ServeErrors => "serve_errors",
-            Counter::KernelCells => "kernel_cells",
-            Counter::ScratchReuse => "scratch_reuse",
-            Counter::KernelAllocs => "kernel_allocs",
             Counter::AssignCost => "assign_cost",
         }
     }

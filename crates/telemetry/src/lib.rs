@@ -10,12 +10,14 @@
 //!   `resimplify`, `write`, `total`);
 //! * [`Counter`] — monotonically-accumulating work/communication
 //!   counters (cells paired … bytes/messages sent/received);
-//! * [`Recorder`] — one per rank: nestable phase spans + counters;
+//! * [`Recorder`] — one per rank: counters and one list of phase spans,
+//!   from which the report's phase totals and the trace's spans are
+//!   both derived;
 //! * [`RankReport`] / [`RunReport`] — frozen per-rank data with a
 //!   compact wire encoding, cross-rank min/mean/max/imbalance
 //!   aggregation, and a versioned `.telemetry.json` writer;
 //! * [`TraceSink`] / [`RankTrace`] / [`RunTrace`] — causal event
-//!   tracing: timestamped spans + message stamps per rank, Chrome
+//!   tracing: message stamps plus the recorder's spans per rank, Chrome
 //!   trace-event export for Perfetto, and critical-path analysis
 //!   ([`CriticalPath`]);
 //! * [`Json`] — the dependency-free JSON document builder/parser the
@@ -44,7 +46,7 @@ pub use live::{
     LiveGauge, LiveHistogram, ProgressPhase, ProgressState, RateWindow, Registry, HIST_BUCKETS,
 };
 pub use phase::Phase;
-pub use recorder::{Recorder, SpanError, SubRecorder};
+pub use recorder::{Recorder, SpanError};
 pub use report::{
     aggregate, write_named_json, Agg, CounterStat, PhaseStat, RankReport, RunReport, REPORT_VERSION,
 };

@@ -1,14 +1,18 @@
-//! Per-rank recorder: nestable phase spans and counters.
+//! Per-rank recorder: phase spans and counters.
 //!
-//! One `Recorder` lives on each rank for the duration of a run. Spans
-//! are opened/closed in LIFO order ([`begin`](Recorder::begin) /
-//! [`end`](Recorder::end)); the elapsed seconds of every span accumulate
-//! into its phase's bucket, so a phase entered repeatedly (e.g.
+//! One `Recorder` lives on each rank for the duration of a run. It keeps
+//! one list of completed spans `(phase, t0_ns, t1_ns)` stamped against
+//! the run epoch: live spans open and close in LIFO order
+//! ([`begin`](Recorder::begin) / [`end`](Recorder::end)), and virtual
+//! clocks hand in finished ones ([`span`](Recorder::span)). Everything
+//! else is a fold over that list. A phase's seconds are the summed
+//! durations of its spans, so a phase entered repeatedly (e.g.
 //! `gradient` once per local block, `glue` once per merge group) reports
-//! its summed time. Nested spans accumulate into **both** buckets: a
-//! `glue` span inside `merge_round[1]` counts toward `glue` and toward
-//! `merge_round[1]` — phase times are therefore *not* disjoint and do
-//! not sum to `total`.
+//! its total; the rank's trace ([`trace`](Recorder::trace)) carries the
+//! same spans, so the two agree exactly. Nested spans count toward
+//! **both** phases: a `glue` span inside `merge_round[1]` counts toward
+//! `glue` and toward `merge_round[1]` — phase times are therefore *not*
+//! disjoint and do not sum to `total`.
 //!
 //! Unbalanced instrumentation (an `end` for a phase that isn't the
 //! innermost open span, or a `finish` with spans still open) is a bug in
@@ -19,7 +23,7 @@
 use crate::counter::{Counter, ALL_COUNTERS};
 use crate::phase::Phase;
 use crate::report::RankReport;
-use crate::trace::{union_ns, TraceSink};
+use crate::trace::{RankTrace, TraceSpan};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -51,78 +55,36 @@ impl std::fmt::Display for SpanError {
 
 impl std::error::Error for SpanError {}
 
-/// Thread-local recorder for one unit of parallel work (one block of
-/// the intra-rank parallel local stage). Collects counters and
-/// completed phase spans stamped against the run epoch; the owning
-/// rank's [`Recorder`] merges sub-recorders deterministically at stage
-/// end with [`Recorder::absorb_subs`]. A `SubRecorder` never touches a
-/// clock except inside [`time`](SubRecorder::time), never locks, and is
-/// plain data — safe to move across the worker threads of a stage.
-#[derive(Debug)]
-pub struct SubRecorder {
-    counters: [u64; Counter::COUNT],
-    /// Completed spans `(phase, t0_ns, t1_ns)` against the run epoch.
-    spans: Vec<(Phase, u64, u64)>,
-}
-
-impl SubRecorder {
-    pub fn new() -> SubRecorder {
-        SubRecorder {
-            counters: [0; Counter::COUNT],
-            spans: Vec::new(),
-        }
-    }
-
-    /// Add `n` to counter `c`.
-    pub fn add(&mut self, c: Counter, n: u64) {
-        self.counters[c.index()] += n;
-    }
-
-    /// Record a completed span with explicit epoch-relative timestamps.
-    pub fn span(&mut self, phase: Phase, t0_ns: u64, t1_ns: u64) {
-        self.spans.push((phase, t0_ns, t1_ns));
-    }
-
-    /// Run `f` inside a `phase` span stamped against `epoch` — the same
-    /// epoch the rank's trace sink uses, so replayed spans land on the
-    /// shared timeline with true concurrent timestamps.
-    pub fn time<R>(&mut self, phase: Phase, epoch: Instant, f: impl FnOnce(&mut Self) -> R) -> R {
-        let t0 = epoch.elapsed().as_nanos() as u64;
-        let out = f(self);
-        let t1 = epoch.elapsed().as_nanos() as u64;
-        self.spans.push((phase, t0, t1));
-        out
-    }
-}
-
-impl Default for SubRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Seconds of a span, exactly as [`TraceSpan::dur_ns`] counts them.
+fn seconds(t0_ns: u64, t1_ns: u64) -> f64 {
+    t1_ns.saturating_sub(t0_ns) as f64 * 1e-9
 }
 
 /// Phase spans + counters of one rank.
 #[derive(Debug)]
 pub struct Recorder {
     rank: u32,
-    phases: BTreeMap<Phase, f64>,
+    epoch: Instant,
     counters: [u64; Counter::COUNT],
-    stack: Vec<(Phase, Instant)>,
+    /// Open spans `(phase, t0_ns)`, innermost last.
+    stack: Vec<(Phase, u64)>,
+    /// Completed spans `(phase, t0_ns, t1_ns)`, in completion order.
+    spans: Vec<(Phase, u64, u64)>,
     /// Span-API misuse incidents (mismatched/unclosed spans).
     unbalanced: u32,
-    /// Optional event tracer mirroring begin/end as timestamped spans.
-    sink: Option<TraceSink>,
 }
 
 impl Recorder {
-    pub fn new(rank: u32) -> Recorder {
+    /// A recorder for `rank` stamping spans against `epoch`. Every rank
+    /// of a run shares one epoch, so traced timelines line up.
+    pub fn new(rank: u32, epoch: Instant) -> Recorder {
         Recorder {
             rank,
-            phases: BTreeMap::new(),
+            epoch,
             counters: [0; Counter::COUNT],
             stack: Vec::new(),
+            spans: Vec::new(),
             unbalanced: 0,
-            sink: None,
         }
     }
 
@@ -130,24 +92,14 @@ impl Recorder {
         self.rank
     }
 
-    /// Mirror every span into `sink` as a timestamped trace event (the
-    /// aggregate phase buckets keep accumulating as before).
-    pub fn attach_trace(&mut self, sink: TraceSink) {
-        self.sink = Some(sink);
-    }
-
-    /// Stop mirroring spans into the trace sink (used before the
-    /// trace itself is gathered, so the gather is not self-observed).
-    pub fn detach_trace(&mut self) -> Option<TraceSink> {
-        self.sink.take()
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Open a span for `phase`. Spans nest; close them in LIFO order.
     pub fn begin(&mut self, phase: Phase) {
-        if let Some(sink) = &self.sink {
-            sink.begin(&phase.key());
-        }
-        self.stack.push((phase, Instant::now()));
+        let now = self.now_ns();
+        self.stack.push((phase, now));
     }
 
     /// Close the innermost span, which must be `phase`. Returns the
@@ -160,14 +112,11 @@ impl Recorder {
                 ending: phase,
                 innermost: *open,
             }),
-            Some(_) => {
-                let (_, started) = self.stack.pop().unwrap();
-                let secs = started.elapsed().as_secs_f64();
-                *self.phases.entry(phase).or_insert(0.0) += secs;
-                if let Some(sink) = &self.sink {
-                    sink.end();
-                }
-                Ok(secs)
+            Some(&(_, t0)) => {
+                self.stack.pop();
+                let t1 = self.now_ns();
+                self.spans.push((phase, t0, t1));
+                Ok(seconds(t0, t1))
             }
         }
     }
@@ -195,42 +144,16 @@ impl Recorder {
         out
     }
 
-    /// Credit `secs` to `phase` without a live span — for modeled times
-    /// (the BSP sim driver) and for merging externally measured values.
-    pub fn add_seconds(&mut self, phase: Phase, secs: f64) {
-        *self.phases.entry(phase).or_insert(0.0) += secs;
+    /// Record a completed span with explicit timestamps — for virtual
+    /// clocks (the BSP sim driver), which advance time themselves.
+    pub fn span(&mut self, phase: Phase, t0_ns: u64, t1_ns: u64) {
+        self.spans.push((phase, t0_ns, t1_ns));
     }
 
-    /// Merge the thread-local sub-recorders of a parallel stage, in the
-    /// deterministic order given (block order). Counters sum. Each phase
-    /// bucket is credited the **interval union** of its sub-spans — the
-    /// phase's wall-clock footprint, so speedup from intra-rank threads
-    /// is visible in the phase stats, and a serial stage (disjoint
-    /// spans) credits exactly the sum the per-block `time` calls used to
-    /// produce. Every sub-span is also replayed into the attached trace
-    /// sink with its original timestamps, preserving per-thread
-    /// attribution on the causal timeline.
-    pub fn absorb_subs(&mut self, subs: &[SubRecorder]) {
-        let mut by_phase: BTreeMap<Phase, Vec<(u64, u64)>> = BTreeMap::new();
-        for s in subs {
-            for (i, &n) in s.counters.iter().enumerate() {
-                self.counters[i] += n;
-            }
-            for &(p, a, b) in &s.spans {
-                by_phase.entry(p).or_default().push((a, b));
-                if let Some(sink) = &self.sink {
-                    sink.span_at(&p.key(), a, b);
-                }
-            }
-        }
-        for (p, iv) in by_phase {
-            self.add_seconds(p, union_ns(iv) as f64 * 1e-9);
-        }
-    }
-
-    /// Accumulated seconds of `phase` so far.
+    /// Summed seconds of the completed `phase` spans so far.
     pub fn phase_seconds(&self, phase: Phase) -> f64 {
-        self.phases.get(&phase).copied().unwrap_or(0.0)
+        let of_phase = self.spans.iter().filter(|s| s.0 == phase);
+        of_phase.map(|&(_, t0, t1)| seconds(t0, t1)).sum()
     }
 
     /// Number of currently open spans.
@@ -253,26 +176,41 @@ impl Recorder {
         self.counters[c.index()]
     }
 
-    /// Freeze into a wire-encodable per-rank report. Spans still open
-    /// are closed now (their elapsed time accumulates) and each counts
-    /// as an unbalanced incident on the report.
+    /// Freeze into a wire-encodable per-rank report: per-phase span
+    /// sums in taxonomy order. Spans still open are closed now, and
+    /// each counts as an unbalanced incident on the report.
     pub fn finish(&mut self) -> RankReport {
-        while let Some((phase, started)) = self.stack.pop() {
+        while let Some((phase, t0)) = self.stack.pop() {
             self.unbalanced += 1;
-            *self.phases.entry(phase).or_insert(0.0) += started.elapsed().as_secs_f64();
-            if let Some(sink) = &self.sink {
-                sink.end();
-            }
+            let t1 = self.now_ns();
+            self.spans.push((phase, t0, t1));
+        }
+        let mut phases: BTreeMap<Phase, f64> = BTreeMap::new();
+        for &(p, t0, t1) in &self.spans {
+            *phases.entry(p).or_insert(0.0) += seconds(t0, t1);
         }
         RankReport {
             rank: self.rank,
             unbalanced: self.unbalanced,
-            phases: self.phases.iter().map(|(p, s)| (p.key(), *s)).collect(),
+            phases: phases.into_iter().map(|(p, s)| (p.key(), s)).collect(),
             counters: ALL_COUNTERS
                 .iter()
                 .map(|c| (c.key().to_string(), self.counters[c.index()]))
                 .collect(),
         }
+    }
+
+    /// This rank's trace: `stamps` (the message, timeout and mark
+    /// events only a trace records) plus every completed span keyed by
+    /// [`Phase::key`], with the recorder's unbalanced count. Call after
+    /// [`finish`](Recorder::finish) so spans left open are included.
+    pub fn trace(&self, mut stamps: RankTrace) -> RankTrace {
+        for &(p, t0_ns, t1_ns) in &self.spans {
+            let key = p.key();
+            stamps.spans.push(TraceSpan { key, t0_ns, t1_ns });
+        }
+        stamps.unbalanced = self.unbalanced;
+        stamps
     }
 }
 
@@ -282,7 +220,7 @@ mod tests {
 
     #[test]
     fn nested_spans_accumulate_into_both_buckets() {
-        let mut r = Recorder::new(3);
+        let mut r = Recorder::new(3, Instant::now());
         r.begin(Phase::MergeRound(0));
         r.begin(Phase::Glue);
         assert_eq!(r.open_spans(), 2);
@@ -298,7 +236,7 @@ mod tests {
 
     #[test]
     fn repeated_spans_sum() {
-        let mut r = Recorder::new(0);
+        let mut r = Recorder::new(0, Instant::now());
         r.begin(Phase::Gradient);
         let a = r.end(Phase::Gradient);
         r.begin(Phase::Gradient);
@@ -309,7 +247,7 @@ mod tests {
 
     #[test]
     fn mismatched_end_is_typed_error_not_panic() {
-        let mut r = Recorder::new(0);
+        let mut r = Recorder::new(0, Instant::now());
         r.begin(Phase::Read);
         r.begin(Phase::Gradient);
         let err = r.try_end(Phase::Read).unwrap_err();
@@ -330,7 +268,7 @@ mod tests {
 
     #[test]
     fn end_with_no_open_span_is_flagged() {
-        let mut r = Recorder::new(0);
+        let mut r = Recorder::new(0, Instant::now());
         assert_eq!(
             r.try_end(Phase::Write).unwrap_err(),
             SpanError::NoOpenSpan {
@@ -345,7 +283,7 @@ mod tests {
 
     #[test]
     fn finish_with_open_span_flags_and_accumulates() {
-        let mut r = Recorder::new(0);
+        let mut r = Recorder::new(0, Instant::now());
         r.begin(Phase::Read);
         r.begin(Phase::Gradient);
         let rep = r.finish();
@@ -357,7 +295,7 @@ mod tests {
 
     #[test]
     fn mismatched_end_via_end_flags_but_keeps_stack() {
-        let mut r = Recorder::new(0);
+        let mut r = Recorder::new(0, Instant::now());
         r.begin(Phase::Read);
         assert_eq!(r.end(Phase::Write), 0.0, "mismatch yields zero seconds");
         assert_eq!(r.unbalanced(), 1);
@@ -368,7 +306,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut r = Recorder::new(1);
+        let mut r = Recorder::new(1, Instant::now());
         r.add(Counter::BytesSent, 10);
         r.add(Counter::BytesSent, 32);
         r.add(Counter::MsgsSent, 2);
@@ -379,111 +317,69 @@ mod tests {
 
     #[test]
     fn time_closure_and_finish_report() {
-        let mut r = Recorder::new(7);
+        let mut r = Recorder::new(7, Instant::now());
         let v = r.time(Phase::Write, |r| {
             r.add(Counter::MsgsSent, 1);
             99
         });
         assert_eq!(v, 99);
-        r.add_seconds(Phase::Read, 1.25);
         let rep = r.finish();
         assert_eq!(rep.rank, 7);
         assert_eq!(rep.unbalanced, 0);
-        // phases are in taxonomy order (BTreeMap over Phase)
-        assert_eq!(rep.phases[0].0, "read");
-        assert_eq!(rep.phases[1].0, "write");
-        assert!((rep.phases[0].1 - 1.25).abs() < 1e-12);
+        assert_eq!(rep.phases.len(), 1);
+        assert_eq!(rep.phases[0].0, "write");
         // all counters are always present
         assert_eq!(rep.counters.len(), Counter::COUNT);
         assert_eq!(rep.counter("msgs_sent"), 1);
     }
 
     #[test]
-    fn absorb_subs_sums_counters_and_unions_spans() {
-        let mut r = Recorder::new(0);
-        let mut a = SubRecorder::new();
-        a.add(Counter::ArcsTraced, 10);
-        a.span(Phase::Gradient, 0, 100_000_000); // 0.1 s
-        a.span(Phase::Trace, 100_000_000, 150_000_000); // 0.05 s
-        let mut b = SubRecorder::new();
-        b.add(Counter::ArcsTraced, 5);
-        b.add(Counter::CriticalCells, 3);
-        // concurrent with a's gradient span: overlap must not double-count
-        b.span(Phase::Gradient, 50_000_000, 120_000_000);
-        r.absorb_subs(&[a, b]);
-        assert_eq!(r.counter(Counter::ArcsTraced), 15);
-        assert_eq!(r.counter(Counter::CriticalCells), 3);
-        // gradient union = [0, 0.12] s; trace disjoint = 0.05 s
-        assert!((r.phase_seconds(Phase::Gradient) - 0.12).abs() < 1e-12);
-        assert!((r.phase_seconds(Phase::Trace) - 0.05).abs() < 1e-12);
+    fn finish_folds_spans_into_phase_sums_in_taxonomy_order() {
+        let mut r = Recorder::new(0, Instant::now());
+        r.span(Phase::Write, 0, 4_000);
+        r.span(Phase::Gradient, 10_000, 11_000);
+        r.span(Phase::MergeRound(1), 0, 8_000);
+        r.span(Phase::Gradient, 20_000, 22_000);
+        r.span(Phase::Read, 0, 500);
+        let rep = r.finish();
+        let keys: Vec<&str> = rep.phases.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["read", "gradient", "merge_round[1]", "write"]);
+        // each span adds its own seconds, in recording order
+        let gradient = 1_000.0 * 1e-9 + 2_000.0 * 1e-9;
+        assert_eq!(rep.phase_seconds("gradient"), Some(gradient));
+        assert_eq!(rep.phase_seconds("write"), Some(4_000.0 * 1e-9));
+        assert_eq!(rep.phase_seconds("trace"), None, "a phase without spans");
     }
 
     #[test]
-    fn absorb_subs_serial_equals_plain_sum() {
-        // disjoint spans (the threads=1 shape): union == sum, so the
-        // parallel bookkeeping reduces exactly to the old per-block path
-        let mut r = Recorder::new(0);
-        let mut subs = Vec::new();
-        for i in 0..4u64 {
-            let mut s = SubRecorder::new();
-            s.span(Phase::Gradient, i * 100, i * 100 + 60);
-            subs.push(s);
-        }
-        r.absorb_subs(&subs);
-        assert!((r.phase_seconds(Phase::Gradient) - 240e-9).abs() < 1e-15);
+    fn explicit_span_contributes_exactly_its_duration() {
+        let mut r = Recorder::new(0, Instant::now());
+        r.span(Phase::Glue, 1_000_000_000, 1_250_000_000);
+        assert_eq!(r.phase_seconds(Phase::Glue), 0.25);
+        r.span(Phase::Glue, 7, 7);
+        assert_eq!(r.phase_seconds(Phase::Glue), 0.25, "an empty span adds 0");
+        let rep = r.finish();
+        assert_eq!(rep.phase_seconds("glue"), Some(0.25));
+        assert_eq!(r.trace(RankTrace::new(0)).span_seconds("glue"), 0.25);
     }
 
     #[test]
-    fn absorb_subs_replays_spans_into_sink() {
-        let mut r = Recorder::new(1);
-        let sink = TraceSink::new(1, Instant::now());
-        r.attach_trace(sink.clone());
-        let mut s = SubRecorder::new();
-        s.time(Phase::Gradient, Instant::now(), |s| {
-            s.add(Counter::CellsPaired, 7);
-        });
-        s.span(Phase::Trace, 10, 20);
-        r.absorb_subs(&[s]);
-        let t = sink.finish();
-        assert_eq!(t.spans.len(), 2);
-        assert_eq!(t.spans[0].key, "gradient");
-        assert_eq!(t.spans[1].key, "trace");
-        assert_eq!(r.counter(Counter::CellsPaired), 7);
-    }
-
-    #[test]
-    fn attached_sink_mirrors_spans() {
-        let mut r = Recorder::new(2);
-        let sink = TraceSink::new(2, Instant::now());
-        r.attach_trace(sink.clone());
-        r.begin(Phase::Read);
-        r.begin(Phase::Gradient);
-        r.end(Phase::Gradient);
-        r.end(Phase::Read);
-        assert!(r.detach_trace().is_some());
-        r.begin(Phase::Write); // after detach: not traced
-        r.end(Phase::Write);
-        let t = sink.finish();
-        assert_eq!(t.spans.len(), 2);
-        assert_eq!(t.spans[0].key, "gradient");
-        assert_eq!(t.spans[1].key, "read");
-        assert_eq!(t.unbalanced, 0);
-        // trace durations agree with recorder phase totals
-        let read_trace = t.span_seconds("read");
-        assert!(read_trace >= r.phase_seconds(Phase::Gradient));
-        assert!((read_trace - r.phase_seconds(Phase::Read)).abs() < 0.05);
-    }
-
-    #[test]
-    fn finish_closes_sink_spans_too() {
-        let mut r = Recorder::new(0);
-        let sink = TraceSink::new(0, Instant::now());
-        r.attach_trace(sink.clone());
-        r.begin(Phase::Read);
+    fn open_span_is_counted_once_in_report_and_trace() {
+        let mut r = Recorder::new(4, Instant::now());
+        r.begin(Phase::Total);
+        r.time(Phase::Read, |_| ());
         let rep = r.finish();
         assert_eq!(rep.unbalanced, 1);
-        let t = sink.finish();
-        assert_eq!(t.spans.len(), 1, "sink span closed by recorder finish");
-        assert_eq!(t.unbalanced, 0, "sink itself saw balanced begin/end");
+        // a second finish has nothing left to close
+        assert_eq!(r.finish(), rep);
+        let mut stamps = RankTrace::new(4);
+        stamps.span("recover", 1, 2);
+        let t = r.trace(stamps);
+        assert_eq!(t.unbalanced, 1);
+        let keys: Vec<&str> = t.spans.iter().map(|s| s.key.as_str()).collect();
+        assert_eq!(keys, ["recover", "read", "total"]);
+        for (key, secs) in &rep.phases {
+            assert_eq!(t.span_seconds(key), *secs, "{key}");
+        }
     }
 }

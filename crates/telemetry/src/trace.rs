@@ -7,14 +7,17 @@
 //! span ran on **which** rank and which message made whom wait. Three
 //! layers:
 //!
-//! * [`TraceSink`] — a cheaply-cloneable per-rank event recorder.
-//!   Handles are shared between the pipeline code (span events, via
-//!   [`Recorder`](crate::Recorder)) and the comm layer (message
-//!   stamps), all timed against one common epoch so timestamps are
-//!   comparable across ranks of a shared-memory universe;
-//! * [`RankTrace`] — the frozen, wire-encodable event log of one rank.
-//!   Simulated runs build these directly with virtual-clock
-//!   timestamps, so real and simulated traces share every consumer;
+//! * [`TraceSink`] — a cheaply-cloneable per-rank stamp recorder for
+//!   the events only a trace needs: message and timeout stamps from the
+//!   comm layer, and marks such as `recover` spans. Every rank stamps
+//!   against one common epoch so timestamps are comparable across ranks
+//!   of a shared-memory universe;
+//! * [`RankTrace`] — the frozen, wire-encodable event log of one rank:
+//!   the sink's stamps plus the rank's phase spans, which come from its
+//!   [`Recorder`](crate::Recorder) (see [`Recorder::trace`](crate::Recorder::trace)),
+//!   so trace span totals and report phase totals are the same numbers.
+//!   Simulated runs stamp on virtual clocks, so real and simulated
+//!   traces share every consumer;
 //! * [`RunTrace`] — all ranks gathered at root: send/recv matching on
 //!   `(src, dst, tag, seq)` ([`RunTrace::match_messages`]), the Chrome
 //!   trace-event document ([`RunTrace::to_chrome_json`]), and the
@@ -87,9 +90,10 @@ pub struct RankTrace {
     /// Messages this rank consumed from the transport.
     pub recvs: Vec<MsgStamp>,
     pub timeouts: Vec<TimeoutStamp>,
-    /// Spans that were still open at finish (closed implicitly) plus
-    /// unmatched `end` calls — nonzero means the instrumentation was
-    /// unbalanced and durations for those spans are best-effort.
+    /// The recorder's span-misuse incidents (spans still open at finish,
+    /// closed implicitly, plus unmatched `end` calls) — nonzero means
+    /// the instrumentation was unbalanced and durations for those spans
+    /// are best-effort.
     pub unbalanced: u32,
 }
 
@@ -101,8 +105,7 @@ impl RankTrace {
         }
     }
 
-    /// Record a completed span with explicit timestamps (virtual-clock
-    /// producers; the live path goes through [`TraceSink`]).
+    /// Record a completed span with explicit timestamps.
     pub fn span(&mut self, key: &str, t0_ns: u64, t1_ns: u64) {
         self.spans.push(TraceSpan {
             key: key.to_string(),
@@ -133,32 +136,14 @@ impl RankTrace {
         });
     }
 
-    /// Summed duration of all spans with this key, in seconds. Under
-    /// intra-rank parallelism thread-local spans overlap, so this can
-    /// exceed the wall clock; consumers comparing against recorder
-    /// phase totals must use [`merged_span_seconds`](Self::merged_span_seconds).
+    /// Summed duration of all spans with this key, in seconds — for a
+    /// phase key, exactly the rank report's phase total.
     pub fn span_seconds(&self, key: &str) -> f64 {
         self.spans
             .iter()
             .filter(|s| s.key == key)
             .map(|s| s.dur_ns() as f64 * 1e-9)
             .sum()
-    }
-
-    /// Interval-union duration of all spans with this key, in seconds —
-    /// the wall-clock footprint of the phase on this rank's timeline.
-    /// Equals [`span_seconds`](Self::span_seconds) when occurrences are
-    /// disjoint (serial runs); smaller when thread-local spans ran
-    /// concurrently. This is the quantity that agrees with the
-    /// recorder's phase totals by construction.
-    pub fn merged_span_seconds(&self, key: &str) -> f64 {
-        let iv: Vec<(u64, u64)> = self
-            .spans
-            .iter()
-            .filter(|s| s.key == key)
-            .map(|s| (s.t0_ns, s.t1_ns))
-            .collect();
-        union_ns(iv) as f64 * 1e-9
     }
 
     /// Compact little-endian encoding for shipping to root.
@@ -256,38 +241,8 @@ impl RankTrace {
     }
 }
 
-/// Total length of the union of half-open intervals `(a, b)` — the
-/// merged wall clock of possibly-overlapping span occurrences.
-pub(crate) fn union_ns(mut iv: Vec<(u64, u64)>) -> u64 {
-    iv.sort_unstable();
-    let mut total = 0u64;
-    let mut cur: Option<(u64, u64)> = None;
-    for (a, b) in iv {
-        match &mut cur {
-            Some((_, e)) if a <= *e => *e = (*e).max(b),
-            _ => {
-                if let Some((s, e)) = cur {
-                    total += e - s;
-                }
-                cur = Some((a, b));
-            }
-        }
-    }
-    if let Some((s, e)) = cur {
-        total += e - s;
-    }
-    total
-}
-
-#[derive(Debug, Default)]
-struct SinkBuf {
-    trace: RankTrace,
-    /// Open spans: `(key, t0_ns)`, LIFO.
-    stack: Vec<(String, u64)>,
-}
-
-/// Live per-rank event recorder, cheap to clone: handles share one
-/// buffer, so the pipeline (spans) and the comm endpoint (message
+/// Live per-rank stamp recorder, cheap to clone: handles share one
+/// buffer, so the pipeline (marks) and the comm endpoint (message
 /// stamps) write into the same timeline. All methods take `&self`;
 /// the buffer is mutex-protected but only ever touched from the
 /// owning rank's thread, so the lock is always uncontended.
@@ -295,7 +250,7 @@ struct SinkBuf {
 pub struct TraceSink {
     rank: u32,
     epoch: Instant,
-    buf: Arc<Mutex<SinkBuf>>,
+    buf: Arc<Mutex<RankTrace>>,
 }
 
 impl TraceSink {
@@ -306,10 +261,7 @@ impl TraceSink {
         TraceSink {
             rank,
             epoch,
-            buf: Arc::new(Mutex::new(SinkBuf {
-                trace: RankTrace::new(rank),
-                stack: Vec::new(),
-            })),
+            buf: Arc::new(Mutex::new(RankTrace::new(rank))),
         }
     }
 
@@ -322,54 +274,25 @@ impl TraceSink {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Open a span; close it with [`end`](TraceSink::end) (LIFO).
-    pub fn begin(&self, key: &str) {
-        let now = self.now_ns();
-        self.buf.lock().unwrap().stack.push((key.to_string(), now));
-    }
-
-    /// Close the innermost open span. An `end` with nothing open is
-    /// recorded as an unbalanced incident instead of panicking.
-    pub fn end(&self) {
-        let now = self.now_ns();
-        let mut b = self.buf.lock().unwrap();
-        match b.stack.pop() {
-            Some((key, t0_ns)) => b.trace.spans.push(TraceSpan {
-                key,
-                t0_ns,
-                t1_ns: now,
-            }),
-            None => b.trace.unbalanced += 1,
-        }
-    }
-
     /// Record a completed span with explicit timestamps (recovery
     /// paths whose start predates the decision to record them).
     pub fn span_at(&self, key: &str, t0_ns: u64, t1_ns: u64) {
-        self.buf.lock().unwrap().trace.span(key, t0_ns, t1_ns);
+        self.buf.lock().unwrap().span(key, t0_ns, t1_ns);
     }
 
     pub fn send(&self, dst: u32, tag: u32, seq: u64, bytes: u64) {
         let now = self.now_ns();
-        self.buf
-            .lock()
-            .unwrap()
-            .trace
-            .send(dst, tag, seq, bytes, now);
+        self.buf.lock().unwrap().send(dst, tag, seq, bytes, now);
     }
 
     pub fn recv(&self, src: u32, tag: u32, seq: u64, bytes: u64) {
         let now = self.now_ns();
-        self.buf
-            .lock()
-            .unwrap()
-            .trace
-            .recv(src, tag, seq, bytes, now);
+        self.buf.lock().unwrap().recv(src, tag, seq, bytes, now);
     }
 
     pub fn timeout(&self, src: u32, tag: u32, waited_ns: u64) {
         let now = self.now_ns();
-        self.buf.lock().unwrap().trace.timeouts.push(TimeoutStamp {
+        self.buf.lock().unwrap().timeouts.push(TimeoutStamp {
             src,
             tag,
             t_ns: now,
@@ -377,23 +300,12 @@ impl TraceSink {
         });
     }
 
-    /// Freeze into a [`RankTrace`], draining the shared buffer. Spans
-    /// still open are closed at the current time and counted as
-    /// unbalanced. Clones of this sink keep working but write into a
-    /// fresh, empty log.
+    /// Freeze the stamps into a [`RankTrace`], draining the shared
+    /// buffer. Clones of this sink keep working but write into a fresh,
+    /// empty log.
     pub fn finish(&self) -> RankTrace {
-        let now = self.now_ns();
-        let mut b = self.buf.lock().unwrap();
-        while let Some((key, t0_ns)) = b.stack.pop() {
-            b.trace.unbalanced += 1;
-            b.trace.spans.push(TraceSpan {
-                key,
-                t0_ns,
-                t1_ns: now,
-            });
-        }
-        let rank = self.rank;
-        std::mem::replace(&mut b.trace, RankTrace::new(rank))
+        let fresh = RankTrace::new(self.rank);
+        std::mem::replace(&mut self.buf.lock().unwrap(), fresh)
     }
 }
 
@@ -843,68 +755,45 @@ mod tests {
     }
 
     #[test]
-    fn sink_records_spans_and_messages() {
+    fn sink_records_stamps_and_marks() {
         let sink = TraceSink::new(3, Instant::now());
-        sink.begin("read");
-        sink.begin("gradient");
-        sink.end();
-        sink.end();
         sink.send(1, 7, 1, 64);
         sink.recv(2, 7, 1, 32);
         sink.timeout(5, 9, 1000);
+        let t0 = sink.now_ns();
+        sink.span_at("recover", t0, t0 + 50);
         let t = sink.finish();
         assert_eq!(t.rank, 3);
-        assert_eq!(t.spans.len(), 2);
-        assert_eq!(t.spans[0].key, "gradient", "inner span completes first");
-        assert_eq!(t.spans[1].key, "read");
-        assert!(t.spans[1].t0_ns <= t.spans[0].t0_ns);
-        assert!(t.spans[1].t1_ns >= t.spans[0].t1_ns);
         assert_eq!(t.sends.len(), 1);
         assert_eq!((t.sends[0].src, t.sends[0].dst), (3, 1));
+        assert_eq!(
+            (t.sends[0].tag, t.sends[0].seq, t.sends[0].bytes),
+            (7, 1, 64)
+        );
         assert_eq!((t.recvs[0].src, t.recvs[0].dst), (2, 3));
+        assert!(
+            t.recvs[0].t_ns >= t.sends[0].t_ns,
+            "stamps follow the epoch"
+        );
         assert_eq!(t.timeouts.len(), 1);
+        assert_eq!((t.timeouts[0].src, t.timeouts[0].waited_ns), (5, 1000));
+        assert_eq!(t.spans.len(), 1);
+        assert_eq!(t.spans[0].key, "recover");
+        assert_eq!(t.spans[0].dur_ns(), 50);
         assert_eq!(t.unbalanced, 0);
         // finish drained the buffer
-        assert_eq!(sink.finish().spans.len(), 0);
-    }
-
-    #[test]
-    fn sink_flags_unbalanced_instead_of_panicking() {
-        let sink = TraceSink::new(0, Instant::now());
-        sink.end(); // nothing open
-        sink.begin("read"); // never closed
-        let t = sink.finish();
-        assert_eq!(t.unbalanced, 2);
-        assert_eq!(t.spans.len(), 1, "open span closed at finish");
+        assert_eq!(sink.finish(), RankTrace::new(3));
     }
 
     #[test]
     fn clones_share_the_buffer() {
         let a = TraceSink::new(1, Instant::now());
         let b = a.clone();
-        a.begin("read");
+        a.span_at("seg_round", 0, 10);
         b.send(0, 5, 1, 10);
-        a.end();
         let t = b.finish();
         assert_eq!(t.spans.len(), 1);
         assert_eq!(t.sends.len(), 1);
-    }
-
-    #[test]
-    fn merged_span_seconds_unions_concurrent_spans() {
-        let mut t = RankTrace::new(0);
-        // two concurrent thread-local gradient spans + one disjoint one
-        t.span("gradient", 0, 100);
-        t.span("gradient", 50, 150);
-        t.span("gradient", 200, 250);
-        t.span("trace", 300, 400);
-        // raw sum counts the [50,100] overlap twice; the union is
-        // [0,150] ∪ [200,250] = 200 ns
-        assert!((t.span_seconds("gradient") - 250e-9).abs() < 1e-15);
-        assert!((t.merged_span_seconds("gradient") - 200e-9).abs() < 1e-15);
-        // disjoint phases are unaffected
-        assert!((t.merged_span_seconds("trace") - t.span_seconds("trace")).abs() < 1e-15);
-        assert_eq!(t.merged_span_seconds("missing"), 0.0);
     }
 
     fn sample_trace() -> RankTrace {

@@ -14,11 +14,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --workspace
 cargo test -q --workspace
 
-# trace-schema self-check: round-trip parse + flow-edge pairing +
-# span-vs-recorder totals on a real traced run (exits non-zero on drift)
+# the smoke steps below write into one temp dir
 tracedir="$(mktemp -d)"
 trap 'rm -rf "$tracedir"' EXIT
-MSP_RESULTS_DIR="$tracedir" cargo run -q --release -p msp-bench --bin trace_check
 
 # msc writes results/<name>.telemetry.json under its working directory;
 # the smoke steps run it from $tracedir so none lands beside the
