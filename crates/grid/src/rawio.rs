@@ -3,9 +3,11 @@
 //! Datasets are flat binary files of vertex values in x-fastest order,
 //! little-endian, in one of the three element types the paper supports
 //! (§IV-B): unsigned byte, `f32`, `f64`. A block reads its sub-box
-//! through a *subarray view*: the list of contiguous x-rows it owns,
-//! each a `(byte offset, byte length)` run — the same access pattern an
-//! MPI subarray datatype describes.
+//! through a *subarray view*, the access pattern an MPI subarray datatype
+//! describes: one contiguous x-row per `(y, z)` of the box. The rows of
+//! one z-plane lie one domain row apart, so [`read_block`] reads each
+//! plane's span, from its first row's start to its last row's end, in
+//! one call, and decodes the rows out of it.
 
 use crate::decomp::BlockBox;
 use crate::dims::Dims;
@@ -73,42 +75,31 @@ pub fn read_raw(path: &Path, dims: Dims, dtype: VolumeDType) -> io::Result<Scala
     let n = dims.n_verts() as usize;
     let mut buf = vec![0u8; n * dtype.size_bytes() as usize];
     f.read_exact(&mut buf)?;
-    Ok(ScalarField::new(dims, decode(&buf, dtype)))
+    let mut data = Vec::with_capacity(n);
+    decode_into(&buf, dtype, &mut data);
+    Ok(ScalarField::new(dims, data))
 }
 
-fn decode(buf: &[u8], dtype: VolumeDType) -> Vec<f32> {
+/// Append the values the little-endian bytes `buf` hold to `out`.
+fn decode_into(buf: &[u8], dtype: VolumeDType, out: &mut Vec<f32>) {
     match dtype {
-        VolumeDType::U8 => buf.iter().map(|&b| b as f32).collect(),
-        VolumeDType::F32 => buf
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect(),
-        VolumeDType::F64 => buf
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]) as f32)
-            .collect(),
-    }
-}
-
-/// The contiguous byte runs a block's subarray view covers, as
-/// `(file offset, byte length)` pairs in file order. One run per x-row of
-/// the block's vertex sub-box.
-pub fn block_runs(domain: Dims, block: &BlockBox, dtype: VolumeDType) -> Vec<(u64, u64)> {
-    let es = dtype.size_bytes();
-    let row_len = (block.hi[0] - block.lo[0] + 1) as u64 * es;
-    let mut runs = Vec::with_capacity(
-        ((block.hi[1] - block.lo[1] + 1) * (block.hi[2] - block.lo[2] + 1)) as usize,
-    );
-    for z in block.lo[2]..=block.hi[2] {
-        for y in block.lo[1]..=block.hi[1] {
-            let off = domain.vertex_index(block.lo[0], y, z) * es;
-            runs.push((off, row_len));
+        VolumeDType::U8 => out.extend(buf.iter().map(|&b| b as f32)),
+        VolumeDType::F32 => out.extend(
+            buf.chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+        ),
+        VolumeDType::F64 => {
+            out.extend(buf.chunks_exact(8).map(|c| {
+                f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]) as f32
+            }))
         }
     }
-    runs
 }
 
-/// Read one block's values from a raw volume file using its subarray runs.
+/// Read one block's values from a raw volume file through its subarray
+/// view: one read per z-plane of the span from the plane's first row to
+/// its last, whose rows decode straight into the block's values. The
+/// scratch is one plane span, never the whole block's.
 pub fn read_block(
     path: &Path,
     domain: Dims,
@@ -116,17 +107,22 @@ pub fn read_block(
     dtype: VolumeDType,
 ) -> io::Result<BlockField> {
     let mut f = open_checked(path, domain, dtype)?;
-    let runs = block_runs(domain, block, dtype);
-    let total: u64 = runs.iter().map(|r| r.1).sum();
-    let mut buf = Vec::with_capacity(total as usize);
-    let mut row = vec![0u8; runs.first().map_or(0, |r| r.1 as usize)];
-    for (off, len) in runs {
-        f.seek(SeekFrom::Start(off))?;
-        row.resize(len as usize, 0);
-        f.read_exact(&mut row)?;
-        buf.extend_from_slice(&row);
+    let es = dtype.size_bytes();
+    let bd = block.dims();
+    let row = bd.nx as usize * es as usize;
+    let pitch = domain.nx as usize * es as usize;
+    let mut plane = vec![0u8; (bd.ny as usize - 1) * pitch + row];
+    let mut data = Vec::with_capacity(block.n_verts() as usize);
+    for z in block.lo[2]..=block.hi[2] {
+        f.seek(SeekFrom::Start(
+            domain.vertex_index(block.lo[0], block.lo[1], z) * es,
+        ))?;
+        f.read_exact(&mut plane)?;
+        for r in plane.chunks(pitch) {
+            decode_into(&r[..row], dtype, &mut data);
+        }
     }
-    Ok(BlockField::new(*block, domain, decode(&buf, dtype)))
+    Ok(BlockField::new(*block, domain, data))
 }
 
 /// Total bytes a block reads (used by the I/O performance model).
@@ -181,17 +177,30 @@ mod tests {
 
     #[test]
     fn block_read_matches_extraction() {
+        // every dtype on regular and irregular trees; every decomposition
+        // has a block whose last row ends at the file's last byte
         let dims = Dims::new(9, 7, 5);
-        let f = ScalarField::from_fn(dims, |x, y, z| (x * 31 + y * 17 + z * 3) as f32);
-        let p = tempfile("block_read.raw");
-        write_raw(&p, &f, VolumeDType::F32).unwrap();
-        let d = Decomposition::bisect(dims, 4);
-        for b in d.blocks() {
-            let via_file = read_block(&p, dims, b, VolumeDType::F32).unwrap();
-            let via_mem = f.extract_block(b);
-            assert_eq!(via_file.data(), via_mem.data(), "block {}", b.id);
+        let f = ScalarField::from_fn(dims, |x, y, z| ((x * 31 + y * 17 + z * 3) % 251) as f32);
+        let weights: Vec<u64> = (0..dims.n_verts()).map(|i| i * i % 17).collect();
+        let decomps = [
+            Decomposition::bisect(dims, 4),
+            Decomposition::random_tree(dims, 5, 3),
+            Decomposition::adaptive(dims, 6, &weights),
+        ];
+        let corner = [dims.nx - 1, dims.ny - 1, dims.nz - 1];
+        for dtype in [VolumeDType::U8, VolumeDType::F32, VolumeDType::F64] {
+            let p = tempfile(&format!("block_read_{dtype:?}.raw"));
+            write_raw(&p, &f, dtype).unwrap();
+            for d in &decomps {
+                assert!(d.blocks().iter().any(|b| b.hi == corner));
+                for b in d.blocks() {
+                    let via_file = read_block(&p, dims, b, dtype).unwrap();
+                    let via_mem = f.extract_block(b);
+                    assert_eq!(via_file.data(), via_mem.data(), "{dtype:?} block {b:?}");
+                }
+            }
+            std::fs::remove_file(&p).ok();
         }
-        std::fs::remove_file(&p).ok();
     }
 
     #[test]
@@ -224,22 +233,5 @@ mod tests {
         }
         assert_eq!(read_raw(&p, dims, VolumeDType::U8).unwrap().data()[0], 1.0);
         std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn runs_are_disjoint_and_sized() {
-        let dims = Dims::new(8, 8, 8);
-        let d = Decomposition::bisect(dims, 8);
-        for b in d.blocks() {
-            let runs = block_runs(dims, b, VolumeDType::F32);
-            let total: u64 = runs.iter().map(|r| r.1).sum();
-            assert_eq!(total, block_bytes(b, VolumeDType::F32));
-            for w in runs.windows(2) {
-                assert!(
-                    w[0].0 + w[0].1 <= w[1].0,
-                    "runs must be ordered and disjoint"
-                );
-            }
-        }
     }
 }

@@ -476,6 +476,8 @@ mod tests {
         assert!(d.is_critical(RCoord::new(2, 2, 1)));
     }
 
+    // tests a `debug_assert!`, compiled out in release builds
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn double_assign_panics() {

@@ -56,6 +56,19 @@ cmp "$tracedir/irr1.msc" "$tracedir/irr4.msc"
 cmp "$tracedir/irr1.msc.seg" "$tracedir/irr4.msc.seg"
 cmp "$tracedir/irr1.msc.msh" "$tracedir/irr4.msc.msh"
 
+# dtype smoke: the block reader decodes f64 and u8 files plane by plane
+# on irregular boxes; a 3-rank adaptive run of each must write the .msc
+# byte-identical to the 1-rank run (u8 quantizes the jet to a plateau)
+for dt in f64 u8; do
+  msc synth --kind jet --size 33 --dtype "$dt" --output "$tracedir/jet_$dt.raw"
+  for r in 1 3; do
+    msc compute --input "$tracedir/jet_$dt.raw" --dims 33,38,22 --dtype "$dt" \
+      --ranks "$r" --blocks 6 --decomp adaptive --merge full --check \
+      --output "$tracedir/jet_${dt}_$r.msc"
+  done
+  cmp "$tracedir/jet_${dt}_1.msc" "$tracedir/jet_${dt}_3.msc"
+done
+
 # fault-recovery smoke: the same adaptive run with checkpoints and rank 1
 # crashing at the first merge round must recover all three artifacts
 # byte-identical to the canonical 1-rank run
