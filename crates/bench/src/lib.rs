@@ -1,16 +1,17 @@
-//! Shared harness code for the per-figure/per-table experiment binaries
-//! (see DESIGN.md §5 for the experiment index).
+//! Shared helpers of the `figures` driver (see DESIGN.md §5 for the
+//! experiment index): the scale preset, the text sink and table printer
+//! every figure writes through, the telemetry emitters and the one
+//! simulated-run setting the scaling figures share.
 //!
-//! Every binary prints the same rows/series the paper reports, scaled to
-//! workstation size. Scale knobs come from environment variables so
-//! EXPERIMENTS.md runs are reproducible:
+//! Two environment variables keep the runs reproducible:
 //!
 //! * `MSP_SCALE=small|default|large` — preset problem sizes;
-//! * individual binaries document any extra knobs they accept.
+//! * `MSP_RESULTS_DIR` — where results land (default `results/`).
 
-use msp_core::{RunResult, SimParams, SimReport};
+use msp_core::{MergePlan, SimParams, SimReport};
 use msp_grid::ScalarField;
-use msp_telemetry::{write_named_json, Json, RunTrace};
+use msp_telemetry::{write_named_json, Json};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Problem-size preset selected by `MSP_SCALE`.
@@ -43,12 +44,6 @@ impl Scale {
     }
 }
 
-/// Run one simulation and return the report (thin wrapper that keeps the
-/// binaries terse).
-pub fn run_sim(field: &ScalarField, ranks: u32, params: &SimParams) -> SimReport {
-    msp_core::simulate(field, ranks, params).unwrap_or_else(|e| panic!("simulation failed: {e}"))
-}
-
 /// Where experiment outputs land: `MSP_RESULTS_DIR` or `results/`.
 pub fn results_dir() -> PathBuf {
     std::env::var_os("MSP_RESULTS_DIR")
@@ -56,109 +51,52 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Persist an already-built telemetry document as
-/// `results/<name>.telemetry.json`. The emit_* wrappers below cover the
-/// common report shapes; binaries with a bespoke document (e.g. the fault
-/// sweep) call this directly so every artifact still lands in one place.
-pub fn emit_doc(name: &str, doc: &Json) -> Option<PathBuf> {
+/// One figure's text: every line is echoed to stdout and kept for
+/// `results/<stem>.txt`.
+#[derive(Default)]
+pub struct Out(pub String);
+
+impl Out {
+    pub fn line(&mut self, s: impl std::fmt::Display) {
+        println!("{s}");
+        writeln!(self.0, "{s}").expect("writing to a String");
+    }
+}
+
+/// Persist a telemetry document as `results/<name>.telemetry.json`.
+pub fn emit_doc(name: &str, doc: &Json) {
     match write_named_json(&results_dir(), name, doc) {
-        Ok(p) => {
-            println!("\ntelemetry written to {}", p.display());
-            Some(p)
-        }
-        Err(e) => {
-            eprintln!("\ntelemetry write failed ({name}): {e}");
-            None
-        }
+        Ok(p) => println!("telemetry written to {}", p.display()),
+        Err(e) => eprintln!("telemetry write failed ({name}): {e}"),
     }
 }
 
-/// Whether `MSP_TRACE` asks the experiment binaries to record and emit
-/// causal event traces (any value but `0`/`off`/empty enables).
-pub fn trace_enabled() -> bool {
-    match std::env::var("MSP_TRACE").as_deref() {
-        Ok("") | Ok("0") | Ok("off") | Err(_) => false,
-        Ok(_) => true,
-    }
-}
-
-/// Persist a run's causal trace as `results/<name>.trace.json`
-/// (Chrome trace-event format; load in ui.perfetto.dev).
-pub fn emit_trace(name: &str, trace: &RunTrace) -> Option<PathBuf> {
-    match trace.write(&results_dir(), name) {
-        Ok(p) => {
-            println!("trace written to {}", p.display());
-            Some(p)
-        }
-        Err(e) => {
-            eprintln!("trace write failed ({name}): {e}");
-            None
-        }
-    }
-}
-
-/// Persist a threaded-pipeline run's aggregated telemetry as
-/// `results/<name>.telemetry.json`. Shared by every experiment binary so
-/// report emission lives in exactly one place.
-pub fn emit_run_report(name: &str, result: &RunResult) -> Option<PathBuf> {
-    let mut report = result.telemetry.clone();
-    report.name = name.to_string();
-    emit_doc(name, &report.to_json())
-}
-
-/// Persist a labelled series of threaded-pipeline runs (ablations,
-/// stability sweeps) as a single `results/<name>.telemetry.json`.
-pub fn emit_run_series(name: &str, series: &[(String, &RunResult)]) -> Option<PathBuf> {
+/// Persist a labelled series of run reports as one
+/// `results/<name>.telemetry.json`; `kind` is `run_series` for threaded
+/// pipeline runs and `sim_series` for simulated ones.
+pub fn emit_series(name: &str, kind: &str, runs: Vec<(String, Json)>) {
+    let runs = runs
+        .into_iter()
+        .map(|(label, report)| Json::obj(vec![("label", Json::str(label)), ("report", report)]))
+        .collect();
     let doc = Json::obj(vec![
         ("version", Json::U64(msp_telemetry::REPORT_VERSION as u64)),
-        ("kind", Json::str("run_series")),
+        ("kind", Json::str(kind)),
         ("name", Json::str(name)),
-        (
-            "runs",
-            Json::Arr(
-                series
-                    .iter()
-                    .map(|(label, r)| {
-                        Json::obj(vec![
-                            ("label", Json::str(label.clone())),
-                            ("report", r.telemetry.to_json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("runs", Json::Arr(runs)),
     ]);
-    emit_doc(name, &doc)
+    emit_doc(name, &doc);
 }
 
-/// Persist one simulated run under `results/<name>.telemetry.json`.
-pub fn emit_sim_report(name: &str, report: &SimReport) -> Option<PathBuf> {
-    emit_doc(name, &report.to_json())
-}
-
-/// Persist a labelled series of simulated runs (scaling sweeps, strategy
-/// tables) as a single `results/<name>.telemetry.json` document.
-pub fn emit_sim_series(name: &str, series: &[(String, SimReport)]) -> Option<PathBuf> {
-    let doc = Json::obj(vec![
-        ("version", Json::U64(msp_telemetry::REPORT_VERSION as u64)),
-        ("kind", Json::str("sim_series")),
-        ("name", Json::str(name)),
-        (
-            "runs",
-            Json::Arr(
-                series
-                    .iter()
-                    .map(|(label, r)| {
-                        Json::obj(vec![
-                            ("label", Json::str(label.clone())),
-                            ("report", r.to_json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    emit_doc(name, &doc)
+/// Simulate `ranks` virtual ranks merging by `plan` at 1 % persistence,
+/// the setting of every simulated scaling figure and table.
+pub fn simulate(field: &ScalarField, ranks: u32, plan: MergePlan) -> SimReport {
+    let params = SimParams {
+        persistence_frac: 0.01,
+        plan,
+        ..Default::default()
+    };
+    msp_core::simulate(field, ranks, &params).unwrap_or_else(|e| panic!("simulation failed: {e}"))
 }
 
 /// Strong-scaling efficiency relative to a base point:
@@ -186,23 +124,26 @@ pub struct Table {
 }
 
 impl Table {
-    pub fn new(headers: &[&str]) -> Self {
-        let widths: Vec<usize> = headers.iter().map(|h| h.len().max(9)).collect();
-        let mut line = String::new();
-        for (h, w) in headers.iter().zip(&widths) {
-            line.push_str(&format!("{:>w$} ", h, w = w));
-        }
-        println!("{line}");
-        println!("{}", "-".repeat(line.len()));
-        Table { widths }
+    pub fn new(out: &mut Out, headers: &[&str]) -> Self {
+        let table = Table {
+            widths: headers.iter().map(|h| h.len().max(9)).collect(),
+        };
+        let line = table.format(headers);
+        out.line(&line);
+        out.line("-".repeat(line.len()));
+        table
     }
 
-    pub fn row(&self, cells: &[String]) {
-        let mut line = String::new();
-        for (c, w) in cells.iter().zip(&self.widths) {
-            line.push_str(&format!("{:>w$} ", c, w = w));
-        }
-        println!("{line}");
+    pub fn row(&self, out: &mut Out, cells: &[String]) {
+        out.line(self.format(cells));
+    }
+
+    fn format(&self, cells: &[impl std::fmt::Display]) -> String {
+        cells
+            .iter()
+            .zip(&self.widths)
+            .map(|(c, w)| format!("{c:>w$} "))
+            .collect()
     }
 }
 

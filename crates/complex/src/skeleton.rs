@@ -732,15 +732,6 @@ impl MsComplex {
         (size_of::<MsComplex>() + vecs + adj + index) as u64
     }
 
-    /// Total number of path cells across all living arcs (geometry cost).
-    pub fn live_geometry_cells(&self) -> u64 {
-        self.arcs
-            .iter()
-            .filter(|a| a.alive)
-            .map(|a| self.geom_len(a.geom))
-            .sum()
-    }
-
     /// Rebuild dense arrays: drop dead nodes/arcs, keep only owned
     /// geometry records reachable from living arcs (preserving the
     /// sharing DAG — the paper's geometry objects are stored by
@@ -838,34 +829,6 @@ impl MsComplex {
         };
         map[g as usize] = id;
         id
-    }
-
-    /// Number of geometry records reachable from living arcs, and the
-    /// total leaf cells among them — the deduplicated storage cost of the
-    /// geometric embedding.
-    pub fn reachable_geometry(&self) -> (u64, u64) {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack: Vec<GeomId> = self
-            .arcs
-            .iter()
-            .filter(|a| a.alive)
-            .map(|a| a.geom)
-            .collect();
-        let mut cells = 0u64;
-        while let Some(g) = stack.pop() {
-            if !seen.insert(g) {
-                continue;
-            }
-            match self.rec(g).0 {
-                GeomRec::Leaf { len, .. } => cells += len as u64,
-                GeomRec::Cancel { first, mid, last } => {
-                    stack.push(first);
-                    stack.push(mid);
-                    stack.push(last);
-                }
-            }
-        }
-        (seen.len() as u64, cells)
     }
 
     /// Recompute the boundary flags against the current member-block

@@ -266,18 +266,6 @@ impl BlockField {
             })
             .fold(f32::NEG_INFINITY, f32::max)
     }
-
-    /// The maximal vertex (under the SoS order) of the cell at `c`.
-    pub fn max_vertex_of(&self, c: RCoord) -> (VKey, RCoord) {
-        let mut best: Option<(VKey, RCoord)> = None;
-        for v in c.vertices() {
-            let k = self.vertex_key(v);
-            if best.is_none_or(|(bk, _)| k > bk) {
-                best = Some((k, v));
-            }
-        }
-        best.unwrap()
-    }
 }
 
 #[cfg(test)]

@@ -222,10 +222,6 @@ impl GradientField {
         self.byte(c) & CRITICAL != 0
     }
 
-    pub fn is_paired(&self, c: RCoord) -> bool {
-        self.byte(c) & PAIRED != 0
-    }
-
     /// True when `c` is the tail of its vector (paired with a cofacet,
     /// i.e. flow passes *through* `c` into the partner).
     pub fn is_tail(&self, c: RCoord) -> bool {

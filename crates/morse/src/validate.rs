@@ -6,7 +6,7 @@
 
 use crate::gradient::GradientField;
 use msp_grid::decomp::Decomposition;
-use msp_grid::topology::{cofacets, facets};
+use msp_grid::topology::facets;
 use msp_grid::RCoord;
 use std::collections::HashMap;
 
@@ -148,24 +148,6 @@ pub fn pairs_respect_owners(grad: &GradientField, decomp: &Decomposition) -> boo
         Some(p) => decomp.owners(c) == decomp.owners(p),
         None => true,
     })
-}
-
-/// The critical cells of `grad` restricted to cells whose owner sets have
-/// at least `min_owners` members — used to count boundary artifacts.
-pub fn boundary_critical_count(grad: &GradientField, decomp: &Decomposition) -> u64 {
-    grad.critical_cells()
-        .iter()
-        .filter(|&&c| decomp.owners(c).is_shared())
-        .count() as u64
-}
-
-/// Spot-check that cofacet enumeration agrees with facet enumeration
-/// (a cheap smoke version of the randomized duality test,
-/// `facet_cofacet_duality` in `msp-grid`'s tests).
-pub fn facet_duality_holds(grad: &GradientField) -> bool {
-    let bbox = *grad.bbox();
-    bbox.iter()
-        .all(|c| facets(c, &bbox).all(|(_, f)| cofacets(f, &bbox).any(|(_, cf)| cf == c)))
 }
 
 #[cfg(test)]

@@ -42,8 +42,8 @@ pub(crate) mod wirefmt;
 pub use counter::{Counter, ALL_COUNTERS};
 pub use json::Json;
 pub use live::{
-    bucket_width, check_from_env, progress_interval_from_env, Heartbeat, HistSnapshot, LiveCounter,
-    LiveGauge, LiveHistogram, ProgressPhase, ProgressState, RateWindow, Registry, HIST_BUCKETS,
+    bucket_width, Heartbeat, HistSnapshot, LiveCounter, LiveGauge, LiveHistogram, ProgressPhase,
+    ProgressState, RateWindow, Registry, HIST_BUCKETS,
 };
 pub use phase::Phase;
 pub use recorder::{Recorder, SpanError};

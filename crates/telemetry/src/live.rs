@@ -709,20 +709,6 @@ impl ProgressState {
     }
 }
 
-/// Heartbeat interval from `MSP_PROGRESS` (seconds; `0`/unset = off).
-pub fn progress_interval_from_env() -> Option<f64> {
-    std::env::var("MSP_PROGRESS")
-        .ok()
-        .and_then(|s| s.trim().parse::<f64>().ok())
-        .filter(|&s| s > 0.0 && s.is_finite())
-}
-
-/// Whether `MSP_CHECK` asks for the oracle invariant checker (`1` or
-/// `true`).
-pub fn check_from_env() -> bool {
-    matches!(std::env::var("MSP_CHECK").as_deref(), Ok("1" | "true"))
-}
-
 /// A background thread printing [`ProgressState::line`] to stderr every
 /// `interval` until dropped; dropping prints one final line so even
 /// runs shorter than the interval leave a record.

@@ -47,8 +47,8 @@ pub enum Phase {
     HierarchyCount,
     /// Collective write of output blocks (§IV-G).
     Write,
-    /// Invariant checking of the output complexes (`--check` /
-    /// `MSP_CHECK=1`); off by default.
+    /// Invariant checking of the output complexes (`--check`); off by
+    /// default.
     Check,
     /// Whole-pipeline wall time of the rank.
     Total,

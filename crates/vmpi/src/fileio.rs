@@ -52,20 +52,9 @@ pub fn read_runs(path: &Path, runs: &[(u64, u64)]) -> io::Result<Vec<u8>> {
 
 /// Collectively write this rank's payload blocks (possibly none) and the
 /// footer. Every rank must call this; returns the footer on every rank.
-/// Payloads land in rank order (rank 0's blocks first); the footer's
-/// third field records the writing rank.
-pub fn collective_write_blocks(
-    rank: &Rank,
-    path: &Path,
-    payloads: &[Bytes],
-) -> io::Result<Vec<FooterEntry>> {
-    collective_write_impl(rank, path, payloads, None)
-}
-
-/// Like [`collective_write_blocks`], but payloads are placed in the file
-/// in ascending **key** order across all ranks (keys must be globally
-/// unique — e.g. block ids), and the footer's third field records the
-/// key instead of the writing rank. Because neither placement nor
+/// Payloads are placed in the file in ascending **key** order across all
+/// ranks (keys must be globally unique — e.g. block ids), and the
+/// footer's third field records the key. Because neither placement nor
 /// footer depends on which rank contributed which payload, the same
 /// payload/key sets produce a **byte-identical file for every rank
 /// count** — the determinism contract of the `.seg` labeled volume.
@@ -76,23 +65,11 @@ pub fn collective_write_blocks_keyed(
     keys: &[u64],
 ) -> io::Result<Vec<FooterEntry>> {
     debug_assert_eq!(payloads.len(), keys.len());
-    collective_write_impl(rank, path, payloads, Some(keys))
-}
-
-fn collective_write_impl(
-    rank: &Rank,
-    path: &Path,
-    payloads: &[Bytes],
-    keys: Option<&[u64]>,
-) -> io::Result<Vec<FooterEntry>> {
-    // 1. announce sizes (and keys, for keyed writes)
-    let per = if keys.is_some() { 16 } else { 8 };
-    let mut size_msg = BytesMut::with_capacity(4 + payloads.len() * per);
+    // 1. announce keys and sizes
+    let mut size_msg = BytesMut::with_capacity(4 + payloads.len() * 16);
     size_msg.put_u32_le(payloads.len() as u32);
-    for (i, p) in payloads.iter().enumerate() {
-        if let Some(ks) = keys {
-            size_msg.put_u64_le(ks[i]);
-        }
+    for (p, &key) in payloads.iter().zip(keys) {
+        size_msg.put_u64_le(key);
         size_msg.put_u64_le(p.len() as u64);
     }
     let gathered = rank
@@ -109,13 +86,12 @@ fn collective_write_impl(
             let mut b = &msg[..];
             let n = b.get_u32_le() as usize;
             for i in 0..n {
-                let key = if keys.is_some() { b.get_u64_le() } else { 0 };
+                let key = b.get_u64_le();
                 let len = b.get_u64_le();
                 blocks.push((key, r, i, len));
             }
         }
-        // Plain writes keep gather order (key 0 everywhere, rank/index
-        // tie-break); keyed writes interleave ranks into global key order.
+        // interleave ranks into global key order
         blocks.sort();
         let mut entries = Vec::with_capacity(blocks.len());
         let mut per_rank_offsets: Vec<Vec<(usize, u64)>> = vec![Vec::new(); rank.size()];
@@ -125,7 +101,7 @@ fn collective_write_impl(
             entries.push(FooterEntry {
                 offset: cursor,
                 len,
-                writer: if keys.is_some() { key as u32 } else { r as u32 },
+                writer: key as u32,
             });
             cursor += len;
         }
@@ -260,11 +236,13 @@ mod tests {
     fn collective_write_and_footer() {
         let path = tmp("cw.bin");
         let footers = Universe::run(4, |r| {
-            // rank i writes i payloads (rank 0 issues a null write)
+            // rank i writes i payloads (rank 0 issues a null write), each
+            // filled with its key
+            let keys: Vec<u64> = (0..r.rank()).map(|k| (r.rank() * 16 + k) as u64).collect();
             let payloads: Vec<Bytes> = (0..r.rank())
-                .map(|k| Bytes::from(vec![r.rank() as u8 * 16 + k as u8; 10 * (k + 1)]))
+                .map(|k| Bytes::from(vec![keys[k] as u8; 10 * (k + 1)]))
                 .collect();
-            collective_write_blocks(r, &path, &payloads).unwrap()
+            collective_write_blocks_keyed(r, &path, &payloads, &keys).unwrap()
         });
         // all ranks see identical footers
         for f in &footers[1..] {
@@ -279,7 +257,7 @@ mod tests {
             let data = read_block_payload(&path, e).unwrap();
             assert_eq!(data.len() as u64, e.len);
             assert!(data.iter().all(|&b| b == data[0]));
-            assert_eq!(data[0] >> 4, e.writer as u8);
+            assert_eq!(data[0], e.writer as u8);
         }
         // entries are contiguous from offset 0
         let mut cursor = 0;
@@ -336,7 +314,7 @@ mod tests {
     fn empty_write_produces_valid_footer() {
         let path = tmp("empty.bin");
         Universe::run(3, |r| {
-            collective_write_blocks(r, &path, &[]).unwrap();
+            collective_write_blocks_keyed(r, &path, &[], &[]).unwrap();
         });
         let footer = read_footer(&path).unwrap();
         assert!(footer.is_empty());

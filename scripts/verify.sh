@@ -104,12 +104,6 @@ for t in 1 3; do
 done
 cmp "$tracedir/sin1.msc" "$tracedir/sin3.msc"
 
-# fault sweep smoke: checkpointed runs at crash rates 0-10 % on a small
-# jet; the binary asserts every recovered run is bit-identical to the
-# fault-free baseline (its overhead column is not gated)
-MSP_SCALE=small MSP_RESULTS_DIR="$tracedir" \
-  cargo run -q --release -p msp-bench --bin fault_sweep > /dev/null
-
 # serve smoke: precompute an artifact with --hierarchy, drive the query
 # layer over stdio with repeated keys, arc geometry read through the
 # base's shared geometry, a count threshold at 400 that extends the
@@ -148,25 +142,14 @@ hits="$(grep -o '"hits":[0-9]*' "$tracedir/serve_out.jsonl" | tail -1 | cut -d: 
 grep -q 'latency self-check ok' "$tracedir/serve_err.txt" \
   || { echo "serve smoke: missing latency self-check"; cat "$tracedir/serve_err.txt"; exit 1; }
 
-# metrics agreement check: live registry served over real TCP — the
-# Prometheus text exposition, the {"op":"metrics"} JSON snapshot and
-# the shutdown report must agree within 1%
-cargo run -q --release -p msp-bench --bin metrics_check
-
-# balance sweep smoke: uniform bisection vs the adaptive splitter under
-# the shared feature-weight cost model; gates on adaptive imbalance
-# strictly below uniform at every swept rank count, cross-checks the
-# pipeline's assign_cost telemetry, and runs the deferred multicore
-# speedup gate when the host exposes >= 4 CPUs
+# figure smoke: the figures driver regenerates every table and figure
+# at small scale into $tracedir; it asserts its gates (the fault sweep's
+# bit-identical recoveries, the balance sweep's adaptive-below-uniform
+# imbalance, assign_cost cross-check and BENCH_balance.json round trip,
+# and the speedup gate on hosts with >= 4 CPUs), so a panic fails the
+# gate; its timing columns are not gated
 MSP_SCALE=small MSP_RESULTS_DIR="$tracedir" \
-  cargo run -q --release -p msp-bench --bin balance_sweep
-
-# simulator smoke: the figure and table binaries run the stage list on
-# virtual ranks (a panic or error fails the gate)
-for bin in fig5_workloads fig6_sweep fig9_jet fig10_rt table1_merge_cost table2_strategy; do
-  MSP_SCALE=small MSP_RESULTS_DIR="$tracedir" \
-    cargo run -q --release -p msp-bench --bin "$bin" > /dev/null
-done
+  cargo run -q --release -p msp-bench --bin figures > /dev/null
 
 # differential fuzz, the repository's property harness: seeded oracle
 # fuzz iterations (a seed the tier-1 spine test does not use) plus a

@@ -23,7 +23,6 @@ use morse_smale_parallel::grid::rawio::{write_raw, VolumeDType};
 use morse_smale_parallel::grid::Dims;
 use morse_smale_parallel::segment::{wire as segwire, BlockSegmentation};
 use morse_smale_parallel::synth;
-use morse_smale_parallel::telemetry::{check_from_env, progress_interval_from_env};
 use morse_smale_parallel::vmpi::fileio::{read_block_payload, read_footer};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -119,7 +118,7 @@ fn usage() {
          \u{20}           [--trace [FILE]]  (Chrome trace + critical path;\n\
          \u{20}           default FILE: results/<output stem>.trace.json)\n\
          \u{20}           [--check]  (oracle invariant checker over every\n\
-         \u{20}           output; violations fail the run; MSP_CHECK=1 too)\n\
+         \u{20}           output; violations fail the run)\n\
          \u{20}           [--segment]  (full MS segmentation: labeled\n\
          \u{20}           volumes resolved by distributed path compression;\n\
          \u{20}           writes <output>.seg next to the complex)\n\
@@ -127,7 +126,7 @@ fn usage() {
          \u{20}           sequence for threshold-free querying; implies\n\
          \u{20}           --segment; writes <output>.msh next to the complex)\n\
          \u{20}           [--progress SECS]  (heartbeat lines on stderr:\n\
-         \u{20}           phase, ranks done, bytes moved; MSP_PROGRESS too)\n\
+         \u{20}           phase, ranks done, bytes moved)\n\
          \u{20}           SPEC: crash:R@K;drop:F->T#N;delay:F->T#N+MS;slow:R*F\n\
          \u{20} serve     FILE... (from compute --hierarchy)\n\
          \u{20}           [--listen ADDR]  (TCP; default: stdin/stdout)\n\
@@ -315,15 +314,15 @@ fn cmd_compute(o: &Opts) -> Result<(), String> {
         ),
         None => None,
     };
-    let progress: Option<f64> = match o.opt("progress") {
-        Some(v) => Some(
+    let progress: Option<f64> = o
+        .opt("progress")
+        .map(|v| {
             v.parse::<f64>()
                 .ok()
                 .filter(|s| *s > 0.0 && s.is_finite())
-                .ok_or_else(|| format!("bad value for --progress: {v}"))?,
-        ),
-        None => progress_interval_from_env(),
-    };
+                .ok_or_else(|| format!("bad value for --progress: {v}"))
+        })
+        .transpose()?;
     let params = PipelineParams {
         persistence_frac: persistence,
         plan,
@@ -331,7 +330,7 @@ fn cmd_compute(o: &Opts) -> Result<(), String> {
         fault,
         trace: o.has("trace"),
         threads,
-        check: o.has("check") || check_from_env(),
+        check: o.has("check"),
         // the count ordering needs region sizes, so --hierarchy turns
         // the segmentation stage on too
         segment: o.has("segment") || o.has("hierarchy"),
