@@ -568,10 +568,13 @@ fn ablation_blocking(scale: Scale, out: &mut Out) {
 
 /// Fault-tolerance overhead on the Fig-9 jet workload: wall time of the
 /// threaded pipeline as the injected crash rate rises from 0 to 10%,
+/// then with two fixed crashes of a member that still holds its block,
 /// against a checkpoint-free baseline. Every row is the median of
 /// `REPEATS` runs after one untimed warm-up, so the rate-0 row measures
 /// the cost of checkpointing rather than a cold first run. Every run,
-/// the baseline's included, is asserted bit-identical to the warm-up.
+/// the baseline's included, is asserted bit-identical to the warm-up,
+/// and each fixed row must recover its member through the deadline
+/// (`retries` ≥ 1).
 fn fault_sweep(scale: Scale, out: &mut Out) {
     const RANKS: u32 = 8;
     const ROUNDS: &[u32] = &[2, 2, 2]; // 8 blocks -> 1, three cut points
@@ -619,7 +622,7 @@ fn fault_sweep(scale: Scale, out: &mut Out) {
     let t = Table::new(
         out,
         &[
-            "fault rate",
+            "faults",
             "wall(s)",
             "overhead(%)",
             "crashes",
@@ -643,11 +646,23 @@ fn fault_sweep(scale: Scale, out: &mut Out) {
         ],
     );
 
+    // the seeded rate rows, then two crashes of a member holding a block
+    // its root is still to receive: rank 1 in round 1, rank 4 in round 3
+    let seeded = |rate: f64| {
+        (rate > 0.0)
+            .then(|| FaultPlan::seeded_crashes(2012, RANKS as usize, ROUNDS.len() as u32, rate))
+    };
+    let mut rows: Vec<(String, Option<f64>, Option<FaultPlan>)> = [0.0f64, 0.02, 0.05, 0.10]
+        .map(|rate| (format!("{:.0}%", rate * 100.0), Some(rate), seeded(rate)))
+        .into();
+    for (rank, round) in [(1, 1), (4, 3)] {
+        let plan = FaultPlan::new().crash(rank, round);
+        rows.push((format!("crash:{rank}@{round}"), None, Some(plan)));
+    }
     let mut runs = Vec::new();
     let mut diverged = Vec::new();
-    for rate in [0.0f64, 0.02, 0.05, 0.10] {
-        let plan = (rate > 0.0)
-            .then(|| FaultPlan::seeded_crashes(2012, RANKS as usize, ROUNDS.len() as u32, rate));
+    let mut unretried = Vec::new();
+    for (label, rate, plan) in rows {
         let params = PipelineParams {
             fault: FaultConfig {
                 plan,
@@ -659,14 +674,16 @@ fn fault_sweep(scale: Scale, out: &mut Out) {
         let (wall_s, r, identical) = timed(&params);
         let overhead = 100.0 * (wall_s - base_s) / base_s;
         let tel = &r.telemetry;
-        let label = format!("{:.0}%", rate * 100.0);
         if !identical {
             diverged.push(label.clone());
+        }
+        if rate.is_none() && tel.counter_total("retries") == 0 {
+            unretried.push(label.clone());
         }
         t.row(
             out,
             &[
-                label,
+                label.clone(),
                 format!("{wall_s:.3}"),
                 format!("{overhead:+.1}"),
                 format!("{}", tel.counter_total("crashes")),
@@ -678,7 +695,8 @@ fn fault_sweep(scale: Scale, out: &mut Out) {
         );
         let counter = |key| (key, Json::U64(tel.counter_total(key)));
         runs.push(Json::obj(vec![
-            ("rate", Json::F64(rate)),
+            ("row", Json::str(label)),
+            ("rate", rate.map_or(Json::Null, Json::F64)),
             ("wall_s", Json::F64(wall_s)),
             ("overhead_pct", Json::F64(overhead)),
             counter("crashes"),
@@ -712,14 +730,25 @@ fn fault_sweep(scale: Scale, out: &mut Out) {
     emit_doc("fault_sweep", &doc);
     out.line(format!(
         "\nExpected shape: the rate-0 row is pure checkpoint overhead\n\
-         (<15% is the acceptance bar); each crash then adds roughly the\n\
-         {}ms detection deadline plus one round replay, and every\n\
-         recovered run stays bit-identical to the baseline.",
+         (<15% is the acceptance bar). A crashed rank reloads its own\n\
+         checkpoint at the cut and replays the round without waiting\n\
+         (retries 0). The seeded rows crash only such ranks: 2% crashes\n\
+         none, 5% rank 6 at round 3 (its block left in round 1), 10% adds\n\
+         root rank 0 at round 2. The crash:R@K rows crash a member whose\n\
+         block its root has yet to receive: the root waits out the {}ms\n\
+         deadline and reloads the block from the member's checkpoint\n\
+         (retries 1; replayed 2 counts that reload and the member's own),\n\
+         so the row pays the deadline in wall time. Every recovered run\n\
+         stays bit-identical to the baseline.",
         deadline.as_millis()
     ));
     assert!(
         diverged.is_empty(),
-        "recovered runs differ from the baseline at fault rate(s) {diverged:?}"
+        "recovered runs differ from the baseline in row(s) {diverged:?}"
+    );
+    assert!(
+        unretried.is_empty(),
+        "no member was recovered through the deadline in row(s) {unretried:?}"
     );
 }
 

@@ -35,6 +35,6 @@ pub use pipeline::{
 pub use plan::MergePlan;
 pub use sched::{feature_weights, full_merge_plan, Assignment, DecompMode, MergeSchedule};
 pub use serve::{
-    load_dataset, serve_lines, serve_tcp, Dataset, ServeConfig, ServeError, ServerCore,
+    load_dataset, serve_session, serve_tcp, Dataset, ServeConfig, ServeError, ServerCore,
 };
 pub use simdriver::{simulate, RoundReport, SimParams, SimReport};

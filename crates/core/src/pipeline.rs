@@ -358,7 +358,10 @@ pub fn run_parallel(
     // One time base for every rank's trace sink, taken before any rank
     // starts, so cross-rank timestamps are causally comparable.
     let epoch = Instant::now();
-    let heartbeat = heartbeat("pipeline", n_ranks, params.progress);
+    let heartbeat = params
+        .progress
+        .filter(|&s| s > 0.0 && s.is_finite())
+        .map(|secs| Heartbeat::spawn("pipeline", n_ranks as usize, Duration::from_secs_f64(secs)));
     job.progress = heartbeat.as_ref().map(|h| h.state());
     let inject = (params.fault.plan.clone()).map(|p| Arc::new(p) as Arc<dyn Inject>);
     let results = Universe::run_with_inject(n_ranks as usize, inject, |rank| {
@@ -413,16 +416,6 @@ pub fn run_parallel(
         hierarchies: out.hier.into_iter().map(|(_, h)| h).collect(),
         msh_footer: out.msh_footer,
     })
-}
-
-/// The progress heartbeat of a run (`None`: off).
-pub(crate) fn heartbeat(source: &str, n_ranks: u32, secs: Option<f64>) -> Option<Heartbeat> {
-    let secs = secs.filter(|&s| s > 0.0 && s.is_finite())?;
-    Some(Heartbeat::spawn(
-        source,
-        n_ranks as usize,
-        Duration::from_secs_f64(secs),
-    ))
 }
 
 pub(crate) type RankResult = (f32, stages::RankOut, Option<RunReport>, Option<RunTrace>);

@@ -9,9 +9,10 @@
 //!
 //! ## Protocol
 //!
-//! Line-delimited JSON over stdin/stdout ([`serve_lines`]) or TCP
-//! ([`serve_tcp`]); one request object per line, one response object per
-//! line, in request order. Requests name an `op`:
+//! Line-delimited JSON over stdin/stdout or TCP ([`serve_tcp`]); one
+//! request object per line, one response object per line, in request
+//! order. Both transports run the same loop, [`serve_session`], which
+//! answers each line before it reads the next. Requests name an `op`:
 //!
 //! ```text
 //! {"op":"ping"}
@@ -29,12 +30,15 @@
 //!
 //! `dataset` defaults to the first loaded dataset, `block` to 0 and
 //! `ordering` to `difference`. Errors come back as
-//! `{"ok":false,"error":...}` and never tear the connection down, with
-//! one exception: a request line longer than [`MAX_REQUEST_LINE`] bytes
-//! is answered `{"ok":false,"error":"request line exceeds 65536 bytes"}`
-//! (counted in `serve_errors`) and then the connection is closed, its
-//! unread input discarded (on stdio the session ends), so no client can
-//! make the server buffer an unbounded line.
+//! `{"ok":false,"error":...}` and never tear the connection down; a
+//! request nested too deep to parse is one of them. There is one
+//! exception: a request line longer than [`MAX_REQUEST_LINE`] bytes is
+//! answered `{"ok":false,"error":"request line exceeds 65536 bytes"}`
+//! (counted in `serve_errors`) and then the session ends, its unread
+//! input discarded. An HTTP request line or header over the same cap is
+//! answered `400 Bad Request`. So no client can make the server buffer
+//! an unbounded line. A line that cannot be read, one that is not UTF-8
+//! included, ends the session without a reply.
 //!
 //! Every reply — a JSON line with its newline, or an HTTP head with its
 //! body — is assembled in one buffer and leaves in one write
@@ -79,9 +83,9 @@
 //! atomic counters (`serve_queries` …), byte gauges, windowed QPS and
 //! one log-bucketed latency histogram per query class — recording is
 //! lock-free and memory is O(histogram buckets), never O(requests).
-//! Requests slower than [`ServeConfig::slow_us`] emit a structured
-//! `{"event":"slow_request",...}` JSON line on stderr (sampled by
-//! [`ServeConfig::slow_sample`]). [`ServerCore::report`] folds the
+//! Every request slower than [`ServeConfig::slow_us`] emits a structured
+//! `{"event":"slow_request",...}` JSON line on stderr.
+//! [`ServerCore::report`] folds the
 //! counters plus a live snapshot into an `msp-telemetry` run report
 //! (meta `qps`, `hit_rate`, per-class p50/p99, `live`).
 
@@ -95,11 +99,11 @@ use msp_telemetry::{
     Counter, Json, LiveCounter, LiveGauge, LiveHistogram, RateWindow, Recorder, Registry, RunReport,
 };
 use msp_vmpi::fileio::{read_block_payload, read_footer};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrd};
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrd};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -228,23 +232,16 @@ pub fn load_dataset(name: &str, msc_path: &Path) -> Result<Dataset, ServeError> 
 pub struct ServeConfig {
     /// Maximum cached materializations (LRU eviction beyond this).
     pub cache_capacity: usize,
-    /// Worker threads of the stdio pipeline ([`serve_lines`] default).
-    pub threads: usize,
     /// Requests at or above this latency (microseconds) log a
     /// `slow_request` event line on stderr; `None` disables the log.
     pub slow_us: Option<u64>,
-    /// Log every Nth slow request (1 = all); sampling keeps a
-    /// systematically slow deployment from flooding stderr.
-    pub slow_sample: u64,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             cache_capacity: 32,
-            threads: 4,
             slow_us: None,
-            slow_sample: 1,
         }
     }
 }
@@ -370,7 +367,6 @@ struct ServeMetrics {
     cache_bytes: Arc<LiveGauge>,
     classes: Vec<(&'static str, Arc<LiveHistogram>)>,
     rate: RateWindow,
-    slow_seen: AtomicU64,
 }
 
 impl ServeMetrics {
@@ -454,7 +450,6 @@ impl ServeMetrics {
             cache_bytes,
             classes,
             rate: RateWindow::new(),
-            slow_seen: AtomicU64::new(0),
         }
     }
 
@@ -468,6 +463,7 @@ impl ServeMetrics {
 
     /// Resident footprint of the metrics layer itself — a constant,
     /// asserted by the bounded-memory test.
+    #[cfg(test)]
     fn mem_bytes(&self) -> u64 {
         std::mem::size_of::<ServeMetrics>() as u64
             + self.classes.iter().map(|(_, h)| h.mem_bytes()).sum::<u64>()
@@ -475,7 +471,7 @@ impl ServeMetrics {
 }
 
 /// The transport-independent server: datasets, cache, coalescing map,
-/// live metrics. Shared across worker/connection threads by reference.
+/// live metrics. Shared across connection threads by reference.
 pub struct ServerCore {
     datasets: Vec<Dataset>,
     by_name: HashMap<String, usize>,
@@ -539,14 +535,6 @@ impl ServerCore {
         (self.answer(line, t0, class, result), close)
     }
 
-    /// The reply to a request line longer than [`MAX_REQUEST_LINE`]: an
-    /// `invalid` request answered with an error; the session ends after
-    /// it.
-    fn reject_overlong(&self) -> String {
-        let msg = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
-        self.answer("", Instant::now(), "invalid", Err(msg))
-    }
-
     /// Account a request of `class` that started at `t0` (counters,
     /// latency, the slow-request log) and render its reply.
     fn answer(
@@ -568,31 +556,26 @@ impl ServerCore {
                 Json::obj(vec![("ok", Json::Bool(false)), ("error", Json::str(msg))])
             }
         };
-        if let Some(threshold) = self.config.slow_us {
-            if us >= threshold {
-                m.slow.inc();
-                let seen = m.slow_seen.fetch_add(1, AtomicOrd::Relaxed);
-                if seen.is_multiple_of(self.config.slow_sample.max(1)) {
-                    let mut req = line.trim().to_string();
-                    if req.len() > 256 {
-                        let mut cut = 256;
-                        while !req.is_char_boundary(cut) {
-                            cut -= 1;
-                        }
-                        req.truncate(cut);
-                    }
-                    eprintln!(
-                        "{}",
-                        Json::obj(vec![
-                            ("event", Json::str("slow_request")),
-                            ("class", Json::str(class)),
-                            ("us", Json::U64(us)),
-                            ("request", Json::str(req)),
-                        ])
-                        .compact()
-                    );
+        if self.config.slow_us.is_some_and(|threshold| us >= threshold) {
+            m.slow.inc();
+            let mut req = line.trim().to_string();
+            if req.len() > 256 {
+                let mut cut = 256;
+                while !req.is_char_boundary(cut) {
+                    cut -= 1;
                 }
+                req.truncate(cut);
             }
+            eprintln!(
+                "{}",
+                Json::obj(vec![
+                    ("event", Json::str("slow_request")),
+                    ("class", Json::str(class)),
+                    ("us", Json::U64(us)),
+                    ("request", Json::str(req)),
+                ])
+                .compact()
+            );
         }
         json.compact()
     }
@@ -944,39 +927,42 @@ impl ServerCore {
         m.cache_bytes.set_u64(cache.bytes);
     }
 
-    fn counts(&self) -> (u64, u64, u64) {
+    /// Queries per second since the server started and the cache hit
+    /// rate (hits over lookups), each 0 while its denominator is.
+    pub fn rates(&self) -> (f64, f64) {
         let m = &self.metrics;
-        (m.queries.get(), m.hits.get(), m.misses.get())
+        let elapsed = self.started.elapsed().as_secs_f64();
+        let qps = if elapsed > 0.0 {
+            m.queries.get() as f64 / elapsed
+        } else {
+            0.0
+        };
+        let (hits, misses) = (m.hits.get(), m.misses.get());
+        let hit_rate = if hits + misses > 0 {
+            hits as f64 / (hits + misses) as f64
+        } else {
+            0.0
+        };
+        (qps, hit_rate)
     }
 
     /// Point-in-time statistics as a response object (the pre-live
     /// `stats` op shape, now derived from the registry).
     pub fn stats_json(&self) -> Json {
-        let (queries, hits, misses) = self.counts();
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let qps = if elapsed > 0.0 {
-            queries as f64 / elapsed
-        } else {
-            0.0
-        };
-        let lookups = hits + misses;
-        let hit_rate = if lookups > 0 {
-            hits as f64 / lookups as f64
-        } else {
-            0.0
-        };
+        let m = &self.metrics;
+        let (qps, hit_rate) = self.rates();
         ok_obj(
             "stats",
             vec![
-                ("queries", Json::U64(queries)),
-                ("hits", Json::U64(hits)),
-                ("misses", Json::U64(misses)),
-                ("coalesced", Json::U64(self.metrics.coalesced.get())),
-                ("replayed_records", Json::U64(self.metrics.replayed.get())),
-                ("errors", Json::U64(self.metrics.errors.get())),
+                ("queries", Json::U64(m.queries.get())),
+                ("hits", Json::U64(m.hits.get())),
+                ("misses", Json::U64(m.misses.get())),
+                ("coalesced", Json::U64(m.coalesced.get())),
+                ("replayed_records", Json::U64(m.replayed.get())),
+                ("errors", Json::U64(m.errors.get())),
                 ("qps", Json::F64(qps)),
                 ("hit_rate", Json::F64(hit_rate)),
-                ("classes", classes_json(&self.metrics.classes)),
+                ("classes", classes_json(&m.classes)),
             ],
         )
     }
@@ -1024,12 +1010,6 @@ impl ServerCore {
         self.metrics.registry.render_prometheus()
     }
 
-    /// Resident footprint of the serving statistics — constant no
-    /// matter how many requests have been handled.
-    pub fn metrics_mem_bytes(&self) -> u64 {
-        self.metrics.mem_bytes()
-    }
-
     /// Fold the serving statistics into an `msp-telemetry` run report:
     /// `serve_*` counters on rank 0, plus `qps` / `hit_rate` /
     /// per-class latency quantiles and the full live snapshot in the
@@ -1037,26 +1017,15 @@ impl ServerCore {
     /// here — a violation is a bug in the latency accounting, not a
     /// data property.
     pub fn report(&self, name: &str) -> RunReport {
-        let (queries, hits, misses) = self.counts();
+        let m = &self.metrics;
         let mut rec = Recorder::new(0, self.started);
-        rec.add(Counter::ServeQueries, queries);
-        rec.add(Counter::ServeHits, hits);
-        rec.add(Counter::ServeMisses, misses);
-        rec.add(Counter::ServeCoalesced, self.metrics.coalesced.get());
-        rec.add(Counter::ServeErrors, self.metrics.errors.get());
+        rec.add(Counter::ServeQueries, m.queries.get());
+        rec.add(Counter::ServeHits, m.hits.get());
+        rec.add(Counter::ServeMisses, m.misses.get());
+        rec.add(Counter::ServeCoalesced, m.coalesced.get());
+        rec.add(Counter::ServeErrors, m.errors.get());
         let rank = rec.finish();
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let qps = if elapsed > 0.0 {
-            queries as f64 / elapsed
-        } else {
-            0.0
-        };
-        let lookups = hits + misses;
-        let hit_rate = if lookups > 0 {
-            hits as f64 / lookups as f64
-        } else {
-            0.0
-        };
+        let (qps, hit_rate) = self.rates();
         for (class, hist) in &self.metrics.classes {
             assert!(
                 hist.quantile(50) <= hist.quantile(99),
@@ -1136,17 +1105,6 @@ fn read_request(reader: &mut impl BufRead) -> std::io::Result<Request> {
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
-/// Does this request line ask to stop reading (quit/shutdown)? Used by
-/// the stdio reader so a batch ending in `{"op":"quit"}` terminates
-/// without waiting for EOF.
-fn wants_close(line: &str) -> bool {
-    Json::parse(line.trim()).is_ok_and(|req| {
-        req.get("op")
-            .and_then(Json::as_str)
-            .is_some_and(|op| op == "quit" || op == "shutdown")
-    })
-}
-
 /// The one way a reply leaves the process, on every transport: the
 /// caller completes `reply` in its own buffer (a JSON reply with its
 /// newline pushed on, or an HTTP head with the body appended) and it is
@@ -1159,101 +1117,33 @@ fn write_reply(writer: &mut impl Write, reply: &str) -> std::io::Result<()> {
     writer.flush()
 }
 
-/// State of the in-order response writer: workers finish in any order
-/// but write strictly by sequence number.
-struct OutState<W> {
-    next: u64,
-    writer: W,
-    error: Option<std::io::Error>,
-}
-
-/// Serve a line-delimited session from any reader/writer pair with a
-/// worker pool: the calling thread reads and sequences requests,
-/// `threads` workers process them (cache coalescing happens here), and
-/// responses are written in request order via a ticket on the shared
-/// writer. Stops at EOF, after a `quit`/`shutdown` request, or after
-/// answering a line longer than [`MAX_REQUEST_LINE`].
-pub fn serve_lines<R, W>(
+/// Serve one line-delimited session from any reader/writer pair: stdin
+/// and stdout for `msc serve`, one connection of [`serve_tcp`]. Each
+/// line is answered before the next is read, so replies come back in
+/// request order. Stops at EOF, after answering `quit`/`shutdown`, or
+/// after answering a line longer than [`MAX_REQUEST_LINE`]. A line that
+/// cannot be read, one that is not UTF-8 included, ends the session
+/// without a reply; only a failed write is an error.
+pub fn serve_session(
     core: &ServerCore,
-    mut reader: R,
-    writer: W,
-    threads: usize,
-) -> std::io::Result<()>
-where
-    R: BufRead,
-    W: Write + Send,
-{
-    let threads = threads.max(1);
-    // a job without a line stands for one over the length cap
-    type Jobs = Mutex<(VecDeque<(u64, Option<String>)>, bool)>;
-    let jobs: Jobs = Mutex::new((VecDeque::new(), false));
-    let jobs_cv = Condvar::new();
-    let out = Mutex::new(OutState {
-        next: 0,
-        writer,
-        error: None,
-    });
-    let out_cv = Condvar::new();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let job = {
-                    let mut g = jobs.lock().unwrap();
-                    loop {
-                        if let Some(j) = g.0.pop_front() {
-                            break Some(j);
-                        }
-                        if g.1 {
-                            break None;
-                        }
-                        g = jobs_cv.wait(g).unwrap();
-                    }
-                };
-                let Some((seq, line)) = job else { return };
-                let mut resp = match line {
-                    Some(line) => core.handle_line(&line).0,
-                    None => core.reject_overlong(),
-                };
-                resp.push('\n');
-                let mut g = out.lock().unwrap();
-                while g.next != seq {
-                    g = out_cv.wait(g).unwrap();
-                }
-                if g.error.is_none() {
-                    g.error = write_reply(&mut g.writer, &resp).err();
-                }
-                g.next += 1;
-                out_cv.notify_all();
-            });
-        }
-        let mut seq = 0u64;
-        loop {
-            let line = match read_request(&mut reader) {
-                Ok(Request::Line(line)) => line,
-                Ok(Request::TooLong) => {
-                    jobs.lock().unwrap().0.push_back((seq, None));
-                    break;
-                }
-                Ok(Request::End) | Err(_) => break,
-            };
-            if line.trim().is_empty() {
-                continue;
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+) -> std::io::Result<()> {
+    loop {
+        let (mut reply, close) = match read_request(&mut reader) {
+            Ok(Request::Line(line)) if line.trim().is_empty() => continue,
+            Ok(Request::Line(line)) => core.handle_line(&line),
+            Ok(Request::TooLong) => {
+                let msg = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                (core.answer("", Instant::now(), "invalid", Err(msg)), true)
             }
-            let stop = wants_close(&line);
-            jobs.lock().unwrap().0.push_back((seq, Some(line)));
-            jobs_cv.notify_one();
-            seq += 1;
-            if stop {
-                break;
-            }
+            Ok(Request::End) | Err(_) => return Ok(()),
+        };
+        reply.push('\n');
+        write_reply(&mut writer, &reply)?;
+        if close {
+            return Ok(());
         }
-        jobs.lock().unwrap().1 = true;
-        jobs_cv.notify_all();
-    });
-    let out = out.into_inner().unwrap();
-    match out.error {
-        Some(e) => Err(e),
-        None => Ok(()),
     }
 }
 
@@ -1287,22 +1177,7 @@ fn serve_connection(core: &ServerCore, stream: TcpStream) -> std::io::Result<()>
     if sniff_http(&stream)? {
         return serve_http(core, stream);
     }
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        let (mut resp, close) = match read_request(&mut reader)? {
-            Request::Line(line) if line.trim().is_empty() => continue,
-            Request::Line(line) => core.handle_line(&line),
-            Request::TooLong => (core.reject_overlong(), true),
-            Request::End => break,
-        };
-        resp.push('\n');
-        write_reply(&mut writer, &resp)?;
-        if close {
-            break;
-        }
-    }
-    Ok(())
+    serve_session(core, BufReader::new(stream.try_clone()?), stream)
 }
 
 /// Peek (without consuming) the connection's first bytes: `GET ` or
@@ -1324,34 +1199,46 @@ fn sniff_http(stream: &TcpStream) -> std::io::Result<bool> {
 
 /// One-shot HTTP answer on a sniffed connection: `GET /metrics` is the
 /// Prometheus exposition, `GET /healthz` the health object; everything
-/// else is 404. Headers are read to the blank line and ignored; the
-/// response always closes the connection.
+/// else is 404. Headers are read to the blank line and ignored; a
+/// request line or header longer than [`MAX_REQUEST_LINE`] is 400 and
+/// the rest of the request is not read. The response always closes the
+/// connection.
 fn serve_http(core: &ServerCore, mut stream: TcpStream) -> std::io::Result<()> {
     core.metrics.scrapes.inc();
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header.trim().is_empty() {
-            break;
+    // the request line, `None` once it or a header is over the cap
+    let mut request_line = match read_request(&mut reader)? {
+        Request::Line(line) => Some(line),
+        Request::TooLong => None,
+        Request::End => Some(String::new()),
+    };
+    while request_line.is_some() {
+        match read_request(&mut reader)? {
+            Request::Line(header) if !header.trim().is_empty() => {}
+            Request::TooLong => request_line = None,
+            Request::Line(_) | Request::End => break,
         }
     }
-    let mut parts = request_line.split_whitespace();
+    let mut parts = request_line.as_deref().unwrap_or("").split_whitespace();
     let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("/");
+    let path = request_line.as_ref().map(|_| parts.next().unwrap_or("/"));
     let (status, ctype, body) = match path {
-        "/metrics" => (
+        None => (
+            "400 Bad Request",
+            "text/plain; charset=utf-8",
+            format!("request line or header exceeds {MAX_REQUEST_LINE} bytes\n"),
+        ),
+        Some("/metrics") => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
             core.prometheus_text(),
         ),
-        "/healthz" => (
+        Some("/healthz") => (
             "200 OK",
             "application/json",
             core.health_json().compact() + "\n",
         ),
-        _ => (
+        Some(_) => (
             "404 Not Found",
             "text/plain; charset=utf-8",
             "not found\n".to_string(),
@@ -1373,7 +1260,9 @@ mod tests {
     use crate::pipeline::{run_parallel, Input, PipelineParams};
     use crate::plan::MergePlan;
     use msp_grid::Dims;
-    use std::io::{Cursor, Read};
+    use std::io::Read;
+    use std::net::SocketAddr;
+    use std::panic::AssertUnwindSafe;
     use std::sync::Barrier;
 
     fn dataset(tag: &str) -> Dataset {
@@ -1809,12 +1698,12 @@ mod tests {
         // no datasets needed: ping exercises the whole accounting path
         let core = ServerCore::new(Vec::new(), ServeConfig::default());
         core.handle_line("{\"op\":\"ping\"}");
-        let before = core.metrics_mem_bytes();
+        let before = core.metrics.mem_bytes();
         for _ in 0..50_000 {
             core.handle_line("{\"op\":\"ping\"}");
         }
         assert_eq!(
-            core.metrics_mem_bytes(),
+            core.metrics.mem_bytes(),
             before,
             "per-request state must not grow with request count"
         );
@@ -1876,60 +1765,60 @@ mod tests {
         );
     }
 
-    #[test]
-    fn http_scrape_and_json_share_one_listener() {
-        let core = Arc::new(ServerCore::new(
-            vec![dataset("http")],
-            ServeConfig::default(),
-        ));
+    /// Serve `core` on an ephemeral TCP port while `client` runs against
+    /// it, then stop the server, also when the client panics.
+    fn over_tcp<R>(core: &ServerCore, client: impl FnOnce(SocketAddr) -> R) -> R {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::scope(|s| {
-            let server = {
-                let core = core.clone();
-                s.spawn(move || serve_tcp(&core, listener))
-            };
+            let server = s.spawn(move || serve_tcp(core, listener));
+            let out = std::panic::catch_unwind(AssertUnwindSafe(|| client(addr)));
+            core.request_shutdown();
+            server.join().unwrap().unwrap();
+            out.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+    }
+
+    /// Send `request` on a new connection and read until the server
+    /// closes it.
+    fn exchange(addr: SocketAddr, request: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(request).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        reply
+    }
+
+    #[test]
+    fn http_scrape_and_json_share_one_listener() {
+        let core = ServerCore::new(vec![dataset("http")], ServeConfig::default());
+        over_tcp(&core, |addr| {
             // JSON connection first: generate some traffic
-            let mut stream = TcpStream::connect(addr).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            writeln!(stream, "{{\"op\":\"threshold\",\"t\":0.3}}").unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert_eq!(field(&parsed(line.trim()), "ok"), &Json::Bool(true));
-            drop(reader);
-            drop(stream);
+            let json = exchange(
+                addr,
+                b"{\"op\":\"threshold\",\"t\":0.3}\n{\"op\":\"quit\"}\n",
+            );
+            assert_eq!(json.lines().count(), 2, "{json}");
+            assert_eq!(
+                field(&parsed(json.lines().next().unwrap()), "ok"),
+                &Json::Bool(true)
+            );
             // HTTP scrape on the same listener
-            let mut http = TcpStream::connect(addr).unwrap();
-            write!(http, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-            let mut response = String::new();
-            BufReader::new(http).read_to_string(&mut response).unwrap();
+            let response = exchange(addr, b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
             assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
             assert!(response.contains("# TYPE serve_queries counter"));
-            assert!(response.contains("serve_queries 1"), "{response}");
+            assert!(response.contains("serve_queries 2"), "{response}");
             // health endpoint
-            let mut http = TcpStream::connect(addr).unwrap();
-            write!(http, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-            let mut response = String::new();
-            BufReader::new(http).read_to_string(&mut response).unwrap();
+            let response = exchange(addr, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
             assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
             assert!(response.contains("\"status\":\"ok\""), "{response}");
             // unknown path: 404, connection still answered cleanly
-            let mut http = TcpStream::connect(addr).unwrap();
-            write!(http, "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-            let mut response = String::new();
-            BufReader::new(http).read_to_string(&mut response).unwrap();
+            let response = exchange(addr, b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
             assert!(response.starts_with("HTTP/1.1 404"), "{response}");
-            // scrapes counted separately from queries
-            assert_eq!(core.metrics.scrapes.get(), 3);
-            assert_eq!(core.metrics.queries.get(), 1);
-            // shut down via JSON
-            let mut stream = TcpStream::connect(addr).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            writeln!(stream, "{{\"op\":\"shutdown\"}}").unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            server.join().unwrap().unwrap();
         });
+        // scrapes counted separately from queries
+        assert_eq!(core.metrics.scrapes.get(), 3);
+        assert_eq!(core.metrics.queries.get(), 2);
     }
 
     #[test]
@@ -1937,8 +1826,7 @@ mod tests {
         let core = ServerCore::new(
             Vec::new(),
             ServeConfig {
-                slow_us: Some(0),       // everything is "slow"
-                slow_sample: 1_000_000, // but almost nothing is logged
+                slow_us: Some(0), // everything is "slow"
                 ..Default::default()
             },
         );
@@ -1995,7 +1883,7 @@ mod tests {
             {\"op\":\"quit\"}\n\
             {\"op\":\"ping\"}\n";
         let mut out = Vec::new();
-        serve_lines(&core, Cursor::new(batch.as_bytes()), &mut out, 3).unwrap();
+        serve_session(&core, batch.as_bytes(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         // the post-quit ping is never read
@@ -2038,7 +1926,7 @@ mod tests {
         assert_eq!(at_cap.len(), MAX_REQUEST_LINE);
         let batch = format!("{at_cap}\n{}\n{{\"op\":\"ping\"}}\n", padded(1 << 20));
         let mut out = Vec::new();
-        serve_lines(&core, Cursor::new(batch.as_bytes()), &mut out, 2).unwrap();
+        serve_session(&core, batch.as_bytes(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         // the ping after the 1 MiB line is never read
         assert_eq!(
@@ -2050,12 +1938,104 @@ mod tests {
         assert_eq!(core.metrics.queries.get(), 2);
     }
 
+    /// One session over `input`, its replies as lines.
+    fn session(core: &ServerCore, input: &[u8]) -> Vec<String> {
+        let mut out = Vec::new();
+        serve_session(core, input, &mut out).unwrap();
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn a_request_nested_too_deep_is_an_error_not_a_crash() {
+        let core = ServerCore::new(Vec::new(), ServeConfig::default());
+        let batch = format!(
+            "{{\"op\":\"ping\"}}\n{}\n{{\"op\":\"ping\"}}\n",
+            "[".repeat(10_000)
+        );
+        let replies = session(&core, batch.as_bytes());
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        assert_eq!(replies[0], replies[2]);
+        assert_eq!(replies[2], "{\"ok\":true,\"op\":\"ping\"}");
+        let error = parsed(&replies[1]);
+        assert_eq!(field(&error, "ok"), &Json::Bool(false));
+        let msg = field(&error, "error").as_str().unwrap();
+        assert!(msg.contains("nesting deeper than 64"), "{msg}");
+        assert_eq!(core.metrics.errors.get(), 1);
+    }
+
+    #[test]
+    fn hostile_line_input_never_panics_and_every_reply_is_json() {
+        let core = ServerCore::new(vec![dataset("hostile")], ServeConfig::default());
+        let batch = b"{\"op\":\"ping\"}\n\
+            {\"op\":\"threshold\",\"t\":0.2}\n\
+            {\"op\":\"extrema\",\"t\":0.2,\"top\":3}\n\
+            {\"op\":\"segment-stats\",\"t\":0.2}\n\
+            {\"op\":\"stats\"}\n\
+            {\"op\":\"quit\"}\n";
+        let check = |input: &[u8]| {
+            let replies = session(&core, input);
+            // one flipped bit can split a line in two, never more
+            assert!(replies.len() <= 7, "{replies:?}");
+            for reply in &replies {
+                assert!(parsed(reply).get("ok").is_some(), "{reply}");
+            }
+        };
+        assert_eq!(session(&core, batch).len(), 6);
+        for len in 0..batch.len() {
+            check(&batch[..len]);
+        }
+        for bit in 0..batch.len() * 8 {
+            let mut flipped = batch.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped);
+        }
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_ends_the_session_unanswered() {
+        let core = ServerCore::new(Vec::new(), ServeConfig::default());
+        let batch = b"{\"op\":\"ping\"}\n{\"op\":\"\xff\"}\n{\"op\":\"ping\"}\n";
+        assert_eq!(session(&core, batch), ["{\"ok\":true,\"op\":\"ping\"}"]);
+        // the same on a TCP connection: one reply, then the server closes
+        let replies = over_tcp(&core, |addr| exchange(addr, batch));
+        assert_eq!(replies, "{\"ok\":true,\"op\":\"ping\"}\n");
+        assert_eq!(core.metrics.queries.get(), 2);
+    }
+
+    #[test]
+    fn an_overlong_http_request_line_is_refused_with_400() {
+        let core = ServerCore::new(Vec::new(), ServeConfig::default());
+        let response = over_tcp(&core, |addr| {
+            let stream = TcpStream::connect(addr).unwrap();
+            // the server stops reading at the cap, so the rest of the
+            // 1 MiB line may never be taken: send it from its own thread
+            let mut writer = stream.try_clone().unwrap();
+            let sender = std::thread::spawn(move || {
+                let line = format!("GET /metrics {} HTTP/1.1\r\n\r\n", "x".repeat(1 << 20));
+                let _ = writer.write_all(line.as_bytes());
+            });
+            // the reply arrives before the close; a reset after it (the
+            // unread rest of the line) only ends the read
+            let mut response = Vec::new();
+            let _ = BufReader::new(stream).read_to_end(&mut response);
+            sender.join().unwrap();
+            String::from_utf8(response).unwrap()
+        });
+        assert!(
+            response.starts_with("HTTP/1.1 400 Bad Request\r\n"),
+            "{response}"
+        );
+        assert!(response.ends_with("request line or header exceeds 65536 bytes\n"));
+        assert_eq!(core.metrics.scrapes.get(), 1);
+    }
+
     #[test]
     fn tcp_replies_arrive_whole_and_without_a_delayed_ack_stall() {
-        let core = Arc::new(ServerCore::new(
-            vec![dataset_of("frames", 15)],
-            ServeConfig::default(),
-        ));
+        let core = ServerCore::new(vec![dataset_of("frames", 15)], ServeConfig::default());
         // fully simplified, arcs are few and long: take the longest
         let t = f32::MAX;
         let m = core.materialized(0, 0, Ordering::Difference, t).unwrap();
@@ -2063,13 +2043,8 @@ mod tests {
         let (arc, _) = live
             .max_by_key(|(_, a)| m.complex.geom_len(a.geom))
             .expect("a live arc");
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        std::thread::scope(|s| {
-            let server = {
-                let core = core.clone();
-                s.spawn(move || serve_tcp(&core, listener))
-            };
+        let req = format!("{{\"op\":\"arc-geometry\",\"t\":{t},\"arc\":{arc}}}");
+        let (pongs, took, reply) = over_tcp(&core, |addr| {
             // a client that never delays its own segments: what is left
             // of a round trip is the server's doing
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -2084,50 +2059,31 @@ mod tests {
             ask("{\"op\":\"ping\"}"); // accepted and sniffed
             let t0 = Instant::now();
             let pongs: Vec<String> = (0..25).map(|_| ask("{\"op\":\"ping\"}")).collect();
-            let took = t0.elapsed();
-            let req = format!("{{\"op\":\"arc-geometry\",\"t\":{t},\"arc\":{arc}}}");
-            let reply = ask(&req);
-            // stop the server before asserting: a panic in here would
-            // leave the scope waiting on the accept loop forever
-            ask("{\"op\":\"shutdown\"}");
-            server.join().unwrap().unwrap();
-            assert!(pongs.iter().all(|p| p == "{\"ok\":true,\"op\":\"ping\"}\n"));
-            assert!(
-                took < Duration::from_millis(500),
-                "25 closed-loop pings took {took:?}: replies are leaving in pieces"
-            );
-            assert!(reply.len() > 2048, "wanted a multi-kilobyte reply: {reply}");
-            assert_eq!(reply, core.handle_line(&req).0 + "\n");
+            (pongs, t0.elapsed(), ask(&req))
         });
+        assert!(pongs.iter().all(|p| p == "{\"ok\":true,\"op\":\"ping\"}\n"));
+        assert!(
+            took < Duration::from_millis(500),
+            "25 closed-loop pings took {took:?}: replies are leaving in pieces"
+        );
+        assert!(reply.len() > 2048, "wanted a multi-kilobyte reply: {reply}");
+        assert_eq!(reply, core.handle_line(&req).0 + "\n");
     }
 
     #[test]
     fn tcp_round_trip_and_shutdown() {
-        let core = Arc::new(ServerCore::new(
-            vec![dataset("tcp")],
-            ServeConfig::default(),
-        ));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        std::thread::scope(|s| {
-            let server = {
-                let core = core.clone();
-                s.spawn(move || serve_tcp(&core, listener))
-            };
-            let mut stream = TcpStream::connect(addr).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut ask = |req: &str| {
-                writeln!(stream, "{req}").unwrap();
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                line
-            };
-            let resp = ask("{\"op\":\"threshold\",\"t\":0.3}");
-            assert_eq!(field(&parsed(resp.trim()), "ok"), &Json::Bool(true));
-            let resp = ask("{\"op\":\"shutdown\"}");
-            assert_eq!(field(&parsed(resp.trim()), "ok"), &Json::Bool(true));
-            server.join().unwrap().unwrap();
+        let core = ServerCore::new(vec![dataset("tcp")], ServeConfig::default());
+        let replies = over_tcp(&core, |addr| {
+            let request = b"{\"op\":\"threshold\",\"t\":0.3}\n{\"op\":\"shutdown\"}\n";
+            let replies = exchange(addr, request);
+            // the op, not the harness, stopped the server
+            assert!(core.is_shutdown());
+            replies
         });
-        assert!(core.is_shutdown());
+        let replies: Vec<&str> = replies.lines().collect();
+        assert_eq!(replies.len(), 2);
+        for reply in replies {
+            assert_eq!(field(&parsed(reply), "ok"), &Json::Bool(true));
+        }
     }
 }

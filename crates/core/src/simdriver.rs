@@ -25,7 +25,7 @@
 //! filesystem cost, and without a checkpoint the run degrades.
 //! Checkpointing is charged as a collective write at every cut.
 
-use crate::pipeline::{heartbeat, FaultConfig, PipelineError, PipelineParams};
+use crate::pipeline::{FaultConfig, PipelineError, PipelineParams};
 use crate::plan::MergePlan;
 use crate::sched::DecompMode;
 use crate::stages::{self, Io, Job, Machine, Node, Output, Source};
@@ -70,9 +70,6 @@ pub struct SimParams {
     /// with *modeled* costs, so `seg_rounds` / `seg_forwards` /
     /// `seg_bytes` equal the threaded pipeline's counters.
     pub segment: bool,
-    /// Emit a progress heartbeat (phase, virtual ranks done, bytes
-    /// moved) to stderr every this-many seconds; `None` is off.
-    pub progress: Option<f64>,
 }
 
 impl Default for SimParams {
@@ -91,7 +88,6 @@ impl Default for SimParams {
             fault: FaultConfig::default(),
             trace: false,
             segment: false,
-            progress: None,
         }
     }
 }
@@ -286,12 +282,9 @@ pub fn simulate(
         segment: params.segment,
         ..Default::default()
     };
-    let mut job = Job::layout(Source::Memory(field), params.dtype, &pp, n_ranks, n_ranks)?;
-    let heartbeat = heartbeat("sim", n_ranks, params.progress);
-    job.progress = heartbeat.as_ref().map(|h| h.state());
+    let job = Job::layout(Source::Memory(field), params.dtype, &pp, n_ranks, n_ranks)?;
     let mut m = Sim::new(n_ranks, params);
     let (threshold, out) = stages::run(&mut m, &job, None)?;
-    drop(heartbeat);
     let total = |c: Counter| (0..n_ranks).map(|p| m.counter(p, c)).sum::<u64>();
     let slowest = |phases: &[Phase]| {
         let secs = |v: &VRank| phases.iter().map(|&p| v.rec.phase_seconds(p)).sum::<f64>();

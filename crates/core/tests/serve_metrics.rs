@@ -131,7 +131,6 @@ fn json_prometheus_and_report_counters_agree() {
         vec![dataset],
         ServeConfig {
             cache_capacity: 8,
-            threads: 2,
             ..Default::default()
         },
     ));

@@ -37,14 +37,16 @@ impl Json {
 
     /// Parse a JSON document. Integers without fraction/exponent become
     /// [`Json::U64`]/[`Json::I64`]; all other numbers become
-    /// [`Json::F64`]. Errors carry the byte offset of the problem.
+    /// [`Json::F64`]. Errors carry the byte offset of the problem. A
+    /// document nested more than 64 arrays and objects deep is an error,
+    /// so no input can overflow the parser's stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             b: text.as_bytes(),
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.b.len() {
             return Err(format!("trailing data at byte {}", p.pos));
@@ -180,6 +182,10 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// documents this workspace writes nest 7 deep at most.
+const MAX_DEPTH: usize = 64;
+
 /// Recursive-descent parser over the document bytes.
 struct Parser<'a> {
     b: &'a [u8],
@@ -219,21 +225,26 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// The value at the cursor, inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -243,7 +254,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -256,7 +267,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -270,7 +281,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            pairs.push((key, self.value()?));
+            pairs.push((key, self.value(depth)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -504,6 +515,22 @@ mod tests {
             "", "{", "[1,", "{\"a\"}", "tru", "\"open", "1 2", "{\"a\":}", "[,]", "nul", "\"\\q\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 64"), "{err}");
+        // hostile depths return an error on an ordinary thread's stack
+        let deep =
+            std::thread::spawn(|| ["[", "{\"a\":"].map(|open| Json::parse(&open.repeat(10_000))))
+                .join()
+                .expect("parser thread");
+        for res in deep {
+            assert!(res.unwrap_err().starts_with("nesting deeper than 64"));
         }
     }
 }

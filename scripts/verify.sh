@@ -109,7 +109,8 @@ cmp "$tracedir/sin1.msc" "$tracedir/sin3.msc"
 # base's shared geometry, a count threshold at 400 that extends the
 # cached count entry at 40, and a threshold at 0.4 that extends the
 # cached 0.2 entry; gate on all-ok responses, a nonzero cache hit rate
-# and the p50<=p99 latency self-check
+# and the p50<=p99 latency self-check. The ping after quit must go
+# unanswered: the session stops at quit.
 msc compute --input "$tracedir/seg.raw" \
   --dims 17,17,17 --ranks 2 --blocks 8 --merge full --hierarchy --check \
   --output "$tracedir/serve.msc"
@@ -130,7 +131,8 @@ printf '%s\n' \
   '{"op":"metrics"}' \
   '{"op":"health"}' \
   '{"op":"quit"}' \
-  | msc serve "$tracedir/serve.msc" --threads 2 \
+  '{"op":"ping"}' \
+  | msc serve "$tracedir/serve.msc" \
       > "$tracedir/serve_out.jsonl" 2> "$tracedir/serve_err.txt"
 ! grep -q '"ok":false' "$tracedir/serve_out.jsonl" \
   || { echo "serve smoke: error response"; cat "$tracedir/serve_out.jsonl"; exit 1; }
@@ -141,6 +143,14 @@ hits="$(grep -o '"hits":[0-9]*' "$tracedir/serve_out.jsonl" | tail -1 | cut -d: 
   || { echo "serve smoke: cache hit rate is zero"; cat "$tracedir/serve_out.jsonl"; exit 1; }
 grep -q 'latency self-check ok' "$tracedir/serve_err.txt" \
   || { echo "serve smoke: missing latency self-check"; cat "$tracedir/serve_err.txt"; exit 1; }
+# a request nested 10,000 deep is answered with an error, and the
+# session goes on to answer the next line
+{ printf '%.0s[' $(seq 10000); echo; echo '{"op":"ping"}'; } \
+  | msc serve "$tracedir/serve.msc" > "$tracedir/serve_deep.jsonl" 2> "$tracedir/serve_err.txt" \
+  || { echo "serve smoke: nested request killed the server"; cat "$tracedir/serve_err.txt"; exit 1; }
+[ "$(wc -l < "$tracedir/serve_deep.jsonl")" -eq 2 ] \
+  && head -1 "$tracedir/serve_deep.jsonl" | grep -q '"ok":false' \
+  || { echo "serve smoke: expected an error, then a pong"; cat "$tracedir/serve_deep.jsonl"; exit 1; }
 
 # figure smoke: the figures driver regenerates every table and figure
 # at small scale into $tracedir; it asserts its gates (the fault sweep's

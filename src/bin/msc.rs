@@ -15,7 +15,7 @@ use morse_smale_parallel::complex::export::{self, LabeledVolume, SegKind};
 use morse_smale_parallel::complex::{query, wire, MsComplex};
 use morse_smale_parallel::core::{
     full_merge_plan, load_dataset, msh_output_path, parse_persistence, run_parallel,
-    seg_output_path, serve_lines, serve_tcp, DecompMode, FaultConfig, Input, MergePlan,
+    seg_output_path, serve_session, serve_tcp, DecompMode, FaultConfig, Input, MergePlan,
     PipelineParams, ServeConfig, ServerCore,
 };
 use morse_smale_parallel::fault::FaultPlan;
@@ -129,10 +129,11 @@ fn usage() {
          \u{20}           phase, ranks done, bytes moved)\n\
          \u{20}           SPEC: crash:R@K;drop:F->T#N;delay:F->T#N+MS;slow:R*F\n\
          \u{20} serve     FILE... (from compute --hierarchy)\n\
-         \u{20}           [--listen ADDR]  (TCP; default: stdin/stdout)\n\
-         \u{20}           [--cache N] [--threads N] [--report NAME]\n\
-         \u{20}           [--slow-ms MS]  (log slow requests as JSON events\n\
-         \u{20}           on stderr) [--slow-sample N]  (log every Nth)\n\
+         \u{20}           [--listen ADDR]  (TCP; default: stdin/stdout,\n\
+         \u{20}           answered one line at a time, in order)\n\
+         \u{20}           [--cache N] [--report NAME]\n\
+         \u{20}           [--slow-ms MS]  (log every request at or over MS\n\
+         \u{20}           as a JSON event on stderr)\n\
          \u{20}           line-delimited JSON queries: ping, datasets,\n\
          \u{20}           threshold, extrema, arc-geometry, segment-stats,\n\
          \u{20}           stats, metrics, health, quit, shutdown\n\
@@ -751,21 +752,14 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
     };
     let config = ServeConfig {
         cache_capacity: o.num("cache", 32usize)?.max(1),
-        threads: o.num("threads", 4usize)?.max(1),
         slow_us,
-        slow_sample: o.num("slow-sample", 1u64)?.max(1),
     };
     let report_name = match o.opt("report") {
         Some(n) => n.to_string(),
         None => format!("{}_serve", datasets[0].name),
     };
     let core = Arc::new(ServerCore::new(datasets, config));
-    // The final report must flush exactly once whether the server stops
-    // via a shutdown op, stdin EOF, or Ctrl-C — whoever wins the CAS
-    // writes it.
-    let reported = Arc::new(AtomicBool::new(false));
-    sig::install();
-    match o.opt("listen") {
+    let listener = match o.opt("listen") {
         Some(addr) => {
             let listener =
                 std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
@@ -778,53 +772,43 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
                 "serving on {bound} (send {{\"op\":\"shutdown\"}} or Ctrl-C to stop; \
                  GET /metrics for Prometheus text)"
             );
-            // The accept loop polls `is_shutdown`, so turning Ctrl-C
-            // into `request_shutdown` drains it through the same exit
-            // path as the shutdown op; the report flush below runs on
-            // the normal return.
-            let watcher = {
-                let core = Arc::clone(&core);
-                std::thread::spawn(move || loop {
-                    if sig::interrupted() {
-                        core.request_shutdown();
-                    }
-                    if core.is_shutdown() {
-                        return;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                })
-            };
-            let res = serve_tcp(&core, listener);
-            core.request_shutdown(); // unblock the watcher on error exits too
-            let _ = watcher.join();
-            res.map_err(|e| e.to_string())?;
+            Some(listener)
         }
-        None => {
-            // stdin cannot be unblocked from another thread: on Ctrl-C
-            // the watcher flushes the report itself and exits with the
-            // conventional 128+SIGINT status.
-            let watcher = {
-                let core = Arc::clone(&core);
-                let reported = Arc::clone(&reported);
-                let name = report_name.clone();
-                std::thread::spawn(move || loop {
-                    if sig::interrupted() {
-                        flush_serve_report(&core, &name, &reported);
-                        exit(130);
-                    }
-                    if core.is_shutdown() {
-                        return;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                })
-            };
-            let stdin = std::io::stdin();
-            let res = serve_lines(&core, stdin.lock(), std::io::stdout(), config.threads);
-            core.request_shutdown();
-            let _ = watcher.join();
-            res.map_err(|e| e.to_string())?;
-        }
-    }
+        None => None,
+    };
+    // The final report must flush exactly once whether the server stops
+    // via a shutdown op, stdin EOF, or Ctrl-C — whoever wins the CAS
+    // writes it.
+    let reported = Arc::new(AtomicBool::new(false));
+    sig::install();
+    // Ctrl-C: the TCP accept loop polls `is_shutdown`, so there it
+    // drains through the same exit path as the shutdown op. Stdin cannot
+    // be unblocked from another thread, so on stdio the watcher flushes
+    // the report itself and exits with the conventional 128+SIGINT.
+    let watcher = {
+        let (core, reported) = (Arc::clone(&core), Arc::clone(&reported));
+        let (name, stdio) = (report_name.clone(), listener.is_none());
+        std::thread::spawn(move || loop {
+            if sig::interrupted() {
+                if stdio {
+                    flush_serve_report(&core, &name, &reported);
+                    exit(130);
+                }
+                core.request_shutdown();
+            }
+            if core.is_shutdown() {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        })
+    };
+    let res = match listener {
+        Some(listener) => serve_tcp(&core, listener),
+        None => serve_session(&core, std::io::stdin().lock(), std::io::stdout().lock()),
+    };
+    core.request_shutdown(); // unblock the watcher on every exit path
+    let _ = watcher.join();
+    res.map_err(|e| e.to_string())?;
     flush_serve_report(&core, &report_name, &reported);
     Ok(())
 }
@@ -838,22 +822,13 @@ fn flush_serve_report(core: &ServerCore, report_name: &str, reported: &AtomicBoo
     }
     // the report build asserts the per-class quantile invariant
     let report = core.report(report_name);
-    let (hits, misses) = (
-        report.counter_total("serve_hits"),
-        report.counter_total("serve_misses"),
-    );
-    let hit_rate = if hits + misses > 0 {
-        hits as f64 / (hits + misses) as f64
-    } else {
-        0.0
-    };
     eprintln!(
         "serve: {} query(ies), {} hit(s) / {} miss(es) (hit rate {:.2}), {} coalesced, \
          {} error(s); latency self-check ok",
         report.counter_total("serve_queries"),
-        hits,
-        misses,
-        hit_rate,
+        report.counter_total("serve_hits"),
+        report.counter_total("serve_misses"),
+        core.rates().1,
         report.counter_total("serve_coalesced"),
         report.counter_total("serve_errors"),
     );
