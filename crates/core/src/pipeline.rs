@@ -20,11 +20,9 @@ use msp_grid::par::available_threads;
 use msp_grid::rawio::VolumeDType;
 use msp_grid::{Dims, ScalarField};
 use msp_hierarchy::SlotHierarchy;
-use msp_morse::TraceLimits;
 use msp_segment::BlockSegmentation;
 use msp_telemetry::{
-    Counter, Heartbeat, Json, Phase, RankReport, RankTrace, Recorder, RunReport, RunTrace,
-    TraceSink,
+    Counter, Json, Phase, RankReport, RankTrace, Recorder, RunReport, RunTrace, TraceSink,
 };
 use msp_vmpi::comm::{CommError, Inject};
 use msp_vmpi::fileio::{collective_write_blocks_keyed, FooterEntry};
@@ -185,7 +183,6 @@ pub struct PipelineParams {
     /// of the block neighbor graph. Outputs are a pure function of
     /// `(decomposition, plan, threshold)` in every mode.
     pub decomp: DecompMode,
-    pub trace_limits: TraceLimits,
     /// Valence guard forwarded to [`SimplifyParams`].
     pub max_new_arcs: Option<u64>,
     /// Fault injection + recovery configuration (inactive by default).
@@ -220,10 +217,6 @@ pub struct PipelineParams {
     /// [`PipelineParams::segment`] is also on (region sizes come from
     /// the label tables).
     pub hierarchy: bool,
-    /// Emit a progress heartbeat (phase, ranks done, bytes moved) as a
-    /// JSON line on stderr every this-many seconds — the live surface
-    /// for long paper-scale runs. `None` is off.
-    pub progress: Option<f64>,
 }
 
 impl Default for PipelineParams {
@@ -232,7 +225,6 @@ impl Default for PipelineParams {
             persistence_frac: 0.01,
             plan: MergePlan::none(),
             decomp: DecompMode::Uniform,
-            trace_limits: TraceLimits::default(),
             // valence guard: skip cancellations that would fan out into
             // more than this many replacement arcs (degenerate lattices)
             max_new_arcs: Some(4096),
@@ -242,7 +234,6 @@ impl Default for PipelineParams {
             check: false,
             segment: false,
             hierarchy: false,
-            progress: None,
         }
     }
 }
@@ -354,22 +345,16 @@ pub fn run_parallel(
         Input::Memory(f) => (Source::Memory(f), VolumeDType::F32),
         Input::File { path, dims, dtype } => (Source::File(path, *dims), *dtype),
     };
-    let mut job = Job::layout(src, dtype, params, n_ranks, n_blocks)?;
+    let job = Job::layout(src, dtype, params, n_ranks, n_blocks)?;
     // One time base for every rank's trace sink, taken before any rank
     // starts, so cross-rank timestamps are causally comparable.
     let epoch = Instant::now();
-    let heartbeat = params
-        .progress
-        .filter(|&s| s > 0.0 && s.is_finite())
-        .map(|secs| Heartbeat::spawn("pipeline", n_ranks as usize, Duration::from_secs_f64(secs)));
-    job.progress = heartbeat.as_ref().map(|h| h.state());
     let inject = (params.fault.plan.clone()).map(|p| Arc::new(p) as Arc<dyn Inject>);
     let results = Universe::run_with_inject(n_ranks as usize, inject, |rank| {
         let mut m = Threaded::new(rank, params, epoch);
         let run = stages::run(&mut m, &job, output_path);
         m.finish(run)
     });
-    drop(heartbeat);
 
     let (mut telemetry, mut trace, mut threshold) = (None, None, 0.0);
     let mut out = stages::RankOut::default();

@@ -25,7 +25,8 @@
 //! {"op":"metrics"}     live-registry snapshot (counters/gauges/histograms)
 //! {"op":"health"}      readiness/liveness summary
 //! {"op":"quit"}        closes the connection
-//! {"op":"shutdown"}    closes the connection and stops a TCP server
+//! {"op":"shutdown"}    closes the connection and stops a TCP server,
+//!                      ending its other sessions without waiting on them
 //! ```
 //!
 //! `dataset` defaults to the first loaded dataset, `block` to 0 and
@@ -101,7 +102,7 @@ use msp_telemetry::{
 use msp_vmpi::fileio::{read_block_payload, read_footer};
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrd};
 use std::sync::{Arc, Condvar, Mutex};
@@ -1123,14 +1124,19 @@ fn write_reply(writer: &mut impl Write, reply: &str) -> std::io::Result<()> {
 /// request order. Stops at EOF, after answering `quit`/`shutdown`, or
 /// after answering a line longer than [`MAX_REQUEST_LINE`]. A line that
 /// cannot be read, one that is not UTF-8 included, ends the session
-/// without a reply; only a failed write is an error.
+/// without a reply, and so does any line read once the server is
+/// stopping; only a failed write is an error.
 pub fn serve_session(
     core: &ServerCore,
     mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> std::io::Result<()> {
     loop {
-        let (mut reply, close) = match read_request(&mut reader) {
+        let request = read_request(&mut reader);
+        if core.is_shutdown() {
+            return Ok(());
+        }
+        let (mut reply, close) = match request {
             Ok(Request::Line(line)) if line.trim().is_empty() => continue,
             Ok(Request::Line(line)) => core.handle_line(&line),
             Ok(Request::TooLong) => {
@@ -1147,26 +1153,42 @@ pub fn serve_session(
     }
 }
 
-/// Serve TCP connections until some client sends `{"op":"shutdown"}`.
-/// One thread per connection; each connection is its own line-delimited
-/// session (concurrent connections still share the cache and coalesce).
+/// Serve TCP connections until some client sends `{"op":"shutdown"}`
+/// (or [`ServerCore::request_shutdown`] is called). One thread per
+/// connection; each connection is its own line-delimited session
+/// (concurrent connections still share the cache and coalesce). On the
+/// way out the read half of every open connection is shut, so a
+/// session blocked reading an idle client ends at once; a reply already
+/// being written still goes out.
 pub fn serve_tcp(core: &ServerCore, listener: TcpListener) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
-    std::thread::scope(|s| loop {
-        if core.is_shutdown() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                s.spawn(move || {
-                    let _ = serve_connection(core, stream);
-                });
+    std::thread::scope(|s| {
+        // each open connection's thread with a second handle on its socket
+        let mut open = Vec::new();
+        let stopped = loop {
+            if core.is_shutdown() {
+                break Ok(());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if let Ok(handle) = stream.try_clone() {
+                        let conn = s.spawn(move || {
+                            let _ = serve_connection(core, stream);
+                        });
+                        open.push((conn, handle));
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    open.retain(|(conn, _)| !conn.is_finished());
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Err(e) => break Err(e),
             }
-            Err(e) => return Err(e),
+        };
+        for (_, handle) in &open {
+            let _ = handle.shutdown(Shutdown::Read);
         }
+        stopped
     })
 }
 
@@ -1174,7 +1196,7 @@ fn serve_connection(core: &ServerCore, stream: TcpStream) -> std::io::Result<()>
     stream.set_nonblocking(false)?;
     // replies are whole frames already: nothing for Nagle to gather
     stream.set_nodelay(true)?;
-    if sniff_http(&stream)? {
+    if sniff_http(core, &stream)? {
         return serve_http(core, stream);
     }
     serve_session(core, BufReader::new(stream.try_clone()?), stream)
@@ -1183,18 +1205,23 @@ fn serve_connection(core: &ServerCore, stream: TcpStream) -> std::io::Result<()>
 /// Peek (without consuming) the connection's first bytes: `GET ` or
 /// `HEAD` means an HTTP scraper, anything else stays line-JSON. Peeking
 /// blocks until the client sends its first bytes — exactly as the
-/// line reader would.
-fn sniff_http(stream: &TcpStream) -> std::io::Result<bool> {
+/// line reader would — and decides as soon as they cannot spell either
+/// method.
+fn sniff_http(core: &ServerCore, stream: &TcpStream) -> std::io::Result<bool> {
     let mut first = [0u8; 4];
-    let got = loop {
+    loop {
         let n = stream.peek(&mut first)?;
-        if n >= first.len() || n == 0 || first[..n].contains(&b'\n') {
-            break n;
+        let head = &first[..n];
+        if !(b"GET ".starts_with(head) || b"HEAD".starts_with(head)) {
+            return Ok(false);
         }
-        // a short first packet ("G", "{"): wait for the rest
+        if n == first.len() || n == 0 || core.is_shutdown() {
+            return Ok(n == first.len());
+        }
+        // a short first packet that may still spell a method ("G", "HE"):
+        // wait for the rest
         std::thread::sleep(Duration::from_millis(1));
-    };
-    Ok(got >= 4 && (&first == b"GET " || &first == b"HEAD"))
+    }
 }
 
 /// One-shot HTTP answer on a sniffed connection: `GET /metrics` is the
@@ -2085,5 +2112,39 @@ mod tests {
         for reply in replies {
             assert_eq!(field(&parsed(reply), "ok"), &Json::Bool(true));
         }
+    }
+
+    #[test]
+    fn a_shutdown_ends_every_open_connection() {
+        let core = Arc::new(ServerCore::new(
+            vec![dataset("stop")],
+            ServeConfig::default(),
+        ));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done, stopped) = std::sync::mpsc::channel();
+        // not scoped: a server that never returns fails the test below
+        // instead of holding the test binary open
+        let server = Arc::clone(&core);
+        std::thread::spawn(move || done.send(serve_tcp(&server, listener).is_ok()));
+        // accepted in connection order, so both are being served before
+        // the shutdown is read
+        let _idle = TcpStream::connect(addr).unwrap();
+        let mut partial = TcpStream::connect(addr).unwrap();
+        partial.write_all(b"{").unwrap();
+        let bye = exchange(addr, b"{\"op\":\"shutdown\"}\n");
+        assert_eq!(field(&parsed(bye.trim_end()), "ok"), &Json::Bool(true));
+        let t0 = Instant::now();
+        let res = stopped.recv_timeout(Duration::from_secs(2));
+        assert_eq!(
+            res,
+            Ok(true),
+            "serve_tcp still running after {:?}",
+            t0.elapsed()
+        );
+        // the partial line was not answered: the session ended unanswered
+        let mut rest = String::new();
+        partial.read_to_string(&mut rest).unwrap();
+        assert_eq!(rest, "");
     }
 }

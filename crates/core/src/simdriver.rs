@@ -33,7 +33,6 @@ use bytes::Bytes;
 use msp_grid::par::{available_threads, par_map_mut};
 use msp_grid::rawio::VolumeDType;
 use msp_grid::ScalarField;
-use msp_morse::TraceLimits;
 use msp_telemetry::{Counter, Json, Phase, RankTrace, Recorder, RunTrace, TimeoutStamp};
 use msp_vmpi::comm::{CommError, Inject, SendFate};
 use msp_vmpi::fileio::FooterEntry;
@@ -51,8 +50,6 @@ pub struct SimParams {
     /// Decomposition mode (DESIGN.md §14); the layout is the threaded
     /// pipeline's, with one block per virtual rank.
     pub decomp: DecompMode,
-    pub trace_limits: TraceLimits,
-    pub max_new_arcs: Option<u64>,
     pub net: NetParams,
     pub io: IoParams,
     /// Element type of the (virtual) input file, for the read model.
@@ -78,10 +75,6 @@ impl Default for SimParams {
             persistence_frac: 0.01,
             plan: MergePlan::none(),
             decomp: DecompMode::Uniform,
-            trace_limits: TraceLimits::default(),
-            // valence guard: skip cancellations that would fan out into
-            // more than this many replacement arcs (degenerate lattices)
-            max_new_arcs: Some(4096),
             net: NetParams::default(),
             io: IoParams::default(),
             dtype: VolumeDType::F32,
@@ -275,8 +268,6 @@ pub fn simulate(
         persistence_frac: params.persistence_frac,
         plan: params.plan.clone(),
         decomp: params.decomp,
-        trace_limits: params.trace_limits,
-        max_new_arcs: params.max_new_arcs,
         fault: params.fault.clone(),
         threads: Some(1),
         segment: params.segment,

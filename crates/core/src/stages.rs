@@ -68,18 +68,17 @@ use msp_grid::par::{par_map, par_map_mut};
 use msp_grid::rawio::{block_bytes, read_block, read_raw, VolumeDType};
 use msp_grid::{BlockField, Decomposition, Dims, ScalarField};
 use msp_hierarchy::{record_sequence, wire as hwire, ReplayParams, SlotHierarchy};
-use msp_morse::{active_kernel, assign_gradient_kernel};
+use msp_morse::{active_kernel, assign_gradient_kernel, TraceLimits};
 use msp_oracle::{CheckOptions, InvariantReport};
 use msp_segment::{
     label_block, owner_rank, wire as segwire, BlockSegmentation, ForwardMap, DRAIN_ADDR,
 };
-use msp_telemetry::{Counter, Phase, ProgressPhase, ProgressState};
+use msp_telemetry::{Counter, Phase};
 use msp_vmpi::comm::CommError;
 use msp_vmpi::fileio::FooterEntry;
 use msp_vmpi::pairmsg::{decode_pairs, decode_u64s, encode_pairs, encode_u64s};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Tags of the segmentation resolution protocol (`--segment`) and the
@@ -183,7 +182,6 @@ pub(crate) struct Job<'a> {
     costs: Option<Vec<u64>>,
     /// Stable storage stand-in, populated only when checkpointing.
     store: CheckpointStore,
-    pub progress: Option<Arc<ProgressState>>,
 }
 
 impl<'a> Job<'a> {
@@ -236,7 +234,6 @@ impl<'a> Job<'a> {
             assign,
             costs,
             store,
-            progress: None,
         })
     }
 
@@ -367,7 +364,6 @@ pub(crate) fn run<M: Machine>(m: &mut M, job: &Job, output: Option<&Path>) -> Re
     run.m.begin(Phase::Total);
     run.read()?;
     run.local()?;
-    run.progress(ProgressPhase::Merge);
     for r in 0..job.sched.rounds.len() {
         run.merge_round(r)?;
     }
@@ -385,7 +381,6 @@ pub(crate) fn run<M: Machine>(m: &mut M, job: &Job, output: Option<&Path>) -> Re
         run.check(&out);
     }
     run.m.end(Phase::Total);
-    run.progress(ProgressPhase::Done);
     Ok((run.sp.threshold, out))
 }
 
@@ -399,14 +394,6 @@ struct Run<'a, M> {
 }
 
 impl<M: Machine> Run<'_, M> {
-    fn progress(&self, ph: ProgressPhase) {
-        if let Some(st) = &self.job.progress {
-            for p in self.m.ranks() {
-                st.set_phase(p as usize, ph);
-            }
-        }
-    }
-
     /// Read every rank's blocks and all-reduce the global value range
     /// into the persistence threshold. The min/max scan is folded into
     /// block extraction; per-block f32 extrema reduce exactly in f64.
@@ -422,7 +409,6 @@ impl<M: Machine> Run<'_, M> {
             };
             node.add(Counter::AssignCost, cost);
         });
-        self.progress(ProgressPhase::Read);
         self.m.begin(Phase::Read);
         let ranges = self.m.each(&mut self.st, |node, s| {
             let loaded = par_map(node.threads(), &s.blocks, |_, &b| job.block(b));
@@ -458,7 +444,6 @@ impl<M: Machine> Run<'_, M> {
         let (job, sp) = (self.job, self.sp);
         let (params, decomp) = (job.params, &job.decomp);
         let rdims = job.src.dims().refined();
-        self.progress(ProgressPhase::Local);
         self.m.each(&mut self.st, |node, s| {
             let threads = node.threads();
             for &b in &s.blocks {
@@ -467,7 +452,7 @@ impl<M: Machine> Run<'_, M> {
                     assign_gradient_kernel(field, decomp, threads, active_kernel())
                 });
                 let (ms, bstats) = node.time(Phase::Trace, || {
-                    complex_from_gradient_mt(field, decomp, &grad, params.trace_limits, threads)
+                    complex_from_gradient_mt(field, decomp, &grad, TraceLimits::default(), threads)
                 });
                 node.add(Counter::CellsPaired, bstats.cells_paired);
                 node.add(Counter::CriticalCells, bstats.critical_cells);
@@ -482,7 +467,6 @@ impl<M: Machine> Run<'_, M> {
             }
             s.fields = HashMap::new();
         });
-        self.progress(ProgressPhase::Simplify);
         let results = self.m.each(&mut self.st, |node, s| {
             let threads = node.threads();
             // blocks simplify independently; collect in block order so
@@ -658,7 +642,6 @@ impl<M: Machine> Run<'_, M> {
     /// boundary is a pure function of the forward pairs, so labels are
     /// bit-identical for any rank count, thread count or schedule.
     fn resolve(&mut self) -> Res {
-        self.progress(ProgressPhase::SegResolve);
         self.m.begin(Phase::SegResolve);
         // whatever was not piggybacked on a merge round
         self.flush_forwards(TAG_SEG_ROUTE_FINAL)?;
@@ -762,7 +745,6 @@ impl<M: Machine> Run<'_, M> {
     /// key on globally summed region sizes of the resolved tables.
     fn hierarchy(&mut self) -> Res {
         let job = self.job;
-        self.progress(ProgressPhase::Hierarchy);
         self.m.begin(Phase::Hierarchy);
         if job.params.segment {
             self.m.begin(Phase::HierarchySizes);
@@ -842,7 +824,6 @@ impl<M: Machine> Run<'_, M> {
     /// payloads are built and dropped before the next file's.
     fn write(&mut self, output: Option<&Path>) -> Res<RankOut> {
         let job = self.job;
-        self.progress(ProgressPhase::Write);
         self.m.begin(Phase::Write);
         let fault_active = job.params.fault.active();
         // Each output is serialized once, path or no path (the lengths
@@ -943,7 +924,6 @@ impl<M: Machine> Run<'_, M> {
     /// `oracle_fuzz`).
     fn check(&mut self, out: &RankOut) {
         let job = self.job;
-        self.progress(ProgressPhase::Check);
         self.m.begin(Phase::Check);
         self.m.each(&mut self.st, |node, s| {
             let opts = CheckOptions::default();
@@ -1084,9 +1064,6 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
             node.add(Counter::ArcsShipped, ms.n_live_arcs());
             let payload = cut.remove(&mb).unwrap_or_else(|| wire::serialize(&ms));
             node.add(Counter::ShipBytes, payload.len() as u64);
-            if let Some(st) = &job.progress {
-                st.add_bytes(payload.len() as u64);
-            }
             (node.send(to, (r as u32) << 20 | mb, payload))
                 .map_err(comm_err(format!("shipping slot {mb} in round {r}")))?;
         }

@@ -24,8 +24,8 @@
 //!   writers use;
 //! * [`live`] — the *live* (scrapeable, lock-light) metric surface:
 //!   atomic counters/gauges, log-bucketed histograms with bounded
-//!   memory, windowed rates, a Prometheus/JSON [`Registry`], and the
-//!   pipeline progress [`Heartbeat`] (DESIGN.md §13).
+//!   memory, windowed rates and a Prometheus/JSON [`Registry`]
+//!   (DESIGN.md §13).
 //!
 //! The crate is intentionally std-only so it can never constrain where
 //! instrumentation is threaded.
@@ -42,8 +42,8 @@ pub(crate) mod wirefmt;
 pub use counter::{Counter, ALL_COUNTERS};
 pub use json::Json;
 pub use live::{
-    bucket_width, Heartbeat, HistSnapshot, LiveCounter, LiveGauge, LiveHistogram, ProgressPhase,
-    ProgressState, RateWindow, Registry, HIST_BUCKETS,
+    bucket_width, HistSnapshot, LiveCounter, LiveGauge, LiveHistogram, RateWindow, Registry,
+    HIST_BUCKETS,
 };
 pub use phase::Phase;
 pub use recorder::{Recorder, SpanError};

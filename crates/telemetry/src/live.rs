@@ -19,15 +19,12 @@
 //! * [`Registry`] — named metric families with label sets, rendered as
 //!   Prometheus text exposition format or a JSON snapshot. The lock is
 //!   taken only for registration and rendering; recording is lock-free
-//!   on the `Arc`ed handles;
-//! * [`Heartbeat`] / [`ProgressState`] — a periodic progress line
-//!   (phase, ranks done, bytes moved) for long pipeline or sim-driver
-//!   runs, emitted as JSON lines on stderr.
+//!   on the `Arc`ed handles.
 
 use crate::json::Json;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // Counters and gauges
@@ -590,175 +587,6 @@ fn fmt_number(v: f64) -> String {
     }
 }
 
-// ---------------------------------------------------------------------
-// Progress heartbeat
-// ---------------------------------------------------------------------
-
-/// Coarse pipeline stage of one rank, for the heartbeat line. Ordinals
-/// are ordered by pipeline position so the "slowest rank" is a `min`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub enum ProgressPhase {
-    Idle = 0,
-    Read = 1,
-    Local = 2,
-    Simplify = 3,
-    Merge = 4,
-    SegResolve = 5,
-    Hierarchy = 6,
-    Write = 7,
-    Check = 8,
-    Done = 9,
-}
-
-impl ProgressPhase {
-    pub fn label(self) -> &'static str {
-        match self {
-            ProgressPhase::Idle => "idle",
-            ProgressPhase::Read => "read",
-            ProgressPhase::Local => "local",
-            ProgressPhase::Simplify => "simplify",
-            ProgressPhase::Merge => "merge",
-            ProgressPhase::SegResolve => "seg_resolve",
-            ProgressPhase::Hierarchy => "hierarchy",
-            ProgressPhase::Write => "write",
-            ProgressPhase::Check => "check",
-            ProgressPhase::Done => "done",
-        }
-    }
-
-    fn from_ordinal(n: usize) -> ProgressPhase {
-        match n {
-            1 => ProgressPhase::Read,
-            2 => ProgressPhase::Local,
-            3 => ProgressPhase::Simplify,
-            4 => ProgressPhase::Merge,
-            5 => ProgressPhase::SegResolve,
-            6 => ProgressPhase::Hierarchy,
-            7 => ProgressPhase::Write,
-            8 => ProgressPhase::Check,
-            9 => ProgressPhase::Done,
-            _ => ProgressPhase::Idle,
-        }
-    }
-}
-
-/// Shared progress state the ranks update and the heartbeat thread
-/// reads: per-rank phase ordinals plus a bytes-moved accumulator.
-#[derive(Debug)]
-pub struct ProgressState {
-    source: String,
-    started: Instant,
-    phases: Vec<AtomicUsize>,
-    bytes_moved: AtomicU64,
-}
-
-impl ProgressState {
-    pub fn new(source: &str, ranks: usize) -> ProgressState {
-        ProgressState {
-            source: source.to_string(),
-            started: Instant::now(),
-            phases: (0..ranks.max(1)).map(|_| AtomicUsize::new(0)).collect(),
-            bytes_moved: AtomicU64::new(0),
-        }
-    }
-
-    pub fn set_phase(&self, rank: usize, phase: ProgressPhase) {
-        if let Some(p) = self.phases.get(rank) {
-            p.store(phase as usize, Ordering::Relaxed);
-        }
-    }
-
-    pub fn add_bytes(&self, n: u64) {
-        self.bytes_moved.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved.load(Ordering::Relaxed)
-    }
-
-    pub fn ranks_done(&self) -> usize {
-        self.phases
-            .iter()
-            .filter(|p| p.load(Ordering::Relaxed) == ProgressPhase::Done as usize)
-            .count()
-    }
-
-    /// The slowest rank's current phase — what the run is waiting on.
-    pub fn min_phase(&self) -> ProgressPhase {
-        self.phases
-            .iter()
-            .map(|p| p.load(Ordering::Relaxed))
-            .min()
-            .map(ProgressPhase::from_ordinal)
-            .unwrap_or(ProgressPhase::Idle)
-    }
-
-    /// One progress line as compact JSON (no newline).
-    pub fn line(&self) -> String {
-        format!(
-            "{{\"event\":\"progress\",\"source\":\"{}\",\"elapsed_s\":{:.1},\
-             \"phase\":\"{}\",\"ranks_done\":{},\"ranks\":{},\"bytes_moved\":{}}}",
-            self.source,
-            self.started.elapsed().as_secs_f64(),
-            self.min_phase().label(),
-            self.ranks_done(),
-            self.phases.len(),
-            self.bytes_moved()
-        )
-    }
-}
-
-/// A background thread printing [`ProgressState::line`] to stderr every
-/// `interval` until dropped; dropping prints one final line so even
-/// runs shorter than the interval leave a record.
-#[derive(Debug)]
-pub struct Heartbeat {
-    state: Arc<ProgressState>,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Heartbeat {
-    pub fn spawn(source: &str, ranks: usize, interval: Duration) -> Heartbeat {
-        let state = Arc::new(ProgressState::new(source, ranks));
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let state = state.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                let mut last = Instant::now();
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(20));
-                    if last.elapsed() >= interval {
-                        eprintln!("{}", state.line());
-                        last = Instant::now();
-                    }
-                }
-            })
-        };
-        Heartbeat {
-            state,
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    pub fn state(&self) -> Arc<ProgressState> {
-        self.state.clone()
-    }
-}
-
-impl Drop for Heartbeat {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        eprintln!("{}", self.state.line());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -919,36 +747,5 @@ mod tests {
         // 50 events within the first second: any window sees them all
         assert!(w.rate(1) >= 50.0);
         assert!(w.rate(10) >= 5.0);
-    }
-
-    #[test]
-    fn progress_state_tracks_phases_and_bytes() {
-        let p = ProgressState::new("test", 4);
-        assert_eq!(p.min_phase(), ProgressPhase::Idle);
-        for r in 0..4 {
-            p.set_phase(r, ProgressPhase::Read);
-        }
-        p.set_phase(0, ProgressPhase::Merge);
-        assert_eq!(p.min_phase(), ProgressPhase::Read);
-        p.add_bytes(1234);
-        for r in 0..4 {
-            p.set_phase(r, ProgressPhase::Done);
-        }
-        assert_eq!(p.ranks_done(), 4);
-        let line = p.line();
-        assert!(line.contains("\"phase\":\"done\""));
-        assert!(line.contains("\"bytes_moved\":1234"));
-        // progress lines are valid single-line JSON
-        assert!(Json::parse(&line).is_ok());
-    }
-
-    #[test]
-    fn heartbeat_emits_a_final_line() {
-        // can't capture stderr cheaply; just exercise spawn/drop for
-        // panics and thread leaks
-        let hb = Heartbeat::spawn("test", 2, Duration::from_millis(5));
-        hb.state().set_phase(1, ProgressPhase::Local);
-        std::thread::sleep(Duration::from_millis(30));
-        drop(hb);
     }
 }

@@ -152,6 +152,18 @@ grep -q 'latency self-check ok' "$tracedir/serve_err.txt" \
   && head -1 "$tracedir/serve_deep.jsonl" | grep -q '"ok":false' \
   || { echo "serve smoke: expected an error, then a pong"; cat "$tracedir/serve_deep.jsonl"; exit 1; }
 
+# the read-only subcommands on the same artifact, and a flag msc does
+# not know (here one that was removed) fails the run by name
+msc info "$tracedir/serve.msc" > /dev/null
+msc stats "$tracedir/serve.msc" --block 0 --top 3 > /dev/null
+msc filaments "$tracedir/serve.msc" --block 0 --threshold 0.5 > /dev/null
+if msc compute --input "$tracedir/seg.raw" --dims 17,17,17 \
+  --output "$tracedir/unknown.msc" --progress 1 2> "$tracedir/unknown_err.txt"; then
+  echo "msc compute accepted an unknown flag"; exit 1
+fi
+grep -q 'unknown flag --progress for compute' "$tracedir/unknown_err.txt" \
+  || { echo "unknown flag: wrong error"; cat "$tracedir/unknown_err.txt"; exit 1; }
+
 # figure smoke: the figures driver regenerates every table and figure
 # at small scale into $tracedir; it asserts its gates (the fault sweep's
 # bit-identical recoveries, the balance sweep's adaptive-below-uniform

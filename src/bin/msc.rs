@@ -70,26 +70,43 @@ mod sig {
     }
 }
 
+type Command = fn(&Opts) -> Result<(), String>;
+
+/// Every command with the flags it reads; any other flag is an error.
+const COMMANDS: &[(&str, &str, Command)] = &[
+    ("synth", "kind size complexity seed output dtype", cmd_synth),
+    (
+        "compute",
+        "input dims dtype ranks blocks persistence threads merge output decomp \
+         faults checkpoint deadline-ms trace check segment hierarchy",
+        cmd_compute,
+    ),
+    ("info", "", cmd_info),
+    ("stats", "block top", cmd_stats),
+    ("filaments", "block threshold", cmd_filaments),
+    (
+        "export",
+        "block vtk csv labels labels-vtk labels-csv seg",
+        cmd_export,
+    ),
+    ("serve", "listen cache report slow-ms", cmd_serve),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         usage();
         exit(2);
     };
-    let opts = parse_opts(rest);
     let result = match cmd.as_str() {
-        "synth" => cmd_synth(&opts),
-        "compute" => cmd_compute(&opts),
-        "info" => cmd_info(&opts),
-        "stats" => cmd_stats(&opts),
-        "filaments" => cmd_filaments(&opts),
-        "export" => cmd_export(&opts),
-        "serve" => cmd_serve(&opts),
         "help" | "--help" | "-h" => {
             usage();
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'")),
+        name => match COMMANDS.iter().find(|c| c.0 == name) {
+            Some(&(name, flags, run)) => parse_opts(name, flags, rest).and_then(|o| run(&o)),
+            None => Err(format!("unknown command '{name}'")),
+        },
     };
     if let Err(e) = result {
         eprintln!("error: {e}");
@@ -98,8 +115,10 @@ fn main() {
 }
 
 fn usage() {
-    eprintln!(
-        "msc — parallel Morse-Smale complexes\n\
+    eprintln!("{USAGE}");
+}
+
+const USAGE: &str = "msc — parallel Morse-Smale complexes\n\
          commands:\n\
          \u{20} synth     --kind sinusoid|jet|rt|hydrogen|porous|noise --size N\n\
          \u{20}           [--complexity C] [--seed S] --output FILE [--dtype f32]\n\
@@ -125,8 +144,6 @@ fn usage() {
          \u{20}           [--hierarchy]  (record the full cancellation\n\
          \u{20}           sequence for threshold-free querying; implies\n\
          \u{20}           --segment; writes <output>.msh next to the complex)\n\
-         \u{20}           [--progress SECS]  (heartbeat lines on stderr:\n\
-         \u{20}           phase, ranks done, bytes moved)\n\
          \u{20}           SPEC: crash:R@K;drop:F->T#N;delay:F->T#N+MS;slow:R*F\n\
          \u{20} serve     FILE... (from compute --hierarchy)\n\
          \u{20}           [--listen ADDR]  (TCP; default: stdin/stdout,\n\
@@ -146,21 +163,24 @@ fn usage() {
          \u{20}           [--labels descending|ascending|combined]\n\
          \u{20}           [--labels-vtk FILE] [--labels-csv FILE]\n\
          \u{20}           [--seg FILE]  (labeled volume source; default:\n\
-         \u{20}           <FILE>.seg from a --segment compute run)"
-    );
-}
+         \u{20}           <FILE>.seg from a --segment compute run)";
 
 struct Opts {
     flags: HashMap<String, String>,
     positional: Vec<String>,
 }
 
-fn parse_opts(args: &[String]) -> Opts {
+/// Split `args` into flags and positional arguments, refusing any flag
+/// not among the space-separated `known` names `cmd` reads.
+fn parse_opts(cmd: &str, known: &str, args: &[String]) -> Result<Opts, String> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if !known.split_whitespace().any(|k| k == name) {
+                return Err(format!("unknown flag --{name} for {cmd}"));
+            }
             let value = it
                 .peek()
                 .filter(|v| !v.starts_with("--"))
@@ -174,7 +194,7 @@ fn parse_opts(args: &[String]) -> Opts {
             positional.push(a.clone());
         }
     }
-    Opts { flags, positional }
+    Ok(Opts { flags, positional })
 }
 
 impl Opts {
@@ -315,15 +335,6 @@ fn cmd_compute(o: &Opts) -> Result<(), String> {
         ),
         None => None,
     };
-    let progress: Option<f64> = o
-        .opt("progress")
-        .map(|v| {
-            v.parse::<f64>()
-                .ok()
-                .filter(|s| *s > 0.0 && s.is_finite())
-                .ok_or_else(|| format!("bad value for --progress: {v}"))
-        })
-        .transpose()?;
     let params = PipelineParams {
         persistence_frac: persistence,
         plan,
@@ -336,7 +347,6 @@ fn cmd_compute(o: &Opts) -> Result<(), String> {
         // the segmentation stage on too
         segment: o.has("segment") || o.has("hierarchy"),
         hierarchy: o.has("hierarchy"),
-        progress,
         ..Default::default()
     };
     let t0 = std::time::Instant::now();
@@ -835,5 +845,78 @@ fn flush_serve_report(core: &ServerCore, report_name: &str, reported: &AtomicBoo
     match report.write(Path::new("results")) {
         Ok(p) => eprintln!("serve telemetry: {}", p.display()),
         Err(e) => eprintln!("warning: telemetry write failed: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--name` flags in each command's usage section, outside the
+    /// parenthesized notes (which name other commands' flags too).
+    fn usage_flags() -> HashMap<&'static str, Vec<String>> {
+        let mut listed: HashMap<&str, Vec<String>> = HashMap::new();
+        let (mut cmd, mut depth) = ("", 0);
+        for line in USAGE.lines() {
+            if line.starts_with("  ") && !line.starts_with("   ") {
+                cmd = line.split_whitespace().next().unwrap();
+            }
+            let chars: Vec<char> = line.chars().collect();
+            for (i, &c) in chars.iter().enumerate() {
+                match c {
+                    '(' => depth += 1,
+                    ')' => depth -= 1,
+                    '-' if depth == 0 && chars.get(i + 1) == Some(&'-') => {
+                        let name = chars[i + 2..]
+                            .iter()
+                            .take_while(|c| c.is_ascii_lowercase() || **c == '-');
+                        listed.entry(cmd).or_default().push(name.collect());
+                    }
+                    _ => {}
+                }
+            }
+        }
+        listed
+    }
+
+    fn flags(cmd: &str) -> &'static str {
+        COMMANDS.iter().find(|c| c.0 == cmd).unwrap().1
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn every_command_reads_exactly_the_flags_its_usage_lists() {
+        let listed = usage_flags();
+        for &(cmd, known, _) in COMMANDS {
+            let mut usage = listed.get(cmd).cloned().unwrap_or_default();
+            for flag in &usage {
+                let line = args(&format!("FILE --{flag} 1"));
+                assert!(parse_opts(cmd, known, &line).is_ok(), "{cmd} --{flag}");
+            }
+            usage.sort_unstable();
+            usage.dedup();
+            let mut known: Vec<&str> = known.split_whitespace().collect();
+            known.sort_unstable();
+            assert_eq!(usage, known, "{cmd}: usage text and flag list differ");
+        }
+    }
+
+    #[test]
+    fn an_unknown_flag_is_refused_by_name() {
+        assert_eq!(flags("compute").split_whitespace().count(), 17);
+        for flag in ["checkpiont", "progress"] {
+            let line = args(&format!(
+                "--input f.raw --dims 9,9,9 --output f.msc --{flag} 1"
+            ));
+            assert_eq!(
+                parse_opts("compute", flags("compute"), &line).err(),
+                Some(format!("unknown flag --{flag} for compute"))
+            );
+        }
+        let line = args("--kind noise --size 9 --output f.raw --bogus-flag 3");
+        assert!(parse_opts("synth", flags("synth"), &line).is_err());
     }
 }
