@@ -214,7 +214,7 @@ pub fn load_dataset(name: &str, msc_path: &Path) -> Result<Dataset, ServeError> 
             segs.push(
                 segwire::deserialize(&payload).map_err(|e| ServeError::Artifact {
                     context: format!("decoding {}", seg_path.display()),
-                    detail: e,
+                    detail: e.to_string(),
                 })?,
             );
         }

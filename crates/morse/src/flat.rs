@@ -48,16 +48,21 @@
 //!    corner order.** [`expand`] reads the group mask and the keys and
 //!    emits a byte per member offset; the keys are fixed by the member
 //!    mask and the corners' ranks, and the ranks by the outcome of every
-//!    pairwise corner comparison. An interior star (one group) with at
-//!    most 8 corners is therefore named by its 27-bit member mask plus
-//!    one bit `corner[j] < corner[i]` per corner pair (at most 28), and
-//!    two stars with the same name get the same bytes at the same
-//!    offsets. A direct-mapped memo of [`MEMO_SLOTS`] slots keyed by
-//!    that name replays the bytes on a hit, skipping the ranking, the
-//!    key spreading and the expansion; a hit stores exactly what the
-//!    miss would have computed, so the memo cannot move a byte. Smooth
-//!    fields repeat a few thousand shapes: on a 129³ sinusoid in 8
-//!    blocks, 99.7 % of the lookups hit (95 % of all interior stars).
+//!    pairwise corner comparison. A one-group star with at most 8
+//!    corners is therefore named by its 27-bit member mask plus one bit
+//!    `corner[j] < corner[i]` per corner pair (at most 28), and two stars
+//!    with the same name get the same bytes at the same offsets, inside
+//!    the block or on its surface. A direct-mapped memo of
+//!    [`MEMO_SLOTS`] slots keyed by that name replays the bytes on a
+//!    hit, skipping the ranking, the key spreading and the expansion; a
+//!    hit stores exactly what the miss would have computed, so the memo
+//!    cannot move a byte. Smooth fields repeat a few thousand shapes: on
+//!    a 129³ sinusoid in 8 blocks, 99.7 % of the lookups hit. Most of
+//!    those stars (86.5 % of all of them there) are one of the eight
+//!    [`OCTANTS`]: the vertex and the seven cells of one unit cube it is
+//!    the maximum of. Their seven corners sit at fixed offsets, so their
+//!    key (the same `u64`) is seven loads and 21 compares of
+//!    straight-line code, and a hit is eight fixed stores.
 //!
 //! **Boundaries.** Pairing is restricted to cells with equal owner sets
 //! (paper §IV-C). Every star cell has the vertex as a corner, so a block
@@ -65,28 +70,34 @@
 //! owners(vertex)`, and a block of `owners(vertex)` owns the cell iff
 //! its box keeps that offset around the vertex. One `owners` walk for
 //! the vertex plus one clip mask per other owner therefore partitions
-//! the members by owner set. Boundary stars, like local minima and
-//! stars with more than 8 corners, skip the memo: [`expand`] hands their
-//! bytes straight to the gradient, with no byte array in between.
+//! the members by owner set. A surface star whose members form one group
+//! (every star on a domain face that one block owns, and most at
+//! T-junctions) has an interior star's name and goes through the memo.
+//! Stars with two or more groups, local minima and stars with more than
+//! 8 corners skip it: [`expand`] hands their bytes straight to the
+//! gradient, group by group, with no byte array in between.
 //!
 //! The sweep reads one precomputed array: the block's vertex values
 //! mapped through [`OrderedF32`] (a pooled `Vec<u32>`, see
 //! `crate::pool`), walked x-fastest. A vertex on the block surface loads
 //! its 27 neighbor words one offset at a time, each clipped to the box.
 //! A `(y, z)` row strictly inside the block instead takes the nine rows
-//! around it as slices of that array once, and each of its vertices but
-//! the two ends reads its words as three-word windows `r[x-1..x+2]` of
-//! them, with no per-offset clip, and goes through the memo; the two
-//! ends and every surface row keep the clipped loads and the direct
-//! path. Everything else is stack scratch, so beyond the per-block key
-//! array the kernel allocates one memo table per slab call and nothing
-//! per vertex.
+//! around it as slices of that array once and classifies all its
+//! vertices but the two ends at once: [`row_below`] fills one reused
+//! `below` mask per vertex with three vectorized passes of slice-against-
+//! slice compares, one per z plane of the cube. Each of those vertices
+//! then reads its corner words straight from the row slices, with no
+//! per-offset clip and no 27-word copy unless it misses the memo or
+//! expands directly; the two ends and every surface row keep the clipped
+//! loads. Everything else is stack scratch, so beyond the per-block key
+//! array the kernel allocates one memo table and one row of masks per
+//! slab call and nothing per vertex.
 
 use crate::gradient::{GradientField, ASSIGNED, CRITICAL, PAIRED, TAIL};
 use msp_grid::decomp::Decomposition;
 use msp_grid::field::{BlockField, OrderedF32};
 use msp_grid::offsets::{
-    clip_mask, offset_of, one_facet, star_members, ALL_OFFSETS, CENTER, NEG_GID, STAR_FACETS,
+    clip_mask, index_of, offset_of, one_facet, star_members, CENTER, NEG_GID, STAR_FACETS,
 };
 use msp_grid::{Dims, RCoord};
 
@@ -158,6 +169,8 @@ impl<'a> FlatSweep<'a> {
     fn sweep_with(&self, z0: u32, z1: u32, memo: &mut Memo, grad: &mut GradientField) {
         let rd = refined_deltas(grad);
         let nx = self.bd.nx as usize;
+        // the `below` masks of one interior row's vertices 1..nx-1
+        let mut below = vec![0u32; nx.saturating_sub(2)];
         for z in z0..=z1 {
             let z_inside = z > self.blo[2] && z < self.bhi[2];
             let mz = clip_mask(2, z > self.blo[2], z < self.bhi[2]);
@@ -168,52 +181,86 @@ impl<'a> FlatSweep<'a> {
                 if !(z_inside && y > self.blo[1] && y < self.bhi[1] && nx >= 3) {
                     for (k, x) in (self.blo[0]..=self.bhi[0]).enumerate() {
                         let valid = my & clip_mask(0, x > self.blo[0], x < self.bhi[0]);
-                        self.process_vertex(li0 + k, gi0 + 2 * k, [x, y, z], valid, &rd, grad);
+                        let v = [x, y, z];
+                        self.surface_vertex(li0 + k, gi0 + 2 * k, v, valid, &rd, memo, grad);
                     }
                     continue;
                 }
-                // Interior row: the nine rows around it as slices, and
-                // every vertex but the two ends reads its 27 words as
-                // three-word windows of them, unclipped.
-                let rows: [&[u32]; 9] = std::array::from_fn(|j| {
-                    let s = (li0 as isize + self.ld[3 * j + 1]) as usize;
-                    &self.ord[s..s + nx]
-                });
+                // Interior row: the nine rows around it as slices, the
+                // `below` masks of all its vertices but the two ends
+                // from three passes of slice compares, and the corner
+                // words read from the slices, unclipped.
+                let rows = self.rows_around(li0);
                 let ends = [
                     (0, clip_mask(0, false, true)),
                     (nx - 1, clip_mask(0, true, false)),
                 ];
                 for (k, mx) in ends {
                     let v = [self.blo[0] + k as u32, y, z];
-                    self.process_vertex(li0 + k, gi0 + 2 * k, v, my & mx, &rd, grad);
+                    self.surface_vertex(li0 + k, gi0 + 2 * k, v, my & mx, &rd, memo, grad);
                 }
-                for k in 1..nx - 1 {
-                    let mut w = [0u32; 27];
-                    for (w, r) in w.chunks_exact_mut(3).zip(&rows) {
-                        w.copy_from_slice(&r[k - 1..k + 2]);
+                row_below(&rows, &mut below);
+                for (k, &b) in (1..nx - 1).zip(&below) {
+                    let gi = gi0 + 2 * k;
+                    let member = star_members(b);
+                    let corners = (member & !CENTER_BIT).count_ones();
+                    if corners == 0 {
+                        // Local SoS minimum: the star is just the vertex.
+                        grad.write_byte(gi, ASSIGNED | CRITICAL);
+                    } else if corners > 8 {
+                        assign_direct(&row_words(&rows, k), member, &[member], gi, &rd, grad);
+                    } else if let Some(o) = octant(member) {
+                        assign_octant(o, memo, &rows, k, gi, &rd, grad);
+                    } else {
+                        let key = row_key(&rows, k, member);
+                        assign_memo(memo, key, member, || row_words(&rows, k), gi, &rd, grad);
                     }
-                    let v = [self.blo[0] + k as u32, y, z];
-                    self.assign_interior(&w, gi0 + 2 * k, v, &rd, memo, grad);
                 }
             }
         }
     }
 
-    /// Assign the entire lower star of one vertex without the memo. `li`
+    /// Assign the lower star of the block-surface vertex `v`: `li`
     /// indexes `ord`, `gi` is the vertex cell's linear index in `grad`,
-    /// `valid` is the box-clipped offset mask.
-    fn process_vertex(
+    /// `valid` is the box-clipped offset mask. A star whose members all
+    /// have one owner set and that has 1 to 8 corners goes through the
+    /// memo like an interior one; minima and the rest expand directly.
+    #[allow(clippy::too_many_arguments)]
+    fn surface_vertex(
         &self,
         li: usize,
         gi: usize,
         v: [u32; 3],
         valid: u32,
         rd: &[isize; 27],
+        memo: &mut Memo,
         grad: &mut GradientField,
     ) {
         let w = self.neighbor_words(li, valid);
         let member = star_member(&w, valid);
-        self.assign_direct(&w, gi, v, valid, member, rd, grad);
+        if member == CENTER_BIT {
+            return grad.write_byte(gi, ASSIGNED | CRITICAL);
+        }
+        let mut groups = [0u32; 27];
+        let n = self.owner_groups(v, member, &mut groups);
+        if n == 1 && (member & !CENTER_BIT).count_ones() <= 8 {
+            #[cfg(test)]
+            {
+                memo.surface += 1;
+            }
+            return assign_memo(memo, memo_key(&w, member), member, || w, gi, rd, grad);
+        }
+        assign_direct(&w, member, &groups[..n], gi, rd, grad);
+    }
+
+    /// The nine rows of `ord` around the interior row starting at
+    /// `ord[li0]`, by offset `3 * j + 1` (dz, dy of row `j`).
+    fn rows_around(&self, li0: usize) -> [&[u32]; 9] {
+        let nx = self.bd.nx as usize;
+        std::array::from_fn(|j| {
+            let s = (li0 as isize + self.ld[3 * j + 1]) as usize;
+            &self.ord[s..s + nx]
+        })
     }
 
     /// The 27 neighbor words of the vertex at `ord[li]`; a clipped offset
@@ -226,76 +273,6 @@ impl<'a> FlatSweep<'a> {
             *w = self.ord[(li as isize + d) as usize];
         }
         w
-    }
-
-    /// Assign the lower star of the interior vertex `v` whose neighbor
-    /// words are `w` through the memo (observation 4). Local minima and
-    /// stars with more than 8 corners take the direct path.
-    #[inline]
-    fn assign_interior(
-        &self,
-        w: &[u32; 27],
-        gi: usize,
-        v: [u32; 3],
-        rd: &[isize; 27],
-        memo: &mut Memo,
-        grad: &mut GradientField,
-    ) {
-        let member = star_member(w, ALL_OFFSETS);
-        let corners = (member & !CENTER_BIT).count_ones();
-        if corners == 0 || corners > 8 {
-            return self.assign_direct(w, gi, v, ALL_OFFSETS, member, rd, grad);
-        }
-        let key = memo_key(w, member);
-        let slot = memo.slot(key);
-        if slot.0 != key {
-            let mut keys = [0u32; 27];
-            star_keys(w, member, &mut keys);
-            let bytes = &mut slot.1;
-            *bytes = [0; 27];
-            expand(member, &keys, |oi, b| bytes[oi] = b);
-            slot.0 = key;
-        }
-        write_star(member, &slot.1, gi, rd, grad);
-    }
-
-    /// Assign the lower star of `v` without the memo, expanding straight
-    /// into `grad`: `w` are the neighbor words, `valid` the box clip and
-    /// `member` the star's member mask.
-    #[allow(clippy::too_many_arguments)]
-    fn assign_direct(
-        &self,
-        w: &[u32; 27],
-        gi: usize,
-        v: [u32; 3],
-        valid: u32,
-        member: u32,
-        rd: &[isize; 27],
-        grad: &mut GradientField,
-    ) {
-        if member == CENTER_BIT {
-            // Local SoS minimum: the star is just the vertex, critical.
-            return grad.write_byte(gi, ASSIGNED | CRITICAL);
-        }
-        let mut keys = [0u32; 27];
-        star_keys(w, member, &mut keys);
-        let mut put = |oi: usize, b: u8| grad.write_byte(at(gi, rd[oi]), b);
-        if valid == ALL_OFFSETS {
-            // Interior: the whole star has the singleton owner set
-            // {block}, one group.
-            expand(member, &keys, &mut put);
-        } else {
-            // Boundary: stratify members into owner-set groups (paper
-            // §IV-C's pairing restriction) and expand each independently.
-            // Cross-group operations commute — bytes only depend on the
-            // within-group sequence — so running the groups one after
-            // another writes the bytes of any interleaving.
-            let mut groups = [0u32; 27];
-            let n = self.owner_groups(v, member, &mut groups);
-            for &g in &groups[..n] {
-                expand(g, &keys, &mut put);
-            }
-        }
     }
 
     /// Partition the member cells around the block-surface vertex `v` by
@@ -326,6 +303,169 @@ impl<'a> FlatSweep<'a> {
         }
         n
     }
+}
+
+/// Assign a lower star without the memo, expanding straight into `grad`:
+/// `w` are the neighbor words, `member` the star's member mask and
+/// `groups` its owner-set groups (module docs, "Boundaries"). Cross-group
+/// operations commute — bytes only depend on the within-group sequence —
+/// so running the groups one after another writes the bytes of any
+/// interleaving.
+fn assign_direct(
+    w: &[u32; 27],
+    member: u32,
+    groups: &[u32],
+    gi: usize,
+    rd: &[isize; 27],
+    grad: &mut GradientField,
+) {
+    let mut keys = [0u32; 27];
+    star_keys(w, member, &mut keys);
+    for &g in groups {
+        expand(g, &keys, |oi, b| grad.write_byte(at(gi, rd[oi]), b));
+    }
+}
+
+/// Assign a one-group lower star with 1 to 8 corners through the memo
+/// (observation 4): replay the slot of `key` on a hit, or fill it from
+/// the neighbor words `words()` on a miss.
+#[inline]
+fn assign_memo(
+    memo: &mut Memo,
+    key: u64,
+    member: u32,
+    words: impl FnOnce() -> [u32; 27],
+    gi: usize,
+    rd: &[isize; 27],
+    grad: &mut GradientField,
+) {
+    let slot = memo.slot(key);
+    if slot.0 == key {
+        return write_star(member, &slot.1, gi, rd, grad);
+    }
+    fill_slot(slot, key, member, &words(), gi, rd, grad);
+}
+
+/// The memo miss: expand the star `member` with neighbor words `w` into
+/// the slot's bytes and `grad` at once, and name the slot `key`.
+#[inline]
+fn fill_slot(
+    slot: &mut (u64, [u8; 27]),
+    key: u64,
+    member: u32,
+    w: &[u32; 27],
+    gi: usize,
+    rd: &[isize; 27],
+    grad: &mut GradientField,
+) {
+    let mut keys = [0u32; 27];
+    star_keys(w, member, &mut keys);
+    let bytes = &mut slot.1;
+    expand(member, &keys, |oi, b| {
+        bytes[oi] = b;
+        grad.write_byte(at(gi, rd[oi]), b);
+    });
+    slot.0 = key;
+}
+
+/// [`assign_memo`] for the octant star `OCTANTS[o]` around vertex `k` of
+/// an interior row.
+#[inline(always)]
+fn assign_octant(
+    o: usize,
+    memo: &mut Memo,
+    rows: &[&[u32]; 9],
+    k: usize,
+    gi: usize,
+    rd: &[isize; 27],
+    grad: &mut GradientField,
+) {
+    match o {
+        0 => assign_octant_of::<0>(memo, rows, k, gi, rd, grad),
+        1 => assign_octant_of::<1>(memo, rows, k, gi, rd, grad),
+        2 => assign_octant_of::<2>(memo, rows, k, gi, rd, grad),
+        3 => assign_octant_of::<3>(memo, rows, k, gi, rd, grad),
+        4 => assign_octant_of::<4>(memo, rows, k, gi, rd, grad),
+        5 => assign_octant_of::<5>(memo, rows, k, gi, rd, grad),
+        6 => assign_octant_of::<6>(memo, rows, k, gi, rd, grad),
+        _ => assign_octant_of::<7>(memo, rows, k, gi, rd, grad),
+    }
+}
+
+/// [`assign_octant`] for one octant: the key's loads and order bits and
+/// a hit's eight stores are straight-line code at compile-time offsets.
+#[inline(always)]
+fn assign_octant_of<const O: usize>(
+    memo: &mut Memo,
+    rows: &[&[u32]; 9],
+    k: usize,
+    gi: usize,
+    rd: &[isize; 27],
+    grad: &mut GradientField,
+) {
+    let key = octant_key::<O>(rows, k);
+    let slot = memo.slot(key);
+    if slot.0 != key {
+        return fill_slot(slot, key, OCTANTS[O], &row_words(rows, k), gi, rd, grad);
+    }
+    for oi in OCTANT_CORNERS[O] {
+        grad.write_byte(at(gi, rd[oi]), slot.1[oi]);
+    }
+    grad.write_byte(gi, slot.1[CENTER]);
+}
+
+/// Fill `below[k - 1]` with the `below` mask (the offsets SoS-below the
+/// center) of vertex `k` of the interior row whose nine surrounding rows
+/// are `rows`, for every `k` in `1..nx - 1`: three passes over the row,
+/// one per z plane of the cube, each comparing nine shifted slices
+/// against the center slice, which the compiler vectorizes. Equal words
+/// are below at [`NEG_GID`] offsets, the SoS tie-break.
+fn row_below(rows: &[&[u32]; 9], below: &mut [u32]) {
+    let center = &rows[CENTER / 3][1..below.len() + 1];
+    let plane = |z: usize| [rows[3 * z], rows[3 * z + 1], rows[3 * z + 2]];
+    plane_below::<{ NEG_GID & 0x1ff }, false>(below, center, plane(0), 0);
+    plane_below::<{ NEG_GID >> 9 & 0x1ff }, true>(below, center, plane(1), 9);
+    plane_below::<{ NEG_GID >> 18 & 0x1ff }, true>(below, center, plane(2), 18);
+}
+
+/// One z plane of [`row_below`]: the nine bits from `shift` up, stored
+/// (`OR` false) or or-ed in; bit `i` of `NEG` marks a tie-break offset.
+#[inline(always)]
+fn plane_below<const NEG: u32, const OR: bool>(
+    below: &mut [u32],
+    center: &[u32],
+    rows: [&[u32]; 3],
+    shift: u32,
+) {
+    let n = below.len();
+    let w: [&[u32]; 9] = std::array::from_fn(|i| &rows[i / 3][i % 3..i % 3 + n]);
+    for j in 0..n {
+        let c = center[j];
+        let mut m = 0u32;
+        for (i, w) in w.iter().enumerate() {
+            let b = if NEG >> i & 1 != 0 {
+                w[j] <= c
+            } else {
+                w[j] < c
+            };
+            m |= (b as u32) << i;
+        }
+        below[j] = if OR {
+            below[j] | m << shift
+        } else {
+            m << shift
+        };
+    }
+}
+
+/// The 27 neighbor words of vertex `k` of an interior row, by offset.
+#[inline]
+fn row_words(rows: &[&[u32]; 9], k: usize) -> [u32; 27] {
+    let mut w = [0u32; 27];
+    for (w, r) in w.chunks_exact_mut(3).zip(rows) {
+        w.copy_from_slice(&r[k - 1..k + 2]);
+    }
+    w
 }
 
 /// The lower star of the vertex with neighbor words `w` and box clip
@@ -386,10 +526,10 @@ fn star_keys(w: &[u32; 27], member: u32, keys: &mut [u32; 27]) {
     }
 }
 
-/// Slots of the interior-star memo (observation 4).
+/// Slots of the star memo (observation 4).
 const MEMO_SLOTS: usize = 4096;
 
-/// Direct-mapped memo of interior star expansions: `(key, bytes)` per
+/// Direct-mapped memo of one-group star expansions: `(key, bytes)` per
 /// slot, key 0 marking an empty one (a real key has the center bit).
 /// One per [`FlatSweep::sweep_z_range`] call, so slab threads share
 /// nothing.
@@ -397,6 +537,9 @@ struct Memo {
     slots: Box<[(u64, [u8; 27]); MEMO_SLOTS]>,
     #[cfg(test)]
     lookups: u64,
+    /// Of `lookups`, those of block-surface stars.
+    #[cfg(test)]
+    surface: u64,
     #[cfg(test)]
     hits: u64,
     #[cfg(test)]
@@ -410,6 +553,8 @@ impl Memo {
             slots: slots.try_into().expect("MEMO_SLOTS slots"),
             #[cfg(test)]
             lookups: 0,
+            #[cfg(test)]
+            surface: 0,
             #[cfg(test)]
             hits: 0,
             #[cfg(test)]
@@ -432,23 +577,43 @@ impl Memo {
     }
 }
 
-/// The memo key of an interior star with 1 to 8 corners: the member
+/// [`memo_key`] of vertex `k` of an interior row, its corner words
+/// read from the row slices.
+#[inline]
+fn row_key(rows: &[&[u32]; 9], k: usize, member: u32) -> u64 {
+    corner_key(member, |oi| rows[oi / 3][k - 1 + oi % 3])
+}
+
+/// The memo key of a one-group star with 1 to 8 corners: the member
 /// mask, then one bit `corner[j] < corner[i]` for every corner pair
 /// `j < i` in offset order (observation 4). Equal words order by offset,
 /// and `j`'s is the smaller, so that bit is `w[j] <= w[i]`.
 #[inline]
 fn memo_key(w: &[u32; 27], member: u32) -> u64 {
+    corner_key(member, |oi| w[oi])
+}
+
+/// [`memo_key`] with the corner words read through `word(offset)`.
+#[inline(always)]
+fn corner_key(member: u32, word: impl Fn(usize) -> u32) -> u64 {
     let mut c = [0u32; 8];
     let mut n = 0usize;
     let mut m = member & !CENTER_BIT;
     while m != 0 {
-        c[n] = w[m.trailing_zeros() as usize];
+        c[n] = word(m.trailing_zeros() as usize);
         m &= m - 1;
         n += 1;
     }
+    order_key(member, &c[..n])
+}
+
+/// `member` with the order bits of the corner words `c` (in offset
+/// order) above it: [`memo_key`]'s layout.
+#[inline(always)]
+fn order_key(member: u32, c: &[u32]) -> u64 {
     let mut key = member as u64;
     let mut bit = 27;
-    for i in 1..n {
+    for i in 1..c.len() {
         for j in 0..i {
             key |= ((c[j] <= c[i]) as u64) << bit;
             bit += 1;
@@ -456,6 +621,74 @@ fn memo_key(w: &[u32; 27], member: u32) -> u64 {
     }
     key
 }
+
+/// The `o` with `OCTANTS[o] == member`, if any: an octant star has, on
+/// each axis, the axis neighbor on its side.
+#[inline]
+fn octant(member: u32) -> Option<usize> {
+    let o =
+        (member >> X_POS & 1 | (member >> Y_POS & 1) << 1 | (member >> Z_POS & 1) << 2) as usize;
+    (member == OCTANTS[o]).then_some(o)
+}
+
+/// [`memo_key`] of the octant star `OCTANTS[O]` around vertex `k` of an
+/// interior row: seven loads at fixed offsets and 21 fixed compares.
+#[inline(always)]
+fn octant_key<const O: usize>(rows: &[&[u32]; 9], k: usize) -> u64 {
+    let c: [u32; 7] = std::array::from_fn(|i| {
+        let oi = OCTANT_CORNERS[O][i];
+        rows[oi / 3][k - 1 + oi % 3]
+    });
+    order_key(OCTANTS[O], &c)
+}
+
+const X_POS: usize = index_of(1, 0, 0);
+const Y_POS: usize = index_of(0, 1, 0);
+const Z_POS: usize = index_of(0, 0, 1);
+
+const fn octant_masks() -> [u32; 8] {
+    // component `a` of the cube corner `sub` on side `o`: 0, or the side
+    const fn d(o: usize, sub: usize, a: usize) -> i32 {
+        (sub >> a & 1) as i32 * (2 * (o >> a & 1) as i32 - 1)
+    }
+    let mut t = [0u32; 8];
+    let mut o = 0;
+    while o < 8 {
+        let mut sub = 0;
+        while sub < 8 {
+            t[o] |= 1 << index_of(d(o, sub, 0), d(o, sub, 1), d(o, sub, 2));
+            sub += 1;
+        }
+        o += 1;
+    }
+    t
+}
+
+/// The octant stars: bit `a` of `o` picks the +1 side of axis `a`, and
+/// `OCTANTS[o]` is the vertex plus the seven cells of the unit cube on
+/// that side, the cells of which it is the maximum. On smooth fields
+/// most lower stars are one of these eight.
+const OCTANTS: [u32; 8] = octant_masks();
+
+const fn octant_corners() -> [[usize; 7]; 8] {
+    let mut t = [[0usize; 7]; 8];
+    let mut o = 0;
+    while o < 8 {
+        let (mut oi, mut i) = (0, 0);
+        while oi < 27 {
+            if oi != CENTER && OCTANTS[o] >> oi & 1 != 0 {
+                t[o][i] = oi;
+                i += 1;
+            }
+            oi += 1;
+        }
+        o += 1;
+    }
+    t
+}
+
+/// The seven corner offsets of each octant star, ascending.
+const OCTANT_CORNERS: [[usize; 7]; 8] = octant_corners();
 
 /// The linear index delta in `grad` of every star offset.
 fn refined_deltas(grad: &GradientField) -> [isize; 27] {
@@ -532,6 +765,7 @@ fn at(gi: usize, d: isize) -> usize {
 mod tests {
     use super::*;
     use msp_grid::decomp::{BlockBox, OwnerSet};
+    use msp_grid::offsets::ALL_OFFSETS;
     use msp_grid::topology::RBox;
     use msp_grid::ScalarField;
 
@@ -674,7 +908,7 @@ mod tests {
     }
 
     /// The gradient of block `b` swept one vertex at a time through the
-    /// clipped loads and the direct path: no row windows, no memo.
+    /// clipped loads and the direct path: no row slices, no memo.
     fn direct_sweep(sweep: &FlatSweep, b: &BlockBox) -> GradientField {
         let mut grad = GradientField::new(b.refined_box());
         let rd = refined_deltas(&grad);
@@ -684,8 +918,11 @@ mod tests {
                 for x in b.lo[0]..=b.hi[0] {
                     let v = [x, y, z];
                     let gi = grad.linear_index(RCoord::of_vertex(x, y, z));
-                    let valid = box_clip(v, &b.lo, &b.hi);
-                    sweep.process_vertex(li, gi, v, valid, &rd, &mut grad);
+                    let w = sweep.neighbor_words(li, box_clip(v, &b.lo, &b.hi));
+                    let member = star_member(&w, box_clip(v, &b.lo, &b.hi));
+                    let mut groups = [0u32; 27];
+                    let n = sweep.owner_groups(v, member, &mut groups);
+                    assign_direct(&w, member, &groups[..n], gi, &rd, &mut grad);
                     li += 1;
                 }
             }
@@ -733,25 +970,42 @@ mod tests {
         assert!(windowed > 1000, "only {windowed} interior vertices");
     }
 
-    #[test]
-    fn memoized_sweep_equals_direct_sweep() {
-        // smooth fields, whose stars repeat, and rough ones, which fill
-        // the table and evict; regular and irregular decompositions
-        let dims = Dims::cube(33);
-        let fields = [
+    /// The smooth and rough fields the memo tests run on: plateau's equal
+    /// words are ordered by the `NEG_GID` tie-break.
+    fn memo_fields(dims: Dims) -> [(&'static str, ScalarField); 4] {
+        [
             ("sinusoid", msp_synth::sinusoid_dims(dims, 4)),
             ("jet", msp_synth::jet(dims, 6, 3)),
             ("noise", msp_synth::white_noise(dims, 7)),
             ("plateau", msp_synth::plateau(dims, 7, 3)),
-        ];
-        let decomps = [
+        ]
+    }
+
+    /// Regular, irregular and adaptive (T-junction) decompositions.
+    fn memo_decomps(field: &ScalarField) -> [Decomposition; 3] {
+        let dims = field.dims();
+        let weights: Vec<u64> = field
+            .data()
+            .iter()
+            .map(|v| (v.abs() * 50.0) as u64)
+            .collect();
+        [
             Decomposition::bisect(dims, 2),
             Decomposition::random_tree(dims, 3, 4),
-        ];
+            Decomposition::adaptive(dims, 5, &weights),
+        ]
+    }
+
+    #[test]
+    fn memoized_sweep_equals_direct_sweep() {
+        // smooth fields, whose stars repeat, and rough ones, which fill
+        // the table and evict; interior stars and single-group surface
+        // stars both go through the memo
+        let dims = Dims::cube(33);
         let mut evictions = 0u64;
-        for (name, field) in &fields {
-            let (mut lookups, mut hits) = (0u64, 0u64);
-            for decomp in &decomps {
+        for (name, field) in &memo_fields(dims) {
+            let (mut lookups, mut surface, mut hits) = (0u64, 0u64, 0u64);
+            for decomp in &memo_decomps(field) {
                 for b in decomp.blocks() {
                     let bf = field.extract_block(b);
                     let mut ord = Vec::new();
@@ -763,17 +1017,88 @@ mod tests {
                     let direct = direct_sweep(&sweep, b);
                     assert_eq!(grad.bytes(), direct.bytes(), "{name}, block {b:?}");
                     lookups += memo.lookups;
+                    surface += memo.surface;
                     hits += memo.hits;
                     evictions += memo.evictions;
                 }
             }
-            eprintln!("{name}: {hits} hits of {lookups} lookups");
-            assert!(lookups > 10_000, "{name}: only {lookups} memo lookups");
+            let interior = lookups - surface;
+            eprintln!("{name}: {hits} hits of {interior} interior + {surface} surface lookups");
+            assert!(
+                interior > 10_000,
+                "{name}: only {interior} interior lookups"
+            );
+            assert!(surface > 1_000, "{name}: only {surface} surface lookups");
             if *name == "sinusoid" {
                 assert!(hits * 10 > lookups * 9, "{hits} hits of {lookups}");
             }
         }
         assert!(evictions > 0, "no case evicted a memo slot");
+    }
+
+    #[test]
+    fn row_and_octant_keys_equal_memo_key() {
+        // every interior-row star with 1 to 8 corners: its row-batched
+        // `below` mask, its row-slice key and, for an octant star, its
+        // straight-line key against the per-vertex definitions
+        type RowKey = fn(&[&[u32]; 9], usize) -> u64;
+        let octant_keys: [RowKey; 8] = [
+            octant_key::<0>,
+            octant_key::<1>,
+            octant_key::<2>,
+            octant_key::<3>,
+            octant_key::<4>,
+            octant_key::<5>,
+            octant_key::<6>,
+            octant_key::<7>,
+        ];
+        let dims = Dims::cube(33);
+        for (name, field) in &memo_fields(dims) {
+            let (mut general, mut octants) = (0u64, [0u64; 8]);
+            for decomp in &memo_decomps(field) {
+                for b in decomp.blocks() {
+                    let bf = field.extract_block(b);
+                    let mut ord = Vec::new();
+                    ordered_keys_into(&bf, &mut ord);
+                    let sweep = FlatSweep::new(&bf, decomp, &ord);
+                    let nx = sweep.bd.nx as usize;
+                    let mut below = vec![0u32; nx - 2];
+                    for z in b.lo[2] + 1..b.hi[2] {
+                        for y in b.lo[1] + 1..b.hi[1] {
+                            let li0 = sweep.bd.vertex_index(0, y - b.lo[1], z - b.lo[2]) as usize;
+                            let rows = sweep.rows_around(li0);
+                            row_below(&rows, &mut below);
+                            for (k, &bl) in (1..nx - 1).zip(&below) {
+                                let w = sweep.neighbor_words(li0 + k, ALL_OFFSETS);
+                                assert_eq!(row_words(&rows, k), w);
+                                let member = star_members(bl);
+                                assert_eq!(member, star_member(&w, ALL_OFFSETS));
+                                if !(1..=8).contains(&(member & !CENTER_BIT).count_ones()) {
+                                    continue;
+                                }
+                                let key = memo_key(&w, member);
+                                assert_eq!(row_key(&rows, k, member), key, "{name} {z} {y} {k}");
+                                match octant(member) {
+                                    Some(o) => {
+                                        assert_eq!(octant_keys[o](&rows, k), key);
+                                        octants[o] += 1;
+                                    }
+                                    None => general += 1,
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            eprintln!("{name}: octant stars {octants:?}, {general} others");
+            assert!(general > 1_000, "{name}: only {general} non-octant stars");
+            if *name != "plateau" {
+                assert!(
+                    octants.iter().all(|&n| n > 0),
+                    "{name}: octants {octants:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -59,18 +59,60 @@ pub fn serialize(seg: &BlockSegmentation) -> Bytes {
     b.freeze()
 }
 
+/// Why a `SEG1` payload did not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WireError {
+    /// Not a `SEG1` payload at all.
+    BadMagic,
+    /// The payload ends before the named part (checked before that part
+    /// is allocated).
+    Truncated(&'static str),
+    /// Block dims whose label arrays would overflow `usize` bytes.
+    DimsOverflow([u32; 3]),
+    /// This many bytes left over after the last label.
+    TrailingBytes(usize),
+    /// A `vertex` label past the minima table or a `voxel` label past
+    /// the maxima table (the drain excepted), with the table's length.
+    LabelOutOfRange {
+        what: &'static str,
+        label: u32,
+        len: usize,
+    },
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireError::BadMagic => write!(f, "bad SEG1 magic"),
+            WireError::Truncated(what) => write!(f, "truncated SEG1 payload reading {what}"),
+            WireError::DimsOverflow(d) => write!(f, "SEG1 block dims {d:?} overflow"),
+            WireError::TrailingBytes(n) => write!(f, "{n} trailing byte(s) in SEG1 payload"),
+            WireError::LabelOutOfRange { what, label, len } => {
+                let table = if *what == "vertex" {
+                    "minima"
+                } else {
+                    "maxima"
+                };
+                write!(f, "SEG1 {what} label {label} past {len} {table}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
 /// Decode a `SEG1` payload.
-pub fn deserialize(mut b: &[u8]) -> Result<BlockSegmentation, String> {
-    let need = |b: &[u8], n: usize, what: &str| {
+pub fn deserialize(mut b: &[u8]) -> Result<BlockSegmentation, WireError> {
+    let need = |b: &[u8], n: usize, what: &'static str| {
         if b.len() < n {
-            Err(format!("truncated SEG1 payload reading {what}"))
+            Err(WireError::Truncated(what))
         } else {
             Ok(())
         }
     };
     need(b, 4, "magic")?;
     if &b[..4] != MAGIC {
-        return Err("bad SEG1 magic".into());
+        return Err(WireError::BadMagic);
     }
     b.advance(4);
     need(b, 28, "header")?;
@@ -81,7 +123,7 @@ pub fn deserialize(mut b: &[u8]) -> Result<BlockSegmentation, String> {
     let count = |dims: [u32; 3]| (dims.iter()).try_fold(4usize, |n, &d| n.checked_mul(d as usize));
     let n_verts = count(vdims);
     let n_voxels = count(vdims.map(|d| d.saturating_sub(1)));
-    let read_table = |b: &mut &[u8]| -> Result<Vec<u64>, String> {
+    let read_table = |b: &mut &[u8]| -> Result<Vec<u64>, WireError> {
         need(b, 4, "table length")?;
         let n = b.get_u32_le() as usize;
         need(b, 8 * n, "table")?;
@@ -89,21 +131,33 @@ pub fn deserialize(mut b: &[u8]) -> Result<BlockSegmentation, String> {
     };
     let mins = read_table(&mut b)?;
     let maxs = read_table(&mut b)?;
-    let read_labels = |b: &mut &[u8], bytes: Option<usize>| -> Result<Vec<u32>, String> {
-        let bytes = bytes.ok_or_else(|| format!("SEG1 block dims {vdims:?} overflow"))?;
+    let read_labels = |b: &mut &[u8], bytes: Option<usize>| -> Result<Vec<u32>, WireError> {
+        let bytes = bytes.ok_or(WireError::DimsOverflow(vdims))?;
         need(b, bytes, "labels")?;
         Ok((0..bytes / 4).map(|_| b.get_u32_le()).collect())
     };
     let min_label = read_labels(&mut b, n_verts)?;
     let max_label = read_labels(&mut b, n_voxels)?;
     if !b.is_empty() {
-        return Err(format!("{} trailing byte(s) in SEG1 payload", b.len()));
+        return Err(WireError::TrailingBytes(b.len()));
     }
-    if let Some(l) = min_label.iter().find(|&&l| l as usize >= mins.len()) {
-        return Err(format!("SEG1 vertex label {l} past {} minima", mins.len()));
+    if let Some(&label) = min_label.iter().find(|&&l| l as usize >= mins.len()) {
+        let len = mins.len();
+        return Err(WireError::LabelOutOfRange {
+            what: "vertex",
+            label,
+            len,
+        });
     }
-    if let Some(l) = (max_label.iter()).find(|&&l| l != DRAIN_LABEL && l as usize >= maxs.len()) {
-        return Err(format!("SEG1 voxel label {l} past {} maxima", maxs.len()));
+    if let Some(&label) =
+        (max_label.iter()).find(|&&l| l != DRAIN_LABEL && l as usize >= maxs.len())
+    {
+        let len = maxs.len();
+        return Err(WireError::LabelOutOfRange {
+            what: "voxel",
+            label,
+            len,
+        });
     }
     Ok(BlockSegmentation {
         block_id,
@@ -143,7 +197,11 @@ mod tests {
     fn hostile_payloads_never_panic() {
         let bytes = serialize(&sample()).to_vec();
         for cut in 0..bytes.len() {
-            assert!(deserialize(&bytes[..cut]).is_err(), "prefix {cut}");
+            let err = deserialize(&bytes[..cut]).unwrap_err();
+            assert!(
+                matches!(err, WireError::Truncated(_)),
+                "prefix {cut}: {err}"
+            );
         }
         let mut flipped = bytes.clone();
         for at in 0..bytes.len() {
@@ -168,22 +226,47 @@ mod tests {
                 .concat(),
         );
         assert_eq!(huge.len(), 40);
-        assert!(deserialize(&huge).unwrap_err().contains("overflow"));
-        // a vertex label past the minima table
+        assert_eq!(
+            deserialize(&huge),
+            Err(WireError::DimsOverflow([u32::MAX; 3]))
+        );
+        // a vertex label past the minima table, a voxel label past the
+        // maxima table
         let mut past = sample();
         past.min_label[2] = 7;
         let err = deserialize(&serialize(&past)).unwrap_err();
-        assert!(err.contains("vertex label 7"), "{err}");
+        assert_eq!(
+            err,
+            WireError::LabelOutOfRange {
+                what: "vertex",
+                label: 7,
+                len: 2
+            }
+        );
+        assert_eq!(err.to_string(), "SEG1 vertex label 7 past 2 minima");
+        let mut past = sample();
+        past.max_label[0] = 1;
+        assert_eq!(
+            deserialize(&serialize(&past)),
+            Err(WireError::LabelOutOfRange {
+                what: "voxel",
+                label: 1,
+                len: 1
+            })
+        );
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(deserialize(b"nope").is_err());
-        assert!(deserialize(b"").is_err());
+        assert_eq!(deserialize(b"nope"), Err(WireError::BadMagic));
+        assert_eq!(deserialize(b""), Err(WireError::Truncated("magic")));
         let enc = serialize(&sample());
-        assert!(deserialize(&enc[..enc.len() - 1]).is_err());
+        assert_eq!(
+            deserialize(&enc[..enc.len() - 1]),
+            Err(WireError::Truncated("labels"))
+        );
         let mut extra = enc.to_vec();
         extra.push(0);
-        assert!(deserialize(&extra).is_err());
+        assert_eq!(deserialize(&extra), Err(WireError::TrailingBytes(1)));
     }
 }

@@ -104,6 +104,17 @@ for t in 1 3; do
 done
 cmp "$tracedir/sin1.msc" "$tracedir/sin3.msc"
 
+# memo smoke: on adaptive blocks the T-junction owner sets leave many
+# block-surface lower stars with one owner group, which the gradient
+# sweep replays through its star memo like interior ones; a 1-rank and a
+# 3-rank run, both under the oracle checker, must write the same .msc
+for r in 1 3; do
+  msc compute --input "$tracedir/sin.raw" \
+    --dims 33,33,33 --ranks "$r" --blocks 6 --decomp adaptive --merge full --check \
+    --output "$tracedir/sina$r.msc"
+done
+cmp "$tracedir/sina1.msc" "$tracedir/sina3.msc"
+
 # serve smoke: precompute an artifact with --hierarchy, drive the query
 # layer over stdio with repeated keys, arc geometry read through the
 # base's shared geometry, a count threshold at 400 that extends the
@@ -163,6 +174,19 @@ if msc compute --input "$tracedir/seg.raw" --dims 17,17,17 \
 fi
 grep -q 'unknown flag --progress for compute' "$tracedir/unknown_err.txt" \
   || { echo "unknown flag: wrong error"; cat "$tracedir/unknown_err.txt"; exit 1; }
+# a stray positional argument and a value after a switch fail by name too
+if msc compute --input "$tracedir/seg.raw" --dims 17,17,17 \
+  --output "$tracedir/stray.msc" stray.raw 2> "$tracedir/stray_err.txt"; then
+  echo "msc compute accepted a stray argument"; exit 1
+fi
+grep -q "unexpected argument 'stray.raw' for compute" "$tracedir/stray_err.txt" \
+  || { echo "stray argument: wrong error"; cat "$tracedir/stray_err.txt"; exit 1; }
+if msc compute --input "$tracedir/seg.raw" --dims 17,17,17 --segment yes \
+  --output "$tracedir/switch.msc" 2> "$tracedir/switch_err.txt"; then
+  echo "msc compute accepted a value after --segment"; exit 1
+fi
+grep -q -- "--segment takes no value (got 'yes')" "$tracedir/switch_err.txt" \
+  || { echo "switch value: wrong error"; cat "$tracedir/switch_err.txt"; exit 1; }
 
 # figure smoke: the figures driver regenerates every table and figure
 # at small scale into $tracedir; it asserts its gates (the fault sweep's

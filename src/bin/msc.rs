@@ -70,26 +70,69 @@ mod sig {
     }
 }
 
-type Command = fn(&Opts) -> Result<(), String>;
+/// One `msc` command: its name, the most positional arguments it takes,
+/// the flags it reads that take a value, the switches (flags that take
+/// none), and its function. Any other flag or argument is an error.
+struct Command {
+    name: &'static str,
+    args: usize,
+    flags: &'static str,
+    switches: &'static str,
+    run: fn(&Opts) -> Result<(), String>,
+}
 
-/// Every command with the flags it reads; any other flag is an error.
-const COMMANDS: &[(&str, &str, Command)] = &[
-    ("synth", "kind size complexity seed output dtype", cmd_synth),
-    (
-        "compute",
-        "input dims dtype ranks blocks persistence threads merge output decomp \
-         faults checkpoint deadline-ms trace check segment hierarchy",
-        cmd_compute,
-    ),
-    ("info", "", cmd_info),
-    ("stats", "block top", cmd_stats),
-    ("filaments", "block threshold", cmd_filaments),
-    (
-        "export",
-        "block vtk csv labels labels-vtk labels-csv seg",
-        cmd_export,
-    ),
-    ("serve", "listen cache report slow-ms", cmd_serve),
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "synth",
+        args: 0,
+        flags: "kind size complexity seed output dtype",
+        switches: "",
+        run: cmd_synth,
+    },
+    Command {
+        name: "compute",
+        args: 0,
+        // `--trace` takes an optional FILE
+        flags: "input dims dtype ranks blocks persistence threads merge output decomp \
+                faults deadline-ms trace",
+        switches: "checkpoint check segment hierarchy",
+        run: cmd_compute,
+    },
+    Command {
+        name: "info",
+        args: 1,
+        flags: "",
+        switches: "",
+        run: cmd_info,
+    },
+    Command {
+        name: "stats",
+        args: 1,
+        flags: "block top",
+        switches: "",
+        run: cmd_stats,
+    },
+    Command {
+        name: "filaments",
+        args: 1,
+        flags: "block threshold",
+        switches: "",
+        run: cmd_filaments,
+    },
+    Command {
+        name: "export",
+        args: 1,
+        flags: "block vtk csv labels labels-vtk labels-csv seg",
+        switches: "",
+        run: cmd_export,
+    },
+    Command {
+        name: "serve",
+        args: usize::MAX,
+        flags: "listen cache report slow-ms",
+        switches: "",
+        run: cmd_serve,
+    },
 ];
 
 fn main() {
@@ -103,8 +146,8 @@ fn main() {
             usage();
             Ok(())
         }
-        name => match COMMANDS.iter().find(|c| c.0 == name) {
-            Some(&(name, flags, run)) => parse_opts(name, flags, rest).and_then(|o| run(&o)),
+        name => match COMMANDS.iter().find(|c| c.name == name) {
+            Some(c) => parse_opts(c, rest).and_then(|o| (c.run)(&o)),
             None => Err(format!("unknown command '{name}'")),
         },
     };
@@ -170,29 +213,36 @@ struct Opts {
     positional: Vec<String>,
 }
 
-/// Split `args` into flags and positional arguments, refusing any flag
-/// not among the space-separated `known` names `cmd` reads.
-fn parse_opts(cmd: &str, known: &str, args: &[String]) -> Result<Opts, String> {
+/// Split `args` into flags and positional arguments, refusing a flag
+/// `cmd` does not read, a value after one of its switches, and more
+/// positional arguments than it takes.
+fn parse_opts(cmd: &Command, args: &[String]) -> Result<Opts, String> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            if !known.split_whitespace().any(|k| k == name) {
-                return Err(format!("unknown flag --{name} for {cmd}"));
+        let Some(name) = a.strip_prefix("--") else {
+            if positional.len() == cmd.args {
+                return Err(format!("unexpected argument '{a}' for {}", cmd.name));
             }
-            let value = it
-                .peek()
-                .filter(|v| !v.starts_with("--"))
-                .map(|v| (*v).clone())
-                .unwrap_or_default();
-            if !value.is_empty() {
-                it.next();
-            }
-            flags.insert(name.to_string(), value);
-        } else {
             positional.push(a.clone());
+            continue;
+        };
+        let value = it.peek().filter(|v| !v.starts_with("--"));
+        let value = if cmd.switches.split_whitespace().any(|k| k == name) {
+            if let Some(v) = value {
+                return Err(format!("--{name} takes no value (got '{v}')"));
+            }
+            String::new()
+        } else if cmd.flags.split_whitespace().any(|k| k == name) {
+            value.map(|v| (*v).clone()).unwrap_or_default()
+        } else {
+            return Err(format!("unknown flag --{name} for {}", cmd.name));
+        };
+        if !value.is_empty() {
+            it.next();
         }
+        flags.insert(name.to_string(), value);
     }
     Ok(Opts { flags, positional })
 }
@@ -651,7 +701,7 @@ fn load_seg_block(path: &Path, block: usize) -> Result<BlockSegmentation, String
         .get(block)
         .ok_or_else(|| format!("block {block} out of range ({} seg blocks)", footer.len()))?;
     let payload = read_block_payload(path, entry).map_err(|e| e.to_string())?;
-    segwire::deserialize(&payload)
+    segwire::deserialize(&payload).map_err(|e| e.to_string())
 }
 
 fn cmd_export(o: &Opts) -> Result<(), String> {
@@ -879,8 +929,8 @@ mod tests {
         listed
     }
 
-    fn flags(cmd: &str) -> &'static str {
-        COMMANDS.iter().find(|c| c.0 == cmd).unwrap().1
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).unwrap()
     }
 
     fn args(line: &str) -> Vec<String> {
@@ -890,33 +940,67 @@ mod tests {
     #[test]
     fn every_command_reads_exactly_the_flags_its_usage_lists() {
         let listed = usage_flags();
-        for &(cmd, known, _) in COMMANDS {
-            let mut usage = listed.get(cmd).cloned().unwrap_or_default();
+        for cmd in COMMANDS {
+            let mut usage = listed.get(cmd.name).cloned().unwrap_or_default();
+            let file = if cmd.args > 0 { "FILE" } else { "" };
             for flag in &usage {
-                let line = args(&format!("FILE --{flag} 1"));
-                assert!(parse_opts(cmd, known, &line).is_ok(), "{cmd} --{flag}");
+                let switch = cmd.switches.split_whitespace().any(|k| k == flag);
+                let value = if switch { "" } else { "1" };
+                let line = args(&format!("{file} --{flag} {value}"));
+                assert!(parse_opts(cmd, &line).is_ok(), "{} --{flag}", cmd.name);
             }
             usage.sort_unstable();
             usage.dedup();
-            let mut known: Vec<&str> = known.split_whitespace().collect();
+            let mut known: Vec<&str> = cmd.flags.split_whitespace().collect();
+            known.extend(cmd.switches.split_whitespace());
             known.sort_unstable();
-            assert_eq!(usage, known, "{cmd}: usage text and flag list differ");
+            assert_eq!(
+                usage, known,
+                "{}: usage text and flag list differ",
+                cmd.name
+            );
         }
     }
 
     #[test]
     fn an_unknown_flag_is_refused_by_name() {
-        assert_eq!(flags("compute").split_whitespace().count(), 17);
+        let compute = command("compute");
+        let n = compute.flags.split_whitespace().count();
+        assert_eq!(n + compute.switches.split_whitespace().count(), 17);
         for flag in ["checkpiont", "progress"] {
             let line = args(&format!(
                 "--input f.raw --dims 9,9,9 --output f.msc --{flag} 1"
             ));
             assert_eq!(
-                parse_opts("compute", flags("compute"), &line).err(),
+                parse_opts(compute, &line).err(),
                 Some(format!("unknown flag --{flag} for compute"))
             );
         }
         let line = args("--kind noise --size 9 --output f.raw --bogus-flag 3");
-        assert!(parse_opts("synth", flags("synth"), &line).is_err());
+        assert!(parse_opts(command("synth"), &line).is_err());
+    }
+
+    #[test]
+    fn a_stray_argument_or_a_switch_value_is_refused_by_name() {
+        let compute = command("compute");
+        let base = "--input f.raw --dims 9,9,9 --output f.msc";
+        assert_eq!(
+            parse_opts(compute, &args(&format!("{base} stray.raw"))).err(),
+            Some("unexpected argument 'stray.raw' for compute".to_string())
+        );
+        assert_eq!(
+            parse_opts(compute, &args(&format!("--segment yes {base}"))).err(),
+            Some("--segment takes no value (got 'yes')".to_string())
+        );
+        for ok in ["--segment --check --trace", "--trace t.json --hierarchy"] {
+            let o = parse_opts(compute, &args(&format!("{base} {ok}"))).unwrap();
+            assert!(o.positional.is_empty() && o.has("trace"), "{ok}");
+        }
+        assert_eq!(
+            parse_opts(command("info"), &args("a.msc b.msc")).err(),
+            Some("unexpected argument 'b.msc' for info".to_string())
+        );
+        let o = parse_opts(command("serve"), &args("a.msc b.msc --cache 4")).unwrap();
+        assert_eq!(o.positional, ["a.msc", "b.msc"]);
     }
 }
