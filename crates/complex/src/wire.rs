@@ -48,6 +48,7 @@
 use crate::skeleton::{leaf_parts, GeomRec, MsComplex, STEP_ESCAPE};
 use bytes::{BufMut, Bytes};
 use msp_grid::dims::RefinedDims;
+use msp_telemetry::{Reader, Truncated};
 
 const MAGIC: &[u8; 4] = b"MSC3";
 
@@ -229,68 +230,18 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Bounds-checked little-endian read cursor.
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.0.len()
+impl From<Truncated> for WireError {
+    fn from(_: Truncated) -> WireError {
+        WireError::Truncated
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.0.len() < n {
-            return Err(WireError::Truncated);
-        }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Ok(head)
-    }
+fn varint(r: &mut Reader<'_>) -> Result<u64, WireError> {
+    r.varint()?.ok_or(WireError::VarintOverflow)
+}
 
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        Ok(self.take(N)?.try_into().expect("N bytes"))
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.array::<1>()?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        self.array().map(u32::from_le_bytes)
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        self.array().map(u64::from_le_bytes)
-    }
-
-    fn varint(&mut self) -> Result<u64, WireError> {
-        let mut v = 0u64;
-        for i in 0..10 {
-            let b = self.u8()?;
-            v |= u64::from(b & 0x7f) << (7 * i);
-            if b & 0x80 == 0 {
-                // the tenth byte holds only the top bit
-                return if i == 9 && b > 1 {
-                    Err(WireError::VarintOverflow)
-                } else {
-                    Ok(v)
-                };
-            }
-        }
-        Err(WireError::VarintOverflow)
-    }
-
-    fn zigzag(&mut self) -> Result<i64, WireError> {
-        self.varint().map(unzigzag)
-    }
-
-    /// A count of records that each take at least `min_bytes` bytes.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n > self.remaining() / min_bytes {
-            return Err(WireError::Truncated);
-        }
-        Ok(n)
-    }
+fn read_zigzag(r: &mut Reader<'_>) -> Result<i64, WireError> {
+    varint(r).map(unzigzag)
 }
 
 /// Deserialize a complex serialized with [`serialize`].
@@ -300,7 +251,7 @@ pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
         Some(m) if m == MAGIC_V2 => return Err(WireError::OlderFormat),
         _ => return Err(WireError::BadMagic),
     }
-    let mut r = Reader(&data[4..]);
+    let mut r = Reader::new(&data[4..]);
     let refined = RefinedDims {
         rx: r.u64()?,
         ry: r.u64()?,
@@ -332,7 +283,7 @@ pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
     let n_steps = r.u32()? as usize;
     // a non-empty leaf decodes to 8 bytes + its codes, and costs at
     // least 3 bytes + its codes on the wire
-    if n_steps > r.remaining().saturating_mul(3) {
+    if n_steps > r.rest().len().saturating_mul(3) {
         return Err(WireError::Truncated);
     }
     ms.reserve(0, n_geoms, n_steps, 0);
@@ -340,14 +291,14 @@ pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
     for i in 0..n_geoms {
         match r.u8()? {
             TAG_LEAF => {
-                let len = r.varint()?;
+                let len = varint(&mut r)?;
                 let offset = ms.steps.len();
                 if len > 0 {
                     // every cell after the first costs at least a byte
-                    if len - 1 > r.remaining() as u64 || len > u64::from(u32::MAX) {
+                    if len - 1 > r.rest().len() as u64 || len > u64::from(u32::MAX) {
                         return Err(WireError::Truncated);
                     }
-                    let start = prev_start.wrapping_add(r.zigzag()? as u64);
+                    let start = prev_start.wrapping_add(read_zigzag(&mut r)? as u64);
                     prev_start = start;
                     ms.steps.extend_from_slice(&start.to_le_bytes());
                     read_steps(&mut r, len as usize - 1, &mut ms.steps)?;
@@ -359,7 +310,7 @@ pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
             }
             TAG_CANCEL => {
                 let mut child = || -> Result<u32, WireError> {
-                    let back = r.varint()?;
+                    let back = varint(&mut r)?;
                     // children precede parents (DAG in creation order)
                     if back >= i as u64 {
                         return Err(WireError::ForwardReference);
@@ -385,7 +336,7 @@ pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
     for _ in 0..n_arcs {
         let mut next = |k: usize, bound: usize| -> Result<u32, WireError> {
             let v = prev[k]
-                .checked_add(r.zigzag()?)
+                .checked_add(read_zigzag(&mut r)?)
                 .filter(|v| (0..bound as i64).contains(v))
                 .ok_or(WireError::ArcOutOfRange)?;
             prev[k] = v;
@@ -399,7 +350,7 @@ pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
         }
         ms.add_arc(upper, lower, geom);
     }
-    if r.remaining() > 0 {
+    if !r.is_empty() {
         return Err(WireError::TrailingBytes);
     }
     Ok(ms)
@@ -408,7 +359,7 @@ pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
 /// Append `n` step codes (and the addresses behind escapes) from `r` to
 /// `steps`, validating each code.
 fn read_steps(r: &mut Reader<'_>, n: usize, steps: &mut Vec<u8>) -> Result<(), WireError> {
-    if r.0
+    if r.rest()
         .get(..n)
         .is_some_and(|codes| codes.iter().all(|&c| c < STEP_ESCAPE))
     {
@@ -677,7 +628,13 @@ mod tests {
         for bytes in payloads() {
             assert!(deserialize(&bytes).is_ok());
             for cut in 0..bytes.len() {
-                assert!(deserialize(&bytes[..cut]).is_err(), "prefix {cut}");
+                let err = deserialize(&bytes[..cut]).unwrap_err();
+                let want = if cut < 4 {
+                    WireError::BadMagic
+                } else {
+                    WireError::Truncated
+                };
+                assert_eq!(err, want, "prefix {cut}");
             }
             let geoms = geom_section(&bytes);
             let mut flipped = bytes.clone();

@@ -76,7 +76,7 @@ use msp_segment::{
 use msp_telemetry::{Counter, Phase};
 use msp_vmpi::comm::CommError;
 use msp_vmpi::fileio::FooterEntry;
-use msp_vmpi::pairmsg::{decode_pairs, decode_u64s, encode_pairs, encode_u64s};
+use msp_vmpi::pairmsg::{decode_pairs, decode_u64s, encode_pairs, encode_u64s, MsgError};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::time::Duration;
@@ -600,10 +600,10 @@ impl<M: Machine> Run<'_, M> {
                     std::mem::take(mine)
                 } else {
                     let b = node.recv(p as u32, tag, None)?;
-                    let protocol = |detail| CommError::Protocol {
+                    let protocol = |e: MsgError| CommError::Protocol {
                         from: p,
                         tag,
-                        detail,
+                        detail: e.to_string(),
                     };
                     decode(&b).map_err(protocol)?
                 });
@@ -1002,7 +1002,7 @@ fn note(p: u32, what: &str, notes: &[String]) {
 }
 
 /// A message codec of the resolution protocol.
-type Codec<T> = (fn(&[T]) -> Bytes, fn(&[u8]) -> Result<Vec<T>, String>);
+type Codec<T> = (fn(&[T]) -> Bytes, fn(&[u8]) -> Result<Vec<T>, MsgError>);
 const PAIRS: Codec<(u64, u64)> = (encode_pairs, decode_pairs);
 const ADDRS: Codec<u64> = (encode_u64s, decode_u64s);
 

@@ -46,9 +46,10 @@
 //! format in its magic.
 
 use crate::crc32;
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 use msp_complex::wire::{self, WireError};
 use msp_complex::MsComplex;
+use msp_telemetry::{Reader, Truncated};
 
 const MAGIC: &[u8; 4] = b"MSK1";
 const VERSION: u16 = 1;
@@ -112,6 +113,12 @@ impl std::error::Error for CheckpointError {}
 impl From<WireError> for CheckpointError {
     fn from(e: WireError) -> Self {
         CheckpointError::Wire(e)
+    }
+}
+
+impl From<Truncated> for CheckpointError {
+    fn from(_: Truncated) -> Self {
+        CheckpointError::Truncated
     }
 }
 
@@ -198,33 +205,22 @@ impl<'a> CheckpointView<'a> {
         if expected != found {
             return Err(CheckpointError::BadCrc { expected, found });
         }
-        let mut buf = &body[4..];
-        let version = buf.get_u16_le();
+        let mut r = Reader::new(&body[4..]);
+        let version = r.u16()?;
         if version != VERSION {
             return Err(CheckpointError::BadVersion(version));
         }
-        let rank = buf.get_u32_le();
-        let round = buf.get_u32_le();
-        let threshold = buf.get_f32_le();
-        let n_slots = buf.get_u32_le() as usize;
-        if n_slots > buf.remaining() / SLOT_BYTES {
-            return Err(CheckpointError::Truncated);
-        }
+        let rank = r.u32()?;
+        let round = r.u32()?;
+        let threshold = r.f32()?;
+        let n_slots = r.count(SLOT_BYTES)?;
         let mut slots = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {
-            if buf.remaining() < SLOT_BYTES {
-                return Err(CheckpointError::Truncated);
-            }
-            let block = buf.get_u32_le();
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return Err(CheckpointError::Truncated);
-            }
-            let (payload, rest) = buf.split_at(len);
-            slots.push((block, payload));
-            buf = rest;
+            let block = r.u32()?;
+            let len = r.u32()?;
+            slots.push((block, r.take(len as usize)?));
         }
-        if !buf.is_empty() {
+        if !r.is_empty() {
             return Err(CheckpointError::Wire(WireError::Corrupt(
                 "trailing bytes after last slot",
             )));
@@ -454,7 +450,12 @@ mod tests {
         let bytes = ck.encode().to_vec();
         assert!(Checkpoint::decode(&bytes).is_ok());
         for cut in 0..bytes.len() {
-            assert!(Checkpoint::decode(&bytes[..cut]).is_err(), "prefix {cut}");
+            // a prefix long enough to hold a header and a CRC fails the CRC
+            match Checkpoint::decode(&bytes[..cut]).unwrap_err() {
+                CheckpointError::Truncated => assert!(cut < HEADER_BYTES + CRC_BYTES),
+                CheckpointError::BadCrc { .. } => assert!(cut >= HEADER_BYTES + CRC_BYTES),
+                e => panic!("prefix {cut}: {e}"),
+            }
         }
         let mut flipped = bytes.clone();
         for at in 0..bytes.len() {

@@ -25,8 +25,9 @@
 //! meaning; rerun `msc compute --hierarchy` to rewrite such a file.
 
 use crate::{Ordering, ReplayParams, SlotHierarchy};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use msp_complex::CancelRecord;
+use msp_telemetry::{Reader, Truncated};
 
 /// Format magic + version.
 const MAGIC: &[u8; 4] = b"MSH1";
@@ -39,7 +40,7 @@ const TAG_COUNT: u8 = 2;
 /// Serialize a hierarchy to its `MSH1` payload.
 pub fn serialize(h: &SlotHierarchy) -> Bytes {
     let n_records = h.difference.len() + h.count.as_ref().map_or(0, |c| c.len());
-    let mut buf = BytesMut::with_capacity(4 + 13 + 9 * 2 + 41 * n_records);
+    let mut buf = Vec::with_capacity(4 + 13 + 9 * 2 + 41 * n_records);
     buf.put_slice(MAGIC);
     buf.put_u64_le(h.params.max_new_arcs.unwrap_or(u64::MAX));
     buf.put_u32_le(h.params.max_parallel_arcs.unwrap_or(u32::MAX));
@@ -69,7 +70,7 @@ pub fn serialize(h: &SlotHierarchy) -> Bytes {
             }
         }
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Errors from [`deserialize`].
@@ -99,60 +100,51 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<Truncated> for WireError {
+    fn from(_: Truncated) -> WireError {
+        WireError::Truncated
+    }
+}
+
 /// Deserialize an `MSH1` payload.
 pub fn deserialize(data: &[u8]) -> Result<SlotHierarchy, WireError> {
-    let mut buf = data;
-    if buf.remaining() < 4 || &buf[..4] != MAGIC {
+    if data.get(..4) != Some(MAGIC) {
         return Err(WireError::BadMagic);
     }
-    buf.advance(4);
-    let need = |n: usize, buf: &&[u8]| -> Result<(), WireError> {
-        if buf.remaining() < n {
-            Err(WireError::Truncated)
-        } else {
-            Ok(())
-        }
-    };
-    need(13, &buf)?;
-    let max_new_arcs = match buf.get_u64_le() {
+    let mut r = Reader::new(&data[4..]);
+    let max_new_arcs = match r.u64()? {
         u64::MAX => None,
         n => Some(n),
     };
-    let max_parallel_arcs = match buf.get_u32_le() {
+    let max_parallel_arcs = match r.u32()? {
         u32::MAX => None,
         n => Some(n),
     };
-    let n_seqs = buf.get_u8() as usize;
+    let n_seqs = r.u8()? as usize;
     if n_seqs > Ordering::ALL.len() {
         return Err(WireError::Corrupt("too many sequences"));
     }
     let mut difference: Option<Vec<CancelRecord>> = None;
     let mut count: Option<Vec<CancelRecord>> = None;
     for _ in 0..n_seqs {
-        need(1, &buf)?;
-        let slot = match buf.get_u8() {
+        let slot = match r.u8()? {
             TAG_DIFFERENCE => &mut difference,
             TAG_COUNT => &mut count,
             TAG_RETIRED_COUNT => return Err(WireError::RetiredCountOrdering),
             _ => return Err(WireError::Corrupt("unknown ordering tag")),
         };
-        need(8, &buf)?;
-        let n = buf.get_u64_le();
-        // the count comes from the payload: reserve no more records than
-        // the remaining bytes could hold (a record is at least 25 bytes)
-        let mut recs = Vec::with_capacity(n.min(buf.remaining() as u64 / 25) as usize);
+        // a record is at least 25 bytes
+        let n = r.u64()?;
+        let n = r.fits(n, 25)?;
+        let mut recs = Vec::with_capacity(n);
         for _ in 0..n {
-            need(25, &buf)?;
-            let upper_addr = buf.get_u64_le();
-            let lower_addr = buf.get_u64_le();
-            let persistence = buf.get_f32_le();
-            let key = buf.get_f32_le();
-            let forward = match buf.get_u8() {
+            let upper_addr = r.u64()?;
+            let lower_addr = r.u64()?;
+            let persistence = r.f32()?;
+            let key = r.f32()?;
+            let forward = match r.u8()? {
                 0 => None,
-                1 => {
-                    need(16, &buf)?;
-                    Some((buf.get_u64_le(), buf.get_u64_le()))
-                }
+                1 => Some((r.u64()?, r.u64()?)),
                 _ => return Err(WireError::Corrupt("bad forward flag")),
             };
             if persistence.is_nan() || key.is_nan() {
@@ -170,7 +162,7 @@ pub fn deserialize(data: &[u8]) -> Result<SlotHierarchy, WireError> {
             return Err(WireError::Corrupt("duplicate ordering sequence"));
         }
     }
-    if buf.remaining() > 0 {
+    if !r.is_empty() {
         return Err(WireError::Corrupt("trailing bytes"));
     }
     Ok(SlotHierarchy {
@@ -258,7 +250,13 @@ mod tests {
                 );
             }
             for cut in 0..bytes.len() {
-                assert!(deserialize(&bytes[..cut]).is_err(), "prefix {cut}");
+                let err = deserialize(&bytes[..cut]).unwrap_err();
+                let want = if cut < 4 {
+                    WireError::BadMagic
+                } else {
+                    WireError::Truncated
+                };
+                assert_eq!(err, want, "prefix {cut}");
             }
             let mut long = bytes.clone();
             long.push(0);

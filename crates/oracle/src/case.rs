@@ -780,6 +780,43 @@ mod tests {
         assert!(bad.validate().is_err());
     }
 
+    /// Every prefix of a valid case's text, and every single-byte edit
+    /// of it that leaves it text, parses to a case or an error without
+    /// panicking.
+    #[test]
+    fn hostile_case_text_never_panics() {
+        let c = Case {
+            kind: FieldKind::Sinusoid(2),
+            dims: [7, 6, 8],
+            seed: 3,
+            ranks: 3,
+            blocks: 6,
+            decomp: DecompKind::Random(77),
+            threads: 2,
+            schedule: Schedule::Rounds(vec![2, 4]),
+            persistence: 0.05,
+            hierarchy: true,
+            fault: Some("crash:1@2".into()),
+        };
+        c.validate().unwrap();
+        let text = c.to_string();
+        assert_eq!(text.parse::<Case>().unwrap(), c);
+        for cut in 0..text.len() {
+            let _ = text[..cut].parse::<Case>();
+        }
+        // a single byte past 0x7F in ASCII text is not UTF-8, so the
+        // ASCII bytes are every edit a `&str` can hold
+        let mut edited = text.clone().into_bytes();
+        for at in 0..edited.len() {
+            let was = edited[at];
+            for b in 0..0x80 {
+                edited[at] = b;
+                let _ = std::str::from_utf8(&edited).unwrap().parse::<Case>();
+            }
+            edited[at] = was;
+        }
+    }
+
     #[test]
     fn irregular_cases_relax_uniform_requirements() {
         let c = Case {

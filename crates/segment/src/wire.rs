@@ -24,13 +24,14 @@
 //! ```
 
 use crate::{BlockSegmentation, DRAIN_LABEL};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
+use msp_telemetry::{Reader, Truncated};
 
 const MAGIC: &[u8; 4] = b"SEG1";
 
 /// Encode one block segmentation.
 pub fn serialize(seg: &BlockSegmentation) -> Bytes {
-    let mut b = BytesMut::with_capacity(
+    let mut b = Vec::with_capacity(
         40 + 8 * (seg.mins.len() + seg.maxs.len())
             + 4 * (seg.min_label.len() + seg.max_label.len()),
     );
@@ -56,7 +57,7 @@ pub fn serialize(seg: &BlockSegmentation) -> Bytes {
     for &l in &seg.max_label {
         b.put_u32_le(l);
     }
-    b.freeze()
+    Bytes::from(b)
 }
 
 /// Why a `SEG1` payload did not decode.
@@ -64,9 +65,9 @@ pub fn serialize(seg: &BlockSegmentation) -> Bytes {
 pub enum WireError {
     /// Not a `SEG1` payload at all.
     BadMagic,
-    /// The payload ends before the named part (checked before that part
-    /// is allocated).
-    Truncated(&'static str),
+    /// The payload ends before a part it declares (checked before that
+    /// part is allocated).
+    Truncated,
     /// Block dims whose label arrays would overflow `usize` bytes.
     DimsOverflow([u32; 3]),
     /// This many bytes left over after the last label.
@@ -84,7 +85,7 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::BadMagic => write!(f, "bad SEG1 magic"),
-            WireError::Truncated(what) => write!(f, "truncated SEG1 payload reading {what}"),
+            WireError::Truncated => write!(f, "truncated SEG1 payload"),
             WireError::DimsOverflow(d) => write!(f, "SEG1 block dims {d:?} overflow"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing byte(s) in SEG1 payload"),
             WireError::LabelOutOfRange { what, label, len } => {
@@ -101,45 +102,45 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<Truncated> for WireError {
+    fn from(_: Truncated) -> WireError {
+        WireError::Truncated
+    }
+}
+
 /// Decode a `SEG1` payload.
-pub fn deserialize(mut b: &[u8]) -> Result<BlockSegmentation, WireError> {
-    let need = |b: &[u8], n: usize, what: &'static str| {
-        if b.len() < n {
-            Err(WireError::Truncated(what))
-        } else {
-            Ok(())
-        }
-    };
-    need(b, 4, "magic")?;
-    if &b[..4] != MAGIC {
+pub fn deserialize(data: &[u8]) -> Result<BlockSegmentation, WireError> {
+    let mut r = Reader::new(data);
+    if r.take(4)? != MAGIC {
         return Err(WireError::BadMagic);
     }
-    b.advance(4);
-    need(b, 28, "header")?;
-    let block_id = b.get_u32_le();
-    let vdims = [b.get_u32_le(), b.get_u32_le(), b.get_u32_le()];
-    let origin = [b.get_u32_le(), b.get_u32_le(), b.get_u32_le()];
+    let block_id = r.u32()?;
+    let vdims = [r.u32()?, r.u32()?, r.u32()?];
+    let origin = [r.u32()?, r.u32()?, r.u32()?];
     // label-array byte sizes, `None` when one overflows
     let count = |dims: [u32; 3]| (dims.iter()).try_fold(4usize, |n, &d| n.checked_mul(d as usize));
     let n_verts = count(vdims);
     let n_voxels = count(vdims.map(|d| d.saturating_sub(1)));
-    let read_table = |b: &mut &[u8]| -> Result<Vec<u64>, WireError> {
-        need(b, 4, "table length")?;
-        let n = b.get_u32_le() as usize;
-        need(b, 8 * n, "table")?;
-        Ok((0..n).map(|_| b.get_u64_le()).collect())
+    let read_table = |r: &mut Reader<'_>| -> Result<Vec<u64>, WireError> {
+        let n = r.count(8)?;
+        let table = r.take(8 * n)?.chunks_exact(8);
+        Ok(table
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect())
     };
-    let mins = read_table(&mut b)?;
-    let maxs = read_table(&mut b)?;
-    let read_labels = |b: &mut &[u8], bytes: Option<usize>| -> Result<Vec<u32>, WireError> {
-        let bytes = bytes.ok_or(WireError::DimsOverflow(vdims))?;
-        need(b, bytes, "labels")?;
-        Ok((0..bytes / 4).map(|_| b.get_u32_le()).collect())
+    let mins = read_table(&mut r)?;
+    let maxs = read_table(&mut r)?;
+    let read_labels = |r: &mut Reader<'_>, bytes: Option<usize>| -> Result<Vec<u32>, WireError> {
+        let labels = r.take(bytes.ok_or(WireError::DimsOverflow(vdims))?)?;
+        let labels = labels.chunks_exact(4);
+        Ok(labels
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+            .collect())
     };
-    let min_label = read_labels(&mut b, n_verts)?;
-    let max_label = read_labels(&mut b, n_voxels)?;
-    if !b.is_empty() {
-        return Err(WireError::TrailingBytes(b.len()));
+    let min_label = read_labels(&mut r, n_verts)?;
+    let max_label = read_labels(&mut r, n_voxels)?;
+    if !r.is_empty() {
+        return Err(WireError::TrailingBytes(r.rest().len()));
     }
     if let Some(&label) = min_label.iter().find(|&&l| l as usize >= mins.len()) {
         let len = mins.len();
@@ -198,10 +199,7 @@ mod tests {
         let bytes = serialize(&sample()).to_vec();
         for cut in 0..bytes.len() {
             let err = deserialize(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, WireError::Truncated(_)),
-                "prefix {cut}: {err}"
-            );
+            assert!(matches!(err, WireError::Truncated), "prefix {cut}: {err}");
         }
         let mut flipped = bytes.clone();
         for at in 0..bytes.len() {
@@ -259,11 +257,11 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert_eq!(deserialize(b"nope"), Err(WireError::BadMagic));
-        assert_eq!(deserialize(b""), Err(WireError::Truncated("magic")));
+        assert_eq!(deserialize(b""), Err(WireError::Truncated));
         let enc = serialize(&sample());
         assert_eq!(
             deserialize(&enc[..enc.len() - 1]),
-            Err(WireError::Truncated("labels"))
+            Err(WireError::Truncated)
         );
         let mut extra = enc.to_vec();
         extra.push(0);

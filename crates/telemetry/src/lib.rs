@@ -25,7 +25,9 @@
 //! * [`live`] — the *live* (scrapeable, lock-light) metric surface:
 //!   atomic counters/gauges, log-bucketed histograms with bounded
 //!   memory, windowed rates and a Prometheus/JSON [`Registry`]
-//!   (DESIGN.md §13).
+//!   (DESIGN.md §13);
+//! * [`Reader`] — the bounds-checked little-endian reader under every
+//!   binary decoder of the workspace, with its one error, [`Truncated`].
 //!
 //! The crate is intentionally std-only so it can never constrain where
 //! instrumentation is threaded.
@@ -54,3 +56,4 @@ pub use trace::{
     CriticalPath, FlowEdge, MatchReport, MsgStamp, PathStep, RankTrace, RunTrace, TimeoutStamp,
     TraceSink, TraceSpan, TRACE_VERSION,
 };
+pub use wirefmt::{Reader, Truncated};

@@ -10,7 +10,7 @@
 
 use crate::json::Json;
 use crate::phase::sort_phase_keys;
-use crate::wirefmt::{encode_str, Cursor};
+use crate::wirefmt::{encode_str, read_str, Reader};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -80,31 +80,29 @@ impl RankReport {
 
     /// Inverse of [`encode`](RankReport::encode).
     pub fn decode(buf: &[u8]) -> Result<RankReport, String> {
-        let mut c = Cursor::new(buf, "rank report");
-        let version = c.u32()?;
+        let mut r = Reader::new(buf);
+        let version = r.u32()?;
         if version != REPORT_VERSION {
             return Err(format!(
                 "rank report version {version} != supported {REPORT_VERSION}"
             ));
         }
-        let rank = c.u32()?;
-        let unbalanced = c.u32()?;
-        let n_phases = c.u32()? as usize;
+        let rank = r.u32()?;
+        let unbalanced = r.u32()?;
         // a phase or counter entry is a key length plus 8 bytes
-        let mut phases = Vec::with_capacity(c.capacity(n_phases, 10));
+        let n_phases = r.count(10)?;
+        let mut phases = Vec::with_capacity(n_phases);
         for _ in 0..n_phases {
-            let k = c.string()?;
-            let s = c.f64()?;
-            phases.push((k, s));
+            phases.push((read_str(&mut r)?, r.f64()?));
         }
-        let n_counters = c.u32()? as usize;
-        let mut counters = Vec::with_capacity(c.capacity(n_counters, 10));
+        let n_counters = r.count(10)?;
+        let mut counters = Vec::with_capacity(n_counters);
         for _ in 0..n_counters {
-            let k = c.string()?;
-            let v = c.u64()?;
-            counters.push((k, v));
+            counters.push((read_str(&mut r)?, r.u64()?));
         }
-        c.expect_end()?;
+        if !r.is_empty() {
+            return Err("rank report has trailing bytes".into());
+        }
         Ok(RankReport {
             rank,
             unbalanced,
@@ -381,6 +379,7 @@ pub fn write_named_json(dir: &Path, name: &str, doc: &Json) -> io::Result<PathBu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Truncated;
 
     fn rank_report(rank: u32, read: f64, bytes: u64) -> RankReport {
         RankReport {
@@ -416,6 +415,41 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(RankReport::decode(&bytes[..cut]).is_err(), "prefix {cut}");
         }
+    }
+
+    #[test]
+    fn hostile_reports_never_panic() {
+        let mut r = rank_report(3, 0.375, 1 << 40);
+        r.unbalanced = 2;
+        let bytes = r.encode();
+        for cut in 0..bytes.len() {
+            let err = RankReport::decode(&bytes[..cut]).unwrap_err();
+            assert_eq!(err, Truncated.to_string(), "prefix {cut}");
+        }
+        let mut flipped = bytes.clone();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                // an edit either errs or decodes to a report that encodes
+                // back to exactly the edited bytes
+                if let Ok(back) = RankReport::decode(&flipped) {
+                    assert_eq!(back.encode(), flipped, "byte {at} bit {bit}");
+                }
+                flipped[at] ^= 1 << bit;
+            }
+        }
+        // u32::MAX phases claimed by a 16-byte header
+        let mut huge = RankReport {
+            phases: vec![],
+            counters: vec![],
+            ..r
+        }
+        .encode();
+        huge[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            RankReport::decode(&huge).unwrap_err(),
+            Truncated.to_string()
+        );
     }
 
     #[test]

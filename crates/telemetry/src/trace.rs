@@ -29,7 +29,7 @@
 //! fractional microseconds in the Chrome document (its native unit).
 
 use crate::json::Json;
-use crate::wirefmt::{encode_str, Cursor};
+use crate::wirefmt::{encode_str, read_str, Reader};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -182,54 +182,56 @@ impl RankTrace {
 
     /// Inverse of [`encode`](RankTrace::encode).
     pub fn decode(buf: &[u8]) -> Result<RankTrace, String> {
-        let mut c = Cursor::new(buf, "rank trace");
-        let version = c.u32()?;
+        let mut r = Reader::new(buf);
+        let version = r.u32()?;
         if version != TRACE_VERSION {
             return Err(format!(
                 "rank trace version {version} != supported {TRACE_VERSION}"
             ));
         }
-        let rank = c.u32()?;
-        let unbalanced = c.u32()?;
-        let n_spans = c.u32()? as usize;
+        let rank = r.u32()?;
+        let unbalanced = r.u32()?;
         // key length + two timestamps; a message stamp is 36 bytes, a
         // timeout stamp 24
-        let mut spans = Vec::with_capacity(c.capacity(n_spans, 18));
+        let n_spans = r.count(18)?;
+        let mut spans = Vec::with_capacity(n_spans);
         for _ in 0..n_spans {
-            let key = c.string()?;
-            let t0_ns = c.u64()?;
-            let t1_ns = c.u64()?;
+            let key = read_str(&mut r)?;
+            let t0_ns = r.u64()?;
+            let t1_ns = r.u64()?;
             spans.push(TraceSpan { key, t0_ns, t1_ns });
         }
         let mut msg_lists = Vec::with_capacity(2);
         for _ in 0..2 {
-            let n = c.u32()? as usize;
-            let mut msgs = Vec::with_capacity(c.capacity(n, 36));
+            let n = r.count(36)?;
+            let mut msgs = Vec::with_capacity(n);
             for _ in 0..n {
                 msgs.push(MsgStamp {
-                    src: c.u32()?,
-                    dst: c.u32()?,
-                    tag: c.u32()?,
-                    seq: c.u64()?,
-                    bytes: c.u64()?,
-                    t_ns: c.u64()?,
+                    src: r.u32()?,
+                    dst: r.u32()?,
+                    tag: r.u32()?,
+                    seq: r.u64()?,
+                    bytes: r.u64()?,
+                    t_ns: r.u64()?,
                 });
             }
             msg_lists.push(msgs);
         }
         let recvs = msg_lists.pop().unwrap();
         let sends = msg_lists.pop().unwrap();
-        let n_timeouts = c.u32()? as usize;
-        let mut timeouts = Vec::with_capacity(c.capacity(n_timeouts, 24));
+        let n_timeouts = r.count(24)?;
+        let mut timeouts = Vec::with_capacity(n_timeouts);
         for _ in 0..n_timeouts {
             timeouts.push(TimeoutStamp {
-                src: c.u32()?,
-                tag: c.u32()?,
-                t_ns: c.u64()?,
-                waited_ns: c.u64()?,
+                src: r.u32()?,
+                tag: r.u32()?,
+                t_ns: r.u64()?,
+                waited_ns: r.u64()?,
             });
         }
-        c.expect_end()?;
+        if !r.is_empty() {
+            return Err("rank trace has trailing bytes".into());
+        }
         Ok(RankTrace {
             rank,
             spans,
@@ -823,7 +825,8 @@ mod tests {
     fn hostile_traces_never_panic() {
         let bytes = sample_trace().encode();
         for cut in 0..bytes.len() {
-            assert!(RankTrace::decode(&bytes[..cut]).is_err(), "prefix {cut}");
+            let err = RankTrace::decode(&bytes[..cut]).unwrap_err();
+            assert_eq!(err, crate::Truncated.to_string(), "prefix {cut}");
         }
         let mut flipped = bytes.clone();
         for at in 0..bytes.len() {

@@ -1,7 +1,143 @@
-//! Shared helpers for the compact little-endian wire encodings used by
-//! [`RankReport`](crate::RankReport) and [`RankTrace`](crate::RankTrace):
-//! length-prefixed strings and a bounds-checked read cursor producing
-//! contextful errors instead of panics.
+//! The workspace's one reader of binary input, and the length-prefixed
+//! strings of the compact little-endian encodings of
+//! [`RankReport`](crate::RankReport) and [`RankTrace`](crate::RankTrace).
+//!
+//! Every binary decoder (`MSC3`, `SEG1`, `MSH1`, `MSK1`, the `MSPF`
+//! footer, the segmentation messages and the telemetry records) reads
+//! through [`Reader`], so hostile bytes end a decode with [`Truncated`],
+//! never a panic, and a count read from the input reserves no more than
+//! the input could hold. Each format's error type has a `From<Truncated>`.
+
+use std::{fmt, io};
+
+/// The input ended before a read, or declared more records than its
+/// unread bytes could hold.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Truncated;
+
+impl fmt::Display for Truncated {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("input truncated")
+    }
+}
+
+impl std::error::Error for Truncated {}
+
+/// The telemetry decoders report their errors as text.
+impl From<Truncated> for String {
+    fn from(t: Truncated) -> String {
+        t.to_string()
+    }
+}
+
+/// File readers report short input as [`io::ErrorKind::InvalidData`].
+impl From<Truncated> for io::Error {
+    fn from(t: Truncated) -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, t)
+    }
+}
+
+/// Bounds-checked little-endian read cursor over a byte slice.
+#[derive(Clone, Debug)]
+pub struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    #[inline]
+    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader(buf)
+    }
+
+    /// The bytes not read yet.
+    #[inline]
+    pub fn rest(&self) -> &'a [u8] {
+        self.0
+    }
+
+    /// True once every byte has been read.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], Truncated> {
+        if self.0.len() < n {
+            return Err(Truncated);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], Truncated> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, Truncated> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, Truncated> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, Truncated> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, Truncated> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    #[inline]
+    pub fn f32(&mut self) -> Result<f32, Truncated> {
+        self.array().map(f32::from_le_bytes)
+    }
+
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, Truncated> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// An unsigned LEB128 varint of at most 10 bytes; `None` when it is
+    /// longer or larger than `u64::MAX`.
+    #[inline]
+    pub fn varint(&mut self) -> Result<Option<u64>, Truncated> {
+        let mut v = 0u64;
+        for i in 0..10 {
+            let b = self.u8()?;
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                // the tenth byte holds only the top bit
+                return Ok((i < 9 || b <= 1).then_some(v));
+            }
+        }
+        Ok(None)
+    }
+
+    /// A `u32` count of records that each take at least `min_bytes`
+    /// bytes: safe to reserve, since the unread bytes could hold them.
+    #[inline]
+    pub fn count(&mut self, min_bytes: usize) -> Result<usize, Truncated> {
+        let n = self.u32()?;
+        self.fits(n.into(), min_bytes)
+    }
+
+    /// `n` records of at least `min_bytes` bytes each, as a `usize`,
+    /// when the unread bytes could hold them.
+    #[inline]
+    pub fn fits(&self, n: u64, min_bytes: usize) -> Result<usize, Truncated> {
+        if n > (self.0.len() / min_bytes) as u64 {
+            return Err(Truncated);
+        }
+        Ok(n as usize)
+    }
+}
 
 /// Append a `u16`-length-prefixed UTF-8 string.
 pub(crate) fn encode_str(out: &mut Vec<u8>, s: &str) {
@@ -11,65 +147,9 @@ pub(crate) fn encode_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(b);
 }
 
-/// Bounds-checked reader over an encoded buffer.
-pub(crate) struct Cursor<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-    /// Label used in error messages ("rank report", "rank trace", …).
-    pub(crate) what: &'static str,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8], what: &'static str) -> Cursor<'a> {
-        Cursor { buf, pos: 0, what }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.buf.len() {
-            return Err(format!(
-                "{} truncated at byte {} (wanted {n} more)",
-                self.what, self.pos
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, String> {
-        let len = u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| format!("{} key is not UTF-8", self.what))
-    }
-
-    /// How many of `n` records, each at least `min_bytes` long, the
-    /// unread bytes could hold: the most a decoder may reserve for a
-    /// count it read from the input.
-    pub(crate) fn capacity(&self, n: usize, min_bytes: usize) -> usize {
-        n.min((self.buf.len() - self.pos) / min_bytes)
-    }
-
-    /// Error unless the whole buffer was consumed.
-    pub(crate) fn expect_end(&self) -> Result<(), String> {
-        if self.pos != self.buf.len() {
-            return Err(format!(
-                "{} has {} trailing byte(s)",
-                self.what,
-                self.buf.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
+/// Read a string written by [`encode_str`].
+pub(crate) fn read_str(r: &mut Reader<'_>) -> Result<String, String> {
+    let len = r.u16()?;
+    let b = r.take(len.into())?;
+    String::from_utf8(b.to_vec()).map_err(|_| "key is not UTF-8".to_string())
 }

@@ -10,18 +10,27 @@
 //! output blocks, followed by a footer that provides an index".
 
 use crate::comm::{CommError, Rank};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::pairmsg::{decode_pairs, decode_u64s, encode_pairs, encode_u64s};
+use bytes::{BufMut, Bytes};
+use msp_telemetry::Reader;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 const FOOTER_MAGIC: &[u8; 4] = b"MSPF";
+/// A footer entry's offset, length and writer.
+const ENTRY_BYTES: usize = 20;
 
 /// A collective write is only as reliable as its participants: a comm
 /// failure mid-collective is an I/O failure from the caller's view.
 fn comm_err(e: CommError) -> io::Error {
     io::Error::new(io::ErrorKind::BrokenPipe, format!("collective write: {e}"))
 }
+
+fn invalid_data(what: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.to_string())
+}
+
 const TAG_SIZES: u32 = 9001;
 const TAG_OFFSETS: u32 = 9002;
 
@@ -36,9 +45,18 @@ pub struct FooterEntry {
 }
 
 /// Read a rank's subarray view: the concatenation of the given byte runs.
+/// A run past the end of the file is refused before anything is
+/// allocated.
 pub fn read_runs(path: &Path, runs: &[(u64, u64)]) -> io::Result<Vec<u8>> {
     let mut f = File::open(path)?;
-    let total: u64 = runs.iter().map(|r| r.1).sum();
+    let size = f.metadata()?.len();
+    let total = runs
+        .iter()
+        .try_fold(0u64, |total, &(off, len)| {
+            off.checked_add(len).filter(|&end| end <= size)?;
+            total.checked_add(len)
+        })
+        .ok_or_else(|| invalid_data("byte run past the end of the file"))?;
     let mut out = Vec::with_capacity(total as usize);
     let mut buf = Vec::new();
     for &(off, len) in runs {
@@ -66,14 +84,11 @@ pub fn collective_write_blocks_keyed(
 ) -> io::Result<Vec<FooterEntry>> {
     debug_assert_eq!(payloads.len(), keys.len());
     // 1. announce keys and sizes
-    let mut size_msg = BytesMut::with_capacity(4 + payloads.len() * 16);
-    size_msg.put_u32_le(payloads.len() as u32);
-    for (p, &key) in payloads.iter().zip(keys) {
-        size_msg.put_u64_le(key);
-        size_msg.put_u64_le(p.len() as u64);
-    }
+    let sizes: Vec<(u64, u64)> = (keys.iter().zip(payloads))
+        .map(|(&key, p)| (key, p.len() as u64))
+        .collect();
     let gathered = rank
-        .gather(0, TAG_SIZES, size_msg.freeze())
+        .gather(0, TAG_SIZES, encode_pairs(&sizes))
         .map_err(comm_err)?;
 
     // 2. rank 0 assigns offsets and builds the footer
@@ -83,11 +98,8 @@ pub fn collective_write_blocks_keyed(
         // (sort key, writer rank, writer-local index, len)
         let mut blocks: Vec<(u64, usize, usize, u64)> = Vec::new();
         for (r, msg) in all.iter().enumerate() {
-            let mut b = &msg[..];
-            let n = b.get_u32_le() as usize;
-            for i in 0..n {
-                let key = b.get_u64_le();
-                let len = b.get_u64_le();
+            let sizes = decode_pairs(msg).map_err(invalid_data)?;
+            for (i, (key, len)) in sizes.into_iter().enumerate() {
                 blocks.push((key, r, i, len));
             }
         }
@@ -119,22 +131,16 @@ pub fn collective_write_blocks_keyed(
         rank.broadcast(0, TAG_OFFSETS + 1, Some(encode_footer_entries(&entries)))
             .map_err(comm_err)?;
         for (r, offs) in per_rank_offsets.iter().enumerate().skip(1) {
-            let mut m = BytesMut::with_capacity(4 + offs.len() * 8);
-            m.put_u32_le(offs.len() as u32);
-            for &o in offs {
-                m.put_u64_le(o);
-            }
-            rank.send(r, TAG_OFFSETS, m.freeze()).map_err(comm_err)?;
+            rank.send(r, TAG_OFFSETS, encode_u64s(offs))
+                .map_err(comm_err)?;
         }
         my_offsets = per_rank_offsets.swap_remove(0);
         footer = entries;
     } else {
         let fb = rank.broadcast(0, TAG_OFFSETS + 1, None).map_err(comm_err)?;
-        footer = decode_footer_entries(&fb);
+        footer = decode_footer_entries(&fb)?;
         let m = rank.recv(0, TAG_OFFSETS).map_err(comm_err)?;
-        let mut b = &m[..];
-        let n = b.get_u32_le() as usize;
-        my_offsets = (0..n).map(|_| b.get_u64_le()).collect();
+        my_offsets = decode_u64s(&m).map_err(invalid_data)?;
     }
 
     // ensure the file exists before concurrent writers open it
@@ -166,54 +172,68 @@ pub fn collective_write_blocks_keyed(
 }
 
 fn encode_footer_entries(entries: &[FooterEntry]) -> Bytes {
-    let mut b = BytesMut::with_capacity(4 + entries.len() * 20);
+    let mut b = Vec::with_capacity(4 + entries.len() * ENTRY_BYTES);
     b.put_u32_le(entries.len() as u32);
     for e in entries {
         b.put_u64_le(e.offset);
         b.put_u64_le(e.len);
         b.put_u32_le(e.writer);
     }
-    b.freeze()
+    Bytes::from(b)
 }
 
-fn decode_footer_entries(mut b: &[u8]) -> Vec<FooterEntry> {
-    let n = b.get_u32_le() as usize;
-    (0..n)
-        .map(|_| FooterEntry {
-            offset: b.get_u64_le(),
-            len: b.get_u64_le(),
-            writer: b.get_u32_le(),
-        })
-        .collect()
+fn decode_footer_entries(body: &[u8]) -> io::Result<Vec<FooterEntry>> {
+    let mut r = Reader::new(body);
+    let n = r.count(ENTRY_BYTES)?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        entries.push(FooterEntry {
+            offset: r.u64()?,
+            len: r.u64()?,
+            writer: r.u32()?,
+        });
+    }
+    if !r.is_empty() {
+        return Err(invalid_data("trailing bytes in the footer"));
+    }
+    Ok(entries)
 }
 
-/// Read the footer of a collectively-written file.
+/// Read the footer of a collectively-written file. Its length, entry
+/// count and every entry's byte run are checked against the file before
+/// anything is allocated for them, so no entry it returns reaches past
+/// the payloads.
 pub fn read_footer(path: &Path) -> io::Result<Vec<FooterEntry>> {
     let mut f = File::open(path)?;
     let size = f.metadata()?.len();
-    if size < 12 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "file too small"));
-    }
-    f.seek(SeekFrom::Start(size - 12))?;
+    let tail_at = size
+        .checked_sub(12)
+        .ok_or_else(|| invalid_data("file too small"))?;
+    f.seek(SeekFrom::Start(tail_at))?;
     let mut tail = [0u8; 12];
     f.read_exact(&mut tail)?;
     if &tail[8..12] != FOOTER_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad footer magic",
-        ));
+        return Err(invalid_data("bad footer magic"));
     }
     let body_len = u64::from_le_bytes(tail[..8].try_into().unwrap());
-    if body_len + 12 > size {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad footer length",
-        ));
-    }
-    f.seek(SeekFrom::Start(size - 12 - body_len))?;
+    // the payloads end where the footer body starts
+    let payload_end = tail_at
+        .checked_sub(body_len)
+        .ok_or_else(|| invalid_data("bad footer length"))?;
+    f.seek(SeekFrom::Start(payload_end))?;
     let mut body = vec![0u8; body_len as usize];
     f.read_exact(&mut body)?;
-    Ok(decode_footer_entries(&body))
+    let entries =
+        decode_footer_entries(&body).map_err(|e| invalid_data(format!("bad footer: {e}")))?;
+    let past_end = |e: &FooterEntry| {
+        e.offset
+            .checked_add(e.len)
+            .is_none_or(|end| end > payload_end)
+    };
+    if entries.iter().any(past_end) {
+        return Err(invalid_data("footer entry past the payloads"));
+    }
+    Ok(entries)
 }
 
 /// Read one block payload by footer entry.
@@ -336,5 +356,96 @@ mod tests {
         std::fs::write(&path, b"this is not a valid msp file at all!").unwrap();
         assert!(read_footer(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Eight payload bytes, then `body` under a tail that claims
+    /// `body_len` bytes of footer.
+    fn crafted(body: &[u8], body_len: u64) -> Vec<u8> {
+        let mut file = b"payload!".to_vec();
+        file.extend_from_slice(body);
+        file.extend_from_slice(&body_len.to_le_bytes());
+        file.extend_from_slice(FOOTER_MAGIC);
+        file
+    }
+
+    #[test]
+    fn hostile_footers_are_invalid_data() {
+        let entry = |offset: u64, len: u64| {
+            encode_footer_entries(&[FooterEntry {
+                offset,
+                len,
+                writer: 0,
+            }])
+            .to_vec()
+        };
+        let files = [
+            (
+                "5 entries in a 4-byte body",
+                crafted(&5u32.to_le_bytes(), 4),
+            ),
+            ("empty body", crafted(&[], 0)),
+            ("body_len 2^64-5", crafted(&[], u64::MAX - 4)),
+            ("entry len 2^40", crafted(&entry(0, 1 << 40), 24)),
+            ("count 0xFFFFFFFF", crafted(&u32::MAX.to_le_bytes(), 4)),
+            ("entry past the payloads", crafted(&entry(4, 5), 24)),
+            ("entry end overflows", crafted(&entry(u64::MAX, 2), 24)),
+        ];
+        let path = tmp("hostile_footer.bin");
+        for (what, file) in files {
+            std::fs::write(&path, file).unwrap();
+            let err = read_footer(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        // the last payload byte is still inside
+        std::fs::write(&path, crafted(&entry(4, 4), 24)).unwrap();
+        let footer = read_footer(&path).unwrap();
+        assert_eq!(read_block_payload(&path, &footer[0]).unwrap(), b"oad!");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn runs_past_the_file_are_refused() {
+        let path = tmp("short_runs.bin");
+        std::fs::write(&path, [7u8; 16]).unwrap();
+        for runs in [[(0, 17)], [(16, 1)], [(u64::MAX, 2)], [(1 << 40, 0)]] {
+            let err = read_runs(&path, &runs).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{runs:?}");
+        }
+        assert_eq!(read_runs(&path, &[(16, 0), (8, 8)]).unwrap(), [7; 8]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn hostile_footer_bodies_never_panic() {
+        let entries = [(0, 10), (10, 5), (15, 1 << 33)].map(|(offset, len)| FooterEntry {
+            offset,
+            len,
+            writer: offset as u32,
+        });
+        let bytes = encode_footer_entries(&entries).to_vec();
+        assert_eq!(decode_footer_entries(&bytes).unwrap(), entries);
+        for cut in 0..bytes.len() {
+            let err = decode_footer_entries(&bytes[..cut]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "prefix {cut}");
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(decode_footer_entries(&long).is_err(), "trailing byte");
+        let mut flipped = bytes.clone();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                // an edit either errs or decodes to entries that encode
+                // back to exactly the edited bytes
+                if let Ok(e) = decode_footer_entries(&flipped) {
+                    assert_eq!(
+                        encode_footer_entries(&e)[..],
+                        flipped[..],
+                        "byte {at} bit {bit}"
+                    );
+                }
+                flipped[at] ^= 1 << bit;
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! `bytes` stand-in: the subset used by msp-complex::wire, msp-vmpi and
-//! msp-core (cheaply-cloneable `Bytes` with zero-copy `slice`, growable
-//! `BytesMut`, little-endian `Buf`/`BufMut` cursors).
+//! `bytes` stand-in: the subset the workspace uses — cheaply-cloneable
+//! `Bytes` with zero-copy `slice`, and the little-endian `BufMut` writer
+//! on `Vec<u8>`. Reading goes through `msp_telemetry::Reader`.
 
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -108,39 +108,6 @@ impl std::hash::Hash for Bytes {
     }
 }
 
-/// Growable byte buffer.
-#[derive(Debug, Default, Clone)]
-pub struct BytesMut(Vec<u8>);
-
-impl BytesMut {
-    pub fn new() -> BytesMut {
-        BytesMut::default()
-    }
-
-    pub fn with_capacity(n: usize) -> BytesMut {
-        BytesMut(Vec::with_capacity(n))
-    }
-
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.0)
-    }
-
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
 /// Little-endian write cursor.
 pub trait BufMut {
     fn put_slice(&mut self, s: &[u8]);
@@ -160,78 +127,10 @@ pub trait BufMut {
     fn put_f32_le(&mut self, v: f32) {
         self.put_slice(&v.to_le_bytes());
     }
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, s: &[u8]) {
-        self.0.extend_from_slice(s);
-    }
 }
 
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, s: &[u8]) {
         self.extend_from_slice(s);
-    }
-}
-
-/// Little-endian read cursor.
-pub trait Buf {
-    fn remaining(&self) -> usize;
-    fn chunk(&self) -> &[u8];
-    fn advance(&mut self, n: usize);
-
-    fn get_u8(&mut self) -> u8 {
-        let v = self.chunk()[0];
-        self.advance(1);
-        v
-    }
-    fn get_u16_le(&mut self) -> u16 {
-        let v = u16::from_le_bytes(self.chunk()[..2].try_into().unwrap());
-        self.advance(2);
-        v
-    }
-    fn get_u32_le(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self.chunk()[..4].try_into().unwrap());
-        self.advance(4);
-        v
-    }
-    fn get_u64_le(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.chunk()[..8].try_into().unwrap());
-        self.advance(8);
-        v
-    }
-    fn get_f32_le(&mut self) -> f32 {
-        f32::from_bits(self.get_u32_le())
-    }
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-    fn advance(&mut self, n: usize) {
-        *self = &self[n..];
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self.as_slice()
-    }
-    fn advance(&mut self, n: usize) {
-        assert!(n <= self.len());
-        self.start += n;
     }
 }

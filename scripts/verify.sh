@@ -188,6 +188,28 @@ fi
 grep -q -- "--segment takes no value (got 'yes')" "$tracedir/switch_err.txt" \
   || { echo "switch value: wrong error"; cat "$tracedir/switch_err.txt"; exit 1; }
 
+# hostile footers: msc info on a file whose MSPF footer lies about its
+# size, its entry count or an entry's byte run exits 1 with an error,
+# never a panic (101) or an aborted allocation (134)
+le() { # le N V: V as N little-endian bytes, in printf escapes
+  local i
+  for ((i = 0; i < $1; i++)); do printf '\\x%02x' $((($2 >> (8 * i)) & 255)); done
+}
+hostile=(
+  "$(le 4 5)$(le 8 4)"                                           # 5 entries, 4-byte body
+  "$(le 8 0)"                                                    # empty body
+  "$(le 8 -5)"                                                   # body_len 2^64 - 5
+  "$(le 4 1)$(le 8 0)$(le 8 $((1 << 40)))$(le 4 0)$(le 8 24)"   # entry len 2^40
+  "$(le 4 0xffffffff)$(le 8 4)"                                  # count 2^32 - 1
+)
+for i in "${!hostile[@]}"; do
+  printf "payload!${hostile[$i]}MSPF" > "$tracedir/hostile$i.msc"
+  status=0
+  msc info "$tracedir/hostile$i.msc" > /dev/null 2> "$tracedir/hostile_err.txt" || status=$?
+  [ "$status" -eq 1 ] && grep -q '^error: ' "$tracedir/hostile_err.txt" \
+    || { echo "hostile footer $i: exit $status"; cat "$tracedir/hostile_err.txt"; exit 1; }
+done
+
 # figure smoke: the figures driver regenerates every table and figure
 # at small scale into $tracedir; it asserts its gates (the fault sweep's
 # bit-identical recoveries, the balance sweep's adaptive-below-uniform
