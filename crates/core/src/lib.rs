@@ -18,22 +18,25 @@
 //!   of ranks on one machine: use to regenerate the paper's scaling
 //!   figures and merge-strategy tables.
 //!
-//! [`plan::MergePlan`] encodes the configurable radix-k merge schedule
-//! and the paper's radix-8-first planning heuristic.
+//! [`MergePlan`] encodes the configurable radix-k merge schedule and the
+//! paper's radix-8-first planning heuristic; it and the run layout
+//! (decomposition mode, assignment, merge schedule) live in `msp-grid`
+//! beside the decomposition, and are re-exported here under their old
+//! paths (`plan`, `sched`).
 
 pub mod pipeline;
-pub mod plan;
-pub mod sched;
 pub mod serve;
 pub mod simdriver;
 mod stages;
 
+pub use msp_grid::layout as sched;
+pub use msp_grid::{
+    feature_weights, full_merge_plan, plan, Assignment, DecompMode, MergePlan, MergeSchedule,
+};
 pub use pipeline::{
     check_persistence, msh_output_path, parse_persistence, run_parallel, seg_output_path,
-    FaultConfig, Input, PipelineError, PipelineParams, RunResult,
+    CheckVerdict, FaultConfig, Input, PipelineError, PipelineParams, RunResult,
 };
-pub use plan::MergePlan;
-pub use sched::{feature_weights, full_merge_plan, Assignment, DecompMode, MergeSchedule};
 pub use serve::{
     load_dataset, serve_session, serve_tcp, Dataset, ServeConfig, ServeError, ServerCore,
 };

@@ -9,8 +9,6 @@
 //! may outnumber ranks; uniform runs assign them block-cyclically,
 //! irregular ones by LPT over per-block cost estimates.
 
-use crate::plan::MergePlan;
-use crate::sched::DecompMode;
 use crate::stages::{self, Io, Job, Machine, Node, Output, Source};
 use bytes::Bytes;
 use msp_complex::{wire, MsComplex};
@@ -18,8 +16,9 @@ use msp_fault::checkpoint::CheckpointError;
 use msp_fault::FaultPlan;
 use msp_grid::par::available_threads;
 use msp_grid::rawio::VolumeDType;
-use msp_grid::{Dims, ScalarField};
+use msp_grid::{DecompMode, Dims, LayoutError, MergePlan, ScalarField};
 use msp_hierarchy::SlotHierarchy;
+use msp_oracle::{check_segmentation_tables, CheckOptions, InvariantReport};
 use msp_segment::BlockSegmentation;
 use msp_telemetry::{
     Counter, Json, Phase, RankReport, RankTrace, Recorder, RunReport, RunTrace, TraceSink,
@@ -126,6 +125,12 @@ pub enum PipelineError {
     },
     /// The end-of-run telemetry exchange produced garbage.
     Telemetry(String),
+}
+
+impl From<LayoutError> for PipelineError {
+    fn from(e: LayoutError) -> Self {
+        PipelineError::Config(e.to_string())
+    }
 }
 
 impl std::fmt::Display for PipelineError {
@@ -288,6 +293,56 @@ pub struct RunResult {
     pub hierarchies: Vec<SlotHierarchy>,
     /// Footer of the `<out>.msh` file, when one was written.
     pub msh_footer: Option<Vec<FooterEntry>>,
+}
+
+/// What a `--check` run found ([`RunResult::check_verdict`]).
+#[derive(Debug)]
+pub struct CheckVerdict {
+    /// Each checker counter (`check_*`) with its violation total, in
+    /// report order.
+    pub violations: [(Counter, u64); 6],
+    /// The segmentation-table liveness check over the outputs: every
+    /// representative must be a live critical node of matching Morse
+    /// index in its block's covering output.
+    pub tables: InvariantReport,
+}
+
+impl CheckVerdict {
+    /// Summed checker-counter violations (the table check apart).
+    pub fn total(&self) -> u64 {
+        self.violations.iter().map(|&(_, n)| n).sum()
+    }
+}
+
+impl RunResult {
+    /// The checker's violation counters, and the segmentation-table
+    /// liveness check over the gathered outputs (which no single rank
+    /// can run: a table's covering output may live elsewhere).
+    pub fn check_verdict(&self) -> CheckVerdict {
+        let tables: Vec<(u32, Vec<u64>, Vec<u64>)> = (self.segmentation.iter())
+            .map(|s| (s.block_id, s.mins.clone(), s.maxs.clone()))
+            .collect();
+        let mut report = InvariantReport::default();
+        check_segmentation_tables(
+            &self.outputs,
+            &tables,
+            &CheckOptions::default(),
+            &mut report,
+        );
+        let violations = [
+            Counter::CheckStructural,
+            Counter::CheckEuler,
+            Counter::CheckBoundary,
+            Counter::CheckVpath,
+            Counter::CheckSegment,
+            Counter::CheckHierarchy,
+        ]
+        .map(|c| (c, self.telemetry.counter_total(c.key())));
+        CheckVerdict {
+            violations,
+            tables: report,
+        }
+    }
 }
 
 /// Path of the labeled-volume file written next to the complex output.
@@ -620,21 +675,59 @@ mod tests {
         r.outputs[0].check_integrity().unwrap();
     }
 
+    /// Every layout `msp_grid::Layout::new` refuses is a config error
+    /// from both machines, never a panic; the valid neighbors run.
     #[test]
     fn bad_configs_are_reported_not_panicked() {
-        let input = noise_input(8, 3);
-        let few_blocks = run_parallel(&input, 4, 2, &PipelineParams::default(), None);
-        assert!(matches!(few_blocks, Err(PipelineError::Config(_))));
-        let params = PipelineParams {
-            plan: MergePlan::rounds(vec![8]),
-            ..Default::default()
-        };
-        let bad_plan = run_parallel(&input, 2, 12, &params, None);
-        let msg = match bad_plan {
-            Err(PipelineError::Config(m)) => m,
-            other => panic!("expected config error, got {:?}", other.map(|_| ())),
-        };
-        assert!(msg.contains("reduction"), "contextful message: {msg}");
+        use crate::simdriver::{simulate, SimError, SimParams};
+        let field = msp_synth::white_noise(Dims::cube(9), 3);
+        let input = Input::Memory(Arc::new(field.clone()));
+        for (ranks, blocks) in [(4, 2), (0, 4), (8, 4)] {
+            let run = run_parallel(&input, ranks, blocks, &PipelineParams::default(), None);
+            let what = format!("{blocks} blocks on {ranks} ranks");
+            assert!(matches!(run, Err(PipelineError::Config(_))), "{what}");
+        }
+        let sim = simulate(&field, 0, &SimParams::default());
+        assert!(matches!(sim, Err(SimError::Config(_))), "0 virtual ranks");
+        let bad_plans = [
+            (MergePlan::rounds(vec![8]), 12),
+            (MergePlan::rounds(vec![4]), 6),
+            (msp_grid::full_merge_plan(6), 6),
+            (MergePlan::rounds(vec![1]), 8),
+            (MergePlan::rounds(vec![3]), 8),
+            (MergePlan::rounds(vec![16]), 8),
+        ];
+        for (plan, blocks) in bad_plans {
+            let what = format!("{:?} on {blocks} uniform blocks", plan.radices);
+            let params = PipelineParams {
+                plan: plan.clone(),
+                ..Default::default()
+            };
+            let msg = match run_parallel(&input, 2, blocks, &params, None) {
+                Err(PipelineError::Config(m)) => m,
+                other => panic!("{what}: expected config error, got {:?}", other.map(|_| ())),
+            };
+            assert!(
+                msg.contains("reduction") || msg.contains("radix"),
+                "{what}: {msg}"
+            );
+            let sim = simulate(
+                &field,
+                blocks,
+                &SimParams {
+                    plan,
+                    ..Default::default()
+                },
+            );
+            assert!(matches!(sim, Err(SimError::Config(_))), "{what}");
+        }
+        for plan in [MergePlan::rounds(vec![2]), MergePlan::none()] {
+            let params = PipelineParams {
+                plan,
+                ..Default::default()
+            };
+            run_parallel(&input, 3, 6, &params, None).unwrap();
+        }
     }
 
     #[test]

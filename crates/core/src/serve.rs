@@ -1285,8 +1285,8 @@ fn serve_http(core: &ServerCore, mut stream: TcpStream) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use crate::pipeline::{run_parallel, Input, PipelineParams};
-    use crate::plan::MergePlan;
     use msp_grid::Dims;
+    use msp_grid::MergePlan;
     use std::io::Read;
     use std::net::SocketAddr;
     use std::panic::AssertUnwindSafe;

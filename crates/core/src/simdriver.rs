@@ -26,13 +26,11 @@
 //! Checkpointing is charged as a collective write at every cut.
 
 use crate::pipeline::{FaultConfig, PipelineError, PipelineParams};
-use crate::plan::MergePlan;
-use crate::sched::DecompMode;
 use crate::stages::{self, Io, Job, Machine, Node, Output, Source};
 use bytes::Bytes;
 use msp_grid::par::{available_threads, par_map_mut};
 use msp_grid::rawio::VolumeDType;
-use msp_grid::ScalarField;
+use msp_grid::{DecompMode, MergePlan, ScalarField};
 use msp_telemetry::{Counter, Json, Phase, RankTrace, Recorder, RunTrace, TimeoutStamp};
 use msp_vmpi::comm::{CommError, Inject, SendFate};
 use msp_vmpi::fileio::FooterEntry;
@@ -845,7 +843,7 @@ mod tests {
     #[test]
     fn sim_replays_irregular_schedules_exactly() {
         use crate::pipeline::{run_parallel, Input, PipelineParams};
-        use crate::sched::full_merge_plan;
+        use msp_grid::full_merge_plan;
         use std::sync::Arc;
         // A non-power-of-two adaptive run: the sim must derive the same
         // contracted merge schedule and LPT rank permutation as the

@@ -57,7 +57,6 @@
 use crate::pipeline::{
     comm_err, io_err, msh_output_path, seg_output_path, PipelineError, PipelineParams,
 };
-use crate::sched::{feature_weights, Assignment, Layout, MergeSchedule};
 use bytes::Bytes;
 use msp_complex::glue::glue_all;
 use msp_complex::{
@@ -66,7 +65,10 @@ use msp_complex::{
 use msp_fault::{encode_slots, CheckpointStore, CheckpointView};
 use msp_grid::par::{par_map, par_map_mut};
 use msp_grid::rawio::{block_bytes, read_block, read_raw, VolumeDType};
-use msp_grid::{BlockField, Decomposition, Dims, ScalarField};
+use msp_grid::{
+    feature_weights, Assignment, BlockField, Decomposition, Dims, Layout, MergeSchedule,
+    ScalarField,
+};
 use msp_hierarchy::{record_sequence, wire as hwire, ReplayParams, SlotHierarchy};
 use msp_morse::{active_kernel, assign_gradient_kernel, TraceLimits};
 use msp_oracle::{CheckOptions, InvariantReport};
@@ -185,8 +187,9 @@ pub(crate) struct Job<'a> {
 }
 
 impl<'a> Job<'a> {
-    /// Validate the configuration and lay the run out: decomposition,
-    /// per-block costs, merge schedule and block-to-rank assignment.
+    /// Lay the run out — decomposition, per-block costs, merge schedule
+    /// and block-to-rank assignment — with [`Layout::new`], which refuses
+    /// an invalid configuration.
     /// Irregular modes balance blocks by LPT (longest processing time
     /// first) over the cost estimates; the adaptive splitter needs the
     /// whole field once, up front.
@@ -197,17 +200,6 @@ impl<'a> Job<'a> {
         n_ranks: u32,
         n_blocks: u32,
     ) -> Res<Job<'a>> {
-        if n_ranks < 1 || n_blocks < n_ranks {
-            return Err(PipelineError::Config(format!(
-                "need >= 1 block per rank (got {n_blocks} blocks on {n_ranks} ranks)"
-            )));
-        }
-        let red = params.plan.reduction();
-        if params.decomp.is_uniform() && !n_blocks.is_multiple_of(red) {
-            return Err(PipelineError::Config(format!(
-                "plan reduction {red} must divide the block count {n_blocks}"
-            )));
-        }
         let weights = || match &src {
             Source::Memory(f) => Ok(feature_weights(f)),
             Source::File(path, dims) => read_raw(path, *dims, dtype)

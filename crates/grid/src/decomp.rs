@@ -115,6 +115,8 @@ enum Node {
     },
 }
 
+const TOO_MANY_BLOCKS: &str = "the domain cannot be cut into that many blocks";
+
 /// A complete recursive-bisection decomposition of a vertex grid.
 #[derive(Debug, Clone)]
 pub struct Decomposition {
@@ -130,13 +132,32 @@ impl Decomposition {
     /// Splits the longest remaining axis (ties broken toward x) into two
     /// parts whose cell counts are proportional to the number of blocks
     /// assigned to each side, so non-power-of-two block counts are
-    /// supported. Panics when the grid has fewer cell layers than blocks
-    /// along every axis (cannot bisect further).
+    /// supported. Panics where [`Decomposition::try_bisect`] returns
+    /// `None`.
     pub fn bisect(domain: Dims, n_blocks: u32) -> Self {
-        assert!(n_blocks >= 1, "need at least one block");
+        Self::try_bisect(domain, n_blocks).expect(TOO_MANY_BLOCKS)
+    }
+
+    /// [`Decomposition::bisect`], or `None` when the grid cannot be cut
+    /// into `n_blocks` blocks: no block, or a box that must still split
+    /// has fewer than two cell layers along its longest axis.
+    pub fn try_bisect(domain: Dims, n_blocks: u32) -> Option<Self> {
+        Self::cut(domain, n_blocks, |d, full| d.split(full, n_blocks))
+    }
+
+    /// The decomposition `split` builds from the whole domain box, or
+    /// `None` when it cannot cut `n_blocks` blocks.
+    fn cut(
+        domain: Dims,
+        n_blocks: u32,
+        split: impl FnOnce(&mut Self, BlockBox) -> Option<u32>,
+    ) -> Option<Self> {
+        if n_blocks == 0 {
+            return None;
+        }
         let mut d = Decomposition {
             domain,
-            blocks: Vec::with_capacity(n_blocks as usize),
+            blocks: Vec::new(),
             tree: Vec::new(),
             root: 0,
         };
@@ -145,18 +166,18 @@ impl Decomposition {
             lo: [0, 0, 0],
             hi: [domain.nx - 1, domain.ny - 1, domain.nz - 1],
         };
-        d.root = d.split(full, n_blocks);
+        d.root = split(&mut d, full)?;
         debug_assert_eq!(d.blocks.len(), n_blocks as usize);
-        d
+        Some(d)
     }
 
-    fn split(&mut self, bx: BlockBox, count: u32) -> u32 {
+    fn split(&mut self, bx: BlockBox, count: u32) -> Option<u32> {
         if count == 1 {
             let id = self.blocks.len() as u32;
             self.blocks.push(BlockBox { id, ..bx });
             let node = self.tree.len() as u32;
             self.tree.push(Node::Leaf { block: id });
-            return node;
+            return Some(node);
         }
         // longest axis by cell extent
         let extents = [
@@ -166,11 +187,9 @@ impl Decomposition {
         ];
         let axis = (0..3).max_by_key(|&a| extents[a]).unwrap();
         let e = extents[axis];
-        assert!(
-            e >= 2,
-            "cannot bisect block {:?} into {count} parts: axis {axis} has only {e} cell layer(s)",
-            bx
-        );
+        if e < 2 {
+            return None;
+        }
         let left_count = count / 2;
         let right_count = count - left_count;
         // proportional split in cell layers, clamped so both sides keep >= 1
@@ -181,8 +200,8 @@ impl Decomposition {
         lhs.hi[axis] = plane;
         let mut rhs = bx;
         rhs.lo[axis] = plane;
-        let left = self.split(lhs, left_count);
-        let right = self.split(rhs, right_count);
+        let left = self.split(lhs, left_count)?;
+        let right = self.split(rhs, right_count)?;
         let node = self.tree.len() as u32;
         self.tree.push(Node::Split {
             axis: axis as u8,
@@ -190,7 +209,7 @@ impl Decomposition {
             left,
             right,
         });
-        node
+        Some(node)
     }
 
     /// Decompose `domain` into exactly `n_blocks` blocks, steering every
@@ -204,27 +223,22 @@ impl Decomposition {
     /// domain vertex in `vertex_index` order; an all-equal field
     /// reproduces plain proportional bisection. Block ids stay dense
     /// (`0..n_blocks`), and non-power-of-two counts are supported.
+    /// Panics where [`Decomposition::try_adaptive`] returns `None`.
     pub fn adaptive(domain: Dims, n_blocks: u32, weight: &[u64]) -> Self {
-        assert!(n_blocks >= 1, "need at least one block");
+        Self::try_adaptive(domain, n_blocks, weight).expect(TOO_MANY_BLOCKS)
+    }
+
+    /// [`Decomposition::adaptive`], or `None` when the grid cannot be cut
+    /// into `n_blocks` blocks (see [`Decomposition::try_bisect`]).
+    pub fn try_adaptive(domain: Dims, n_blocks: u32, weight: &[u64]) -> Option<Self> {
         assert_eq!(
             weight.len() as u64,
             domain.n_verts(),
             "weight field must have one entry per domain vertex"
         );
-        let mut d = Decomposition {
-            domain,
-            blocks: Vec::with_capacity(n_blocks as usize),
-            tree: Vec::new(),
-            root: 0,
-        };
-        let full = BlockBox {
-            id: u32::MAX,
-            lo: [0, 0, 0],
-            hi: [domain.nx - 1, domain.ny - 1, domain.nz - 1],
-        };
-        d.root = d.split_weighted(full, n_blocks, weight);
-        debug_assert_eq!(d.blocks.len(), n_blocks as usize);
-        d
+        Self::cut(domain, n_blocks, |d, full| {
+            d.split_weighted(full, n_blocks, weight)
+        })
     }
 
     /// Sum of `weight` over the slab `axis == x` within `bx`.
@@ -244,13 +258,13 @@ impl Decomposition {
         sum
     }
 
-    fn split_weighted(&mut self, bx: BlockBox, count: u32, weight: &[u64]) -> u32 {
+    fn split_weighted(&mut self, bx: BlockBox, count: u32, weight: &[u64]) -> Option<u32> {
         if count == 1 {
             let id = self.blocks.len() as u32;
             self.blocks.push(BlockBox { id, ..bx });
             let node = self.tree.len() as u32;
             self.tree.push(Node::Leaf { block: id });
-            return node;
+            return Some(node);
         }
         let extents = [
             bx.hi[0] - bx.lo[0],
@@ -259,11 +273,9 @@ impl Decomposition {
         ];
         let axis = (0..3).max_by_key(|&a| extents[a]).unwrap();
         let e = extents[axis];
-        assert!(
-            e >= 2,
-            "cannot split block {:?} into {count} parts: axis {axis} has only {e} cell layer(s)",
-            bx
-        );
+        if e < 2 {
+            return None;
+        }
         let left_count = count / 2;
         let right_count = count - left_count;
         // cumulative slab weights along the split axis; the plane goes
@@ -284,8 +296,8 @@ impl Decomposition {
         lhs.hi[axis] = plane;
         let mut rhs = bx;
         rhs.lo[axis] = plane;
-        let left = self.split_weighted(lhs, left_count, weight);
-        let right = self.split_weighted(rhs, right_count, weight);
+        let left = self.split_weighted(lhs, left_count, weight)?;
+        let right = self.split_weighted(rhs, right_count, weight)?;
         let node = self.tree.len() as u32;
         self.tree.push(Node::Split {
             axis: axis as u8,
@@ -293,7 +305,7 @@ impl Decomposition {
             left,
             right,
         });
-        node
+        Some(node)
     }
 
     /// Decompose `domain` into a seeded *random* axis-aligned block tree:
@@ -301,31 +313,25 @@ impl Decomposition {
     /// left/right block-count split. Deterministic in `seed`; block ids
     /// stay dense. This is the adversarial generator behind the
     /// irregular-decomposition fuzz dimension — it produces skewed,
-    /// non-uniform trees no density heuristic would pick.
+    /// non-uniform trees no density heuristic would pick. Panics where
+    /// [`Decomposition::try_random_tree`] returns `None`.
     pub fn random_tree(domain: Dims, n_blocks: u32, seed: u64) -> Self {
-        assert!(n_blocks >= 1, "need at least one block");
-        assert!(
-            n_blocks <= 48,
-            "random_tree depth bound requires <= 48 blocks"
-        );
-        let mut d = Decomposition {
-            domain,
-            blocks: Vec::with_capacity(n_blocks as usize),
-            tree: Vec::new(),
-            root: 0,
-        };
-        let full = BlockBox {
-            id: u32::MAX,
-            lo: [0, 0, 0],
-            hi: [domain.nx - 1, domain.ny - 1, domain.nz - 1],
-        };
-        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-        d.root = d.split_random(full, n_blocks, &mut state);
-        debug_assert_eq!(d.blocks.len(), n_blocks as usize);
-        d
+        Self::try_random_tree(domain, n_blocks, seed).expect(TOO_MANY_BLOCKS)
     }
 
-    fn split_random(&mut self, bx: BlockBox, count: u32, state: &mut u64) -> u32 {
+    /// [`Decomposition::random_tree`], or `None` past its depth bound of
+    /// 48 blocks or when the grid cannot be cut into `n_blocks` blocks.
+    pub fn try_random_tree(domain: Dims, n_blocks: u32, seed: u64) -> Option<Self> {
+        if n_blocks > 48 {
+            return None;
+        }
+        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+        Self::cut(domain, n_blocks, |d, full| {
+            d.split_random(full, n_blocks, &mut state)
+        })
+    }
+
+    fn split_random(&mut self, bx: BlockBox, count: u32, state: &mut u64) -> Option<u32> {
         // splitmix64 step — no external RNG dependency in this crate
         fn next(state: &mut u64) -> u64 {
             *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -339,7 +345,7 @@ impl Decomposition {
             self.blocks.push(BlockBox { id, ..bx });
             let node = self.tree.len() as u32;
             self.tree.push(Node::Leaf { block: id });
-            return node;
+            return Some(node);
         }
         let extents = [
             bx.hi[0] - bx.lo[0],
@@ -350,11 +356,9 @@ impl Decomposition {
         // layers available *somewhere*; keep the recursion feasible by
         // bounding each side's count by its cell capacity
         let splittable: Vec<usize> = (0..3).filter(|&a| extents[a] >= 2).collect();
-        assert!(
-            !splittable.is_empty(),
-            "cannot split block {:?} into {count} parts: all axes have < 2 cell layers",
-            bx
-        );
+        if splittable.is_empty() {
+            return None;
+        }
         let axis = splittable[(next(state) % splittable.len() as u64) as usize];
         let e = extents[axis];
         let s = 1 + (next(state) % (e - 1) as u64) as u32;
@@ -383,8 +387,8 @@ impl Decomposition {
         }
         let left_count = lo + (next(state) % (hi - lo + 1) as u64) as u32;
         let right_count = count - left_count;
-        let left = self.split_random(lhs, left_count, state);
-        let right = self.split_random(rhs, right_count, state);
+        let left = self.split_random(lhs, left_count, state)?;
+        let right = self.split_random(rhs, right_count, state)?;
         let node = self.tree.len() as u32;
         self.tree.push(Node::Split {
             axis: axis as u8,
@@ -392,7 +396,7 @@ impl Decomposition {
             left,
             right,
         });
-        node
+        Some(node)
     }
 
     /// Per-block cost estimates: the sum of `weight` over each block's
@@ -494,16 +498,6 @@ impl Decomposition {
     pub fn interior_to(&self, id: u32, c: RCoord) -> bool {
         let rb = self.block(id).refined_box();
         rb.contains(c) && !rb.on_surface(c)
-    }
-
-    /// Round-robin (block-cyclic) assignment of blocks to `n_procs`
-    /// processes, as in §IV-A: process `p` owns blocks `p, p+P, p+2P, …`.
-    pub fn assign_round_robin(&self, n_procs: u32) -> Vec<Vec<u32>> {
-        let mut out = vec![Vec::new(); n_procs as usize];
-        for b in 0..self.n_blocks() {
-            out[(b % n_procs) as usize].push(b);
-        }
-        out
     }
 }
 
@@ -626,12 +620,12 @@ mod tests {
 
     #[test]
     fn round_robin_assignment() {
+        // §IV-A: process `p` owns blocks `p, p+P, p+2P, …`
         let d = Decomposition::bisect(Dims::new(33, 33, 33), 8);
-        let a = d.assign_round_robin(3);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a[0], vec![0, 3, 6]);
-        assert_eq!(a[1], vec![1, 4, 7]);
-        assert_eq!(a[2], vec![2, 5]);
+        let a = crate::Assignment::round_robin(d.n_blocks(), 3);
+        assert_eq!(a.blocks_of(0), vec![0, 3, 6]);
+        assert_eq!(a.blocks_of(1), vec![1, 4, 7]);
+        assert_eq!(a.blocks_of(2), vec![2, 5]);
     }
 
     #[test]
@@ -754,6 +748,7 @@ mod tests {
     #[should_panic]
     fn too_many_blocks_panics() {
         // 2x2x2 grid has 1 cell: cannot split into 2 blocks
+        assert!(Decomposition::try_bisect(Dims::new(2, 2, 2), 2).is_none());
         let _ = Decomposition::bisect(Dims::new(2, 2, 2), 2);
     }
 }

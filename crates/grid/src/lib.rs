@@ -20,13 +20,20 @@
 //! gradient pairing rule ("for a cell on the boundary of two or more
 //! blocks, only consider for pairing other cells also on the boundary of
 //! those same blocks").
+//!
+//! Beside it sit the merge plan (`plan`, the radix-k rounds of §IV-F)
+//! and the run layout (`layout`): decomposition mode, block-to-rank
+//! assignment and merge schedule, built and validated in one place,
+//! [`Layout::new`].
 
 pub mod coord;
 pub mod decomp;
 pub mod dims;
 pub mod field;
+pub mod layout;
 pub mod offsets;
 pub mod par;
+pub mod plan;
 pub mod rawio;
 pub mod topology;
 
@@ -34,4 +41,8 @@ pub use coord::RCoord;
 pub use decomp::{BlockBox, Decomposition, OwnerSet};
 pub use dims::{Dims, RefinedDims};
 pub use field::{BlockField, ScalarField};
+pub use layout::{
+    feature_weights, full_merge_plan, Assignment, DecompMode, Layout, LayoutError, MergeSchedule,
+};
+pub use plan::MergePlan;
 pub use topology::{CellIter, FaceDir};

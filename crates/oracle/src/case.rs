@@ -2,16 +2,19 @@
 //! and greedy shrinking.
 //!
 //! A [`Case`] fully determines one differential-fuzz run: the synthetic
-//! field (kind + dims + seed), the decomposition (blocks), the execution
-//! shape (ranks, threads, merge schedule, injected fault) and the
-//! simplification persistence. The driver in the workspace root turns a
-//! case into an actual pipeline run; this module only knows how to
-//! *describe* runs, so it can live below `msp-core` in the dependency
-//! graph.
+//! field (kind + dims + seed), the decomposition (mode + blocks), the
+//! execution shape (ranks, threads, merge schedule, injected fault) and
+//! the simplification persistence. The driver in the workspace root
+//! turns a case into an actual pipeline run; this module describes runs
+//! and lays them out with the pipeline's own [`Layout::new`], so it
+//! can live below `msp-core` in the dependency graph.
 //!
 //! The text format is line-oriented `key = value`, round-trips exactly,
 //! and is what `oracle_fuzz` dumps as `.case` reproducers.
 
+use msp_grid::{
+    feature_weights, full_merge_plan, DecompMode, Dims, Layout, LayoutError, MergePlan, ScalarField,
+};
 use std::fmt;
 use std::str::FromStr;
 
@@ -105,93 +108,20 @@ impl FromStr for FieldKind {
 /// cheap.
 pub const MAX_IRREGULAR_BLOCKS: u32 = 12;
 
-/// How the domain decomposes into blocks, spelled like the CLI's
-/// `--decomp` flag. `msp-core` (which this crate must not depend on)
-/// converts it to a `DecompMode`. Irregular modes lift the
-/// power-of-two block-count and schedule-divisibility requirements:
-/// the driver contracts the block neighbor graph instead of replaying
-/// the fixed radix tree, so any block count is fair game.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecompKind {
-    /// Recursive longest-axis bisection (the historical layout).
-    #[default]
-    Uniform,
-    /// Feature-density adaptive splitting.
-    Adaptive,
-    /// Seeded random irregular block tree.
-    Random(u64),
-}
+/// Cap on each axis of a case's dims. [`Case::validate`] builds an
+/// adaptive case's field to lay it out, so the cap bounds what parsing
+/// a `.case` file can allocate; generated cases stay below 9.
+pub const MAX_CASE_AXIS: u32 = 128;
 
-impl DecompKind {
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, DecompKind::Uniform)
-    }
-}
-
-impl fmt::Display for DecompKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecompKind::Uniform => write!(f, "uniform"),
-            DecompKind::Adaptive => write!(f, "adaptive"),
-            DecompKind::Random(seed) => write!(f, "random:{seed}"),
-        }
-    }
-}
-
-impl FromStr for DecompKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "uniform" => return Ok(DecompKind::Uniform),
-            "adaptive" => return Ok(DecompKind::Adaptive),
-            _ => {}
-        }
-        let seed = s
-            .strip_prefix("random:")
-            .ok_or_else(|| format!("unknown decomposition '{s}'"))?;
-        seed.parse::<u64>()
-            .map(DecompKind::Random)
-            .map_err(|e| format!("bad random-tree seed in '{s}': {e}"))
-    }
-}
-
-/// Merge schedule, as radices only. `msp-core` (which this crate must
-/// not depend on) converts it to a `MergePlan`.
+/// Merge schedule, as radices only; [`Case::plan`] is its `MergePlan`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Schedule {
     /// No merging: every block complex is an output.
     None,
-    /// Merge everything into one output in one plan (`full_merge`).
+    /// Merge everything into one output ([`full_merge_plan`]).
     Full,
-    /// Explicit per-round radices (each 2, 4 or 8; the product must
-    /// divide the block count).
+    /// Explicit per-round radices.
     Rounds(Vec<u32>),
-}
-
-impl Schedule {
-    /// Number of merge rounds the schedule implies for `n_blocks`.
-    pub fn n_rounds(&self, n_blocks: u32) -> u32 {
-        match self {
-            Schedule::None => 0,
-            Schedule::Full => {
-                // full_merge uses radix-8 rounds with a leftover radix
-                // first; rounds = ceil(log2(n)/3) for powers of two.
-                let log2 = n_blocks.trailing_zeros();
-                log2.div_ceil(3)
-            }
-            Schedule::Rounds(v) => v.len() as u32,
-        }
-    }
-
-    /// Product of the radices (the total reduction factor).
-    pub fn reduction(&self, n_blocks: u32) -> u32 {
-        match self {
-            Schedule::None => 1,
-            Schedule::Full => n_blocks,
-            Schedule::Rounds(v) => v.iter().product(),
-        }
-    }
 }
 
 impl fmt::Display for Schedule {
@@ -226,11 +156,9 @@ impl FromStr for Schedule {
             .strip_prefix("rounds:")
             .ok_or_else(|| format!("unknown schedule '{s}'"))?;
         let v: Result<Vec<u32>, _> = body.split(',').map(|x| x.trim().parse::<u32>()).collect();
-        let v = v.map_err(|e| format!("bad schedule '{s}': {e}"))?;
-        if v.is_empty() || v.iter().any(|&r| r != 2 && r != 4 && r != 8) {
-            return Err(format!("schedule radices must be 2, 4 or 8 in '{s}'"));
-        }
-        Ok(Schedule::Rounds(v))
+        Ok(Schedule::Rounds(
+            v.map_err(|e| format!("bad schedule '{s}': {e}"))?,
+        ))
     }
 }
 
@@ -242,9 +170,9 @@ pub struct Case {
     pub seed: u64,
     pub ranks: u32,
     pub blocks: u32,
-    /// Block layout. Irregular kinds allow any block count in
-    /// `1..=MAX_IRREGULAR_BLOCKS` and any schedule radices.
-    pub decomp: DecompKind,
+    /// Block layout. Irregular modes allow any block count in
+    /// `1..=MAX_IRREGULAR_BLOCKS`.
+    pub decomp: DecompMode,
     pub threads: u32,
     pub schedule: Schedule,
     pub persistence: f32,
@@ -256,105 +184,98 @@ pub struct Case {
     pub fault: Option<String>,
 }
 
-/// The most merge rounds `schedule` can run on `blocks` blocks: exact on
-/// the uniform radix tree; on an irregular decomposition an upper bound,
-/// since the contraction of the block neighbor graph merges at least one
-/// slot per round and may finish sooner.
-fn max_rounds(decomp: DecompKind, schedule: &Schedule, blocks: u32) -> u32 {
-    match schedule {
-        _ if decomp.is_uniform() => schedule.n_rounds(blocks),
-        Schedule::None => 0,
-        _ => blocks.saturating_sub(1),
-    }
-}
-
 impl Case {
     /// Internal-consistency check: a case the driver can actually run.
+    /// Its layout is the pipeline's ([`Case::layout`]), and the fault
+    /// round must fall within that layout's exact round count.
     pub fn validate(&self) -> Result<(), String> {
-        if self.dims.iter().any(|&a| a < 2) {
-            return Err(format!("dims {:?} too small", self.dims));
+        if self.dims.iter().any(|a| !(2..=MAX_CASE_AXIS).contains(a)) {
+            return Err(format!(
+                "dims {:?} must each be in 2..={MAX_CASE_AXIS}",
+                self.dims
+            ));
         }
-        if self.decomp.is_uniform() {
-            if !self.blocks.is_power_of_two() {
-                return Err(format!("blocks {} not a power of two", self.blocks));
-            }
-        } else if self.blocks == 0 || self.blocks > MAX_IRREGULAR_BLOCKS {
+        if !self.decomp.is_uniform() && (self.blocks == 0 || self.blocks > MAX_IRREGULAR_BLOCKS) {
             return Err(format!(
                 "blocks {} must be in 1..={MAX_IRREGULAR_BLOCKS} for a {} decomposition",
                 self.blocks, self.decomp
             ));
         }
-        if self.ranks == 0 || self.ranks > self.blocks {
-            return Err(format!(
-                "ranks {} must be in 1..={}",
-                self.ranks, self.blocks
-            ));
-        }
         if self.threads == 0 {
             return Err("threads must be >= 1".into());
-        }
-        if self.decomp.is_uniform() {
-            // Irregular schedules contract the neighbor graph with the
-            // radices as group-size caps, so only the uniform radix tree
-            // needs the reduction to divide the block count.
-            let red = self.schedule.reduction(self.blocks);
-            if red == 0 || !self.blocks.is_multiple_of(red) {
-                return Err(format!(
-                    "schedule reduction {red} does not divide {} blocks",
-                    self.blocks
-                ));
-            }
         }
         if !self.persistence.is_finite() || self.persistence < 0.0 {
             return Err(format!("persistence {} invalid", self.persistence));
         }
-        if let Some(f) = &self.fault {
-            let (r, _) = parse_fault(f)?;
+        match self.kind {
+            FieldKind::Plateau(0) => return Err("plateau needs >= 1 level".into()),
+            FieldKind::Sinusoid(0) => return Err("sinusoid needs >= 1 period".into()),
+            FieldKind::Bumps(0) => return Err("bumps needs >= 1 bump".into()),
+            _ => {}
+        }
+        let fault = self.fault.as_deref().map(parse_fault).transpose()?;
+        if let Some((r, _)) = fault {
             if self.ranks < 2 {
                 return Err("fault injection needs >= 2 ranks".into());
             }
             if r == 0 || r >= self.ranks {
                 return Err(format!("fault rank {r} must be in 1..{}", self.ranks));
             }
-            self.check_fault_round(self.max_rounds())?;
         }
-        match self.kind {
-            FieldKind::Plateau(0) => Err("plateau needs >= 1 level".into()),
-            FieldKind::Sinusoid(0) => Err("sinusoid needs >= 1 period".into()),
-            FieldKind::Bumps(0) => Err("bumps needs >= 1 bump".into()),
+        let rounds = self.exact_rounds().map_err(|e| e.to_string())?;
+        match fault {
+            Some((_, k)) if k == 0 || k > rounds => {
+                Err(format!("fault round {k} must be in 1..={rounds}"))
+            }
             _ => Ok(()),
         }
     }
 
-    /// The most merge rounds the case's schedule can run (see
-    /// [`max_rounds`]); exact for uniform decompositions.
-    pub fn max_rounds(&self) -> u32 {
-        max_rounds(self.decomp, &self.schedule, self.blocks)
-    }
-
-    /// Check the fault's round against a schedule of `rounds` merge
-    /// rounds. [`Case::validate`] checks it against
-    /// [`Case::max_rounds`]; on an irregular decomposition only the
-    /// fuzz runner (`src/fuzz.rs`), which builds the contracted schedule,
-    /// knows the count.
-    pub fn check_fault_round(&self, rounds: u32) -> Result<(), String> {
-        let Some(f) = &self.fault else { return Ok(()) };
-        let (_, k) = parse_fault(f)?;
-        if k == 0 || k > rounds {
-            return Err(format!("fault round {k} must be in 1..={rounds}"));
+    /// The synthetic field the case describes.
+    pub fn field(&self) -> ScalarField {
+        let dims = Dims::new(self.dims[0], self.dims[1], self.dims[2]);
+        match self.kind {
+            FieldKind::Noise => msp_synth::white_noise(dims, self.seed),
+            FieldKind::Plateau(levels) => msp_synth::plateau(dims, self.seed, levels),
+            FieldKind::Sinusoid(c) => msp_synth::sinusoid_dims(dims, c),
+            FieldKind::Bumps(n) => msp_synth::gaussian_bumps(dims, n as usize, 0.25, self.seed),
+            FieldKind::Constant => msp_synth::constant(dims, 0.5),
         }
-        Ok(())
     }
 
-    /// Re-fit the fault to a schedule of `rounds` merge rounds: clamp its
-    /// round, or drop it when the case can no longer host one.
-    pub fn fit_fault(&mut self, rounds: u32) {
-        self.fault = clamp_fault(self, rounds);
+    /// The case's merge schedule as the pipeline's [`MergePlan`].
+    pub fn plan(&self) -> MergePlan {
+        match &self.schedule {
+            Schedule::None => MergePlan::none(),
+            Schedule::Full => full_merge_plan(self.blocks),
+            Schedule::Rounds(v) => MergePlan::rounds(v.clone()),
+        }
     }
 
-    /// Generate a random valid case from a PRNG. An irregular case's
-    /// fault round is drawn up to [`Case::max_rounds`]; the fuzz runner fits
-    /// it to the schedule it builds ([`Case::fit_fault`]).
+    /// The layout the pipeline builds for this case on `field`, the
+    /// case's own field (decomposition, merge schedule, assignment), or
+    /// why it cannot run. Only an adaptive layout reads the field.
+    pub fn layout(&self, field: &ScalarField) -> Result<Layout, LayoutError> {
+        self.layout_weighed(|| feature_weights(field))
+    }
+
+    /// The merge round count of the case's layout. An adaptive layout
+    /// builds the case's field to weigh it.
+    fn exact_rounds(&self) -> Result<u32, LayoutError> {
+        let layout = self.layout_weighed(|| feature_weights(&self.field()))?;
+        Ok(layout.sched.n_rounds() as u32)
+    }
+
+    fn layout_weighed(&self, weights: impl FnOnce() -> Vec<u64>) -> Result<Layout, LayoutError> {
+        let dims = Dims::new(self.dims[0], self.dims[1], self.dims[2]);
+        let plan = self.plan();
+        Layout::new(dims, self.decomp, &plan, self.ranks, self.blocks, || {
+            Ok(weights())
+        })
+    }
+
+    /// Generate a random valid case from a PRNG, its fault fitted to
+    /// the case's exact round count.
     pub fn generate(rng: &mut SplitMix64) -> Case {
         let kind = match rng.below(5) {
             0 => FieldKind::Noise,
@@ -371,9 +292,11 @@ impl Case {
             [axis(rng), axis(rng), axis(rng)]
         };
         let decomp = match rng.below(4) {
-            0 | 1 => DecompKind::Uniform,
-            2 => DecompKind::Adaptive,
-            _ => DecompKind::Random(rng.below(1 << 16)),
+            0 | 1 => DecompMode::Uniform,
+            2 => DecompMode::Adaptive,
+            _ => DecompMode::RandomTree {
+                seed: rng.below(1 << 16),
+            },
         };
         let blocks = if decomp.is_uniform() {
             *rng.pick(&[1u32, 2, 4, 8])
@@ -424,7 +347,15 @@ impl Case {
         };
         let persistence = *rng.pick(&[0.0f32, 0.01, 0.05, 0.2]);
         let hierarchy = rng.below(3) == 0;
-        let rounds = max_rounds(decomp, &schedule, blocks);
+        // the round is drawn below the radix tree's round count, or
+        // below `blocks - 1` on an irregular tree (each contraction
+        // round merges at least one slot), then clamped to the exact one
+        let rounds = match &schedule {
+            Schedule::None => 0,
+            _ if !decomp.is_uniform() => blocks - 1,
+            Schedule::Full => full_merge_plan(blocks).radices.len() as u32,
+            Schedule::Rounds(v) => v.len() as u32,
+        };
         let fault = if ranks >= 2 && rounds >= 1 && rng.below(4) == 0 {
             let r = 1 + rng.below((ranks - 1) as u64) as u32;
             let k = 1 + rng.below(rounds as u64) as u32;
@@ -432,7 +363,7 @@ impl Case {
         } else {
             None
         };
-        let case = Case {
+        let mut case = Case {
             kind,
             dims,
             seed: rng.next_u64(),
@@ -445,18 +376,31 @@ impl Case {
             hierarchy,
             fault,
         };
+        case.fault = clamp_fault(&case);
         debug_assert!(case.validate().is_ok(), "{:?}", case.validate());
         case
     }
 
     /// Candidate one-step simplifications of this case, most aggressive
-    /// first. Each candidate is valid; the shrinker keeps a candidate if
-    /// it still reproduces the failure.
+    /// first. Each candidate is valid, its fault fitted to its layout;
+    /// the shrinker keeps a candidate if it still reproduces the failure.
     pub fn shrink_candidates(&self) -> Vec<Case> {
         let mut out = Vec::new();
-        let mut push = |c: Case| {
+        let mut push = |mut c: Case| {
+            c.fault = clamp_fault(&c);
             if c != *self && c.validate().is_ok() {
                 out.push(c);
+            }
+        };
+        // a schedule whose reduction no longer divides the block count
+        // becomes a full merge (no merge on one block)
+        let refit_schedule = |c: &mut Case| {
+            if !c.blocks.is_multiple_of(c.plan().reduction()) {
+                c.schedule = if c.blocks > 1 {
+                    Schedule::Full
+                } else {
+                    Schedule::None
+                };
             }
         };
         if self.fault.is_some() {
@@ -479,37 +423,28 @@ impl Case {
             // blocks and schedule for its stricter rules), then random
             // trees down to the tamer adaptive splitter
             let mut c = self.clone();
-            c.decomp = DecompKind::Uniform;
+            c.decomp = DecompMode::Uniform;
             if !c.blocks.is_power_of_two() {
                 c.blocks = 1 << (31 - c.blocks.leading_zeros());
                 c.ranks = c.ranks.min(c.blocks);
             }
-            let red = c.schedule.reduction(c.blocks);
-            if red == 0 || !c.blocks.is_multiple_of(red) {
-                c.schedule = if c.blocks > 1 {
-                    Schedule::Full
-                } else {
-                    Schedule::None
-                };
-            }
+            refit_schedule(&mut c);
             push(c);
-            if matches!(self.decomp, DecompKind::Random(_)) {
+            if matches!(self.decomp, DecompMode::RandomTree { .. }) {
                 let mut c = self.clone();
-                c.decomp = DecompKind::Adaptive;
+                c.decomp = DecompMode::Adaptive;
                 push(c);
             }
         }
         if self.ranks > 1 {
             let mut c = self.clone();
             c.ranks /= 2;
-            c.fault = clamp_fault(&c, c.max_rounds());
             push(c);
         }
         match &self.schedule {
             Schedule::Full => {
                 let mut c = self.clone();
                 c.schedule = Schedule::None;
-                c.fault = None;
                 push(c);
             }
             Schedule::Rounds(v) => {
@@ -521,7 +456,6 @@ impl Case {
                 } else {
                     Schedule::Rounds(v)
                 };
-                c.fault = clamp_fault(&c, c.max_rounds());
                 push(c);
             }
             Schedule::None => {}
@@ -530,18 +464,7 @@ impl Case {
             let mut c = self.clone();
             c.blocks /= 2;
             c.ranks = c.ranks.min(c.blocks);
-            if c.schedule.reduction(c.blocks) > c.blocks
-                || !c
-                    .blocks
-                    .is_multiple_of(c.schedule.reduction(c.blocks).max(1))
-            {
-                c.schedule = if c.blocks > 1 {
-                    Schedule::Full
-                } else {
-                    Schedule::None
-                };
-            }
-            c.fault = clamp_fault(&c, c.max_rounds());
+            refit_schedule(&mut c);
             push(c);
         }
         if !self.decomp.is_uniform() && self.blocks > 1 {
@@ -597,10 +520,12 @@ pub fn parse_fault(s: &str) -> Result<(u32, u32), String> {
     Ok((r, k))
 }
 
-/// Re-fit a fault spec to a (possibly shrunk) case with `rounds` merge
-/// rounds; drop it if the case can no longer host one.
-fn clamp_fault(c: &Case, rounds: u32) -> Option<String> {
+/// Re-fit a fault spec to a (possibly shrunk) case: clamp its rank and
+/// its round to the merge rounds of the case's layout, or drop it if the
+/// case can no longer host one.
+pub fn clamp_fault(c: &Case) -> Option<String> {
     let (r, k) = parse_fault(c.fault.as_deref()?).ok()?;
+    let rounds = c.exact_rounds().unwrap_or(0);
     if c.ranks < 2 || rounds == 0 {
         return None;
     }
@@ -649,7 +574,7 @@ impl FromStr for Case {
         let mut seed = None;
         let mut ranks = None;
         let mut blocks = None;
-        let mut decomp = DecompKind::Uniform;
+        let mut decomp = DecompMode::Uniform;
         let mut threads = None;
         let mut schedule = None;
         let mut persistence = None;
@@ -681,7 +606,7 @@ impl FromStr for Case {
                 "seed" => seed = Some(v.parse::<u64>().map_err(|e| bad(e.to_string()))?),
                 "ranks" => ranks = Some(v.parse::<u32>().map_err(|e| bad(e.to_string()))?),
                 "blocks" => blocks = Some(v.parse::<u32>().map_err(|e| bad(e.to_string()))?),
-                "decomp" => decomp = v.parse::<DecompKind>().map_err(bad)?,
+                "decomp" => decomp = v.parse::<DecompMode>().map_err(bad)?,
                 "threads" => threads = Some(v.parse::<u32>().map_err(|e| bad(e.to_string()))?),
                 "schedule" => schedule = Some(v.parse::<Schedule>().map_err(bad)?),
                 "persistence" => {
@@ -764,7 +689,7 @@ mod tests {
             seed: 1,
             ranks: 1,
             blocks: 2,
-            decomp: DecompKind::Uniform,
+            decomp: DecompMode::Uniform,
             threads: 1,
             schedule: Schedule::Full,
             persistence: 0.0,
@@ -778,6 +703,28 @@ mod tests {
         let mut bad = valid.clone();
         bad.schedule = Schedule::Rounds(vec![8]); // 8 does not divide 2
         assert!(bad.validate().is_err());
+        // layouts out of reach are refused without a panic or a field of
+        // their dims: a uniform full merge past 2^31 blocks, an axis past
+        // the cap, a decomposition not spelled as a `.case` file writes it
+        let text = |blocks: &str, dims: &str, decomp: &str| {
+            format!(
+                "kind = noise\ndims = {dims}\nseed = 1\nranks = 2\nblocks = {blocks}\n\
+                 decomp = {decomp}\nthreads = 1\nschedule = full\npersistence = 0\n"
+            )
+        };
+        let huge = text("3000000000", "5x5x5", "uniform").parse::<Case>();
+        let want = LayoutError::Indivisible {
+            reduction: u32::MAX,
+            blocks: 3_000_000_000,
+        };
+        assert_eq!(huge, Err(want.to_string()));
+        let wide = text("2", "5x5x4000000000", "adaptive").parse::<Case>();
+        assert!(wide.unwrap_err().contains("2..=128"));
+        for loose in ["ADAPTIVE", "Uniform", "Random:3"] {
+            let err = text("2", "5x5x5", loose).parse::<Case>().unwrap_err();
+            assert!(err.contains("bad decomposition mode"), "{loose}: {err}");
+        }
+        text("2", "5x5x5", "adaptive").parse::<Case>().unwrap();
     }
 
     /// Every prefix of a valid case's text, and every single-byte edit
@@ -791,7 +738,7 @@ mod tests {
             seed: 3,
             ranks: 3,
             blocks: 6,
-            decomp: DecompKind::Random(77),
+            decomp: DecompMode::RandomTree { seed: 77 },
             threads: 2,
             schedule: Schedule::Rounds(vec![2, 4]),
             persistence: 0.05,
@@ -825,7 +772,7 @@ mod tests {
             seed: 1,
             ranks: 3,
             blocks: 6,
-            decomp: DecompKind::Adaptive,
+            decomp: DecompMode::Adaptive,
             threads: 1,
             schedule: Schedule::Full,
             persistence: 0.0,
@@ -839,32 +786,30 @@ mod tests {
         assert_eq!(back, c);
 
         let mut uni = c.clone();
-        uni.decomp = DecompKind::Uniform;
+        uni.decomp = DecompMode::Uniform;
         assert!(
             uni.validate().is_err(),
             "6 blocks needs an irregular decomp"
         );
 
-        // 6 blocks contract in at most 5 rounds; how many the neighbor
-        // graph takes is the fuzz runner's to check
+        // the fault round is checked against the exact round count of
+        // the contracted schedule, and refitting clamps it there
+        let rounds = c.exact_rounds().unwrap();
+        assert!((1..6).contains(&rounds), "{rounds} contracted rounds");
         let mut faulted = c.clone();
-        faulted.fault = Some("crash:1@1".into());
+        faulted.fault = Some(format!("crash:1@{rounds}"));
         faulted.validate().unwrap();
-        assert!(faulted.check_fault_round(1).is_ok());
-        faulted.fault = Some("crash:1@5".into());
-        faulted.validate().unwrap();
-        assert!(faulted.check_fault_round(2).is_err());
-        faulted.fit_fault(2);
-        assert_eq!(faulted.fault.as_deref(), Some("crash:1@2"));
-        faulted.fault = Some("crash:1@6".into());
-        assert!(faulted.validate().is_err(), "past the contraction bound");
+        faulted.fault = Some(format!("crash:1@{}", rounds + 1));
+        let err = faulted.validate().unwrap_err();
+        assert!(err.contains(&format!("1..={rounds}")), "{err}");
+        assert_eq!(clamp_fault(&faulted), Some(format!("crash:1@{rounds}")));
 
         let mut huge = c.clone();
         huge.blocks = MAX_IRREGULAR_BLOCKS + 1;
         assert!(huge.validate().is_err(), "irregular block cap enforced");
 
         let rt = Case {
-            decomp: DecompKind::Random(77),
+            decomp: DecompMode::RandomTree { seed: 77 },
             blocks: 5,
             ranks: 5,
             schedule: Schedule::Rounds(vec![8]),
@@ -875,6 +820,29 @@ mod tests {
         assert_eq!(back, rt);
     }
 
+    /// A radix outside {2, 4, 8} on an irregular tree is the layout's
+    /// to refuse: `validate` and the parse of the case's own text give
+    /// the same error.
+    #[test]
+    fn bad_radix_case_is_refused_by_validate_and_parse() {
+        let c = Case {
+            kind: FieldKind::Noise,
+            dims: [7, 6, 8],
+            seed: 3,
+            ranks: 3,
+            blocks: 6,
+            decomp: DecompMode::RandomTree { seed: 77 },
+            threads: 1,
+            schedule: Schedule::Rounds(vec![2, 3]),
+            persistence: 0.0,
+            hierarchy: false,
+            fault: None,
+        };
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, LayoutError::BadRadix(3).to_string());
+        assert_eq!(c.to_string().parse::<Case>(), Err(err));
+    }
+
     #[test]
     fn irregular_cases_shrink_toward_uniform() {
         let c = Case {
@@ -883,7 +851,7 @@ mod tests {
             seed: 3,
             ranks: 3,
             blocks: 6,
-            decomp: DecompKind::Random(9),
+            decomp: DecompMode::RandomTree { seed: 9 },
             threads: 1,
             schedule: Schedule::Full,
             persistence: 0.0,
@@ -898,7 +866,7 @@ mod tests {
             .expect("a uniform shrink candidate");
         assert!(uni.blocks.is_power_of_two());
         assert!(
-            shr.iter().any(|s| s.decomp == DecompKind::Adaptive),
+            shr.iter().any(|s| s.decomp == DecompMode::Adaptive),
             "random trees step down to adaptive"
         );
         assert!(
@@ -917,7 +885,7 @@ mod tests {
             seed: 9,
             ranks: 2,
             blocks: 4,
-            decomp: DecompKind::Uniform,
+            decomp: DecompMode::Uniform,
             threads: 2,
             schedule: Schedule::Rounds(vec![2]),
             persistence: 0.05,

@@ -25,7 +25,9 @@
 //!   liveness in the covering complex.
 //! * [`case`] + [`mutate`] — deterministic fuzz-case generation /
 //!   shrinking / replay (driven by the workspace `oracle_fuzz` binary)
-//!   and gradient mutation for checker self-tests.
+//!   and gradient mutation for checker self-tests. A case is laid out by
+//!   the pipeline's own validator (`msp_grid::Layout::new`), so a case
+//!   that validates is one the pipeline runs.
 //!
 //! The crate depends only on `msp-grid`/`msp-morse`/`msp-complex`/
 //! `msp-synth`; the pipeline (`msp-core`) depends on *it* to implement
@@ -37,7 +39,7 @@ pub mod mutate;
 pub mod reference;
 pub mod segcheck;
 
-pub use case::{Case, DecompKind, FieldKind, Schedule};
+pub use case::{Case, FieldKind, Schedule};
 pub use invariant::{
     check_complex, check_glue_idempotent, check_semantic, check_structural, fingerprint,
     CheckOptions, Fingerprint, InvariantReport,

@@ -188,6 +188,30 @@ fi
 grep -q -- "--segment takes no value (got 'yes')" "$tracedir/switch_err.txt" \
   || { echo "switch value: wrong error"; cat "$tracedir/switch_err.txt"; exit 1; }
 
+# invalid layouts: a uniform 6-block run at the default --merge full (no
+# power-of-two block count), a radix outside {2, 4, 8}, a full merge of
+# more than 2^31 blocks and more blocks than the 16³ cells can hold exit
+# 1 with a config error, never a panic (101); a uniform 6-block radix-2
+# merge runs, and writes the same .msc at 1 and 3 ranks
+refused() { # refused ARGS...: msc compute ARGS exits 1 with a config error
+  local status=0
+  msc compute --input "$tracedir/seg.raw" --dims 17,17,17 --ranks 2 "$@" \
+    --output "$tracedir/layout.msc" > /dev/null 2> "$tracedir/layout_err.txt" || status=$?
+  [ "$status" -eq 1 ] && grep -q '^error: invalid pipeline config' "$tracedir/layout_err.txt" \
+    || { echo "layout $*: exit $status"; cat "$tracedir/layout_err.txt"; exit 1; }
+}
+refused --blocks 6
+for r in 1 3 16; do refused --blocks 8 --merge "$r"; done
+refused --blocks 8 --decomp adaptive --merge 3
+refused --blocks 3000000000
+refused --blocks 3000000000 --decomp adaptive
+refused --blocks 5000 --merge none
+for r in 1 3; do
+  msc compute --input "$tracedir/seg.raw" --dims 17,17,17 --ranks "$r" --blocks 6 \
+    --merge 2 --output "$tracedir/uni6_$r.msc" > /dev/null
+done
+cmp "$tracedir/uni6_1.msc" "$tracedir/uni6_3.msc"
+
 # hostile footers: msc info on a file whose MSPF footer lies about its
 # size, its entry count or an entry's byte run exits 1 with an error,
 # never a panic (101) or an aborted allocation (134)

@@ -171,6 +171,8 @@ const USAGE: &str = "msc — parallel Morse-Smale complexes\n\
          \u{20}           stage; default: all cores, 1 = serial; output is\n\
          \u{20}           bit-identical for every N)\n\
          \u{20}           [--merge full|none|R1,R2,...] --output FILE\n\
+         \u{20}           (radices R are 2|4|8; a uniform full merge\n\
+         \u{20}           needs a power-of-two --blocks count)\n\
          \u{20}           [--decomp uniform|adaptive|random:SEED]  (block\n\
          \u{20}           layout: uniform bisection, feature-density\n\
          \u{20}           adaptive splitting, or a seeded random block\n\
@@ -354,9 +356,6 @@ fn cmd_compute(o: &Opts) -> Result<(), String> {
         None => DecompMode::Uniform,
     };
     let plan = match o.opt("merge").unwrap_or("full") {
-        // uniform keeps the historical power-of-two heuristic (and its
-        // exact schedule bytes); irregular modes accept any block count
-        "full" if decomp.is_uniform() => MergePlan::full_merge(blocks),
         "full" => full_merge_plan(blocks),
         "none" => MergePlan::none(),
         spec => MergePlan::rounds(
@@ -470,60 +469,30 @@ fn cmd_compute(o: &Opts) -> Result<(), String> {
         );
     }
     if r.telemetry.counter_total("checks_run") > 0 {
-        let tel = &r.telemetry;
-        let violations: u64 = [
-            "check_structural",
-            "check_euler",
-            "check_boundary",
-            "check_vpath",
-            "check_segment",
-            "check_hierarchy",
-        ]
-        .iter()
-        .map(|k| tel.counter_total(k))
-        .sum();
+        let verdict = r.check_verdict();
+        let counts: Vec<String> = (verdict.violations.iter())
+            .map(|(c, n)| format!("{} {n}", c.key().trim_start_matches("check_")))
+            .collect();
         println!(
-            "oracle check: {} complex(es) checked, {} violation(s) \
-             [structural {}, euler {}, boundary {}, vpath {}, segment {}, hierarchy {}]",
-            tel.counter_total("checks_run"),
-            violations,
-            tel.counter_total("check_structural"),
-            tel.counter_total("check_euler"),
-            tel.counter_total("check_boundary"),
-            tel.counter_total("check_vpath"),
-            tel.counter_total("check_segment"),
-            tel.counter_total("check_hierarchy"),
+            "oracle check: {} complex(es) checked, {} violation(s) [{}]",
+            r.telemetry.counter_total("checks_run"),
+            verdict.total(),
+            counts.join(", ")
         );
-        if violations > 0 {
+        if verdict.total() > 0 {
             return Err(format!(
-                "oracle check found {violations} invariant violation(s) — see stderr notes"
+                "oracle check found {} invariant violation(s) — see stderr notes",
+                verdict.total()
             ));
         }
-        if params.segment {
-            // driver-side cross-structure invariant: representatives
-            // must be live critical cells of the covering complex
-            let tables: Vec<(u32, Vec<u64>, Vec<u64>)> = r
-                .segmentation
-                .iter()
-                .map(|s| (s.block_id, s.mins.clone(), s.maxs.clone()))
-                .collect();
-            let opts = morse_smale_parallel::oracle::CheckOptions::default();
-            let mut report = morse_smale_parallel::oracle::InvariantReport::default();
-            morse_smale_parallel::oracle::check_segmentation_tables(
-                &r.outputs,
-                &tables,
-                &opts,
-                &mut report,
-            );
-            if report.segment > 0 {
-                for note in &report.notes {
-                    eprintln!("[msp-check] {note}");
-                }
-                return Err(format!(
-                    "oracle check found {} segmentation-table violation(s)",
-                    report.segment
-                ));
+        if verdict.tables.segment > 0 {
+            for note in &verdict.tables.notes {
+                eprintln!("[msp-check] {note}");
             }
+            return Err(format!(
+                "oracle check found {} segmentation-table violation(s)",
+                verdict.tables.segment
+            ));
         }
     }
     if fault_active {

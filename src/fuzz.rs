@@ -15,8 +15,9 @@
 //! 2. **Pipeline run at the case's configuration** (ranks, threads,
 //!    decomposition, merge schedule, injected fault) with the invariant
 //!    checker and segmentation on: every `check_*` telemetry counter
-//!    must come back zero, and the outputs' member blocks must partition
-//!    the block set (`blocks / reduction` outputs on a uniform tree).
+//!    of [`RunResult::check_verdict`] must come back zero, and the
+//!    outputs' member blocks must partition the block set, one output
+//!    per slot the case's layout ([`Case::layout`]) leaves.
 //! 3. **Canonical replay** — the same field and schedule at 1 rank /
 //!    1 thread, no faults: outputs, resolved segmentations and
 //!    hierarchies must be bit-identical to run 2's, in memory and in the
@@ -24,9 +25,9 @@
 //!    counters (cells paired, critical cells, arcs traced,
 //!    cancellations, segmentation forwards and rounds).
 //! 4. **Post-hoc invariants** — `check_complex` + glue idempotency +
-//!    segmentation-table liveness over the outputs on the driver side
-//!    (belt and braces: this also covers the checker's own wiring into
-//!    the pipeline), and, with a hierarchy, that every `count` record
+//!    the verdict's segmentation-table liveness over the outputs on the
+//!    driver side (belt and braces: this also covers the checker's own
+//!    wiring into the pipeline), and, with a hierarchy, that every `count` record
 //!    merges an extremum, and a chain of three replay
 //!    prefixes per slot and ordering drawn from the case seed: `extend`,
 //!    `materialize_k` and a direct simplification agree, and the
@@ -39,11 +40,10 @@ use msp_complex::{
     simplify_with, wire as cwire, CancelOrder, CancelRecord, SimplifyParams, SimplifyStats,
 };
 use msp_core::{
-    feature_weights, full_merge_plan, msh_output_path, run_parallel, seg_output_path, DecompMode,
-    FaultConfig, Input, MergePlan, MergeSchedule, PipelineParams, RunResult,
+    msh_output_path, run_parallel, seg_output_path, FaultConfig, Input, PipelineParams, RunResult,
 };
 use msp_fault::FaultPlan;
-use msp_grid::{Decomposition, Dims, ScalarField};
+use msp_grid::ScalarField;
 use msp_hierarchy::{compress_forwards, region_sizes, remap_tables, Materialized, Ordering};
 use msp_morse::{assign_gradient, assign_gradient_par, trace_all_arcs};
 use msp_oracle::reference::{
@@ -52,7 +52,6 @@ use msp_oracle::reference::{
 use msp_oracle::segcheck::{diff_segmentation, reference_segmentation};
 use msp_oracle::{
     case::parse_fault, case::SplitMix64, check_complex, check_glue_idempotent, Case, CheckOptions,
-    DecompKind, FieldKind, Schedule,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -69,72 +68,6 @@ const WORK_COUNTERS: [&str; 5] = [
     "seg_forwards",
 ];
 
-/// The synthetic field a case describes.
-pub fn build_field(case: &Case) -> ScalarField {
-    let dims = Dims::new(case.dims[0], case.dims[1], case.dims[2]);
-    match case.kind {
-        FieldKind::Noise => msp_synth::white_noise(dims, case.seed),
-        FieldKind::Plateau(levels) => msp_synth::plateau(dims, case.seed, levels),
-        FieldKind::Sinusoid(c) => msp_synth::sinusoid_dims(dims, c),
-        FieldKind::Bumps(n) => msp_synth::gaussian_bumps(dims, n as usize, 0.25, case.seed),
-        FieldKind::Constant => msp_synth::constant(dims, 0.5),
-    }
-}
-
-/// The case's merge schedule as a concrete [`MergePlan`].
-pub fn merge_plan(case: &Case) -> MergePlan {
-    match &case.schedule {
-        Schedule::None => MergePlan::none(),
-        Schedule::Full if case.blocks <= 1 => MergePlan::none(),
-        Schedule::Full if case.decomp.is_uniform() => MergePlan::full_merge(case.blocks),
-        // irregular full merges need a plan valid for any block count
-        Schedule::Full => full_merge_plan(case.blocks),
-        Schedule::Rounds(v) => MergePlan::rounds(v.clone()),
-    }
-}
-
-/// The case's decomposition mode as the pipeline's [`DecompMode`].
-pub fn decomp_mode(case: &Case) -> DecompMode {
-    match case.decomp {
-        DecompKind::Uniform => DecompMode::Uniform,
-        DecompKind::Adaptive => DecompMode::Adaptive,
-        DecompKind::Random(seed) => DecompMode::RandomTree { seed },
-    }
-}
-
-/// The decomposition the pipeline will build for this case, constructed
-/// the same way `run_parallel` does, so the per-block differentials and
-/// post-hoc checks see the exact blocks the run used.
-pub fn build_decomp(case: &Case, field: &ScalarField) -> Decomposition {
-    match case.decomp {
-        DecompKind::Uniform => Decomposition::bisect(field.dims(), case.blocks),
-        DecompKind::Adaptive => {
-            let w = feature_weights(field);
-            Decomposition::adaptive(field.dims(), case.blocks, &w)
-        }
-        DecompKind::Random(seed) => Decomposition::random_tree(field.dims(), case.blocks, seed),
-    }
-}
-
-/// Merge rounds of the schedule the pipeline builds for `case` on
-/// `decomp`: the radix tree's for a uniform decomposition, the
-/// neighbor-graph contraction's for an irregular one.
-fn merge_rounds(case: &Case, decomp: &Decomposition) -> u32 {
-    let plan = merge_plan(case);
-    let sched = match case.decomp {
-        DecompKind::Uniform => MergeSchedule::uniform(&plan, case.blocks),
-        _ => MergeSchedule::contract(decomp, &plan),
-    };
-    sched.n_rounds() as u32
-}
-
-/// `case` with its fault fitted to the schedule the pipeline builds.
-fn fitted(mut case: Case) -> Case {
-    let decomp = build_decomp(&case, &build_field(&case));
-    case.fit_fault(merge_rounds(&case, &decomp));
-    case
-}
-
 fn pipeline_params(case: &Case, canonical: bool) -> PipelineParams {
     let fault = match (&case.fault, canonical) {
         (Some(f), false) => {
@@ -150,8 +83,8 @@ fn pipeline_params(case: &Case, canonical: bool) -> PipelineParams {
     };
     PipelineParams {
         persistence_frac: case.persistence,
-        plan: merge_plan(case),
-        decomp: decomp_mode(case),
+        plan: case.plan(),
+        decomp: case.decomp,
         fault,
         threads: Some(if canonical { 1 } else { case.threads as usize }),
         check: !canonical,
@@ -211,22 +144,22 @@ pub fn run_case(case: &Case) -> Result<(), String> {
 
 /// [`run_case`] with `dir` for the artifact files.
 fn run_case_inner(case: &Case, dir: &Path) -> Result<(), String> {
-    let field = build_field(case);
-    let decomp = build_decomp(case, &field);
-    case.check_fault_round(merge_rounds(case, &decomp))?;
+    let field = case.field();
+    let layout = case.layout(&field).map_err(|e| e.to_string())?;
+    let decomp = &layout.decomp;
 
     // 1. per-block differential against the reference oracle
     for b in decomp.blocks() {
         let bf = field.extract_block(b);
-        let want = reference_gradient(&bf, &decomp);
-        let got = assign_gradient(&bf, &decomp);
+        let want = reference_gradient(&bf, decomp);
+        let got = assign_gradient(&bf, decomp);
         if let Some(d) = diff_gradient(&got, &want) {
             return Err(format!(
                 "block {}: gradient differs from reference: {d}",
                 b.id
             ));
         }
-        let par = assign_gradient_par(&bf, &decomp, 2);
+        let par = assign_gradient_par(&bf, decomp, 2);
         if par.bytes() != got.bytes() {
             return Err(format!(
                 "block {}: 2-thread gradient differs from serial",
@@ -257,18 +190,9 @@ fn run_case_inner(case: &Case, dir: &Path) -> Result<(), String> {
     // 2. the case's configuration, invariant checker on
     let (run_path, canon_path) = (dir.join("case.msc"), dir.join("canon.msc"));
     let run = run_pipeline(&field, case, false, &run_path)?;
-    for key in [
-        "check_structural",
-        "check_euler",
-        "check_boundary",
-        "check_vpath",
-        "check_segment",
-        "check_hierarchy",
-    ] {
-        let n = run.telemetry.counter_total(key);
-        if n != 0 {
-            return Err(format!("invariant counter {key} = {n} (want 0)"));
-        }
+    let verdict = run.check_verdict();
+    if let Some((c, n)) = verdict.violations.iter().find(|(_, n)| *n != 0) {
+        return Err(format!("invariant counter {} = {n} (want 0)", c.key()));
     }
     let checks = run.telemetry.counter_total("checks_run");
     if checks != run.outputs.len() as u64 {
@@ -277,16 +201,14 @@ fn run_case_inner(case: &Case, dir: &Path) -> Result<(), String> {
             run.outputs.len()
         ));
     }
-    // the outputs' members partition the blocks, `blocks / reduction`
-    // outputs of them on a uniform tree
+    // the outputs' members partition the blocks, one output per slot
+    // the layout's schedule leaves
     let mut members: Vec<u32> = (run.outputs.iter())
         .flat_map(|c| c.member_blocks.iter().copied())
         .collect();
     members.sort_unstable();
-    let outputs = run.outputs.len() as u32;
-    if members != (0..case.blocks).collect::<Vec<_>>()
-        || (case.decomp.is_uniform() && outputs != case.blocks / merge_plan(case).reduction())
-    {
+    let outputs = run.outputs.len();
+    if members != (0..case.blocks).collect::<Vec<_>>() || outputs != layout.sched.outputs.len() {
         return Err(format!("{outputs} output(s) with members {members:?}"));
     }
 
@@ -309,7 +231,7 @@ fn run_case_inner(case: &Case, dir: &Path) -> Result<(), String> {
     // 4. post-hoc invariants on the driver side
     let opts = CheckOptions::default();
     for (i, ms) in run.outputs.iter().enumerate() {
-        let report = check_complex(ms, &decomp, Some(&field), &opts);
+        let report = check_complex(ms, decomp, Some(&field), &opts);
         if !report.is_clean() {
             return Err(format!(
                 "output {i}: {} invariant violation(s): {:?}",
@@ -317,7 +239,7 @@ fn run_case_inner(case: &Case, dir: &Path) -> Result<(), String> {
                 report.notes
             ));
         }
-        check_glue_idempotent(ms, &decomp)
+        check_glue_idempotent(ms, decomp)
             .map_err(|e| format!("output {i}: glue idempotency: {e}"))?;
     }
     // every resolved label indexes its table (the SEG1 decoder checks),
@@ -327,17 +249,11 @@ fn run_case_inner(case: &Case, dir: &Path) -> Result<(), String> {
         msp_segment::wire::deserialize(&msp_segment::wire::serialize(seg))
             .map_err(|e| format!("seg block {}: {e}", seg.block_id))?;
     }
-    let tables: Vec<(u32, Vec<u64>, Vec<u64>)> = run
-        .segmentation
-        .iter()
-        .map(|s| (s.block_id, s.mins.clone(), s.maxs.clone()))
-        .collect();
-    let mut report = msp_oracle::InvariantReport::default();
-    msp_oracle::check_segmentation_tables(&run.outputs, &tables, &opts, &mut report);
-    if report.segment != 0 {
+    let tables = &verdict.tables;
+    if tables.segment != 0 {
         return Err(format!(
             "{} segmentation-table violation(s): {:?}",
-            report.segment, report.notes
+            tables.segment, tables.notes
         ));
     }
     if case.hierarchy {
@@ -527,9 +443,8 @@ fn check_prefix_chains(case: &Case, run: &RunResult, canon: &RunResult) -> Resul
 pub fn shrink(case: &Case, max_steps: usize) -> Case {
     let mut cur = case.clone();
     for _ in 0..max_steps {
-        let Some(next) = (cur.shrink_candidates().into_iter())
-            .map(fitted)
-            .find(|c| *c != cur && run_case(c).is_err())
+        let Some(next) =
+            (cur.shrink_candidates().into_iter()).find(|c| *c != cur && run_case(c).is_err())
         else {
             break;
         };
@@ -560,7 +475,7 @@ pub fn fuzz(
 ) -> Result<u64, Box<FuzzFailure>> {
     let mut rng = msp_oracle::case::SplitMix64::new(seed);
     for i in 0..iters {
-        let case = fitted(Case::generate(&mut rng));
+        let case = Case::generate(&mut rng);
         progress(i, &case);
         if let Err(reason) = run_case(&case) {
             let shrunk = shrink(&case, 64);
@@ -614,6 +529,9 @@ pub fn replay_path(path: &Path) -> Result<Vec<ReplayOutcome>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msp_grid::DecompMode;
+    use msp_oracle::case::clamp_fault;
+    use msp_oracle::{FieldKind, Schedule};
 
     fn quick_case(kind: FieldKind, blocks: u32, ranks: u32, schedule: Schedule) -> Case {
         Case {
@@ -622,7 +540,7 @@ mod tests {
             seed: 5,
             ranks,
             blocks,
-            decomp: DecompKind::Uniform,
+            decomp: DecompMode::Uniform,
             threads: 2,
             schedule,
             persistence: 0.05,
@@ -670,20 +588,19 @@ mod tests {
     fn adaptive_irregular_case_is_clean() {
         // 6 blocks / 3 ranks: non-power-of-two everything
         let mut c = quick_case(FieldKind::Noise, 6, 3, Schedule::Full);
-        c.decomp = DecompKind::Adaptive;
+        c.decomp = DecompMode::Adaptive;
         run_case(&c).unwrap();
     }
 
     #[test]
     fn irregular_faults_fit_the_contracted_schedule() {
         let mut c = quick_case(FieldKind::Noise, 6, 3, Schedule::Full);
-        c.decomp = DecompKind::Random(42);
+        c.decomp = DecompMode::RandomTree { seed: 42 };
         c.fault = Some("crash:2@5".into());
-        let decomp = build_decomp(&c, &build_field(&c));
-        let rounds = merge_rounds(&c, &decomp);
+        let rounds = c.layout(&c.field()).unwrap().sched.n_rounds();
         assert!((1..5).contains(&rounds), "{rounds} contracted rounds");
         assert!(run_case(&c).unwrap_err().contains("fault round 5"));
-        let c = fitted(c);
+        c.fault = clamp_fault(&c);
         assert_eq!(c.fault, Some(format!("crash:2@{rounds}")));
         run_case(&c).unwrap();
     }
@@ -691,7 +608,7 @@ mod tests {
     #[test]
     fn random_tree_case_is_clean() {
         let mut c = quick_case(FieldKind::Plateau(3), 5, 2, Schedule::Rounds(vec![4]));
-        c.decomp = DecompKind::Random(42);
+        c.decomp = DecompMode::RandomTree { seed: 42 };
         run_case(&c).unwrap();
     }
 
@@ -716,10 +633,10 @@ mod tests {
         hit("a sinusoid", &|c| matches!(c.kind, FieldKind::Sinusoid(_)));
         hit("bumps", &|c| matches!(c.kind, FieldKind::Bumps(_)));
         hit("a constant", &|c| c.kind == FieldKind::Constant);
-        hit("a uniform tree", &|c| c.decomp == DecompKind::Uniform);
-        hit("an adaptive tree", &|c| c.decomp == DecompKind::Adaptive);
+        hit("a uniform tree", &|c| c.decomp == DecompMode::Uniform);
+        hit("an adaptive tree", &|c| c.decomp == DecompMode::Adaptive);
         hit("a random tree", &|c| {
-            matches!(c.decomp, DecompKind::Random(_))
+            matches!(c.decomp, DecompMode::RandomTree { .. })
         });
         hit("a hierarchy", &|c| c.hierarchy);
         hit("no hierarchy", &|c| !c.hierarchy);

@@ -17,7 +17,8 @@
 //! to six.
 
 use morse_smale_parallel::fuzz::run_case;
-use morse_smale_parallel::oracle::{Case, DecompKind, FieldKind, Schedule};
+use morse_smale_parallel::grid::DecompMode;
+use morse_smale_parallel::oracle::{Case, FieldKind, Schedule};
 
 const RANKS: [u32; 3] = [1, 2, 4];
 const THREADS: [u32; 3] = [1, 2, 4];
@@ -42,7 +43,7 @@ fn base(kind: FieldKind, dims: [u32; 3], seed: u64, persistence: f32) -> Case {
         seed,
         ranks: 1,
         blocks: 4,
-        decomp: DecompKind::Uniform,
+        decomp: DecompMode::Uniform,
         threads: 1,
         schedule: Schedule::Full,
         persistence,
@@ -122,7 +123,7 @@ fn adaptive_tree_conforms_across_ranks_and_threads_with_hierarchy() {
     // assignment is LPT over feature-weight costs
     let case = Case {
         blocks: 6,
-        decomp: DecompKind::Adaptive,
+        decomp: DecompMode::Adaptive,
         hierarchy: true,
         ..base(FieldKind::Noise, [9, 8, 7], 41, 0.05)
     };

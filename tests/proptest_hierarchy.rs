@@ -8,7 +8,8 @@
 //! scratch or by extending a shorter one (step 4's prefix chains).
 
 use morse_smale_parallel::fuzz::run_case;
-use morse_smale_parallel::oracle::{Case, DecompKind, FieldKind, Schedule};
+use morse_smale_parallel::grid::DecompMode;
+use morse_smale_parallel::oracle::{Case, FieldKind, Schedule};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -30,7 +31,7 @@ fn random_case(rng: &mut ChaCha8Rng) -> Case {
         seed,
         ranks: 1,
         blocks: 1u32 << rng.gen_range(1u32..4),
-        decomp: DecompKind::Uniform,
+        decomp: DecompMode::Uniform,
         threads: 1,
         schedule: if rng.gen_bool(0.5) {
             Schedule::Full

@@ -5,7 +5,8 @@
 //! (`fuzz::run_case` compares the files, step 3).
 
 use morse_smale_parallel::fuzz::run_case;
-use morse_smale_parallel::oracle::{Case, DecompKind, FieldKind, Schedule};
+use morse_smale_parallel::grid::DecompMode;
+use morse_smale_parallel::oracle::{Case, FieldKind, Schedule};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -26,7 +27,7 @@ fn random_tree_artifacts_are_byte_identical() {
                 seed,
                 ranks,
                 blocks: 5,
-                decomp: DecompKind::Random(seed),
+                decomp: DecompMode::RandomTree { seed },
                 threads,
                 schedule: Schedule::Full,
                 persistence: 0.05,

@@ -4,7 +4,8 @@
 //! (`fuzz::run_case`, step 2).
 
 use morse_smale_parallel::fuzz::run_case;
-use morse_smale_parallel::oracle::{Case, DecompKind, FieldKind, Schedule};
+use morse_smale_parallel::grid::DecompMode;
+use morse_smale_parallel::oracle::{Case, FieldKind, Schedule};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -32,7 +33,7 @@ fn pipeline_output_block_count() {
             seed,
             ranks: ranks.min(blocks),
             blocks,
-            decomp: DecompKind::Uniform,
+            decomp: DecompMode::Uniform,
             threads: 1,
             schedule: Schedule::Rounds(rounds),
             persistence: 0.01,

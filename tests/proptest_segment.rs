@@ -7,7 +7,8 @@
 //! pointer-jumping bound (`fuzz::run_case`, step 3).
 
 use morse_smale_parallel::fuzz::run_case;
-use morse_smale_parallel::oracle::{Case, DecompKind, FieldKind, Schedule};
+use morse_smale_parallel::grid::DecompMode;
+use morse_smale_parallel::oracle::{Case, FieldKind, Schedule};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -21,7 +22,7 @@ fn case(kind: FieldKind, dims: [u32; 3], seed: u64, blocks: u32, full: bool) -> 
         seed,
         ranks: 1,
         blocks,
-        decomp: DecompKind::Uniform,
+        decomp: DecompMode::Uniform,
         threads: 1,
         schedule: if full { Schedule::Full } else { Schedule::None },
         persistence: 0.02,

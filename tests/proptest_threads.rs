@@ -5,7 +5,8 @@
 //! through `fuzz::run_case`, which makes those comparisons (step 3).
 
 use morse_smale_parallel::fuzz::run_case;
-use morse_smale_parallel::oracle::{Case, DecompKind, FieldKind, Schedule};
+use morse_smale_parallel::grid::DecompMode;
+use morse_smale_parallel::oracle::{Case, FieldKind, Schedule};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -24,7 +25,7 @@ fn parallel_local_stage_bit_identical_to_serial() {
             seed,
             ranks: rng.gen_range(1u32..4).min(blocks),
             blocks,
-            decomp: DecompKind::Uniform,
+            decomp: DecompMode::Uniform,
             threads: rng.gen_range(2u32..7),
             schedule: Schedule::Full,
             persistence: 0.02,
