@@ -23,19 +23,23 @@
 //! 3. boundary flags are recomputed against the merged member-block set,
 //!    turning interior boundary artifacts into cancellation candidates.
 //!
-//! Either complex may hold tombstones: the pipeline compacts a complex
-//! only when it leaves its rank, so a root carries the tombstones of its
-//! re-simplifications and a member on its root's rank arrives live.
-//! Gluing skips dead nodes and arcs and copies the live arcs' geometry in
-//! the order compacting first would give, so the glued complex compacts
-//! to the same bytes either way.
+//! The incoming complex is either held in memory ([`glue`]) or still in
+//! the MSC3 bytes it arrived as ([`glue_from_wire`]); one set of rules,
+//! written against either source, decides both. Either complex may hold
+//! tombstones: the pipeline never compacts a root in the merge, and a
+//! member on its root's rank arrives live. Gluing skips dead nodes and
+//! arcs and copies the live arcs' geometry in the order compacting first
+//! would give, so the glued complex serializes to the same bytes either
+//! way; a payload holds a compaction already.
 //!
 //! Malformed inputs (mismatched domains, address collisions at different
 //! Morse indices) are reported as [`GlueError`]s instead of panicking, so
 //! a corrupted peer complex arriving over the wire cannot take the rank
 //! down.
 
-use crate::skeleton::{GeomId, MsComplex, NodeId};
+use crate::skeleton::{GeomId, MsComplex, Node, NodeId};
+use crate::wire::{Payload, WireError};
+use msp_grid::dims::RefinedDims;
 use msp_grid::{Decomposition, RCoord};
 use std::fmt;
 
@@ -53,6 +57,9 @@ pub struct GlueStats {
 /// builds too, since gluing consumes wire-decoded peer data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GlueError {
+    /// The incoming payload is not a well-formed MSC3 complex
+    /// ([`glue_from_wire`]); the root is unchanged.
+    Wire(WireError),
     /// The two complexes disagree on the refined dims of the full
     /// dataset — their global addresses are not comparable.
     DomainMismatch,
@@ -60,6 +67,12 @@ pub enum GlueError {
     /// different Morse indices — the gradients disagreed on a shared
     /// face.
     IndexMismatch { addr: u64, root: u8, incoming: u8 },
+    /// The incoming complex holds two nodes at one address (only a
+    /// payload can).
+    DuplicateNode { addr: u64 },
+    /// A node, or a cell of a path the duplicate rule reads, lies outside
+    /// the refined grid.
+    OutsideDomain { addr: u64 },
     /// An arc whose V-path lies entirely inside the root's covered
     /// region is missing from the root, contradicting the
     /// boundary-identical-gradient contract.
@@ -69,6 +82,7 @@ pub enum GlueError {
 impl fmt::Display for GlueError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            GlueError::Wire(e) => write!(f, "incoming payload: {e}"),
             GlueError::DomainMismatch => write!(f, "complexes do not share a refined domain"),
             GlueError::IndexMismatch {
                 addr,
@@ -78,6 +92,12 @@ impl fmt::Display for GlueError {
                 f,
                 "node at address {addr} has index {root} in the root but {incoming} incoming"
             ),
+            GlueError::DuplicateNode { addr } => {
+                write!(f, "incoming complex holds two nodes at address {addr}")
+            }
+            GlueError::OutsideDomain { addr } => {
+                write!(f, "incoming address {addr} lies outside the domain")
+            }
             GlueError::MissingSharedArc { upper, lower } => write!(
                 f,
                 "shared-face arc {upper} -> {lower} missing from the root"
@@ -88,25 +108,84 @@ impl fmt::Display for GlueError {
 
 impl std::error::Error for GlueError {}
 
+/// What gluing reads of an incoming complex, held in memory or still in
+/// its MSC3 bytes (`wire::Payload`): the glue rules are written once,
+/// against this.
+pub(crate) trait Incoming {
+    /// The id → root id table and scratch of [`Incoming::copy_geom_into`].
+    type Copy: Default;
+    fn refined(&self) -> RefinedDims;
+    fn member_blocks(&self) -> &[u32];
+    /// Every node record in id order, dead ones included.
+    fn nodes(&self) -> impl Iterator<Item = Node>;
+    /// The live arcs' `[upper, lower, geom]`, in id order.
+    fn arcs(&self) -> impl Iterator<Item = [u32; 3]>;
+    /// True when `pred` holds for every cell of geometry `g`.
+    fn geom_all(&self, g: GeomId, pred: &mut impl FnMut(u64) -> bool) -> bool;
+    /// Copy geometry `g` and what it references into `root`, each record
+    /// once per `cp`, children first.
+    fn copy_geom_into(&self, g: GeomId, root: &mut MsComplex, cp: &mut Self::Copy) -> GeomId;
+}
+
+impl Incoming for MsComplex {
+    type Copy = Vec<GeomId>;
+
+    fn refined(&self) -> RefinedDims {
+        self.refined
+    }
+
+    fn member_blocks(&self) -> &[u32] {
+        &self.member_blocks
+    }
+
+    fn nodes(&self) -> impl Iterator<Item = Node> {
+        self.nodes.iter().copied()
+    }
+
+    fn arcs(&self) -> impl Iterator<Item = [u32; 3]> {
+        let live = self.arcs.iter().filter(|a| a.alive);
+        live.map(|a| [a.upper, a.lower, a.geom])
+    }
+
+    fn geom_all(&self, g: GeomId, pred: &mut impl FnMut(u64) -> bool) -> bool {
+        MsComplex::geom_all(self, g, pred)
+    }
+
+    fn copy_geom_into(&self, g: GeomId, root: &mut MsComplex, cp: &mut Vec<GeomId>) -> GeomId {
+        MsComplex::copy_geom_into(self, g, root, cp)
+    }
+}
+
 /// True when every cell of the V-path geometry `g` (decoded in place
 /// from `incoming`) lies inside the region covered by the blocks in
 /// `members`. This is the generalized-glue duplicate test: the gradient
 /// is computed identically everywhere two groups' regions overlap, so a
-/// path confined to the overlap was traced by both sides.
+/// path confined to the overlap was traced by both sides. A cell outside
+/// the refined grid is an error.
 fn path_in_region(
-    incoming: &MsComplex,
+    incoming: &impl Incoming,
     g: GeomId,
     decomp: &Decomposition,
     members: &[u32],
-) -> bool {
-    incoming.geom_all(g, &mut |addr| {
-        let c = RCoord::from_address(addr, &incoming.refined);
+) -> Result<bool, GlueError> {
+    let refined = incoming.refined();
+    let mut outside = None;
+    let inside = incoming.geom_all(g, &mut |addr| {
+        if addr >= refined.len() {
+            outside = Some(addr);
+            return false;
+        }
+        let c = RCoord::from_address(addr, &refined);
         decomp
             .owners(c)
             .as_slice()
             .iter()
             .any(|id| members.contains(id))
-    })
+    });
+    match outside {
+        Some(addr) => Err(GlueError::OutsideDomain { addr }),
+        None => Ok(inside),
+    }
 }
 
 /// Glue `incoming` onto `root`, two complexes over the same refined
@@ -125,7 +204,35 @@ pub fn glue(
     incoming: &MsComplex,
     decomp: &Decomposition,
 ) -> Result<GlueStats, GlueError> {
-    if root.refined != incoming.refined {
+    glue_incoming(root, incoming, decomp)
+}
+
+/// [`glue`] of the complex serialized in `payload`, read straight from
+/// its bytes: its nodes are matched against the root's index and its
+/// geometry is copied out of the payload, and its own index, adjacency
+/// and geometry arena are never built. Gives the root and the
+/// [`GlueStats`] of `glue(root, &wire::deserialize(payload)?, decomp)`.
+///
+/// A payload [`deserialize`](crate::wire::deserialize) refuses is a
+/// [`GlueError::Wire`] (the root untouched), and one holding two nodes
+/// at an address a [`GlueError::DuplicateNode`].
+pub fn glue_from_wire(
+    root: &mut MsComplex,
+    payload: &[u8],
+    decomp: &Decomposition,
+) -> Result<GlueStats, GlueError> {
+    let incoming = Payload::parse(payload).map_err(GlueError::Wire)?;
+    glue_incoming(root, &incoming, decomp)
+}
+
+/// The glue rules, for either source: node matching with the index
+/// check, the shared-arc duplicate rule and the member-set merge.
+fn glue_incoming(
+    root: &mut MsComplex,
+    incoming: &impl Incoming,
+    decomp: &Decomposition,
+) -> Result<GlueStats, GlueError> {
+    if root.refined != incoming.refined() {
         return Err(GlueError::DomainMismatch);
     }
     let mut stats = GlueStats::default();
@@ -133,36 +240,53 @@ pub fn glue(
     // map incoming node id -> (root node id, was it a shared match); a
     // dead node maps nowhere, since no live arc names it. Matching is by
     // global address alone: only shared-boundary critical cells can
-    // collide (interior cells are unique to a block).
-    let mut node_map: Vec<(NodeId, bool)> = Vec::with_capacity(incoming.nodes.len());
-    for n in &incoming.nodes {
+    // collide (interior cells are unique to a block). A match with a
+    // node this glue added, or a second match with one root node, is an
+    // address the incoming complex holds twice.
+    let first_added = root.nodes.len() as NodeId;
+    let mut matched = Vec::new();
+    let nodes = incoming.nodes();
+    let mut node_map: Vec<(NodeId, bool)> = Vec::with_capacity(nodes.size_hint().0);
+    for n in nodes {
         if !n.alive {
             node_map.push((NodeId::MAX, false));
             continue;
         }
-        if let Some(existing) = root.node_at(n.addr) {
-            let root_index = root.nodes[existing as usize].index;
-            if root_index != n.index {
-                return Err(GlueError::IndexMismatch {
-                    addr: n.addr,
-                    root: root_index,
-                    incoming: n.index,
-                });
-            }
-            stats.matched_nodes += 1;
-            node_map.push((existing, true));
+        if n.addr >= root.refined.len() {
+            return Err(GlueError::OutsideDomain { addr: n.addr });
+        }
+        let (id, shared) = root.node_at_or_add(n.addr, n.index, n.value, n.boundary);
+        if !shared {
+            stats.added_nodes += 1;
+            node_map.push((id, false));
             continue;
         }
-        let id = root.add_node(n.addr, n.index, n.value, n.boundary);
-        stats.added_nodes += 1;
-        node_map.push((id, false));
+        if id >= first_added {
+            return Err(GlueError::DuplicateNode { addr: n.addr });
+        }
+        let root_index = root.nodes[id as usize].index;
+        if root_index != n.index {
+            return Err(GlueError::IndexMismatch {
+                addr: n.addr,
+                root: root_index,
+                incoming: n.index,
+            });
+        }
+        stats.matched_nodes += 1;
+        matched.push(id);
+        node_map.push((id, true));
+    }
+    matched.sort_unstable();
+    if let Some(w) = matched.windows(2).find(|w| w[0] == w[1]) {
+        let addr = root.nodes[w[0] as usize].addr;
+        return Err(GlueError::DuplicateNode { addr });
     }
 
-    let mut geom_map = Vec::new();
-    for a in incoming.arcs.iter().filter(|a| a.alive) {
-        let (u, u_shared) = node_map[a.upper as usize];
-        let (l, l_shared) = node_map[a.lower as usize];
-        if u_shared && l_shared && path_in_region(incoming, a.geom, decomp, &root.member_blocks) {
+    let mut geom_copy = Default::default();
+    for [upper, lower, geom] in incoming.arcs() {
+        let (u, u_shared) = node_map[upper as usize];
+        let (l, l_shared) = node_map[lower as usize];
+        if u_shared && l_shared && path_in_region(incoming, geom, decomp, &root.member_blocks)? {
             // the arc lies entirely in the region the root already
             // covers, so the root traced it too; skip the duplicate
             if root.multiplicity(u, l) == 0 {
@@ -174,14 +298,14 @@ pub fn glue(
             stats.skipped_shared_arcs += 1;
             continue;
         }
-        let g = incoming.copy_geom_into(a.geom, root, &mut geom_map);
+        let g = incoming.copy_geom_into(geom, root, &mut geom_copy);
         root.add_arc(u, l, g);
         stats.added_arcs += 1;
     }
 
     // merged member set
     let mut members = root.member_blocks.clone();
-    members.extend_from_slice(&incoming.member_blocks);
+    members.extend_from_slice(incoming.member_blocks());
     members.sort_unstable();
     members.dedup();
     root.member_blocks = members;
@@ -211,7 +335,7 @@ mod tests {
     use super::*;
     use crate::build::build_block_complex;
     use crate::simplify::{simplify, SimplifyParams};
-    use crate::wire;
+    use crate::wire::{self, WireError};
     use msp_grid::{Dims, ScalarField};
     use msp_morse::TraceLimits;
 
@@ -297,6 +421,151 @@ mod tests {
             wire::serialize(&r)
         };
         assert_eq!(glued(&loose), glued(&packed));
+    }
+
+    /// Glue `members` onto copies of `root` one at a time, from memory
+    /// and from their bytes: the stats of every step and the glued root's
+    /// bytes must agree.
+    fn assert_wire_glue_agrees(root: &MsComplex, members: &[MsComplex], d: &Decomposition) {
+        let (mut live, mut wired) = (root.clone(), root.clone());
+        for m in members {
+            let want = glue(&mut live, m, d).unwrap();
+            let got = glue_from_wire(&mut wired, &wire::serialize(m), d).unwrap();
+            assert_eq!(got, want);
+        }
+        wired.check_integrity().unwrap();
+        assert_eq!(wired.member_blocks, live.member_blocks);
+        assert_eq!(wire::serialize(&wired), wire::serialize(&live));
+    }
+
+    #[test]
+    fn glue_from_wire_equals_glue_of_the_decoded_member() {
+        // uniform bisection, compacted members and members and a root
+        // holding the tombstones of a simplification
+        let f = msp_synth::white_noise(Dims::new(9, 9, 9), 8);
+        let (d, cs) = block_complexes(&f, 4);
+        assert_wire_glue_agrees(&cs[0], &cs[1..], &d);
+        let loose: Vec<MsComplex> = cs
+            .iter()
+            .map(|c| {
+                let mut c = c.clone();
+                simplify(&mut c, SimplifyParams::up_to(0.1)).unwrap();
+                c
+            })
+            .collect();
+        assert!(loose[1].arcs.iter().any(|a| !a.alive), "no tombstones");
+        assert_wire_glue_agrees(&loose[0], &loose[1..], &d);
+        // a member that has been glued and re-simplified carries cancel
+        // records into the payload
+        let mut pair = loose[2].clone();
+        glue_all(&mut pair, &loose[3..], &d).unwrap();
+        simplify(&mut pair, SimplifyParams::up_to(0.1)).unwrap();
+        assert_wire_glue_agrees(&loose[0], &[loose[1].clone(), pair], &d);
+
+        // irregular trees, where shared arcs can leave the overlap
+        let dims = Dims::new(13, 11, 9);
+        for seed in [3u64, 17, 29] {
+            let f = msp_synth::white_noise(dims, seed);
+            let d = Decomposition::random_tree(dims, 5, seed);
+            let cs: Vec<MsComplex> = d
+                .blocks()
+                .iter()
+                .map(|b| {
+                    let (mut ms, _) =
+                        build_block_complex(&f.extract_block(b), &d, TraceLimits::default());
+                    simplify(&mut ms, SimplifyParams::up_to(0.05)).unwrap();
+                    ms
+                })
+                .collect();
+            assert_wire_glue_agrees(&cs[0], &cs[1..], &d);
+            assert_wire_glue_agrees(&cs[4], &cs[..4], &d);
+        }
+    }
+
+    #[test]
+    fn hostile_payloads_never_panic() {
+        let f = msp_synth::white_noise(Dims::cube(6), 4);
+        let (d, cs) = block_complexes(&f, 2);
+        let mut simplified = cs[1].clone();
+        simplify(&mut simplified, SimplifyParams::up_to(0.3)).unwrap();
+        for member in [&cs[1], &simplified] {
+            let bytes = wire::serialize(member).to_vec();
+            let glue_onto = |payload: &[u8]| {
+                let mut root = cs[0].clone();
+                glue_from_wire(&mut root, payload, &d).map(|_| root)
+            };
+            glue_onto(&bytes).unwrap();
+            for cut in 0..bytes.len() {
+                let err = glue_onto(&bytes[..cut]).unwrap_err();
+                let want = if cut < 4 {
+                    WireError::BadMagic
+                } else {
+                    WireError::Truncated
+                };
+                assert_eq!(err, GlueError::Wire(want), "prefix {cut}");
+            }
+            let mut flipped = bytes.clone();
+            for at in 0..bytes.len() {
+                for bit in 0..8 {
+                    flipped[at] ^= 1 << bit;
+                    if let Ok(root) = glue_onto(&flipped) {
+                        root.check_integrity()
+                            .unwrap_or_else(|e| panic!("byte {at} bit {bit}: {e}"));
+                    }
+                    flipped[at] ^= 1 << bit;
+                }
+            }
+        }
+        // a short payload of nested cancel records that would decode to
+        // 86,093,442 cells
+        let bytes = wire::serialize(&wire::tests::nested_cancels(cs[0].refined, 16));
+        let mut root = cs[0].clone();
+        assert!(matches!(
+            glue_from_wire(&mut root, &bytes, &d),
+            Err(GlueError::Wire(WireError::Corrupt(_)))
+        ));
+    }
+
+    #[test]
+    fn a_payload_holding_an_address_twice_is_refused() {
+        let f = msp_synth::white_noise(Dims::new(9, 9, 9), 31);
+        let (d, cs) = block_complexes(&f, 2);
+        let (root, member) = (&cs[0], &cs[1]);
+        let bytes = wire::serialize(member).to_vec();
+        let nodes_at = 32 + 4 * member.member_blocks.len() + 4;
+        // node `to` takes node `from`'s address (same Morse index)
+        let copy_addr = |from: usize, to: usize| {
+            let mut b = bytes.clone();
+            let addr = member.nodes[from].addr.to_le_bytes();
+            b[nodes_at + 14 * to..][..8].copy_from_slice(&addr);
+            assert_eq!(
+                wire::deserialize(&b).unwrap_err(),
+                WireError::Corrupt("duplicate node address")
+            );
+            let addr = member.nodes[from].addr;
+            let mut r = root.clone();
+            assert_eq!(
+                glue_from_wire(&mut r, &b, &d),
+                Err(GlueError::DuplicateNode { addr })
+            );
+        };
+        let shared = |i: usize| root.node_at(member.nodes[i].addr).is_some();
+        let pair = |want_shared: bool| {
+            let n = member.nodes.len();
+            (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .find(|&(i, j)| {
+                    member.nodes[i].index == member.nodes[j].index
+                        && shared(i) == want_shared
+                        && !shared(j)
+                })
+                .expect("a pair of nodes")
+        };
+        // twice new to the root, then twice matching one root node
+        let (i, j) = pair(false);
+        copy_addr(i, j);
+        let (i, j) = pair(true);
+        copy_addr(i, j);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! discrete gradient, persistence-based simplification, gluing of
 //! block complexes, and a compact wire/file serialization.
 //!
-//! Follows the data-structure design of the paper (§IV-D, [11]):
+//! Follows the data-structure design of the paper (§IV-D, \[11\]):
 //! nodes, arcs and geometry records are constant-sized elements stored in
 //! flat arrays, optimized for efficient simplification; the geometry of
 //! arcs created by cancellations *references* the geometry objects that
@@ -15,7 +15,7 @@
 //!   adjacency, address index;
 //! * [`build`] — building a block-local complex from a scalar block
 //!   (gradient assignment + V-path tracing);
-//! * [`simplify`] — lowest-persistence-first cancellation with the
+//! * [`simplify`](mod@simplify) — lowest-persistence-first cancellation with the
 //!   boundary-node restriction and a cancellation hierarchy;
 //! * [`glue`] — merging complexes at shared-boundary nodes (§IV-F3);
 //! * [`wire`] — serialization used for inter-process messages and the

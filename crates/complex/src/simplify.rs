@@ -19,7 +19,7 @@
 //! pairs that kill an extremum. [`simplify_with`] can
 //! log every cancellation as a [`CancelRecord`]; a logged sequence can
 //! then be re-executed positionally by [`replay_cancellation`] — both
-//! paths share [`execute_cancellation`] verbatim, which is what makes
+//! paths share `execute_cancellation` verbatim, which is what makes
 //! hierarchy replay bit-identical to a direct simplification run.
 //!
 //! **Cost.** A cancellation costs what the neighbourhood it rewrites
@@ -65,7 +65,7 @@ pub struct SimplifyParams {
     /// composite-arc counts would otherwise grow combinatorially. The
     /// same invariant (stored multiplicity never falls either) is why the
     /// loop queues only the first arc a splice creates for a pair. `None`
-    /// stores every composite arc, as the paper's data structure [14]
+    /// stores every composite arc, as the paper's data structure \[14\]
     /// does. `Some(1)` is *not* neutral: a pair that should be doubled is
     /// stored, and cancelled, as single.
     pub max_parallel_arcs: Option<u32>,
@@ -327,7 +327,7 @@ pub fn simplify_with(
 /// addresses (node/arc ids are not stable across compaction or the
 /// wire). The connecting arc is recovered through the legality invariant
 /// — a cancelled pair has multiplicity exactly 1 at execution time — and
-/// the cancellation body is [`execute_cancellation`], shared with the
+/// the cancellation body is `execute_cancellation`, shared with the
 /// live loop, so a positional replay of a [`CancelRecord`] log rebuilds
 /// the complex bit-identically. Returns the forward entry.
 pub fn replay_cancellation(

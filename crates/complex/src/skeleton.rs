@@ -1,6 +1,6 @@
 //! Flat-array storage of the MS complex 1-skeleton.
 //!
-//! Nodes and arcs are constant-sized records in `Vec`s ([11]); arc
+//! Nodes and arcs are constant-sized records in `Vec`s (\[11\]); arc
 //! geometry is a DAG of geometry records — a `Leaf` is a range of one
 //! byte buffer holding a V-path as its start address plus one direction
 //! code per step, and a `Cancel` record references the three geometries
@@ -8,10 +8,13 @@
 //! arcs is inherited from the deleted arcs, and a new geometry object is
 //! created that references the geometry objects that were merged").
 //! Deletion is by tombstone (`alive` flags) so record ids stay stable;
-//! [`MsComplex::compact`] rebuilds dense arrays when a complex leaves its
-//! rank. A complex that stays on its rank is glued and re-simplified with
-//! its tombstones: every pass sees the live records in the same relative
-//! order either way.
+//! [`MsComplex::compact`] rebuilds dense arrays. The pipeline compacts a
+//! block once, after its local simplification, and a merged complex only
+//! where compacted node ids are named (hierarchy recording): otherwise a
+//! complex is glued, re-simplified, shipped, checkpointed and written with
+//! its tombstones, since every pass sees the live records in the same
+//! relative order either way and the wire format writes a complex's
+//! compaction without building it (`wire::serialize`).
 //!
 //! The geometry records are a shared frozen prefix plus the records this
 //! complex owns. [`MsComplex::freeze_geometry`] moves every record and
@@ -35,8 +38,9 @@ pub type ArcId = u32;
 pub type GeomId = u32;
 
 /// "Not copied yet" in the dense old-id → new-id tables of
-/// [`MsComplex::compact`] and [`MsComplex::copy_geom_into`].
-const UNMAPPED: u32 = u32::MAX;
+/// [`MsComplex::compact`], [`MsComplex::copy_geom_into`] and the wire
+/// format's walks.
+pub(crate) const UNMAPPED: u32 = u32::MAX;
 
 /// Step code announcing that the next cell's address follows verbatim
 /// (8 bytes, little-endian) instead of a unit move; codes `0..=5` are the
@@ -109,8 +113,8 @@ impl Hasher for AddrHasher {
 }
 
 /// The cells of one leaf geometry, decoded from its step codes as they
-/// are read.
-struct LeafCells<'a> {
+/// are read ([`path_cells`]).
+pub(crate) struct LeafCells<'a> {
     next: Option<u64>,
     codes: &'a [u8],
     deltas: [u64; 6],
@@ -135,6 +139,22 @@ impl Iterator for LeafCells<'_> {
             }
         };
         Some(addr)
+    }
+}
+
+/// The cells of a leaf starting at `start` (`None` for an empty leaf)
+/// and moving by the step codes `codes`, upper end first: the one
+/// decoder of leaf bytes, in memory and in a payload. Escapes must be
+/// whole (eight address bytes follow each).
+pub(crate) fn path_cells<'a>(
+    refined: &RefinedDims,
+    start: Option<u64>,
+    codes: &'a [u8],
+) -> LeafCells<'a> {
+    LeafCells {
+        next: start,
+        codes,
+        deltas: step_deltas(refined),
     }
 }
 
@@ -175,7 +195,7 @@ pub enum GeomRec {
     /// A path of `len` cells, ordered from the upper node's cell to the
     /// lower node's cell, stored as `steps[offset .. offset + bytes]`:
     /// the first cell's address (8 bytes, little-endian), then one step
-    /// code per later cell ([`STEP_ESCAPE`] followed by that cell's
+    /// code per later cell (`STEP_ESCAPE`, 6, followed by that cell's
     /// address when it is not a unit move). Empty when `len` is 0.
     Leaf { offset: u32, bytes: u32, len: u32 },
     /// Concatenation `first ++ reverse(mid) ++ last`, produced when a
@@ -286,23 +306,25 @@ impl MsComplex {
 
     /// Add a node; panics if a node with the same address already exists.
     pub fn add_node(&mut self, addr: u64, index: u8, value: f32, boundary: bool) -> NodeId {
-        self.try_add_node(addr, index, value, boundary)
-            .unwrap_or_else(|| panic!("duplicate node address {addr}"))
+        match self.node_at_or_add(addr, index, value, boundary) {
+            (id, false) => id,
+            (_, true) => panic!("duplicate node address {addr}"),
+        }
     }
 
-    /// [`MsComplex::add_node`], or `None` and no change when a node with
-    /// the same address already exists.
-    pub(crate) fn try_add_node(
+    /// The node at `addr` and `true`, or a node added there with the
+    /// given record and `false`: one index probe either way.
+    pub(crate) fn node_at_or_add(
         &mut self,
         addr: u64,
         index: u8,
         value: f32,
         boundary: bool,
-    ) -> Option<NodeId> {
+    ) -> (NodeId, bool) {
         debug_assert!(index <= 3);
         let id = self.nodes.len() as NodeId;
         match self.addr_index.entry(addr) {
-            Entry::Occupied(_) => return None,
+            Entry::Occupied(e) => return (*e.get(), true),
             Entry::Vacant(slot) => slot.insert(id),
         };
         self.nodes.push(Node {
@@ -314,7 +336,7 @@ impl MsComplex {
             cancel_persistence: f32::INFINITY,
         });
         self.adj.push(Vec::new());
-        Some(id)
+        (id, false)
     }
 
     /// Add an arc between `upper` (index d) and `lower` (index d−1).
@@ -421,13 +443,18 @@ impl MsComplex {
         self.frozen.as_ref().map_or(0, |f| f.geoms.len())
     }
 
+    /// Number of geometry ids: the frozen prefix and the owned records.
+    pub(crate) fn n_geom_ids(&self) -> usize {
+        self.n_frozen() + self.geoms.len()
+    }
+
     fn next_geom_id(&self) -> GeomId {
-        (self.n_frozen() + self.geoms.len()) as GeomId
+        self.n_geom_ids() as GeomId
     }
 
     /// Geometry record `g` and the leaf bytes its offsets index: the
     /// frozen prefix's below its length, this complex's own above.
-    fn rec(&self, g: GeomId) -> (GeomRec, &[u8]) {
+    pub(crate) fn rec(&self, g: GeomId) -> (GeomRec, &[u8]) {
         match &self.frozen {
             Some(f) if (g as usize) < f.geoms.len() => (f.geoms[g as usize], &f.steps),
             Some(f) => (self.geoms[g as usize - f.geoms.len()], &self.steps),
@@ -491,19 +518,14 @@ impl MsComplex {
     }
 
     /// The cells of a leaf whose bytes are `steps[offset..offset +
-    /// bytes]`, upper end first: the one decoder of leaf bytes.
+    /// bytes]`, upper end first.
     fn leaf_cells<'a>(&self, steps: &'a [u8], offset: u32, bytes: u32, len: u32) -> LeafCells<'a> {
-        let (next, codes) = match len {
-            0 => (None, &[][..]),
+        match len {
+            0 => path_cells(&self.refined, None, &[]),
             _ => {
                 let (start, codes) = leaf_parts(steps, offset, bytes);
-                (Some(start), codes)
+                path_cells(&self.refined, Some(start), codes)
             }
-        };
-        LeafCells {
-            next,
-            codes,
-            deltas: step_deltas(&self.refined),
         }
     }
 
@@ -744,10 +766,10 @@ impl MsComplex {
     /// Live nodes, arcs and incidence lists keep their relative order,
     /// and the owned geometry is copied depth-first in arc order, so a
     /// complex serializes the same whether it was compacted after every
-    /// pass or only at the end: the pipeline compacts a block after its
-    /// local simplification and otherwise only when a complex leaves its
-    /// rank. The frozen prefix stays shared and keeps its ids, reachable
-    /// or not; only the owned records are copied.
+    /// pass, only at the end or never (`wire::serialize` writes this
+    /// layout from the loose complex). The frozen prefix stays shared and
+    /// keeps its ids, reachable or not; only the owned records are
+    /// copied.
     pub fn compact(&mut self) {
         *self = self.compacted(self.frozen.clone());
     }
@@ -804,7 +826,7 @@ impl MsComplex {
         if (g as usize) < out.n_frozen() && self.shares_geometry_with(out) {
             return g;
         }
-        let total = self.n_frozen() + self.geoms.len();
+        let total = self.n_geom_ids();
         if map.len() < total {
             map.resize(total, UNMAPPED);
         }

@@ -1,4 +1,4 @@
-//! Wire serialization of a compacted MS complex: the `MSC3` format.
+//! Wire serialization of an MS complex: the `MSC3` format.
 //!
 //! Used both for inter-process merge messages (§IV-F2) and as the block
 //! payload of the output file (§IV-G). Geometry is shipped as the
@@ -36,16 +36,30 @@
 //! path. Payloads of the older `MSC2` format are refused with
 //! [`WireError::OlderFormat`].
 //!
-//! The bytes do not depend on what a complex shares: a complex with a
-//! frozen geometry prefix ([`MsComplex::freeze_geometry`]) is written as
-//! its [`MsComplex::unshared`] compaction, the reachable geometry
-//! depth-first in arc order, exactly as a complex that never froze
-//! anything is laid out by [`MsComplex::compact`]. Only serve-side
-//! materializations hold a prefix, and only verification code writes
-//! them; the pipeline's complexes own all of their geometry and are
-//! written as they are.
+//! A payload holds a complex's compaction ([`MsComplex::compact`]): the
+//! live nodes and arcs in order and the geometry the live arcs reach,
+//! depth-first in arc order. [`serialize`] writes those bytes straight
+//! from the complex, tombstones, unreached records and a frozen prefix
+//! ([`MsComplex::freeze_geometry`]) included, so a complex serializes
+//! the same whether it was compacted after every pass, only at the end,
+//! or never. The pipeline relies on that: it ships, checkpoints and
+//! writes its roots with the tombstones of their re-simplifications.
+//!
+//! Reading is one parser, which makes every structural check whichever
+//! sink takes the records: [`deserialize`] builds a complex straight
+//! from them, and [`glue_from_wire`](crate::glue::glue_from_wire) reads
+//! them through a `Payload` view that leaves them in the payload's bytes,
+//! so the incoming complex is never built. Besides the layout, the parser
+//! bounds what the records decode to: a cancel record decodes to the
+//! cells of its three children, and a record that decodes to more cells
+//! than `n_steps` (a cell takes at least one leaf byte) is refused, so
+//! records naming one child many times cannot make a short payload
+//! decode to exponentially many cells.
 
-use crate::skeleton::{leaf_parts, GeomRec, MsComplex, STEP_ESCAPE};
+use crate::glue::Incoming;
+use crate::skeleton::{
+    leaf_parts, path_cells, GeomId, GeomRec, MsComplex, Node, STEP_ESCAPE, UNMAPPED,
+};
 use bytes::{BufMut, Bytes};
 use msp_grid::dims::RefinedDims;
 use msp_telemetry::{Reader, Truncated};
@@ -71,10 +85,6 @@ fn unzigzag(z: u64) -> i64 {
     (z >> 1) as i64 ^ -((z & 1) as i64)
 }
 
-fn varint_len(v: u64) -> usize {
-    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
-}
-
 fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         buf.push(v as u8 | 0x80);
@@ -83,111 +93,193 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     buf.push(v as u8);
 }
 
-/// Zigzag deltas of an arc's `(upper, lower, geom)` against the previous
-/// arc's.
-fn arc_deltas(ms: &MsComplex) -> impl Iterator<Item = [u64; 3]> + '_ {
-    let mut prev = [0i64; 3];
-    ms.arcs.iter().map(move |a| {
-        let cur = [a.upper, a.lower, a.geom].map(i64::from);
-        let d = [0, 1, 2].map(|k| zigzag(cur[k] - prev[k]));
-        prev = cur;
-        d
-    })
+/// The compaction of a complex as the serializer reads it, built without
+/// copying a record: the live nodes and live arcs in order, and the
+/// geometry records the live arcs reach, depth-first in arc order with
+/// each record after its children — the layout [`MsComplex::compact`]
+/// gives a complex that shares no frozen prefix. Ids are remapped
+/// through dense old-id → packed-id tables, so tombstones and a frozen
+/// prefix cost one table entry each; a compacted complex packs to
+/// itself.
+struct Packing<'a> {
+    ms: &'a MsComplex,
+    /// Old node id → packed id (`UNMAPPED` for a dead node).
+    nodes: Vec<u32>,
+    n_nodes: usize,
+    n_arcs: usize,
+    /// The reached geometry records' old ids, in packed order.
+    order: Vec<GeomId>,
+    /// Old geometry id → packed id (`UNMAPPED` where unreached).
+    geoms: GeomCopy,
+    /// Leaf bytes of the reached records (`MsComplex::steps` decoded).
+    n_steps: usize,
 }
 
-/// Serialize a compacted complex (live nodes/arcs only) to bytes.
-///
-/// Panics if the complex still contains tombstones — call
-/// [`MsComplex::compact`] first.
+/// One packed geometry record as it goes on the wire.
+enum PackedRec<'s> {
+    /// A leaf of `len` cells; when `len > 0` the zigzag delta of its
+    /// start against the previous non-empty leaf's, and its step codes.
+    Leaf {
+        len: u32,
+        start: Option<(u64, &'s [u8])>,
+    },
+    /// A cancel record's `i − 1 − child` back-references.
+    Cancel([u64; 3]),
+}
+
+impl<'a> Packing<'a> {
+    fn of(ms: &'a MsComplex) -> Packing<'a> {
+        let mut nodes = vec![UNMAPPED; ms.nodes.len()];
+        let mut n_nodes = 0;
+        for (packed, n) in nodes.iter_mut().zip(&ms.nodes) {
+            if n.alive {
+                *packed = n_nodes as u32;
+                n_nodes += 1;
+            }
+        }
+        let mut p = Packing {
+            ms,
+            nodes,
+            n_nodes,
+            n_arcs: 0,
+            order: Vec::new(),
+            geoms: GeomCopy::default(),
+            n_steps: 0,
+        };
+        let (order, n_steps) = (&mut p.order, &mut p.n_steps);
+        let children = |g| match ms.rec(g).0 {
+            GeomRec::Cancel { first, mid, last } => Some([first, mid, last]),
+            GeomRec::Leaf { .. } => None,
+        };
+        for a in ms.arcs.iter().filter(|a| a.alive) {
+            p.n_arcs += 1;
+            p.geoms.walk(a.geom, ms.n_geom_ids(), children, |g, _| {
+                if let GeomRec::Leaf { bytes, .. } = ms.rec(g).0 {
+                    *n_steps += bytes as usize;
+                }
+                order.push(g);
+                (order.len() - 1) as GeomId
+            });
+        }
+        p
+    }
+
+    /// The packed geometry records in order.
+    fn records(&self) -> impl Iterator<Item = PackedRec<'a>> + '_ {
+        let mut prev_start = 0u64;
+        self.order
+            .iter()
+            .enumerate()
+            .map(move |(i, &g)| match self.ms.rec(g) {
+                (GeomRec::Leaf { offset, bytes, len }, steps) => {
+                    let start = (len > 0).then(|| {
+                        let (start, codes) = leaf_parts(steps, offset, bytes);
+                        let delta = zigzag(start.wrapping_sub(prev_start) as i64);
+                        prev_start = start;
+                        (delta, codes)
+                    });
+                    PackedRec::Leaf { len, start }
+                }
+                (GeomRec::Cancel { first, mid, last }, _) => PackedRec::Cancel(
+                    [first, mid, last]
+                        .map(|c| (i - 1 - self.geoms.map[c as usize] as usize) as u64),
+                ),
+            })
+    }
+
+    /// Zigzag deltas of each live arc's packed `(upper, lower, geom)`
+    /// against the previous arc's.
+    fn arc_deltas(&self) -> impl Iterator<Item = [u64; 3]> + '_ {
+        let mut prev = [0i64; 3];
+        self.ms.arcs.iter().filter(|a| a.alive).map(move |a| {
+            let cur = [
+                self.nodes[a.upper as usize],
+                self.nodes[a.lower as usize],
+                self.geoms.map[a.geom as usize],
+            ]
+            .map(i64::from);
+            let d = [0, 1, 2].map(|k| zigzag(cur[k] - prev[k]));
+            prev = cur;
+            d
+        })
+    }
+
+    /// An upper bound of [`Packing::write`]'s output length, from the
+    /// counts alone: a varint of a `u32` id or delta takes at most 5
+    /// bytes and a leaf's start delta at most 10, where its start takes 8
+    /// bytes of `n_steps`.
+    fn bound(&self) -> usize {
+        let fixed = FIXED_BYTES + 4 * self.ms.member_blocks.len() + NODE_BYTES * self.n_nodes;
+        fixed + 16 * self.order.len() + self.n_steps + 15 * self.n_arcs
+    }
+
+    fn write(&self, buf: &mut Vec<u8>) {
+        let ms = self.ms;
+        buf.put_slice(MAGIC);
+        buf.put_u64_le(ms.refined.rx);
+        buf.put_u64_le(ms.refined.ry);
+        buf.put_u64_le(ms.refined.rz);
+        buf.put_u32_le(ms.member_blocks.len() as u32);
+        for &b in &ms.member_blocks {
+            buf.put_u32_le(b);
+        }
+        buf.put_u32_le(self.n_nodes as u32);
+        for n in ms.nodes.iter().filter(|n| n.alive) {
+            buf.put_u64_le(n.addr);
+            buf.put_f32_le(n.value);
+            buf.put_u8(n.index);
+            buf.put_u8(n.boundary as u8);
+        }
+        // geometry DAG: children precede parents
+        buf.put_u32_le(self.order.len() as u32);
+        buf.put_u32_le(self.n_steps as u32);
+        for rec in self.records() {
+            match rec {
+                PackedRec::Leaf { len, start } => {
+                    buf.push(TAG_LEAF);
+                    put_varint(buf, u64::from(len));
+                    if let Some((delta, codes)) = start {
+                        put_varint(buf, delta);
+                        buf.extend_from_slice(codes);
+                    }
+                }
+                PackedRec::Cancel(back) => {
+                    buf.push(TAG_CANCEL);
+                    for b in back {
+                        put_varint(buf, b);
+                    }
+                }
+            }
+        }
+        buf.put_u32_le(self.n_arcs as u32);
+        for d in self.arc_deltas() {
+            for v in d {
+                put_varint(buf, v);
+            }
+        }
+    }
+}
+
+/// Serialize a complex: the bytes of its compaction, written without
+/// building it. Dead nodes and arcs are skipped, ids are remapped and
+/// only the geometry the live arcs reach is written, so a complex with
+/// tombstones (or a frozen prefix) gives exactly the bytes of its
+/// [`MsComplex::compact`]ion.
 pub fn serialize(ms: &MsComplex) -> Bytes {
-    let mut buf = Vec::with_capacity(estimate_size(ms));
-    serialize_into(ms, &mut buf);
-    debug_assert_eq!(buf.len(), estimate_size(ms));
+    let packing = Packing::of(ms);
+    let mut buf = Vec::with_capacity(packing.bound());
+    packing.write(&mut buf);
     Bytes::from(buf)
 }
 
 /// [`serialize`], appended to `buf` (which grows as needed): the entry
 /// point for a container that embeds payloads, such as a checkpoint.
 pub fn serialize_into(ms: &MsComplex, buf: &mut Vec<u8>) {
-    assert!(
-        ms.nodes.iter().all(|n| n.alive) && ms.arcs.iter().all(|a| a.alive),
-        "serialize requires a compacted complex"
-    );
-    let ms = &*ms.unshared();
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(ms.refined.rx);
-    buf.put_u64_le(ms.refined.ry);
-    buf.put_u64_le(ms.refined.rz);
-    buf.put_u32_le(ms.member_blocks.len() as u32);
-    for &b in &ms.member_blocks {
-        buf.put_u32_le(b);
-    }
-    buf.put_u32_le(ms.nodes.len() as u32);
-    for n in &ms.nodes {
-        buf.put_u64_le(n.addr);
-        buf.put_f32_le(n.value);
-        buf.put_u8(n.index);
-        buf.put_u8(n.boundary as u8);
-    }
-    // geometry DAG: records in creation order, children precede parents
-    buf.put_u32_le(ms.geoms.len() as u32);
-    buf.put_u32_le(ms.steps.len() as u32);
-    let mut prev_start = 0u64;
-    for (i, g) in ms.geoms.iter().enumerate() {
-        match *g {
-            GeomRec::Leaf { offset, bytes, len } => {
-                buf.push(TAG_LEAF);
-                put_varint(buf, u64::from(len));
-                if len > 0 {
-                    let (start, codes) = leaf_parts(&ms.steps, offset, bytes);
-                    put_varint(buf, zigzag(start.wrapping_sub(prev_start) as i64));
-                    prev_start = start;
-                    buf.extend_from_slice(codes);
-                }
-            }
-            GeomRec::Cancel { first, mid, last } => {
-                buf.push(TAG_CANCEL);
-                for child in [first, mid, last] {
-                    put_varint(buf, (i - 1 - child as usize) as u64);
-                }
-            }
-        }
-    }
-    buf.put_u32_le(ms.arcs.len() as u32);
-    for d in arc_deltas(ms) {
-        for v in d {
-            put_varint(buf, v);
-        }
-    }
-}
-
-/// Exact serialized size of a compacted complex, in one pass (used for
-/// preallocation and as the message size in the communication-cost
-/// model).
-pub fn estimate_size(ms: &MsComplex) -> usize {
-    let ms = &*ms.unshared();
-    let mut size = FIXED_BYTES + 4 * ms.member_blocks.len() + NODE_BYTES * ms.nodes.len();
-    let mut prev_start = 0u64;
-    for (i, g) in ms.geoms.iter().enumerate() {
-        size += 1 + match *g {
-            GeomRec::Leaf { offset, bytes, len } if len > 0 => {
-                let (start, codes) = leaf_parts(&ms.steps, offset, bytes);
-                let delta = zigzag(start.wrapping_sub(prev_start) as i64);
-                prev_start = start;
-                varint_len(u64::from(len)) + varint_len(delta) + codes.len()
-            }
-            GeomRec::Leaf { .. } => 1,
-            GeomRec::Cancel { first, mid, last } => [first, mid, last]
-                .iter()
-                .map(|&c| varint_len((i - 1 - c as usize) as u64))
-                .sum(),
-        };
-    }
-    size + arc_deltas(ms).flatten().map(varint_len).sum::<usize>()
+    Packing::of(ms).write(buf);
 }
 
 /// Errors from [`deserialize`].
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// Not an MSC payload at all.
     BadMagic,
@@ -244,8 +336,45 @@ fn read_zigzag(r: &mut Reader<'_>) -> Result<i64, WireError> {
     varint(r).map(unzigzag)
 }
 
-/// Deserialize a complex serialized with [`serialize`].
-pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
+/// A geometry record of a [`Payload`], checked but not copied.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum WireGeom<'a> {
+    /// A leaf of `len` cells from `start` along the step codes `codes`
+    /// (escapes whole); `start` is 0 and `codes` empty when `len` is 0.
+    Leaf {
+        start: u64,
+        codes: &'a [u8],
+        len: u32,
+    },
+    Cancel {
+        first: GeomId,
+        mid: GeomId,
+        last: GeomId,
+    },
+}
+
+/// Where [`parse`] puts an MSC3 payload's records as it checks them:
+/// straight into a complex ([`deserialize`]) or into a [`Payload`] view
+/// (the glue). The checks are the parser's, whichever the sink.
+trait Records<'a> {
+    /// The header and the node records ([`NODE_BYTES`] each, every index
+    /// ≤ 3), before any geometry.
+    fn nodes(
+        &mut self,
+        refined: RefinedDims,
+        members: Vec<u32>,
+        nodes: &'a [u8],
+    ) -> Result<(), WireError>;
+    /// Room for `n_geoms` more records decoding to `n_steps` leaf bytes,
+    /// or for `n_arcs` more arcs (counts checked against the bytes left).
+    fn reserve(&mut self, n_geoms: usize, n_steps: usize, n_arcs: usize);
+    fn geom(&mut self, g: WireGeom<'a>);
+    /// An arc's `[upper, lower, geom]`, in range and one index apart.
+    fn arc(&mut self, arc: [u32; 3]);
+}
+
+/// Check an MSC3 payload, handing each record to `out` in order.
+fn parse<'a>(data: &'a [u8], out: &mut impl Records<'a>) -> Result<(), WireError> {
     match data.get(..4) {
         Some(m) if m == MAGIC => {}
         Some(m) if m == MAGIC_V2 => return Err(WireError::OlderFormat),
@@ -263,20 +392,14 @@ pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
         .chunks_exact(4)
         .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
         .collect();
-    let mut ms = MsComplex::new(refined, members);
 
     let n_nodes = r.count(NODE_BYTES)?;
-    ms.reserve(n_nodes, 0, 0, 0);
-    for rec in r.take(NODE_BYTES * n_nodes)?.chunks_exact(NODE_BYTES) {
-        let addr = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-        let value = f32::from_le_bytes(rec[8..12].try_into().expect("4 bytes"));
-        let (index, boundary) = (rec[12], rec[13] != 0);
-        if index > 3 {
-            return Err(WireError::Corrupt("node index > 3"));
-        }
-        ms.try_add_node(addr, index, value, boundary)
-            .ok_or(WireError::Corrupt("duplicate node address"))?;
+    let nodes = r.take(NODE_BYTES * n_nodes)?;
+    let index = |n: usize| nodes[NODE_BYTES * n + 12];
+    if (0..n_nodes).any(|n| index(n) > 3) {
+        return Err(WireError::Corrupt("node index > 3"));
     }
+    out.nodes(refined, members, nodes)?;
 
     // every record is at least a tag and a varint
     let n_geoms = r.count(2)?;
@@ -286,27 +409,34 @@ pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
     if n_steps > r.rest().len().saturating_mul(3) {
         return Err(WireError::Truncated);
     }
-    ms.reserve(0, n_geoms, n_steps, 0);
-    let mut prev_start = 0u64;
+    out.reserve(n_geoms, n_steps, 0);
+    let (mut prev_start, mut steps) = (0u64, 0usize);
+    // the cells each record decodes to: no record may decode to more
+    // cells than the leaf bytes hold (a cell takes at least one), so
+    // cancel records naming one child many times cannot make a short
+    // payload decode to exponentially many cells
+    let mut cells: Vec<u32> = Vec::with_capacity(n_geoms);
     for i in 0..n_geoms {
-        match r.u8()? {
+        let rec = match r.u8()? {
             TAG_LEAF => {
                 let len = varint(&mut r)?;
-                let offset = ms.steps.len();
+                let (mut start, mut codes) = (0, &[][..]);
                 if len > 0 {
                     // every cell after the first costs at least a byte
                     if len - 1 > r.rest().len() as u64 || len > u64::from(u32::MAX) {
                         return Err(WireError::Truncated);
                     }
-                    let start = prev_start.wrapping_add(read_zigzag(&mut r)? as u64);
+                    start = prev_start.wrapping_add(read_zigzag(&mut r)? as u64);
                     prev_start = start;
-                    ms.steps.extend_from_slice(&start.to_le_bytes());
-                    read_steps(&mut r, len as usize - 1, &mut ms.steps)?;
-                    if ms.steps.len() > n_steps {
+                    codes = step_codes(&mut r, len as usize - 1)?;
+                    steps += 8 + codes.len();
+                    if steps > n_steps {
                         return Err(WireError::Corrupt("leaf bytes exceed the declared total"));
                     }
                 }
-                ms.seal_leaf(offset, len as usize);
+                let len = len as u32;
+                cells.push(len);
+                WireGeom::Leaf { start, codes, len }
             }
             TAG_CANCEL => {
                 let mut child = || -> Result<u32, WireError> {
@@ -317,13 +447,24 @@ pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
                     }
                     Ok((i as u64 - 1 - back) as u32)
                 };
-                let (f, m, l) = (child()?, child()?, child()?);
-                ms.add_cancel_geom(f, m, l);
+                let (first, mid, last) = (child()?, child()?, child()?);
+                let len: u64 = [first, mid, last]
+                    .map(|c| u64::from(cells[c as usize]))
+                    .iter()
+                    .sum();
+                if len > n_steps as u64 {
+                    return Err(WireError::Corrupt(
+                        "geometry record decodes to more cells than the leaf bytes hold",
+                    ));
+                }
+                cells.push(len as u32);
+                WireGeom::Cancel { first, mid, last }
             }
             _ => return Err(WireError::Corrupt("unknown geometry record kind")),
-        }
+        };
+        out.geom(rec);
     }
-    if ms.steps.len() != n_steps {
+    if steps != n_steps {
         return Err(WireError::Corrupt(
             "leaf bytes fall short of the declared total",
         ));
@@ -331,7 +472,7 @@ pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
 
     // every arc is at least three one-byte varints
     let n_arcs = r.count(3)?;
-    ms.reserve(0, 0, 0, n_arcs);
+    out.reserve(0, 0, n_arcs);
     let mut prev = [0i64; 3];
     for _ in 0..n_arcs {
         let mut next = |k: usize, bound: usize| -> Result<u32, WireError> {
@@ -342,45 +483,261 @@ pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
             prev[k] = v;
             Ok(v as u32)
         };
-        let (upper, lower, geom) = (next(0, n_nodes)?, next(1, n_nodes)?, next(2, n_geoms)?);
-        if ms.nodes[upper as usize].index != ms.nodes[lower as usize].index + 1 {
+        let arc = [next(0, n_nodes)?, next(1, n_nodes)?, next(2, n_geoms)?];
+        if index(arc[0] as usize) != index(arc[1] as usize) + 1 {
             return Err(WireError::Corrupt(
                 "arc endpoints do not differ by one in index",
             ));
         }
-        ms.add_arc(upper, lower, geom);
+        out.arc(arc);
     }
     if !r.is_empty() {
         return Err(WireError::TrailingBytes);
     }
+    Ok(())
+}
+
+/// A complex decodes straight into itself: the one pass of
+/// [`deserialize`].
+impl<'a> Records<'a> for MsComplex {
+    fn nodes(
+        &mut self,
+        refined: RefinedDims,
+        members: Vec<u32>,
+        nodes: &'a [u8],
+    ) -> Result<(), WireError> {
+        *self = MsComplex::new(refined, members);
+        MsComplex::reserve(self, nodes.len() / NODE_BYTES, 0, 0, 0);
+        for n in node_records(nodes) {
+            if self.node_at_or_add(n.addr, n.index, n.value, n.boundary).1 {
+                return Err(WireError::Corrupt("duplicate node address"));
+            }
+        }
+        Ok(())
+    }
+
+    fn reserve(&mut self, n_geoms: usize, n_steps: usize, n_arcs: usize) {
+        MsComplex::reserve(self, 0, n_geoms, n_steps, n_arcs);
+    }
+
+    /// Records keep their ids: children precede parents already.
+    fn geom(&mut self, g: WireGeom<'a>) {
+        match g {
+            WireGeom::Leaf { start, codes, len } => copy_leaf(self, start, codes, len),
+            WireGeom::Cancel { first, mid, last } => self.add_cancel_geom(first, mid, last),
+        };
+    }
+
+    fn arc(&mut self, [upper, lower, geom]: [u32; 3]) {
+        self.add_arc(upper, lower, geom);
+    }
+}
+
+/// The records of a payload's node section, each alive.
+fn node_records(nodes: &[u8]) -> impl Iterator<Item = Node> + '_ {
+    nodes.chunks_exact(NODE_BYTES).map(|rec| Node {
+        addr: u64::from_le_bytes(rec[..8].try_into().expect("8 bytes")),
+        value: f32::from_le_bytes(rec[8..12].try_into().expect("4 bytes")),
+        index: rec[12],
+        boundary: rec[13] != 0,
+        alive: true,
+        cancel_persistence: f32::INFINITY,
+    })
+}
+
+/// An MSC3 payload with every structural check [`deserialize`] makes
+/// done and nothing copied: the node records stay in the payload, each
+/// geometry record is a [`WireGeom`] pointing into it, and the arcs are
+/// decoded ids. [`glue_from_wire`](crate::glue::glue_from_wire) reads
+/// through it. Whether two nodes share an address is left to the glue,
+/// which has the root's index to tell.
+#[derive(Default)]
+pub(crate) struct Payload<'a> {
+    refined: RefinedDims,
+    members: Vec<u32>,
+    /// The node records, [`NODE_BYTES`] each, every index ≤ 3.
+    nodes: &'a [u8],
+    geoms: Vec<WireGeom<'a>>,
+    /// Each arc's `[upper, lower, geom]`, in range and one index apart.
+    arcs: Vec<[u32; 3]>,
+}
+
+impl<'a> Records<'a> for Payload<'a> {
+    fn nodes(
+        &mut self,
+        refined: RefinedDims,
+        members: Vec<u32>,
+        nodes: &'a [u8],
+    ) -> Result<(), WireError> {
+        (self.refined, self.members, self.nodes) = (refined, members, nodes);
+        Ok(())
+    }
+
+    fn reserve(&mut self, n_geoms: usize, _: usize, n_arcs: usize) {
+        self.geoms.reserve(n_geoms);
+        self.arcs.reserve(n_arcs);
+    }
+
+    fn geom(&mut self, g: WireGeom<'a>) {
+        self.geoms.push(g);
+    }
+
+    fn arc(&mut self, arc: [u32; 3]) {
+        self.arcs.push(arc);
+    }
+}
+
+impl<'a> Payload<'a> {
+    pub(crate) fn parse(data: &'a [u8]) -> Result<Payload<'a>, WireError> {
+        let mut p = Payload::default();
+        parse(data, &mut p)?;
+        Ok(p)
+    }
+}
+
+/// A payload glues from its bytes: its records are read in place, and
+/// copied into the root straight from the payload.
+impl Incoming for Payload<'_> {
+    type Copy = GeomCopy;
+
+    fn refined(&self) -> RefinedDims {
+        self.refined
+    }
+
+    fn member_blocks(&self) -> &[u32] {
+        &self.members
+    }
+
+    fn nodes(&self) -> impl Iterator<Item = Node> {
+        node_records(self.nodes)
+    }
+
+    fn arcs(&self) -> impl Iterator<Item = [u32; 3]> {
+        self.arcs.iter().copied()
+    }
+
+    fn geom_all(&self, g: GeomId, pred: &mut impl FnMut(u64) -> bool) -> bool {
+        let mut stack = Vec::new();
+        let mut next = Some(g);
+        while let Some(g) = next.take().or_else(|| stack.pop()) {
+            match self.geoms[g as usize] {
+                WireGeom::Leaf { start, codes, len } => {
+                    let start = (len > 0).then_some(start);
+                    if !path_cells(&self.refined, start, codes).all(&mut *pred) {
+                        return false;
+                    }
+                }
+                WireGeom::Cancel { first, mid, last } => stack.extend([last, mid, first]),
+            }
+        }
+        true
+    }
+
+    /// Each record lands exactly where copying it from the decoded
+    /// complex puts it.
+    fn copy_geom_into(&self, g: GeomId, out: &mut MsComplex, cp: &mut GeomCopy) -> GeomId {
+        let children = |g: GeomId| match self.geoms[g as usize] {
+            WireGeom::Cancel { first, mid, last } => Some([first, mid, last]),
+            WireGeom::Leaf { .. } => None,
+        };
+        cp.walk(g, self.geoms.len(), children, |g, map| {
+            match self.geoms[g as usize] {
+                WireGeom::Cancel { first, mid, last } => {
+                    let [f, m, l] = [first, mid, last].map(|c| map[c as usize]);
+                    out.add_cancel_geom(f, m, l)
+                }
+                WireGeom::Leaf { start, codes, len } => copy_leaf(out, start, codes, len),
+            }
+        })
+    }
+}
+
+/// A walk over a geometry DAG into one target (a packing, or a complex
+/// records are copied into), kept across the walks: the record id → new
+/// id table (`UNMAPPED` until reached) and the walk's stack.
+#[derive(Default)]
+pub(crate) struct GeomCopy {
+    map: Vec<GeomId>,
+    stack: Vec<(GeomId, bool)>,
+}
+
+impl GeomCopy {
+    /// Give record `g` and every record under it not reached yet a new
+    /// id, each record after its children and the children in `first,
+    /// mid, last` order: the order of [`MsComplex::copy_geom_into`], on
+    /// an explicit stack. `n_ids` is the number of record ids,
+    /// `children(r)` a cancel record's children, and `assign(r, map)`
+    /// makes record `r`'s new id, reading its children's from `map`.
+    fn walk(
+        &mut self,
+        g: GeomId,
+        n_ids: usize,
+        children: impl Fn(GeomId) -> Option<[GeomId; 3]>,
+        mut assign: impl FnMut(GeomId, &[GeomId]) -> GeomId,
+    ) -> GeomId {
+        if self.map.len() < n_ids {
+            self.map.resize(n_ids, UNMAPPED);
+        }
+        self.stack.push((g, false));
+        while let Some((r, expanded)) = self.stack.pop() {
+            if self.map[r as usize] != UNMAPPED {
+                continue;
+            }
+            match children(r) {
+                Some([first, mid, last]) if !expanded => {
+                    let next = [(r, true), (last, false), (mid, false), (first, false)];
+                    self.stack.extend(next);
+                }
+                _ => self.map[r as usize] = assign(r, &self.map),
+            }
+        }
+        self.map[g as usize]
+    }
+}
+
+/// Append a payload leaf to `out`'s leaf bytes as its start address and
+/// step codes.
+fn copy_leaf(out: &mut MsComplex, start: u64, codes: &[u8], len: u32) -> GeomId {
+    let at = out.steps.len();
+    if len > 0 {
+        out.steps.extend_from_slice(&start.to_le_bytes());
+        out.steps.extend_from_slice(codes);
+    }
+    out.seal_leaf(at, len as usize)
+}
+
+/// Deserialize a complex serialized with [`serialize`]: its compaction,
+/// with every node alive.
+pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
+    let mut ms = MsComplex::default();
+    parse(data, &mut ms)?;
     Ok(ms)
 }
 
-/// Append `n` step codes (and the addresses behind escapes) from `r` to
-/// `steps`, validating each code.
-fn read_steps(r: &mut Reader<'_>, n: usize, steps: &mut Vec<u8>) -> Result<(), WireError> {
-    if r.rest()
+/// The `n` step codes (and the addresses behind escapes) at the front
+/// of `r`, each code checked.
+fn step_codes<'a>(r: &mut Reader<'a>, n: usize) -> Result<&'a [u8], WireError> {
+    let rest = r.rest();
+    if rest
         .get(..n)
         .is_some_and(|codes| codes.iter().all(|&c| c < STEP_ESCAPE))
     {
-        steps.extend_from_slice(r.take(n)?);
-        return Ok(());
+        return Ok(r.take(n)?);
     }
     for _ in 0..n {
         match r.u8()? {
             STEP_ESCAPE => {
-                steps.push(STEP_ESCAPE);
-                steps.extend_from_slice(r.take(8)?);
+                r.take(8)?;
             }
-            c if c < STEP_ESCAPE => steps.push(c),
+            c if c < STEP_ESCAPE => {}
             c => return Err(WireError::BadStepCode(c)),
         }
     }
-    Ok(())
+    Ok(&rest[..rest.len() - r.rest().len()])
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::build::build_block_complex;
     use crate::glue::glue_all;
@@ -399,12 +756,20 @@ mod tests {
         ms
     }
 
-    /// Every block of `field` on `bisect(dims, n_blocks)`, simplified
-    /// locally at `t`, glued into one complex, re-simplified at `t` and
-    /// compacted. With `tidy` each block is compacted before the glue, as
-    /// the pipeline does; without it the glue and the re-simplification
-    /// see every tombstone of the local pass.
+    /// [`merged_loose`], compacted.
     fn merged(field: &ScalarField, n_blocks: u32, t: f32, tidy: bool) -> MsComplex {
+        let mut root = merged_loose(field, n_blocks, t, tidy);
+        root.compact();
+        root
+    }
+
+    /// Every block of `field` on `bisect(dims, n_blocks)`, simplified
+    /// locally at `t`, glued into one complex and re-simplified at `t`,
+    /// with the tombstones of the re-simplification. With `tidy` each
+    /// block is compacted before the glue, as the pipeline does; without
+    /// it the glue and the re-simplification see every tombstone of the
+    /// local pass.
+    fn merged_loose(field: &ScalarField, n_blocks: u32, t: f32, tidy: bool) -> MsComplex {
         let d = Decomposition::bisect(field.dims(), n_blocks);
         let mut cs: Vec<MsComplex> = d
             .blocks()
@@ -422,7 +787,6 @@ mod tests {
         let mut root = cs.remove(0);
         glue_all(&mut root, &cs, &d).unwrap();
         simplify(&mut root, SimplifyParams::up_to(t)).unwrap();
-        root.compact();
         root
     }
 
@@ -447,6 +811,22 @@ mod tests {
         let g = ms.add_cancel_geom(2, 3, 4);
         ms.add_arc(hi, lo, g);
         let g = ms.add_cancel_geom(5, 0, 1);
+        ms.add_arc(hi, lo, g);
+        ms
+    }
+
+    /// A complex over `refined` whose one arc is a two-cell leaf under
+    /// `levels` cancel records, each naming the record before it three
+    /// times: the arc decodes to 2 · 3^`levels` cells, from a payload
+    /// that grows by four bytes a level.
+    pub(crate) fn nested_cancels(refined: RefinedDims, levels: u32) -> MsComplex {
+        let mut ms = MsComplex::new(refined, vec![0]);
+        let lo = ms.add_node(0, 0, 0.0, false);
+        let hi = ms.add_node(1, 1, 1.0, false);
+        let mut g = ms.add_leaf_geom(&[1, 0]);
+        for _ in 0..levels {
+            g = ms.add_cancel_geom(g, g, g);
+        }
         ms.add_arc(hi, lo, g);
         ms
     }
@@ -533,19 +913,83 @@ mod tests {
         assert_eq!(got, want, "serialized now: {got:#018x?}");
     }
 
+    /// The complex with every tombstone and unreached record dropped.
+    fn compacted(ms: &MsComplex) -> MsComplex {
+        let mut packed = ms.clone();
+        packed.compact();
+        packed
+    }
+
     #[test]
-    fn estimate_is_exact() {
-        let noise = msp_synth::white_noise(Dims::cube(9), 4);
-        let glued = merged(&noise, 4, 0.2, true);
-        let cancels = glued
-            .geoms
-            .iter()
-            .filter(|g| matches!(g, GeomRec::Cancel { .. }))
-            .count();
-        assert!(cancels > 20, "glued complex holds {cancels} cancel records");
-        for ms in [sample(), glued, escapes()] {
-            assert_eq!(estimate_size(&ms), serialize(&ms).len());
+    fn a_loose_complex_serializes_as_its_compaction() {
+        let fields = [
+            msp_synth::white_noise(Dims::cube(17), 1),
+            msp_synth::plateau(Dims::cube(17), 1, 3),
+            msp_synth::sinusoid(33, 4),
+        ];
+        for (f, (name, want)) in fields.iter().zip(PINNED_MSC3) {
+            let (lo, hi) = f.min_max();
+            for tidy in [true, false] {
+                let loose = merged_loose(f, 8, 0.02 * (hi - lo), tidy);
+                assert!(
+                    loose.nodes.iter().any(|n| !n.alive),
+                    "{name}: no tombstones"
+                );
+                let bytes = serialize(&loose);
+                assert_eq!(bytes, serialize(&compacted(&loose)), "{name}");
+                assert_eq!(fnv1a64(&bytes), want, "{name}");
+                let mut into = vec![7];
+                serialize_into(&loose, &mut into);
+                assert_eq!(into[1..], bytes[..], "{name}");
+            }
         }
+
+        // escapes(), and escapes() with a dead node, dead arcs and a
+        // record only a dead arc reaches
+        let mut ms = escapes();
+        assert_eq!(serialize(&ms), serialize(&compacted(&ms)));
+        let (hi, lo) = (ms.arcs[0].upper, ms.arcs[0].lower);
+        let dead = ms.add_node(33, 0, 0.5, false);
+        let g = ms.add_leaf_geom(&[40, 41]);
+        let a = ms.add_arc(hi, dead, g);
+        ms.kill_arc(a);
+        ms.kill_node(dead, 0.5);
+        let g = ms.add_cancel_geom(6, 3, 1);
+        ms.add_arc(hi, lo, g);
+        for a in [0, 3, 6] {
+            ms.kill_arc(a);
+        }
+        let bytes = serialize(&ms);
+        assert_eq!(bytes, serialize(&compacted(&ms)));
+        let back = deserialize(&bytes).unwrap();
+        assert_eq!(back.nodes.len(), 2);
+        assert_eq!(back.arcs.len(), 5);
+        let live = ms.arcs.iter().filter(|a| a.alive);
+        for (a, b) in live.zip(&back.arcs) {
+            assert_eq!(ms.flatten_geom(a.geom), back.flatten_geom(b.geom));
+        }
+    }
+
+    #[test]
+    fn a_frozen_prefix_complex_serializes_as_its_compaction() {
+        // a materialization shares its base's records and owns only what
+        // its own cancellations add, with tombstones on both sides
+        let noise = msp_synth::white_noise(Dims::cube(9), 4);
+        let base = merged(&noise, 4, 0.05, true);
+        let mut frozen = base.clone();
+        frozen.freeze_geometry();
+        let mut view = frozen.clone();
+        let mut plain = base.clone();
+        for ms in [&mut view, &mut plain] {
+            simplify(ms, SimplifyParams::up_to(0.3)).unwrap();
+        }
+        assert!(view.shares_geometry_with(&frozen));
+        assert!(view.nodes.iter().any(|n| !n.alive), "no tombstones");
+        let bytes = serialize(&plain);
+        assert_eq!(serialize(&view), bytes);
+        assert_eq!(serialize(&compacted(&view)), bytes);
+        assert_eq!(serialize(&view.unshared()), bytes);
+        assert_eq!(serialize(&frozen), serialize(&base));
     }
 
     #[test]
@@ -659,5 +1103,16 @@ mod tests {
                 let _ = deserialize(&b);
             }
         }
+        // one level decodes to 6 cells of the leaf's 9 bytes; at 16
+        // levels a payload of under 160 bytes would decode to 86,093,442
+        let refined = Dims::cube(4).refined();
+        let one = deserialize(&serialize(&nested_cancels(refined, 1))).unwrap();
+        assert_eq!(one.geom_len(one.arcs[0].geom), 6);
+        let bytes = serialize(&nested_cancels(refined, 16));
+        assert!(bytes.len() < 160, "{} bytes", bytes.len());
+        assert_eq!(
+            deserialize(&bytes).unwrap_err(),
+            WireError::Corrupt("geometry record decodes to more cells than the leaf bytes hold")
+        );
     }
 }

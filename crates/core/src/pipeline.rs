@@ -1,7 +1,7 @@
 //! The **threaded backend**: a genuinely parallel run of the stage list
 //! (`stages.rs`) with one OS thread per rank and real message passing.
 //!
-//! Each rank's [`Machine`] hosts exactly that rank: steps run inline on
+//! Each rank's `Machine` hosts exactly that rank: steps run inline on
 //! its thread with the `--threads` budget inside, messages go through
 //! its `vmpi::Rank`, and phases are recorded once, as spans on the
 //! rank's [`Recorder`]; a traced run adds the message stamps of a
@@ -188,7 +188,7 @@ pub struct PipelineParams {
     /// of the block neighbor graph. Outputs are a pure function of
     /// `(decomposition, plan, threshold)` in every mode.
     pub decomp: DecompMode,
-    /// Valence guard forwarded to [`SimplifyParams`].
+    /// Valence guard forwarded to [`msp_complex::SimplifyParams`].
     pub max_new_arcs: Option<u64>,
     /// Fault injection + recovery configuration (inactive by default).
     pub fault: FaultConfig,
@@ -270,7 +270,16 @@ pub struct RunResult {
     /// Aggregated telemetry: per-rank phase timings and counters plus
     /// cross-rank min/mean/max/imbalance statistics (gathered at rank 0).
     pub telemetry: RunReport,
-    /// Output-slot complexes in ascending slot order.
+    /// Output-slot complexes in ascending slot order, as the run left
+    /// them: a merged output keeps the tombstones (dead nodes and arcs)
+    /// of its re-simplifications, which its file payload, the bytes of
+    /// its compaction (`wire::serialize`), drops; its cancellation log is
+    /// empty, as a compacted one's is. Live-record readers (`n_live_*`,
+    /// `node_census`, the `query` filters, the oracle checks) answer as
+    /// on the compaction; compact a copy before a reader that counts dead
+    /// records (`query::top_k_features`, `query::nodes_surviving` below
+    /// the run's threshold, raw `nodes` indexing). With
+    /// [`PipelineParams::hierarchy`] every output is compacted already.
     pub outputs: Vec<MsComplex>,
     /// Footer of the output file, when one was written.
     pub footer: Option<Vec<FooterEntry>>,
@@ -1063,12 +1072,14 @@ mod tests {
         let footer = r.footer.expect("footer present");
         assert_eq!(footer.len(), 2);
         assert_eq!(r.output_bytes, footer.iter().map(|e| e.len).sum());
-        // reload both blocks and compare with in-memory outputs
+        // reload both blocks and compare with in-memory outputs, which
+        // keep the tombstones the file's compaction drops
         for (entry, ms) in footer.iter().zip(&r.outputs) {
             let payload = msp_vmpi::fileio::read_block_payload(&path, entry).unwrap();
             let loaded = wire::deserialize(&payload).unwrap();
-            assert_eq!(loaded.nodes.len(), ms.nodes.len());
+            assert_eq!(loaded.nodes.len() as u64, ms.n_live_nodes());
             assert_eq!(loaded.member_blocks, ms.member_blocks);
+            assert_eq!(payload, wire::serialize(ms).to_vec());
         }
         // the labeled volume rides along in `<out>.seg`: one block per
         // original block, each payload round-tripping to the in-memory

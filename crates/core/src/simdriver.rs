@@ -119,8 +119,11 @@ pub struct RoundReport {
     pub radix: u32,
     /// Modeled communication time (max over groups).
     pub comm_s: f64,
-    /// Measured glue + re-simplify time (max over groups).
+    /// Measured glue time, remote members' payload decoding included
+    /// (max over ranks).
     pub glue_s: f64,
+    /// Measured re-simplification time after the glue (max over ranks).
+    pub resimplify_s: f64,
     /// Critical-path advance of this round.
     pub round_s: f64,
     /// Total serialized bytes moved in this round.
@@ -212,6 +215,7 @@ impl SimReport {
                                 ("radix", Json::U64(r.radix as u64)),
                                 ("comm_s", Json::F64(r.comm_s)),
                                 ("glue_s", Json::F64(r.glue_s)),
+                                ("resimplify_s", Json::F64(r.resimplify_s)),
                                 ("round_s", Json::F64(r.round_s)),
                                 ("bytes_moved", Json::U64(r.bytes_moved)),
                             ])
@@ -537,7 +541,16 @@ pub(crate) struct Sim<'a> {
     before_write: f64,
     rounds: Vec<RoundReport>,
     /// Max clock, then per rank (comm, glue, shipped bytes), at round entry.
-    round_entry: (f64, Vec<(f64, f64, u64)>),
+    round_entry: (f64, Vec<RoundState>),
+}
+
+/// A virtual rank's running totals a round report is the difference of.
+#[derive(Default)]
+struct RoundState {
+    comm_s: f64,
+    glue_s: f64,
+    resimplify_s: f64,
+    ship_bytes: u64,
 }
 
 impl<'a> Sim<'a> {
@@ -567,9 +580,13 @@ impl<'a> Sim<'a> {
         self.ranks.iter_mut().for_each(|v| v.clock = t);
     }
 
-    fn round_state(v: &VRank) -> (f64, f64, u64) {
-        let glue = v.rec.phase_seconds(Phase::Glue) + v.rec.phase_seconds(Phase::Resimplify);
-        (v.comm_s, glue, v.rec.counter(Counter::ShipBytes))
+    fn round_state(v: &VRank) -> RoundState {
+        RoundState {
+            comm_s: v.comm_s,
+            glue_s: v.rec.phase_seconds(Phase::Glue),
+            resimplify_s: v.rec.phase_seconds(Phase::Resimplify),
+            ship_bytes: v.rec.counter(Counter::ShipBytes),
+        }
     }
 }
 
@@ -623,20 +640,22 @@ impl<'a> Machine for Sim<'a> {
         }
         if let Phase::MergeRound(_) = phase {
             let (before, entry) = &self.round_entry;
-            let (mut comm_s, mut glue_s, mut bytes_moved) = (0.0f64, 0.0f64, 0);
-            for (v, (comm, glue, ship)) in self.ranks.iter().zip(entry) {
-                let (c, g, s) = Sim::round_state(v);
-                comm_s = comm_s.max(c - comm);
-                glue_s = glue_s.max(g - glue);
-                bytes_moved += s - ship;
-            }
-            self.rounds.push(RoundReport {
+            let mut round = RoundReport {
                 radix: 0,
-                comm_s,
-                glue_s,
+                comm_s: 0.0,
+                glue_s: 0.0,
+                resimplify_s: 0.0,
                 round_s: self.clock() - before,
-                bytes_moved,
-            });
+                bytes_moved: 0,
+            };
+            for (v, at) in self.ranks.iter().zip(entry) {
+                let now = Sim::round_state(v);
+                round.comm_s = round.comm_s.max(now.comm_s - at.comm_s);
+                round.glue_s = round.glue_s.max(now.glue_s - at.glue_s);
+                round.resimplify_s = round.resimplify_s.max(now.resimplify_s - at.resimplify_s);
+                round.bytes_moved += now.ship_bytes - at.ship_bytes;
+            }
+            self.rounds.push(round);
         }
     }
 

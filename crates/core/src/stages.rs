@@ -24,17 +24,19 @@
 //! ## Merging (DESIGN.md §4)
 //!
 //! A member slot moves to its root at most once per round. When the root
-//! lives on another rank the member is compacted, serialized and sent;
-//! when it lives on the member's own rank the live complex is handed
-//! over (`RankState::handoff`), tombstones and all: nothing is
-//! serialized, sent or decoded, and the ship counters do not count it. A
-//! complex is compacted after its block's local simplification and after
-//! that only when it leaves its rank — a remote ship, a checkpoint cut,
-//! hierarchy recording, the write — so a root keeps the tombstones of its
-//! re-simplifications from round to round. Compaction keeps every live
-//! node, arc and incidence list in relative order, which is all that
-//! gluing, the `(key, ArcId)` cancellation order and serialization see,
-//! so the bytes are those of compacting after every pass.
+//! lives on another rank the member is serialized and sent, and the root
+//! glues it straight from those bytes (`glue_from_wire`): the incoming
+//! complex is never built. When the root lives on the member's own rank
+//! the live complex is handed over (`RankState::handoff`), tombstones and
+//! all: nothing is serialized, sent or decoded, and the ship counters do
+//! not count it. A complex is compacted after its block's local
+//! simplification and after that only for hierarchy recording, whose logs
+//! name compacted node ids: a ship, a checkpoint cut and the write
+//! serialize a root with the tombstones of its re-simplifications, as the
+//! bytes of its compaction. Compaction keeps every live node, arc and
+//! incidence list in relative order, which is all that gluing, the
+//! `(key, ArcId)` cancellation order and serialization see, so the bytes
+//! are those of compacting after every pass.
 //!
 //! ## Fault tolerance (DESIGN.md §9)
 //!
@@ -42,15 +44,16 @@
 //! *k* are matched before anyone enters round *k + 1*. With a
 //! [`FaultConfig`](crate::FaultConfig) active, each rank saves a
 //! checkpoint of its living complexes at every cut (and once more
-//! before the write). The slots are compacted and serialized once, at
-//! the cut: the same bytes go into the checkpoint, out with the round's
-//! ship to another rank and, at the pre-write cut, into the output file;
-//! a member handed to a root on its own rank drops them. An injected
-//! crash destroys a rank's state at the cut; the rank restarts from its
-//! own checkpoint, while the roots expecting its members — its own roots
-//! included, since a crashed rank hands nothing over — detect the
-//! failure by receive deadline and replay the lost round from the dead
-//! rank's checkpoint — bit-identical to the fault-free run. Without a
+//! before the write), each cut one `checkpoint` span. The slots are
+//! serialized once, at the cut: the same bytes go into the checkpoint,
+//! out with the round's ship to another rank and, at the pre-write cut,
+//! into the output file; a member handed to a root on its own rank drops
+//! them. An injected crash destroys a rank's state at the cut; the rank
+//! restarts from its own checkpoint, while the roots expecting its
+//! members — its own roots included, since a crashed rank hands nothing
+//! over — detect the failure by receive deadline and glue the lost
+//! member from its slot's bytes in the dead rank's checkpoint —
+//! bit-identical to the fault-free run. Without a
 //! checkpoint the run degrades instead of dying: the root absorbs the
 //! orphaned block and the loss is counted (`blocks_absorbed`).
 
@@ -58,9 +61,10 @@ use crate::pipeline::{
     comm_err, io_err, msh_output_path, seg_output_path, PipelineError, PipelineParams,
 };
 use bytes::Bytes;
-use msp_complex::glue::glue_all;
+use msp_complex::glue::{glue, glue_from_wire};
 use msp_complex::{
-    complex_from_gradient_mt, simplify_forwarding, wire, CancelOrder, MsComplex, SimplifyParams,
+    complex_from_gradient_mt, simplify_forwarding, wire, CancelOrder, GlueError, MsComplex,
+    SimplifyParams,
 };
 use msp_fault::{encode_slots, CheckpointStore, CheckpointView};
 use msp_grid::par::{par_map, par_map_mut};
@@ -79,7 +83,7 @@ use msp_telemetry::{Counter, Phase};
 use msp_vmpi::comm::CommError;
 use msp_vmpi::fileio::FooterEntry;
 use msp_vmpi::pairmsg::{decode_pairs, decode_u64s, encode_pairs, encode_u64s, MsgError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::time::Duration;
 
@@ -278,9 +282,6 @@ struct RankState {
     /// This round's members whose root is on this rank: the live
     /// complexes `glue_groups` takes in place of a message.
     handoff: HashMap<u32, MsComplex>,
-    /// Slots holding the tombstones of a re-simplification, compacted
-    /// when they leave the rank.
-    loose: HashSet<u32>,
     /// Block segmentations stay on the rank that computed them.
     segs: HashMap<u32, BlockSegmentation>,
     /// Forward entries of cancelled extrema awaiting their routed flush.
@@ -292,17 +293,6 @@ struct RankState {
     hier: Vec<(u32, SlotHierarchy)>,
     /// Globally summed region sizes (count ordering).
     sizes: Option<HashMap<u64, u64>>,
-}
-
-impl RankState {
-    /// Compact every slot a re-simplification left tombstones in.
-    fn tidy(&mut self) {
-        for b in self.loose.drain() {
-            if let Some(ms) = self.complexes.get_mut(&b) {
-                ms.compact();
-            }
-        }
-    }
 }
 
 /// The hosted ranks' results, in ascending slot and block order.
@@ -511,16 +501,16 @@ impl<M: Machine> Run<'_, M> {
     }
 
     /// Snapshot every living complex into the checkpoint store at merge
-    /// cursor `cursor` (when checkpointing is on), compacting and
-    /// serializing each slot once: its bytes stay in `cut` for the remote
-    /// ship or write that follows.
+    /// cursor `cursor` (when checkpointing is on), serializing each slot
+    /// once, tombstones and all: its bytes stay in `cut` for the remote
+    /// ship or write that follows. One `checkpoint` span per cut.
     fn checkpoint(&mut self, cursor: u32) {
         let (job, threshold) = (self.job, self.sp.threshold);
         if !job.params.fault.checkpoint {
             return;
         }
+        self.m.begin(Phase::Checkpoint);
         let bytes = self.m.each(&mut self.st, |node, s| {
-            s.tidy();
             let mut blocks: Vec<u32> = s.complexes.keys().copied().collect();
             blocks.sort_unstable();
             let slots = blocks.iter().map(|b| (*b, &s.complexes[b]));
@@ -532,6 +522,7 @@ impl<M: Machine> Run<'_, M> {
             n
         });
         self.m.io(Io::Checkpoint, &bytes);
+        self.m.end(Phase::Checkpoint);
     }
 
     /// One more consistent cut after the last merge round protects the
@@ -771,14 +762,16 @@ impl<M: Machine> Run<'_, M> {
             max_parallel_arcs: Some(2),
         };
         all(self.m.each(&mut self.st, |node, s| {
-            // recorded from the complex the write stores
-            s.tidy();
             for slot in job.outputs_of(s.p) {
                 // a slot lost to an unrecoverable crash has no
                 // hierarchy; the write stage accounts the loss
-                let Some(ms) = s.complexes.get(&slot) else {
+                let Some(ms) = s.complexes.get_mut(&slot) else {
                     continue;
                 };
+                // the logs name the node ids of the complex the write
+                // stores, which is the compaction
+                ms.compact();
+                let ms = &*ms;
                 // `record`, one span per ordering
                 let err = |source| PipelineError::Simplify {
                     context: format!("recording hierarchy for slot {slot}"),
@@ -820,15 +813,17 @@ impl<M: Machine> Run<'_, M> {
         let fault_active = job.params.fault.active();
         // Each output is serialized once, path or no path (the lengths
         // are the run's `output_bytes`), or not at all after a pre-write
-        // cut, whose bytes it still has.
+        // cut, whose bytes it still has. The complex itself is handed
+        // back with its tombstones; only its cancellation log goes, as
+        // the file keeps none (§IV-F1).
         let outputs = all(self.m.each(&mut self.st, |node, s| {
-            s.tidy();
             let (mut outs, mut blocks) = (Vec::new(), Vec::new());
             for slot in job.outputs_of(s.p) {
                 match s.complexes.remove(&slot) {
-                    Some(c) => {
+                    Some(mut c) => {
                         let bytes = s.cut.remove(&slot);
                         blocks.push((slot, bytes.unwrap_or_else(|| wire::serialize(&c))));
+                        c.hierarchy = Vec::new();
                         outs.push((slot, c));
                     }
                     // Degraded: the slot died with a rank that had no
@@ -1015,8 +1010,8 @@ fn simplify(
 }
 
 /// The send half of round `r`. A member whose root is on another rank
-/// ships as the bytes of the cut when there was one, else compacted and
-/// serialized; one whose root is on this rank is handed over live. An
+/// ships as the bytes of the cut when there was one, else serialized with
+/// its tombstones; one whose root is on this rank is handed over live. An
 /// injected crash destroys the rank's state at the cut: it ships and
 /// hands over nothing, and restores from its own checkpoint all but the
 /// slots whose custody passed to their roots.
@@ -1043,14 +1038,10 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
                 slot: mb,
                 context: "merge send",
             };
-            let mut ms = s.complexes.remove(&mb).ok_or(missing)?;
-            let loose = s.loose.remove(&mb);
+            let ms = s.complexes.remove(&mb).ok_or(missing)?;
             if to == s.p {
                 s.handoff.insert(mb, ms);
                 continue;
-            }
-            if loose {
-                ms.compact();
             }
             node.add(Counter::NodesShipped, ms.n_live_nodes());
             node.add(Counter::ArcsShipped, ms.n_live_arcs());
@@ -1090,13 +1081,22 @@ fn restore<N: Node>(node: &mut N, job: &Job, s: &mut RankState, cursor: u32, ski
     Ok(())
 }
 
+/// A member on its way into its root's glue.
+enum Member {
+    /// Handed over live by a slot on the root's own rank.
+    Live(Box<MsComplex>),
+    /// The MSC3 bytes of a ship, or of the sender's checkpoint slot,
+    /// glued without decoding them into a complex first.
+    Wire(Bytes),
+}
+
 /// The receive half of round `r`: every root slot this rank owns takes
 /// its members one at a time, in schedule order — from the handoff when
-/// the member lives on this rank, else by message — then glues and
-/// re-simplifies, keeping the root's tombstones until it leaves the
-/// rank. A member that misses the deadline (a handoff lost to a crash
-/// included) is replayed from its checkpoint here, on the recovering
-/// root.
+/// the member lives on this rank, else by message — then glues them in
+/// that order (a message straight from its bytes) and re-simplifies,
+/// keeping the root's tombstones. A member that misses the deadline (a
+/// handoff lost to a crash included) is replayed from its checkpoint
+/// slot's bytes here, on the recovering root.
 fn glue_groups<N: Node>(
     node: &mut N,
     job: &Job,
@@ -1118,38 +1118,35 @@ fn glue_groups<N: Node>(
         let mut incoming = Vec::with_capacity(members.len() - 1);
         for &mb in &members[1..] {
             if let Some(ms) = s.handoff.remove(&mb) {
-                incoming.push(ms);
+                incoming.push((mb, Member::Live(Box::new(ms))));
                 continue;
             }
             let owner = job.assign.rank_of(mb);
             let deadline = fault.active().then_some(fault.deadline);
             match node.recv(owner, (r as u32) << 20 | mb, deadline) {
-                Ok(payload) => incoming.push(wire::deserialize(&payload).map_err(|source| {
-                    let context = format!("merge payload for slot {mb} in round {r}");
-                    PipelineError::Wire { context, source }
-                })?),
+                Ok(payload) => incoming.push((mb, Member::Wire(payload))),
                 Err(CommError::Timeout { waited, .. }) => {
                     node.add(Counter::Retries, 1);
-                    // only the lost slot is decoded, and its payload is
+                    // only the lost slot's bytes are taken, and they are
                     // what the re-ship costs
-                    let (ms, took) = node.recover(owner, || {
+                    let (payload, took) = node.recover(owner, || {
                         let Some(encoded) = job.store.load(owner, r as u32) else {
                             return (Ok(None), 0);
                         };
                         let view = CheckpointView::parse(&encoded);
-                        let payload = view.as_ref().ok().and_then(|v| v.slot(mb));
-                        let bytes = payload.map_or(0, |p| p.len() as u64);
-                        let ms = view.and_then(|v| v.decode(|slot| slot == mb));
-                        (ms.map(|mut slots| slots.pop().map(|(_, ms)| ms)), bytes)
+                        let payload = view.map(|v| v.slot(mb).map(Bytes::copy_from_slice));
+                        let bytes = payload.as_ref().ok().and_then(Option::as_ref);
+                        let bytes = bytes.map_or(0, Bytes::len) as u64;
+                        (payload, bytes)
                     });
-                    let ms = ms.map_err(|source| PipelineError::Checkpoint {
+                    let payload = payload.map_err(|source| PipelineError::Checkpoint {
                         context: format!("recovering slot {mb} from rank {owner} at round {r}"),
                         source,
                     })?;
-                    match ms {
-                        Some(ms) => {
+                    match payload {
+                        Some(payload) => {
                             node.add(Counter::RoundsReplayed, 1);
-                            incoming.push(ms);
+                            incoming.push((mb, Member::Wire(payload)));
                         }
                         None => node.add(Counter::BlocksAbsorbed, 1),
                     }
@@ -1162,13 +1159,25 @@ fn glue_groups<N: Node>(
             }
         }
         let ms = s.complexes.get_mut(root).expect("checked above");
-        let glued = node.time(Phase::Glue, || glue_all(ms, &incoming, &job.decomp));
-        glued.map_err(|source| PipelineError::Glue {
-            context: format!(
-                "gluing {} member(s) into slot {root} in round {r}",
-                incoming.len()
-            ),
-            source,
+        node.time(Phase::Glue, || -> Res {
+            for (mb, member) in &incoming {
+                let glued = match member {
+                    Member::Live(inc) => glue(ms, inc, &job.decomp),
+                    Member::Wire(payload) => glue_from_wire(ms, payload, &job.decomp),
+                };
+                glued.map_err(|source| match source {
+                    GlueError::Wire(source) => {
+                        let context = format!("merge payload for slot {mb} in round {r}");
+                        PipelineError::Wire { context, source }
+                    }
+                    source => PipelineError::Glue {
+                        context: format!("gluing slot {mb} into slot {root} in round {r}"),
+                        source,
+                    },
+                })?;
+            }
+            ms.reflag_boundaries(&job.decomp);
+            Ok(())
         })?;
         let (n, fw) = node.time(Phase::Resimplify, || {
             let context = || format!("re-simplifying slot {root} after round {r}");
@@ -1176,7 +1185,6 @@ fn glue_groups<N: Node>(
         })?;
         node.add(Counter::Cancellations, n);
         s.pending.extend(fw);
-        s.loose.insert(*root);
     }
     Ok(())
 }

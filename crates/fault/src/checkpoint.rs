@@ -35,7 +35,8 @@
 //!
 //! Decoding goes through [`CheckpointView`], which checks magic, CRC,
 //! version and the slot table once and decodes no slot; a root replaying
-//! one lost member decodes that member's slot only.
+//! one lost member glues that member's slot bytes straight in
+//! (`glue_from_wire`) and decodes nothing.
 //!
 //! ## Why the version stays 1
 //!
@@ -124,8 +125,8 @@ impl From<Truncated> for CheckpointError {
 
 /// The MSK1 bytes of `rank`'s cut at merge cursor `round`, holding
 /// `slots` (`(block id, complex)`, stored in the order given), and each
-/// slot's MSC3 payload as a view into them, in the same order. Complexes
-/// must be compacted (the wire layer requires it).
+/// slot's MSC3 payload as a view into them, in the same order. A complex
+/// may hold tombstones: its payload is the bytes of its compaction.
 pub fn encode_slots<'a>(
     rank: u32,
     round: u32,

@@ -1,7 +1,7 @@
 //! Scalar fields on vertex grids, block extraction, and the total
 //! vertex/cell orders used for simulation of simplicity.
 //!
-//! Simulation of simplicity (paper §IV-C, [11]) removes ties: vertices
+//! Simulation of simplicity (paper §IV-C, \[11\]) removes ties: vertices
 //! are totally ordered by `(value, global vertex id)`, and cells of the
 //! complex are ordered by the lexicographic comparison of their
 //! descending-sorted vertex keys. Because the order is keyed on *global*

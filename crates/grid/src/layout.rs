@@ -49,7 +49,7 @@ impl DecompMode {
         matches!(self, DecompMode::Uniform)
     }
 
-    /// Parse a command-line spelling: [`FromStr`]'s, trimmed, with
+    /// Parse a command-line spelling: [`FromStr`](std::str::FromStr)'s, trimmed, with
     /// `uniform` and `adaptive` in any case.
     pub fn parse(s: &str) -> Result<DecompMode, String> {
         let s = s.trim();

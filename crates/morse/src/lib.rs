@@ -4,7 +4,7 @@
 //! field on a block of a structured grid and tracing its V-paths.
 //!
 //! The paper (§IV-C) computes the gradient with the approach of Gyulassy
-//! et al. [10], pairing cells in the direction of steepest descent with
+//! et al. \[10\], pairing cells in the direction of steepest descent with
 //! simulation of simplicity, and **restricts pairing on shared block
 //! faces** so that neighbouring blocks produce identical boundary
 //! gradients — the property that later lets Morse-Smale complexes be
@@ -15,7 +15,7 @@
 //! * [`lower_star::assign_gradient`] — the gradient: per-vertex
 //!   lower-star homotopy expansion, stratified by the owner sets of the
 //!   decomposition (the boundary restriction), swept over z-slabs;
-//! * [`flat`] (internal) — the structure-of-arrays kernel behind it: the
+//! * `flat` (internal) — the structure-of-arrays kernel behind it: the
 //!   lower star as a 27-bit set, membership and pairing eligibility for
 //!   all its cells at once, rank-set in-star keys, zero allocations per
 //!   vertex;

@@ -25,7 +25,7 @@
 //!
 //! **Live voxels.** A maximum's DFS would walk its whole descending
 //! manifold, although only the voxels whose paths reach a critical
-//! 2-cell can emit anything. [`LiveVoxels`] marks exactly those, in a
+//! 2-cell can emit anything. `LiveVoxels` marks exactly those, in a
 //! bitset beside the (shared, read-only) gradient bytes: from both voxel
 //! cofacets of every critical 2-cell it walks *upward* along the voxel
 //! successor forest — voxel → its paired quad → that quad's other voxel

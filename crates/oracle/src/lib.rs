@@ -8,7 +8,7 @@
 //! pipeline computes *is* a Morse-Smale complex per the paper's
 //! definition, in three layers:
 //!
-//! * [`reference`] — a naive, obviously-correct re-implementation of the
+//! * [`reference`](mod@reference) — a naive, obviously-correct re-implementation of the
 //!   lower-star gradient and of brute-force V-path enumeration. No slab
 //!   splitting, no scratch reuse, no arenas, no interior fast path:
 //!   counts are recomputed from scratch every step, cells are compared

@@ -4,18 +4,18 @@
 //! the paper's evaluation (see DESIGN.md §2 for the substitution
 //! rationale):
 //!
-//! * [`sinusoid`] — the size × complexity family of §VI-B (Figs 5, 6):
+//! * [`sinusoid`](mod@sinusoid) — the size × complexity family of §VI-B (Figs 5, 6):
 //!   a product-of-sines field whose *complexity* parameter is the number
 //!   of ±1 extrema of the sine along one side of the volume.
-//! * [`hydrogen`] — an analytic stand-in for the hydrogen-atom
+//! * [`hydrogen`](mod@hydrogen) — an analytic stand-in for the hydrogen-atom
 //!   probability-density field of Fig 4: aligned maxima lobes, a toroidal
 //!   ridge, and a large constant-value exterior plateau (byte-quantized,
 //!   as the original).
-//! * [`jet`] — a turbulent-jet mixture-fraction analogue for the JET
+//! * [`jet`](mod@jet) — a turbulent-jet mixture-fraction analogue for the JET
 //!   strong-scaling study (Fig 9): minima-rich shear-layer turbulence.
-//! * [`rayleigh_taylor`] — a mixing-front density analogue for the
+//! * [`rayleigh_taylor`](mod@rayleigh_taylor) — a mixing-front density analogue for the
 //!   Rayleigh-Taylor strong-scaling study (Fig 10).
-//! * [`porous`] — a periodic-surface signed-distance analogue of the
+//! * [`porous`](mod@porous) — a periodic-surface signed-distance analogue of the
 //!   porous-material field of Fig 1, for filament extraction.
 //! * [`basic`] — ramps, constants, Gaussian-bump mixtures and white noise
 //!   used throughout the test suites.

@@ -7,8 +7,8 @@
 //! of the same machinery.
 
 /// One phase of the pipeline. The derived `Ord` follows pipeline order
-/// (read → gradient → trace → simplify → merge rounds → glue →
-/// resimplify → write → total), which is the order phases appear in
+/// (read → gradient → trace → simplify → merge rounds → checkpoint →
+/// glue → resimplify → write → total), which is the order phases appear in
 /// reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Phase {
@@ -25,6 +25,10 @@ pub enum Phase {
     Simplify,
     /// One radix-k merge round (§IV-F); zero-based round index.
     MergeRound(u16),
+    /// Saving a consistent cut to the checkpoint store (`--checkpoint`):
+    /// serializing every living slot and the modeled save; nested inside
+    /// each merge round, and once more before the write.
+    Checkpoint,
     /// Gluing incoming complexes onto a root (§IV-F3); nested inside a
     /// merge round.
     Glue,
@@ -64,6 +68,7 @@ impl Phase {
             Phase::Simplify => "simplify".to_string(),
             Phase::Segment => "segment".to_string(),
             Phase::MergeRound(k) => format!("merge_round[{k}]"),
+            Phase::Checkpoint => "checkpoint".to_string(),
             Phase::Glue => "glue".to_string(),
             Phase::Resimplify => "resimplify".to_string(),
             Phase::SegResolve => "seg_resolve".to_string(),
@@ -86,6 +91,7 @@ impl Phase {
             "trace" => Some(Phase::Trace),
             "simplify" => Some(Phase::Simplify),
             "segment" => Some(Phase::Segment),
+            "checkpoint" => Some(Phase::Checkpoint),
             "glue" => Some(Phase::Glue),
             "resimplify" => Some(Phase::Resimplify),
             "seg_resolve" => Some(Phase::SegResolve),
@@ -129,6 +135,7 @@ mod tests {
             Phase::Simplify,
             Phase::MergeRound(0),
             Phase::MergeRound(13),
+            Phase::Checkpoint,
             Phase::Glue,
             Phase::Resimplify,
             Phase::SegResolve,

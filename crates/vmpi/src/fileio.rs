@@ -40,7 +40,7 @@ pub struct FooterEntry {
     pub offset: u64,
     pub len: u64,
     /// Rank that wrote the block (provenance; mirrors the paper's file
-    /// format documentation pointer [23]).
+    /// format documentation pointer \[23\]).
     pub writer: u32,
 }
 

@@ -32,7 +32,11 @@ fn main() {
         ..Default::default()
     };
     let result = run_parallel(&input, 4, 4, &params, None).unwrap();
-    let ms = &result.outputs[0];
+    // the merged output keeps the tombstones of its re-simplification;
+    // the feature ranking below reads dead nodes too, so compact first
+    let mut ms = result.outputs.into_iter().next().unwrap();
+    ms.compact();
+    let ms = &ms;
     let c = ms.node_census();
     println!(
         "2D MS complex: {} minima (blue), {} saddles (green), {} maxima (red); {} arcs",

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# The repository's one gate: format, lint, release build and the full
-# test suite through cargo, then every smoke and self-check below. Every
-# dependency is a path inside the repository (scripts/offline_stubs/),
-# so it runs with no registry and no network. The smokes gate on bytes
+# The repository's one gate: format, lint, warning-free API docs, release
+# build and the full test suite through cargo, then every smoke and
+# self-check below. Every dependency is a path inside the repository
+# (scripts/offline_stubs/), so it runs with no registry and no network. The smokes gate on bytes
 # and counts, never on timings: performance is measured by the
 # repository benchmark (benchmark/, BENCHMARK.json), whose traced walk
 # also reports the kernel, segmentation and serve layers.
@@ -11,6 +11,7 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo build --release --workspace
 cargo test -q --workspace
 
@@ -92,6 +93,21 @@ msc compute --input "$tracedir/seg.raw" \
   --checkpoint --faults 'crash:0@2' --deadline-ms 200 \
   --output "$tracedir/handf.msc"
 cmp "$tracedir/hand1.msc" "$tracedir/handf.msc"
+
+# remote-glue smoke: the same merge on 4 ranks ships a member to another
+# rank in every round, where the root glues it straight from its bytes;
+# rank 1 crashing in the first round makes the roots waiting on its
+# members glue them from its checkpoint slots' bytes. Both must write the
+# 1-rank bytes.
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 4 --blocks 8 --merge 2,2,2 --check \
+  --output "$tracedir/remote4.msc"
+cmp "$tracedir/hand1.msc" "$tracedir/remote4.msc"
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 4 --blocks 8 --merge 2,2,2 \
+  --checkpoint --faults 'crash:1@1' --deadline-ms 200 \
+  --output "$tracedir/remotef.msc"
+cmp "$tracedir/hand1.msc" "$tracedir/remotef.msc"
 
 # threaded-trace smoke: a block's V-path trace chunks its critical cells
 # across threads that share one read-only live-voxel set; a sinusoid run

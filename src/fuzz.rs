@@ -1,4 +1,4 @@
-//! Differential-fuzz driver: turn an [`oracle::Case`] into actual
+//! Differential-fuzz driver: turn a [`Case`] into actual
 //! pipeline runs and diff them against the naive reference oracle.
 //!
 //! This lives in the facade crate (not in `msp-oracle`) because it needs

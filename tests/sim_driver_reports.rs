@@ -28,7 +28,7 @@ fn round_reports_match_plan() {
     assert_eq!(r.rounds[1].radix, 4);
     assert_eq!(r.output_blocks, 2);
     for round in &r.rounds {
-        assert!(round.comm_s >= 0.0 && round.glue_s >= 0.0);
+        assert!(round.comm_s >= 0.0 && round.glue_s >= 0.0 && round.resimplify_s >= 0.0);
         assert!(round.round_s >= 0.0);
         assert!(round.bytes_moved > 0, "complexes are never empty");
     }

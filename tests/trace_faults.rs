@@ -157,3 +157,35 @@ fn simulated_crash_trace_pairs_messages_and_charges_the_root() {
     assert!(cp.total_ns > 0);
     assert!(cp.total_ns as f64 * 1e-9 <= r.total_s * (1.0 + 1e-9));
 }
+
+#[test]
+fn every_checkpoint_cut_is_a_checkpoint_span() {
+    // two merge rounds: one cut inside each, and the pre-write cut
+    let r = run_parallel(
+        &test_input(),
+        RANKS,
+        BLOCKS,
+        &fault_params(FaultPlan::new()),
+        None,
+    )
+    .unwrap();
+    let tr = r.trace.as_ref().expect("trace requested");
+    for t in &tr.ranks {
+        let spans = |key: String| t.spans.iter().filter(move |s| s.key == key);
+        let cuts: Vec<_> = spans("checkpoint".into()).collect();
+        assert_eq!(cuts.len(), 3, "rank {}", t.rank);
+        for (k, cut) in cuts.iter().take(2).enumerate() {
+            let round = spans(format!("merge_round[{k}]")).next().unwrap();
+            assert!(round.t0_ns <= cut.t0_ns && cut.t1_ns <= round.t1_ns);
+        }
+        let write = spans("write".into()).next().unwrap();
+        assert!(cuts[2].t1_ns <= write.t0_ns, "rank {}", t.rank);
+        let rank = r.telemetry.ranks.iter().find(|x| x.rank == t.rank).unwrap();
+        assert_eq!(
+            rank.phase_seconds("checkpoint"),
+            Some(t.span_seconds("checkpoint"))
+        );
+    }
+    let plain = run_parallel(&test_input(), RANKS, BLOCKS, &base_params(true), None).unwrap();
+    assert!(plain.telemetry.phase_stat("checkpoint").is_none());
+}
