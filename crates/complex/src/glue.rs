@@ -25,21 +25,22 @@
 //!
 //! The incoming complex is either held in memory ([`glue`]) or still in
 //! the MSC3 bytes it arrived as ([`glue_from_wire`]); one set of rules,
-//! written against either source, decides both. Either complex may hold
-//! tombstones: the pipeline never compacts a root in the merge, and a
-//! member on its root's rank arrives live. Gluing skips dead nodes and
-//! arcs and copies the live arcs' geometry in the order compacting first
-//! would give, so the glued complex serializes to the same bytes either
-//! way; a payload holds a compaction already.
+//! written against either source, decides both, and the one geometry
+//! walker (`skeleton::GeomWalk`) reads either's records to test and copy
+//! arc paths. Either complex may hold tombstones: the pipeline never
+//! compacts a root in the merge, and a member on its root's rank arrives
+//! live. Gluing skips dead nodes and arcs and copies the live arcs'
+//! geometry in the order compacting first would give, so the glued
+//! complex serializes to the same bytes either way; a payload holds a
+//! compaction already.
 //!
 //! Malformed inputs (mismatched domains, address collisions at different
 //! Morse indices) are reported as [`GlueError`]s instead of panicking, so
 //! a corrupted peer complex arriving over the wire cannot take the rank
 //! down.
 
-use crate::skeleton::{GeomId, MsComplex, Node, NodeId};
+use crate::skeleton::{GeomId, GeomSource, GeomWalk, MsComplex, Node, NodeId};
 use crate::wire::{Payload, WireError};
-use msp_grid::dims::RefinedDims;
 use msp_grid::{Decomposition, RCoord};
 use std::fmt;
 
@@ -110,30 +111,16 @@ impl std::error::Error for GlueError {}
 
 /// What gluing reads of an incoming complex, held in memory or still in
 /// its MSC3 bytes (`wire::Payload`): the glue rules are written once,
-/// against this.
-pub(crate) trait Incoming {
-    /// The id → root id table and scratch of [`Incoming::copy_geom_into`].
-    type Copy: Default;
-    fn refined(&self) -> RefinedDims;
+/// against this, and its geometry records against [`GeomSource`].
+pub(crate) trait Incoming: GeomSource {
     fn member_blocks(&self) -> &[u32];
     /// Every node record in id order, dead ones included.
     fn nodes(&self) -> impl Iterator<Item = Node>;
     /// The live arcs' `[upper, lower, geom]`, in id order.
     fn arcs(&self) -> impl Iterator<Item = [u32; 3]>;
-    /// True when `pred` holds for every cell of geometry `g`.
-    fn geom_all(&self, g: GeomId, pred: &mut impl FnMut(u64) -> bool) -> bool;
-    /// Copy geometry `g` and what it references into `root`, each record
-    /// once per `cp`, children first.
-    fn copy_geom_into(&self, g: GeomId, root: &mut MsComplex, cp: &mut Self::Copy) -> GeomId;
 }
 
 impl Incoming for MsComplex {
-    type Copy = Vec<GeomId>;
-
-    fn refined(&self) -> RefinedDims {
-        self.refined
-    }
-
     fn member_blocks(&self) -> &[u32] {
         &self.member_blocks
     }
@@ -146,14 +133,6 @@ impl Incoming for MsComplex {
         let live = self.arcs.iter().filter(|a| a.alive);
         live.map(|a| [a.upper, a.lower, a.geom])
     }
-
-    fn geom_all(&self, g: GeomId, pred: &mut impl FnMut(u64) -> bool) -> bool {
-        MsComplex::geom_all(self, g, pred)
-    }
-
-    fn copy_geom_into(&self, g: GeomId, root: &mut MsComplex, cp: &mut Vec<GeomId>) -> GeomId {
-        MsComplex::copy_geom_into(self, g, root, cp)
-    }
 }
 
 /// True when every cell of the V-path geometry `g` (decoded in place
@@ -163,6 +142,7 @@ impl Incoming for MsComplex {
 /// path confined to the overlap was traced by both sides. A cell outside
 /// the refined grid is an error.
 fn path_in_region(
+    walk: &mut GeomWalk,
     incoming: &impl Incoming,
     g: GeomId,
     decomp: &Decomposition,
@@ -170,7 +150,7 @@ fn path_in_region(
 ) -> Result<bool, GlueError> {
     let refined = incoming.refined();
     let mut outside = None;
-    let inside = incoming.geom_all(g, &mut |addr| {
+    let mut covered = |addr: u64| {
         if addr >= refined.len() {
             outside = Some(addr);
             return false;
@@ -181,6 +161,9 @@ fn path_in_region(
             .as_slice()
             .iter()
             .any(|id| members.contains(id))
+    };
+    let inside = walk.leaves(incoming, g, |leaf, _| {
+        leaf.cells(&refined).all(&mut covered)
     });
     match outside {
         Some(addr) => Err(GlueError::OutsideDomain { addr }),
@@ -282,11 +265,12 @@ fn glue_incoming(
         return Err(GlueError::DuplicateNode { addr });
     }
 
-    let mut geom_copy = Default::default();
+    let mut walk = GeomWalk::default();
     for [upper, lower, geom] in incoming.arcs() {
         let (u, u_shared) = node_map[upper as usize];
         let (l, l_shared) = node_map[lower as usize];
-        if u_shared && l_shared && path_in_region(incoming, geom, decomp, &root.member_blocks)? {
+        let members = &root.member_blocks;
+        if u_shared && l_shared && path_in_region(&mut walk, incoming, geom, decomp, members)? {
             // the arc lies entirely in the region the root already
             // covers, so the root traced it too; skip the duplicate
             if root.multiplicity(u, l) == 0 {
@@ -298,7 +282,7 @@ fn glue_incoming(
             stats.skipped_shared_arcs += 1;
             continue;
         }
-        let g = incoming.copy_geom_into(geom, root, &mut geom_copy);
+        let g = walk.copy_into(incoming, geom, root);
         root.add_arc(u, l, g);
         stats.added_arcs += 1;
     }
@@ -508,9 +492,13 @@ mod tests {
             for at in 0..bytes.len() {
                 for bit in 0..8 {
                     flipped[at] ^= 1 << bit;
-                    if let Ok(root) = glue_onto(&flipped) {
+                    if let Ok(mut root) = glue_onto(&flipped) {
                         root.check_integrity()
                             .unwrap_or_else(|e| panic!("byte {at} bit {bit}: {e}"));
+                        root.compact();
+                        for a in &root.arcs {
+                            root.flatten_geom(a.geom);
+                        }
                     }
                     flipped[at] ^= 1 << bit;
                 }
@@ -518,7 +506,8 @@ mod tests {
         }
         // a short payload of nested cancel records that would decode to
         // 86,093,442 cells
-        let bytes = wire::serialize(&wire::tests::nested_cancels(cs[0].refined, 16));
+        let nested = wire::tests::nested_cancels(cs[0].refined, 16, wire::tests::tripled);
+        let bytes = wire::serialize(&nested);
         let mut root = cs[0].clone();
         assert!(matches!(
             glue_from_wire(&mut root, &bytes, &d),

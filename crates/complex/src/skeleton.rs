@@ -14,7 +14,18 @@
 //! complex is glued, re-simplified, shipped, checkpointed and written with
 //! its tombstones, since every pass sees the live records in the same
 //! relative order either way and the wire format writes a complex's
-//! compaction without building it (`wire::serialize`).
+//! compaction without building it (`wire::serialize`), laid out by the
+//! same walk.
+//!
+//! Every walk of a geometry DAG is one walker, `GeomWalk`, on an explicit
+//! stack: a chain of cancel records is as deep as its payload is long, so
+//! no walk recurses. It reads records as `GeomView`s through
+//! `GeomSource`, from a complex or straight from a parsed payload
+//! (`wire::Payload`), and runs a memoized post-order copy/renumber
+//! ([`MsComplex::compact`], the serializer's packing order, the copy
+//! into a glued root) and an in-order walk over
+//! the leaves in either direction ([`MsComplex::flatten_geom`],
+//! [`MsComplex::geom_len`], the glue's duplicate-arc test).
 //!
 //! The geometry records are a shared frozen prefix plus the records this
 //! complex owns. [`MsComplex::freeze_geometry`] moves every record and
@@ -27,7 +38,6 @@
 use msp_grid::coord::mix_address;
 use msp_grid::dims::RefinedDims;
 use msp_grid::RCoord;
-use std::borrow::Cow;
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -37,9 +47,8 @@ pub type NodeId = u32;
 pub type ArcId = u32;
 pub type GeomId = u32;
 
-/// "Not copied yet" in the dense old-id → new-id tables of
-/// [`MsComplex::compact`], [`MsComplex::copy_geom_into`] and the wire
-/// format's walks.
+/// "Not mapped yet" in the dense old-id → new-id tables of
+/// [`MsComplex::compact`], the serializer and `GeomWalk`.
 pub(crate) const UNMAPPED: u32 = u32::MAX;
 
 /// Step code announcing that the next cell's address follows verbatim
@@ -59,15 +68,6 @@ fn step_deltas(refined: &RefinedDims) -> [u64; 6] {
         z.wrapping_neg(),
         z,
     ]
-}
-
-/// The start address and step codes of a non-empty leaf stored as
-/// `steps[offset..offset + bytes]`.
-pub(crate) fn leaf_parts(steps: &[u8], offset: u32, bytes: u32) -> (u64, &[u8]) {
-    let (start, codes) = steps[offset as usize..(offset + bytes) as usize]
-        .split_first_chunk::<8>()
-        .expect("a non-empty leaf starts with its address");
-    (u64::from_le_bytes(*start), codes)
 }
 
 /// The address index's hashing: the splitmix64 finalizer
@@ -113,7 +113,7 @@ impl Hasher for AddrHasher {
 }
 
 /// The cells of one leaf geometry, decoded from its step codes as they
-/// are read ([`path_cells`]).
+/// are read ([`Leaf::cells`]).
 pub(crate) struct LeafCells<'a> {
     next: Option<u64>,
     codes: &'a [u8],
@@ -142,19 +142,195 @@ impl Iterator for LeafCells<'_> {
     }
 }
 
-/// The cells of a leaf starting at `start` (`None` for an empty leaf)
-/// and moving by the step codes `codes`, upper end first: the one
-/// decoder of leaf bytes, in memory and in a payload. Escapes must be
-/// whole (eight address bytes follow each).
-pub(crate) fn path_cells<'a>(
-    refined: &RefinedDims,
-    start: Option<u64>,
-    codes: &'a [u8],
-) -> LeafCells<'a> {
-    LeafCells {
-        next: start,
-        codes,
-        deltas: step_deltas(refined),
+/// A leaf geometry as every walk reads it: `len` cells from `start`
+/// along the step codes `codes` (escapes whole); `start` is 0 and `codes`
+/// empty when `len` is 0.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Leaf<'a> {
+    pub start: u64,
+    pub codes: &'a [u8],
+    pub len: u32,
+}
+
+impl<'a> Leaf<'a> {
+    /// The leaf's cells, upper end first: the one decoder of leaf bytes,
+    /// in memory and in a payload.
+    pub(crate) fn cells(self, refined: &RefinedDims) -> LeafCells<'a> {
+        LeafCells {
+            next: (self.len > 0).then_some(self.start),
+            codes: self.codes,
+            deltas: step_deltas(refined),
+        }
+    }
+
+    /// The bytes the leaf takes in [`MsComplex`]'s leaf bytes: its start
+    /// address and codes, none when empty.
+    pub(crate) fn bytes(self) -> usize {
+        if self.len > 0 {
+            8 + self.codes.len()
+        } else {
+            0
+        }
+    }
+}
+
+/// One geometry record as every walk reads it, from a complex's records
+/// or from a payload's: a leaf, or a cancel record's `[first, mid,
+/// last]` children.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum GeomView<'a> {
+    Leaf(Leaf<'a>),
+    Cancel([GeomId; 3]),
+}
+
+impl GeomView<'_> {
+    /// This record with its children's ids replaced by the new ids
+    /// `walk` gave them.
+    fn renumbered(self, walk: &GeomWalk) -> Self {
+        match self {
+            GeomView::Cancel(children) => GeomView::Cancel(children.map(|c| walk.new_id(c))),
+            leaf => leaf,
+        }
+    }
+}
+
+/// A store of geometry records the walker reads: a complex (its frozen
+/// prefix and its own records), or the checked records of a parsed
+/// payload (`wire::Payload`). Children precede parents in either.
+pub(crate) trait GeomSource {
+    /// Refined dims of the full dataset: the step codes move on it.
+    fn refined(&self) -> RefinedDims;
+    /// The number of record ids.
+    fn n_geom_ids(&self) -> usize;
+    /// Record `g`.
+    fn geom(&self, g: GeomId) -> GeomView<'_>;
+}
+
+/// The one walker of geometry DAGs, on an explicit stack (a chain of
+/// cancel records nests as deep as its payload is long, so no walk may
+/// recurse). Keep one per target across the walks into it: it holds the
+/// post-order walk's record id → new id table and the stack both walks
+/// share, empty between walks.
+#[derive(Default)]
+pub(crate) struct GeomWalk {
+    /// Records `0..kept` keep their ids and are never reached (a frozen
+    /// prefix the target shares); they take no entry in `map`.
+    kept: GeomId,
+    /// Record `kept + i` → new id at `i`, `UNMAPPED` until the post-order
+    /// walk reaches it.
+    map: Vec<GeomId>,
+    /// Pending records: `(id, false)` in the post-order walk, `(id,
+    /// reversed)` in the in-order one.
+    stack: Vec<(GeomId, bool)>,
+}
+
+impl GeomWalk {
+    /// A walk that keeps the ids of records `0..kept` (a frozen prefix
+    /// the target shares): they are never reached.
+    fn keeping(kept: usize) -> GeomWalk {
+        GeomWalk {
+            kept: kept as GeomId,
+            ..GeomWalk::default()
+        }
+    }
+
+    /// Give record `g` and every record under it not reached yet a new
+    /// id, each record after its children and the children in `first,
+    /// mid, last` order. `assign(r, view, walk)` makes record `r`'s new
+    /// id, reading its children's from `walk`.
+    pub(crate) fn renumber<'s, S: GeomSource>(
+        &mut self,
+        src: &'s S,
+        g: GeomId,
+        mut assign: impl FnMut(GeomId, GeomView<'s>, &GeomWalk) -> GeomId,
+    ) -> GeomId {
+        let owned = src.n_geom_ids() - self.kept as usize;
+        if self.map.len() < owned {
+            self.map.resize(owned, UNMAPPED);
+        }
+        if self.new_id(g) != UNMAPPED {
+            return self.new_id(g);
+        }
+        self.stack.push((g, false));
+        while let Some(&(r, _)) = self.stack.last() {
+            if self.new_id(r) != UNMAPPED {
+                // reached again under another parent before this visit
+                self.stack.pop();
+                continue;
+            }
+            let view = src.geom(r);
+            if let GeomView::Cancel(children) = view {
+                // `first` on top: its subtree is numbered first
+                let pending = self.stack.len();
+                for c in children.into_iter().rev() {
+                    if self.new_id(c) == UNMAPPED {
+                        self.stack.push((c, false));
+                    }
+                }
+                if self.stack.len() > pending {
+                    continue;
+                }
+            }
+            self.stack.pop();
+            let id = assign(r, view, self);
+            self.map[(r - self.kept) as usize] = id;
+        }
+        self.new_id(g)
+    }
+
+    /// The new id [`GeomWalk::renumber`] gave record `g` (`UNMAPPED`
+    /// while unreached; itself when kept).
+    pub(crate) fn new_id(&self, g: GeomId) -> GeomId {
+        match g.checked_sub(self.kept) {
+            Some(i) => self.map[i as usize],
+            None => g,
+        }
+    }
+
+    /// Copy record `g` of `src` and every record under it into `out`,
+    /// each record once per walk: the copy of `compact` and of the glue,
+    /// from a complex or a payload alike.
+    pub(crate) fn copy_into(
+        &mut self,
+        src: &impl GeomSource,
+        g: GeomId,
+        out: &mut MsComplex,
+    ) -> GeomId {
+        // step codes are relative to the refined dims
+        debug_assert_eq!(src.refined(), out.refined);
+        self.renumber(src, g, |_, view, walk| out.add_geom(view.renumbered(walk)))
+    }
+
+    /// Hand `f` each leaf of geometry `g` in path order, upper end first,
+    /// with whether it runs reversed there (a cancel record is `first ++
+    /// reverse(mid) ++ last`). Stops when `f` returns false, and returns
+    /// whether it never did.
+    pub(crate) fn leaves<'s, S: GeomSource>(
+        &mut self,
+        src: &'s S,
+        g: GeomId,
+        mut f: impl FnMut(Leaf<'s>, bool) -> bool,
+    ) -> bool {
+        let mut next = Some((g, false));
+        while let Some((r, rev)) = next.take().or_else(|| self.stack.pop()) {
+            match src.geom(r) {
+                GeomView::Leaf(leaf) => {
+                    if !f(leaf, rev) {
+                        self.stack.clear();
+                        return false;
+                    }
+                }
+                GeomView::Cancel([first, mid, last]) => {
+                    let [a, b, c] = match rev {
+                        false => [(first, false), (mid, true), (last, false)],
+                        true => [(last, true), (mid, false), (first, true)],
+                    };
+                    self.stack.extend([c, b]);
+                    next = Some(a);
+                }
+            }
+        }
+        true
     }
 }
 
@@ -274,7 +450,7 @@ pub struct MsComplex {
     pub(crate) geoms: Vec<GeomRec>,
     /// The bytes of every owned leaf geometry, back to back in creation
     /// order (see [`GeomRec::Leaf`]); a traced V-path costs 8 bytes plus
-    /// one per step. Decoded only by [`MsComplex::flatten_geom`].
+    /// one per step. Decoded only through [`Leaf::cells`].
     pub(crate) steps: Vec<u8>,
     /// Arc ids incident to each node (may contain dead arcs; filtered on
     /// access).
@@ -437,29 +613,31 @@ impl MsComplex {
         id
     }
 
+    /// Store a record read from a complex or a payload, its children's
+    /// ids as they are: a leaf's start address and codes become its
+    /// bytes.
+    pub(crate) fn add_geom(&mut self, view: GeomView<'_>) -> GeomId {
+        match view {
+            GeomView::Leaf(leaf) => {
+                let at = self.steps.len();
+                if leaf.len > 0 {
+                    self.steps.extend_from_slice(&leaf.start.to_le_bytes());
+                    self.steps.extend_from_slice(leaf.codes);
+                }
+                self.seal_leaf(at, leaf.len as usize)
+            }
+            GeomView::Cancel([first, mid, last]) => self.add_cancel_geom(first, mid, last),
+        }
+    }
+
     /// Length of the shared frozen geometry prefix: the id of the first
     /// owned record.
     fn n_frozen(&self) -> usize {
         self.frozen.as_ref().map_or(0, |f| f.geoms.len())
     }
 
-    /// Number of geometry ids: the frozen prefix and the owned records.
-    pub(crate) fn n_geom_ids(&self) -> usize {
-        self.n_frozen() + self.geoms.len()
-    }
-
     fn next_geom_id(&self) -> GeomId {
         self.n_geom_ids() as GeomId
-    }
-
-    /// Geometry record `g` and the leaf bytes its offsets index: the
-    /// frozen prefix's below its length, this complex's own above.
-    pub(crate) fn rec(&self, g: GeomId) -> (GeomRec, &[u8]) {
-        match &self.frozen {
-            Some(f) if (g as usize) < f.geoms.len() => (f.geoms[g as usize], &f.steps),
-            Some(f) => (self.geoms[g as usize - f.geoms.len()], &self.steps),
-            None => (self.geoms[g as usize], &self.steps),
-        }
     }
 
     /// Move every geometry record and leaf byte of this complex into a
@@ -499,68 +677,26 @@ impl MsComplex {
     /// ordered from the upper end to the lower end.
     pub fn flatten_geom(&self, g: GeomId) -> Vec<u64> {
         let mut out = Vec::new();
-        self.flatten_into(g, false, &mut out);
+        GeomWalk::default().leaves(self, g, |leaf, rev| {
+            let at = out.len();
+            out.extend(leaf.cells(&self.refined));
+            if rev {
+                out[at..].reverse();
+            }
+            true
+        });
         out
-    }
-
-    /// True when `pred` holds for every cell of geometry `g`. The cells
-    /// are decoded in place, in no particular order, and the walk stops
-    /// at the first one that fails.
-    pub(crate) fn geom_all(&self, g: GeomId, pred: &mut impl FnMut(u64) -> bool) -> bool {
-        match self.rec(g) {
-            (GeomRec::Leaf { offset, bytes, len }, steps) => {
-                self.leaf_cells(steps, offset, bytes, len).all(&mut *pred)
-            }
-            (GeomRec::Cancel { first, mid, last }, _) => {
-                self.geom_all(first, pred) && self.geom_all(mid, pred) && self.geom_all(last, pred)
-            }
-        }
-    }
-
-    /// The cells of a leaf whose bytes are `steps[offset..offset +
-    /// bytes]`, upper end first.
-    fn leaf_cells<'a>(&self, steps: &'a [u8], offset: u32, bytes: u32, len: u32) -> LeafCells<'a> {
-        match len {
-            0 => path_cells(&self.refined, None, &[]),
-            _ => {
-                let (start, codes) = leaf_parts(steps, offset, bytes);
-                path_cells(&self.refined, Some(start), codes)
-            }
-        }
-    }
-
-    fn flatten_into(&self, g: GeomId, rev: bool, out: &mut Vec<u64>) {
-        match self.rec(g) {
-            (GeomRec::Leaf { offset, bytes, len }, steps) => {
-                let at = out.len();
-                out.extend(self.leaf_cells(steps, offset, bytes, len));
-                if rev {
-                    out[at..].reverse();
-                }
-            }
-            (GeomRec::Cancel { first, mid, last }, _) => {
-                if rev {
-                    self.flatten_into(last, true, out);
-                    self.flatten_into(mid, false, out);
-                    self.flatten_into(first, true, out);
-                } else {
-                    self.flatten_into(first, false, out);
-                    self.flatten_into(mid, true, out);
-                    self.flatten_into(last, false, out);
-                }
-            }
-        }
     }
 
     /// Total number of cells a geometry resolves to (without
     /// materializing it).
     pub fn geom_len(&self, g: GeomId) -> u64 {
-        match self.rec(g).0 {
-            GeomRec::Leaf { len, .. } => len as u64,
-            GeomRec::Cancel { first, mid, last } => {
-                self.geom_len(first) + self.geom_len(mid) + self.geom_len(last)
-            }
-        }
+        let mut n = 0;
+        GeomWalk::default().leaves(self, g, |leaf, _| {
+            n += u64::from(leaf.len);
+            true
+        });
+        n
     }
 
     /// True when `g` is a verbatim traced V-path (a [`GeomRec::Leaf`]),
@@ -568,7 +704,7 @@ impl MsComplex {
     /// reversed middle segment and are *not* gradient V-paths, so
     /// path-validity checkers (the oracle crate) only apply to leaves.
     pub fn geom_is_leaf(&self, g: GeomId) -> bool {
-        matches!(self.rec(g).0, GeomRec::Leaf { .. })
+        matches!(self.geom(g), GeomView::Leaf(_))
     }
 
     /// Node id at a global address, if present.
@@ -764,33 +900,16 @@ impl MsComplex {
     /// at its final degree.
     ///
     /// Live nodes, arcs and incidence lists keep their relative order,
-    /// and the owned geometry is copied depth-first in arc order, so a
-    /// complex serializes the same whether it was compacted after every
-    /// pass, only at the end or never (`wire::serialize` writes this
-    /// layout from the loose complex). The frozen prefix stays shared and
-    /// keeps its ids, reachable or not; only the owned records are
-    /// copied.
+    /// and the owned geometry is copied in the one walker's post-order
+    /// arc by arc, the layout
+    /// [`wire::serialize`](crate::wire::serialize) writes from a loose
+    /// complex through the same walk: a complex serializes the same
+    /// whether it was compacted after every pass, only at the end or
+    /// never. The frozen prefix stays shared and keeps its ids, reachable
+    /// or not; only the owned records are copied.
     pub fn compact(&mut self) {
-        *self = self.compacted(self.frozen.clone());
-    }
-
-    /// This complex with all of its geometry owned: itself when nothing
-    /// is frozen, otherwise a compaction that copies the reachable shared
-    /// records too — laid out exactly as [`MsComplex::compact`] lays out
-    /// a complex that never froze anything.
-    pub fn unshared(&self) -> Cow<'_, MsComplex> {
-        match self.frozen {
-            None => Cow::Borrowed(self),
-            Some(_) => Cow::Owned(self.compacted(None)),
-        }
-    }
-
-    /// The compaction of this complex onto the frozen prefix `frozen`:
-    /// records of this complex's own prefix are kept by id when `frozen`
-    /// is that prefix, and copied otherwise.
-    fn compacted(&self, frozen: Option<std::sync::Arc<FrozenGeom>>) -> MsComplex {
         let mut out = MsComplex::new(self.refined, self.member_blocks.clone());
-        out.frozen = frozen;
+        out.frozen = self.frozen.clone();
         let live = self.nodes.iter().filter(|n| n.alive).count();
         out.nodes.reserve_exact(live);
         out.adj.reserve_exact(live);
@@ -808,49 +927,12 @@ impl MsComplex {
         for (adj, d) in out.adj.iter_mut().zip(degree) {
             adj.reserve_exact(d);
         }
-        let mut geom_map = Vec::new();
+        let mut walk = GeomWalk::keeping(self.n_frozen());
         for a in self.arcs.iter().filter(|a| a.alive) {
-            let g = self.copy_geom_into(a.geom, &mut out, &mut geom_map);
+            let g = walk.copy_into(self, a.geom, &mut out);
             out.add_arc(node_map[a.upper as usize], node_map[a.lower as usize], g);
         }
-        out
-    }
-
-    /// Recursively copy the geometry DAG rooted at `g` into `out`,
-    /// deduplicating shared records through `map`: a dense old-id →
-    /// new-id table over this complex's geometry records, grown on
-    /// first use (start from an empty vector and keep passing the same
-    /// one for every copy into the same `out`). A record of a frozen
-    /// prefix `out` shares is not copied: it keeps its id.
-    pub fn copy_geom_into(&self, g: GeomId, out: &mut MsComplex, map: &mut Vec<GeomId>) -> GeomId {
-        if (g as usize) < out.n_frozen() && self.shares_geometry_with(out) {
-            return g;
-        }
-        let total = self.n_geom_ids();
-        if map.len() < total {
-            map.resize(total, UNMAPPED);
-        }
-        if map[g as usize] != UNMAPPED {
-            return map[g as usize];
-        }
-        let id = match self.rec(g) {
-            (GeomRec::Leaf { offset, bytes, len }, steps) => {
-                // step codes are relative to the refined dims
-                debug_assert_eq!(self.refined, out.refined);
-                let at = out.steps.len();
-                out.steps
-                    .extend_from_slice(&steps[offset as usize..(offset + bytes) as usize]);
-                out.seal_leaf(at, len as usize)
-            }
-            (GeomRec::Cancel { first, mid, last }, _) => {
-                let f = self.copy_geom_into(first, out, map);
-                let m = self.copy_geom_into(mid, out, map);
-                let l = self.copy_geom_into(last, out, map);
-                out.add_cancel_geom(f, m, l)
-            }
-        };
-        map[g as usize] = id;
-        id
+        *self = out;
     }
 
     /// Recompute the boundary flags against the current member-block
@@ -897,6 +979,41 @@ impl MsComplex {
             }
         }
         Ok(())
+    }
+}
+
+/// A complex's records: the frozen prefix's below its length, its own
+/// above.
+impl GeomSource for MsComplex {
+    fn refined(&self) -> RefinedDims {
+        self.refined
+    }
+
+    fn n_geom_ids(&self) -> usize {
+        self.n_frozen() + self.geoms.len()
+    }
+
+    fn geom(&self, g: GeomId) -> GeomView<'_> {
+        let (rec, steps) = match &self.frozen {
+            Some(f) if (g as usize) < f.geoms.len() => (f.geoms[g as usize], &f.steps),
+            Some(f) => (self.geoms[g as usize - f.geoms.len()], &self.steps),
+            None => (self.geoms[g as usize], &self.steps),
+        };
+        match rec {
+            GeomRec::Leaf { len: 0, .. } => GeomView::Leaf(Leaf {
+                start: 0,
+                codes: &[],
+                len: 0,
+            }),
+            GeomRec::Leaf { offset, bytes, len } => {
+                let (start, codes) = steps[offset as usize..(offset + bytes) as usize]
+                    .split_first_chunk::<8>()
+                    .expect("a non-empty leaf starts with its address");
+                let start = u64::from_le_bytes(*start);
+                GeomView::Leaf(Leaf { start, codes, len })
+            }
+            GeomRec::Cancel { first, mid, last } => GeomView::Cancel([first, mid, last]),
+        }
     }
 }
 

@@ -38,18 +38,21 @@
 //!
 //! A payload holds a complex's compaction ([`MsComplex::compact`]): the
 //! live nodes and arcs in order and the geometry the live arcs reach,
-//! depth-first in arc order. [`serialize`] writes those bytes straight
-//! from the complex, tombstones, unreached records and a frozen prefix
-//! ([`MsComplex::freeze_geometry`]) included, so a complex serializes
-//! the same whether it was compacted after every pass, only at the end,
-//! or never. The pipeline relies on that: it ships, checkpoints and
+//! laid out by the one geometry walker (`skeleton::GeomWalk`) children
+//! first in arc order. [`serialize`] writes those bytes straight from the
+//! complex through the same walk, tombstones, unreached records and a
+//! frozen prefix ([`MsComplex::freeze_geometry`]) included, so a complex
+//! serializes the same whether it was compacted after every pass, only
+//! at the end, or never. The pipeline relies on that: it ships, checkpoints and
 //! writes its roots with the tombstones of their re-simplifications.
 //!
 //! Reading is one parser, which makes every structural check whichever
 //! sink takes the records: [`deserialize`] builds a complex straight
 //! from them, and [`glue_from_wire`](crate::glue::glue_from_wire) reads
-//! them through a `Payload` view that leaves them in the payload's bytes,
-//! so the incoming complex is never built. Besides the layout, the parser
+//! them through a `Payload` that leaves them in the payload's bytes, so
+//! the incoming complex is never built; its records are the same
+//! `GeomView`s a complex yields, and the one geometry walker
+//! (`skeleton::GeomWalk`) reads either. Besides the layout, the parser
 //! bounds what the records decode to: a cancel record decodes to the
 //! cells of its three children, and a record that decodes to more cells
 //! than `n_steps` (a cell takes at least one leaf byte) is refused, so
@@ -58,7 +61,7 @@
 
 use crate::glue::Incoming;
 use crate::skeleton::{
-    leaf_parts, path_cells, GeomId, GeomRec, MsComplex, Node, STEP_ESCAPE, UNMAPPED,
+    GeomId, GeomSource, GeomView, GeomWalk, Leaf, MsComplex, Node, STEP_ESCAPE, UNMAPPED,
 };
 use bytes::{BufMut, Bytes};
 use msp_grid::dims::RefinedDims;
@@ -95,12 +98,12 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 
 /// The compaction of a complex as the serializer reads it, built without
 /// copying a record: the live nodes and live arcs in order, and the
-/// geometry records the live arcs reach, depth-first in arc order with
-/// each record after its children — the layout [`MsComplex::compact`]
-/// gives a complex that shares no frozen prefix. Ids are remapped
-/// through dense old-id → packed-id tables, so tombstones and a frozen
-/// prefix cost one table entry each; a compacted complex packs to
-/// itself.
+/// geometry records the live arcs reach in the one walker's post-order
+/// ([`GeomWalk::renumber`]) arc by arc — the layout
+/// [`MsComplex::compact`] gives a complex that shares no frozen prefix.
+/// Ids are remapped through dense old-id → packed-id tables, so
+/// tombstones and a frozen prefix cost one table entry each; a compacted
+/// complex packs to itself.
 struct Packing<'a> {
     ms: &'a MsComplex,
     /// Old node id → packed id (`UNMAPPED` for a dead node).
@@ -109,99 +112,40 @@ struct Packing<'a> {
     n_arcs: usize,
     /// The reached geometry records' old ids, in packed order.
     order: Vec<GeomId>,
-    /// Old geometry id → packed id (`UNMAPPED` where unreached).
-    geoms: GeomCopy,
+    /// Old geometry id → packed id.
+    geoms: GeomWalk,
     /// Leaf bytes of the reached records (`MsComplex::steps` decoded).
     n_steps: usize,
-}
-
-/// One packed geometry record as it goes on the wire.
-enum PackedRec<'s> {
-    /// A leaf of `len` cells; when `len > 0` the zigzag delta of its
-    /// start against the previous non-empty leaf's, and its step codes.
-    Leaf {
-        len: u32,
-        start: Option<(u64, &'s [u8])>,
-    },
-    /// A cancel record's `i − 1 − child` back-references.
-    Cancel([u64; 3]),
 }
 
 impl<'a> Packing<'a> {
     fn of(ms: &'a MsComplex) -> Packing<'a> {
         let mut nodes = vec![UNMAPPED; ms.nodes.len()];
         let mut n_nodes = 0;
-        for (packed, n) in nodes.iter_mut().zip(&ms.nodes) {
-            if n.alive {
-                *packed = n_nodes as u32;
-                n_nodes += 1;
-            }
+        for (packed, _) in nodes.iter_mut().zip(&ms.nodes).filter(|(_, n)| n.alive) {
+            *packed = n_nodes as u32;
+            n_nodes += 1;
         }
-        let mut p = Packing {
-            ms,
-            nodes,
-            n_nodes,
-            n_arcs: 0,
-            order: Vec::new(),
-            geoms: GeomCopy::default(),
-            n_steps: 0,
-        };
-        let (order, n_steps) = (&mut p.order, &mut p.n_steps);
-        let children = |g| match ms.rec(g).0 {
-            GeomRec::Cancel { first, mid, last } => Some([first, mid, last]),
-            GeomRec::Leaf { .. } => None,
-        };
+        let (mut geoms, mut order, mut n_steps, mut n_arcs) = (GeomWalk::default(), vec![], 0, 0);
         for a in ms.arcs.iter().filter(|a| a.alive) {
-            p.n_arcs += 1;
-            p.geoms.walk(a.geom, ms.n_geom_ids(), children, |g, _| {
-                if let GeomRec::Leaf { bytes, .. } = ms.rec(g).0 {
-                    *n_steps += bytes as usize;
+            n_arcs += 1;
+            geoms.renumber(ms, a.geom, |g, view, _| {
+                if let GeomView::Leaf(leaf) = view {
+                    n_steps += leaf.bytes();
                 }
                 order.push(g);
                 (order.len() - 1) as GeomId
             });
         }
-        p
-    }
-
-    /// The packed geometry records in order.
-    fn records(&self) -> impl Iterator<Item = PackedRec<'a>> + '_ {
-        let mut prev_start = 0u64;
-        self.order
-            .iter()
-            .enumerate()
-            .map(move |(i, &g)| match self.ms.rec(g) {
-                (GeomRec::Leaf { offset, bytes, len }, steps) => {
-                    let start = (len > 0).then(|| {
-                        let (start, codes) = leaf_parts(steps, offset, bytes);
-                        let delta = zigzag(start.wrapping_sub(prev_start) as i64);
-                        prev_start = start;
-                        (delta, codes)
-                    });
-                    PackedRec::Leaf { len, start }
-                }
-                (GeomRec::Cancel { first, mid, last }, _) => PackedRec::Cancel(
-                    [first, mid, last]
-                        .map(|c| (i - 1 - self.geoms.map[c as usize] as usize) as u64),
-                ),
-            })
-    }
-
-    /// Zigzag deltas of each live arc's packed `(upper, lower, geom)`
-    /// against the previous arc's.
-    fn arc_deltas(&self) -> impl Iterator<Item = [u64; 3]> + '_ {
-        let mut prev = [0i64; 3];
-        self.ms.arcs.iter().filter(|a| a.alive).map(move |a| {
-            let cur = [
-                self.nodes[a.upper as usize],
-                self.nodes[a.lower as usize],
-                self.geoms.map[a.geom as usize],
-            ]
-            .map(i64::from);
-            let d = [0, 1, 2].map(|k| zigzag(cur[k] - prev[k]));
-            prev = cur;
-            d
-        })
+        Packing {
+            ms,
+            nodes,
+            n_nodes,
+            n_arcs,
+            order,
+            geoms,
+            n_steps,
+        }
     }
 
     /// An upper bound of [`Packing::write`]'s output length, from the
@@ -233,29 +177,39 @@ impl<'a> Packing<'a> {
         // geometry DAG: children precede parents
         buf.put_u32_le(self.order.len() as u32);
         buf.put_u32_le(self.n_steps as u32);
-        for rec in self.records() {
-            match rec {
-                PackedRec::Leaf { len, start } => {
+        let mut prev_start = 0u64;
+        for (i, &g) in self.order.iter().enumerate() {
+            match ms.geom(g) {
+                GeomView::Leaf(Leaf { start, codes, len }) => {
                     buf.push(TAG_LEAF);
                     put_varint(buf, u64::from(len));
-                    if let Some((delta, codes)) = start {
-                        put_varint(buf, delta);
+                    if len > 0 {
+                        put_varint(buf, zigzag(start.wrapping_sub(prev_start) as i64));
+                        prev_start = start;
                         buf.extend_from_slice(codes);
                     }
                 }
-                PackedRec::Cancel(back) => {
+                GeomView::Cancel(children) => {
                     buf.push(TAG_CANCEL);
-                    for b in back {
-                        put_varint(buf, b);
+                    for c in children {
+                        put_varint(buf, (i - 1 - self.geoms.new_id(c) as usize) as u64);
                     }
                 }
             }
         }
         buf.put_u32_le(self.n_arcs as u32);
-        for d in self.arc_deltas() {
-            for v in d {
-                put_varint(buf, v);
+        let mut prev = [0i64; 3];
+        for a in ms.arcs.iter().filter(|a| a.alive) {
+            let cur = [
+                self.nodes[a.upper as usize],
+                self.nodes[a.lower as usize],
+                self.geoms.new_id(a.geom),
+            ]
+            .map(i64::from);
+            for (c, p) in cur.iter().zip(prev) {
+                put_varint(buf, zigzag(c - p));
             }
+            prev = cur;
         }
     }
 }
@@ -336,23 +290,6 @@ fn read_zigzag(r: &mut Reader<'_>) -> Result<i64, WireError> {
     varint(r).map(unzigzag)
 }
 
-/// A geometry record of a [`Payload`], checked but not copied.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum WireGeom<'a> {
-    /// A leaf of `len` cells from `start` along the step codes `codes`
-    /// (escapes whole); `start` is 0 and `codes` empty when `len` is 0.
-    Leaf {
-        start: u64,
-        codes: &'a [u8],
-        len: u32,
-    },
-    Cancel {
-        first: GeomId,
-        mid: GeomId,
-        last: GeomId,
-    },
-}
-
 /// Where [`parse`] puts an MSC3 payload's records as it checks them:
 /// straight into a complex ([`deserialize`]) or into a [`Payload`] view
 /// (the glue). The checks are the parser's, whichever the sink.
@@ -368,7 +305,7 @@ trait Records<'a> {
     /// Room for `n_geoms` more records decoding to `n_steps` leaf bytes,
     /// or for `n_arcs` more arcs (counts checked against the bytes left).
     fn reserve(&mut self, n_geoms: usize, n_steps: usize, n_arcs: usize);
-    fn geom(&mut self, g: WireGeom<'a>);
+    fn geom(&mut self, g: GeomView<'a>);
     /// An arc's `[upper, lower, geom]`, in range and one index apart.
     fn arc(&mut self, arc: [u32; 3]);
 }
@@ -436,7 +373,7 @@ fn parse<'a>(data: &'a [u8], out: &mut impl Records<'a>) -> Result<(), WireError
                 }
                 let len = len as u32;
                 cells.push(len);
-                WireGeom::Leaf { start, codes, len }
+                GeomView::Leaf(Leaf { start, codes, len })
             }
             TAG_CANCEL => {
                 let mut child = || -> Result<u32, WireError> {
@@ -458,7 +395,7 @@ fn parse<'a>(data: &'a [u8], out: &mut impl Records<'a>) -> Result<(), WireError
                     ));
                 }
                 cells.push(len as u32);
-                WireGeom::Cancel { first, mid, last }
+                GeomView::Cancel([first, mid, last])
             }
             _ => return Err(WireError::Corrupt("unknown geometry record kind")),
         };
@@ -521,11 +458,8 @@ impl<'a> Records<'a> for MsComplex {
     }
 
     /// Records keep their ids: children precede parents already.
-    fn geom(&mut self, g: WireGeom<'a>) {
-        match g {
-            WireGeom::Leaf { start, codes, len } => copy_leaf(self, start, codes, len),
-            WireGeom::Cancel { first, mid, last } => self.add_cancel_geom(first, mid, last),
-        };
+    fn geom(&mut self, g: GeomView<'a>) {
+        self.add_geom(g);
     }
 
     fn arc(&mut self, [upper, lower, geom]: [u32; 3]) {
@@ -547,7 +481,7 @@ fn node_records(nodes: &[u8]) -> impl Iterator<Item = Node> + '_ {
 
 /// An MSC3 payload with every structural check [`deserialize`] makes
 /// done and nothing copied: the node records stay in the payload, each
-/// geometry record is a [`WireGeom`] pointing into it, and the arcs are
+/// geometry record is a [`GeomView`] pointing into it, and the arcs are
 /// decoded ids. [`glue_from_wire`](crate::glue::glue_from_wire) reads
 /// through it. Whether two nodes share an address is left to the glue,
 /// which has the root's index to tell.
@@ -557,7 +491,7 @@ pub(crate) struct Payload<'a> {
     members: Vec<u32>,
     /// The node records, [`NODE_BYTES`] each, every index ≤ 3.
     nodes: &'a [u8],
-    geoms: Vec<WireGeom<'a>>,
+    geoms: Vec<GeomView<'a>>,
     /// Each arc's `[upper, lower, geom]`, in range and one index apart.
     arcs: Vec<[u32; 3]>,
 }
@@ -578,7 +512,7 @@ impl<'a> Records<'a> for Payload<'a> {
         self.arcs.reserve(n_arcs);
     }
 
-    fn geom(&mut self, g: WireGeom<'a>) {
+    fn geom(&mut self, g: GeomView<'a>) {
         self.geoms.push(g);
     }
 
@@ -595,15 +529,23 @@ impl<'a> Payload<'a> {
     }
 }
 
-/// A payload glues from its bytes: its records are read in place, and
-/// copied into the root straight from the payload.
-impl Incoming for Payload<'_> {
-    type Copy = GeomCopy;
-
+/// A payload's records are read in place.
+impl GeomSource for Payload<'_> {
     fn refined(&self) -> RefinedDims {
         self.refined
     }
 
+    fn n_geom_ids(&self) -> usize {
+        self.geoms.len()
+    }
+
+    fn geom(&self, g: GeomId) -> GeomView<'_> {
+        self.geoms[g as usize]
+    }
+}
+
+/// A payload glues from its bytes.
+impl Incoming for Payload<'_> {
     fn member_blocks(&self) -> &[u32] {
         &self.members
     }
@@ -615,95 +557,6 @@ impl Incoming for Payload<'_> {
     fn arcs(&self) -> impl Iterator<Item = [u32; 3]> {
         self.arcs.iter().copied()
     }
-
-    fn geom_all(&self, g: GeomId, pred: &mut impl FnMut(u64) -> bool) -> bool {
-        let mut stack = Vec::new();
-        let mut next = Some(g);
-        while let Some(g) = next.take().or_else(|| stack.pop()) {
-            match self.geoms[g as usize] {
-                WireGeom::Leaf { start, codes, len } => {
-                    let start = (len > 0).then_some(start);
-                    if !path_cells(&self.refined, start, codes).all(&mut *pred) {
-                        return false;
-                    }
-                }
-                WireGeom::Cancel { first, mid, last } => stack.extend([last, mid, first]),
-            }
-        }
-        true
-    }
-
-    /// Each record lands exactly where copying it from the decoded
-    /// complex puts it.
-    fn copy_geom_into(&self, g: GeomId, out: &mut MsComplex, cp: &mut GeomCopy) -> GeomId {
-        let children = |g: GeomId| match self.geoms[g as usize] {
-            WireGeom::Cancel { first, mid, last } => Some([first, mid, last]),
-            WireGeom::Leaf { .. } => None,
-        };
-        cp.walk(g, self.geoms.len(), children, |g, map| {
-            match self.geoms[g as usize] {
-                WireGeom::Cancel { first, mid, last } => {
-                    let [f, m, l] = [first, mid, last].map(|c| map[c as usize]);
-                    out.add_cancel_geom(f, m, l)
-                }
-                WireGeom::Leaf { start, codes, len } => copy_leaf(out, start, codes, len),
-            }
-        })
-    }
-}
-
-/// A walk over a geometry DAG into one target (a packing, or a complex
-/// records are copied into), kept across the walks: the record id → new
-/// id table (`UNMAPPED` until reached) and the walk's stack.
-#[derive(Default)]
-pub(crate) struct GeomCopy {
-    map: Vec<GeomId>,
-    stack: Vec<(GeomId, bool)>,
-}
-
-impl GeomCopy {
-    /// Give record `g` and every record under it not reached yet a new
-    /// id, each record after its children and the children in `first,
-    /// mid, last` order: the order of [`MsComplex::copy_geom_into`], on
-    /// an explicit stack. `n_ids` is the number of record ids,
-    /// `children(r)` a cancel record's children, and `assign(r, map)`
-    /// makes record `r`'s new id, reading its children's from `map`.
-    fn walk(
-        &mut self,
-        g: GeomId,
-        n_ids: usize,
-        children: impl Fn(GeomId) -> Option<[GeomId; 3]>,
-        mut assign: impl FnMut(GeomId, &[GeomId]) -> GeomId,
-    ) -> GeomId {
-        if self.map.len() < n_ids {
-            self.map.resize(n_ids, UNMAPPED);
-        }
-        self.stack.push((g, false));
-        while let Some((r, expanded)) = self.stack.pop() {
-            if self.map[r as usize] != UNMAPPED {
-                continue;
-            }
-            match children(r) {
-                Some([first, mid, last]) if !expanded => {
-                    let next = [(r, true), (last, false), (mid, false), (first, false)];
-                    self.stack.extend(next);
-                }
-                _ => self.map[r as usize] = assign(r, &self.map),
-            }
-        }
-        self.map[g as usize]
-    }
-}
-
-/// Append a payload leaf to `out`'s leaf bytes as its start address and
-/// step codes.
-fn copy_leaf(out: &mut MsComplex, start: u64, codes: &[u8], len: u32) -> GeomId {
-    let at = out.steps.len();
-    if len > 0 {
-        out.steps.extend_from_slice(&start.to_le_bytes());
-        out.steps.extend_from_slice(codes);
-    }
-    out.seal_leaf(at, len as usize)
 }
 
 /// Deserialize a complex serialized with [`serialize`]: its compaction,
@@ -742,6 +595,7 @@ pub(crate) mod tests {
     use crate::build::build_block_complex;
     use crate::glue::glue_all;
     use crate::simplify::{simplify, SimplifyParams};
+    use crate::skeleton::GeomRec;
     use msp_grid::decomp::Decomposition;
     use msp_grid::{Dims, ScalarField};
     use msp_morse::TraceLimits;
@@ -815,20 +669,37 @@ pub(crate) mod tests {
         ms
     }
 
-    /// A complex over `refined` whose one arc is a two-cell leaf under
-    /// `levels` cancel records, each naming the record before it three
-    /// times: the arc decodes to 2 · 3^`levels` cells, from a payload
-    /// that grows by four bytes a level.
-    pub(crate) fn nested_cancels(refined: RefinedDims, levels: u32) -> MsComplex {
+    /// A complex over `refined` whose one arc is the two-cell leaf `[1,
+    /// 0]` under `levels` cancel records, each made by `level` from the
+    /// record before it ([`tripled`], [`chained`]).
+    pub(crate) fn nested_cancels(
+        refined: RefinedDims,
+        levels: u32,
+        level: fn(&mut MsComplex, GeomId) -> GeomId,
+    ) -> MsComplex {
         let mut ms = MsComplex::new(refined, vec![0]);
         let lo = ms.add_node(0, 0, 0.0, false);
         let hi = ms.add_node(1, 1, 1.0, false);
         let mut g = ms.add_leaf_geom(&[1, 0]);
         for _ in 0..levels {
-            g = ms.add_cancel_geom(g, g, g);
+            g = level(&mut ms, g);
         }
         ms.add_arc(hi, lo, g);
         ms
+    }
+
+    /// A cancel record naming `g` three times: the arc decodes to 2 ·
+    /// 3^levels cells, from a payload that grows by four bytes a level.
+    pub(crate) fn tripled(ms: &mut MsComplex, g: GeomId) -> GeomId {
+        ms.add_cancel_geom(g, g, g)
+    }
+
+    /// `g` reversed between two empty leaves: the arc decodes to the
+    /// leaf's two cells at any depth, so every depth is within the
+    /// parser's cell bound.
+    pub(crate) fn chained(ms: &mut MsComplex, g: GeomId) -> GeomId {
+        let empty = ms.add_leaf_geom(&[]);
+        ms.add_cancel_geom(empty, g, empty)
     }
 
     /// The three payloads the hostile-input test mutates, kept to a
@@ -988,7 +859,6 @@ pub(crate) mod tests {
         let bytes = serialize(&plain);
         assert_eq!(serialize(&view), bytes);
         assert_eq!(serialize(&compacted(&view)), bytes);
-        assert_eq!(serialize(&view.unshared()), bytes);
         assert_eq!(serialize(&frozen), serialize(&base));
     }
 
@@ -1089,8 +959,10 @@ pub(crate) mod tests {
                         // whatever decodes must be usable
                         for a in &ms.arcs {
                             ms.flatten_geom(a.geom);
+                            ms.geom_len(a.geom);
                         }
-                        let _ = serialize(&ms);
+                        ms.check_integrity().unwrap();
+                        assert_eq!(serialize(&compacted(&ms)), serialize(&ms));
                     }
                     flipped[at] ^= 1 << bit;
                 }
@@ -1106,13 +978,40 @@ pub(crate) mod tests {
         // one level decodes to 6 cells of the leaf's 9 bytes; at 16
         // levels a payload of under 160 bytes would decode to 86,093,442
         let refined = Dims::cube(4).refined();
-        let one = deserialize(&serialize(&nested_cancels(refined, 1))).unwrap();
+        let one = deserialize(&serialize(&nested_cancels(refined, 1, tripled))).unwrap();
         assert_eq!(one.geom_len(one.arcs[0].geom), 6);
-        let bytes = serialize(&nested_cancels(refined, 16));
+        let bytes = serialize(&nested_cancels(refined, 16, tripled));
         assert!(bytes.len() < 160, "{} bytes", bytes.len());
         assert_eq!(
             deserialize(&bytes).unwrap_err(),
             WireError::Corrupt("geometry record decodes to more cells than the leaf bytes hold")
         );
+    }
+
+    #[test]
+    fn deep_cancel_chains_walk_on_the_heap() {
+        // every walk of a chain as deep as a payload the parser accepts,
+        // on the test thread's stack: each one recursing per level would
+        // overflow it
+        let dims = Dims::cube(4);
+        let chain = nested_cancels(dims.refined(), 200_000, chained);
+        let bytes = serialize(&chain);
+        let mut ms = deserialize(&bytes).unwrap();
+        let g = ms.arcs[0].geom;
+        assert_eq!(ms.geom_len(g), 2);
+        assert_eq!(ms.flatten_geom(g), [1, 0]);
+        assert_eq!(serialize(&ms), bytes);
+        ms.check_integrity().unwrap();
+        ms.compact();
+        assert_eq!(ms.flatten_geom(ms.arcs[0].geom), [1, 0]);
+        assert_eq!(serialize(&ms), bytes);
+
+        // glued straight from the payload into an empty root
+        let d = Decomposition::bisect(dims, 1);
+        let mut root = MsComplex::new(dims.refined(), vec![]);
+        crate::glue::glue_from_wire(&mut root, &bytes, &d).unwrap();
+        root.compact();
+        assert_eq!(root.flatten_geom(root.arcs[0].geom), [1, 0]);
+        assert_eq!(serialize(&root), bytes);
     }
 }

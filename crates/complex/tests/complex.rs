@@ -121,11 +121,6 @@ fn wire_round_trip_arbitrary() {
         let mut compacted = ms.clone();
         compacted.compact();
         assert_eq!(&flat_arcs(&compacted), &paths);
-        let (mut copy, mut map) = (MsComplex::new(ms.refined, vec![]), Vec::new());
-        for (a, path) in ms.arcs.iter().zip(&paths) {
-            let g = ms.copy_geom_into(a.geom, &mut copy, &mut map);
-            assert_eq!(&copy.flatten_geom(g), path);
-        }
         let bytes = wire::serialize(&ms);
         let back = wire::deserialize(&bytes).unwrap();
         assert_eq!(&flat_arcs(&back), &paths);

@@ -1567,8 +1567,10 @@ mod tests {
                 owned < base_shared,
                 "entry owns {owned} geometry bytes, the base has {base_shared}"
             );
-            // and the shared records it reaches stay shared, not copied
-            let (unshared, _) = m.complex.unshared().geometry_bytes();
+            // and the shared records it reaches stay shared, not copied:
+            // a decoded payload owns exactly the records the arcs reach
+            let all = cwire::deserialize(&cwire::serialize(&m.complex)).unwrap();
+            let (unshared, _) = all.geometry_bytes();
             assert!(
                 owned < unshared,
                 "owns {owned} bytes, all it reaches is {unshared}"

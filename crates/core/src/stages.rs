@@ -1045,7 +1045,10 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
             }
             node.add(Counter::NodesShipped, ms.n_live_nodes());
             node.add(Counter::ArcsShipped, ms.n_live_arcs());
-            let payload = cut.remove(&mb).unwrap_or_else(|| wire::serialize(&ms));
+            let payload = match cut.remove(&mb) {
+                Some(payload) => payload,
+                None => node.time(Phase::Ship, || wire::serialize(&ms)),
+            };
             node.add(Counter::ShipBytes, payload.len() as u64);
             (node.send(to, (r as u32) << 20 | mb, payload))
                 .map_err(comm_err(format!("shipping slot {mb} in round {r}")))?;

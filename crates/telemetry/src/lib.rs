@@ -6,7 +6,7 @@
 //! per-phase, per-rank breakdowns of this kind).
 //!
 //! * [`Phase`] — the fixed span taxonomy matching Algorithm 1 (`read`,
-//!   `gradient`, `trace`, `simplify`, `merge_round[k]`, `glue`,
+//!   `gradient`, `trace`, `simplify`, `merge_round[k]`, `ship`, `glue`,
 //!   `resimplify`, `write`, `total`);
 //! * [`Counter`] — monotonically-accumulating work/communication
 //!   counters (cells paired … bytes/messages sent/received);

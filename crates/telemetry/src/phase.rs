@@ -8,8 +8,8 @@
 
 /// One phase of the pipeline. The derived `Ord` follows pipeline order
 /// (read → gradient → trace → simplify → merge rounds → checkpoint →
-/// glue → resimplify → write → total), which is the order phases appear in
-/// reports.
+/// ship → glue → resimplify → write → total), which is the order phases
+/// appear in reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Phase {
     /// Collective read of the scalar blocks (§IV-B).
@@ -29,6 +29,10 @@ pub enum Phase {
     /// serializing every living slot and the modeled save; nested inside
     /// each merge round, and once more before the write.
     Checkpoint,
+    /// Encoding a member for a root on another rank (§IV-F2): the
+    /// sender's `wire::serialize`, where the checkpoint cut does not hold
+    /// its bytes already; nested inside a merge round.
+    Ship,
     /// Gluing incoming complexes onto a root (§IV-F3); nested inside a
     /// merge round.
     Glue,
@@ -69,6 +73,7 @@ impl Phase {
             Phase::Segment => "segment".to_string(),
             Phase::MergeRound(k) => format!("merge_round[{k}]"),
             Phase::Checkpoint => "checkpoint".to_string(),
+            Phase::Ship => "ship".to_string(),
             Phase::Glue => "glue".to_string(),
             Phase::Resimplify => "resimplify".to_string(),
             Phase::SegResolve => "seg_resolve".to_string(),
@@ -92,6 +97,7 @@ impl Phase {
             "simplify" => Some(Phase::Simplify),
             "segment" => Some(Phase::Segment),
             "checkpoint" => Some(Phase::Checkpoint),
+            "ship" => Some(Phase::Ship),
             "glue" => Some(Phase::Glue),
             "resimplify" => Some(Phase::Resimplify),
             "seg_resolve" => Some(Phase::SegResolve),
@@ -136,6 +142,7 @@ mod tests {
             Phase::MergeRound(0),
             Phase::MergeRound(13),
             Phase::Checkpoint,
+            Phase::Ship,
             Phase::Glue,
             Phase::Resimplify,
             Phase::SegResolve,

@@ -137,7 +137,10 @@ cmp "$tracedir/sina1.msc" "$tracedir/sina3.msc"
 # cached count entry at 40, and a threshold at 0.4 that extends the
 # cached 0.2 entry; gate on all-ok responses, a nonzero cache hit rate
 # and the p50<=p99 latency self-check. The ping after quit must go
-# unanswered: the session stops at quit.
+# unanswered: the session stops at quit. The 138 cells of arc 196 at
+# 0.7 run through nested cancellation splices; their reply is pinned,
+# so a change to how geometry is stored, copied or walked cannot move
+# them unseen.
 msc compute --input "$tracedir/seg.raw" \
   --dims 17,17,17 --ranks 2 --blocks 8 --merge full --hierarchy --check \
   --output "$tracedir/serve.msc"
@@ -154,6 +157,7 @@ printf '%s\n' \
   '{"op":"arc-geometry","t":0.2,"arc":2}' \
   '{"op":"arc-geometry","t":0.2,"arc":3}' \
   '{"op":"threshold","t":0.4}' \
+  '{"op":"arc-geometry","t":0.7,"arc":196}' \
   '{"op":"stats"}' \
   '{"op":"metrics"}' \
   '{"op":"health"}' \
@@ -163,8 +167,10 @@ printf '%s\n' \
       > "$tracedir/serve_out.jsonl" 2> "$tracedir/serve_err.txt"
 ! grep -q '"ok":false' "$tracedir/serve_out.jsonl" \
   || { echo "serve smoke: error response"; cat "$tracedir/serve_out.jsonl"; exit 1; }
-[ "$(wc -l < "$tracedir/serve_out.jsonl")" -eq 16 ] \
-  || { echo "serve smoke: expected 16 responses"; cat "$tracedir/serve_out.jsonl"; exit 1; }
+[ "$(wc -l < "$tracedir/serve_out.jsonl")" -eq 17 ] \
+  || { echo "serve smoke: expected 17 responses"; cat "$tracedir/serve_out.jsonl"; exit 1; }
+[ "$(grep '"arc":196' "$tracedir/serve_out.jsonl" | cksum)" = "1381296253 1009" ] \
+  || { echo "serve smoke: arc 196 geometry moved"; grep '"arc":196' "$tracedir/serve_out.jsonl"; exit 1; }
 hits="$(grep -o '"hits":[0-9]*' "$tracedir/serve_out.jsonl" | tail -1 | cut -d: -f2)"
 [ "${hits:-0}" -gt 0 ] \
   || { echo "serve smoke: cache hit rate is zero"; cat "$tracedir/serve_out.jsonl"; exit 1; }
@@ -249,6 +255,37 @@ for i in "${!hostile[@]}"; do
   [ "$status" -eq 1 ] && grep -q '^error: ' "$tracedir/hostile_err.txt" \
     || { echo "hostile footer $i: exit $status"; cat "$tracedir/hostile_err.txt"; exit 1; }
 done
+
+# deep geometry: one MSPF entry holding an MSC3 payload whose one arc is
+# a two-cell leaf under 200,000 levels of (empty leaf, cancel(that leaf,
+# the level below, that leaf)). The parser accepts it (it decodes to two
+# cells at any depth); stats and export walk it to the bottom and must
+# exit 0, never abort on a stack overflow (134)
+varint() { # varint V: V as unsigned LEB128, in printf escapes
+  local v=$1
+  while ((v >= 128)); do printf '\\x%02x' $(((v & 127) | 128)); v=$((v >> 7)); done
+  printf '\\x%02x' "$v"
+}
+levels=200000
+{
+  printf "MSC3$(le 8 9)$(le 8 9)$(le 8 9)$(le 4 1)$(le 4 0)"            # 9³ refined, member 0
+  printf "$(le 4 2)$(le 8 0)$(le 4 0)\\x00\\x00$(le 8 1)$(le 4 0x3f800000)\\x01\\x00"
+  printf "$(le 4 $((2 * levels + 1)))$(le 4 9)\\x00\\x02\\x02\\x00"       # leaf [1, 0]
+  printf '\x00\x00\x01\x00\x01\x00%.0s' $(seq "$levels")
+  printf "$(le 4 1)\\x02\\x00$(varint $((4 * levels)))"                    # arc 1 -> 0
+} > "$tracedir/deep.msc"
+len=$(stat -c %s "$tracedir/deep.msc")
+printf "$(le 4 1)$(le 8 0)$(le 8 "$len")$(le 4 0)$(le 8 24)MSPF" >> "$tracedir/deep.msc"
+deep() { # deep ARGS...: msc ARGS exits 0
+  local status=0
+  msc "$@" > "$tracedir/deep_out.txt" 2>&1 || status=$?
+  [ "$status" -eq 0 ] \
+    || { echo "deep chain, msc $1: exit $status"; cat "$tracedir/deep_out.txt"; exit 1; }
+}
+deep stats "$tracedir/deep.msc" --block 0
+grep -q 'min 2 / median 2 / max 2' "$tracedir/deep_out.txt" \
+  || { echo "deep chain: the arc is not two cells"; cat "$tracedir/deep_out.txt"; exit 1; }
+deep export "$tracedir/deep.msc" --vtk "$tracedir/deep.vtk"
 
 # figure smoke: the figures driver regenerates every table and figure
 # at small scale into $tracedir; it asserts its gates (the fault sweep's
