@@ -381,12 +381,14 @@ fn fig9_jet(scale: Scale, out: &mut Out) {
             "total(s)",
             "eff(%)",
             "out size",
+            "last in",
         ],
     );
     let mut sims = Vec::new();
     let mut base = None;
     for &p in ranks {
         let r = simulate(&field, p, MergePlan::full_merge(p));
+        let last_in = r.rounds.last().map_or(0, |x| x.nodes_moved);
         let (p0, t0) = *base.get_or_insert((p, r.total_s));
         t.row(
             out,
@@ -400,13 +402,16 @@ fn fig9_jet(scale: Scale, out: &mut Out) {
                 format!("{:.4}", r.total_s),
                 format!("{:.1}", 100.0 * efficiency(p0, t0, p, r.total_s)),
                 fmt_bytes(r.output_bytes),
+                format!("{last_in}"),
             ],
         );
         sims.push((format!("p{p}"), r.to_json()));
     }
     emit_series("fig9_jet", "sim_series", sims);
     out.line(
-        "\nExpected shape (paper §VI-D1): compute dominates at small P and\n\
+        "\nlast in: live nodes the final round's root receives from its\n\
+         remote members (the merge work that grows with rank count).\n\
+         \nExpected shape (paper §VI-D1): compute dominates at small P and\n\
          falls ~1/P; merge time grows at large P and takes over; efficiency\n\
          decays to tens of percent at the largest counts (paper: 35% at\n\
          2048, 13% at 8192 for a full merge).",

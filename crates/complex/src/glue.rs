@@ -506,7 +506,7 @@ mod tests {
         }
         // a short payload of nested cancel records that would decode to
         // 86,093,442 cells
-        let nested = wire::tests::nested_cancels(cs[0].refined, 16, wire::tests::tripled);
+        let nested = wire::tests::nested_cancels(cs[0].refined, &[1, 0], 16, wire::tests::tripled);
         let bytes = wire::serialize(&nested);
         let mut root = cs[0].clone();
         assert!(matches!(

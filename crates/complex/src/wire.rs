@@ -55,9 +55,11 @@
 //! (`skeleton::GeomWalk`) reads either. Besides the layout, the parser
 //! bounds what the records decode to: a cancel record decodes to the
 //! cells of its three children, and a record that decodes to more cells
-//! than `n_steps` (a cell takes at least one leaf byte) is refused, so
-//! records naming one child many times cannot make a short payload
-//! decode to exponentially many cells.
+//! than `n_steps` (a cell takes at least one leaf byte) is refused, and
+//! so is one whose in-order walk visits more than `2·(n_steps +
+//! n_geoms)` records, so records naming one child many times cannot make
+//! a short payload decode to exponentially many cells, nor make a walk
+//! visit exponentially many zero-cell records.
 
 use crate::glue::Incoming;
 use crate::skeleton::{
@@ -348,11 +350,17 @@ fn parse<'a>(data: &'a [u8], out: &mut impl Records<'a>) -> Result<(), WireError
     }
     out.reserve(n_geoms, n_steps, 0);
     let (mut prev_start, mut steps) = (0u64, 0usize);
-    // the cells each record decodes to: no record may decode to more
-    // cells than the leaf bytes hold (a cell takes at least one), so
-    // cancel records naming one child many times cannot make a short
-    // payload decode to exponentially many cells
-    let mut cells: Vec<u32> = Vec::with_capacity(n_geoms);
+    // per record, the cells it decodes to and the records an in-order
+    // walk of it visits (1 for a leaf, 1 plus its children's for a
+    // cancel, saturating). No record may decode to more cells than the
+    // leaf bytes hold (a cell takes at least one), nor walk more records
+    // than twice the leaf bytes and records together (a walk of
+    // non-empty leaves visits at most 1.5 per cell; the budget stays
+    // below the saturated count), so cancel records naming one child
+    // many times cannot make a short payload decode to exponentially
+    // many cells, nor walk exponentially many empty ones
+    let walk_budget = (2 * (n_steps as u64 + n_geoms as u64)).min(u64::from(u32::MAX - 1));
+    let mut cells: Vec<(u32, u32)> = Vec::with_capacity(n_geoms);
     for i in 0..n_geoms {
         let rec = match r.u8()? {
             TAG_LEAF => {
@@ -372,7 +380,7 @@ fn parse<'a>(data: &'a [u8], out: &mut impl Records<'a>) -> Result<(), WireError
                     }
                 }
                 let len = len as u32;
-                cells.push(len);
+                cells.push((len, 1));
                 GeomView::Leaf(Leaf { start, codes, len })
             }
             TAG_CANCEL => {
@@ -385,16 +393,23 @@ fn parse<'a>(data: &'a [u8], out: &mut impl Records<'a>) -> Result<(), WireError
                     Ok((i as u64 - 1 - back) as u32)
                 };
                 let (first, mid, last) = (child()?, child()?, child()?);
-                let len: u64 = [first, mid, last]
-                    .map(|c| u64::from(cells[c as usize]))
-                    .iter()
-                    .sum();
+                let (mut len, mut walk) = (0u64, 1u32);
+                for c in [first, mid, last] {
+                    let (c_len, c_walk) = cells[c as usize];
+                    len += u64::from(c_len);
+                    walk = walk.saturating_add(c_walk);
+                }
                 if len > n_steps as u64 {
                     return Err(WireError::Corrupt(
                         "geometry record decodes to more cells than the leaf bytes hold",
                     ));
                 }
-                cells.push(len as u32);
+                if u64::from(walk) > walk_budget {
+                    return Err(WireError::Corrupt(
+                        "geometry record walks more records than the payload bounds",
+                    ));
+                }
+                cells.push((len as u32, walk));
                 GeomView::Cancel([first, mid, last])
             }
             _ => return Err(WireError::Corrupt("unknown geometry record kind")),
@@ -669,18 +684,19 @@ pub(crate) mod tests {
         ms
     }
 
-    /// A complex over `refined` whose one arc is the two-cell leaf `[1,
-    /// 0]` under `levels` cancel records, each made by `level` from the
-    /// record before it ([`tripled`], [`chained`]).
+    /// A complex over `refined` whose one arc is the leaf `path` under
+    /// `levels` cancel records, each made by `level` from the record
+    /// before it ([`tripled`], [`chained`]).
     pub(crate) fn nested_cancels(
         refined: RefinedDims,
+        path: &[u64],
         levels: u32,
         level: fn(&mut MsComplex, GeomId) -> GeomId,
     ) -> MsComplex {
         let mut ms = MsComplex::new(refined, vec![0]);
         let lo = ms.add_node(0, 0, 0.0, false);
         let hi = ms.add_node(1, 1, 1.0, false);
-        let mut g = ms.add_leaf_geom(&[1, 0]);
+        let mut g = ms.add_leaf_geom(path);
         for _ in 0..levels {
             g = level(&mut ms, g);
         }
@@ -688,8 +704,10 @@ pub(crate) mod tests {
         ms
     }
 
-    /// A cancel record naming `g` three times: the arc decodes to 2 ·
-    /// 3^levels cells, from a payload that grows by four bytes a level.
+    /// A cancel record naming `g` three times: over the leaf `[1, 0]` the
+    /// arc decodes to 2 · 3^levels cells, from a payload that grows by
+    /// four bytes a level; over an empty leaf it decodes to none, yet an
+    /// in-order walk visits 3^levels leaves.
     pub(crate) fn tripled(ms: &mut MsComplex, g: GeomId) -> GeomId {
         ms.add_cancel_geom(g, g, g)
     }
@@ -978,9 +996,9 @@ pub(crate) mod tests {
         // one level decodes to 6 cells of the leaf's 9 bytes; at 16
         // levels a payload of under 160 bytes would decode to 86,093,442
         let refined = Dims::cube(4).refined();
-        let one = deserialize(&serialize(&nested_cancels(refined, 1, tripled))).unwrap();
+        let one = deserialize(&serialize(&nested_cancels(refined, &[1, 0], 1, tripled))).unwrap();
         assert_eq!(one.geom_len(one.arcs[0].geom), 6);
-        let bytes = serialize(&nested_cancels(refined, 16, tripled));
+        let bytes = serialize(&nested_cancels(refined, &[1, 0], 16, tripled));
         assert!(bytes.len() < 160, "{} bytes", bytes.len());
         assert_eq!(
             deserialize(&bytes).unwrap_err(),
@@ -994,7 +1012,7 @@ pub(crate) mod tests {
         // on the test thread's stack: each one recursing per level would
         // overflow it
         let dims = Dims::cube(4);
-        let chain = nested_cancels(dims.refined(), 200_000, chained);
+        let chain = nested_cancels(dims.refined(), &[1, 0], 200_000, chained);
         let bytes = serialize(&chain);
         let mut ms = deserialize(&bytes).unwrap();
         let g = ms.arcs[0].geom;
@@ -1013,5 +1031,34 @@ pub(crate) mod tests {
         root.compact();
         assert_eq!(root.flatten_geom(root.arcs[0].geom), [1, 0]);
         assert_eq!(serialize(&root), bytes);
+    }
+
+    #[test]
+    fn zero_cell_cancel_dags_are_refused_at_parse() {
+        // an empty leaf under `cancel(g, g, g)` levels decodes to no
+        // cells, so the cell bound passes it at any depth, but an
+        // in-order walk of 30 levels would visit 3^30 records
+        let dims = Dims::cube(4);
+        for levels in [18, 30] {
+            let bytes = serialize(&nested_cancels(dims.refined(), &[], levels, tripled));
+            assert!(bytes.len() < 250, "{} bytes", bytes.len());
+            let t0 = std::time::Instant::now();
+            assert_eq!(
+                deserialize(&bytes).unwrap_err(),
+                WireError::Corrupt("geometry record walks more records than the payload bounds")
+            );
+            let d = Decomposition::bisect(dims, 1);
+            let mut root = MsComplex::new(dims.refined(), vec![]);
+            assert!(crate::glue::glue_from_wire(&mut root, &bytes, &d).is_err());
+            let took = t0.elapsed();
+            assert!(
+                took.as_millis() < 500,
+                "{levels} levels refused in {took:?}"
+            );
+        }
+        // one level is within the budget, and walks its four records
+        let one =
+            deserialize(&serialize(&nested_cancels(dims.refined(), &[], 1, tripled))).unwrap();
+        assert_eq!(one.geom_len(one.arcs[0].geom), 0);
     }
 }

@@ -688,7 +688,7 @@ mod tests {
     /// from both machines, never a panic; the valid neighbors run.
     #[test]
     fn bad_configs_are_reported_not_panicked() {
-        use crate::simdriver::{simulate, SimError, SimParams};
+        use crate::simdriver::{simulate, SimParams};
         let field = msp_synth::white_noise(Dims::cube(9), 3);
         let input = Input::Memory(Arc::new(field.clone()));
         for (ranks, blocks) in [(4, 2), (0, 4), (8, 4)] {
@@ -697,7 +697,10 @@ mod tests {
             assert!(matches!(run, Err(PipelineError::Config(_))), "{what}");
         }
         let sim = simulate(&field, 0, &SimParams::default());
-        assert!(matches!(sim, Err(SimError::Config(_))), "0 virtual ranks");
+        assert!(
+            matches!(sim, Err(PipelineError::Config(_))),
+            "0 virtual ranks"
+        );
         let bad_plans = [
             (MergePlan::rounds(vec![8]), 12),
             (MergePlan::rounds(vec![4]), 6),
@@ -728,7 +731,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            assert!(matches!(sim, Err(SimError::Config(_))), "{what}");
+            assert!(matches!(sim, Err(PipelineError::Config(_))), "{what}");
         }
         for plan in [MergePlan::rounds(vec![2]), MergePlan::none()] {
             let params = PipelineParams {

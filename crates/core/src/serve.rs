@@ -22,7 +22,7 @@
 //! {"op":"arc-geometry","t":0.5,"arc":3}
 //! {"op":"segment-stats","t":0.5}
 //! {"op":"stats"}
-//! {"op":"metrics"}     live-registry snapshot (counters/gauges/histograms)
+//! {"op":"metrics"}     live snapshot (counters/gauges/histograms)
 //! {"op":"health"}      readiness/liveness summary
 //! {"op":"quit"}        closes the connection
 //! {"op":"shutdown"}    closes the connection and stops a TCP server,
@@ -50,8 +50,8 @@
 //!
 //! A TCP connection whose first bytes spell `GET ` or `HEAD` is served
 //! as HTTP instead (sniffed without consuming them): `GET /metrics`
-//! answers Prometheus text exposition format from the same live
-//! registry, `GET /healthz` the health object — so one listener serves
+//! answers Prometheus text exposition format from the same metric
+//! families, `GET /healthz` the health object — so one listener serves
 //! both line-JSON clients and an ordinary scraper. HTTP scrapes are
 //! counted in `serve_http_scrapes`, not as queries.
 //!
@@ -80,11 +80,16 @@
 //!
 //! ## Live metrics
 //!
-//! All serving state lives in an `msp_telemetry::live::Registry`:
-//! atomic counters (`serve_queries` …), byte gauges, windowed QPS and
-//! one log-bucketed latency histogram per query class — recording is
-//! lock-free and memory is O(histogram buckets), never O(requests).
-//! Every request slower than [`ServeConfig::slow_us`] emits a structured
+//! The serving instruments are plain fields: atomic counters
+//! (`serve_queries` …), a windowed rate and one log-bucketed latency
+//! histogram per query class — recording is lock-free and memory is
+//! O(histogram buckets), never O(requests). Every gauge (uptime,
+//! windowed QPS, cache entries and bytes, dataset bytes) is computed
+//! when a scrape builds the one fixed family list
+//! (`ServerCore::families`), which `GET /metrics`, the `metrics`
+//! reply and the run report render; the `stats` and `health` replies
+//! read the same instruments. Every request slower than
+//! [`ServeConfig::slow_us`] emits a structured
 //! `{"event":"slow_request",...}` JSON line on stderr.
 //! [`ServerCore::report`] folds the
 //! counters plus a live snapshot into an `msp-telemetry` run report
@@ -96,9 +101,8 @@ use msp_hierarchy::{
     compress_forwards, wire as hwire, HierarchyError, Materialized, Ordering, SlotHierarchy,
 };
 use msp_segment::{wire as segwire, BlockSegmentation, DRAIN_ADDR, DRAIN_LABEL};
-use msp_telemetry::{
-    Counter, Json, LiveCounter, LiveGauge, LiveHistogram, RateWindow, Recorder, Registry, RunReport,
-};
+use msp_telemetry::live::{render_prometheus, snapshot_json, Family, Value};
+use msp_telemetry::{Counter, Json, LiveCounter, LiveHistogram, RateWindow, Recorder, RunReport};
 use msp_vmpi::fileio::{read_block_payload, read_footer};
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
@@ -327,9 +331,26 @@ impl Lru {
     }
 }
 
-/// The fixed query-class taxonomy: one latency histogram per class is
-/// registered up front, so recording never takes the registry lock.
-const QUERY_CLASSES: [&str; 12] = [
+/// The fixed query-class taxonomy, alphabetical: one latency histogram
+/// per class, at `class as usize`.
+#[derive(Clone, Copy)]
+enum Class {
+    ArcGeometry,
+    Datasets,
+    Extrema,
+    Health,
+    Invalid,
+    Metrics,
+    Ping,
+    Quit,
+    SegmentStats,
+    Shutdown,
+    Stats,
+    Threshold,
+}
+
+/// Each [`Class`]'s label, in the same order.
+const CLASS_NAMES: [&str; 12] = [
     "arc-geometry",
     "datasets",
     "extrema",
@@ -344,130 +365,55 @@ const QUERY_CLASSES: [&str; 12] = [
     "threshold",
 ];
 
+/// Every exported family as its Prometheus `name help`, in exposition
+/// order (`ServerCore::families` builds their series): the counters in
+/// `ServeMetrics` field order, then the gauges, the latency histograms
+/// and the per-dataset bytes.
+const FAMILIES: [&str; 14] = [
+    "serve_queries Requests handled (all classes)",
+    "serve_hits Materialization cache hits",
+    "serve_misses Materialization cache misses (replays)",
+    "serve_coalesced Requests that piggybacked on an in-flight replay",
+    "serve_replayed_records Cancellation records replayed by cache misses",
+    "serve_errors Requests answered with ok:false",
+    "serve_slow_requests Requests at or above the slow threshold",
+    "serve_http_scrapes HTTP requests served (metrics/health)",
+    "serve_uptime_seconds Seconds since the server started",
+    "serve_qps_window Queries per second over a trailing window",
+    "serve_cache_resident Materializations resident in the LRU cache",
+    "serve_cache_bytes Estimated resident bytes of cached materializations",
+    "serve_latency_us Request latency in microseconds (log-bucketed)",
+    "serve_dataset_bytes Estimated resident bytes of a loaded dataset's artifacts",
+];
+
 /// QPS windows exported as `serve_qps_window{window=...}` gauges.
 const QPS_WINDOWS: [(u64, &str); 3] = [(1, "1s"), (10, "10s"), (60, "60s")];
 
-/// The live serving metrics: a registry plus typed handles to every
-/// series the hot path records into. All recording is lock-free
-/// (atomics behind `Arc`s); the registry mutex is touched only when
-/// rendering a scrape. Memory is a fixed set of counters/gauges plus
+/// The live serving instruments. All recording is lock-free (relaxed
+/// atomics); every gauge is computed at scrape time
+/// ([`ServerCore::families`]). Memory is a fixed set of counters plus
 /// one bounded histogram per query class — O(buckets), not O(requests).
+#[derive(Default)]
 struct ServeMetrics {
-    registry: Registry,
-    queries: Arc<LiveCounter>,
-    hits: Arc<LiveCounter>,
-    misses: Arc<LiveCounter>,
-    coalesced: Arc<LiveCounter>,
-    replayed: Arc<LiveCounter>,
-    errors: Arc<LiveCounter>,
-    slow: Arc<LiveCounter>,
-    scrapes: Arc<LiveCounter>,
-    uptime: Arc<LiveGauge>,
-    qps: Vec<(u64, Arc<LiveGauge>)>,
-    cache_resident: Arc<LiveGauge>,
-    cache_bytes: Arc<LiveGauge>,
-    classes: Vec<(&'static str, Arc<LiveHistogram>)>,
+    queries: LiveCounter,
+    hits: LiveCounter,
+    misses: LiveCounter,
+    coalesced: LiveCounter,
+    replayed: LiveCounter,
+    errors: LiveCounter,
+    slow: LiveCounter,
+    scrapes: LiveCounter,
+    latency: [LiveHistogram; CLASS_NAMES.len()],
     rate: RateWindow,
 }
 
 impl ServeMetrics {
-    fn new() -> ServeMetrics {
-        let registry = Registry::new();
-        let c = |name, help| registry.counter(name, help, &[]);
-        let queries = c("serve_queries", "Requests handled (all classes)");
-        let hits = c("serve_hits", "Materialization cache hits");
-        let misses = c("serve_misses", "Materialization cache misses (replays)");
-        let coalesced = c(
-            "serve_coalesced",
-            "Requests that piggybacked on an in-flight replay",
-        );
-        let replayed = c(
-            "serve_replayed_records",
-            "Cancellation records replayed by cache misses",
-        );
-        let errors = c("serve_errors", "Requests answered with ok:false");
-        let slow = c(
-            "serve_slow_requests",
-            "Requests at or above the slow threshold",
-        );
-        let scrapes = c(
-            "serve_http_scrapes",
-            "HTTP requests served (metrics/health)",
-        );
-        let uptime = registry.gauge(
-            "serve_uptime_seconds",
-            "Seconds since the server started",
-            &[],
-        );
-        let qps = QPS_WINDOWS
-            .iter()
-            .map(|&(secs, label)| {
-                (
-                    secs,
-                    registry.gauge(
-                        "serve_qps_window",
-                        "Queries per second over a trailing window",
-                        &[("window", label)],
-                    ),
-                )
-            })
-            .collect();
-        let cache_resident = registry.gauge(
-            "serve_cache_resident",
-            "Materializations resident in the LRU cache",
-            &[],
-        );
-        let cache_bytes = registry.gauge(
-            "serve_cache_bytes",
-            "Estimated resident bytes of cached materializations",
-            &[],
-        );
-        let classes = QUERY_CLASSES
-            .iter()
-            .map(|&class| {
-                (
-                    class,
-                    registry.histogram(
-                        "serve_latency_us",
-                        "Request latency in microseconds (log-bucketed)",
-                        &[("class", class)],
-                    ),
-                )
-            })
-            .collect();
-        ServeMetrics {
-            registry,
-            queries,
-            hits,
-            misses,
-            coalesced,
-            replayed,
-            errors,
-            slow,
-            scrapes,
-            uptime,
-            qps,
-            cache_resident,
-            cache_bytes,
-            classes,
-            rate: RateWindow::new(),
-        }
-    }
-
-    fn class_hist(&self, class: &str) -> &LiveHistogram {
-        self.classes
-            .iter()
-            .find(|(c, _)| *c == class)
-            .map(|(_, h)| h.as_ref())
-            .unwrap_or(&self.classes[0].1)
-    }
-
     /// Resident footprint of the metrics layer itself — a constant,
     /// asserted by the bounded-memory test.
     #[cfg(test)]
     fn mem_bytes(&self) -> u64 {
         std::mem::size_of::<ServeMetrics>() as u64
-            + self.classes.iter().map(|(_, h)| h.mem_bytes()).sum::<u64>()
+            + self.latency.iter().map(|h| h.mem_bytes()).sum::<u64>()
     }
 }
 
@@ -481,6 +427,10 @@ pub struct ServerCore {
     inflight: Mutex<HashSet<CacheKey>>,
     inflight_cv: Condvar,
     metrics: ServeMetrics,
+    /// `serve_dataset_bytes` per dataset name, taken once at load: a
+    /// repeated name is one series, at its first position, holding the
+    /// later dataset's bytes.
+    dataset_bytes: Vec<(String, u64)>,
     started: Instant,
     shutdown: AtomicBool,
 }
@@ -492,16 +442,12 @@ impl ServerCore {
             .enumerate()
             .map(|(i, d)| (d.name.clone(), i))
             .collect();
-        let metrics = ServeMetrics::new();
+        let mut dataset_bytes: Vec<(String, u64)> = Vec::new();
         for d in &datasets {
-            metrics
-                .registry
-                .gauge(
-                    "serve_dataset_bytes",
-                    "Estimated resident bytes of a loaded dataset's artifacts",
-                    &[("dataset", &d.name)],
-                )
-                .set_u64(d.mem_bytes());
+            match dataset_bytes.iter_mut().find(|(name, _)| *name == d.name) {
+                Some((_, bytes)) => *bytes = d.mem_bytes(),
+                None => dataset_bytes.push((d.name.clone(), d.mem_bytes())),
+            }
         }
         ServerCore {
             datasets,
@@ -510,7 +456,8 @@ impl ServerCore {
             cache: Mutex::new(Lru::new(config.cache_capacity)),
             inflight: Mutex::new(HashSet::new()),
             inflight_cv: Condvar::new(),
-            metrics,
+            metrics: ServeMetrics::default(),
+            dataset_bytes,
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
         }
@@ -542,14 +489,14 @@ impl ServerCore {
         &self,
         line: &str,
         t0: Instant,
-        class: &'static str,
+        class: Class,
         result: Result<Json, String>,
     ) -> String {
         let us = t0.elapsed().as_micros() as u64;
         let m = &self.metrics;
         m.queries.inc();
         m.rate.record();
-        m.class_hist(class).record(us);
+        m.latency[class as usize].record(us);
         let json = match result {
             Ok(j) => j,
             Err(msg) => {
@@ -571,7 +518,7 @@ impl ServerCore {
                 "{}",
                 Json::obj(vec![
                     ("event", Json::str("slow_request")),
-                    ("class", Json::str(class)),
+                    ("class", Json::str(CLASS_NAMES[class as usize])),
                     ("us", Json::U64(us)),
                     ("request", Json::str(req)),
                 ])
@@ -581,37 +528,37 @@ impl ServerCore {
         json.compact()
     }
 
-    fn dispatch(&self, line: &str) -> (&'static str, Result<Json, String>, bool) {
+    fn dispatch(&self, line: &str) -> (Class, Result<Json, String>, bool) {
         let req = match Json::parse(line.trim()) {
             Ok(req @ Json::Obj(_)) => req,
             Ok(_) => {
                 return (
-                    "invalid",
+                    Class::Invalid,
                     Err("request must be a JSON object".to_string()),
                     false,
                 )
             }
-            Err(e) => return ("invalid", Err(format!("bad request: {e}")), false),
+            Err(e) => return (Class::Invalid, Err(format!("bad request: {e}")), false),
         };
         let Some(op) = req.get("op").and_then(Json::as_str) else {
-            return ("invalid", Err("missing \"op\"".to_string()), false);
+            return (Class::Invalid, Err("missing \"op\"".to_string()), false);
         };
         match op {
-            "ping" => ("ping", Ok(ok_obj("ping", vec![])), false),
-            "datasets" => ("datasets", Ok(self.q_datasets()), false),
-            "threshold" => ("threshold", self.q_threshold(&req), false),
-            "extrema" => ("extrema", self.q_extrema(&req), false),
-            "arc-geometry" => ("arc-geometry", self.q_arc_geometry(&req), false),
-            "segment-stats" => ("segment-stats", self.q_segment_stats(&req), false),
-            "stats" => ("stats", Ok(self.stats_json()), false),
-            "metrics" => ("metrics", Ok(self.metrics_json()), false),
-            "health" => ("health", Ok(self.health_json()), false),
-            "quit" => ("quit", Ok(ok_obj("quit", vec![])), true),
+            "ping" => (Class::Ping, Ok(ok_obj("ping", vec![])), false),
+            "datasets" => (Class::Datasets, Ok(self.q_datasets()), false),
+            "threshold" => (Class::Threshold, self.q_threshold(&req), false),
+            "extrema" => (Class::Extrema, self.q_extrema(&req), false),
+            "arc-geometry" => (Class::ArcGeometry, self.q_arc_geometry(&req), false),
+            "segment-stats" => (Class::SegmentStats, self.q_segment_stats(&req), false),
+            "stats" => (Class::Stats, Ok(self.stats_json()), false),
+            "metrics" => (Class::Metrics, Ok(self.metrics_json()), false),
+            "health" => (Class::Health, Ok(self.health_json()), false),
+            "quit" => (Class::Quit, Ok(ok_obj("quit", vec![])), true),
             "shutdown" => {
                 self.request_shutdown();
-                ("shutdown", Ok(ok_obj("shutdown", vec![])), true)
+                (Class::Shutdown, Ok(ok_obj("shutdown", vec![])), true)
             }
-            other => ("invalid", Err(format!("unknown op {other:?}")), false),
+            other => (Class::Invalid, Err(format!("unknown op {other:?}")), false),
         }
     }
 
@@ -914,18 +861,54 @@ impl ServerCore {
         ))
     }
 
-    /// Bring the derived gauges (uptime, windowed QPS, cache bytes) up
-    /// to date; called before every scrape/snapshot so recording paths
-    /// never have to maintain them.
-    fn refresh_gauges(&self) {
+    /// The series of [`FAMILIES`], in its order: the counters, then the
+    /// gauges, each computed now from the state it reports (uptime,
+    /// windowed QPS, the cache under its lock, the bytes taken at load),
+    /// then the latency histograms and the per-dataset bytes.
+    fn families(&self) -> Vec<Family<'_>> {
         let m = &self.metrics;
-        m.uptime.set(self.started.elapsed().as_secs_f64());
-        for (secs, gauge) in &m.qps {
-            gauge.set(m.rate.rate(*secs));
-        }
-        let cache = self.cache.lock().unwrap();
-        m.cache_resident.set_u64(cache.map.len() as u64);
-        m.cache_bytes.set_u64(cache.bytes);
+        let one = |value| vec![(None, value)];
+        let counters = [
+            &m.queries,
+            &m.hits,
+            &m.misses,
+            &m.coalesced,
+            &m.replayed,
+            &m.errors,
+            &m.slow,
+            &m.scrapes,
+        ];
+        let mut series: Vec<_> = counters.map(|c| one(Value::Counter(c.get()))).into();
+        series.push(one(Value::Gauge(self.started.elapsed().as_secs_f64())));
+        let qps = QPS_WINDOWS.iter();
+        series.push(
+            qps.map(|&(secs, w)| (Some(("window", w)), Value::Gauge(m.rate.rate(secs))))
+                .collect(),
+        );
+        let cache = self
+            .cache
+            .lock()
+            .expect("a request panicked holding the cache");
+        series.push(one(Value::Gauge(cache.map.len() as f64)));
+        series.push(one(Value::Gauge(cache.bytes as f64)));
+        drop(cache);
+        let latency = CLASS_NAMES.iter().zip(&m.latency);
+        series.push(
+            latency
+                .map(|(&c, h)| (Some(("class", c)), Value::Histogram(h)))
+                .collect(),
+        );
+        let datasets = self.dataset_bytes.iter();
+        series.push(
+            datasets
+                .map(|(d, b)| (Some(("dataset", d.as_str())), Value::Gauge(*b as f64)))
+                .collect(),
+        );
+        let families = FAMILIES.iter().zip(series).map(|(header, series)| {
+            let (name, help) = header.split_once(' ').expect("`name help`");
+            Family { name, help, series }
+        });
+        families.collect()
     }
 
     /// Queries per second since the server started and the cache hit
@@ -948,7 +931,7 @@ impl ServerCore {
     }
 
     /// Point-in-time statistics as a response object (the pre-live
-    /// `stats` op shape, now derived from the registry).
+    /// `stats` op shape, now read from the live instruments).
     pub fn stats_json(&self) -> Json {
         let m = &self.metrics;
         let (qps, hit_rate) = self.rates();
@@ -963,17 +946,16 @@ impl ServerCore {
                 ("errors", Json::U64(m.errors.get())),
                 ("qps", Json::F64(qps)),
                 ("hit_rate", Json::F64(hit_rate)),
-                ("classes", classes_json(&m.classes)),
+                ("classes", classes_json(&m.latency)),
             ],
         )
     }
 
-    /// The `metrics` op: the full live-registry snapshot. Counter keys
-    /// are exactly the Prometheus family names, so a scrape of
-    /// `/metrics` and this reply cross-check one-to-one.
+    /// The `metrics` op: the full live snapshot. Counter keys are
+    /// exactly the Prometheus family names, so a scrape of `/metrics`
+    /// and this reply cross-check one-to-one.
     pub fn metrics_json(&self) -> Json {
-        self.refresh_gauges();
-        let Json::Obj(snapshot) = self.metrics.registry.snapshot_json() else {
+        let Json::Obj(snapshot) = snapshot_json(&self.families()) else {
             unreachable!("snapshot_json returns an object")
         };
         let mut pairs = vec![
@@ -1007,8 +989,7 @@ impl ServerCore {
 
     /// `GET /metrics` body: Prometheus text exposition format.
     pub fn prometheus_text(&self) -> String {
-        self.refresh_gauges();
-        self.metrics.registry.render_prometheus()
+        render_prometheus(&self.families())
     }
 
     /// Fold the serving statistics into an `msp-telemetry` run report:
@@ -1027,28 +1008,28 @@ impl ServerCore {
         rec.add(Counter::ServeErrors, m.errors.get());
         let rank = rec.finish();
         let (qps, hit_rate) = self.rates();
-        for (class, hist) in &self.metrics.classes {
+        for (class, hist) in CLASS_NAMES.iter().zip(&m.latency) {
             assert!(
                 hist.quantile(50) <= hist.quantile(99),
                 "latency quantiles out of order for {class}"
             );
         }
-        self.refresh_gauges();
         RunReport::from_ranks(name, vec![rank])
             .with_meta("qps", Json::F64(qps))
             .with_meta("hit_rate", Json::F64(hit_rate))
-            .with_meta("classes", classes_json(&self.metrics.classes))
-            .with_meta("live", self.metrics.registry.snapshot_json())
+            .with_meta("classes", classes_json(&m.latency))
+            .with_meta("live", snapshot_json(&self.families()))
     }
 }
 
 /// Per-class latency summaries from the live histograms; classes the
 /// server never saw are omitted (matching the pre-live shape). The
 /// fixed class array is alphabetical, so rendering is deterministic.
-fn classes_json(classes: &[(&'static str, Arc<LiveHistogram>)]) -> Json {
+fn classes_json(latency: &[LiveHistogram]) -> Json {
     Json::Obj(
-        classes
+        CLASS_NAMES
             .iter()
+            .zip(latency)
             .filter(|(_, h)| h.count() > 0)
             .map(|(name, h)| {
                 let snap = h.snapshot();
@@ -1141,7 +1122,10 @@ pub fn serve_session(
             Ok(Request::Line(line)) => core.handle_line(&line),
             Ok(Request::TooLong) => {
                 let msg = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
-                (core.answer("", Instant::now(), "invalid", Err(msg)), true)
+                (
+                    core.answer("", Instant::now(), Class::Invalid, Err(msg)),
+                    true,
+                )
             }
             Ok(Request::End) | Err(_) => return Ok(()),
         };
@@ -2148,5 +2132,101 @@ mod tests {
         let mut rest = String::new();
         partial.read_to_string(&mut rest).unwrap();
         assert_eq!(rest, "");
+    }
+
+    /// `s` with every time-derived value of the exposition masked: the
+    /// uptime and windowed-QPS gauges, `uptime_s`/`qps`, and each latency
+    /// histogram's sum and quantiles. A latency histogram's finite
+    /// buckets are dropped, since which buckets fill depends on timing;
+    /// its `+Inf` bucket and count stay.
+    fn masked_exposition(core: &ServerCore) -> String {
+        fn mask(j: &mut Json) {
+            const TIMED: [&str; 7] = ["uptime_s", "qps", "sum", "p50", "p99", "p50_us", "p99_us"];
+            match j {
+                Json::Obj(pairs) => {
+                    for (k, v) in pairs {
+                        let timed = TIMED.contains(&k.as_str())
+                            || k.starts_with("serve_uptime_seconds")
+                            || k.starts_with("serve_qps_window");
+                        if timed {
+                            *v = Json::str("*");
+                        } else {
+                            mask(v);
+                        }
+                    }
+                }
+                Json::Arr(items) => items.iter_mut().for_each(mask),
+                _ => {}
+            }
+        }
+        let mut out = String::new();
+        for line in core.prometheus_text().lines() {
+            let (series, _) = line.rsplit_once(' ').unwrap_or((line, ""));
+            if series.starts_with("serve_latency_us_bucket") && !series.contains("+Inf") {
+                continue;
+            }
+            let timed = [
+                "serve_uptime_seconds",
+                "serve_qps_window",
+                "serve_latency_us_sum",
+            ];
+            if !line.starts_with('#') && timed.iter().any(|t| series.starts_with(t)) {
+                out.push_str(&format!("{series} *\n"));
+            } else {
+                out.push_str(&format!("{line}\n"));
+            }
+        }
+        for mut j in [core.metrics_json(), core.stats_json(), core.health_json()] {
+            mask(&mut j);
+            out.push_str(&j.pretty());
+        }
+        out
+    }
+
+    /// The server of the exposition test after its fixed request script:
+    /// two datasets that share one name, so one `serve_dataset_bytes`
+    /// series holds the value of the later one.
+    fn scripted_core() -> ServerCore {
+        // as `msc serve a/x.msc b/x.msc` names them: by file stem
+        let datasets = [("a", 9), ("b", 7)]
+            .map(|(dir, size)| with_artifacts(dir, size, |path| load_dataset("x", path).unwrap()));
+        let core = ServerCore::new(datasets.into(), ServeConfig::default());
+        let recs = &core.datasets[0].hierarchies[0].difference;
+        let t = recs[recs.len() / 2].key as f64;
+        let m = core
+            .materialized(0, 0, Ordering::Difference, t as f32)
+            .unwrap();
+        let arc = m.complex.arcs.iter().position(|a| a.alive).unwrap();
+        for line in [
+            "{\"op\":\"ping\"}".to_string(),
+            "{\"op\":\"datasets\"}".to_string(),
+            format!("{{\"op\":\"threshold\",\"t\":{t}}}"),
+            format!("{{\"op\":\"threshold\",\"t\":{t}}}"),
+            format!("{{\"op\":\"threshold\",\"dataset\":\"x\",\"t\":{t}}}"),
+            format!("{{\"op\":\"threshold\",\"ordering\":\"count\",\"t\":{t}}}"),
+            format!("{{\"op\":\"extrema\",\"t\":{t},\"top\":3}}"),
+            format!("{{\"op\":\"segment-stats\",\"t\":{t}}}"),
+            format!("{{\"op\":\"arc-geometry\",\"t\":{t},\"arc\":{arc}}}"),
+            "{\"op\":\"threshold\",\"t\":0.1,\"block\":99}".to_string(),
+            "{\"op\":\"teleport\"}".to_string(),
+            "not json".to_string(),
+            "{\"op\":\"stats\"}".to_string(),
+            "{\"op\":\"metrics\"}".to_string(),
+            "{\"op\":\"health\"}".to_string(),
+        ] {
+            core.handle_line(&line);
+        }
+        core
+    }
+
+    #[test]
+    fn the_exposition_is_pinned() {
+        let core = scripted_core();
+        let [a, b] = [0, 1].map(|d| core.datasets[d].mem_bytes());
+        assert_ne!(a, b, "the two datasets must differ in bytes");
+        let want = include_str!("../tests/data/serve_exposition.txt");
+        let got = masked_exposition(&core);
+        assert!(got == want, "exposition moved:\n{got}");
+        assert!(got.contains(&format!("serve_dataset_bytes{{dataset=\"x\"}} {b}\n")));
     }
 }

@@ -83,36 +83,6 @@ impl Default for SimParams {
     }
 }
 
-/// A simulation failure with context.
-#[derive(Debug)]
-pub enum SimError {
-    /// Invalid run configuration (rank count, merge plan).
-    Config(String),
-    /// The stage list failed (the same error the threaded backend
-    /// returns for the same input).
-    Pipeline(PipelineError),
-}
-
-impl From<PipelineError> for SimError {
-    fn from(e: PipelineError) -> Self {
-        match e {
-            PipelineError::Config(msg) => SimError::Config(msg),
-            e => SimError::Pipeline(e),
-        }
-    }
-}
-
-impl std::fmt::Display for SimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimError::Config(msg) => write!(f, "invalid sim config: {msg}"),
-            SimError::Pipeline(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
 /// Modeled + measured times of one merge round.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundReport {
@@ -128,6 +98,9 @@ pub struct RoundReport {
     pub round_s: f64,
     /// Total serialized bytes moved in this round.
     pub bytes_moved: u64,
+    /// Live nodes of the complexes shipped in this round: the nodes
+    /// its roots receive from remote members.
+    pub nodes_moved: u64,
 }
 
 /// Full report of one simulated run.
@@ -218,6 +191,7 @@ impl SimReport {
                                 ("resimplify_s", Json::F64(r.resimplify_s)),
                                 ("round_s", Json::F64(r.round_s)),
                                 ("bytes_moved", Json::U64(r.bytes_moved)),
+                                ("nodes_moved", Json::U64(r.nodes_moved)),
                             ])
                         })
                         .collect(),
@@ -261,11 +235,13 @@ impl SimReport {
 }
 
 /// Simulate the pipeline at `n_ranks` virtual ranks (one block each).
+/// It fails as the threaded pipeline does: a rank count or merge plan
+/// the layout refuses is [`PipelineError::Config`].
 pub fn simulate(
     field: &ScalarField,
     n_ranks: u32,
     params: &SimParams,
-) -> Result<SimReport, SimError> {
+) -> Result<SimReport, PipelineError> {
     let pp = PipelineParams {
         persistence_frac: params.persistence_frac,
         plan: params.plan.clone(),
@@ -540,7 +516,8 @@ pub(crate) struct Sim<'a> {
     /// Clock when the writes began.
     before_write: f64,
     rounds: Vec<RoundReport>,
-    /// Max clock, then per rank (comm, glue, shipped bytes), at round entry.
+    /// Max clock, then per rank (comm, glue, shipped bytes and nodes), at
+    /// round entry.
     round_entry: (f64, Vec<RoundState>),
 }
 
@@ -551,6 +528,7 @@ struct RoundState {
     glue_s: f64,
     resimplify_s: f64,
     ship_bytes: u64,
+    nodes_shipped: u64,
 }
 
 impl<'a> Sim<'a> {
@@ -586,6 +564,7 @@ impl<'a> Sim<'a> {
             glue_s: v.rec.phase_seconds(Phase::Glue),
             resimplify_s: v.rec.phase_seconds(Phase::Resimplify),
             ship_bytes: v.rec.counter(Counter::ShipBytes),
+            nodes_shipped: v.rec.counter(Counter::NodesShipped),
         }
     }
 }
@@ -647,6 +626,7 @@ impl<'a> Machine for Sim<'a> {
                 resimplify_s: 0.0,
                 round_s: self.clock() - before,
                 bytes_moved: 0,
+                nodes_moved: 0,
             };
             for (v, at) in self.ranks.iter().zip(entry) {
                 let now = Sim::round_state(v);
@@ -654,6 +634,7 @@ impl<'a> Machine for Sim<'a> {
                 round.glue_s = round.glue_s.max(now.glue_s - at.glue_s);
                 round.resimplify_s = round.resimplify_s.max(now.resimplify_s - at.resimplify_s);
                 round.bytes_moved += now.ship_bytes - at.ship_bytes;
+                round.nodes_moved += now.nodes_shipped - at.nodes_shipped;
             }
             self.rounds.push(round);
         }
@@ -762,7 +743,7 @@ mod tests {
         };
         assert!(matches!(
             simulate(&f, 12, &params).err(),
-            Some(SimError::Config(_))
+            Some(PipelineError::Config(_))
         ));
     }
 
@@ -778,6 +759,7 @@ mod tests {
         assert_eq!(r.rounds.len(), 1);
         assert_eq!(r.rounds[0].radix, 8);
         assert!(r.rounds[0].bytes_moved > 0);
+        assert!(r.rounds[0].nodes_moved > 0);
         assert!(r.output_bytes > 0);
     }
 

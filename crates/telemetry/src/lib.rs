@@ -22,10 +22,10 @@
 //!   ([`CriticalPath`]);
 //! * [`Json`] — the dependency-free JSON document builder/parser the
 //!   writers use;
-//! * [`live`] — the *live* (scrapeable, lock-light) metric surface:
-//!   atomic counters/gauges, log-bucketed histograms with bounded
-//!   memory, windowed rates and a Prometheus/JSON [`Registry`]
-//!   (DESIGN.md §13);
+//! * [`live`] — the *live* (scrapeable, lock-free) metric surface:
+//!   atomic counters, log-bucketed histograms with bounded memory,
+//!   windowed rates, and the Prometheus/JSON renderers of a caller's
+//!   fixed [`live::Family`] list (DESIGN.md §13);
 //! * [`Reader`] — the bounds-checked little-endian reader under every
 //!   binary decoder of the workspace, with its one error, [`Truncated`].
 //!
@@ -43,10 +43,7 @@ pub(crate) mod wirefmt;
 
 pub use counter::{Counter, ALL_COUNTERS};
 pub use json::Json;
-pub use live::{
-    bucket_width, HistSnapshot, LiveCounter, LiveGauge, LiveHistogram, RateWindow, Registry,
-    HIST_BUCKETS,
-};
+pub use live::{bucket_width, HistSnapshot, LiveCounter, LiveHistogram, RateWindow, HIST_BUCKETS};
 pub use phase::Phase;
 pub use recorder::{Recorder, SpanError};
 pub use report::{

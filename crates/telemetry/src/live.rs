@@ -1,5 +1,5 @@
-//! Live metrics: lock-light counters, gauges and log-bucketed
-//! histograms for runtime introspection (DESIGN.md §13).
+//! Live metrics: lock-free counters and log-bucketed histograms for
+//! runtime introspection (DESIGN.md §13).
 //!
 //! The existing [`crate::Recorder`] is post-mortem: spans and counters
 //! are frozen into a report once, at the end of a run. This module is
@@ -8,26 +8,24 @@
 //! stalling the hot path:
 //!
 //! * [`LiveCounter`] — a monotonic `AtomicU64`;
-//! * [`LiveGauge`] — a settable value (f64 bit pattern in an
-//!   `AtomicU64`), used for byte footprints and windowed rates;
 //! * [`LiveHistogram`] — an HDR-style log-bucketed histogram with a
 //!   *fixed* memory footprint (`O(buckets)`, never `O(samples)`) and a
 //!   quantile error of at most one bucket width (≤ 1/16 relative for
 //!   values ≥ 16);
 //! * [`RateWindow`] — a ring of per-second event counts for windowed
 //!   QPS snapshots;
-//! * [`Registry`] — named metric families with label sets, rendered as
-//!   Prometheus text exposition format or a JSON snapshot. The lock is
-//!   taken only for registration and rendering; recording is lock-free
-//!   on the `Arc`ed handles.
+//! * [`render_prometheus`] / [`snapshot_json`] — a caller's fixed list
+//!   of [`Family`]s, built at scrape time, rendered as Prometheus text
+//!   exposition format or a JSON snapshot. A gauge is a [`Value`]
+//!   computed when the list is built, never a stored instrument, and
+//!   recording touches only the caller's own atomics.
 
 use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
-// Counters and gauges
+// Counters
 // ---------------------------------------------------------------------
 
 /// A monotonically increasing counter. Recording is a single relaxed
@@ -50,36 +48,6 @@ impl LiveCounter {
 
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: the last value set wins. Stored as an `f64` bit pattern so
-/// fractional rates and large byte counts share one type (bytes are
-/// exact up to 2^53).
-#[derive(Debug)]
-pub struct LiveGauge(AtomicU64);
-
-impl Default for LiveGauge {
-    fn default() -> Self {
-        LiveGauge::new()
-    }
-}
-
-impl LiveGauge {
-    pub fn new() -> LiveGauge {
-        LiveGauge(AtomicU64::new(0f64.to_bits()))
-    }
-
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    pub fn set_u64(&self, v: u64) {
-        self.set(v as f64);
-    }
-
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -325,255 +293,139 @@ impl RateWindow {
 }
 
 // ---------------------------------------------------------------------
-// Registry
+// Exposition
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Counter,
-    Gauge,
-    Histogram,
+/// One series' value, read when the family list is built.
+#[derive(Debug)]
+pub enum Value<'a> {
+    Counter(u64),
+    Gauge(f64),
+    Histogram(&'a LiveHistogram),
 }
 
-impl Kind {
-    fn key(self) -> &'static str {
+impl Value<'_> {
+    fn kind(&self) -> &'static str {
         match self {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
-            Kind::Histogram => "histogram",
+            Value::Counter(_) => "counter",
+            Value::Gauge(_) => "gauge",
+            Value::Histogram(_) => "histogram",
         }
     }
 }
 
-#[derive(Debug, Clone)]
-enum Handle {
-    C(Arc<LiveCounter>),
-    G(Arc<LiveGauge>),
-    H(Arc<LiveHistogram>),
-}
-
+/// A named metric family: its series, each with at most one label.
 #[derive(Debug)]
-struct Series {
-    labels: Vec<(String, String)>,
-    handle: Handle,
+pub struct Family<'a> {
+    pub name: &'static str,
+    pub help: &'static str,
+    pub series: Vec<(Option<(&'static str, &'a str)>, Value<'a>)>,
 }
 
-#[derive(Debug)]
-struct Family {
-    name: String,
-    help: String,
-    kind: Kind,
-    series: Vec<Series>,
+impl Family<'_> {
+    /// The kind every series shares. Mixing kinds in one family is a
+    /// programmer error, like a duplicate counter key, and panics.
+    fn kind(&self) -> &'static str {
+        let kind = self.series.first().map_or("gauge", |(_, v)| v.kind());
+        if let Some((_, v)) = self.series.iter().find(|(_, v)| v.kind() != kind) {
+            panic!(
+                "metric {:?} registered as {kind} and {}",
+                self.name,
+                v.kind()
+            );
+        }
+        kind
+    }
 }
 
-/// Named metric families with label sets. The mutex guards only
-/// registration and rendering; every returned handle records through
-/// its own atomics. Registering the same `(name, labels)` twice returns
-/// the same handle; reusing a name with a different kind panics (a
-/// programmer error, like a duplicate counter key).
-#[derive(Debug, Default)]
-pub struct Registry {
-    families: Mutex<Vec<Family>>,
-}
-
-impl Registry {
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<LiveCounter> {
-        match self.register(name, help, Kind::Counter, labels, || {
-            Handle::C(Arc::new(LiveCounter::new()))
-        }) {
-            Handle::C(c) => c,
-            _ => unreachable!("registered as counter"),
-        }
-    }
-
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<LiveGauge> {
-        match self.register(name, help, Kind::Gauge, labels, || {
-            Handle::G(Arc::new(LiveGauge::new()))
-        }) {
-            Handle::G(g) => g,
-            _ => unreachable!("registered as gauge"),
-        }
-    }
-
-    pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<LiveHistogram> {
-        match self.register(name, help, Kind::Histogram, labels, || {
-            Handle::H(Arc::new(LiveHistogram::new()))
-        }) {
-            Handle::H(h) => h,
-            _ => unreachable!("registered as histogram"),
-        }
-    }
-
-    fn register(
-        &self,
-        name: &str,
-        help: &str,
-        kind: Kind,
-        labels: &[(&str, &str)],
-        make: impl FnOnce() -> Handle,
-    ) -> Handle {
-        let labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        let mut fams = self.families.lock().unwrap();
-        let fam = match fams.iter_mut().find(|f| f.name == name) {
-            Some(f) => {
-                assert!(
-                    f.kind == kind,
-                    "metric {name:?} registered as {} and {}",
-                    f.kind.key(),
-                    kind.key()
-                );
-                f
-            }
-            None => {
-                fams.push(Family {
-                    name: name.to_string(),
-                    help: help.to_string(),
-                    kind,
-                    series: Vec::new(),
-                });
-                fams.last_mut().expect("just pushed")
-            }
-        };
-        if let Some(s) = fam.series.iter().find(|s| s.labels == labels) {
-            return s.handle.clone();
-        }
-        let handle = make();
-        fam.series.push(Series {
-            labels,
-            handle: handle.clone(),
-        });
-        handle
-    }
-
-    /// Prometheus text exposition format (version 0.0.4): `# HELP` /
-    /// `# TYPE` headers per family, one sample line per series, and
-    /// cumulative `_bucket`/`_sum`/`_count` series for histograms.
-    /// Families render in registration order, series in registration
-    /// order, so output is deterministic.
-    pub fn render_prometheus(&self) -> String {
-        let fams = self.families.lock().unwrap();
-        let mut out = String::new();
-        for f in fams.iter() {
-            out.push_str(&format!("# HELP {} {}\n", f.name, f.help));
-            out.push_str(&format!("# TYPE {} {}\n", f.name, f.kind.key()));
-            for s in &f.series {
-                match &s.handle {
-                    Handle::C(c) => {
-                        out.push_str(&format!(
-                            "{}{} {}\n",
-                            f.name,
-                            label_text(&s.labels, None),
-                            c.get()
-                        ));
+/// Prometheus text exposition format (version 0.0.4): `# HELP` /
+/// `# TYPE` headers per family, one sample line per series, and
+/// cumulative `_bucket`/`_sum`/`_count` series for histograms. Families
+/// and series render in slice order, so output is deterministic; a
+/// family without series renders nothing.
+pub fn render_prometheus(families: &[Family]) -> String {
+    let mut out = String::new();
+    for f in families.iter().filter(|f| !f.series.is_empty()) {
+        out.push_str(&format!("# HELP {} {}\n", f.name, f.help));
+        out.push_str(&format!("# TYPE {} {}\n", f.name, f.kind()));
+        for (label, value) in &f.series {
+            let mut sample = |suffix: &str, le: Option<&str>, value: String| {
+                let labels = label_text(*label, le);
+                out.push_str(&format!("{}{suffix}{labels} {value}\n", f.name));
+            };
+            match value {
+                Value::Counter(c) => sample("", None, c.to_string()),
+                Value::Gauge(g) => sample("", None, fmt_number(*g)),
+                Value::Histogram(h) => {
+                    let snap = h.snapshot();
+                    for (le, cum) in snap.cumulative() {
+                        sample("_bucket", Some(&le.to_string()), cum.to_string());
                     }
-                    Handle::G(g) => {
-                        out.push_str(&format!(
-                            "{}{} {}\n",
-                            f.name,
-                            label_text(&s.labels, None),
-                            fmt_number(g.get())
-                        ));
-                    }
-                    Handle::H(h) => {
-                        let snap = h.snapshot();
-                        for (le, cum) in snap.cumulative() {
-                            out.push_str(&format!(
-                                "{}_bucket{} {}\n",
-                                f.name,
-                                label_text(&s.labels, Some(&le.to_string())),
-                                cum
-                            ));
-                        }
-                        out.push_str(&format!(
-                            "{}_bucket{} {}\n",
-                            f.name,
-                            label_text(&s.labels, Some("+Inf")),
-                            snap.count
-                        ));
-                        out.push_str(&format!(
-                            "{}_sum{} {}\n",
-                            f.name,
-                            label_text(&s.labels, None),
-                            snap.sum
-                        ));
-                        out.push_str(&format!(
-                            "{}_count{} {}\n",
-                            f.name,
-                            label_text(&s.labels, None),
-                            snap.count
-                        ));
-                    }
+                    sample("_bucket", Some("+Inf"), snap.count.to_string());
+                    sample("_sum", None, snap.sum.to_string());
+                    sample("_count", None, snap.count.to_string());
                 }
             }
         }
-        out
     }
+    out
+}
 
-    /// JSON snapshot: `{"counters": {...}, "gauges": {...},
-    /// "histograms": {name: {count, sum, p50, p99}}}`, keyed by
-    /// `name{label="value",...}` exactly as Prometheus renders them so
-    /// the two surfaces cross-check against each other.
-    pub fn snapshot_json(&self) -> Json {
-        let fams = self.families.lock().unwrap();
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut histograms = Vec::new();
-        for f in fams.iter() {
-            for s in &f.series {
-                let key = format!("{}{}", f.name, label_text(&s.labels, None));
-                match &s.handle {
-                    Handle::C(c) => counters.push((key, Json::U64(c.get()))),
-                    Handle::G(g) => {
-                        let v = g.get();
-                        let j = if v.fract() == 0.0 && (0.0..9.0e15).contains(&v) {
-                            Json::U64(v as u64)
-                        } else {
-                            Json::F64(v)
-                        };
-                        gauges.push((key, j));
-                    }
-                    Handle::H(h) => {
-                        let snap = h.snapshot();
-                        histograms.push((
-                            key,
-                            Json::obj(vec![
-                                ("count", Json::U64(snap.count)),
-                                ("sum", Json::U64(snap.sum)),
-                                ("p50", Json::U64(snap.quantile(50))),
-                                ("p99", Json::U64(snap.quantile(99))),
-                            ]),
-                        ));
-                    }
+/// JSON snapshot: `{"counters": {...}, "gauges": {...},
+/// "histograms": {name: {count, sum, p50, p99}}}`, keyed by
+/// `name{label="value"}` exactly as Prometheus renders them so the two
+/// surfaces cross-check against each other.
+pub fn snapshot_json(families: &[Family]) -> Json {
+    let mut counters = Vec::new();
+    let mut gauges = Vec::new();
+    let mut histograms = Vec::new();
+    for f in families {
+        f.kind(); // refuses a family whose series mix kinds
+        for (label, value) in &f.series {
+            let key = format!("{}{}", f.name, label_text(*label, None));
+            match value {
+                Value::Counter(c) => counters.push((key, Json::U64(*c))),
+                Value::Gauge(v) => {
+                    let j = if v.fract() == 0.0 && (0.0..9.0e15).contains(v) {
+                        Json::U64(*v as u64)
+                    } else {
+                        Json::F64(*v)
+                    };
+                    gauges.push((key, j));
+                }
+                Value::Histogram(h) => {
+                    let snap = h.snapshot();
+                    histograms.push((
+                        key,
+                        Json::obj(vec![
+                            ("count", Json::U64(snap.count)),
+                            ("sum", Json::U64(snap.sum)),
+                            ("p50", Json::U64(snap.quantile(50))),
+                            ("p99", Json::U64(snap.quantile(99))),
+                        ]),
+                    ));
                 }
             }
         }
-        Json::Obj(vec![
-            ("counters".to_string(), Json::Obj(counters)),
-            ("gauges".to_string(), Json::Obj(gauges)),
-            ("histograms".to_string(), Json::Obj(histograms)),
-        ])
     }
+    Json::Obj(vec![
+        ("counters".to_string(), Json::Obj(counters)),
+        ("gauges".to_string(), Json::Obj(gauges)),
+        ("histograms".to_string(), Json::Obj(histograms)),
+    ])
 }
 
-/// `{label="value",...}` with an optional trailing `le`; empty label
-/// sets render as nothing (bare metric name).
-fn label_text(labels: &[(String, String)], le: Option<&str>) -> String {
-    if labels.is_empty() && le.is_none() {
-        return String::new();
-    }
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
+/// `{label="value"}` with an optional trailing `le`; a series with
+/// neither renders as nothing (bare metric name).
+fn label_text(label: Option<(&str, &str)>, le: Option<&str>) -> String {
+    let label =
+        label.map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")));
+    let parts: Vec<String> = label
+        .into_iter()
+        .chain(le.map(|le| format!("le=\"{le}\"")))
         .collect();
-    if let Some(le) = le {
-        parts.push(format!("le=\"{le}\""));
+    if parts.is_empty() {
+        return String::new();
     }
     format!("{{{}}}", parts.join(","))
 }
@@ -703,18 +555,32 @@ mod tests {
 
     #[test]
     fn registry_renders_prometheus_and_json() {
-        let r = Registry::new();
-        let c = r.counter("test_total", "a counter", &[]);
-        let g = r.gauge("test_bytes", "a gauge", &[("kind", "cache")]);
-        let h = r.histogram("test_us", "a histogram", &[("class", "x")]);
-        c.add(5);
-        g.set_u64(4096);
+        let h = LiveHistogram::new();
         h.record(100);
         h.record(200);
-        // re-registration returns the same handle
-        r.counter("test_total", "a counter", &[]).add(1);
-        assert_eq!(c.get(), 6);
-        let text = r.render_prometheus();
+        let families = [
+            Family {
+                name: "test_total",
+                help: "a counter",
+                series: vec![(None, Value::Counter(6))],
+            },
+            Family {
+                name: "test_bytes",
+                help: "a gauge",
+                series: vec![(Some(("kind", "cache")), Value::Gauge(4096.0))],
+            },
+            Family {
+                name: "test_us",
+                help: "a histogram",
+                series: vec![(Some(("class", "x")), Value::Histogram(&h))],
+            },
+            Family {
+                name: "test_empty",
+                help: "no series",
+                series: vec![],
+            },
+        ];
+        let text = render_prometheus(&families);
         assert!(text.contains("# TYPE test_total counter"));
         assert!(text.contains("test_total 6"));
         assert!(text.contains("test_bytes{kind=\"cache\"} 4096"));
@@ -722,8 +588,11 @@ mod tests {
         assert!(text.contains("test_us_bucket{class=\"x\",le=\"+Inf\"} 2"));
         assert!(text.contains("test_us_sum{class=\"x\"} 300"));
         assert!(text.contains("test_us_count{class=\"x\"} 2"));
-        let snap = r.snapshot_json();
-        let rendered = snap.pretty();
+        assert!(
+            !text.contains("test_empty"),
+            "a family without series renders nothing"
+        );
+        let rendered = snapshot_json(&families).pretty();
         assert!(rendered.contains("\"test_total\": 6"));
         assert!(rendered.contains("\"test_bytes{kind=\\\"cache\\\"}\": 4096"));
         // the snapshot re-parses (valid JSON)
@@ -733,9 +602,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "registered as")]
     fn registry_rejects_kind_conflicts() {
-        let r = Registry::new();
-        r.counter("dual", "as counter", &[]);
-        r.gauge("dual", "as gauge", &[]);
+        let dual = Family {
+            name: "dual",
+            help: "as counter and gauge",
+            series: vec![
+                (Some(("as", "counter")), Value::Counter(0)),
+                (Some(("as", "gauge")), Value::Gauge(0.0)),
+            ],
+        };
+        render_prometheus(&[dual]);
     }
 
     #[test]

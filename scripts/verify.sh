@@ -140,7 +140,8 @@ cmp "$tracedir/sina1.msc" "$tracedir/sina3.msc"
 # unanswered: the session stops at quit. The 138 cells of arc 196 at
 # 0.7 run through nested cancellation splices; their reply is pinned,
 # so a change to how geometry is stored, copied or walked cannot move
-# them unseen.
+# them unseen. The ordered keys of the stats and metrics replies are
+# pinned too: every series name, label and class the exposition holds.
 msc compute --input "$tracedir/seg.raw" \
   --dims 17,17,17 --ranks 2 --blocks 8 --merge full --hierarchy --check \
   --output "$tracedir/serve.msc"
@@ -171,6 +172,13 @@ printf '%s\n' \
   || { echo "serve smoke: expected 17 responses"; cat "$tracedir/serve_out.jsonl"; exit 1; }
 [ "$(grep '"arc":196' "$tracedir/serve_out.jsonl" | cksum)" = "1381296253 1009" ] \
   || { echo "serve smoke: arc 196 geometry moved"; grep '"arc":196' "$tracedir/serve_out.jsonl"; exit 1; }
+reply_keys() { # reply_keys OP: the keys of the OP reply, in order
+  grep "\"op\":\"$1\"" "$tracedir/serve_out.jsonl" | grep -o '"\([^"\\]\|\\.\)*":'
+}
+[ "$(reply_keys stats | cksum)" = "3292100479 328" ] \
+  || { echo "serve smoke: stats keys moved"; reply_keys stats; exit 1; }
+[ "$(reply_keys metrics | cksum)" = "3108883139 1253" ] \
+  || { echo "serve smoke: metrics keys moved"; reply_keys metrics; exit 1; }
 hits="$(grep -o '"hits":[0-9]*' "$tracedir/serve_out.jsonl" | tail -1 | cut -d: -f2)"
 [ "${hits:-0}" -gt 0 ] \
   || { echo "serve smoke: cache hit rate is zero"; cat "$tracedir/serve_out.jsonl"; exit 1; }
@@ -286,6 +294,26 @@ deep stats "$tracedir/deep.msc" --block 0
 grep -q 'min 2 / median 2 / max 2' "$tracedir/deep_out.txt" \
   || { echo "deep chain: the arc is not two cells"; cat "$tracedir/deep_out.txt"; exit 1; }
 deep export "$tracedir/deep.msc" --vtk "$tracedir/deep.vtk"
+
+# zero-cell geometry: the arc is an empty leaf under 30 levels of
+# cancel(g, g, g). It decodes to no cells, so the cell bound passes it,
+# but an in-order walk would visit 3^30 records; the parser refuses it,
+# so stats exits 1 with a decode error, never runs into the timeout (124)
+levels=30
+{
+  printf "MSC3$(le 8 9)$(le 8 9)$(le 8 9)$(le 4 1)$(le 4 0)"            # 9³ refined, member 0
+  printf "$(le 4 2)$(le 8 0)$(le 4 0)\\x00\\x00$(le 8 1)$(le 4 0x3f800000)\\x01\\x00"
+  printf "$(le 4 $((levels + 1)))$(le 4 0)\\x00\\x00"                      # empty leaf
+  printf '\x01\x00\x00\x00%.0s' $(seq "$levels")
+  printf "$(le 4 1)\\x02\\x00$(varint $((2 * levels)))"                    # arc 1 -> 0
+} > "$tracedir/zero.msc"
+len=$(stat -c %s "$tracedir/zero.msc")
+printf "$(le 4 1)$(le 8 0)$(le 8 "$len")$(le 4 0)$(le 8 24)MSPF" >> "$tracedir/zero.msc"
+status=0
+(cd "$tracedir" && timeout 10 cargo run -q --release --manifest-path "$root/Cargo.toml" \
+  --bin msc -- stats zero.msc --block 0) > /dev/null 2> "$tracedir/zero_err.txt" || status=$?
+[ "$status" -eq 1 ] && grep -q '^error: .*walks more records' "$tracedir/zero_err.txt" \
+  || { echo "zero-cell geometry: exit $status"; cat "$tracedir/zero_err.txt"; exit 1; }
 
 # figure smoke: the figures driver regenerates every table and figure
 # at small scale into $tracedir; it asserts its gates (the fault sweep's
