@@ -2,7 +2,7 @@
 //! assign the discrete gradient, add critical cells as nodes, trace
 //! V-paths downwards and add one arc per terminating path.
 
-use crate::skeleton::MsComplex;
+use crate::skeleton::{Arc, MsComplex};
 use msp_grid::decomp::Decomposition;
 use msp_grid::field::BlockField;
 use msp_morse::gradient::GradientField;
@@ -90,10 +90,17 @@ pub fn complex_from_gradient_mt(
         let l = ms
             .node_at(arc.lower.address(&refined))
             .expect("lower critical cell has a node");
-        ms.add_arc(u, l, g);
+        ms.arcs.push(Arc {
+            upper: u,
+            lower: l,
+            geom: g,
+            alive: true,
+        });
         stats.arcs += 1;
         stats.geometry_cells += arc.geom.len() as u64;
     }
+    // every list at its final length at once
+    ms.relink();
     (ms, stats)
 }
 

@@ -265,6 +265,15 @@ fn glue_incoming(
         return Err(GlueError::DuplicateNode { addr });
     }
 
+    // room for every incoming arc on both ends' lists, so no list moves
+    // more than once (a skipped shared arc leaves its room unused)
+    let mut room = vec![0u32; root.nodes.len()];
+    for [upper, lower, _] in incoming.arcs() {
+        room[node_map[upper as usize].0 as usize] += 1;
+        room[node_map[lower as usize].0 as usize] += 1;
+    }
+    root.reserve_incidence((0..).zip(room));
+
     let mut walk = GeomWalk::default();
     for [upper, lower, geom] in incoming.arcs() {
         let (u, u_shared) = node_map[upper as usize];

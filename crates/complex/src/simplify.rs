@@ -398,6 +398,8 @@ fn execute_cancellation(
     let mut n_created = 0u32;
     let mut sp = std::mem::take(&mut ms.splice);
     ms.count_splice_pairs(&mut sp, above, below);
+    // room for every arc the splice adds, so no list moves twice
+    ms.reserve_incidence(sp.added(cap));
     for &a1 in above {
         let (x, first) = (ms.arcs[a1 as usize].upper, ms.arcs[a1 as usize].geom);
         debug_assert_ne!(x, u);

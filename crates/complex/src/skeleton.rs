@@ -27,6 +27,26 @@
 //! the leaves in either direction ([`MsComplex::flatten_geom`],
 //! [`MsComplex::geom_len`], the glue's duplicate-arc test).
 //!
+//! Every node's incidence list is a segment `(start, len, cap)` of one
+//! arena vector of arc ids (`Incidence`), so building, compacting and
+//! cloning a complex allocate nothing per node. An append writes in place
+//! while its segment has room; the segment that ends the arena grows in
+//! place; any other full segment moves to the arena's end with doubled
+//! room (at least 4), leaving its old space as garbage. Callers that
+//! know their arcs in advance make the room first
+//! (`MsComplex::reserve_incidence`: the glue, the cancellation splice),
+//! so that a list moves at most once for them; the block build,
+//! [`MsComplex::compact`] and `wire::deserialize` lay the arena out as
+//! exact CSR at once, and [`MsComplex::prune_dead_adjacency`] repacks it
+//! in place, segments in arena order, so every entry moves down; a list
+//! keeps its room there, as a pruned `Vec` keeps its capacity. A list
+//! holds its arcs in id order, dead ones included until a prune: the
+//! order the splice reads its `above × below` pairs in, so arc ids and
+//! bytes do not depend on the layout. Per-node intrusive linked lists
+//! (one next link per arc end) would avoid the garbage, but make every
+//! list step a dependent load: they made the hierarchy record 1.4–1.6×
+//! slower.
+//!
 //! The geometry records are a shared frozen prefix plus the records this
 //! complex owns. [`MsComplex::freeze_geometry`] moves every record and
 //! leaf byte behind an `Arc`; a clone shares that prefix, so it holds
@@ -392,6 +412,147 @@ struct FrozenGeom {
     steps: Vec<u8>,
 }
 
+/// One node's incidence list in the arena: `arcs[start..start + len]`,
+/// with room up to `start + cap`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seg {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Every node's incidence list, each a segment of one arena vector (see
+/// the module docs): a list is appended to in place while it has room,
+/// grows in place at the arena's end, and otherwise moves to the end
+/// with doubled room, leaving its old space as garbage that
+/// [`Incidence::repack`] and [`Incidence::relink`] reclaim.
+#[derive(Debug, Clone, Default)]
+struct Incidence {
+    arcs: Vec<ArcId>,
+    seg: Vec<Seg>,
+}
+
+impl Incidence {
+    /// Make every node's list exactly the arcs naming it, in id order,
+    /// laid out node after node with no room to spare (CSR).
+    fn relink(&mut self, arcs: &[Arc]) {
+        self.seg.fill(Seg::default());
+        for a in arcs {
+            self.seg[a.upper as usize].cap += 1;
+            self.seg[a.lower as usize].cap += 1;
+        }
+        let mut end = 0usize;
+        for s in &mut self.seg {
+            s.start = end as u32;
+            end += s.cap as usize;
+        }
+        self.arcs.clear();
+        self.arcs.resize(checked_end(end), UNMAPPED);
+        for (id, a) in arcs.iter().enumerate() {
+            for n in [a.upper, a.lower] {
+                let s = &mut self.seg[n as usize];
+                self.arcs[(s.start + s.len) as usize] = id as ArcId;
+                s.len += 1;
+            }
+        }
+    }
+
+    fn push(&mut self, n: NodeId, a: ArcId) {
+        self.reserve(n, 1);
+        let s = &mut self.seg[n as usize];
+        self.arcs[(s.start + s.len) as usize] = a;
+        s.len += 1;
+    }
+
+    /// Room for `extra` more entries on node `n`'s list: a list without
+    /// it grows to the larger of what it needs, twice its room, and 4.
+    fn reserve(&mut self, n: NodeId, extra: u32) {
+        let s = self.seg[n as usize];
+        if s.cap - s.len < extra {
+            let need = s.len as usize + extra as usize;
+            self.regrow(n, need.max(2 * s.cap as usize).max(4));
+        }
+    }
+
+    /// Give node `n`'s list room for `cap` entries: in place when it
+    /// ends the arena, else as a copy at the arena's end.
+    fn regrow(&mut self, n: NodeId, cap: usize) {
+        let s = &mut self.seg[n as usize];
+        let end = self.arcs.len();
+        if (s.start + s.cap) as usize != end {
+            let from = s.start as usize;
+            self.arcs.extend_from_within(from..from + s.len as usize);
+            s.start = end as u32;
+        }
+        let new_end = checked_end(s.start as usize + cap);
+        self.arcs.resize(new_end, UNMAPPED);
+        s.cap = cap as u32;
+    }
+
+    /// Drop dead arcs from every list and reclaim the garbage: the lists
+    /// are packed in arena order, so every entry moves down and the
+    /// repack needs no second buffer. Each list keeps its order and its
+    /// room, unless it is left empty.
+    fn repack(&mut self, arcs: &[Arc]) {
+        let mut order: Vec<u64> = Vec::new();
+        for (n, s) in self.seg.iter_mut().enumerate() {
+            match s.cap {
+                0 => s.start = 0,
+                _ => order.push((u64::from(s.start) << 32) | n as u64),
+            }
+        }
+        order.sort_unstable();
+        let mut at = 0;
+        for key in order {
+            let s = &mut self.seg[key as u32 as usize];
+            let from = s.start as usize;
+            s.start = at as u32;
+            for i in from..from + s.len as usize {
+                // written either way, kept only when alive: no branch
+                let a = self.arcs[i];
+                self.arcs[at] = a;
+                at += usize::from(arcs[a as usize].alive);
+            }
+            s.len = at as u32 - s.start;
+            s.cap = if s.len == 0 { 0 } else { s.cap };
+            at = (s.start + s.cap) as usize;
+        }
+        self.arcs.truncate(at);
+    }
+
+    /// The arena's layout checks of [`MsComplex::check_integrity`]: every
+    /// list inside the arena and within its room, and no two overlapping.
+    fn check_layout(&self) -> Result<(), String> {
+        let mut taken = Vec::new();
+        for (n, s) in self.seg.iter().enumerate() {
+            if s.len > s.cap || s.start as usize + s.cap as usize > self.arcs.len() {
+                return Err(format!(
+                    "node {n}'s list {s:?} outside its room or the arena"
+                ));
+            }
+            if s.cap > 0 {
+                taken.push((s.start, s.cap, n));
+            }
+        }
+        taken.sort_unstable();
+        match taken.windows(2).find(|w| w[0].0 + w[0].1 > w[1].0) {
+            Some(w) => Err(format!("lists of nodes {} and {} overlap", w[0].2, w[1].2)),
+            None => Ok(()),
+        }
+    }
+
+    fn mem_bytes(&self) -> usize {
+        self.arcs.capacity() * std::mem::size_of::<ArcId>()
+            + self.seg.capacity() * std::mem::size_of::<Seg>()
+    }
+}
+
+/// `end` as an arena length, which [`Seg`] addresses in `u32`.
+fn checked_end(end: usize) -> usize {
+    u32::try_from(end).expect("incidence arena exceeds u32 addressing");
+    end
+}
+
 /// A recorded cancellation (one level of the simplification hierarchy).
 #[derive(Debug, Clone)]
 pub struct Cancellation {
@@ -418,6 +579,9 @@ pub(crate) struct SpliceScratch {
     pub ys: Vec<NodeId>,
     /// `table[i * ys.len() + j]`: living arcs `xs[i] → ys[j]`.
     pub table: Vec<u32>,
+    /// Per slot, those of `xs` and then those of `ys`: how many of the
+    /// splice's `above` or `below` arcs end there.
+    pub ends: Vec<u32>,
 }
 
 impl SpliceScratch {
@@ -434,6 +598,24 @@ impl SpliceScratch {
         }
         self.xs.clear();
         self.ys.clear();
+        self.ends.clear();
+    }
+
+    /// How many arcs the splice adds to each marked node's list under the
+    /// parallel-arc cap `cap`: it visits the pair `(xs[i], ys[j])` once
+    /// per `above` arc at the one and `below` arc at the other, and adds
+    /// an arc per visit until the pair holds `cap`.
+    pub fn added(&self, cap: u32) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+        let (nx, ny) = (self.xs.len(), self.ys.len());
+        let made = move |i: usize, j: usize| {
+            let visits = self.ends[i].saturating_mul(self.ends[nx + j]);
+            visits.min(cap.saturating_sub(self.table[i * ny + j]))
+        };
+        let xs =
+            (self.xs.iter().enumerate()).map(move |(i, &x)| (x, (0..ny).map(|j| made(i, j)).sum()));
+        let ys =
+            (self.ys.iter().enumerate()).map(move |(j, &y)| (y, (0..nx).map(|i| made(i, j)).sum()));
+        xs.chain(ys)
     }
 }
 
@@ -452,9 +634,9 @@ pub struct MsComplex {
     /// order (see [`GeomRec::Leaf`]); a traced V-path costs 8 bytes plus
     /// one per step. Decoded only through [`Leaf::cells`].
     pub(crate) steps: Vec<u8>,
-    /// Arc ids incident to each node (may contain dead arcs; filtered on
-    /// access).
-    adj: Vec<Vec<ArcId>>,
+    /// Arc ids incident to each node, in id order (may contain dead arcs;
+    /// filtered on access).
+    inc: Incidence,
     /// Scratch lent to the cancellation splice
     /// ([`MsComplex::count_splice_pairs`]); [`MsComplex::compact`]
     /// starts over with an empty one.
@@ -511,7 +693,7 @@ impl MsComplex {
             alive: true,
             cancel_persistence: f32::INFINITY,
         });
-        self.adj.push(Vec::new());
+        self.inc.seg.push(Seg::default());
         (id, false)
     }
 
@@ -529,16 +711,32 @@ impl MsComplex {
             geom,
             alive: true,
         });
-        self.adj[upper as usize].push(id);
-        self.adj[lower as usize].push(id);
+        self.inc.push(upper, id);
+        self.inc.push(lower, id);
         id
+    }
+
+    /// Room for `extra` more arcs on each named node's incidence list,
+    /// made before adding arcs whose endpoints are known in advance, so
+    /// that no list moves more than once for them.
+    pub(crate) fn reserve_incidence(&mut self, extra: impl IntoIterator<Item = (NodeId, u32)>) {
+        for (n, k) in extra {
+            self.inc.reserve(n, k);
+        }
+    }
+
+    /// Rebuild every incidence list as exactly the arcs naming its node,
+    /// in id order, with no room to spare: for a complex whose arcs were
+    /// pushed without [`MsComplex::add_arc`].
+    pub(crate) fn relink(&mut self) {
+        self.inc.relink(&self.arcs);
     }
 
     /// Reserve room for `nodes` more nodes, `geoms` more geometry
     /// records, `steps` more leaf bytes and `arcs` more arcs.
     pub(crate) fn reserve(&mut self, nodes: usize, geoms: usize, steps: usize, arcs: usize) {
         self.nodes.reserve(nodes);
-        self.adj.reserve(nodes);
+        self.inc.seg.reserve(nodes);
         self.addr_index.reserve(nodes);
         self.geoms.reserve(geoms);
         self.steps.reserve(steps);
@@ -717,9 +915,15 @@ impl MsComplex {
         RCoord::from_address(self.nodes[n as usize].addr, &self.refined)
     }
 
+    /// Node `n`'s incidence list, dead arcs included.
+    fn adj(&self, n: NodeId) -> &[ArcId] {
+        let s = self.inc.seg[n as usize];
+        &self.inc.arcs[s.start as usize..][..s.len as usize]
+    }
+
     /// Living arcs incident to a node.
     pub fn arcs_of(&self, n: NodeId) -> impl Iterator<Item = ArcId> + '_ {
-        self.adj[n as usize]
+        self.adj(n)
             .iter()
             .copied()
             .filter(move |&a| self.arcs[a as usize].alive)
@@ -740,7 +944,7 @@ impl MsComplex {
     /// Living arcs from `u` down to `l`, found on the shorter of the two
     /// incidence lists (so in no particular order).
     pub(crate) fn arcs_between(&self, u: NodeId, l: NodeId) -> impl Iterator<Item = ArcId> + '_ {
-        let (of_u, of_l) = (&self.adj[u as usize], &self.adj[l as usize]);
+        let (of_u, of_l) = (self.adj(u), self.adj(l));
         let shorter = if of_l.len() < of_u.len() { of_l } else { of_u };
         shorter.iter().copied().filter(move |&a| {
             let arc = &self.arcs[a as usize];
@@ -768,14 +972,19 @@ impl MsComplex {
         if sp.slot.len() < self.nodes.len() {
             sp.slot.resize(self.nodes.len(), 0);
         }
+        // every x is marked before the first y, so `ends` lists the xs'
+        // slots first
         let mark = |sp: &mut SpliceScratch, n: NodeId, upper: bool| {
             if sp.slot[n as usize] != 0 {
+                let offset = if upper { 0 } else { sp.xs.len() };
+                sp.ends[offset + sp.slot[n as usize] as usize - 1] += 1;
                 return 0;
             }
             let side = if upper { &mut sp.xs } else { &mut sp.ys };
             side.push(n);
             sp.slot[n as usize] = side.len() as u32;
-            self.adj[n as usize].len()
+            sp.ends.push(1);
+            self.adj(n).len()
         };
         let x_entries: usize = (above.iter())
             .map(|&a| mark(sp, self.arcs[a as usize].upper, true))
@@ -789,7 +998,7 @@ impl MsComplex {
         // the cancelled pair is unmarked, so its own arcs never count
         if x_entries <= y_entries {
             for (i, &x) in sp.xs.iter().enumerate() {
-                for &a in &self.adj[x as usize] {
+                for &a in self.adj(x) {
                     let arc = &self.arcs[a as usize];
                     let j = sp.slot[arc.lower as usize] as usize;
                     if arc.alive && arc.upper == x && j != 0 {
@@ -799,7 +1008,7 @@ impl MsComplex {
             }
         } else {
             for (j, &y) in sp.ys.iter().enumerate() {
-                for &a in &self.adj[y as usize] {
+                for &a in self.adj(y) {
                     let arc = &self.arcs[a as usize];
                     let i = sp.slot[arc.upper as usize] as usize;
                     if arc.alive && arc.lower == y && i != 0 {
@@ -825,12 +1034,10 @@ impl MsComplex {
 
     /// Drop dead arc ids from every adjacency list. Long simplification
     /// runs leave tombstones behind that make incidence scans linear in
-    /// *historical* degree; pruning restores them to live degree.
+    /// *historical* degree; pruning restores them to live degree, and
+    /// repacks the arena without the garbage of moved lists.
     pub fn prune_dead_adjacency(&mut self) {
-        let arcs = &self.arcs;
-        for adj in &mut self.adj {
-            adj.retain(|&a| arcs[a as usize].alive);
-        }
+        self.inc.repack(&self.arcs);
     }
 
     /// Tombstone a node, recording the persistence it was cancelled at.
@@ -878,16 +1085,10 @@ impl MsComplex {
             + (self.splice.slot.capacity() + self.splice.table.capacity()) * size_of::<u32>()
             + (self.splice.xs.capacity() + self.splice.ys.capacity()) * size_of::<NodeId>()
             + self.hierarchy.capacity() * size_of::<Cancellation>();
-        let adj: usize = self.adj.capacity() * size_of::<Vec<ArcId>>()
-            + self
-                .adj
-                .iter()
-                .map(|v| v.capacity() * size_of::<ArcId>())
-                .sum::<usize>();
         // HashMap overhead ≈ 1/0.875 load factor plus one control byte
         // per slot; close enough for a gauge
         let index = self.addr_index.capacity() * (size_of::<(u64, NodeId)>() + 1);
-        (size_of::<MsComplex>() + vecs + adj + index) as u64
+        (size_of::<MsComplex>() + vecs + self.inc.mem_bytes() + index) as u64
     }
 
     /// Rebuild dense arrays: drop dead nodes/arcs, keep only owned
@@ -896,8 +1097,8 @@ impl MsComplex {
     /// reference, §IV-E), rebuild adjacency and the address index, and
     /// clear the hierarchy (keeping only the coarsest level, as the paper
     /// does before communication, §IV-F1). Ids are dense, so the old→new
-    /// maps are plain vectors and every adjacency list is allocated once
-    /// at its final degree.
+    /// maps are plain vectors and the incidence arena is built once, as
+    /// exact CSR.
     ///
     /// Live nodes, arcs and incidence lists keep their relative order,
     /// and the owned geometry is copied in the one walker's post-order
@@ -912,26 +1113,25 @@ impl MsComplex {
         out.frozen = self.frozen.clone();
         let live = self.nodes.iter().filter(|n| n.alive).count();
         out.nodes.reserve_exact(live);
-        out.adj.reserve_exact(live);
+        out.inc.seg.reserve_exact(live);
         out.addr_index.reserve(live);
         let mut node_map = vec![UNMAPPED; self.nodes.len()];
         for (i, n) in self.nodes.iter().enumerate().filter(|(_, n)| n.alive) {
             node_map[i] = out.add_node(n.addr, n.index, n.value, n.boundary);
         }
-        let mut degree = vec![0usize; live];
-        for a in self.arcs.iter().filter(|a| a.alive) {
-            degree[node_map[a.upper as usize] as usize] += 1;
-            degree[node_map[a.lower as usize] as usize] += 1;
-        }
-        out.arcs.reserve_exact(degree.iter().sum::<usize>() / 2);
-        for (adj, d) in out.adj.iter_mut().zip(degree) {
-            adj.reserve_exact(d);
-        }
+        out.arcs
+            .reserve_exact(self.arcs.iter().filter(|a| a.alive).count());
         let mut walk = GeomWalk::keeping(self.n_frozen());
         for a in self.arcs.iter().filter(|a| a.alive) {
-            let g = walk.copy_into(self, a.geom, &mut out);
-            out.add_arc(node_map[a.upper as usize], node_map[a.lower as usize], g);
+            let geom = walk.copy_into(self, a.geom, &mut out);
+            out.arcs.push(Arc {
+                upper: node_map[a.upper as usize],
+                lower: node_map[a.lower as usize],
+                geom,
+                alive: true,
+            });
         }
+        out.relink();
         *self = out;
     }
 
@@ -955,8 +1155,32 @@ impl MsComplex {
     }
 
     /// Structural sanity check used by tests: adjacency covers arcs,
-    /// indices differ by one, address index matches living nodes.
+    /// indices differ by one, address index matches living nodes, and
+    /// the incidence arena is well formed: every list lies inside it and
+    /// within its room, no two lists overlap, and every entry of a node's
+    /// list is an arc touching that node, in increasing id order.
     pub fn check_integrity(&self) -> Result<(), String> {
+        if self.inc.seg.len() != self.nodes.len() {
+            return Err(format!(
+                "{} incidence lists for {} nodes",
+                self.inc.seg.len(),
+                self.nodes.len()
+            ));
+        }
+        self.inc.check_layout()?;
+        for n in 0..self.nodes.len() as NodeId {
+            let list = self.adj(n);
+            if let Some(&a) = (list.iter()).find(|&&a| {
+                (self.arcs.get(a as usize)).is_none_or(|arc| arc.upper != n && arc.lower != n)
+            }) {
+                return Err(format!(
+                    "node {n}'s list holds arc {a}, which does not touch it"
+                ));
+            }
+            if list.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("node {n}'s list is not in increasing arc order"));
+            }
+        }
         for (i, a) in self.arcs.iter().enumerate() {
             let (u, l) = (&self.nodes[a.upper as usize], &self.nodes[a.lower as usize]);
             if u.index != l.index + 1 {
@@ -966,8 +1190,8 @@ impl MsComplex {
                 return Err(format!("arc {i} alive with dead endpoint"));
             }
             if a.alive {
-                let ok = self.adj[a.upper as usize].contains(&(i as ArcId))
-                    && self.adj[a.lower as usize].contains(&(i as ArcId));
+                let ok = self.adj(a.upper).contains(&(i as ArcId))
+                    && self.adj(a.lower).contains(&(i as ArcId));
                 if !ok {
                     return Err(format!("arc {i} missing from adjacency"));
                 }
@@ -1130,5 +1354,98 @@ mod tests {
         let escaped = [&[STEP_ESCAPE][..], &(a + 2).to_le_bytes(), &[1]].concat();
         assert_eq!(leaf_bytes(&ms, jumped)[8..], escaped);
         assert_eq!(ms.steps.len(), 2 * (8 + 7) + (8 + 1 + 8 + 1));
+    }
+
+    /// A seeded mix of every operation that touches the incidence arena,
+    /// checked after each against a plain list per node kept beside it:
+    /// each node's list, dead entries included, must hold the same arcs
+    /// in the same order.
+    #[test]
+    fn arena_lists_equal_a_list_per_node() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(51);
+        let mut ms = tiny();
+        let mut reference: Vec<Vec<ArcId>> = Vec::new();
+        let g = ms.add_leaf_geom(&[]);
+        let mut next_addr = 0u64;
+        for step in 0..4000 {
+            let live: Vec<NodeId> = (0..ms.nodes.len() as NodeId)
+                .filter(|&n| ms.nodes[n as usize].alive)
+                .collect();
+            match rng.gen_range(0..100u32) {
+                0..=19 => {
+                    let index = rng.gen_range(0..4u32) as u8;
+                    ms.add_node(next_addr, index, 0.0, false);
+                    next_addr += 1;
+                    reference.push(Vec::new());
+                }
+                20..=69 if !live.is_empty() => {
+                    let u = live[rng.gen_range(0..live.len())];
+                    let below = ms.nodes[u as usize].index.checked_sub(1);
+                    let lows: Vec<NodeId> = (live.iter().copied())
+                        .filter(|&l| Some(ms.nodes[l as usize].index) == below)
+                        .collect();
+                    if !lows.is_empty() {
+                        let l = lows[rng.gen_range(0..lows.len())];
+                        let a = ms.add_arc(u, l, g);
+                        reference[u as usize].push(a);
+                        reference[l as usize].push(a);
+                    }
+                }
+                70..=81 if !ms.arcs.is_empty() => {
+                    ms.kill_arc(rng.gen_range(0..ms.arcs.len()) as ArcId);
+                }
+                82..=85 if !live.is_empty() => {
+                    let n = live[rng.gen_range(0..live.len())];
+                    let doomed: Vec<ArcId> = ms.arcs_of(n).collect();
+                    for a in doomed {
+                        ms.kill_arc(a);
+                    }
+                    ms.kill_node(n, 1.0);
+                }
+                86..=89 if !live.is_empty() => {
+                    let (n, k) = (live[rng.gen_range(0..live.len())], rng.gen_range(0..9u32));
+                    ms.reserve_incidence([(n, k)]);
+                    let s = ms.inc.seg[n as usize];
+                    assert!(
+                        s.cap - s.len >= k,
+                        "step {step}: room for {k} on {n}: {s:?}"
+                    );
+                }
+                90..=93 => {
+                    ms.prune_dead_adjacency();
+                    for list in &mut reference {
+                        list.retain(|&a| ms.arcs[a as usize].alive);
+                    }
+                }
+                94..=96 => {
+                    // renumber the reference as `compact` renumbers
+                    let mut arc_map = vec![UNMAPPED; ms.arcs.len()];
+                    let live_arcs = (0..).zip(&ms.arcs).filter(|(_, a)| a.alive);
+                    for (new, (old, _)) in live_arcs.enumerate() {
+                        arc_map[old] = new as ArcId;
+                    }
+                    reference = (reference.iter().zip(&ms.nodes))
+                        .filter(|(_, n)| n.alive)
+                        .map(|(list, _)| {
+                            let kept = list.iter().map(|&a| arc_map[a as usize]);
+                            kept.filter(|&a| a != UNMAPPED).collect()
+                        })
+                        .collect();
+                    ms.compact();
+                }
+                97..=99 => ms = ms.clone(),
+                _ => {}
+            }
+            ms.check_integrity()
+                .unwrap_or_else(|e| panic!("step {step}: {e}"));
+            assert_eq!(ms.nodes.len(), reference.len());
+            for (n, want) in (0..).zip(&reference) {
+                assert_eq!(ms.adj(n), &want[..], "step {step}, node {n}");
+                let alive = want.iter().copied().filter(|&a| ms.arcs[a as usize].alive);
+                assert!(ms.arcs_of(n).eq(alive), "step {step}, node {n}");
+            }
+        }
+        assert!(ms.n_live_arcs() > 100, "the mix keeps a populated complex");
     }
 }

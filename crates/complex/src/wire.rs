@@ -63,7 +63,7 @@
 
 use crate::glue::Incoming;
 use crate::skeleton::{
-    GeomId, GeomSource, GeomView, GeomWalk, Leaf, MsComplex, Node, STEP_ESCAPE, UNMAPPED,
+    Arc, GeomId, GeomSource, GeomView, GeomWalk, Leaf, MsComplex, Node, STEP_ESCAPE, UNMAPPED,
 };
 use bytes::{BufMut, Bytes};
 use msp_grid::dims::RefinedDims;
@@ -477,8 +477,14 @@ impl<'a> Records<'a> for MsComplex {
         self.add_geom(g);
     }
 
+    /// Arcs are indexed once, after the last ([`deserialize`]).
     fn arc(&mut self, [upper, lower, geom]: [u32; 3]) {
-        self.add_arc(upper, lower, geom);
+        self.arcs.push(Arc {
+            upper,
+            lower,
+            geom,
+            alive: true,
+        });
     }
 }
 
@@ -579,6 +585,7 @@ impl Incoming for Payload<'_> {
 pub fn deserialize(data: &[u8]) -> Result<MsComplex, WireError> {
     let mut ms = MsComplex::default();
     parse(data, &mut ms)?;
+    ms.relink();
     Ok(ms)
 }
 

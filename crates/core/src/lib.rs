@@ -38,6 +38,7 @@ pub use pipeline::{
     CheckVerdict, FaultConfig, Input, PipelineError, PipelineParams, RunResult,
 };
 pub use serve::{
-    load_dataset, serve_session, serve_tcp, Dataset, ServeConfig, ServeError, ServerCore,
+    dataset_names, load_dataset, serve_session, serve_tcp, Dataset, ServeConfig, ServeError,
+    ServerCore,
 };
 pub use simdriver::{simulate, RoundReport, SimParams, SimReport};

@@ -23,7 +23,7 @@ use msp_segment::BlockSegmentation;
 use msp_telemetry::{
     Counter, Json, Phase, RankReport, RankTrace, Recorder, RunReport, RunTrace, TraceSink,
 };
-use msp_vmpi::comm::{CommError, Inject};
+use msp_vmpi::comm::{CommError, Inject, RankPanic};
 use msp_vmpi::fileio::{collective_write_blocks_keyed, FooterEntry};
 use msp_vmpi::{Rank, Universe};
 use std::path::{Path, PathBuf};
@@ -125,6 +125,9 @@ pub enum PipelineError {
     },
     /// The end-of-run telemetry exchange produced garbage.
     Telemetry(String),
+    /// A rank panicked; its peers stopped waiting for it, and the run
+    /// produced nothing.
+    Panic(RankPanic),
 }
 
 impl From<LayoutError> for PipelineError {
@@ -147,6 +150,7 @@ impl std::fmt::Display for PipelineError {
             PipelineError::Glue { context, source } => write!(f, "{context}: {source}"),
             PipelineError::Simplify { context, source } => write!(f, "{context}: {source}"),
             PipelineError::Telemetry(msg) => write!(f, "telemetry exchange: {msg}"),
+            PipelineError::Panic(p) => write!(f, "{p}"),
         }
     }
 }
@@ -160,6 +164,7 @@ impl std::error::Error for PipelineError {
             PipelineError::Checkpoint { source, .. } => Some(source),
             PipelineError::Glue { source, .. } => Some(source),
             PipelineError::Simplify { source, .. } => Some(source),
+            PipelineError::Panic(p) => Some(p),
             _ => None,
         }
     }
@@ -418,7 +423,8 @@ pub fn run_parallel(
         let mut m = Threaded::new(rank, params, epoch);
         let run = stages::run(&mut m, &job, output_path);
         m.finish(run)
-    });
+    })
+    .map_err(PipelineError::Panic)?;
 
     let (mut telemetry, mut trace, mut threshold) = (None, None, 0.0);
     let mut out = stages::RankOut::default();

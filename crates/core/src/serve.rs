@@ -107,7 +107,7 @@ use msp_vmpi::fileio::{read_block_payload, read_footer};
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrd};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -122,6 +122,13 @@ pub enum ServeError {
     /// An artifact decoded but its content is unusable (bad wire bytes,
     /// mismatched block counts).
     Artifact { context: String, detail: String },
+    /// Two artifacts named alike ([`dataset_names`]): a request could
+    /// reach only one of them by name.
+    DuplicateName {
+        name: String,
+        first: PathBuf,
+        second: PathBuf,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -129,6 +136,16 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Io { context, source } => write!(f, "{context}: {source}"),
             ServeError::Artifact { context, detail } => write!(f, "{context}: {detail}"),
+            ServeError::DuplicateName {
+                name,
+                first,
+                second,
+            } => write!(
+                f,
+                "two datasets named {name:?}: {} and {}",
+                first.display(),
+                second.display()
+            ),
         }
     }
 }
@@ -161,6 +178,29 @@ impl Dataset {
             + self.hierarchies.iter().map(|h| h.mem_bytes()).sum::<u64>()
             + self.segs.iter().map(|s| s.mem_bytes()).sum::<u64>()
     }
+}
+
+/// The name each artifact is served under: its file stem. Two artifacts
+/// with one name are refused, since a request names its dataset.
+pub fn dataset_names(paths: &[PathBuf]) -> Result<Vec<String>, ServeError> {
+    let mut names: Vec<String> = Vec::with_capacity(paths.len());
+    for path in paths {
+        let name = (path.file_stem())
+            .map(|s| s.to_string_lossy().into_owned())
+            .ok_or_else(|| ServeError::Artifact {
+                context: format!("naming {}", path.display()),
+                detail: "the path has no file name".to_string(),
+            })?;
+        if let Some(first) = names.iter().position(|n| *n == name) {
+            return Err(ServeError::DuplicateName {
+                name,
+                first: paths[first].clone(),
+                second: path.clone(),
+            });
+        }
+        names.push(name);
+    }
+    Ok(names)
 }
 
 /// Load a dataset from `<msc_path>` + `<msc_path>.msh` (required) +
@@ -427,28 +467,23 @@ pub struct ServerCore {
     inflight: Mutex<HashSet<CacheKey>>,
     inflight_cv: Condvar,
     metrics: ServeMetrics,
-    /// `serve_dataset_bytes` per dataset name, taken once at load: a
-    /// repeated name is one series, at its first position, holding the
-    /// later dataset's bytes.
+    /// `serve_dataset_bytes` per dataset name, taken once at load.
     dataset_bytes: Vec<(String, u64)>,
     started: Instant,
     shutdown: AtomicBool,
 }
 
 impl ServerCore {
+    /// A server over `datasets`, whose names must be distinct
+    /// ([`dataset_names`] refuses a repeat).
     pub fn new(datasets: Vec<Dataset>, config: ServeConfig) -> ServerCore {
-        let by_name = datasets
-            .iter()
-            .enumerate()
+        let by_name: HashMap<String, usize> = (datasets.iter().enumerate())
             .map(|(i, d)| (d.name.clone(), i))
             .collect();
-        let mut dataset_bytes: Vec<(String, u64)> = Vec::new();
-        for d in &datasets {
-            match dataset_bytes.iter_mut().find(|(name, _)| *name == d.name) {
-                Some((_, bytes)) => *bytes = d.mem_bytes(),
-                None => dataset_bytes.push((d.name.clone(), d.mem_bytes())),
-            }
-        }
+        assert_eq!(by_name.len(), datasets.len(), "dataset names repeat");
+        let dataset_bytes = (datasets.iter())
+            .map(|d| (d.name.clone(), d.mem_bytes()))
+            .collect();
         ServerCore {
             datasets,
             by_name,
@@ -2183,13 +2218,28 @@ mod tests {
         out
     }
 
-    /// The server of the exposition test after its fixed request script:
-    /// two datasets that share one name, so one `serve_dataset_bytes`
-    /// series holds the value of the later one.
+    #[test]
+    fn two_datasets_with_one_name_are_refused() {
+        let paths = ["a/x.msc", "b/y.msc", "c/x.msc"].map(PathBuf::from);
+        assert_eq!(dataset_names(&paths[..2]).unwrap(), ["x", "y"]);
+        let err = dataset_names(&paths).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::DuplicateName { name, first, second }
+                if name == "x" && *first == paths[0] && *second == paths[2]),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "two datasets named \"x\": a/x.msc and c/x.msc"
+        );
+    }
+
+    /// The server of the exposition test after its fixed request script,
+    /// over two datasets `x` and `y`.
     fn scripted_core() -> ServerCore {
-        // as `msc serve a/x.msc b/x.msc` names them: by file stem
-        let datasets = [("a", 9), ("b", 7)]
-            .map(|(dir, size)| with_artifacts(dir, size, |path| load_dataset("x", path).unwrap()));
+        let datasets = [("x", 9), ("y", 7)].map(|(name, size)| {
+            with_artifacts(name, size, |path| load_dataset(name, path).unwrap())
+        });
         let core = ServerCore::new(datasets.into(), ServeConfig::default());
         let recs = &core.datasets[0].hierarchies[0].difference;
         let t = recs[recs.len() / 2].key as f64;
@@ -2227,6 +2277,9 @@ mod tests {
         let want = include_str!("../tests/data/serve_exposition.txt");
         let got = masked_exposition(&core);
         assert!(got == want, "exposition moved:\n{got}");
-        assert!(got.contains(&format!("serve_dataset_bytes{{dataset=\"x\"}} {b}\n")));
+        for (name, bytes) in [("x", a), ("y", b)] {
+            let series = format!("serve_dataset_bytes{{dataset=\"{name}\"}} {bytes}\n");
+            assert!(got.contains(&series), "{series}");
+        }
     }
 }

@@ -15,6 +15,12 @@
 //! fault-tolerant pipeline needs: a lost message or dead group member
 //! surfaces as a typed, recoverable error at the caller.
 //!
+//! A rank that panics ends the run rather than hanging it: its thread
+//! catches the unwind and wakes every peer, whose pending and later
+//! receives then fail with [`CommError::PeerPanicked`], and
+//! [`Universe::run_with_inject`] returns the panic as a [`RankPanic`]
+//! once every rank has returned.
+//!
 //! Receives that name no deadline of their own — collectives, barriers —
 //! can be bounded too ([`Rank::set_stall_deadline`]): such a receive
 //! fails once every live rank of the universe has waited in one for the
@@ -41,6 +47,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use msp_telemetry::TraceSink;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,6 +65,10 @@ struct Msg {
 /// range plus `round << 20`, far underneath.
 const TAG_BARRIER: u32 = 0x7FF0_0000;
 
+/// Tag of the token a panicking rank sends every peer to wake its
+/// receives (in the reserved namespace, above every barrier tag).
+const TAG_PANIC: u32 = 0x7FFF_FFFF;
+
 /// Error from a communication operation. Carries enough context to log
 /// or to drive recovery (who was involved, on which tag, for how long
 /// the receiver waited).
@@ -73,6 +84,9 @@ pub enum CommError {
     },
     /// The peer's endpoint is gone (its thread returned or panicked).
     Disconnected { peer: usize, tag: u32 },
+    /// Rank `rank` panicked: the run is ending, so no receive waits for
+    /// a message any more.
+    PeerPanicked { rank: usize },
     /// A typed message failed to decode — a protocol bug on the sender,
     /// surfaced as an error so the pipeline's failure path stays uniform.
     Protocol {
@@ -98,6 +112,7 @@ impl std::fmt::Display for CommError {
             CommError::Disconnected { peer, tag } => {
                 write!(f, "rank {peer} disconnected (tag {tag:#x})")
             }
+            CommError::PeerPanicked { rank } => write!(f, "rank {rank} panicked"),
             CommError::Protocol { from, tag, detail } => {
                 write!(
                     f,
@@ -109,6 +124,22 @@ impl std::fmt::Display for CommError {
 }
 
 impl std::error::Error for CommError {}
+
+/// A rank's panic, as [`Universe::run_with_inject`] returns it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RankPanic {
+    pub rank: usize,
+    /// The panic's message (its payload, when that is a string).
+    pub message: String,
+}
+
+impl std::fmt::Display for RankPanic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "rank {} panicked: {}", self.rank, self.message)
+    }
+}
+
+impl std::error::Error for RankPanic {}
 
 /// What the injection hook decides about one outgoing message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,18 +179,26 @@ impl Universe {
     /// Run `f` on `world` ranks concurrently and collect each rank's
     /// return value (indexed by rank).
     ///
-    /// Panics in any rank propagate after all threads finish or abort.
+    /// A panic in any rank is raised again, as a [`RankPanic`] message,
+    /// once every rank has returned.
     pub fn run<R, F>(world: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut Rank) -> R + Send + Sync,
     {
-        Self::run_with_inject(world, None, f)
+        Self::run_with_inject(world, None, f).unwrap_or_else(|p| panic!("{p}"))
     }
 
     /// [`Universe::run`] with a fault-injection hook consulted on every
-    /// point-to-point send (including the legs of collectives).
-    pub fn run_with_inject<R, F>(world: usize, inject: Option<Arc<dyn Inject>>, f: F) -> Vec<R>
+    /// point-to-point send (including the legs of collectives), and a
+    /// rank's panic returned as an error: the lowest-numbered rank that
+    /// panicked, once every rank has returned (its peers' receives fail
+    /// with [`CommError::PeerPanicked`], so none waits for it).
+    pub fn run_with_inject<R, F>(
+        world: usize,
+        inject: Option<Arc<dyn Inject>>,
+        f: F,
+    ) -> Result<Vec<R>, RankPanic>
     where
         R: Send,
         F: Fn(&mut Rank) -> R + Send + Sync,
@@ -199,13 +238,21 @@ impl Universe {
                         stall,
                         stall_deadline: Cell::new(None),
                     };
-                    f(&mut r)
+                    let out = catch_unwind(AssertUnwindSafe(|| f(&mut r)));
+                    out.map_err(|payload| {
+                        r.wake_peers();
+                        let message = (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "a non-string panic payload".to_string());
+                        RankPanic { rank, message }
+                    })
                 }));
             }
-            handles
+            let joined: Vec<_> = handles
                 .into_iter()
-                .map(|h| h.join().expect("rank thread panicked"))
-                .collect()
+                .map(|h| h.join().expect("the unwind is caught in the rank"))
+                .collect();
+            joined.into_iter().collect()
         })
     }
 }
@@ -223,6 +270,8 @@ struct Stall {
     waiting: AtomicUsize,
     /// Messages taken off any rank's channel so far.
     moved: AtomicU64,
+    /// 1 + the first rank that panicked, 0 while none has.
+    panicked: AtomicUsize,
 }
 
 /// One rank inside a stall-bounded receive, for as long as it lives.
@@ -314,6 +363,21 @@ impl Rank {
     /// `None` (the default) waits forever.
     pub fn set_stall_deadline(&self, d: Option<Duration>) {
         self.stall_deadline.set(d);
+    }
+
+    /// Fail every peer's pending and later receives: this rank panicked.
+    fn wake_peers(&self) {
+        // only the first panic is recorded
+        let _ = (self.stall.panicked).compare_exchange(
+            0,
+            self.rank + 1,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
+        for to in (0..self.size).filter(|&to| to != self.rank) {
+            // a peer that already returned needs no waking
+            let _ = self.send_control(to, TAG_PANIC);
+        }
     }
 
     /// Snapshot of this rank's cumulative traffic counters.
@@ -425,6 +489,9 @@ impl Rank {
         tag: u32,
         deadline: Option<Duration>,
     ) -> Result<(Bytes, u64), CommError> {
+        if let Some(rank) = self.stall.panicked.load(Ordering::SeqCst).checked_sub(1) {
+            return Err(CommError::PeerPanicked { rank });
+        }
         if let Some(q) = self.stash.borrow_mut().get_mut(&(from, tag)) {
             if let Some(hit) = q.pop_front() {
                 return Ok(hit);
@@ -468,6 +535,9 @@ impl Rank {
                 (None, None) => self.receiver.recv().map_err(|_| disconnected())?,
             };
             self.stall.moved.fetch_add(1, Ordering::SeqCst);
+            if msg.tag == TAG_PANIC {
+                return Err(CommError::PeerPanicked { rank: msg.from });
+            }
             if msg.from == from && msg.tag == tag {
                 return Ok((msg.payload, msg.seq));
             }
@@ -635,6 +705,38 @@ impl Rank {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_rank_ends_the_run_instead_of_hanging_it() {
+        let t0 = Instant::now();
+        let woken = Err(CommError::PeerPanicked { rank: 1 });
+        let got = Universe::run_with_inject(3, None, |r| match r.rank() {
+            0 => {
+                r.send(1, 1, Bytes::new()).unwrap();
+                // only the panic ends this receive
+                assert_eq!(r.recv(1, 7), woken);
+            }
+            1 => {
+                r.recv(0, 1).unwrap();
+                panic!("bounds bug on rank {}", r.rank())
+            }
+            _ => {
+                // the panic wakes this receive and fails every later one
+                assert_eq!(r.recv(1, 7), woken);
+                assert_eq!(r.recv(0, 8), woken);
+            }
+        });
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "took {:?}",
+            t0.elapsed()
+        );
+        let want = RankPanic {
+            rank: 1,
+            message: "bounds bug on rank 1".to_string(),
+        };
+        assert_eq!(got.unwrap_err(), want);
+    }
 
     #[test]
     fn single_rank_world() {
@@ -937,7 +1039,8 @@ mod tests {
                     .unwrap_err();
                 (first, Some(lost), r.comm_stats())
             }
-        });
+        })
+        .unwrap();
         assert!(matches!(out[1].1, Some(CommError::Timeout { .. })));
         // the dropped message still counts as sent, but is never received
         assert_eq!(out[0].2.msgs_sent, 3);
@@ -971,7 +1074,8 @@ mod tests {
                 assert_eq!(&b[..], b"late");
                 true
             }
-        });
+        })
+        .unwrap();
         assert!(out[0], "delay charged on the sending side");
         assert!(out[1]);
     }
@@ -1040,7 +1144,8 @@ mod tests {
                 assert!(matches!(e, CommError::Timeout { .. }));
             }
             sink.finish()
-        });
+        })
+        .unwrap();
         assert_eq!(traces[0].sends.len(), 2, "dropped send still stamped");
         assert_eq!(traces[1].timeouts.len(), 1);
         assert_eq!(traces[1].timeouts[0].src, 0);

@@ -192,6 +192,19 @@ grep -q 'latency self-check ok' "$tracedir/serve_err.txt" \
 [ "$(wc -l < "$tracedir/serve_deep.jsonl")" -eq 2 ] \
   && head -1 "$tracedir/serve_deep.jsonl" | grep -q '"ok":false' \
   || { echo "serve smoke: expected an error, then a pong"; cat "$tracedir/serve_deep.jsonl"; exit 1; }
+# two copies of the artifact as a/x.msc and b/x.msc: both would be
+# named x, so serve refuses them by name (exit 1) before loading either
+mkdir -p "$tracedir/a" "$tracedir/b"
+for f in "$tracedir"/serve.msc*; do
+  cp "$f" "$tracedir/a/x${f#"$tracedir"/serve}"
+  cp "$f" "$tracedir/b/x${f#"$tracedir"/serve}"
+done
+status=0
+(cd "$tracedir" && timeout 10 cargo run -q --release --manifest-path "$root/Cargo.toml" \
+  --bin msc -- serve a/x.msc b/x.msc) < /dev/null > /dev/null 2> "$tracedir/dup_err.txt" \
+  || status=$?
+[ "$status" -eq 1 ] && grep -q '^error: two datasets named "x"' "$tracedir/dup_err.txt" \
+  || { echo "serve: a repeated name: exit $status"; cat "$tracedir/dup_err.txt"; exit 1; }
 
 # the read-only subcommands on the same artifact, and a flag msc does
 # not know (here one that was removed) fails the run by name

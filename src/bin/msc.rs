@@ -14,7 +14,7 @@
 use morse_smale_parallel::complex::export::{self, LabeledVolume, SegKind};
 use morse_smale_parallel::complex::{query, wire, MsComplex};
 use morse_smale_parallel::core::{
-    full_merge_plan, load_dataset, msh_output_path, parse_persistence, run_parallel,
+    dataset_names, full_merge_plan, load_dataset, msh_output_path, parse_persistence, run_parallel,
     seg_output_path, serve_session, serve_tcp, DecompMode, FaultConfig, Input, MergePlan,
     PipelineParams, ServeConfig, ServerCore,
 };
@@ -748,14 +748,11 @@ fn cmd_serve(o: &Opts) -> Result<(), String> {
             "serve needs at least one .msc artifact (from a compute run with --hierarchy)".into(),
         );
     }
+    let paths: Vec<PathBuf> = o.positional.iter().map(PathBuf::from).collect();
+    let names = dataset_names(&paths).map_err(|e| e.to_string())?;
     let mut datasets = Vec::new();
-    for p in &o.positional {
-        let path = PathBuf::from(p);
-        let name = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .ok_or_else(|| format!("bad dataset path '{p}'"))?;
-        let ds = load_dataset(&name, &path).map_err(|e| e.to_string())?;
+    for (name, path) in names.iter().zip(&paths) {
+        let ds = load_dataset(name, path).map_err(|e| e.to_string())?;
         let records: usize = ds
             .hierarchies
             .iter()
