@@ -18,12 +18,12 @@ use msp_bench::{
 };
 use msp_complex::query;
 use msp_core::{
-    feature_weights, run_parallel, Assignment, DecompMode, FaultConfig, Input, MergePlan,
-    PipelineParams, RunResult,
+    feature_weights, run_parallel, DecompMode, FaultConfig, Input, MergePlan, PipelineParams,
+    RunResult,
 };
 use msp_fault::FaultPlan;
 use msp_grid::par::available_threads;
-use msp_grid::{Decomposition, Dims};
+use msp_grid::{Decomposition, Dims, Layout, LayoutError};
 use msp_telemetry::{aggregate, Agg, Json};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -757,9 +757,10 @@ fn fault_sweep(scale: Scale, out: &mut Out) {
     );
 }
 
-/// Load balance: uniform bisection + block-cyclic assignment against
-/// the adaptive feature-density splitter + LPT assignment (DESIGN.md
-/// §14) on the jet-like mixture-fraction field.
+/// Load balance: uniform bisection + contiguous assignment against the
+/// adaptive feature-density splitter + LPT assignment (DESIGN.md §14) on
+/// the jet-like mixture-fraction field, each laid out by the pipeline's
+/// own `Layout::new`.
 ///
 /// Both layouts are costed with the same model, the per-vertex
 /// feature-weight integral over each block, so the comparison measures
@@ -790,10 +791,13 @@ fn balance_sweep(scale: Scale, out: &mut Out) {
         dims.nx, dims.ny, dims.nz
     ));
 
-    let uniform_d = Decomposition::bisect(dims, BLOCKS);
-    let adaptive_d = Decomposition::adaptive(dims, BLOCKS, &weights);
-    let uniform_costs = uniform_d.block_costs(&weights);
-    let adaptive_costs = adaptive_d.block_costs(&weights);
+    // per-rank loads of a mode's layout, every block costed alike
+    let loads = |mode, n| {
+        let w = || Ok::<_, LayoutError>(weights.clone());
+        let l = Layout::new(dims, mode, &MergePlan::none(), n, BLOCKS, w)
+            .unwrap_or_else(|e| panic!("{mode} layout of {BLOCKS} blocks on {n} ranks: {e}"));
+        l.assign.loads(&l.decomp.block_costs(&weights), n)
+    };
     let agg = |loads: &[u64]| aggregate(&loads.iter().map(|&v| v as f64).collect::<Vec<_>>());
     let agg_json = |a: Agg| {
         Json::obj(vec![
@@ -817,10 +821,10 @@ fn balance_sweep(scale: Scale, out: &mut Out) {
     let mut rows: Vec<Json> = Vec::new();
     let mut last_adaptive_loads: Vec<u64> = Vec::new();
     for n in RANKS {
-        let uni = agg(&Assignment::round_robin(BLOCKS, n).loads(&uniform_costs, n));
-        let loads = Assignment::lpt(&adaptive_costs, n).loads(&adaptive_costs, n);
-        let ada = agg(&loads);
-        last_adaptive_loads = loads;
+        let uni = agg(&loads(DecompMode::Uniform, n));
+        let adaptive_loads = loads(DecompMode::Adaptive, n);
+        let ada = agg(&adaptive_loads);
+        last_adaptive_loads = adaptive_loads;
         assert!(
             ada.imbalance < uni.imbalance,
             "{n} ranks: adaptive imbalance {:.4} is not strictly below uniform {:.4}",

@@ -6,8 +6,9 @@
 //! its `vmpi::Rank`, and phases are recorded once, as spans on the
 //! rank's [`Recorder`]; a traced run adds the message stamps of a
 //! [`TraceSink`] and builds its trace from both. Blocks
-//! may outnumber ranks; uniform runs assign them block-cyclically,
-//! irregular ones by LPT over per-block cost estimates.
+//! may outnumber ranks; uniform runs give each rank one contiguous range
+//! of block ids, irregular ones balance them by LPT over per-block cost
+//! estimates.
 
 use crate::stages::{self, Io, Job, Machine, Node, Output, Source};
 use bytes::Bytes;
@@ -187,7 +188,7 @@ pub struct PipelineParams {
     pub persistence_frac: f32,
     pub plan: MergePlan,
     /// How the domain is decomposed into blocks (DESIGN.md §14). Uniform
-    /// bisection keeps the historical block-cyclic assignment and fixed
+    /// bisection assigns contiguous block ranges and merges on the fixed
     /// radix-tree schedule; irregular modes (adaptive, random trees)
     /// switch to LPT cost-balanced assignment and a greedy contraction
     /// of the block neighbor graph. Outputs are a pure function of

@@ -32,10 +32,11 @@ use msp_grid::par::{available_threads, par_map_mut};
 use msp_grid::rawio::VolumeDType;
 use msp_grid::{DecompMode, MergePlan, ScalarField};
 use msp_telemetry::{Counter, Json, Phase, RankTrace, Recorder, RunTrace, TimeoutStamp};
-use msp_vmpi::comm::{CommError, Inject, SendFate};
+use msp_vmpi::comm::{CommError, Inject, RankPanic, SendFate};
 use msp_vmpi::fileio::FooterEntry;
 use msp_vmpi::{IoParams, NetParams, Torus};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -236,7 +237,8 @@ impl SimReport {
 
 /// Simulate the pipeline at `n_ranks` virtual ranks (one block each).
 /// It fails as the threaded pipeline does: a rank count or merge plan
-/// the layout refuses is [`PipelineError::Config`].
+/// the layout refuses is [`PipelineError::Config`], and a virtual rank
+/// that panics (`panic:R@K` included) is [`PipelineError::Panic`].
 pub fn simulate(
     field: &ScalarField,
     n_ranks: u32,
@@ -253,7 +255,12 @@ pub fn simulate(
     };
     let job = Job::layout(Source::Memory(field), params.dtype, &pp, n_ranks, n_ranks)?;
     let mut m = Sim::new(n_ranks, params);
-    let (threshold, out) = stages::run(&mut m, &job, None)?;
+    let run = catch_unwind(AssertUnwindSafe(|| stages::run(&mut m, &job, None)));
+    let (threshold, out) = match run.map_err(|e| e.downcast::<RankPanic>()) {
+        Ok(run) => run?,
+        Err(Ok(p)) => return Err(PipelineError::Panic(*p)),
+        Err(Err(e)) => resume_unwind(e),
+    };
     let total = |c: Counter| (0..n_ranks).map(|p| m.counter(p, c)).sum::<u64>();
     let slowest = |phases: &[Phase]| {
         let secs = |v: &VRank| phases.iter().map(|&p| v.rec.phase_seconds(p)).sum::<f64>();
@@ -593,7 +600,14 @@ impl<'a> Machine for Sim<'a> {
             }
         }
         let mut work: Vec<_> = self.ranks.iter_mut().zip(st).collect();
-        par_map_mut(available_threads(), &mut work, |_, (v, s)| f(v, s))
+        let out = par_map_mut(available_threads(), &mut work, |_, (v, s)| {
+            let p = v.p as usize;
+            catch_unwind(AssertUnwindSafe(|| f(v, s))).map_err(|e| RankPanic::new(p, &*e))
+        });
+        // the lowest rank that panicked ends the run, as on the threaded
+        // backend; `simulate` turns it back into an error
+        let out: Result<Vec<R>, RankPanic> = out.into_iter().collect();
+        out.unwrap_or_else(|p| resume_unwind(Box::new(p)))
     }
 
     fn begin(&mut self, phase: Phase) {

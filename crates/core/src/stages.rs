@@ -247,9 +247,16 @@ impl<'a> Job<'a> {
         }
     }
 
+    /// Does the plan crash `rank` at merge cursor `round`? A panic the
+    /// plan puts there is raised here, as a real unwinding panic.
     fn should_crash(&self, rank: u32, round: u32) -> bool {
-        let plan = self.params.fault.plan.as_ref();
-        plan.is_some_and(|p| p.should_crash(rank as usize, round))
+        let Some(plan) = self.params.fault.plan.as_ref() else {
+            return false;
+        };
+        if plan.should_panic(rank as usize, round) {
+            panic!("injected panic at merge round {round}");
+        }
+        plan.should_crash(rank as usize, round)
     }
 
     fn outputs_of(&self, p: u32) -> impl Iterator<Item = u32> + '_ {
@@ -282,6 +289,9 @@ struct RankState {
     /// This round's members whose root is on this rank: the live
     /// complexes `glue_groups` takes in place of a message.
     handoff: HashMap<u32, MsComplex>,
+    /// Slots a crash destroyed that no checkpoint restored (degraded
+    /// mode): later rounds ship nothing for them.
+    lost: Vec<u32>,
     /// Block segmentations stay on the rank that computed them.
     segs: HashMap<u32, BlockSegmentation>,
     /// Forward entries of cancelled extrema awaiting their routed flush.
@@ -1014,14 +1024,17 @@ fn simplify(
 /// its tombstones; one whose root is on this rank is handed over live. An
 /// injected crash destroys the rank's state at the cut: it ships and
 /// hands over nothing, and restores from its own checkpoint all but the
-/// slots whose custody passed to their roots.
+/// slots whose custody passed to their roots. Without a checkpoint the
+/// rest is lost, and ships nothing in later rounds either: their roots
+/// absorb them as they absorb this round's members.
 fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
     let crashed = job.should_crash(s.p, r as u32 + 1);
     // the slots left after the ship are this round's to change
     let mut cut = std::mem::take(&mut s.cut);
+    let mut held = Vec::new();
     if crashed {
         node.add(Counter::Crashes, 1);
-        s.complexes.clear();
+        held = s.complexes.drain().map(|(slot, _)| slot).collect();
     }
     let mut shipped = Vec::new();
     for (root, members) in &job.sched.rounds[r].groups {
@@ -1031,7 +1044,7 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
             .filter(|&&mb| job.assign.rank_of(mb) == s.p)
         {
             shipped.push(mb);
-            if crashed {
+            if crashed || s.lost.contains(&mb) {
                 continue;
             }
             let missing = PipelineError::MissingComplex {
@@ -1056,6 +1069,8 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
     }
     if crashed {
         restore(node, job, s, r as u32, &shipped)?;
+        let lost = held.into_iter().filter(|b| !shipped.contains(b));
+        s.lost.extend(lost.filter(|b| !s.complexes.contains_key(b)));
     }
     Ok(())
 }
@@ -1162,13 +1177,16 @@ fn glue_groups<N: Node>(
             }
         }
         let ms = s.complexes.get_mut(root).expect("checked above");
-        node.time(Phase::Glue, || -> Res {
+        // every live node of a member is matched or added, and every
+        // live arc added or skipped as a duplicate
+        let (nodes, arcs) = node.time(Phase::Glue, || -> Res<(u64, u64)> {
+            let (mut nodes, mut arcs) = (0, 0);
             for (mb, member) in &incoming {
                 let glued = match member {
                     Member::Live(inc) => glue(ms, inc, &job.decomp),
                     Member::Wire(payload) => glue_from_wire(ms, payload, &job.decomp),
                 };
-                glued.map_err(|source| match source {
+                let st = glued.map_err(|source| match source {
                     GlueError::Wire(source) => {
                         let context = format!("merge payload for slot {mb} in round {r}");
                         PipelineError::Wire { context, source }
@@ -1178,10 +1196,14 @@ fn glue_groups<N: Node>(
                         source,
                     },
                 })?;
+                nodes += st.matched_nodes + st.added_nodes;
+                arcs += st.added_arcs + st.skipped_shared_arcs;
             }
             ms.reflag_boundaries(&job.decomp);
-            Ok(())
+            Ok((nodes, arcs))
         })?;
+        node.add(Counter::GluedNodes, nodes);
+        node.add(Counter::GluedArcs, arcs);
         let (n, fw) = node.time(Phase::Resimplify, || {
             let context = || format!("re-simplifying slot {root} after round {r}");
             simplify(ms, sp, job.params.segment, context)

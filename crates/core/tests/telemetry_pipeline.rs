@@ -89,10 +89,10 @@ fn comm_counters_match_wire_payload_sizes() {
     // one block per rank, 4 -> 2 -> 1: blocks 1, 3 ship in round 0 and
     // block 2 in round 1, each to another rank
     check_comm_accounting(4, 4, vec![2, 2], 3);
-    // 8 blocks round-robin on 2 ranks, 8 -> 4 -> 2 -> 1: the odd blocks
-    // cross to rank 0 in round 0; blocks 2 and 6 (round 1) and 4 (round
-    // 2) already live on their root's rank and never reach the comm layer
-    check_comm_accounting(2, 8, vec![2, 2, 2], 4);
+    // 8 blocks on 2 ranks, 8 -> 4 -> 2 -> 1: rank 0 holds blocks 0-3 and
+    // rank 1 blocks 4-7, so rounds 0 and 1 merge on one rank and never
+    // reach the comm layer; only slot 4 crosses to rank 0, in round 2
+    check_comm_accounting(2, 8, vec![2, 2, 2], 1);
 }
 
 #[test]

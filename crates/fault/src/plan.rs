@@ -23,6 +23,11 @@ pub enum FaultEvent {
     /// round `round` (1-based; `round = n_rounds + 1` models a crash
     /// after the last merge but before the collective write).
     Crash { rank: usize, round: u32 },
+    /// Rank `rank` raises an unwinding panic at the boundary of merge
+    /// round `round` (numbered as for `Crash`): a bug, not a lost rank.
+    /// The run ends with the panic as its error; no checkpoint recovers
+    /// it (DESIGN.md §9).
+    Panic { rank: usize, round: u32 },
     /// Silently lose the `nth` (1-based) message on the directed link
     /// `from -> to`.
     DropMsg { from: usize, to: usize, nth: u64 },
@@ -57,6 +62,11 @@ impl FaultPlan {
 
     pub fn crash(mut self, rank: usize, round: u32) -> Self {
         self.events.push(FaultEvent::Crash { rank, round });
+        self
+    }
+
+    pub fn panic(mut self, rank: usize, round: u32) -> Self {
+        self.events.push(FaultEvent::Panic { rank, round });
         self
     }
 
@@ -104,6 +114,13 @@ impl FaultPlan {
         )
     }
 
+    /// Does the plan panic `rank` at merge round `round`?
+    pub fn should_panic(&self, rank: usize, round: u32) -> bool {
+        self.events.iter().any(
+            |e| matches!(e, FaultEvent::Panic { rank: r, round: k } if *r == rank && *k == round),
+        )
+    }
+
     /// Compute-slowdown factor for `rank` (product of all matching
     /// `SlowRank` events; 1.0 when unaffected).
     pub fn slow_factor(&self, rank: usize) -> f64 {
@@ -127,7 +144,7 @@ impl FaultPlan {
 
 /// The threaded backend consults the plan on every point-to-point send:
 /// drop/delay events translate directly to [`SendFate`]s keyed on the
-/// per-link message ordinal. Crash and slow events are handled at the
+/// per-link message ordinal. Crash, panic and slow events are handled at the
 /// pipeline / sim-driver layer, not here.
 impl Inject for FaultPlan {
     fn fate(&self, from: usize, to: usize, nth: u64) -> SendFate {
@@ -179,6 +196,7 @@ fn parse_num<T: FromStr>(s: &str, clause: &str, what: &'static str) -> Result<T,
 /// Parse the CLI fault spec: `;`-separated clauses, each one of
 ///
 /// * `crash:R@K` — crash rank R at merge round K
+/// * `panic:R@K` — panic on rank R at merge round K
 /// * `drop:F->T#N` — drop the Nth message from rank F to rank T
 /// * `delay:F->T#N+MS` — delay that message by MS milliseconds
 /// * `slow:R*F` — multiply rank R's compute time by F
@@ -205,6 +223,13 @@ impl FromStr for FaultPlan {
                 "crash" => {
                     let (r, k) = rest.split_once('@').ok_or(bad("expected `crash:R@K`"))?;
                     plan = plan.crash(
+                        parse_num(r, clause, "bad rank")?,
+                        parse_num(k, clause, "bad round")?,
+                    );
+                }
+                "panic" => {
+                    let (r, k) = rest.split_once('@').ok_or(bad("expected `panic:R@K`"))?;
+                    plan = plan.panic(
                         parse_num(r, clause, "bad rank")?,
                         parse_num(k, clause, "bad round")?,
                     );
@@ -239,7 +264,7 @@ impl FromStr for FaultPlan {
                     }
                     plan = plan.slow_rank(parse_num(r, clause, "bad rank")?, factor);
                 }
-                _ => return Err(bad("unknown kind (crash|drop|delay|slow)")),
+                _ => return Err(bad("unknown kind (crash|panic|drop|delay|slow)")),
             }
         }
         Ok(plan)
@@ -297,8 +322,8 @@ mod tests {
         assert_eq!(p.fate(0, 1, 3), SendFate::Drop);
         assert_eq!(p.fate(0, 1, 2), SendFate::Deliver);
         assert_eq!(p.fate(1, 0, 2), SendFate::Delay(Duration::from_millis(40)));
-        // crash events never affect message fates
-        let c = FaultPlan::new().crash(0, 1);
+        // crash and panic events never affect message fates
+        let c = FaultPlan::new().crash(0, 1).panic(0, 1);
         assert_eq!(c.fate(0, 1, 1), SendFate::Deliver);
     }
 
@@ -348,6 +373,21 @@ mod tests {
             ]
         );
         assert_eq!("".parse::<FaultPlan>().unwrap(), FaultPlan::new());
+    }
+
+    #[test]
+    fn panic_spec_round_trips_beside_a_crash() {
+        let p: FaultPlan = "panic:1@1; crash:2@3".parse().unwrap();
+        assert_eq!(p, FaultPlan::new().panic(1, 1).crash(2, 3));
+        assert!(p.should_panic(1, 1));
+        assert!(!p.should_panic(1, 2) && !p.should_panic(2, 3));
+        // a panic is no crash: nothing restores or replays it
+        assert!(!p.should_crash(1, 1));
+        assert_eq!(p.n_crashes(), 1);
+        let e = "panic:1".parse::<FaultPlan>().unwrap_err();
+        assert_eq!(e.what, "expected `panic:R@K`");
+        let e = "panic:1@x".parse::<FaultPlan>().unwrap_err();
+        assert_eq!(e.what, "bad round");
     }
 
     #[test]

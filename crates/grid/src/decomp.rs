@@ -620,7 +620,7 @@ mod tests {
 
     #[test]
     fn round_robin_assignment() {
-        // §IV-A: process `p` owns blocks `p, p+P, p+2P, …`
+        // the block-cyclic map: process `p` owns blocks `p, p+P, p+2P, …`
         let d = Decomposition::bisect(Dims::new(33, 33, 33), 8);
         let a = crate::Assignment::round_robin(d.n_blocks(), 3);
         assert_eq!(a.blocks_of(0), vec![0, 3, 6]);

@@ -3,14 +3,14 @@
 //!
 //! The paper's merge stage assumes power-of-two uniform bisection, which
 //! lets the schedule be the fixed radix tree of [`MergePlan::groups`] and
-//! the assignment be block-cyclic. Irregular decompositions (the adaptive
-//! feature-density splitter, random block trees from the fuzzer) break
-//! both assumptions, so this module generalizes them:
+//! the assignment be contiguous ranges of block ids, so that every rank
+//! holds whole subtrees of that tree. Irregular decompositions (the
+//! adaptive feature-density splitter, random block trees from the fuzzer)
+//! break both assumptions, so this module generalizes them:
 //!
 //! * [`DecompMode`] selects how the domain is cut into blocks;
-//! * [`Assignment`] maps blocks to ranks — block-cyclic for uniform runs
-//!   (bit-compatible with the historical layout) or LPT greedy over
-//!   per-block cost estimates for irregular ones;
+//! * [`Assignment`] maps blocks to ranks — contiguous ranges for uniform
+//!   runs or LPT greedy over per-block cost estimates for irregular ones;
 //! * [`MergeSchedule`] is the reduction over the block neighbor graph:
 //!   for uniform runs it replays [`MergePlan::groups`] verbatim, for
 //!   irregular ones it is a deterministic greedy contraction of the
@@ -32,7 +32,7 @@ use crate::{Decomposition, Dims, ScalarField};
 pub enum DecompMode {
     /// Recursive longest-axis bisection (the paper's layout). Requires
     /// the merge-plan reduction to divide the block count; blocks are
-    /// assigned block-cyclically and merged on the fixed radix tree.
+    /// assigned in contiguous ranges and merged on the fixed radix tree.
     #[default]
     Uniform,
     /// Feature-density-driven adaptive splitter: split planes balance
@@ -139,17 +139,31 @@ pub fn feature_weights(field: &ScalarField) -> Vec<u64> {
     w
 }
 
-/// Block-to-rank assignment. Replaces the hard-wired `block % n_ranks`
-/// throughout the pipeline; the uniform constructor reproduces that map
-/// exactly, so uniform runs keep their historical rank layout (and
-/// therefore their message tags, checkpoint owners, and file bytes).
+/// Block-to-rank assignment. The glue order and the keyed writes depend
+/// on the decomposition and the plan alone, so the assignment moves
+/// which rank does the work, never the bytes of a run's files.
 #[derive(Debug, Clone)]
 pub struct Assignment {
     rank_of: Vec<u32>,
 }
 
 impl Assignment {
-    /// The historical block-cyclic map `rank_of(b) = b % n_ranks`.
+    /// The uniform map `rank_of(b) = ⌊b·n_ranks / n_blocks⌋`: each rank
+    /// holds one range of consecutive block ids, the ranges differing in
+    /// size by at most one. On the radix tree of [`MergePlan::groups`] a
+    /// group's slots are consecutive, so each rank holds whole subtrees:
+    /// the early rounds merge on one rank and only the top of the tree
+    /// crosses ranks.
+    pub fn contiguous(n_blocks: u32, n_ranks: u32) -> Self {
+        assert!(n_ranks >= 1);
+        let rank_of = (0..n_blocks as u64).map(|b| (b * n_ranks as u64 / n_blocks as u64) as u32);
+        Assignment {
+            rank_of: rank_of.collect(),
+        }
+    }
+
+    /// The block-cyclic map `rank_of(b) = b % n_ranks`. The benchmark's
+    /// layer walk is its only caller outside tests.
     pub fn round_robin(n_blocks: u32, n_ranks: u32) -> Self {
         assert!(n_ranks >= 1);
         Assignment {
@@ -421,7 +435,7 @@ impl Layout {
         let (sched, assign) = match &costs {
             None => (
                 MergeSchedule::uniform(plan, n_blocks),
-                Assignment::round_robin(n_blocks, n_ranks),
+                Assignment::contiguous(n_blocks, n_ranks),
             ),
             Some(c) => (
                 MergeSchedule::contract(&decomp, plan),
@@ -501,6 +515,32 @@ mod tests {
         }
         assert_eq!(a.blocks_of(2), vec![2, 5, 8]);
         assert_eq!(a.n_blocks(), 11);
+    }
+
+    #[test]
+    fn contiguous_ranges_cover_every_rank() {
+        for blocks in 1..=64u32 {
+            for ranks in 1..=blocks {
+                let a = Assignment::contiguous(blocks, ranks);
+                assert_eq!(a.n_blocks(), blocks);
+                let sizes: Vec<usize> = (0..ranks).map(|r| a.blocks_of(r).len()).collect();
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(*lo >= 1, "{blocks} on {ranks}: an empty rank");
+                assert!(hi - lo <= 1, "{blocks} on {ranks}: sizes {sizes:?}");
+                // ranks ascend with block ids, so each rank's blocks are
+                // one range
+                let ranks_of: Vec<u32> = (0..blocks).map(|b| a.rank_of(b)).collect();
+                assert!(
+                    ranks_of.windows(2).all(|w| w[1] - w[0] <= 1),
+                    "{ranks_of:?}"
+                );
+                if blocks == ranks {
+                    assert!((0..blocks).all(|b| a.rank_of(b) == b), "{blocks}: identity");
+                }
+            }
+        }
+        assert_eq!(Assignment::contiguous(8, 3).blocks_of(0), vec![0, 1, 2]);
+        assert_eq!(Assignment::contiguous(8, 3).blocks_of(2), vec![6, 7]);
     }
 
     #[test]

@@ -28,6 +28,12 @@ pub enum Counter {
     /// Serialized wire-payload bytes shipped during merge rounds
     /// (application-level; excludes collective/control traffic).
     ShipBytes,
+    /// Live nodes of the members a root glued, handed over or shipped:
+    /// the glue's work, which the block placement moves between ranks
+    /// but never changes in total.
+    GluedNodes,
+    /// Live arcs of the members a root glued, handed over or shipped.
+    GluedArcs,
     /// Bytes handed to the transport by this rank (all messages).
     BytesSent,
     /// Bytes delivered by the transport to this rank.
@@ -95,14 +101,14 @@ pub enum Counter {
     ServeErrors,
     /// Estimated cost of the blocks assigned to this rank (feature-
     /// weight integral for adaptive runs, vertex count for other
-    /// irregular modes, block count for uniform block-cyclic runs). The
+    /// irregular modes, block count for uniform runs). The
     /// cross-rank min/mean/max/imbalance aggregation of this counter is
     /// the load-balance report the `balance_sweep` bench reads.
     AssignCost,
 }
 
 /// All counters, in report order.
-pub const ALL_COUNTERS: [Counter; 35] = [
+pub const ALL_COUNTERS: [Counter; 37] = [
     Counter::CellsPaired,
     Counter::CriticalCells,
     Counter::ArcsTraced,
@@ -110,6 +116,8 @@ pub const ALL_COUNTERS: [Counter; 35] = [
     Counter::NodesShipped,
     Counter::ArcsShipped,
     Counter::ShipBytes,
+    Counter::GluedNodes,
+    Counter::GluedArcs,
     Counter::BytesSent,
     Counter::BytesRecv,
     Counter::MsgsSent,
@@ -153,6 +161,8 @@ impl Counter {
             Counter::NodesShipped => "nodes_shipped",
             Counter::ArcsShipped => "arcs_shipped",
             Counter::ShipBytes => "ship_bytes",
+            Counter::GluedNodes => "glued_nodes",
+            Counter::GluedArcs => "glued_arcs",
             Counter::BytesSent => "bytes_sent",
             Counter::BytesRecv => "bytes_recv",
             Counter::MsgsSent => "msgs_sent",

@@ -133,6 +133,17 @@ pub struct RankPanic {
     pub message: String,
 }
 
+impl RankPanic {
+    /// Rank `rank`'s panic with payload `payload`, as `catch_unwind`
+    /// returns it.
+    pub fn new(rank: usize, payload: &(dyn std::any::Any + Send)) -> Self {
+        let message = (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a non-string panic payload".to_string());
+        RankPanic { rank, message }
+    }
+}
+
 impl std::fmt::Display for RankPanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "rank {} panicked: {}", self.rank, self.message)
@@ -241,10 +252,7 @@ impl Universe {
                     let out = catch_unwind(AssertUnwindSafe(|| f(&mut r)));
                     out.map_err(|payload| {
                         r.wake_peers();
-                        let message = (payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "a non-string panic payload".to_string());
-                        RankPanic { rank, message }
+                        RankPanic::new(rank, &*payload)
                     })
                 }));
             }

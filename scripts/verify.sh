@@ -82,9 +82,11 @@ cmp "$tracedir/irr1.msc.seg" "$tracedir/irrf.msc.seg"
 cmp "$tracedir/irr1.msc.msh" "$tracedir/irrf.msc.msh"
 
 # same-rank handoff smoke: 8 blocks on 2 ranks merged by three radix-2
-# rounds put every round-1 and round-2 root on rank 0 beside its members,
-# which are handed over in memory; rank 0 crashing at the second cut must
-# replay them from its own checkpoint byte-identical to the 1-rank run
+# rounds. Rank 0 holds blocks 0-3 and rank 1 blocks 4-7, so every round-1
+# and round-2 root sits beside its members, which are handed over in
+# memory, and only slot 4 ships, in round 3. Rank 0 crashing at the
+# second cut must replay its member 2 from its own checkpoint
+# byte-identical to the 1-rank run
 msc compute --input "$tracedir/seg.raw" \
   --dims 17,17,17 --ranks 1 --blocks 8 --merge 2,2,2 \
   --output "$tracedir/hand1.msc"
@@ -94,20 +96,48 @@ msc compute --input "$tracedir/seg.raw" \
   --output "$tracedir/handf.msc"
 cmp "$tracedir/hand1.msc" "$tracedir/handf.msc"
 
-# remote-glue smoke: the same merge on 4 ranks ships a member to another
-# rank in every round, where the root glues it straight from its bytes;
-# rank 1 crashing in the first round makes the roots waiting on its
-# members glue them from its checkpoint slots' bytes. Both must write the
-# 1-rank bytes.
+# mixed smoke: 8 blocks on 3 ranks hold blocks 0-2, 3-5 and 6-7, so the
+# merge ships slot 3 in round 1, slot 6 in round 2 and slot 4 in round 3
+# and hands the rest over; rank 1 crashing in the first round leaves root 2 on
+# rank 0 to replay slot 3 from rank 1's checkpoint and rank 1's own root
+# 4 to replay slot 5. Both must write the 1-rank bytes.
 msc compute --input "$tracedir/seg.raw" \
-  --dims 17,17,17 --ranks 4 --blocks 8 --merge 2,2,2 --check \
+  --dims 17,17,17 --ranks 3 --blocks 8 --merge 2,2,2 --check \
+  --output "$tracedir/mixed3.msc"
+cmp "$tracedir/hand1.msc" "$tracedir/mixed3.msc"
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 3 --blocks 8 --merge 2,2,2 \
+  --checkpoint --faults 'crash:1@1' --deadline-ms 200 \
+  --output "$tracedir/mixedf.msc"
+cmp "$tracedir/hand1.msc" "$tracedir/mixedf.msc"
+
+# remote-glue smoke: one block per rank on 4 ranks, merged by two radix-2
+# rounds, ships a member to another rank in every round, where the root
+# glues it straight from its bytes; rank 1 crashing in the first round
+# makes root 0, waiting on its member, glue it from rank 1's checkpoint
+# slot's bytes. Both must write the 1-rank bytes.
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 1 --blocks 4 --merge 2,2 \
+  --output "$tracedir/remote1.msc"
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 4 --blocks 4 --merge 2,2 --check \
   --output "$tracedir/remote4.msc"
-cmp "$tracedir/hand1.msc" "$tracedir/remote4.msc"
+cmp "$tracedir/remote1.msc" "$tracedir/remote4.msc"
 msc compute --input "$tracedir/seg.raw" \
-  --dims 17,17,17 --ranks 4 --blocks 8 --merge 2,2,2 \
+  --dims 17,17,17 --ranks 4 --blocks 4 --merge 2,2 \
   --checkpoint --faults 'crash:1@1' --deadline-ms 200 \
   --output "$tracedir/remotef.msc"
-cmp "$tracedir/hand1.msc" "$tracedir/remotef.msc"
+cmp "$tracedir/remote1.msc" "$tracedir/remotef.msc"
+
+# panic smoke: an injected panic is a bug, never recovered, checkpoint or
+# not: the run exits 1 at once naming the rank, never hangs (124)
+status=0
+(cd "$tracedir" && timeout 10 cargo run -q --release --manifest-path "$root/Cargo.toml" \
+  --bin msc -- compute --input seg.raw --dims 17,17,17 --ranks 4 --blocks 8 --merge 2,2 \
+  --checkpoint --faults 'panic:1@1' --output panic.msc) > /dev/null 2> "$tracedir/panic_err.txt" \
+  || status=$?
+[ "$status" -eq 1 ] && grep -q '^error: rank 1 panicked' "$tracedir/panic_err.txt" \
+  || { echo "panic:1@1: exit $status"; cat "$tracedir/panic_err.txt"; exit 1; }
 
 # threaded-trace smoke: a block's V-path trace chunks its critical cells
 # across threads that share one read-only live-voxel set; a sinusoid run

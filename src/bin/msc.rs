@@ -189,7 +189,8 @@ const USAGE: &str = "msc — parallel Morse-Smale complexes\n\
          \u{20}           [--hierarchy]  (record the full cancellation\n\
          \u{20}           sequence for threshold-free querying; implies\n\
          \u{20}           --segment; writes <output>.msh next to the complex)\n\
-         \u{20}           SPEC: crash:R@K;drop:F->T#N;delay:F->T#N+MS;slow:R*F\n\
+         \u{20}           SPEC: crash:R@K;panic:R@K;drop:F->T#N;delay:F->T#N+MS;\n\
+         \u{20}           slow:R*F\n\
          \u{20} serve     FILE... (from compute --hierarchy)\n\
          \u{20}           [--listen ADDR]  (TCP; default: stdin/stdout,\n\
          \u{20}           answered one line at a time, in order)\n\

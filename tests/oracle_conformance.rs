@@ -102,7 +102,7 @@ fn sinusoid_conforms_across_ranks_threads_and_schedules() {
 }
 
 /// Rank counts that do not divide the block count give ranks uneven
-/// block sets (block-cyclic on uniform trees, LPT on adaptive ones); the
+/// block sets (contiguous ranges on uniform trees, LPT on adaptive ones); the
 /// hierarchy adds the `.msh` file and the replay-prefix chains to what
 /// must match.
 const MANY_RANKS: [u32; 5] = [1, 2, 3, 4, 6];

@@ -48,7 +48,7 @@ fn dropped_message_leaves_orphan_send_and_timeout_event() {
         .map(wire::serialize)
         .collect();
 
-    // round 1: rank 3's block 3 ships to rank 2's root 2; drop it
+    // round 2: rank 3's slot 6 ships to rank 2's root 4; drop it
     let r = run_parallel(
         &input,
         RANKS,
@@ -90,13 +90,15 @@ fn dropped_message_leaves_orphan_send_and_timeout_event() {
 #[test]
 fn crash_recovery_attributes_replayed_slots_to_recovering_ranks() {
     let input = test_input();
-    // rank 3 dies at the round-1 cut: rank 2 replays blocks 3 and 7 from
-    // rank 3's checkpoint; rank 3 reloads its own state and carries on
+    // rank 3 dies at the round-2 cut, holding only slot 6, a member of
+    // rank 2's root 4: rank 2 replays slot 6 from rank 3's checkpoint;
+    // rank 3 reloads its own checkpoint (nothing of it is left to keep)
+    // and carries on
     let r = run_parallel(
         &input,
         RANKS,
         BLOCKS,
-        &fault_params(FaultPlan::new().crash(3, 1)),
+        &fault_params(FaultPlan::new().crash(3, 2)),
         None,
     )
     .unwrap();
@@ -116,12 +118,12 @@ fn crash_recovery_attributes_replayed_slots_to_recovering_ranks() {
         t3.span_seconds("recover") > 0.0,
         "crashed rank 3 records restoring its own state"
     );
-    // the crashed rank never handed its round-1 payloads to the comm
+    // the crashed rank never handed its round-2 payload to the comm
     // layer, so nothing from rank 3 to rank 2 may pair up as delivered
     let m = tr.match_messages();
     assert!(
         !m.edges.iter().any(|e| e.src == 3 && e.dst == 2),
-        "no delivered round-1 edge from the crashed rank: {:?}",
+        "no delivered round-2 edge from the crashed rank: {:?}",
         m.edges
     );
 }
