@@ -2,15 +2,16 @@
 //! *owner set* query behind boundary-restricted gradient pairing (§IV-C).
 //!
 //! The vertex grid is split by iteratively bisecting the longest remaining
-//! axis until the requested number of blocks is reached. Adjacent blocks
-//! **share one vertex layer**: if a block ends at vertex plane `x = s`,
-//! its neighbour starts at `x = s`. Because of the shared layer a refined
-//! coordinate can lie inside up to eight blocks; the set of blocks
-//! containing it is its *owner set*. The paper's consistency rule —
-//! "for a cell on the boundary of two or more blocks, we only consider
-//! for pairing other cells also on the boundary of those same blocks" —
-//! becomes: a gradient pair `(α, β)` is legal iff
-//! `owners(α) == owners(β)`.
+//! axis until the requested number of blocks is reached. One recursion
+//! builds every tree; a cut rule (proportional, weight-steered or seeded
+//! random) places each plane. Adjacent blocks **share one vertex layer**:
+//! if a block ends at vertex plane `x = s`, its neighbour starts at
+//! `x = s`. Because of the shared layer a refined coordinate can lie
+//! inside up to eight blocks; the set of blocks containing it is its
+//! *owner set*. The paper's consistency rule — "for a cell on the
+//! boundary of two or more blocks, we only consider for pairing other
+//! cells also on the boundary of those same blocks" — becomes: a
+//! gradient pair `(α, β)` is legal iff `owners(α) == owners(β)`.
 
 use crate::coord::RCoord;
 use crate::dims::Dims;
@@ -29,11 +30,8 @@ pub struct BlockBox {
 impl BlockBox {
     /// Vertex-space dimensions of this block (including shared layers).
     pub fn dims(&self) -> Dims {
-        Dims::new(
-            self.hi[0] - self.lo[0] + 1,
-            self.hi[1] - self.lo[1] + 1,
-            self.hi[2] - self.lo[2] + 1,
-        )
+        let [x, y, z] = self.extents();
+        Dims::new(x + 1, y + 1, z + 1)
     }
 
     /// The block's extent on the refined grid, in **global** refined
@@ -43,6 +41,11 @@ impl BlockBox {
             RCoord::new(2 * self.lo[0], 2 * self.lo[1], 2 * self.lo[2]),
             RCoord::new(2 * self.hi[0], 2 * self.hi[1], 2 * self.hi[2]),
         )
+    }
+
+    /// Cell extents per axis (one less than the vertex extents).
+    fn extents(&self) -> [u32; 3] {
+        [0, 1, 2].map(|a| self.hi[a] - self.lo[a])
     }
 
     /// Number of vertices this block loads (shared layers included).
@@ -117,6 +120,118 @@ enum Node {
 
 const TOO_MANY_BLOCKS: &str = "the domain cannot be cut into that many blocks";
 
+/// Where a cut rule splits a box that must hold two or more blocks.
+enum Cut {
+    /// Cut `axis` `s` cell layers above the box's low corner; `left` of
+    /// the blocks go below the plane.
+    At { axis: usize, s: u32, left: u32 },
+    /// The box cannot hold its blocks: the decomposition fails.
+    Infeasible,
+    /// Cut this box, and every box under it, by the bisection rule.
+    Proportional,
+}
+
+/// A cut rule: where to split a box that must hold `count` blocks.
+type Rule<'a> = dyn FnMut(&BlockBox, u32) -> Cut + 'a;
+
+/// The longest axis of `bx` and its cell extent, or `None` when that
+/// is under two layers. `max_by_key` returns the last maximal axis, so
+/// ties go to z.
+fn longest_axis(bx: &BlockBox) -> Option<(usize, u32)> {
+    let extents = bx.extents();
+    let axis = (0..3).max_by_key(|&a| extents[a]).expect("three axes");
+    (extents[axis] >= 2).then_some((axis, extents[axis]))
+}
+
+/// The bisection rule: halve the block count across the longest axis,
+/// the plane placed in proportion to the two counts and clamped so both
+/// sides keep at least one cell layer.
+fn bisect_rule(bx: &BlockBox, count: u32) -> Cut {
+    let Some((axis, e)) = longest_axis(bx) else {
+        return Cut::Infeasible;
+    };
+    let left = count / 2;
+    let s = ((e as u64 * left as u64 + count as u64 / 2) / count as u64) as u32;
+    let s = s.clamp(1, e - 1);
+    Cut::At { axis, s, left }
+}
+
+/// The adaptive rule: the bisection's axis and counts, the plane where
+/// the cumulative slab weight first reaches the left side's share.
+fn adaptive_rule(domain: Dims, weight: &[u64], bx: &BlockBox, count: u32) -> Cut {
+    let Some((axis, e)) = longest_axis(bx) else {
+        return Cut::Infeasible;
+    };
+    let left = count / 2;
+    let slabs: Vec<u64> = (bx.lo[axis]..=bx.hi[axis])
+        .map(|x| {
+            let (mut lo, mut hi) = (bx.lo, bx.hi);
+            (lo[axis], hi[axis]) = (x, x);
+            box_weight(domain, lo, hi, weight)
+        })
+        .collect();
+    let total: u64 = slabs.iter().sum();
+    let target = total as u128 * left as u128 / count as u128;
+    let mut s = 1u32;
+    let mut prefix = slabs[0] + slabs[1];
+    while s < e - 1 && (prefix as u128) < target {
+        s += 1;
+        prefix += slabs[s as usize];
+    }
+    Cut::At { axis, s, left }
+}
+
+/// The random rule: a splittable axis, a plane and a left count, drawn
+/// from `state` in that order. A side that must hold `k` blocks needs at
+/// least `k` cells; a plane whose sides cannot hold `count` between them
+/// (they hold the box's cells, so only a box with fewer cells than
+/// blocks) draws no count and hands the box to the bisection rule.
+fn random_rule(state: &mut u64, bx: &BlockBox, count: u32) -> Cut {
+    let extents = bx.extents();
+    let splittable: Vec<usize> = (0..3).filter(|&a| extents[a] >= 2).collect();
+    if splittable.is_empty() {
+        return Cut::Infeasible;
+    }
+    let axis = splittable[(splitmix64(state) % splittable.len() as u64) as usize];
+    let e = extents[axis];
+    let s = 1 + (splitmix64(state) % (e - 1) as u64) as u32;
+    // cells per layer of the cut axis; the box's cells are fewer than
+    // the domain's vertices, so `lcap + rcap` stays in range
+    let layer = extents.iter().map(|&x| x as u64).product::<u64>() / e as u64;
+    let (lcap, rcap) = (s as u64 * layer, (e - s) as u64 * layer);
+    let count = count as u64;
+    if lcap + rcap < count {
+        return Cut::Proportional;
+    }
+    let lo = count.saturating_sub(rcap).max(1);
+    let hi = (count - 1).min(lcap);
+    let left = (lo + splitmix64(state) % (hi - lo + 1)) as u32;
+    Cut::At { axis, s, left }
+}
+
+/// One splitmix64 step: no external RNG dependency in this crate.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Sum of `weight` (one entry per `domain` vertex) over the inclusive
+/// vertex box `lo..=hi`.
+fn box_weight(domain: Dims, lo: [u32; 3], hi: [u32; 3], weight: &[u64]) -> u64 {
+    let mut sum = 0u64;
+    for z in lo[2]..=hi[2] {
+        for y in lo[1]..=hi[1] {
+            for x in lo[0]..=hi[0] {
+                sum += weight[domain.vertex_index(x, y, z) as usize];
+            }
+        }
+    }
+    sum
+}
+
 /// A complete recursive-bisection decomposition of a vertex grid.
 #[derive(Debug, Clone)]
 pub struct Decomposition {
@@ -129,8 +244,8 @@ pub struct Decomposition {
 impl Decomposition {
     /// Decompose `domain` into exactly `n_blocks` blocks.
     ///
-    /// Splits the longest remaining axis (ties broken toward x) into two
-    /// parts whose cell counts are proportional to the number of blocks
+    /// Splits the longest remaining axis (ties go to z) into two parts
+    /// whose cell counts are proportional to the number of blocks
     /// assigned to each side, so non-power-of-two block counts are
     /// supported. Panics where [`Decomposition::try_bisect`] returns
     /// `None`.
@@ -142,16 +257,12 @@ impl Decomposition {
     /// into `n_blocks` blocks: no block, or a box that must still split
     /// has fewer than two cell layers along its longest axis.
     pub fn try_bisect(domain: Dims, n_blocks: u32) -> Option<Self> {
-        Self::cut(domain, n_blocks, |d, full| d.split(full, n_blocks))
+        Self::cut(domain, n_blocks, &mut bisect_rule)
     }
 
-    /// The decomposition `split` builds from the whole domain box, or
-    /// `None` when it cannot cut `n_blocks` blocks.
-    fn cut(
-        domain: Dims,
-        n_blocks: u32,
-        split: impl FnOnce(&mut Self, BlockBox) -> Option<u32>,
-    ) -> Option<Self> {
+    /// The decomposition the cut rule `rule` builds from the whole
+    /// domain box, or `None` when it cannot cut `n_blocks` blocks.
+    fn cut(domain: Dims, n_blocks: u32, rule: &mut Rule) -> Option<Self> {
         if n_blocks == 0 {
             return None;
         }
@@ -166,12 +277,15 @@ impl Decomposition {
             lo: [0, 0, 0],
             hi: [domain.nx - 1, domain.ny - 1, domain.nz - 1],
         };
-        d.root = split(&mut d, full)?;
+        d.root = d.split(full, n_blocks, rule)?;
         debug_assert_eq!(d.blocks.len(), n_blocks as usize);
         Some(d)
     }
 
-    fn split(&mut self, bx: BlockBox, count: u32) -> Option<u32> {
+    /// Cut `bx` into `count` blocks where `rule` says, and return its
+    /// tree node. Numbering is post-order: a leaf takes the next block
+    /// and node id when it is reached, a split node after both children.
+    fn split(&mut self, bx: BlockBox, count: u32, rule: &mut Rule) -> Option<u32> {
         if count == 1 {
             let id = self.blocks.len() as u32;
             self.blocks.push(BlockBox { id, ..bx });
@@ -179,29 +293,17 @@ impl Decomposition {
             self.tree.push(Node::Leaf { block: id });
             return Some(node);
         }
-        // longest axis by cell extent
-        let extents = [
-            bx.hi[0] - bx.lo[0],
-            bx.hi[1] - bx.lo[1],
-            bx.hi[2] - bx.lo[2],
-        ];
-        let axis = (0..3).max_by_key(|&a| extents[a]).unwrap();
-        let e = extents[axis];
-        if e < 2 {
-            return None;
-        }
-        let left_count = count / 2;
-        let right_count = count - left_count;
-        // proportional split in cell layers, clamped so both sides keep >= 1
-        let mut s = ((e as u64 * left_count as u64 + count as u64 / 2) / count as u64) as u32;
-        s = s.clamp(1, e - 1);
+        let (axis, s, left_count) = match rule(&bx, count) {
+            Cut::At { axis, s, left } => (axis, s, left),
+            Cut::Infeasible => return None,
+            Cut::Proportional => return self.split(bx, count, &mut bisect_rule),
+        };
         let plane = bx.lo[axis] + s;
-        let mut lhs = bx;
+        let (mut lhs, mut rhs) = (bx, bx);
         lhs.hi[axis] = plane;
-        let mut rhs = bx;
         rhs.lo[axis] = plane;
-        let left = self.split(lhs, left_count)?;
-        let right = self.split(rhs, right_count)?;
+        let left = self.split(lhs, left_count, rule)?;
+        let right = self.split(rhs, count - left_count, rule)?;
         let node = self.tree.len() as u32;
         self.tree.push(Node::Split {
             axis: axis as u8,
@@ -216,7 +318,7 @@ impl Decomposition {
     /// split plane by a per-vertex weight field (feature density).
     ///
     /// The recursion shape matches [`Decomposition::bisect`] — longest
-    /// axis, ties toward x, block counts halved — but the plane is
+    /// axis, ties to z, block counts halved — but the plane is
     /// placed where the cumulative slab weight reaches the left side's
     /// share of the total, so weight-dense regions get geometrically
     /// small (and therefore many) blocks. `weight` holds one value per
@@ -236,76 +338,9 @@ impl Decomposition {
             domain.n_verts(),
             "weight field must have one entry per domain vertex"
         );
-        Self::cut(domain, n_blocks, |d, full| {
-            d.split_weighted(full, n_blocks, weight)
+        Self::cut(domain, n_blocks, &mut |bx, count| {
+            adaptive_rule(domain, weight, bx, count)
         })
-    }
-
-    /// Sum of `weight` over the slab `axis == x` within `bx`.
-    fn slab_weight(&self, bx: &BlockBox, axis: usize, x: u32, weight: &[u64]) -> u64 {
-        let mut lo = bx.lo;
-        let mut hi = bx.hi;
-        lo[axis] = x;
-        hi[axis] = x;
-        let mut sum = 0u64;
-        for z in lo[2]..=hi[2] {
-            for y in lo[1]..=hi[1] {
-                for x in lo[0]..=hi[0] {
-                    sum += weight[self.domain.vertex_index(x, y, z) as usize];
-                }
-            }
-        }
-        sum
-    }
-
-    fn split_weighted(&mut self, bx: BlockBox, count: u32, weight: &[u64]) -> Option<u32> {
-        if count == 1 {
-            let id = self.blocks.len() as u32;
-            self.blocks.push(BlockBox { id, ..bx });
-            let node = self.tree.len() as u32;
-            self.tree.push(Node::Leaf { block: id });
-            return Some(node);
-        }
-        let extents = [
-            bx.hi[0] - bx.lo[0],
-            bx.hi[1] - bx.lo[1],
-            bx.hi[2] - bx.lo[2],
-        ];
-        let axis = (0..3).max_by_key(|&a| extents[a]).unwrap();
-        let e = extents[axis];
-        if e < 2 {
-            return None;
-        }
-        let left_count = count / 2;
-        let right_count = count - left_count;
-        // cumulative slab weights along the split axis; the plane goes
-        // where the left prefix first reaches the left side's share
-        let total: u64 = (0..=e)
-            .map(|x| self.slab_weight(&bx, axis, bx.lo[axis] + x, weight))
-            .sum();
-        let target = total as u128 * left_count as u128 / count as u128;
-        let mut s = 1u32;
-        let mut prefix = self.slab_weight(&bx, axis, bx.lo[axis], weight)
-            + self.slab_weight(&bx, axis, bx.lo[axis] + 1, weight);
-        while s < e - 1 && (prefix as u128) < target {
-            s += 1;
-            prefix += self.slab_weight(&bx, axis, bx.lo[axis] + s, weight);
-        }
-        let plane = bx.lo[axis] + s;
-        let mut lhs = bx;
-        lhs.hi[axis] = plane;
-        let mut rhs = bx;
-        rhs.lo[axis] = plane;
-        let left = self.split_weighted(lhs, left_count, weight)?;
-        let right = self.split_weighted(rhs, right_count, weight)?;
-        let node = self.tree.len() as u32;
-        self.tree.push(Node::Split {
-            axis: axis as u8,
-            plane,
-            left,
-            right,
-        });
-        Some(node)
     }
 
     /// Decompose `domain` into a seeded *random* axis-aligned block tree:
@@ -326,77 +361,9 @@ impl Decomposition {
             return None;
         }
         let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-        Self::cut(domain, n_blocks, |d, full| {
-            d.split_random(full, n_blocks, &mut state)
+        Self::cut(domain, n_blocks, &mut |bx, count| {
+            random_rule(&mut state, bx, count)
         })
-    }
-
-    fn split_random(&mut self, bx: BlockBox, count: u32, state: &mut u64) -> Option<u32> {
-        // splitmix64 step — no external RNG dependency in this crate
-        fn next(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-        if count == 1 {
-            let id = self.blocks.len() as u32;
-            self.blocks.push(BlockBox { id, ..bx });
-            let node = self.tree.len() as u32;
-            self.tree.push(Node::Leaf { block: id });
-            return Some(node);
-        }
-        let extents = [
-            bx.hi[0] - bx.lo[0],
-            bx.hi[1] - bx.lo[1],
-            bx.hi[2] - bx.lo[2],
-        ];
-        // a side that still needs k blocks must have at least k cell
-        // layers available *somewhere*; keep the recursion feasible by
-        // bounding each side's count by its cell capacity
-        let splittable: Vec<usize> = (0..3).filter(|&a| extents[a] >= 2).collect();
-        if splittable.is_empty() {
-            return None;
-        }
-        let axis = splittable[(next(state) % splittable.len() as u64) as usize];
-        let e = extents[axis];
-        let s = 1 + (next(state) % (e - 1) as u64) as u32;
-        // capacity = product of cell extents, capped to avoid overflow
-        let cap = |b: &BlockBox| -> u64 {
-            (0..3)
-                .map(|a| (b.hi[a] - b.lo[a]) as u64)
-                .product::<u64>()
-                .min(u32::MAX as u64)
-        };
-        let plane = bx.lo[axis] + s;
-        let mut lhs = bx;
-        lhs.hi[axis] = plane;
-        let mut rhs = bx;
-        rhs.lo[axis] = plane;
-        let (lcap, rcap) = (cap(&lhs) as u32, cap(&rhs) as u32);
-        if lcap + rcap < count {
-            // this plane cannot host `count` blocks; fall back to the
-            // proportional deterministic split which is always feasible
-            return self.split(bx, count);
-        }
-        let lo = count.saturating_sub(rcap).max(1);
-        let hi = (count - 1).min(lcap);
-        if lo > hi {
-            return self.split(bx, count);
-        }
-        let left_count = lo + (next(state) % (hi - lo + 1) as u64) as u32;
-        let right_count = count - left_count;
-        let left = self.split_random(lhs, left_count, state)?;
-        let right = self.split_random(rhs, right_count, state)?;
-        let node = self.tree.len() as u32;
-        self.tree.push(Node::Split {
-            axis: axis as u8,
-            plane,
-            left,
-            right,
-        });
-        Some(node)
     }
 
     /// Per-block cost estimates: the sum of `weight` over each block's
@@ -410,20 +377,9 @@ impl Decomposition {
         );
         self.blocks
             .iter()
-            .map(|b| {
-                let mut sum = 0u64;
-                for z in b.lo[2]..=b.hi[2] {
-                    for y in b.lo[1]..=b.hi[1] {
-                        for x in b.lo[0]..=b.hi[0] {
-                            sum += weight[self.domain.vertex_index(x, y, z) as usize];
-                        }
-                    }
-                }
-                sum
-            })
+            .map(|b| box_weight(self.domain, b.lo, b.hi, weight))
             .collect()
     }
-
     /// Undirected neighbour edges: every pair of blocks whose refined
     /// boxes intersect (shared face, edge, or corner), as sorted
     /// `(lo_id, hi_id)` pairs in lexicographic order. This is the graph
@@ -552,6 +508,10 @@ mod tests {
         assert_eq!(b0.hi[0], b1.lo[0]);
         assert_eq!(b0.lo[1], b1.lo[1]);
         assert_eq!(b0.hi[2], b1.hi[2]);
+        // on a cube every axis ties, and the tie goes to z
+        let d = Decomposition::bisect(Dims::new(9, 9, 9), 2);
+        assert_eq!((d.block(0).lo, d.block(0).hi), ([0, 0, 0], [8, 8, 4]));
+        assert_eq!((d.block(1).lo, d.block(1).hi), ([0, 0, 4], [8, 8, 8]));
     }
 
     #[test]
@@ -727,6 +687,24 @@ mod tests {
     }
 
     #[test]
+    fn random_trees_on_a_large_domain_do_not_overflow() {
+        // 2048³ = 2³³ cells: the two sides of a cut hold more cells
+        // between them than a `u32` counts
+        let dom = Dims::new(2049, 2049, 2049);
+        for seed in 0..8 {
+            let d = Decomposition::try_random_tree(dom, 2, seed).expect("two blocks fit");
+            let (a, b) = (d.block(0), d.block(1));
+            assert_eq!((a.lo, b.hi), ([0; 3], [2048; 3]), "seed {seed}");
+            // one shared plane on one axis, both blocks spanning the others
+            let axis = (0..3).find(|&ax| a.hi[ax] < 2048).expect("a cut axis");
+            let (mut hi, mut lo) = ([2048; 3], [0; 3]);
+            (hi[axis], lo[axis]) = (a.hi[axis], a.hi[axis]);
+            assert_eq!((a.hi, b.lo), (hi, lo), "seed {seed}");
+            assert!(a.hi[axis] > 0, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn neighbor_edges_match_box_intersection() {
         let d = Decomposition::bisect(Dims::new(17, 17, 17), 8);
         let edges = d.neighbor_edges();
@@ -742,6 +720,94 @@ mod tests {
             let (ba, bb) = (d.block(a), d.block(b));
             assert!((0..3).all(|ax| ba.lo[ax] <= bb.hi[ax] && bb.lo[ax] <= ba.hi[ax]));
         }
+    }
+
+    /// FNV-1a-64, fed incrementally (as in `msp-morse`'s pinned bytes).
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn u64(&mut self, v: u64) {
+            for byte in v.to_le_bytes() {
+                self.0 = (self.0 ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        /// A decomposition's block boxes and the owner sets of a sparse
+        /// sample of refined coordinates, or a marker for `None`.
+        fn decomposition(&mut self, d: Option<&Decomposition>) {
+            let Some(d) = d else {
+                self.u64(u64::MAX);
+                return;
+            };
+            self.u64(d.n_blocks() as u64);
+            for b in d.blocks() {
+                for v in [b.id].iter().chain(&b.lo).chain(&b.hi) {
+                    self.u64(*v as u64);
+                }
+            }
+            let r = d.domain().refined();
+            for k in (0..r.rz as u32).step_by(5) {
+                for j in (0..r.ry as u32).step_by(5) {
+                    for i in (0..r.rx as u32).step_by(5) {
+                        let o = d.owners(RCoord::new(i, j, k));
+                        self.u64(o.len() as u64);
+                        for &id in o.as_slice() {
+                            self.u64(id as u64);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every tree the three splitters build on small domains, 1..=48
+    /// blocks: the boxes, `block_costs` of the adaptive trees, sampled
+    /// owner sets, and which requests are refused. Captured before the
+    /// three recursions became one; a change here moves every block
+    /// boundary, and with it every artifact.
+    #[test]
+    fn decompositions_are_pinned() {
+        let domains = [
+            Dims::new(9, 9, 9),
+            Dims::new(17, 13, 11),
+            Dims::new(33, 9, 5),
+            Dims::new(5, 21, 7),
+            Dims::new(3, 3, 40),
+            Dims::new(2, 12, 12),
+            Dims::new(4, 4, 4),
+            Dims::new(3, 5, 9),
+            Dims::new(2, 3, 30),
+            Dims::new(1, 9, 13),
+            Dims::new(6, 1, 5),
+        ];
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut state = 7u64;
+        for dom in domains {
+            let weight: Vec<u64> = (0..dom.n_verts())
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    (state >> 59) * (state >> 62)
+                })
+                .collect();
+            for n in 1..=48u32 {
+                h.decomposition(Decomposition::try_bisect(dom, n).as_ref());
+                let a = Decomposition::try_adaptive(dom, n, &weight);
+                h.decomposition(a.as_ref());
+                for c in a.map(|a| a.block_costs(&weight)).unwrap_or_default() {
+                    h.u64(c);
+                }
+                for seed in 0..5 {
+                    h.decomposition(Decomposition::try_random_tree(dom, n, seed).as_ref());
+                }
+            }
+        }
+        assert_eq!(
+            h.0, 0x3f07_a2a5_894f_2697,
+            "decomposition pin moved: {:#018x}",
+            h.0
+        );
     }
 
     #[test]

@@ -81,6 +81,26 @@ cmp "$tracedir/irr1.msc" "$tracedir/irrf.msc"
 cmp "$tracedir/irr1.msc.seg" "$tracedir/irrf.msc.seg"
 cmp "$tracedir/irr1.msc.msh" "$tracedir/irrf.msc.msh"
 
+# random-tree smoke: a seeded random block tree (--decomp random:SEED)
+# on 3 ranks, plain and with checkpoints and rank 1 crashing at the
+# first merge round, must write all three artifacts byte-identical to
+# the 1-rank run
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 1 --blocks 7 --decomp random:5 --merge full \
+  --hierarchy --check --output "$tracedir/rnd1.msc"
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 3 --blocks 7 --decomp random:5 --merge full \
+  --hierarchy --check --output "$tracedir/rnd3.msc"
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 3 --blocks 7 --decomp random:5 --merge full \
+  --hierarchy --check --checkpoint --faults 'crash:1@1' --deadline-ms 200 \
+  --output "$tracedir/rndf.msc"
+for run in rnd3 rndf; do
+  for ext in "" .seg .msh; do
+    cmp "$tracedir/rnd1.msc$ext" "$tracedir/$run.msc$ext"
+  done
+done
+
 # same-rank handoff smoke: 8 blocks on 2 ranks merged by three radix-2
 # rounds. Rank 0 holds blocks 0-3 and rank 1 blocks 4-7, so every round-1
 # and round-2 root sits beside its members, which are handed over in
