@@ -31,12 +31,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Tags of the end-of-run telemetry exchange. They live above the file-IO
-/// range (9001..) and below no one: nothing else speaks after the write
-/// stage.
-const TAG_TELEMETRY_GATHER: u32 = 9100;
-const TAG_TRACE_GATHER: u32 = 9120;
-
 /// Fault-tolerance configuration of a run.
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
@@ -97,7 +91,7 @@ pub enum PipelineError {
         source: std::io::Error,
     },
     /// A communication primitive failed outside the recoverable merge
-    /// path (collectives, barriers, telemetry exchange).
+    /// path (collectives, barriers, the all-to-all).
     Comm { context: String, source: CommError },
     /// A merge payload failed wire decoding.
     Wire {
@@ -124,8 +118,6 @@ pub enum PipelineError {
         context: String,
         source: msp_complex::SimplifyError,
     },
-    /// The end-of-run telemetry exchange produced garbage.
-    Telemetry(String),
     /// A rank panicked; its peers stopped waiting for it, and the run
     /// produced nothing.
     Panic(RankPanic),
@@ -150,7 +142,6 @@ impl std::fmt::Display for PipelineError {
             }
             PipelineError::Glue { context, source } => write!(f, "{context}: {source}"),
             PipelineError::Simplify { context, source } => write!(f, "{context}: {source}"),
-            PipelineError::Telemetry(msg) => write!(f, "telemetry exchange: {msg}"),
             PipelineError::Panic(p) => write!(f, "{p}"),
         }
     }
@@ -199,8 +190,9 @@ pub struct PipelineParams {
     /// Fault injection + recovery configuration (inactive by default).
     pub fault: FaultConfig,
     /// Record a causal event trace (per-rank spans + message stamps,
-    /// gathered at rank 0 into [`RunResult::trace`]). Off by default:
-    /// the tracer costs a few stamps per message.
+    /// each rank's handed back with its outputs into
+    /// [`RunResult::trace`]). Off by default: the tracer costs a few
+    /// stamps per message.
     pub trace: bool,
     /// Intra-rank threads for the local stage (read scan, gradient +
     /// trace, simplify). `None` uses the machine's available
@@ -273,8 +265,8 @@ impl Input {
 
 /// Result of a parallel run.
 pub struct RunResult {
-    /// Aggregated telemetry: per-rank phase timings and counters plus
-    /// cross-rank min/mean/max/imbalance statistics (gathered at rank 0).
+    /// Aggregated telemetry: every rank's phase timings and counters
+    /// plus cross-rank min/mean/max/imbalance statistics.
     pub telemetry: RunReport,
     /// Output-slot complexes in ascending slot order, as the run left
     /// them: a merged output keeps the tombstones (dead nodes and arcs)
@@ -293,7 +285,7 @@ pub struct RunResult {
     pub output_bytes: u64,
     /// The absolute persistence threshold that was applied.
     pub threshold: f32,
-    /// The gathered causal event trace when [`PipelineParams::trace`]
+    /// Every rank's causal event trace when [`PipelineParams::trace`]
     /// was on (write it with [`RunTrace::write`], analyze it with
     /// [`RunTrace::critical_path`]).
     pub trace: Option<RunTrace>,
@@ -427,20 +419,23 @@ pub fn run_parallel(
     })
     .map_err(PipelineError::Panic)?;
 
-    let (mut telemetry, mut trace, mut threshold) = (None, None, 0.0);
+    let (mut reports, mut traces, mut threshold) = (Vec::new(), Vec::new(), 0.0);
     let mut out = stages::RankOut::default();
     for res in results {
-        let (th, rank_out, tel, tr) = res?;
-        // only rank 0 holds the gathered report and trace
-        telemetry = telemetry.or(tel);
-        trace = trace.or(tr);
+        let (th, rank_out, report, trace) = res?;
         threshold = th; // identical on every rank (all-reduced)
         out.absorb(rank_out);
+        reports.push(report);
+        traces.extend(trace);
     }
+    let trace = params.trace.then(|| RunTrace::from_ranks(traces));
+    let telemetry = RunReport::from_ranks("run", reports);
+    // exact global merge traffic, in the report meta
+    let ship = telemetry.counter_total("ship_bytes");
     let dims = input.dims();
     let radices = params.plan.radices.iter().map(|&r| Json::U64(r as u64));
     let telemetry = telemetry
-        .ok_or_else(|| PipelineError::Telemetry("rank 0 produced no gathered report".into()))?
+        .with_meta("global_ship_bytes", Json::U64(ship))
         .with_meta(
             "dims",
             Json::str(format!("{}x{}x{}", dims.nx, dims.ny, dims.nz)),
@@ -474,7 +469,7 @@ pub fn run_parallel(
     })
 }
 
-pub(crate) type RankResult = (f32, stages::RankOut, Option<RunReport>, Option<RunTrace>);
+pub(crate) type RankResult = (f32, stages::RankOut, RankReport, Option<RankTrace>);
 
 /// The threaded machine: hosts one rank, on that rank's own thread.
 pub(crate) struct Threaded<'r> {
@@ -516,51 +511,22 @@ impl<'r> Threaded<'r> {
         }
     }
 
-    /// Gather the counters and traces at rank 0. Tracing stops first and
-    /// the traffic counters are read first: the gathers are bookkeeping
-    /// and must not observe themselves.
+    /// The rank's result, with its report and (traced) trace, which
+    /// `run_parallel` folds like its outputs. The traffic counters are
+    /// read here, after the last message of the run.
     pub(crate) fn finish(
         mut self,
         run: Result<(f32, stages::RankOut), PipelineError>,
     ) -> Result<RankResult, PipelineError> {
         let (threshold, out) = run?;
-        let rank = self.comm;
-        rank.detach_tracer();
-        let cs = rank.comm_stats();
+        let cs = self.comm.comm_stats();
         self.rec.add(Counter::BytesSent, cs.bytes_sent);
         self.rec.add(Counter::BytesRecv, cs.bytes_recv);
         self.rec.add(Counter::MsgsSent, cs.msgs_sent);
         self.rec.add(Counter::MsgsRecv, cs.msgs_recv);
         let report = self.rec.finish();
-        let gathered = rank
-            .gather(0, TAG_TELEMETRY_GATHER, Bytes::from(report.encode()))
-            .map_err(comm_err("gathering telemetry reports"))?;
-        let telemetry = match gathered {
-            Some(all) => {
-                let ranks = all.iter().map(|b| RankReport::decode(b));
-                let ranks = ranks.collect::<Result<Vec<_>, _>>();
-                let run = RunReport::from_ranks("run", ranks.map_err(PipelineError::Telemetry)?);
-                // exact global merge traffic, in the report meta
-                let ship = run.counter_total("ship_bytes");
-                Some(run.with_meta("global_ship_bytes", Json::U64(ship)))
-            }
-            None => None,
-        };
-        let trace = match &self.sink {
-            Some(s) => rank
-                .gather(
-                    0,
-                    TAG_TRACE_GATHER,
-                    Bytes::from(self.rec.trace(s.finish()).encode()),
-                )
-                .map_err(comm_err("gathering rank traces"))?
-                .map(|all| all.iter().map(|b| RankTrace::decode(b)).collect())
-                .transpose()
-                .map_err(PipelineError::Telemetry)?
-                .map(RunTrace::from_ranks),
-            None => None,
-        };
-        Ok((threshold, out, telemetry, trace))
+        let trace = self.sink.map(|s| self.rec.trace(s.finish()));
+        Ok((threshold, out, report, trace))
     }
 }
 
@@ -791,7 +757,7 @@ mod tests {
         for key in ["checkpoint_bytes", "retries", "rounds_replayed", "crashes"] {
             assert_eq!(tel.counter_total(key), 0, "{key} must be 0 without faults");
         }
-        // the global ship total in the meta matches the gathered counters
+        // the global ship total in the meta matches the ranks' counters
         let meta_ship = tel
             .meta
             .iter()

@@ -1300,10 +1300,8 @@ mod tests {
             let (_, _, report, _) = m.finish(Ok((0.0, RankOut::default()))).unwrap();
             (routed, report)
         });
-        let report = threaded[0].1.as_ref().expect("gathered on rank 0");
-        for (me, (routed, _)) in threaded.iter().enumerate() {
-            let sent = report.ranks[me].counter("seg_boundary_bytes");
-            check(me as u64, routed, sent);
+        for (me, (routed, report)) in threaded.iter().enumerate() {
+            check(me as u64, routed, report.counter("seg_boundary_bytes"));
         }
 
         let sim_params = SimParams::default();

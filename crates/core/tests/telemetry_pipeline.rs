@@ -4,7 +4,7 @@
 //! serialized wire-payload sizes at the merge sends) plus the one known
 //! collective — the global min/max all-reduce.
 //!
-//! With no output file, a run's complete pre-telemetry traffic is:
+//! With no output file, a run's complete traffic is:
 //!
 //! * `allreduce_min_max` = 2 x `allreduce_f64`, each a gather of
 //!   `W - 1` 8-byte legs into rank 0 plus a broadcast of `W - 1` 8-byte
@@ -13,8 +13,8 @@
 //!   root is on another rank. A member whose root shares its rank is
 //!   handed over in memory: no message, and no `ship_bytes`.
 //!
-//! The telemetry exchange itself (integer all-reduce + report gather)
-//! runs after the counters are snapshotted and must not appear.
+//! Telemetry sends nothing: each rank hands its report back with its
+//! outputs, and `run_parallel` folds them.
 
 use msp_core::{run_parallel, Input, MergePlan, PipelineParams};
 use msp_grid::Dims;
@@ -60,7 +60,7 @@ fn check_comm_accounting(w: u64, blocks: u32, rounds: Vec<u32>, remote: u64) {
     assert!(tel.counter_total("nodes_shipped") > 0);
     assert!(tel.counter_total("arcs_shipped") > 0);
 
-    // per-merge-round spans made it through the gather + aggregation
+    // per-merge-round spans made it through the aggregation
     for k in 0..n_rounds {
         let key = format!("merge_round[{k}]");
         let s = tel
@@ -100,7 +100,7 @@ fn single_rank_run_has_no_point_to_point_traffic() {
     let input = Input::Memory(Arc::new(msp_synth::white_noise(Dims::cube(8), 7)));
     let r = run_parallel(&input, 1, 1, &PipelineParams::default(), None).unwrap();
     let tel = &r.telemetry;
-    // a world of one: the all-reduce and the gather are local no-ops
+    // a world of one: the all-reduce is a local no-op
     assert_eq!(tel.counter_total("bytes_sent"), 0);
     assert_eq!(tel.counter_total("msgs_sent"), 0);
     assert_eq!(tel.counter_total("ship_bytes"), 0);

@@ -95,15 +95,9 @@ mod tests {
     #[test]
     fn slice_by_8_equals_bytewise() {
         // 64 KiB of splitmix64 bytes
-        let mut state = 0x5EED_u64;
+        let mut rng = msp_grid::SplitMix64::new(0x5EED);
         let bytes: Vec<u8> = (0..8192)
-            .flat_map(|_| {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)).to_le_bytes()
-            })
+            .flat_map(|_| rng.next_u64().to_le_bytes())
             .collect();
         assert_eq!(checksum(&bytes), bytewise(&bytes));
         // every length through eight whole words, at every alignment

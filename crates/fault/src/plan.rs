@@ -12,6 +12,7 @@
 //! generated from a seed + target rate ([`FaultPlan::seeded_crashes`])
 //! for sweep benchmarks.
 
+use msp_grid::SplitMix64;
 use msp_vmpi::comm::{Inject, SendFate};
 use std::str::FromStr;
 use std::time::Duration;
@@ -99,7 +100,9 @@ impl FaultPlan {
         let mut rng = SplitMix64::new(seed);
         for round in 1..=n_rounds {
             for rank in 0..n_ranks {
-                if rng.next_f64() < rate {
+                // uniform in [0, 1) from the top 53 bits
+                let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                if u < rate {
                     plan.events.push(FaultEvent::Crash { rank, round });
                 }
             }
@@ -271,32 +274,6 @@ impl FromStr for FaultPlan {
     }
 }
 
-/// SplitMix64: tiny, seedable, platform-independent PRNG (Steele et al.,
-/// "Fast splittable pseudorandom number generators"). Used instead of the
-/// `rand` crate so fault plans stay bit-identical everywhere.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` from the top 53 bits.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,6 +314,17 @@ mod tests {
         // rate 0 => no crashes; rate 1 => every cell crashes
         assert!(FaultPlan::seeded_crashes(1, 8, 3, 0.0).is_empty());
         assert_eq!(FaultPlan::seeded_crashes(1, 8, 3, 1.0).n_crashes(), 24);
+    }
+
+    /// The `fault_sweep` figure's seeded rows (`results/fault_sweep.txt`):
+    /// seed 2012 over 8 ranks and 3 rounds.
+    #[test]
+    fn seeded_plans_are_pinned() {
+        let crashes = |rate| FaultPlan::seeded_crashes(2012, 8, 3, rate).events;
+        let crash = |rank, round| FaultEvent::Crash { rank, round };
+        assert_eq!(crashes(0.02), vec![]);
+        assert_eq!(crashes(0.05), vec![crash(6, 3)]);
+        assert_eq!(crashes(0.10), vec![crash(0, 2), crash(6, 3)]);
     }
 
     #[test]

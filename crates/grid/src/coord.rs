@@ -104,16 +104,64 @@ impl RCoord {
 /// over all 64 bits. The segmentation's owner map and the complex's
 /// address index both hash addresses through it.
 pub fn mix_address(addr: u64) -> u64 {
-    let mut z = addr.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = addr.wrapping_add(SplitMix64::GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom
+/// number generators"): the workspace's one seeded generator, behind
+/// random decompositions, seeded fault plans and fuzz cases, so each is
+/// the same on every platform. Each draw is [`mix_address`] of the
+/// state, which then advances by the golden gamma.
+#[derive(Debug, Clone)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// The golden-ratio increment of the state.
+    pub(crate) const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    pub fn new(seed: u64) -> Self {
+        SplitMix64 { state: seed }
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        let z = mix_address(self.state);
+        self.state = self.state.wrapping_add(Self::GAMMA);
+        z
+    }
+
+    /// `next_u64() % n` (n > 0).
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+
+    /// The element of `xs` (non-empty) at one [`below`](Self::below) draw.
+    pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
+        &xs[self.below(xs.len() as u64) as usize]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dims::Dims;
+
+    #[test]
+    fn splitmix64_draws_the_reference_sequence() {
+        let mut rng = SplitMix64::new(0);
+        let draws = [
+            0xe220_a839_7b1d_cdaf,
+            0x6e78_9e6a_a1b9_65f4,
+            0x06c4_5d18_8009_454f,
+        ];
+        for want in draws {
+            assert_eq!(rng.next_u64(), want);
+        }
+    }
 
     #[test]
     fn cell_dim_matches_parity() {

@@ -13,7 +13,7 @@
 //! cells also on the boundary of those same blocks" — becomes: a
 //! gradient pair `(α, β)` is legal iff `owners(α) == owners(β)`.
 
-use crate::coord::RCoord;
+use crate::coord::{RCoord, SplitMix64};
 use crate::dims::Dims;
 use crate::topology::RBox;
 
@@ -127,8 +127,6 @@ enum Cut {
     At { axis: usize, s: u32, left: u32 },
     /// The box cannot hold its blocks: the decomposition fails.
     Infeasible,
-    /// Cut this box, and every box under it, by the bisection rule.
-    Proportional,
 }
 
 /// A cut rule: where to split a box that must hold `count` blocks.
@@ -182,40 +180,29 @@ fn adaptive_rule(domain: Dims, weight: &[u64], bx: &BlockBox, count: u32) -> Cut
 }
 
 /// The random rule: a splittable axis, a plane and a left count, drawn
-/// from `state` in that order. A side that must hold `k` blocks needs at
-/// least `k` cells; a plane whose sides cannot hold `count` between them
-/// (they hold the box's cells, so only a box with fewer cells than
-/// blocks) draws no count and hands the box to the bisection rule.
-fn random_rule(state: &mut u64, bx: &BlockBox, count: u32) -> Cut {
+/// from `rng` in that order. A side that must hold `k` blocks needs at
+/// least `k` cells, and the two sides of any plane hold exactly the
+/// box's cells, so a box with fewer cells than blocks is infeasible
+/// before any draw. One with enough has an axis of two or more layers.
+fn random_rule(rng: &mut SplitMix64, bx: &BlockBox, count: u32) -> Cut {
     let extents = bx.extents();
-    let splittable: Vec<usize> = (0..3).filter(|&a| extents[a] >= 2).collect();
-    if splittable.is_empty() {
+    // the box's cells are fewer than the domain's vertices: no overflow
+    let cells = extents.iter().map(|&x| x as u64).product::<u64>();
+    let count = count as u64;
+    if cells < count {
         return Cut::Infeasible;
     }
-    let axis = splittable[(splitmix64(state) % splittable.len() as u64) as usize];
+    let splittable: Vec<usize> = (0..3).filter(|&a| extents[a] >= 2).collect();
+    let axis = *rng.pick(&splittable);
     let e = extents[axis];
-    let s = 1 + (splitmix64(state) % (e - 1) as u64) as u32;
-    // cells per layer of the cut axis; the box's cells are fewer than
-    // the domain's vertices, so `lcap + rcap` stays in range
-    let layer = extents.iter().map(|&x| x as u64).product::<u64>() / e as u64;
+    let s = 1 + rng.below((e - 1) as u64) as u32;
+    // cells per layer of the cut axis
+    let layer = cells / e as u64;
     let (lcap, rcap) = (s as u64 * layer, (e - s) as u64 * layer);
-    let count = count as u64;
-    if lcap + rcap < count {
-        return Cut::Proportional;
-    }
     let lo = count.saturating_sub(rcap).max(1);
     let hi = (count - 1).min(lcap);
-    let left = (lo + splitmix64(state) % (hi - lo + 1)) as u32;
+    let left = (lo + rng.below(hi - lo + 1)) as u32;
     Cut::At { axis, s, left }
-}
-
-/// One splitmix64 step: no external RNG dependency in this crate.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Sum of `weight` (one entry per `domain` vertex) over the inclusive
@@ -296,7 +283,6 @@ impl Decomposition {
         let (axis, s, left_count) = match rule(&bx, count) {
             Cut::At { axis, s, left } => (axis, s, left),
             Cut::Infeasible => return None,
-            Cut::Proportional => return self.split(bx, count, &mut bisect_rule),
         };
         let plane = bx.lo[axis] + s;
         let (mut lhs, mut rhs) = (bx, bx);
@@ -356,13 +342,18 @@ impl Decomposition {
 
     /// [`Decomposition::random_tree`], or `None` past its depth bound of
     /// 48 blocks or when the grid cannot be cut into `n_blocks` blocks.
+    /// A domain with a one-vertex axis has no cells to draw planes by,
+    /// and gets the bisection tree.
     pub fn try_random_tree(domain: Dims, n_blocks: u32, seed: u64) -> Option<Self> {
         if n_blocks > 48 {
             return None;
         }
-        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+        if domain.nx.min(domain.ny).min(domain.nz) == 1 {
+            return Self::try_bisect(domain, n_blocks);
+        }
+        let mut rng = SplitMix64::new(seed ^ SplitMix64::GAMMA);
         Self::cut(domain, n_blocks, &mut |bx, count| {
-            random_rule(&mut state, bx, count)
+            random_rule(&mut rng, bx, count)
         })
     }
 

@@ -37,7 +37,7 @@ pub mod plan;
 pub mod rawio;
 pub mod topology;
 
-pub use coord::RCoord;
+pub use coord::{RCoord, SplitMix64};
 pub use decomp::{BlockBox, Decomposition, OwnerSet};
 pub use dims::{Dims, RefinedDims};
 pub use field::{BlockField, ScalarField};

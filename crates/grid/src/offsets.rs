@@ -236,7 +236,7 @@ pub const NEG_GID: u32 = build_neg_gid();
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coord::RCoord;
+    use crate::coord::{RCoord, SplitMix64};
 
     #[test]
     fn index_round_trip_and_center() {
@@ -348,15 +348,6 @@ mod tests {
         }
     }
 
-    /// SplitMix64, for the seeded mask tables below.
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     #[test]
     fn center_slices_are_the_zero_planes() {
         for (axis, (slice, shift)) in CENTER_SLICES.into_iter().enumerate() {
@@ -389,9 +380,9 @@ mod tests {
             few_bits.push(1 << a);
             few_bits.extend((0..a).map(|b| 1 << a | 1 << b));
         }
-        let mut state = 22u64;
+        let mut rng = SplitMix64::new(22);
         let seeded: Vec<u32> = (0..50_000)
-            .map(|_| next(&mut state) as u32 & ALL_OFFSETS)
+            .map(|_| rng.next_u64() as u32 & ALL_OFFSETS)
             .collect();
         for clip in 0..64usize {
             let ok = |bit: usize| clip >> bit & 1 == 1;
@@ -411,9 +402,9 @@ mod tests {
 
     #[test]
     fn one_facet_matches_facet_table() {
-        let mut state = 5u64;
+        let mut rng = SplitMix64::new(5);
         for _ in 0..50_000 {
-            let un = next(&mut state) as u32 & ALL_OFFSETS;
+            let un = rng.next_u64() as u32 & ALL_OFFSETS;
             let mut by_table = 0u32;
             for (oi, &facets) in STAR_FACETS.iter().enumerate() {
                 if un >> oi & 1 == 1 && (facets & un).count_ones() == 1 {

@@ -13,42 +13,11 @@
 //! and is what `oracle_fuzz` dumps as `.case` reproducers.
 
 use msp_grid::{
-    feature_weights, full_merge_plan, DecompMode, Dims, Layout, LayoutError, MergePlan, ScalarField,
+    feature_weights, full_merge_plan, DecompMode, Dims, Layout, LayoutError, MergePlan,
+    ScalarField, SplitMix64,
 };
 use std::fmt;
 use std::str::FromStr;
-
-/// Minimal deterministic PRNG (splitmix64). Self-contained so case
-/// generation never depends on an external `rand` or on other crates'
-/// private helpers.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n` (n > 0).
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-
-    /// Uniform pick from a slice.
-    pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.below(xs.len() as u64) as usize]
-    }
-}
 
 /// What synthetic field the case runs on.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -13,9 +13,10 @@
 //! * [`Recorder`] — one per rank: counters and one list of phase spans,
 //!   from which the report's phase totals and the trace's spans are
 //!   both derived;
-//! * [`RankReport`] / [`RunReport`] — frozen per-rank data with a
-//!   compact wire encoding, cross-rank min/mean/max/imbalance
-//!   aggregation, and a versioned `.telemetry.json` writer;
+//! * [`RankReport`] / [`RunReport`] — frozen per-rank data (a rank
+//!   hands its report back with its outputs), cross-rank
+//!   min/mean/max/imbalance aggregation, and a versioned
+//!   `.telemetry.json` writer;
 //! * [`TraceSink`] / [`RankTrace`] / [`RunTrace`] — causal event
 //!   tracing: message stamps plus the recorder's spans per rank, Chrome
 //!   trace-event export for Perfetto, and critical-path analysis

@@ -176,7 +176,7 @@ impl Recorder {
         self.counters[c.index()]
     }
 
-    /// Freeze into a wire-encodable per-rank report: per-phase span
+    /// Freeze into the per-rank report: per-phase span
     /// sums in taxonomy order. Spans still open are closed now, and
     /// each counts as an unbalanced incident on the report.
     pub fn finish(&mut self) -> RankReport {

@@ -2,22 +2,20 @@
 //! `.telemetry.json` run-report writer.
 //!
 //! A [`RankReport`] is the frozen output of one rank's
-//! [`Recorder`](crate::Recorder). It has a compact little-endian wire
-//! encoding ([`RankReport::encode`]) so ranks can ship their reports to
-//! root through the same byte-oriented collectives the pipeline already
-//! uses; root decodes and folds them into a [`RunReport`] with
-//! min/mean/max/imbalance statistics per phase and per counter.
+//! [`Recorder`](crate::Recorder). Each rank hands its report back with
+//! its outputs, and [`RunReport::from_ranks`] folds them into a run
+//! report with min/mean/max/imbalance statistics per phase and per
+//! counter.
 
 use crate::json::Json;
 use crate::phase::sort_phase_keys;
-use crate::wirefmt::{encode_str, read_str, Reader};
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Schema version written into every report (bump on breaking changes
-/// to the JSON layout or the rank-report wire encoding).
+/// to the JSON layout).
 ///
-/// v2: per-rank `unbalanced` span-misuse incident count (wire + JSON).
+/// v2: per-rank `unbalanced` span-misuse incident count.
 pub const REPORT_VERSION: u32 = 2;
 
 /// Frozen phase times (seconds) and counters of one rank.
@@ -57,58 +55,6 @@ impl RankReport {
             .find(|(k, _)| k == key)
             .map(|(_, v)| *v)
             .unwrap_or(0)
-    }
-
-    /// Compact little-endian encoding for shipping to root.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + 24 * (self.phases.len() + self.counters.len()));
-        out.extend_from_slice(&REPORT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&self.unbalanced.to_le_bytes());
-        out.extend_from_slice(&(self.phases.len() as u32).to_le_bytes());
-        for (k, secs) in &self.phases {
-            encode_str(&mut out, k);
-            out.extend_from_slice(&secs.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.counters.len() as u32).to_le_bytes());
-        for (k, v) in &self.counters {
-            encode_str(&mut out, k);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Inverse of [`encode`](RankReport::encode).
-    pub fn decode(buf: &[u8]) -> Result<RankReport, String> {
-        let mut r = Reader::new(buf);
-        let version = r.u32()?;
-        if version != REPORT_VERSION {
-            return Err(format!(
-                "rank report version {version} != supported {REPORT_VERSION}"
-            ));
-        }
-        let rank = r.u32()?;
-        let unbalanced = r.u32()?;
-        // a phase or counter entry is a key length plus 8 bytes
-        let n_phases = r.count(10)?;
-        let mut phases = Vec::with_capacity(n_phases);
-        for _ in 0..n_phases {
-            phases.push((read_str(&mut r)?, r.f64()?));
-        }
-        let n_counters = r.count(10)?;
-        let mut counters = Vec::with_capacity(n_counters);
-        for _ in 0..n_counters {
-            counters.push((read_str(&mut r)?, r.u64()?));
-        }
-        if !r.is_empty() {
-            return Err("rank report has trailing bytes".into());
-        }
-        Ok(RankReport {
-            rank,
-            unbalanced,
-            phases,
-            counters,
-        })
     }
 }
 
@@ -199,7 +145,7 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Fold gathered per-rank reports into a run report with cross-rank
+    /// Fold per-rank reports into a run report with cross-rank
     /// aggregates. `ranks` must be non-empty and is sorted by rank.
     pub fn from_ranks(name: &str, mut ranks: Vec<RankReport>) -> RunReport {
         assert!(!ranks.is_empty(), "run report needs at least one rank");
@@ -379,7 +325,6 @@ pub fn write_named_json(dir: &Path, name: &str, doc: &Json) -> io::Result<PathBu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Truncated;
 
     fn rank_report(rank: u32, read: f64, bytes: u64) -> RankReport {
         RankReport {
@@ -394,62 +339,6 @@ mod tests {
                 ("msgs_sent".to_string(), rank as u64),
             ],
         }
-    }
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let mut r = rank_report(5, 0.125, 4096);
-        r.unbalanced = 3;
-        let back = RankReport::decode(&r.encode()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(RankReport::decode(&[]).is_err());
-        assert!(RankReport::decode(&[9, 0, 0, 0]).is_err()); // bad version
-        let mut good = rank_report(0, 1.0, 1).encode();
-        good.push(0); // trailing byte
-        assert!(RankReport::decode(&good).is_err());
-        let bytes = rank_report(0, 1.0, 1).encode();
-        for cut in 0..bytes.len() {
-            assert!(RankReport::decode(&bytes[..cut]).is_err(), "prefix {cut}");
-        }
-    }
-
-    #[test]
-    fn hostile_reports_never_panic() {
-        let mut r = rank_report(3, 0.375, 1 << 40);
-        r.unbalanced = 2;
-        let bytes = r.encode();
-        for cut in 0..bytes.len() {
-            let err = RankReport::decode(&bytes[..cut]).unwrap_err();
-            assert_eq!(err, Truncated.to_string(), "prefix {cut}");
-        }
-        let mut flipped = bytes.clone();
-        for at in 0..bytes.len() {
-            for bit in 0..8 {
-                flipped[at] ^= 1 << bit;
-                // an edit either errs or decodes to a report that encodes
-                // back to exactly the edited bytes
-                if let Ok(back) = RankReport::decode(&flipped) {
-                    assert_eq!(back.encode(), flipped, "byte {at} bit {bit}");
-                }
-                flipped[at] ^= 1 << bit;
-            }
-        }
-        // u32::MAX phases claimed by a 16-byte header
-        let mut huge = RankReport {
-            phases: vec![],
-            counters: vec![],
-            ..r
-        }
-        .encode();
-        huge[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            RankReport::decode(&huge).unwrap_err(),
-            Truncated.to_string()
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Causal event tracing: per-rank timestamped span and message events,
-//! cross-rank gathering, Chrome trace-event export (viewable in
-//! Perfetto), and merge-tree **critical-path** analysis.
+//! Chrome trace-event export (viewable in Perfetto), and merge-tree
+//! **critical-path** analysis.
 //!
 //! The aggregate statistics of [`RunReport`](crate::RunReport) say how
 //! much time each phase took *somewhere*; a trace says **when** each
@@ -12,13 +12,14 @@
 //!   comm layer, and marks such as `recover` spans. Every rank stamps
 //!   against one common epoch so timestamps are comparable across ranks
 //!   of a shared-memory universe;
-//! * [`RankTrace`] — the frozen, wire-encodable event log of one rank:
+//! * [`RankTrace`] — the frozen event log of one rank:
 //!   the sink's stamps plus the rank's phase spans, which come from its
 //!   [`Recorder`](crate::Recorder) (see [`Recorder::trace`](crate::Recorder::trace)),
 //!   so trace span totals and report phase totals are the same numbers.
 //!   Simulated runs stamp on virtual clocks, so real and simulated
 //!   traces share every consumer;
-//! * [`RunTrace`] — all ranks gathered at root: send/recv matching on
+//! * [`RunTrace`] — every rank's trace, handed back with its outputs
+//!   ([`RunTrace::from_ranks`]): send/recv matching on
 //!   `(src, dst, tag, seq)` ([`RunTrace::match_messages`]), the Chrome
 //!   trace-event document ([`RunTrace::to_chrome_json`]), and the
 //!   critical path ([`RunTrace::critical_path`]) — the longest
@@ -29,14 +30,12 @@
 //! fractional microseconds in the Chrome document (its native unit).
 
 use crate::json::Json;
-use crate::wirefmt::{encode_str, read_str, Reader};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Schema version written into every encoded rank trace and every
-/// `.trace.json` document.
+/// Schema version written into every `.trace.json` document.
 pub const TRACE_VERSION: u32 = 1;
 
 /// One completed span occurrence on a rank's timeline.
@@ -145,102 +144,6 @@ impl RankTrace {
             .map(|s| s.dur_ns() as f64 * 1e-9)
             .sum()
     }
-
-    /// Compact little-endian encoding for shipping to root.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(64 + 40 * (self.spans.len() + self.sends.len() + self.recvs.len()));
-        out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&self.unbalanced.to_le_bytes());
-        out.extend_from_slice(&(self.spans.len() as u32).to_le_bytes());
-        for s in &self.spans {
-            encode_str(&mut out, &s.key);
-            out.extend_from_slice(&s.t0_ns.to_le_bytes());
-            out.extend_from_slice(&s.t1_ns.to_le_bytes());
-        }
-        for msgs in [&self.sends, &self.recvs] {
-            out.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
-            for m in msgs {
-                out.extend_from_slice(&m.src.to_le_bytes());
-                out.extend_from_slice(&m.dst.to_le_bytes());
-                out.extend_from_slice(&m.tag.to_le_bytes());
-                out.extend_from_slice(&m.seq.to_le_bytes());
-                out.extend_from_slice(&m.bytes.to_le_bytes());
-                out.extend_from_slice(&m.t_ns.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.timeouts.len() as u32).to_le_bytes());
-        for t in &self.timeouts {
-            out.extend_from_slice(&t.src.to_le_bytes());
-            out.extend_from_slice(&t.tag.to_le_bytes());
-            out.extend_from_slice(&t.t_ns.to_le_bytes());
-            out.extend_from_slice(&t.waited_ns.to_le_bytes());
-        }
-        out
-    }
-
-    /// Inverse of [`encode`](RankTrace::encode).
-    pub fn decode(buf: &[u8]) -> Result<RankTrace, String> {
-        let mut r = Reader::new(buf);
-        let version = r.u32()?;
-        if version != TRACE_VERSION {
-            return Err(format!(
-                "rank trace version {version} != supported {TRACE_VERSION}"
-            ));
-        }
-        let rank = r.u32()?;
-        let unbalanced = r.u32()?;
-        // key length + two timestamps; a message stamp is 36 bytes, a
-        // timeout stamp 24
-        let n_spans = r.count(18)?;
-        let mut spans = Vec::with_capacity(n_spans);
-        for _ in 0..n_spans {
-            let key = read_str(&mut r)?;
-            let t0_ns = r.u64()?;
-            let t1_ns = r.u64()?;
-            spans.push(TraceSpan { key, t0_ns, t1_ns });
-        }
-        let mut msg_lists = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let n = r.count(36)?;
-            let mut msgs = Vec::with_capacity(n);
-            for _ in 0..n {
-                msgs.push(MsgStamp {
-                    src: r.u32()?,
-                    dst: r.u32()?,
-                    tag: r.u32()?,
-                    seq: r.u64()?,
-                    bytes: r.u64()?,
-                    t_ns: r.u64()?,
-                });
-            }
-            msg_lists.push(msgs);
-        }
-        let recvs = msg_lists.pop().unwrap();
-        let sends = msg_lists.pop().unwrap();
-        let n_timeouts = r.count(24)?;
-        let mut timeouts = Vec::with_capacity(n_timeouts);
-        for _ in 0..n_timeouts {
-            timeouts.push(TimeoutStamp {
-                src: r.u32()?,
-                tag: r.u32()?,
-                t_ns: r.u64()?,
-                waited_ns: r.u64()?,
-            });
-        }
-        if !r.is_empty() {
-            return Err("rank trace has trailing bytes".into());
-        }
-        Ok(RankTrace {
-            rank,
-            spans,
-            sends,
-            recvs,
-            timeouts,
-            unbalanced,
-        })
-    }
 }
 
 /// Live per-rank stamp recorder, cheap to clone: handles share one
@@ -331,7 +234,7 @@ pub struct MatchReport {
     /// Sends no one consumed: dropped in flight, or the receiver died.
     pub unmatched_sends: Vec<MsgStamp>,
     /// Recvs with no recorded send — possible only when a rank's trace
-    /// was lost; a healthy gather has none.
+    /// was lost; a complete run trace has none.
     pub unmatched_recvs: Vec<MsgStamp>,
 }
 
@@ -397,7 +300,7 @@ impl CriticalPath {
     }
 }
 
-/// All ranks' traces gathered at root.
+/// Every rank's trace of one run.
 #[derive(Debug, Clone, Default)]
 pub struct RunTrace {
     pub ranks: Vec<RankTrace>,
@@ -414,7 +317,7 @@ struct Seg {
 }
 
 impl RunTrace {
-    /// Assemble from gathered rank traces (sorted by rank).
+    /// Assemble from the ranks' traces (sorted by rank).
     pub fn from_ranks(mut ranks: Vec<RankTrace>) -> RunTrace {
         ranks.sort_by_key(|r| r.rank);
         RunTrace { ranks }
@@ -796,69 +699,6 @@ mod tests {
         let t = b.finish();
         assert_eq!(t.spans.len(), 1);
         assert_eq!(t.sends.len(), 1);
-    }
-
-    fn sample_trace() -> RankTrace {
-        let mut t = RankTrace::new(5);
-        t.span("read", 10, 250);
-        t.span("merge_round[0]", 300, 900);
-        t.send(2, 0x100007, 3, 4096, 350);
-        t.recv(1, 0x100003, 1, 2048, 500);
-        t.timeouts.push(TimeoutStamp {
-            src: 7,
-            tag: 9,
-            t_ns: 800,
-            waited_ns: 250,
-        });
-        t.unbalanced = 1;
-        t
-    }
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let t = sample_trace();
-        let back = RankTrace::decode(&t.encode()).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn hostile_traces_never_panic() {
-        let bytes = sample_trace().encode();
-        for cut in 0..bytes.len() {
-            let err = RankTrace::decode(&bytes[..cut]).unwrap_err();
-            assert_eq!(err, crate::Truncated.to_string(), "prefix {cut}");
-        }
-        let mut flipped = bytes.clone();
-        for at in 0..bytes.len() {
-            for bit in 0..8 {
-                flipped[at] ^= 1 << bit;
-                // an edit either errs or decodes to a trace that encodes
-                // back to exactly the edited bytes
-                if let Ok(t) = RankTrace::decode(&flipped) {
-                    assert_eq!(t.encode(), flipped, "byte {at} bit {bit}");
-                }
-                flipped[at] ^= 1 << bit;
-            }
-        }
-        // u32::MAX spans claimed by a 16-byte header
-        let mut huge = RankTrace::new(0).encode();
-        huge[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(RankTrace::decode(&huge).is_err());
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(RankTrace::decode(&[]).is_err());
-        assert!(RankTrace::decode(&[9, 9, 0, 0]).is_err()); // bad version
-        let mut good = RankTrace::new(0).encode();
-        good.push(0);
-        assert!(RankTrace::decode(&good).is_err(), "trailing byte");
-        let t = {
-            let mut t = RankTrace::new(0);
-            t.span("read", 0, 10);
-            t
-        };
-        assert!(RankTrace::decode(&t.encode()[..12]).is_err(), "truncated");
     }
 
     #[test]

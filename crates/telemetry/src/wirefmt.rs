@@ -1,9 +1,7 @@
-//! The workspace's one reader of binary input, and the length-prefixed
-//! strings of the compact little-endian encodings of
-//! [`RankReport`](crate::RankReport) and [`RankTrace`](crate::RankTrace).
+//! The workspace's one reader of binary input.
 //!
 //! Every binary decoder (`MSC3`, `SEG1`, `MSH1`, `MSK1`, the `MSPF`
-//! footer, the segmentation messages and the telemetry records) reads
+//! footer and the segmentation messages) reads
 //! through [`Reader`], so hostile bytes end a decode with [`Truncated`],
 //! never a panic, and a count read from the input reserves no more than
 //! the input could hold. Each format's error type has a `From<Truncated>`.
@@ -22,13 +20,6 @@ impl fmt::Display for Truncated {
 }
 
 impl std::error::Error for Truncated {}
-
-/// The telemetry decoders report their errors as text.
-impl From<Truncated> for String {
-    fn from(t: Truncated) -> String {
-        t.to_string()
-    }
-}
 
 /// File readers report short input as [`io::ErrorKind::InvalidData`].
 impl From<Truncated> for io::Error {
@@ -137,19 +128,4 @@ impl<'a> Reader<'a> {
         }
         Ok(n as usize)
     }
-}
-
-/// Append a `u16`-length-prefixed UTF-8 string.
-pub(crate) fn encode_str(out: &mut Vec<u8>, s: &str) {
-    let b = s.as_bytes();
-    assert!(b.len() <= u16::MAX as usize, "wire key too long");
-    out.extend_from_slice(&(b.len() as u16).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-/// Read a string written by [`encode_str`].
-pub(crate) fn read_str(r: &mut Reader<'_>) -> Result<String, String> {
-    let len = r.u16()?;
-    let b = r.take(len.into())?;
-    String::from_utf8(b.to_vec()).map_err(|_| "key is not UTF-8".to_string())
 }

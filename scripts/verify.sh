@@ -57,6 +57,19 @@ cmp "$tracedir/irr1.msc" "$tracedir/irr4.msc"
 cmp "$tracedir/irr1.msc.seg" "$tracedir/irr4.msc.seg"
 cmp "$tracedir/irr1.msc.msh" "$tracedir/irr4.msc.msh"
 
+# traced smoke: the same run on 3 ranks with --trace, where every rank
+# hands its report and trace back with its outputs, must write all three
+# artifacts byte-identical to the 1-rank run, one trace track per rank,
+# and a report over all three ranks
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 3 --blocks 6 --decomp adaptive --merge full \
+  --hierarchy --trace "$tracedir/irr3.trace.json" --output "$tracedir/irr3.msc"
+for ext in "" .seg .msh; do
+  cmp "$tracedir/irr1.msc$ext" "$tracedir/irr3.msc$ext"
+done
+[ "$(grep -c '"thread_name"' "$tracedir/irr3.trace.json")" = 3 ]
+grep -q '"n_ranks": 3' "$tracedir/results/irr3.telemetry.json"
+
 # dtype smoke: the block reader decodes f64 and u8 files plane by plane
 # on irregular boxes; a 3-rank adaptive run of each must write the .msc
 # byte-identical to the 1-rank run (u8 quantizes the jet to a plateau)

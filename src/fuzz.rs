@@ -43,16 +43,14 @@ use msp_core::{
     msh_output_path, run_parallel, seg_output_path, FaultConfig, Input, PipelineParams, RunResult,
 };
 use msp_fault::FaultPlan;
-use msp_grid::ScalarField;
+use msp_grid::{ScalarField, SplitMix64};
 use msp_hierarchy::{compress_forwards, region_sizes, remap_tables, Materialized, Ordering};
 use msp_morse::{assign_gradient, assign_gradient_par, trace_all_arcs};
 use msp_oracle::reference::{
     arcs_of_store, diff_arcs, diff_gradient, reference_arcs, reference_gradient,
 };
 use msp_oracle::segcheck::{diff_segmentation, reference_segmentation};
-use msp_oracle::{
-    case::parse_fault, case::SplitMix64, check_complex, check_glue_idempotent, Case, CheckOptions,
-};
+use msp_oracle::{case::parse_fault, check_complex, check_glue_idempotent, Case, CheckOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -473,7 +471,7 @@ pub fn fuzz(
     seed: u64,
     mut progress: impl FnMut(u64, &Case),
 ) -> Result<u64, Box<FuzzFailure>> {
-    let mut rng = msp_oracle::case::SplitMix64::new(seed);
+    let mut rng = SplitMix64::new(seed);
     for i in 0..iters {
         let case = Case::generate(&mut rng);
         progress(i, &case);
