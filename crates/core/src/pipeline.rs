@@ -15,6 +15,7 @@ use bytes::Bytes;
 use msp_complex::{wire, MsComplex};
 use msp_fault::checkpoint::CheckpointError;
 use msp_fault::FaultPlan;
+use msp_fault::SendFate;
 use msp_grid::par::available_threads;
 use msp_grid::rawio::VolumeDType;
 use msp_grid::{DecompMode, Dims, LayoutError, MergePlan, ScalarField};
@@ -24,29 +25,27 @@ use msp_segment::BlockSegmentation;
 use msp_telemetry::{
     Counter, Json, Phase, RankReport, RankTrace, Recorder, RunReport, RunTrace, TraceSink,
 };
-use msp_vmpi::comm::{CommError, Inject, RankPanic};
+use msp_vmpi::comm::{CommError, RankPanic};
 use msp_vmpi::fileio::{collective_write_blocks_keyed, FooterEntry};
 use msp_vmpi::{Rank, Universe};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Fault-tolerance configuration of a run.
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
-    /// Faults to inject (crashes at the stage list; message drops and
-    /// delays at the machine; slow ranks on the simulator only). `None`
-    /// injects nothing.
+    /// Faults to inject: crashes, panics, and drops and delays of merge
+    /// ships, all decided by the stage list and met the same way on both
+    /// machines; slow ranks on the simulator only. `None` injects
+    /// nothing.
     pub plan: Option<FaultPlan>,
     /// Checkpoint every rank's state at each merge-round boundary and
     /// before the write, enabling exact recovery.
     pub checkpoint: bool,
     /// How long a root waits for a group member's merge message before
-    /// declaring it dead and recovering (on the simulator: the modeled
-    /// wait). On the threaded backend it also bounds every other receive:
-    /// the run fails once all ranks have waited this long for messages
-    /// that cannot come (a lost collective message). Only applied while a
-    /// fault config is active.
+    /// declaring it dead and replaying it (on the simulator: the modeled
+    /// wait, against the message's modeled arrival). Only applied while a
+    /// fault config is active; no other receive has a deadline.
     pub deadline: Duration,
 }
 
@@ -411,18 +410,20 @@ pub fn run_parallel(
     // One time base for every rank's trace sink, taken before any rank
     // starts, so cross-rank timestamps are causally comparable.
     let epoch = Instant::now();
-    let inject = (params.fault.plan.clone()).map(|p| Arc::new(p) as Arc<dyn Inject>);
-    let results = Universe::run_with_inject(n_ranks as usize, inject, |rank| {
+    let results = Universe::try_run(n_ranks as usize, |rank| {
         let mut m = Threaded::new(rank, params, epoch);
         let run = stages::run(&mut m, &job, output_path);
         m.finish(run)
     })
     .map_err(PipelineError::Panic)?;
+    let (oks, errors): (Vec<_>, Vec<_>) = results.into_iter().partition(Result::is_ok);
+    if let Some(e) = root_cause(errors.into_iter().filter_map(Result::err).collect()) {
+        return Err(e);
+    }
 
     let (mut reports, mut traces, mut threshold) = (Vec::new(), Vec::new(), 0.0);
     let mut out = stages::RankOut::default();
-    for res in results {
-        let (th, rank_out, report, trace) = res?;
+    for (th, rank_out, report, trace) in oks.into_iter().flatten() {
         threshold = th; // identical on every rank (all-reduced)
         out.absorb(rank_out);
         reports.push(report);
@@ -469,6 +470,22 @@ pub fn run_parallel(
     })
 }
 
+/// The error that ended a run: the first, in rank order, that is not a
+/// rank's reaction to a peer that returned or panicked, else the first.
+fn root_cause(errors: Vec<PipelineError>) -> Option<PipelineError> {
+    let reaction = |e: &PipelineError| {
+        matches!(
+            e,
+            PipelineError::Comm {
+                source: CommError::Disconnected { .. } | CommError::PeerPanicked { .. },
+                ..
+            }
+        )
+    };
+    let first_cause = errors.iter().position(|e| !reaction(e));
+    errors.into_iter().nth(first_cause.unwrap_or(0))
+}
+
 pub(crate) type RankResult = (f32, stages::RankOut, RankReport, Option<RankTrace>);
 
 /// The threaded machine: hosts one rank, on that rank's own thread.
@@ -496,12 +513,6 @@ impl<'r> Threaded<'r> {
         // parallelism, where oversubscribing buys nothing.
         let host = available_threads();
         let threads = params.threads.unwrap_or(host).min(host).max(1);
-        // With faults active no receive may hang: one that names no
-        // deadline of its own (collectives, barriers, the all-to-all)
-        // fails once the whole universe has waited a deadline for a
-        // message that cannot come.
-        let fault = &params.fault;
-        comm.set_stall_deadline(fault.active().then_some(fault.deadline));
         Threaded {
             comm,
             rec,
@@ -547,7 +558,19 @@ impl Node for Threaded<'_> {
         self.rec.time(phase, |_| f())
     }
 
-    fn send(&mut self, to: u32, tag: u32, payload: Bytes) -> Result<(), CommError> {
+    /// A lost payload never reaches the comm layer, so its orphan send
+    /// is stamped here, as the link's ordinal 0.
+    fn send(&mut self, to: u32, tag: u32, payload: Bytes, fate: SendFate) -> Result<(), CommError> {
+        match fate {
+            SendFate::Deliver => {}
+            SendFate::Delay(d) => std::thread::sleep(d),
+            SendFate::Drop => {
+                if let Some(s) = &self.sink {
+                    s.send(to, tag, 0, payload.len() as u64);
+                }
+                return Ok(());
+            }
+        }
         self.comm.send(to as usize, tag, payload)
     }
 
@@ -642,6 +665,7 @@ mod tests {
     use msp_complex::{simplify_with, CancelOrder, SimplifyParams};
     use msp_hierarchy::wire as hwire;
     use msp_segment::wire as segwire;
+    use std::sync::Arc;
 
     fn noise_input(n: u32, seed: u64) -> Input {
         Input::Memory(Arc::new(msp_synth::white_noise(Dims::cube(n), seed)))
@@ -947,6 +971,40 @@ mod tests {
         ] {
             assert_eq!(r.telemetry.counter_total(key), 0, "{key}");
         }
+    }
+
+    #[test]
+    fn the_root_cause_outranks_the_reactions_to_it() {
+        let comm = |source| PipelineError::Comm {
+            context: "barrier entering merge round 1".to_string(),
+            source,
+        };
+        let departed = || comm(CommError::Disconnected { peer: 1, tag: 7 });
+        let panicked = || comm(CommError::PeerPanicked { rank: 2 });
+        let cause = |slot| PipelineError::MissingComplex {
+            slot,
+            context: "merge send",
+        };
+        // rank 0 reacts to rank 1 leaving; rank 1's own error comes next
+        let got = root_cause(vec![departed(), cause(3), panicked(), cause(4)]);
+        assert!(matches!(
+            got,
+            Some(PipelineError::MissingComplex { slot: 3, .. })
+        ));
+        // a timeout is an error of its own, not a reaction
+        let timeout = CommError::Timeout {
+            from: 1,
+            to: 0,
+            tag: 7,
+            waited: Duration::from_millis(5),
+        };
+        let got = root_cause(vec![panicked(), comm(timeout.clone())]);
+        assert!(matches!(got, Some(PipelineError::Comm { source, .. }) if source == timeout));
+        // nothing but reactions: the first
+        let got = root_cause(vec![panicked(), departed()]);
+        let first = CommError::PeerPanicked { rank: 2 };
+        assert!(matches!(got, Some(PipelineError::Comm { source, .. }) if source == first));
+        assert!(root_cause(Vec::new()).is_none());
     }
 
     #[test]

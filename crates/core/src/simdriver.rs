@@ -16,23 +16,29 @@
 //!
 //! ## Fault timing model
 //!
-//! With a [`FaultPlan`](msp_fault::FaultPlan) in the [`FaultConfig`], a
-//! slowed rank's measured compute is multiplied by its factor and a
-//! dropped message is re-shipped at [`NetParams::retry_time`] cost. A crash really destroys
-//! the rank's state, exactly as on the threaded backend: a root waiting
-//! on a crashed member is charged the deadline and a checkpoint re-ship
-//! over the torus, a crashed rank restores its own checkpoint at
-//! filesystem cost, and without a checkpoint the run degrades.
-//! Checkpointing is charged as a collective write at every cut.
+//! With a [`FaultPlan`](msp_fault::FaultPlan) in the [`FaultConfig`],
+//! crashes, drops and delays are the stage list's, exactly as on the
+//! threaded backend: a crash really destroys the rank's state, a dropped
+//! ship never reaches the receiver's mailbox, and a delayed one leaves
+//! when its sender's clock has advanced by the delay. A receive whose
+//! message would arrive more than the deadline after the receiver starts
+//! waiting, or not at all, is charged the deadline and times out, so its
+//! root replays the member with a [`NetParams::retry_time`] re-ship of
+//! the sender's checkpoint. A crashed rank restores its own checkpoint at
+//! filesystem cost, and without a checkpoint the run degrades. A slowed
+//! rank's measured compute is multiplied by its factor (the simulator's
+//! only fault of its own). Checkpointing is charged as a collective
+//! write at every cut.
 
 use crate::pipeline::{FaultConfig, PipelineError, PipelineParams};
 use crate::stages::{self, Io, Job, Machine, Node, Output, Source};
 use bytes::Bytes;
+use msp_fault::SendFate;
 use msp_grid::par::{available_threads, par_map_mut};
 use msp_grid::rawio::VolumeDType;
 use msp_grid::{DecompMode, MergePlan, ScalarField};
 use msp_telemetry::{Counter, Json, Phase, RankTrace, Recorder, RunTrace, TimeoutStamp};
-use msp_vmpi::comm::{CommError, Inject, RankPanic, SendFate};
+use msp_vmpi::comm::{CommError, RankPanic};
 use msp_vmpi::fileio::FooterEntry;
 use msp_vmpi::{IoParams, NetParams, Torus};
 use std::collections::HashMap;
@@ -129,7 +135,8 @@ pub struct SimReport {
     pub threshold: f32,
     /// Injected crashes charged to the clocks.
     pub crashes: u64,
-    /// Recovery re-ships (dead members + dropped messages).
+    /// Members that missed the deadline (crashed, dropped or too late),
+    /// as the roots count them.
     pub retries: u64,
     /// Bytes re-shipped during recovery.
     pub retry_bytes: u64,
@@ -412,31 +419,25 @@ impl Node for VRank<'_> {
         r
     }
 
-    fn send(&mut self, to: u32, tag: u32, payload: Bytes) -> Result<(), CommError> {
+    /// A lost payload never enters the link: its orphan send is stamped
+    /// as ordinal 0, as on the threaded machine.
+    fn send(&mut self, to: u32, tag: u32, payload: Bytes, fate: SendFate) -> Result<(), CommError> {
+        let bytes = payload.len() as u64;
+        match fate {
+            SendFate::Deliver => {}
+            SendFate::Delay(d) => self.clock += d.as_secs_f64(),
+            SendFate::Drop => {
+                if let Some(t) = &mut self.trace {
+                    t.send(to, tag, 0, bytes, ns(self.clock));
+                }
+                return Ok(());
+            }
+        }
         let seq = self.link_seq.entry(to).or_insert(0);
         *seq += 1;
         let seq = *seq;
         let (net, hops) = (&self.params.net, self.hops(to));
-        let bytes = payload.len() as u64;
-        let mut arrive = self.clock + net.latency_s + net.hop_time_s * hops as f64;
-        match self
-            .params
-            .fault
-            .plan
-            .as_ref()
-            .map(|p| p.fate(self.p as usize, to as usize, seq))
-        {
-            Some(SendFate::Drop) => {
-                // lost in flight: one retry round-trip
-                let retry = net.retry_time(bytes, hops);
-                arrive += retry;
-                self.recovery_s += retry;
-                self.retry_bytes += bytes;
-                self.rec.add(Counter::Retries, 1);
-            }
-            Some(SendFate::Delay(d)) => arrive += d.as_secs_f64(),
-            _ => {}
-        }
+        let arrive = self.clock + net.latency_s + net.hop_time_s * hops as f64;
         if let Some(t) = &mut self.trace {
             t.send(to, tag, seq, bytes, ns(self.clock));
         }
@@ -452,19 +453,21 @@ impl Node for VRank<'_> {
     }
 
     /// The receiver's link serializes payloads: the clock moves to the
-    /// arrival, then pays the bytes.
+    /// arrival, then pays the bytes. A message that would arrive past
+    /// the deadline stays in the mailbox, unreceived.
     fn recv(
         &mut self,
         from: u32,
         tag: u32,
         deadline: Option<Duration>,
     ) -> Result<Bytes, CommError> {
-        let at = self
-            .inbox
-            .iter()
-            .position(|m| (m.src, m.tag) == (from, tag));
+        let in_time = |m: &Msg| deadline.is_none_or(|d| m.arrive <= self.clock + d.as_secs_f64());
+        let at = (self.inbox.iter())
+            .position(|m| (m.src, m.tag) == (from, tag))
+            .filter(|&i| in_time(&self.inbox[i]));
         let Some(m) = at.map(|i| self.inbox.remove(i)) else {
-            // Nothing was sent: the sender is dead (or the protocol broken).
+            // Nothing was sent in time: the sender is dead, the message
+            // lost or late (or the protocol broken).
             let waited = deadline.ok_or(CommError::Disconnected {
                 peer: from as usize,
                 tag,
@@ -996,25 +999,86 @@ mod tests {
     fn drops_and_delays_add_recovery_time() {
         let f = msp_synth::white_noise(Dims::cube(9), 4);
         let plan = MergePlan::full_merge(8);
-        let r = simulate(
-            &f,
-            8,
-            &SimParams {
-                plan,
-                fault: FaultConfig {
-                    // first message rank 1 -> rank 0 is lost once
-                    plan: Some(FaultPlan::new().drop_msg(1, 0, 1)),
-                    checkpoint: false,
-                    deadline: Duration::from_millis(250),
-                },
+        let run = |faults: FaultPlan| {
+            let fault = FaultConfig {
+                plan: Some(faults),
+                checkpoint: true,
+                deadline: Duration::from_millis(250),
+            };
+            let params = SimParams {
+                plan: plan.clone(),
+                fault,
                 ..Default::default()
+            };
+            simulate(&f, 8, &params).unwrap()
+        };
+        let clean = run(FaultPlan::new());
+        // rank 1's ship to root 0 is lost, or lands 300 ms late: either
+        // way root 0 waits out the deadline and replays it
+        for faults in [
+            FaultPlan::new().drop_msg(1, 0, 1),
+            FaultPlan::new().delay_msg(1, 0, 1, 300),
+        ] {
+            let r = run(faults);
+            assert_eq!((r.crashes, r.retries), (0, 1));
+            assert!(r.retry_bytes > 0);
+            assert!(r.recovery_s >= 0.25, "the deadline is charged");
+            assert_eq!(r.output_bytes, clean.output_bytes);
+        }
+        // 200 ms late is within the deadline: no replay
+        let r = run(FaultPlan::new().delay_msg(1, 0, 1, 200));
+        assert_eq!((r.retries, r.recovery_s), (0, 0.0));
+    }
+
+    /// A lost ship and one held back past the deadline recover alike on
+    /// both machines: the root replays the member from the sender's
+    /// checkpoint, and the outputs are the fault-free bytes.
+    #[test]
+    fn drops_and_late_ships_recover_alike_on_both_machines() {
+        use crate::pipeline::{run_parallel, Input};
+        use msp_complex::wire;
+        use std::sync::Arc;
+        let field = Arc::new(msp_synth::white_noise(Dims::cube(9), 4));
+        let params = |plan| PipelineParams {
+            plan: MergePlan::rounds(vec![2, 2]),
+            fault: FaultConfig {
+                plan,
+                checkpoint: true,
+                deadline: Duration::from_millis(200),
             },
-        )
-        .unwrap();
-        assert_eq!(r.crashes, 0);
-        assert_eq!(r.retries, 1);
-        assert!(r.retry_bytes > 0);
-        assert!(r.recovery_s > 0.0);
+            ..Default::default()
+        };
+        let input = Input::Memory(field.clone());
+        let clean = run_parallel(&input, 4, 4, &params(None), None).unwrap();
+        let want: Vec<_> = clean.outputs.iter().map(wire::serialize).collect();
+        let keys = [
+            Counter::Retries,
+            Counter::RoundsReplayed,
+            Counter::BlocksAbsorbed,
+        ];
+        // slot 3's round-0 ship to root 2, and slot 2's round-1 ship to
+        // root 0, held back 5 deadlines
+        for spec in ["drop:3->2#1", "delay:2->0#1+1000"] {
+            let pp = params(Some(spec.parse().unwrap()));
+            let thr = run_parallel(&input, 4, 4, &pp, None).unwrap();
+            let counts = keys.map(|c| thr.telemetry.counter_total(c.key()));
+            assert_eq!(counts, [1, 1, 0], "{spec}: threaded");
+            let got: Vec<_> = thr.outputs.iter().map(wire::serialize).collect();
+            assert!(got == want, "{spec}: threaded outputs differ");
+
+            let sp = SimParams::default();
+            let job = Job::layout(Source::Memory(&field), VolumeDType::F32, &pp, 4, 4).unwrap();
+            let mut m = Sim::new(4, &sp);
+            let (_, out) = stages::run(&mut m, &job, None).unwrap();
+            let counts = keys.map(|c| (0..4).map(|p| m.counter(p, c)).sum::<u64>());
+            assert_eq!(counts, [1, 1, 0], "{spec}: simulated");
+            let got: Vec<_> = out
+                .outputs
+                .iter()
+                .map(|(_, c)| wire::serialize(c))
+                .collect();
+            assert!(got == want, "{spec}: simulated outputs differ");
+        }
     }
 
     #[test]

@@ -48,14 +48,18 @@
 //! serialized once, at the cut: the same bytes go into the checkpoint,
 //! out with the round's ship to another rank and, at the pre-write cut,
 //! into the output file; a member handed to a root on its own rank drops
-//! them. An injected crash destroys a rank's state at the cut; the rank
-//! restarts from its own checkpoint, while the roots expecting its
-//! members — its own roots included, since a crashed rank hands nothing
-//! over — detect the failure by receive deadline and glue the lost
-//! member from its slot's bytes in the dead rank's checkpoint —
-//! bit-identical to the fault-free run. Without a
+//! them. Every fault is decided here, from the plan: an injected crash
+//! destroys a rank's state at the cut, and a drop or delay names the
+//! n-th cross-rank merge ship on a link ([`Job::fate`]), which the
+//! machine loses or holds back before hand-off. A crashed rank restarts
+//! from its own checkpoint, while the roots expecting its members — its
+//! own roots included, since a crashed rank hands nothing over — and a
+//! root whose ship was lost or came too late detect it by receive
+//! deadline and glue the member from its slot's bytes in the sender's
+//! checkpoint — bit-identical to the fault-free run. Without a
 //! checkpoint the run degrades instead of dying: the root absorbs the
-//! orphaned block and the loss is counted (`blocks_absorbed`).
+//! orphaned slot, and the rank that loses a complex counts its blocks
+//! once (`blocks_absorbed`).
 
 use crate::pipeline::{
     comm_err, io_err, msh_output_path, seg_output_path, PipelineError, PipelineParams,
@@ -66,7 +70,7 @@ use msp_complex::{
     complex_from_gradient_mt, simplify_forwarding, wire, CancelOrder, GlueError, MsComplex,
     SimplifyParams,
 };
-use msp_fault::{encode_slots, CheckpointStore, CheckpointView};
+use msp_fault::{encode_slots, CheckpointStore, CheckpointView, SendFate};
 use msp_grid::par::{par_map, par_map_mut};
 use msp_grid::rawio::{block_bytes, read_block, read_raw, VolumeDType};
 use msp_grid::{
@@ -112,10 +116,12 @@ pub(crate) trait Node {
     fn add(&mut self, c: Counter, n: u64);
     /// Run `f` as one occurrence of compute phase `phase`.
     fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R;
-    fn send(&mut self, to: u32, tag: u32, payload: Bytes) -> Result<(), CommError>;
-    /// Receive a message sent in an earlier step; `None` waits as long
-    /// as the machine allows (the threaded machine fails a faulted run
-    /// whose ranks all wait a deadline on messages that cannot come).
+    /// Send `payload` as `fate` decides: lost before hand-off (still an
+    /// orphan send in the trace), held back first, or handed off.
+    fn send(&mut self, to: u32, tag: u32, payload: Bytes, fate: SendFate) -> Result<(), CommError>;
+    /// Receive a message sent in an earlier step. With a deadline, one
+    /// that would arrive later than that is a [`CommError::Timeout`];
+    /// without one, the receive fails only if the sender is gone.
     fn recv(&mut self, from: u32, tag: u32, deadline: Option<Duration>)
         -> Result<Bytes, CommError>;
     /// Run a recovery that loads `f`'s byte count from `from`'s
@@ -259,6 +265,24 @@ impl<'a> Job<'a> {
         plan.should_crash(rank as usize, round)
     }
 
+    /// What the plan does to the `nth` cross-rank merge ship from rank
+    /// `from` to rank `to`.
+    fn fate(&self, from: u32, to: u32, nth: u64) -> SendFate {
+        let plan = self.params.fault.plan.as_ref();
+        plan.map_or(SendFate::Deliver, |p| {
+            p.fate(from as usize, to as usize, nth)
+        })
+    }
+
+    /// Is root slot `root` gone by round `r`: did its rank crash at a cut
+    /// up to round `r`'s with no checkpoint to restore it?
+    fn lost_root(&self, root: u32, r: usize) -> bool {
+        let (fault, p) = (&self.params.fault, self.assign.rank_of(root) as usize);
+        let crashed =
+            |plan: &msp_fault::FaultPlan| (1..=r as u32 + 1).any(|k| plan.should_crash(p, k));
+        !fault.checkpoint && fault.plan.as_ref().is_some_and(crashed)
+    }
+
     fn outputs_of(&self, p: u32) -> impl Iterator<Item = u32> + '_ {
         let assign = &self.assign;
         let outputs = self.sched.outputs.iter().copied();
@@ -292,6 +316,9 @@ struct RankState {
     /// Slots a crash destroyed that no checkpoint restored (degraded
     /// mode): later rounds ship nothing for them.
     lost: Vec<u32>,
+    /// Cross-rank merge ships so far, per destination rank: the
+    /// ordinals a plan's drops and delays name.
+    ships: HashMap<u32, u64>,
     /// Block segmentations stay on the rank that computed them.
     segs: HashMap<u32, BlockSegmentation>,
     /// Forward entries of cancelled extrema awaiting their routed flush.
@@ -546,7 +573,7 @@ impl<M: Machine> Run<'_, M> {
                 return Ok(());
             }
             node.add(Counter::Crashes, 1);
-            s.complexes.clear();
+            destroy(node, job, s);
             s.cut.clear();
             // nothing ships between here and the write: a full restore
             restore(node, job, s, cursor, &[])
@@ -573,7 +600,7 @@ impl<M: Machine> Run<'_, M> {
             for (p, bucket) in buckets.iter().enumerate().filter(|(p, _)| *p as u32 != me) {
                 let payload = encode(bucket);
                 sent += payload.len() as u64;
-                node.send(p as u32, tag, payload)?;
+                node.send(p as u32, tag, payload, SendFate::Deliver)?;
             }
             node.add(Counter::SegBoundaryBytes, sent);
             Ok(std::mem::take(&mut buckets[me as usize]))
@@ -826,26 +853,22 @@ impl<M: Machine> Run<'_, M> {
         // cut, whose bytes it still has. The complex itself is handed
         // back with its tombstones; only its cancellation log goes, as
         // the file keeps none (§IV-F1).
-        let outputs = all(self.m.each(&mut self.st, |node, s| {
+        let outputs = all(self.m.each(&mut self.st, |_, s| {
             let (mut outs, mut blocks) = (Vec::new(), Vec::new());
             for slot in job.outputs_of(s.p) {
-                match s.complexes.remove(&slot) {
-                    Some(mut c) => {
-                        let bytes = s.cut.remove(&slot);
-                        blocks.push((slot, bytes.unwrap_or_else(|| wire::serialize(&c))));
-                        c.hierarchy = Vec::new();
-                        outs.push((slot, c));
-                    }
+                let Some(mut c) = s.complexes.remove(&slot) else {
                     // Degraded: the slot died with a rank that had no
                     // checkpoint; the run completes without it.
-                    None if fault_active => node.add(Counter::BlocksAbsorbed, 1),
-                    None => {
-                        return Err(PipelineError::MissingComplex {
-                            slot,
-                            context: "output collection",
-                        })
+                    if fault_active {
+                        continue;
                     }
-                }
+                    let context = "output collection";
+                    return Err(PipelineError::MissingComplex { slot, context });
+                };
+                let bytes = s.cut.remove(&slot);
+                blocks.push((slot, bytes.unwrap_or_else(|| wire::serialize(&c))));
+                c.hierarchy = Vec::new();
+                outs.push((slot, c));
             }
             Ok((outs, blocks))
         }))?;
@@ -1021,12 +1044,14 @@ fn simplify(
 
 /// The send half of round `r`. A member whose root is on another rank
 /// ships as the bytes of the cut when there was one, else serialized with
-/// its tombstones; one whose root is on this rank is handed over live. An
-/// injected crash destroys the rank's state at the cut: it ships and
-/// hands over nothing, and restores from its own checkpoint all but the
-/// slots whose custody passed to their roots. Without a checkpoint the
-/// rest is lost, and ships nothing in later rounds either: their roots
-/// absorb them as they absorb this round's members.
+/// its tombstones, and meets the fate the plan gives its ship; one whose
+/// root is on this rank is handed over live. An injected crash destroys
+/// the rank's state at the cut: it ships and hands over nothing, and
+/// restores from its own checkpoint all but the slots whose custody
+/// passed to their roots. Without a checkpoint the rest is lost, and
+/// ships nothing in later rounds either: their roots absorb them as they
+/// absorb this round's members. A member whose root is lost that way
+/// is lost with it, here.
 fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
     let crashed = job.should_crash(s.p, r as u32 + 1);
     // the slots left after the ship are this round's to change
@@ -1034,7 +1059,7 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
     let mut held = Vec::new();
     if crashed {
         node.add(Counter::Crashes, 1);
-        held = s.complexes.drain().map(|(slot, _)| slot).collect();
+        held = destroy(node, job, s);
     }
     let mut shipped = Vec::new();
     for (root, members) in &job.sched.rounds[r].groups {
@@ -1052,6 +1077,10 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
                 context: "merge send",
             };
             let ms = s.complexes.remove(&mb).ok_or(missing)?;
+            if job.lost_root(*root, r) {
+                node.add(Counter::BlocksAbsorbed, ms.member_blocks.len() as u64);
+                continue;
+            }
             if to == s.p {
                 s.handoff.insert(mb, ms);
                 continue;
@@ -1063,7 +1092,14 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
                 None => node.time(Phase::Ship, || wire::serialize(&ms)),
             };
             node.add(Counter::ShipBytes, payload.len() as u64);
-            (node.send(to, (r as u32) << 20 | mb, payload))
+            let nth = s.ships.entry(to).or_default();
+            *nth += 1;
+            let fate = job.fate(s.p, to, *nth);
+            if fate == SendFate::Drop && !job.params.fault.checkpoint {
+                // nothing will replay it: its blocks are lost in flight
+                node.add(Counter::BlocksAbsorbed, ms.member_blocks.len() as u64);
+            }
+            (node.send(to, (r as u32) << 20 | mb, payload, fate))
                 .map_err(comm_err(format!("shipping slot {mb} in round {r}")))?;
         }
     }
@@ -1073,6 +1109,18 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
         s.lost.extend(lost.filter(|b| !s.complexes.contains_key(b)));
     }
     Ok(())
+}
+
+/// A crash at a cut: every complex of the rank is gone, and with no
+/// checkpoint to restore them their blocks are lost here. The slots it
+/// held come back.
+fn destroy<N: Node>(node: &mut N, job: &Job, s: &mut RankState) -> Vec<u32> {
+    let destroyed = std::mem::take(&mut s.complexes);
+    if !job.params.fault.checkpoint {
+        let blocks = destroyed.values().map(|c| c.member_blocks.len() as u64);
+        node.add(Counter::BlocksAbsorbed, blocks.sum());
+    }
+    destroyed.into_keys().collect()
 }
 
 /// Reload this rank's own checkpoint at `cursor`, decoding all but the
@@ -1129,8 +1177,7 @@ fn glue_groups<N: Node>(
         }
         if !s.complexes.contains_key(root) {
             // Degraded: the root slot itself was lost to an
-            // unrecoverable crash; its members' messages stay unread.
-            node.add(Counter::BlocksAbsorbed, members.len() as u64);
+            // unrecoverable crash, and its members with it.
             continue;
         }
         let mut incoming = Vec::with_capacity(members.len() - 1);
@@ -1161,12 +1208,11 @@ fn glue_groups<N: Node>(
                         context: format!("recovering slot {mb} from rank {owner} at round {r}"),
                         source,
                     })?;
-                    match payload {
-                        Some(payload) => {
-                            node.add(Counter::RoundsReplayed, 1);
-                            incoming.push((mb, Member::Wire(payload)));
-                        }
-                        None => node.add(Counter::BlocksAbsorbed, 1),
+                    // with no checkpoint the member is absorbed: its blocks
+                    // were counted where they were lost
+                    if let Some(payload) = payload {
+                        node.add(Counter::RoundsReplayed, 1);
+                        incoming.push((mb, Member::Wire(payload)));
                     }
                     node.add(Counter::RecoveryMs, (waited + took).as_millis() as u64);
                 }

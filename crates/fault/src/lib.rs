@@ -10,9 +10,10 @@
 //! exploit that:
 //!
 //! * [`plan`] — a deterministic, seedable [`FaultPlan`]: crash rank *r*
-//!   at round *k*, drop/delay the *n*-th message on a link, slow a rank
-//!   by a factor. Plans implement the comm layer's `Inject` hook and
-//!   parse from a compact CLI spec (`crash:2@1;drop:0->3#7`).
+//!   at round *k*, drop/delay the *n*-th merge ship on a link, slow a
+//!   rank by a factor. Plans parse from a compact CLI spec
+//!   (`crash:2@1;drop:0->3#7`); the stage list asks them what to do
+//!   ([`FaultPlan::fate`] for each ship).
 //! * [`checkpoint`] — a versioned, CRC-protected [`Checkpoint`] of one
 //!   rank's state at a round boundary: merge-plan cursor, resolved
 //!   persistence threshold, and every living complex in the compact
@@ -31,5 +32,5 @@ pub mod plan;
 pub mod store;
 
 pub use checkpoint::{encode_slots, Checkpoint, CheckpointError, CheckpointView};
-pub use plan::{FaultEvent, FaultPlan, PlanParseError};
+pub use plan::{FaultEvent, FaultPlan, PlanParseError, SendFate};
 pub use store::CheckpointStore;

@@ -13,7 +13,6 @@
 //! for sweep benchmarks.
 
 use msp_grid::SplitMix64;
-use msp_vmpi::comm::{Inject, SendFate};
 use std::str::FromStr;
 use std::time::Duration;
 
@@ -29,11 +28,11 @@ pub enum FaultEvent {
     /// The run ends with the panic as its error; no checkpoint recovers
     /// it (DESIGN.md §9).
     Panic { rank: usize, round: u32 },
-    /// Silently lose the `nth` (1-based) message on the directed link
-    /// `from -> to`.
+    /// Silently lose the `nth` (1-based) cross-rank merge ship on the
+    /// directed link `from -> to`.
     DropMsg { from: usize, to: usize, nth: u64 },
-    /// Hold the `nth` (1-based) message on `from -> to` back by
-    /// `delay_ms` milliseconds before delivering it.
+    /// Hold the `nth` (1-based) merge ship on `from -> to` back by
+    /// `delay_ms` milliseconds before handing it off.
     DelayMsg {
         from: usize,
         to: usize,
@@ -44,6 +43,17 @@ pub enum FaultEvent {
     /// straggler. Only the BSP sim driver charges this; the threaded
     /// backend runs real compute and cannot slow it honestly.
     SlowRank { rank: usize, factor: f64 },
+}
+
+/// What the plan decides about one merge ship.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SendFate {
+    /// Hand it off normally.
+    Deliver,
+    /// Lose it: the root waits out the deadline and replays the member.
+    Drop,
+    /// Hold it back for this long before handing it off.
+    Delay(Duration),
 }
 
 /// A complete, ordered fault schedule for one run.
@@ -136,40 +146,36 @@ impl FaultPlan {
             .product()
     }
 
-    /// Total number of crash events (any rank, any round).
-    pub fn n_crashes(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, FaultEvent::Crash { .. }))
-            .count()
-    }
-}
-
-/// The threaded backend consults the plan on every point-to-point send:
-/// drop/delay events translate directly to [`SendFate`]s keyed on the
-/// per-link message ordinal. Crash, panic and slow events are handled at the
-/// pipeline / sim-driver layer, not here.
-impl Inject for FaultPlan {
-    fn fate(&self, from: usize, to: usize, nth: u64) -> SendFate {
+    /// The fate of the `nth` (1-based) cross-rank merge ship on the
+    /// directed link `from -> to`: the first drop or delay event naming
+    /// it, else [`SendFate::Deliver`].
+    pub fn fate(&self, from: usize, to: usize, nth: u64) -> SendFate {
+        let link = |f, t, n| (f, t, n) == (from, to, nth);
         for e in &self.events {
             match *e {
-                FaultEvent::DropMsg {
-                    from: f,
-                    to: t,
-                    nth: n,
-                } if f == from && t == to && n == nth => return SendFate::Drop,
+                FaultEvent::DropMsg { from, to, nth } if link(from, to, nth) => {
+                    return SendFate::Drop
+                }
                 FaultEvent::DelayMsg {
-                    from: f,
-                    to: t,
-                    nth: n,
+                    from,
+                    to,
+                    nth,
                     delay_ms,
-                } if f == from && t == to && n == nth => {
+                } if link(from, to, nth) => {
                     return SendFate::Delay(Duration::from_millis(delay_ms))
                 }
                 _ => {}
             }
         }
         SendFate::Deliver
+    }
+
+    /// Total number of crash events (any rank, any round).
+    pub fn n_crashes(&self) -> usize {
+        self.events
+            .iter()
+            .filter(|e| matches!(e, FaultEvent::Crash { .. }))
+            .count()
     }
 }
 
@@ -200,8 +206,8 @@ fn parse_num<T: FromStr>(s: &str, clause: &str, what: &'static str) -> Result<T,
 ///
 /// * `crash:R@K` — crash rank R at merge round K
 /// * `panic:R@K` — panic on rank R at merge round K
-/// * `drop:F->T#N` — drop the Nth message from rank F to rank T
-/// * `delay:F->T#N+MS` — delay that message by MS milliseconds
+/// * `drop:F->T#N` — drop the Nth merge ship from rank F to rank T
+/// * `delay:F->T#N+MS` — hold that ship back MS milliseconds
 /// * `slow:R*F` — multiply rank R's compute time by F
 ///
 /// e.g. `--faults 'crash:2@1;drop:0->3#7'`.
@@ -294,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn inject_maps_drop_and_delay() {
+    fn fate_maps_drop_and_delay() {
         let p = FaultPlan::new().drop_msg(0, 1, 3).delay_msg(1, 0, 2, 40);
         assert_eq!(p.fate(0, 1, 3), SendFate::Drop);
         assert_eq!(p.fate(0, 1, 2), SendFate::Deliver);

@@ -10,9 +10,9 @@
 //!   collectives the pipeline needs (barrier, gather, broadcast,
 //!   all-reduce). Data movement is real: payloads are serialized bytes
 //!   travelling through channels. Every operation is fallible
-//!   (`Result<_, CommError>`, optional receive deadlines) and a
-//!   deterministic fault-injection hook can drop/delay link messages —
-//!   the substrate the fault-tolerant pipeline builds on. Suitable for
+//!   (`Result<_, CommError>`, optional receive deadlines, and a receive
+//!   from a rank that has returned fails at once) — the substrate the
+//!   fault-tolerant pipeline builds on. Suitable for
 //!   rank counts that fit a workstation (tests use ≤ 64, examples ≤ 256).
 //! * [`fileio`] — collective file operations mirroring MPI-IO usage in
 //!   the paper (§IV-B, §IV-G): subarray-view reads and a collective
@@ -30,5 +30,5 @@ pub mod fileio;
 pub mod netmodel;
 pub mod pairmsg;
 
-pub use comm::{CommError, CommStats, Inject, Rank, SendFate, Universe};
+pub use comm::{CommError, CommStats, Rank, Universe};
 pub use netmodel::{IoParams, NetParams, Torus};

@@ -162,6 +162,22 @@ msc compute --input "$tracedir/seg.raw" \
   --output "$tracedir/remotef.msc"
 cmp "$tracedir/remote1.msc" "$tracedir/remotef.msc"
 
+# message-fault smoke: on 2 ranks the one cross-rank merge ship is rank
+# 1's block to root 0. Losing it, or holding it back four deadlines,
+# makes root 0 replay it from rank 1's checkpoint: both runs must exit 0
+# with one replay and write the fault-free bytes
+msc compute --input "$tracedir/seg.raw" \
+  --dims 17,17,17 --ranks 2 --blocks 2 --merge full \
+  --output "$tracedir/ship2.msc"
+for f in 'drop:1->0#1' 'delay:1->0#1+1200'; do
+  msc compute --input "$tracedir/seg.raw" \
+    --dims 17,17,17 --ranks 2 --blocks 2 --merge full \
+    --deadline-ms 300 --faults "$f" --output "$tracedir/shipf.msc" > "$tracedir/shipf.txt"
+  grep -q '1 retry(ies), 1 round(s) replayed' "$tracedir/shipf.txt" \
+    || { echo "$f:"; cat "$tracedir/shipf.txt"; exit 1; }
+  cmp "$tracedir/ship2.msc" "$tracedir/shipf.msc"
+done
+
 # panic smoke: an injected panic is a bug, never recovered, checkpoint or
 # not: the run exits 1 at once naming the rank, never hangs (124)
 status=0

@@ -1,5 +1,5 @@
 //! End-to-end fault-tolerance tests on the threaded backend: injected
-//! crashes, dropped and delayed messages, checkpoint-based recovery, and
+//! crashes, dropped and delayed merge ships, checkpoint-based recovery, and
 //! the degraded (absorb) path. The central claim is the acceptance
 //! criterion of DESIGN.md §9 — a run that loses a rank mid-merge and
 //! recovers from round-boundary checkpoints produces a final complex
@@ -12,10 +12,9 @@ use morse_smale_parallel::core::{
 };
 use morse_smale_parallel::fault::FaultPlan;
 use morse_smale_parallel::grid::{Decomposition, Dims, ScalarField};
-use morse_smale_parallel::vmpi::comm::CommError;
 use morse_smale_parallel::{hierarchy, segment, synth};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const RANKS: u32 = 4;
 const BLOCKS: u32 = 8;
@@ -167,9 +166,9 @@ fn spec_parsed_plan_drives_the_same_recovery() {
 
 #[test]
 fn dropped_message_is_recovered_from_checkpoint() {
-    // the first message rank 3 -> rank 2 (slot 6's round-2 ship to root
-    // 4) is lost in flight; the root times out and replays it from the
-    // sender's checkpoint — same bytes, same result
+    // the first merge ship rank 3 -> rank 2 (slot 6's round-2 ship to
+    // root 4) is lost in flight; the root times out and replays it from
+    // the sender's checkpoint — same bytes, same result
     let input = test_input();
     let r = assert_bitwise_identical(
         &input,
@@ -196,10 +195,10 @@ fn delayed_message_within_deadline_needs_no_recovery() {
 fn degraded_mode_absorbs_orphaned_blocks_without_checkpoints() {
     // No checkpoints: the crashed rank's blocks are unrecoverable. The
     // run must still complete, reporting the loss instead of hanging or
-    // panicking; the roots absorb the orphaned blocks. Rank 3 loses
-    // blocks 6 and 7 in round 1, where slot 6 is the root: it absorbs the
-    // pair (2). Slot 6 is a member in round 2, so rank 3 ships nothing
-    // and root 4 on rank 2 absorbs it after the deadline (1).
+    // panicking; the roots absorb the orphaned slots. Rank 3 loses
+    // blocks 6 and 7 in round 1 and counts each once. Slot 6 is a member
+    // in round 2, so rank 3 ships nothing and root 4 on rank 2 absorbs it
+    // after the deadline.
     let input = test_input();
     let params = fault_params(FaultPlan::new().crash(3, 1), false);
     let r = run_parallel(&input, RANKS, BLOCKS, &params, None).unwrap();
@@ -207,7 +206,7 @@ fn degraded_mode_absorbs_orphaned_blocks_without_checkpoints() {
     assert_eq!(tel.counter_total("crashes"), 1);
     assert_eq!(
         tel.counter_total("blocks_absorbed"),
-        3,
+        2,
         "blocks 6 and 7 are lost for good"
     );
     assert_eq!(
@@ -236,8 +235,9 @@ fn degraded_mode_absorbs_a_lost_root_that_is_a_later_member() {
     let r = run_parallel(&input, 8, BLOCKS, &params, None).unwrap();
     let tel = &r.telemetry;
     assert_eq!(tel.counter_total("crashes"), 1);
-    // the pair (6, 7) at its lost root, then slot 6 at root 4
-    assert_eq!(tel.counter_total("blocks_absorbed"), 3);
+    // block 6 on crashed rank 6, and block 7, which rank 7 cannot ship
+    // to its lost root
+    assert_eq!(tel.counter_total("blocks_absorbed"), 2);
     assert_eq!(tel.counter_total("retries"), 1);
     assert_eq!(r.outputs.len(), 2);
     for ms in &r.outputs {
@@ -324,33 +324,6 @@ fn checkpoint_only_run_is_bitwise_clean_and_accounts_bytes() {
     assert_eq!(tel.counter_total("crashes"), 0);
     assert_eq!(tel.counter_total("retries"), 0);
     assert_eq!(tel.counter_total("recovery_ms"), 0);
-}
-
-#[test]
-fn dropped_collective_message_fails_the_run_instead_of_hanging() {
-    // The first message rank 1 sends rank 0 is its leg of the
-    // value-range all-reduce, which no checkpoint can replay: every rank
-    // ends up waiting for a message that cannot come. The run must fail
-    // with the link and tag that missed, within a few deadlines.
-    let input = test_input();
-    let params = fault_params(FaultPlan::new().drop_msg(1, 0, 1), true);
-    let t0 = Instant::now();
-    let err = run_parallel(&input, RANKS, BLOCKS, &params, None).err();
-    let waited = t0.elapsed();
-    match err {
-        Some(PipelineError::Comm {
-            source:
-                CommError::Timeout {
-                    from: 1,
-                    to: 0,
-                    tag: 100,
-                    ..
-                },
-            ..
-        }) => {}
-        other => panic!("expected the gather's timeout, got {other:?}"),
-    }
-    assert!(waited < 5 * DEADLINE, "failed after {waited:?}");
 }
 
 /// An irregular tree: a 17³ noise field cut into `blocks` blocks over
