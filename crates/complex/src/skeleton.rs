@@ -766,32 +766,6 @@ impl MsComplex {
         self.seal_leaf(offset, path.len())
     }
 
-    /// Store a traced V-path. Consecutive cells of a V-path differ by ±1
-    /// on one axis (checked in debug builds; store any other path with
-    /// [`MsComplex::add_leaf_geom`]), so each step's code is
-    /// `2·axis + (step > 0)`, read straight off the coordinates without
-    /// a branch.
-    pub(crate) fn add_vpath_geom(&mut self, path: &[RCoord]) -> GeomId {
-        let Some(first) = path.first() else {
-            return self.add_leaf_geom(&[]);
-        };
-        let offset = self.steps.len();
-        self.steps
-            .extend_from_slice(&first.address(&self.refined).to_le_bytes());
-        self.steps.extend(path.iter().zip(&path[1..]).map(|(p, q)| {
-            debug_assert_eq!(
-                u64::from(p.x.abs_diff(q.x))
-                    + u64::from(p.y.abs_diff(q.y))
-                    + u64::from(p.z.abs_diff(q.z)),
-                1,
-                "not a V-path step: {p:?} -> {q:?}"
-            );
-            let axis = u8::from(q.y != p.y) + 2 * u8::from(q.z != p.z);
-            2 * axis + (u8::from(q.x > p.x) | u8::from(q.y > p.y) | u8::from(q.z > p.z))
-        }));
-        self.seal_leaf(offset, path.len())
-    }
-
     /// Record `steps[offset..]` as a leaf of `len` cells.
     pub(crate) fn seal_leaf(&mut self, offset: usize, len: usize) -> GeomId {
         let end = u32::try_from(self.steps.len()).expect("leaf bytes exceed u32 addressing");
@@ -1336,24 +1310,22 @@ mod tests {
     }
 
     #[test]
-    fn vpath_codes_equal_the_address_encoder() {
+    fn unit_moves_cost_one_code_and_jumps_an_escape() {
         let mut ms = tiny();
         // every axis in both directions
         let xyz = [(3, 3, 3), (4, 3, 3), (4, 4, 3), (4, 4, 4), (4, 4, 3)];
         let mut path: Vec<RCoord> = xyz.iter().map(|&(x, y, z)| RCoord::new(x, y, z)).collect();
         path.extend([(4, 3, 3), (3, 3, 3), (2, 3, 3)].map(|(x, y, z)| RCoord::new(x, y, z)));
         let addrs: Vec<u64> = path.iter().map(|c| c.address(&ms.refined)).collect();
-        let traced = ms.add_vpath_geom(&path);
-        let generic = ms.add_leaf_geom(&addrs);
-        assert_eq!(leaf_bytes(&ms, traced), leaf_bytes(&ms, generic));
-        assert_eq!(leaf_bytes(&ms, traced)[8..], [1, 3, 5, 4, 2, 0, 0]);
-        assert_eq!(ms.flatten_geom(traced), addrs);
+        let moved = ms.add_leaf_geom(&addrs);
+        assert_eq!(leaf_bytes(&ms, moved)[8..], [1, 3, 5, 4, 2, 0, 0]);
+        assert_eq!(ms.flatten_geom(moved), addrs);
         // a non-unit step costs an escape and the address
         let a = addrs[0];
         let jumped = ms.add_leaf_geom(&[a, a + 2, a + 3]);
         let escaped = [&[STEP_ESCAPE][..], &(a + 2).to_le_bytes(), &[1]].concat();
         assert_eq!(leaf_bytes(&ms, jumped)[8..], escaped);
-        assert_eq!(ms.steps.len(), 2 * (8 + 7) + (8 + 1 + 8 + 1));
+        assert_eq!(ms.steps.len(), (8 + 7) + (8 + 1 + 8 + 1));
     }
 
     /// A seeded mix of every operation that touches the incidence arena,

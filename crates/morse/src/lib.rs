@@ -40,6 +40,6 @@ pub use gradient::GradientField;
 pub use kernel::{active_kernel, Kernel, KernelStats};
 pub use lower_star::{assign_gradient, assign_gradient_kernel, assign_gradient_par};
 pub use trace::{
-    trace_all_arcs, trace_all_arcs_kernel, trace_arcs_from, ArcStore, TraceLimits, TraceStats,
-    TracedArc,
+    trace_all_arcs, trace_all_arcs_kernel, trace_arcs_from, ArcRec, ArcStore, TraceLimits,
+    TraceStats, TracedArc,
 };

@@ -23,6 +23,13 @@
 //! thread count. `tests/pinned_bytes.rs` pins that sequence;
 //! `msp-oracle`'s `reference_arcs` checks the arcs as a multiset.
 //!
+//! **Leaf bytes.** A DFS frame carries the step code onto its cell, known
+//! when the facet or the paired cofacet is pushed, so the path prefix is
+//! the code string an `MsComplex` leaf stores and an arc is emitted by
+//! copying it behind the upper cell's address ([`ArcStore`]). The complex
+//! builder takes the store's arena over as its leaf bytes: no path cell
+//! is ever held as a coordinate.
+//!
 //! **Live voxels.** A maximum's DFS would walk its whole descending
 //! manifold, although only the voxels whose paths reach a critical
 //! 2-cell can emit anything. `LiveVoxels` marks exactly those, in a
@@ -44,40 +51,62 @@
 
 use crate::gradient::{GradientField, CRITICAL, DIR_MASK, PAIRED, TAIL};
 use crate::kernel::Kernel;
-use msp_grid::RCoord;
+use msp_grid::{RCoord, RefinedDims};
 
-/// One traced arc: from a critical `upper` cell of index `d` down to a
-/// critical `lower` cell of index `d − 1`, with the full V-path as its
-/// geometric embedding (`geom[0] == upper`, `geom.last() == lower`).
-/// A borrowed view into an [`ArcStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TracedArc<'a> {
+/// One traced arc decoded back to its cells ([`ArcStore::get`]): from a
+/// critical `upper` cell of index `d` down to a critical `lower` cell of
+/// index `d − 1`, with the full V-path as its geometric embedding
+/// (`geom[0] == upper`, `geom.last() == lower`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TracedArc {
     pub upper: RCoord,
     pub lower: RCoord,
-    pub geom: &'a [RCoord],
+    pub geom: Vec<RCoord>,
 }
 
+/// One traced arc's record in an [`ArcStore`]: its two ends and its
+/// window of the store's leaf bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ArcRec {
-    upper: RCoord,
-    lower: RCoord,
-    start: u32,
-    len: u32,
+pub struct ArcRec {
+    /// Position of the upper critical cell in the critical list the
+    /// trace ran over.
+    pub upper: u32,
+    /// Cells on the path, both ends included.
+    pub len: u32,
+    /// Start of the arc's leaf bytes in the store's arena.
+    pub offset: u32,
+    /// Address of the lower critical cell.
+    pub lower: u64,
 }
 
-/// Arena-backed storage for traced arcs: all path geometry lives in one
-/// shared `Vec<RCoord>`, each arc holding only a `(start, len)` window.
-/// A noise block traces tens of thousands of short paths; storing each as
-/// its own `Vec` made allocation the dominant cost of the trace phase.
+impl ArcRec {
+    /// The leaf bytes the arc takes: its 8-byte start address and one
+    /// step code per later cell.
+    pub fn bytes(&self) -> u32 {
+        self.len + 7
+    }
+}
+
+/// Traced arcs as the leaf bytes an `MsComplex` holds, back to back in
+/// emission order in one byte arena: each arc is its upper cell's
+/// address (8 bytes, little-endian) and one step code per later cell,
+/// `2·axis + (step > 0)`. [`ArcStore::get`] decodes an arc back to its
+/// cells.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArcStore {
+    /// The refined grid the addresses lie on.
+    refined: RefinedDims,
     recs: Vec<ArcRec>,
-    geom: Vec<RCoord>,
+    steps: Vec<u8>,
 }
 
 impl ArcStore {
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty store whose addresses lie on `refined`.
+    pub fn new(refined: RefinedDims) -> Self {
+        ArcStore {
+            refined,
+            ..Self::default()
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -88,48 +117,82 @@ impl ArcStore {
         self.recs.is_empty()
     }
 
-    /// The arc at index `i` as a borrowed view.
-    pub fn get(&self, i: usize) -> TracedArc<'_> {
+    /// The arc at index `i`, decoded to its cells.
+    pub fn get(&self, i: usize) -> TracedArc {
         let r = self.recs[i];
+        let leaf = &self.steps[r.offset as usize..][..r.bytes() as usize];
+        let (start, codes) = leaf
+            .split_first_chunk::<8>()
+            .expect("a leaf starts with its address");
+        let mut geom = Vec::with_capacity(r.len as usize);
+        let mut cell = RCoord::from_address(u64::from_le_bytes(*start), &self.refined);
+        geom.push(cell);
+        for &code in codes {
+            cell = step(cell, code);
+            geom.push(cell);
+        }
         TracedArc {
-            upper: r.upper,
-            lower: r.lower,
-            geom: &self.geom[r.start as usize..(r.start + r.len) as usize],
+            upper: geom[0],
+            lower: RCoord::from_address(r.lower, &self.refined),
+            geom,
         }
     }
 
-    /// Iterate arcs in emission order.
-    pub fn iter(&self) -> impl Iterator<Item = TracedArc<'_>> {
+    /// Iterate arcs in emission order, each decoded to its cells.
+    pub fn iter(&self) -> impl Iterator<Item = TracedArc> + '_ {
         (0..self.recs.len()).map(move |i| self.get(i))
     }
 
-    /// Append one arc, copying `path` into the arena.
-    pub fn push(&mut self, upper: RCoord, lower: RCoord, path: &[RCoord]) {
-        let start = u32::try_from(self.geom.len()).expect("arc arena exceeds u32 addressing");
-        self.geom.extend_from_slice(path);
+    /// The records, in emission order, and the leaf bytes they index.
+    pub fn into_parts(self) -> (Vec<ArcRec>, Vec<u8>) {
+        (self.recs, self.steps)
+    }
+
+    /// Append one arc: the leaf from address `start` along `codes`.
+    fn push(&mut self, upper: u32, start: u64, lower: u64, codes: &[u8]) {
+        let offset = self.steps.len() as u32;
+        self.steps.extend_from_slice(&start.to_le_bytes());
+        self.steps.extend_from_slice(codes);
+        u32::try_from(self.steps.len()).expect("leaf bytes exceed u32 addressing");
         self.recs.push(ArcRec {
             upper,
+            len: codes.len() as u32 + 1,
+            offset,
             lower,
-            start,
-            len: path.len() as u32,
         });
     }
 
     /// Concatenate another store onto this one, preserving both emission
-    /// orders: `other`'s arcs follow this store's, with their arena
+    /// orders: `other`'s arcs follow this store's, with their leaf byte
     /// windows shifted past this arena. Appending per-chunk stores in
     /// chunk order therefore reproduces exactly the store a single
     /// serial trace over the concatenated input would have built.
-    pub fn append(&mut self, mut other: ArcStore) {
-        let shift = u32::try_from(self.geom.len() + other.geom.len())
-            .map(|_| self.geom.len() as u32)
-            .expect("arc arena exceeds u32 addressing");
-        self.geom.append(&mut other.geom);
+    fn append(&mut self, mut other: ArcStore) {
+        debug_assert_eq!(self.refined, other.refined);
+        let shift = self.steps.len() as u32;
+        u32::try_from(self.steps.len() + other.steps.len())
+            .expect("leaf bytes exceed u32 addressing");
+        self.steps.append(&mut other.steps);
         self.recs.extend(other.recs.into_iter().map(|mut r| {
-            r.start += shift;
+            r.offset += shift;
             r
         }));
     }
+}
+
+/// The cell one step code away from `c`: code `2·axis + (step > 0)`,
+/// the gradient byte's direction code and a leaf's step code alike. A
+/// step below 0 wraps, off every box.
+#[inline]
+fn step(c: RCoord, code: u8) -> RCoord {
+    let axis = (code >> 1) as usize;
+    let v = c.get(axis);
+    let to = if code & 1 == 1 {
+        v + 1
+    } else {
+        v.wrapping_sub(1)
+    };
+    c.with(axis, to)
 }
 
 /// Safety limits for tracing (pathological fields can have very many
@@ -158,9 +221,10 @@ pub struct TraceStats {
 
 /// Trace every descending V-path from every critical cell of positive
 /// index, returning all arcs of the block's MS complex 1-skeleton.
-/// Serial.
+/// Serial. Addresses lie on the smallest refined grid holding the
+/// gradient's box; [`trace_arcs_from`] takes the domain's.
 pub fn trace_all_arcs(grad: &GradientField, limits: TraceLimits) -> (ArcStore, TraceStats) {
-    trace_arcs_from(grad, grad.critical_cells(), limits, 1)
+    trace_all_arcs_kernel(grad, limits, 1, Kernel::default())
 }
 
 /// [`trace_all_arcs`] on `threads` workers: the address-ordered critical
@@ -173,51 +237,57 @@ pub fn trace_all_arcs_kernel(
     threads: usize,
     _kernel: Kernel,
 ) -> (ArcStore, TraceStats) {
-    trace_arcs_from(grad, grad.critical_cells(), limits, threads)
+    let hi = grad.bbox().hi;
+    let refined = RefinedDims {
+        rx: u64::from(hi.x) + 1,
+        ry: u64::from(hi.y) + 1,
+        rz: u64::from(hi.z) + 1,
+    };
+    trace_arcs_from(grad, &grad.critical_cells(), refined, limits, threads)
 }
 
 /// [`trace_all_arcs_kernel`] for a caller that already holds
 /// `grad.critical_cells()` (the complex builder adds them as nodes
-/// first): `critical` must be that list, in address order. Taken by
-/// value so the list's buffer becomes the tracer's work list.
+/// first): `critical` must be that list, in address order, and each
+/// arc's `upper` is its upper cell's position there. Addresses lie on
+/// `refined`, the dataset's refined grid.
 pub fn trace_arcs_from(
     grad: &GradientField,
-    critical: Vec<RCoord>,
+    critical: &[RCoord],
+    refined: RefinedDims,
     limits: TraceLimits,
     threads: usize,
 ) -> (ArcStore, TraceStats) {
-    let mut arcs = ArcStore::new();
-    let mut stats = TraceStats::default();
-    let crits: Vec<RCoord> = critical.into_iter().filter(|c| c.cell_dim() >= 1).collect();
-    let workers = threads.min(crits.len()).max(1);
-    let live = crits
+    let workers = threads.min(critical.len()).max(1);
+    let live = critical
         .iter()
         .any(|c| c.cell_dim() == 3)
-        .then(|| LiveVoxels::of(grad, &crits));
+        .then(|| LiveVoxels::of(grad, critical));
     let live = live.as_ref();
-    if workers <= 1 {
-        let mut tracer = FlatTracer::new(grad, live);
-        for &c in &crits {
-            tracer.trace_from(grad, c, limits, &mut arcs, &mut stats);
-        }
-    } else {
-        let chunk = crits.len().div_ceil(workers);
-        let chunks: Vec<&[RCoord]> = crits.chunks(chunk).collect();
-        let parts = msp_grid::par::par_map(workers, &chunks, |_, ch| {
-            let mut a = ArcStore::new();
-            let mut s = TraceStats::default();
-            let mut tracer = FlatTracer::new(grad, live);
-            for &c in ch.iter() {
-                tracer.trace_from(grad, c, limits, &mut a, &mut s);
+    let trace_chunk = |base: usize, chunk: &[RCoord]| {
+        let mut arcs = ArcStore::new(refined);
+        let mut stats = TraceStats::default();
+        let mut tracer = FlatTracer::new(grad, refined, live);
+        for (i, &c) in chunk.iter().enumerate() {
+            if c.cell_dim() >= 1 {
+                tracer.trace_from(grad, (base + i) as u32, c, limits, &mut arcs, &mut stats);
             }
-            (a, s)
-        });
-        for (a, s) in parts {
-            arcs.append(a);
-            stats.arcs += s.arcs;
-            stats.truncated_nodes += s.truncated_nodes;
-            stats.path_cells_total += s.path_cells_total;
         }
+        (arcs, stats)
+    };
+    if workers <= 1 {
+        return trace_chunk(0, critical);
+    }
+    let chunk = critical.len().div_ceil(workers);
+    let chunks: Vec<&[RCoord]> = critical.chunks(chunk).collect();
+    let mut parts =
+        msp_grid::par::par_map(workers, &chunks, |k, ch| trace_chunk(k * chunk, ch)).into_iter();
+    let (mut arcs, mut stats) = parts.next().expect("at least one chunk");
+    for (a, s) in parts {
+        arcs.append(a);
+        stats.arcs += s.arcs;
+        stats.truncated_nodes += s.truncated_nodes;
+        stats.path_cells_total += s.path_cells_total;
     }
     (arcs, stats)
 }
@@ -275,15 +345,7 @@ impl LiveVoxels {
             }
             // a voxel is always the head: the code points at its quad,
             // and the quad's other voxel is one more step that way
-            let code = b & DIR_MASK;
-            let axis = (code >> 1) as usize;
-            let c = v.get(axis);
-            let up = if code & 1 == 1 {
-                c + 2
-            } else {
-                c.wrapping_sub(2)
-            };
-            v = v.with(axis, up);
+            v = step(step(v, b & DIR_MASK), b & DIR_MASK);
             if !grad.bbox().contains(v) {
                 return; // the quad lies on the box face
             }
@@ -305,32 +367,37 @@ impl LiveVoxels {
 
 /// Reusable scratch of the flat tracer: the DFS stack and path prefix
 /// are cleared — capacity kept — between critical cells, so a whole
-/// chunk traces with zero allocations after warm-up. Frames carry each
-/// cell's linear byte index alongside its coordinate: facet neighbors
-/// are `± stride` hops, and the per-step state test is a single byte
-/// read instead of three strided index computations. With `live` set,
-/// a maximum's DFS expands only live voxels; without, it is the plain
-/// DFS.
+/// chunk traces with zero allocations after warm-up beyond the store's
+/// own. Frames carry each cell's linear byte index and the step code
+/// that reaches it alongside its coordinate: facet neighbors are
+/// `± stride` hops, the per-step state test is a single byte read, and
+/// the path prefix is already the step codes a leaf stores. With `live`
+/// set, a maximum's DFS expands only live voxels; without, it is the
+/// plain DFS.
 struct FlatTracer<'a> {
     lo: [u32; 3],
     hi: [u32; 3],
     strides: [isize; 3],
+    refined: RefinedDims,
     live: Option<&'a LiveVoxels>,
-    path: Vec<RCoord>,
-    /// (cell, linear index, depth to truncate the path to).
-    stack: Vec<(RCoord, usize, usize)>,
+    /// Step codes of the current path, one per cell after its root.
+    path: Vec<u8>,
+    /// (cell, linear index, depth to truncate the path to, step code
+    /// onto the cell).
+    stack: Vec<(RCoord, usize, usize, u8)>,
     #[cfg(test)]
     pops: u64,
 }
 
 impl<'a> FlatTracer<'a> {
-    fn new(grad: &GradientField, live: Option<&'a LiveVoxels>) -> Self {
+    fn new(grad: &GradientField, refined: RefinedDims, live: Option<&'a LiveVoxels>) -> Self {
         let bbox = grad.bbox();
         let (sx, sxy) = grad.strides();
         FlatTracer {
             lo: [bbox.lo.x, bbox.lo.y, bbox.lo.z],
             hi: [bbox.hi.x, bbox.hi.y, bbox.hi.z],
             strides: [1, sx as isize, sxy as isize],
+            refined,
             live,
             path: Vec::new(),
             stack: Vec::new(),
@@ -352,48 +419,50 @@ impl<'a> FlatTracer<'a> {
                 continue; // no facet along an even axis
             }
             let s = self.strides[axis];
+            let code = 2 * axis as u8;
             if v > self.lo[axis] {
                 let fi = (ci as isize - s) as usize;
                 if fi != skip {
-                    self.stack.push((c.with(axis, v - 1), fi, depth));
+                    self.stack.push((c.with(axis, v - 1), fi, depth, code));
                 }
             }
             if v < self.hi[axis] {
                 let fi = (ci as isize + s) as usize;
                 if fi != skip {
-                    self.stack.push((c.with(axis, v + 1), fi, depth));
+                    self.stack.push((c.with(axis, v + 1), fi, depth, code + 1));
                 }
             }
         }
     }
 
-    /// Trace all descending paths from one critical cell by an explicit
-    /// DFS over linear indices. The path alternates (d−1)-cells and
-    /// d-cells; `path` holds the current prefix, and each frame records
-    /// the depth to truncate it to before expanding its cell.
+    /// Trace all descending paths from one critical cell, at position
+    /// `pos` of the critical list, by an explicit DFS over linear
+    /// indices. The path alternates (d−1)-cells and d-cells; `path`
+    /// holds the current prefix's step codes, and each frame records the
+    /// length to truncate it to before stepping onto its cell.
     fn trace_from(
         &mut self,
         grad: &GradientField,
+        pos: u32,
         from: RCoord,
         limits: TraceLimits,
         arcs: &mut ArcStore,
         stats: &mut TraceStats,
     ) {
         debug_assert!(from.cell_dim() >= 1);
-        let from_idx = grad.linear_index(from);
+        let start = from.address(&self.refined);
         let live = self.live.filter(|_| from.cell_dim() == 3);
         let mut emitted = 0usize;
         self.path.clear();
-        self.path.push(from);
         self.stack.clear();
-        self.push_facets(from, from_idx, 1, usize::MAX);
-        while let Some((alpha, ai, depth)) = self.stack.pop() {
+        self.push_facets(from, grad.linear_index(from), 0, usize::MAX);
+        while let Some((alpha, ai, depth, code)) = self.stack.pop() {
             #[cfg(test)]
             {
                 self.pops += 1;
             }
             self.path.truncate(depth);
-            self.path.push(alpha);
+            self.path.push(code);
             let b = grad.byte_at(ai);
             if b & CRITICAL != 0 {
                 if emitted >= limits.max_paths_per_node {
@@ -402,35 +471,29 @@ impl<'a> FlatTracer<'a> {
                 }
                 emitted += 1;
                 stats.arcs += 1;
-                stats.path_cells_total += self.path.len() as u64;
-                arcs.push(from, alpha, &self.path);
+                stats.path_cells_total += self.path.len() as u64 + 1;
+                arcs.push(pos, start, alpha.address(&self.refined), &self.path);
                 continue;
             }
             if b & PAIRED == 0 || b & TAIL == 0 {
                 continue; // head cell: flow does not continue through it
             }
-            // partner is a cofacet (TAIL), one step along the stored axis
+            // partner is a cofacet (TAIL), one step along the stored
+            // direction, whose code is the step's
             let code = b & DIR_MASK;
-            let axis = (code >> 1) as usize;
-            let (bv, bi) = if code & 1 == 1 {
-                (
-                    alpha.get(axis) + 1,
-                    (ai as isize + self.strides[axis]) as usize,
-                )
+            let beta = step(alpha, code);
+            let s = self.strides[(code >> 1) as usize];
+            let bi = if code & 1 == 1 {
+                (ai as isize + s) as usize
             } else {
-                (
-                    alpha.get(axis) - 1,
-                    (ai as isize - self.strides[axis]) as usize,
-                )
+                (ai as isize - s) as usize
             };
-            let beta = alpha.with(axis, bv);
             debug_assert_eq!(beta.cell_dim(), from.cell_dim());
             if live.is_some_and(|l| !l.contains(beta)) {
                 continue; // no critical 2-cell below beta
             }
-            self.path.push(beta);
-            let next_depth = self.path.len();
-            self.push_facets(beta, bi, next_depth, ai);
+            self.path.push(code);
+            self.push_facets(beta, bi, self.path.len(), ai);
         }
     }
 }
@@ -532,19 +595,16 @@ mod tests {
         let g = grad_of(&f);
         let (whole, _) = trace_all_arcs(&g, TraceLimits::default());
         // re-trace in two halves and append
-        let crits: Vec<RCoord> = g
-            .critical_cells()
-            .into_iter()
-            .filter(|c| c.cell_dim() >= 1)
-            .collect();
+        let crits = g.critical_cells();
         let mid = crits.len() / 2;
-        let mut parts = ArcStore::new();
+        let mut parts = ArcStore::new(whole.refined);
         let mut stats = TraceStats::default();
-        for half in [&crits[..mid], &crits[mid..]] {
-            let mut a = ArcStore::new();
-            let mut tracer = FlatTracer::new(&g, None);
-            for &c in half {
-                tracer.trace_from(&g, c, TraceLimits::default(), &mut a, &mut stats);
+        for (base, half) in [(0, &crits[..mid]), (mid, &crits[mid..])] {
+            let mut a = ArcStore::new(whole.refined);
+            let mut tracer = FlatTracer::new(&g, whole.refined, None);
+            for (i, &c) in half.iter().enumerate().filter(|(_, c)| c.cell_dim() >= 1) {
+                let pos = (base + i) as u32;
+                tracer.trace_from(&g, pos, c, TraceLimits::default(), &mut a, &mut stats);
             }
             parts.append(a);
         }
@@ -552,8 +612,8 @@ mod tests {
     }
 
     /// Each node's arcs in emission order (a node's arcs are contiguous).
-    fn arcs_by_node(store: &ArcStore) -> Vec<(RCoord, Vec<TracedArc<'_>>)> {
-        let mut nodes: Vec<(RCoord, Vec<TracedArc<'_>>)> = Vec::new();
+    fn arcs_by_node(store: &ArcStore) -> Vec<(RCoord, Vec<TracedArc>)> {
+        let mut nodes: Vec<(RCoord, Vec<TracedArc>)> = Vec::new();
         for a in store.iter() {
             match nodes.last_mut() {
                 Some((u, arcs)) if *u == a.upper => arcs.push(a),
@@ -590,10 +650,14 @@ mod tests {
     /// Trace every critical cell of `g` with one tracer; also returns
     /// the DFS frames it popped.
     fn trace_counting(g: &GradientField, live: Option<&LiveVoxels>) -> (ArcStore, TraceStats, u64) {
-        let mut tracer = FlatTracer::new(g, live);
-        let (mut arcs, mut stats) = (ArcStore::new(), TraceStats::default());
-        for c in g.critical_cells().into_iter().filter(|c| c.cell_dim() >= 1) {
-            tracer.trace_from(g, c, TraceLimits::default(), &mut arcs, &mut stats);
+        let (whole, _) = trace_all_arcs(g, TraceLimits::default());
+        let mut tracer = FlatTracer::new(g, whole.refined, live);
+        let (mut arcs, mut stats) = (ArcStore::new(whole.refined), TraceStats::default());
+        for (i, c) in g.critical_cells().into_iter().enumerate() {
+            if c.cell_dim() >= 1 {
+                let limits = TraceLimits::default();
+                tracer.trace_from(g, i as u32, c, limits, &mut arcs, &mut stats);
+            }
         }
         (arcs, stats, tracer.pops)
     }

@@ -37,21 +37,22 @@ fn fnv1a_gradient(field: &ScalarField, decomp: &Decomposition) -> u64 {
     h.0
 }
 
-/// One block's arc store and trace counters into `h`: every record in
-/// emission order (upper and lower cell, path length), then the geometry
-/// arena, which holds the paths back to back in that same order.
+/// One block's arc store and trace counters into `h`: every arc in
+/// emission order (upper and lower cell, path length), then every path's
+/// cells in that same order, decoded from the store's leaf bytes.
 fn hash_store(h: &mut Fnv, store: &ArcStore, stats: &TraceStats) {
     let cell = |h: &mut Fnv, c: &RCoord| {
         for v in [c.x, c.y, c.z] {
             h.u64(v as u64);
         }
     };
-    for a in store.iter() {
+    let arcs: Vec<_> = store.iter().collect();
+    for a in &arcs {
         cell(h, &a.upper);
         cell(h, &a.lower);
         h.u64(a.geom.len() as u64);
     }
-    for c in store.iter().flat_map(|a| a.geom.iter()) {
+    for c in arcs.iter().flat_map(|a| &a.geom) {
         cell(h, c);
     }
     h.u64(stats.arcs);
@@ -112,8 +113,8 @@ fn gradient_bytes_are_pinned() {
 /// The arc stores the tracer emits from those gradients, in emission
 /// order, on the same fields and decompositions, plus one run cut short
 /// by `max_paths_per_node`. `msp-oracle`'s `reference_arcs` checks the
-/// arcs as a multiset; these constants also hold the order, the arena
-/// layout and the truncation point, which that check cannot see. They
+/// arcs as a multiset; these constants also hold the order, each path
+/// cell by cell and the truncation point, which that check cannot see. They
 /// change only if the trace order or the truncation rule is changed on
 /// purpose.
 #[test]

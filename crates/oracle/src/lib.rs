@@ -46,7 +46,8 @@ pub use invariant::{
 };
 pub use mutate::drop_pairing;
 pub use reference::{
-    arcs_of_store, diff_arcs, diff_gradient, reference_arcs, reference_gradient, RefArc,
+    arcs_of_complex, arcs_of_store, diff_arcs, diff_gradient, reference_arcs, reference_gradient,
+    RefArc,
 };
 pub use segcheck::{
     check_segmentation_block, check_segmentation_tables, diff_segmentation, reference_segmentation,

@@ -25,6 +25,7 @@
 //! never has unassigned facets, and the production critical step always
 //! coincides with this rule.
 
+use msp_complex::MsComplex;
 use msp_grid::decomp::{Decomposition, OwnerSet};
 use msp_grid::dims::RefinedDims;
 use msp_grid::field::{BlockField, CellKey};
@@ -202,6 +203,25 @@ pub fn arcs_of_store(store: &ArcStore, refined: &RefinedDims) -> Vec<RefArc> {
             upper: a.upper.address(refined),
             lower: a.lower.address(refined),
             geom: a.geom.iter().map(|c| c.address(refined)).collect(),
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// The living arcs of a built complex in the same canonical form as
+/// [`reference_arcs`]: each arc's end addresses and its flattened
+/// geometry. On a freshly built block complex every arc is a traced
+/// leaf, so this referees the leaf bytes the complex adopted.
+pub fn arcs_of_complex(ms: &MsComplex) -> Vec<RefArc> {
+    let mut out: Vec<RefArc> = ms
+        .arcs
+        .iter()
+        .filter(|a| a.alive)
+        .map(|a| RefArc {
+            upper: ms.nodes[a.upper as usize].addr,
+            lower: ms.nodes[a.lower as usize].addr,
+            geom: ms.flatten_geom(a.geom),
         })
         .collect();
     out.sort();

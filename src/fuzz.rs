@@ -9,9 +9,12 @@
 //! One case runs four comparisons:
 //!
 //! 1. **Per-block differential** — the production gradient
-//!    (`assign_gradient`, serial and 2-thread slab-parallel), traced
-//!    arcs, and raw segmentation labels (`label_block`) against the
-//!    reference implementations, byte for byte / address by address.
+//!    (`assign_gradient`, serial and 2-thread slab-parallel), the arcs
+//!    of the block complex the pipeline builds from it
+//!    (`complex_from_gradient_mt` at 1 and 2 threads: end addresses and
+//!    flattened leaf geometry), and raw segmentation labels
+//!    (`label_block`) against the reference implementations, byte for
+//!    byte / address by address.
 //! 2. **Pipeline run at the case's configuration** (ranks, threads,
 //!    decomposition, merge schedule, injected fault) with the invariant
 //!    checker and segmentation on: every `check_*` telemetry counter
@@ -37,7 +40,8 @@
 //! smaller case still fails, then dump as a replayable `.case` file.
 
 use msp_complex::{
-    simplify_with, wire as cwire, CancelOrder, CancelRecord, SimplifyParams, SimplifyStats,
+    complex_from_gradient_mt, simplify_with, wire as cwire, CancelOrder, CancelRecord,
+    SimplifyParams, SimplifyStats,
 };
 use msp_core::{
     msh_output_path, run_parallel, seg_output_path, FaultConfig, Input, PipelineParams, RunResult,
@@ -45,9 +49,9 @@ use msp_core::{
 use msp_fault::FaultPlan;
 use msp_grid::{ScalarField, SplitMix64};
 use msp_hierarchy::{compress_forwards, region_sizes, remap_tables, Materialized, Ordering};
-use msp_morse::{assign_gradient, assign_gradient_par, trace_all_arcs};
+use msp_morse::{assign_gradient, assign_gradient_par};
 use msp_oracle::reference::{
-    arcs_of_store, diff_arcs, diff_gradient, reference_arcs, reference_gradient,
+    arcs_of_complex, diff_arcs, diff_gradient, reference_arcs, reference_gradient,
 };
 use msp_oracle::segcheck::{diff_segmentation, reference_segmentation};
 use msp_oracle::{case::parse_fault, check_complex, check_glue_idempotent, Case, CheckOptions};
@@ -164,12 +168,18 @@ fn run_case_inner(case: &Case, dir: &Path) -> Result<(), String> {
                 b.id
             ));
         }
-        let (store, _) = trace_all_arcs(&got, Default::default());
+        // the arcs the pipeline builds, leaf bytes included, serial and
+        // on two trace workers
         let refined = field.dims().refined();
-        let got_arcs = arcs_of_store(&store, &refined);
         let want_arcs = reference_arcs(&want, &refined);
-        if let Some(d) = diff_arcs(&got_arcs, &want_arcs) {
-            return Err(format!("block {}: arcs differ from reference: {d}", b.id));
+        for threads in [1, 2] {
+            let (ms, _) = complex_from_gradient_mt(&bf, decomp, &got, Default::default(), threads);
+            if let Some(d) = diff_arcs(&arcs_of_complex(&ms), &want_arcs) {
+                return Err(format!(
+                    "block {}: built arcs ({threads} thread(s)) differ from reference: {d}",
+                    b.id
+                ));
+            }
         }
         // raw (pre-resolution) segmentation labels against the naive
         // step-at-a-time reference walk, as global addresses
