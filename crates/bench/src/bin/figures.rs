@@ -671,6 +671,7 @@ fn fault_sweep(scale: Scale, out: &mut Out) {
         let params = PipelineParams {
             fault: FaultConfig {
                 plan,
+                // the rate-0 row checkpoints with no plan
                 checkpoint: true,
                 deadline,
             },
@@ -707,7 +708,6 @@ fn fault_sweep(scale: Scale, out: &mut Out) {
             counter("crashes"),
             counter("retries"),
             counter("rounds_replayed"),
-            counter("blocks_absorbed"),
             counter("checkpoint_bytes"),
             counter("recovery_ms"),
             ("bit_identical", Json::Bool(identical)),

@@ -31,16 +31,18 @@ use msp_vmpi::{Rank, Universe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Fault-tolerance configuration of a run.
+/// Fault-tolerance configuration of a run. A plan always checkpoints, so
+/// recovery gives the fault-free bytes.
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Faults to inject: crashes, panics, and drops and delays of merge
     /// ships, all decided by the stage list and met the same way on both
     /// machines; slow ranks on the simulator only. `None` injects
-    /// nothing.
+    /// nothing. A plan that does not fit the run ([`FaultPlan::check`])
+    /// is a [`PipelineError::Config`].
     pub plan: Option<FaultPlan>,
     /// Checkpoint every rank's state at each merge-round boundary and
-    /// before the write, enabling exact recovery.
+    /// before the write even with no plan; a plan implies it.
     pub checkpoint: bool,
     /// How long a root waits for a group member's merge message before
     /// declaring it dead and replaying it (on the simulator: the modeled
@@ -60,18 +62,16 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Inject `plan` with checkpointing on — the standard resilient
-    /// configuration.
+    /// Inject `plan`, with the default deadline.
     pub fn with_plan(plan: FaultPlan) -> Self {
         FaultConfig {
             plan: Some(plan),
-            checkpoint: true,
             ..Default::default()
         }
     }
 
     /// Is any fault machinery (injection, checkpointing, deadlines)
-    /// engaged?
+    /// engaged? A plan engages all of it.
     pub fn active(&self) -> bool {
         self.checkpoint || self.plan.is_some()
     }
@@ -102,8 +102,8 @@ pub enum PipelineError {
         context: String,
         source: CheckpointError,
     },
-    /// A complex that must exist at this stage is gone and no fault
-    /// config explains the loss.
+    /// A complex, or the checkpoint that would restore it, is not where
+    /// the merge schedule puts it.
     MissingComplex { slot: u32, context: &'static str },
     /// A glue stage rejected its inputs (dead or mismatched incoming
     /// complexes).

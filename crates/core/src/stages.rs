@@ -42,9 +42,10 @@
 //!
 //! Every merge-round boundary is a consistent cut: all messages of round
 //! *k* are matched before anyone enters round *k + 1*. With a
-//! [`FaultConfig`](crate::FaultConfig) active, each rank saves a
-//! checkpoint of its living complexes at every cut (and once more
-//! before the write), each cut one `checkpoint` span. The slots are
+//! [`FaultConfig`](crate::FaultConfig) active (a fault plan, or
+//! checkpointing asked for without one), each rank saves a checkpoint of
+//! its living complexes at every cut (and once more before the write),
+//! each cut one `checkpoint` span. The slots are
 //! serialized once, at the cut: the same bytes go into the checkpoint,
 //! out with the round's ship to another rank and, at the pre-write cut,
 //! into the output file; a member handed to a root on its own rank drops
@@ -56,10 +57,9 @@
 //! own roots included, since a crashed rank hands nothing over — and a
 //! root whose ship was lost or came too late detect it by receive
 //! deadline and glue the member from its slot's bytes in the sender's
-//! checkpoint — bit-identical to the fault-free run. Without a
-//! checkpoint the run degrades instead of dying: the root absorbs the
-//! orphaned slot, and the rank that loses a complex counts its blocks
-//! once (`blocks_absorbed`).
+//! checkpoint — bit-identical to the fault-free run. A plan always
+//! checkpoints, so nothing is ever lost for good: a slot missing where
+//! the schedule puts it is a [`PipelineError::MissingComplex`].
 
 use crate::pipeline::{
     comm_err, io_err, msh_output_path, seg_output_path, PipelineError, PipelineParams,
@@ -192,14 +192,17 @@ pub(crate) struct Job<'a> {
     pub sched: MergeSchedule,
     assign: Assignment,
     costs: Option<Vec<u64>>,
-    /// Stable storage stand-in, populated only when checkpointing.
+    /// Stable storage stand-in, populated only when a fault config is
+    /// active.
     store: CheckpointStore,
 }
 
 impl<'a> Job<'a> {
     /// Lay the run out — decomposition, per-block costs, merge schedule
     /// and block-to-rank assignment — with [`Layout::new`], which refuses
-    /// an invalid configuration.
+    /// an invalid configuration, as
+    /// [`FaultPlan::check`](msp_fault::FaultPlan::check) refuses a fault
+    /// plan that does not fit the layout.
     /// Irregular modes balance blocks by LPT (longest processing time
     /// first) over the cost estimates; the adaptive splitter needs the
     /// whole field once, up front.
@@ -226,6 +229,10 @@ impl<'a> Job<'a> {
             sched,
             assign,
         } = Layout::new(dims, decomp, plan, n_ranks, n_blocks, weights)?;
+        if let Some(faults) = &params.fault.plan {
+            let rounds = sched.n_rounds() as u32;
+            (faults.check(n_ranks as usize, rounds)).map_err(PipelineError::Config)?;
+        }
         let store = CheckpointStore::new();
         Ok(Job {
             src,
@@ -274,15 +281,6 @@ impl<'a> Job<'a> {
         })
     }
 
-    /// Is root slot `root` gone by round `r`: did its rank crash at a cut
-    /// up to round `r`'s with no checkpoint to restore it?
-    fn lost_root(&self, root: u32, r: usize) -> bool {
-        let (fault, p) = (&self.params.fault, self.assign.rank_of(root) as usize);
-        let crashed =
-            |plan: &msp_fault::FaultPlan| (1..=r as u32 + 1).any(|k| plan.should_crash(p, k));
-        !fault.checkpoint && fault.plan.as_ref().is_some_and(crashed)
-    }
-
     fn outputs_of(&self, p: u32) -> impl Iterator<Item = u32> + '_ {
         let assign = &self.assign;
         let outputs = self.sched.outputs.iter().copied();
@@ -313,9 +311,6 @@ struct RankState {
     /// This round's members whose root is on this rank: the live
     /// complexes `glue_groups` takes in place of a message.
     handoff: HashMap<u32, MsComplex>,
-    /// Slots a crash destroyed that no checkpoint restored (degraded
-    /// mode): later rounds ship nothing for them.
-    lost: Vec<u32>,
     /// Cross-rank merge ships so far, per destination rank: the
     /// ordinals a plan's drops and delays name.
     ships: HashMap<u32, u64>,
@@ -538,12 +533,12 @@ impl<M: Machine> Run<'_, M> {
     }
 
     /// Snapshot every living complex into the checkpoint store at merge
-    /// cursor `cursor` (when checkpointing is on), serializing each slot
+    /// cursor `cursor` (when a fault config is active), serializing each slot
     /// once, tombstones and all: its bytes stay in `cut` for the remote
     /// ship or write that follows. One `checkpoint` span per cut.
     fn checkpoint(&mut self, cursor: u32) {
         let (job, threshold) = (self.job, self.sp.threshold);
-        if !job.params.fault.checkpoint {
+        if !job.params.fault.active() {
             return;
         }
         self.m.begin(Phase::Checkpoint);
@@ -568,15 +563,12 @@ impl<M: Machine> Run<'_, M> {
         let (job, cursor) = (self.job, self.job.sched.rounds.len() as u32);
         (self.m.barrier()).map_err(comm_err("barrier at the pre-write cut"))?;
         self.checkpoint(cursor);
+        // nothing ships between here and the write: a full restore
         all(self.m.each(&mut self.st, |node, s| {
             if !job.should_crash(s.p, cursor + 1) {
                 return Ok(());
             }
-            node.add(Counter::Crashes, 1);
-            destroy(node, job, s);
-            s.cut.clear();
-            // nothing ships between here and the write: a full restore
-            restore(node, job, s, cursor, &[])
+            crash(node, job, s, cursor, |_| false)
         }))
         .map(drop)
     }
@@ -800,11 +792,8 @@ impl<M: Machine> Run<'_, M> {
         };
         all(self.m.each(&mut self.st, |node, s| {
             for slot in job.outputs_of(s.p) {
-                // a slot lost to an unrecoverable crash has no
-                // hierarchy; the write stage accounts the loss
-                let Some(ms) = s.complexes.get_mut(&slot) else {
-                    continue;
-                };
+                let ms = s.complexes.get_mut(&slot);
+                let ms = ms.ok_or(missing(slot, "hierarchy recording"))?;
                 // the logs name the node ids of the complex the write
                 // stores, which is the compaction
                 ms.compact();
@@ -847,7 +836,6 @@ impl<M: Machine> Run<'_, M> {
     fn write(&mut self, output: Option<&Path>) -> Res<RankOut> {
         let job = self.job;
         self.m.begin(Phase::Write);
-        let fault_active = job.params.fault.active();
         // Each output is serialized once, path or no path (the lengths
         // are the run's `output_bytes`), or not at all after a pre-write
         // cut, whose bytes it still has. The complex itself is handed
@@ -856,15 +844,8 @@ impl<M: Machine> Run<'_, M> {
         let outputs = all(self.m.each(&mut self.st, |_, s| {
             let (mut outs, mut blocks) = (Vec::new(), Vec::new());
             for slot in job.outputs_of(s.p) {
-                let Some(mut c) = s.complexes.remove(&slot) else {
-                    // Degraded: the slot died with a rank that had no
-                    // checkpoint; the run completes without it.
-                    if fault_active {
-                        continue;
-                    }
-                    let context = "output collection";
-                    return Err(PipelineError::MissingComplex { slot, context });
-                };
+                let c = s.complexes.remove(&slot);
+                let mut c = c.ok_or(missing(slot, "output collection"))?;
                 let bytes = s.cut.remove(&slot);
                 blocks.push((slot, bytes.unwrap_or_else(|| wire::serialize(&c))));
                 c.hierarchy = Vec::new();
@@ -1045,42 +1026,23 @@ fn simplify(
 /// The send half of round `r`. A member whose root is on another rank
 /// ships as the bytes of the cut when there was one, else serialized with
 /// its tombstones, and meets the fate the plan gives its ship; one whose
-/// root is on this rank is handed over live. An injected crash destroys
-/// the rank's state at the cut: it ships and hands over nothing, and
-/// restores from its own checkpoint all but the slots whose custody
-/// passed to their roots. Without a checkpoint the rest is lost, and
-/// ships nothing in later rounds either: their roots absorb them as they
-/// absorb this round's members. A member whose root is lost that way
-/// is lost with it, here.
+/// root is on this rank is handed over live. A rank that crashes at the
+/// cut ships and hands over nothing.
 fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
-    let crashed = job.should_crash(s.p, r as u32 + 1);
+    let groups = &job.sched.rounds[r].groups;
+    if job.should_crash(s.p, r as u32 + 1) {
+        let member = |slot: &u32| groups.iter().any(|(_, m)| m[1..].contains(slot));
+        return crash(node, job, s, r as u32, member);
+    }
     // the slots left after the ship are this round's to change
     let mut cut = std::mem::take(&mut s.cut);
-    let mut held = Vec::new();
-    if crashed {
-        node.add(Counter::Crashes, 1);
-        held = destroy(node, job, s);
-    }
-    let mut shipped = Vec::new();
-    for (root, members) in &job.sched.rounds[r].groups {
+    for (root, members) in groups {
         let to = job.assign.rank_of(*root);
         for &mb in members[1..]
             .iter()
             .filter(|&&mb| job.assign.rank_of(mb) == s.p)
         {
-            shipped.push(mb);
-            if crashed || s.lost.contains(&mb) {
-                continue;
-            }
-            let missing = PipelineError::MissingComplex {
-                slot: mb,
-                context: "merge send",
-            };
-            let ms = s.complexes.remove(&mb).ok_or(missing)?;
-            if job.lost_root(*root, r) {
-                node.add(Counter::BlocksAbsorbed, ms.member_blocks.len() as u64);
-                continue;
-            }
+            let ms = s.complexes.remove(&mb).ok_or(missing(mb, "merge send"))?;
             if to == s.p {
                 s.handoff.insert(mb, ms);
                 continue;
@@ -1095,56 +1057,52 @@ fn ship<N: Node>(node: &mut N, job: &Job, s: &mut RankState, r: usize) -> Res {
             let nth = s.ships.entry(to).or_default();
             *nth += 1;
             let fate = job.fate(s.p, to, *nth);
-            if fate == SendFate::Drop && !job.params.fault.checkpoint {
-                // nothing will replay it: its blocks are lost in flight
-                node.add(Counter::BlocksAbsorbed, ms.member_blocks.len() as u64);
-            }
             (node.send(to, (r as u32) << 20 | mb, payload, fate))
                 .map_err(comm_err(format!("shipping slot {mb} in round {r}")))?;
         }
     }
-    if crashed {
-        restore(node, job, s, r as u32, &shipped)?;
-        let lost = held.into_iter().filter(|b| !shipped.contains(b));
-        s.lost.extend(lost.filter(|b| !s.complexes.contains_key(b)));
-    }
     Ok(())
 }
 
-/// A crash at a cut: every complex of the rank is gone, and with no
-/// checkpoint to restore them their blocks are lost here. The slots it
-/// held come back.
-fn destroy<N: Node>(node: &mut N, job: &Job, s: &mut RankState) -> Vec<u32> {
-    let destroyed = std::mem::take(&mut s.complexes);
-    if !job.params.fault.checkpoint {
-        let blocks = destroyed.values().map(|c| c.member_blocks.len() as u64);
-        node.add(Counter::BlocksAbsorbed, blocks.sum());
-    }
-    destroyed.into_keys().collect()
-}
-
-/// Reload this rank's own checkpoint at `cursor`, decoding all but the
-/// slots in `skip`. Without a checkpoint its blocks stay lost (degraded
-/// mode).
-fn restore<N: Node>(node: &mut N, job: &Job, s: &mut RankState, cursor: u32, skip: &[u32]) -> Res {
+/// An injected crash at cut `cursor`: every complex of the rank is gone,
+/// and it reloads from its own checkpoint all but the slots `handed` to
+/// their roots this round, each of which must be there.
+fn crash<N: Node>(
+    node: &mut N,
+    job: &Job,
+    s: &mut RankState,
+    cursor: u32,
+    handed: impl Fn(&u32) -> bool,
+) -> Res {
+    node.add(Counter::Crashes, 1);
+    s.cut.clear();
+    let held = std::mem::take(&mut s.complexes).into_keys();
+    let lost: Vec<u32> = held.filter(|slot| !handed(slot)).collect();
     let (kept, took) = node.recover(s.p, || match job.store.load(s.p, cursor) {
         Some(encoded) => {
             let view = CheckpointView::parse(&encoded);
-            let kept = view.and_then(|v| v.decode(|slot| !skip.contains(&slot)));
-            (Some(kept), encoded.len() as u64)
+            let kept = view.and_then(|v| v.decode(|slot| lost.contains(&slot)));
+            (kept, encoded.len() as u64)
         }
-        None => (None, 0),
+        None => (Ok(Vec::new()), 0),
     });
-    if let Some(kept) = kept {
-        let kept = kept.map_err(|source| PipelineError::Checkpoint {
-            context: format!("restoring rank {} at round cursor {cursor}", s.p),
-            source,
-        })?;
-        s.complexes.extend(kept);
-        node.add(Counter::RoundsReplayed, 1);
+    let kept = kept.map_err(|source| PipelineError::Checkpoint {
+        context: format!("restoring rank {} at round cursor {cursor}", s.p),
+        source,
+    })?;
+    s.complexes.extend(kept);
+    if let Some(&slot) = lost.iter().find(|slot| !s.complexes.contains_key(slot)) {
+        return Err(missing(slot, "checkpoint restore"));
     }
+    node.add(Counter::RoundsReplayed, 1);
     node.add(Counter::RecoveryMs, took.as_millis() as u64);
     Ok(())
+}
+
+/// The error for a slot whose complex, or the checkpoint that would
+/// restore it, is not where the merge schedule puts it.
+fn missing(slot: u32, context: &'static str) -> PipelineError {
+    PipelineError::MissingComplex { slot, context }
 }
 
 /// A member on its way into its root's glue.
@@ -1175,15 +1133,12 @@ fn glue_groups<N: Node>(
         if job.assign.rank_of(*root) != s.p {
             continue;
         }
-        if !s.complexes.contains_key(root) {
-            // Degraded: the root slot itself was lost to an
-            // unrecoverable crash, and its members with it.
-            continue;
-        }
+        let ms = s.complexes.get_mut(root);
+        let ms = ms.ok_or(missing(*root, "merge glue"))?;
         let mut incoming = Vec::with_capacity(members.len() - 1);
         for &mb in &members[1..] {
-            if let Some(ms) = s.handoff.remove(&mb) {
-                incoming.push((mb, Member::Live(Box::new(ms))));
+            if let Some(live) = s.handoff.remove(&mb) {
+                incoming.push((mb, Member::Live(Box::new(live))));
                 continue;
             }
             let owner = job.assign.rank_of(mb);
@@ -1208,12 +1163,9 @@ fn glue_groups<N: Node>(
                         context: format!("recovering slot {mb} from rank {owner} at round {r}"),
                         source,
                     })?;
-                    // with no checkpoint the member is absorbed: its blocks
-                    // were counted where they were lost
-                    if let Some(payload) = payload {
-                        node.add(Counter::RoundsReplayed, 1);
-                        incoming.push((mb, Member::Wire(payload)));
-                    }
+                    let payload = payload.ok_or(missing(mb, "checkpoint replay"))?;
+                    incoming.push((mb, Member::Wire(payload)));
+                    node.add(Counter::RoundsReplayed, 1);
                     node.add(Counter::RecoveryMs, (waited + took).as_millis() as u64);
                 }
                 Err(source) => {
@@ -1222,7 +1174,6 @@ fn glue_groups<N: Node>(
                 }
             }
         }
-        let ms = s.complexes.get_mut(root).expect("checked above");
         // every live node of a member is matched or added, and every
         // live arc added or skipped as a duplicate
         let (nodes, arcs) = node.time(Phase::Glue, || -> Res<(u64, u64)> {

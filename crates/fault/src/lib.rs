@@ -9,11 +9,11 @@
 //! consistent cut, and this crate packages the three pieces needed to
 //! exploit that:
 //!
-//! * [`plan`] — a deterministic, seedable [`FaultPlan`]: crash rank *r*
-//!   at round *k*, drop/delay the *n*-th merge ship on a link, slow a
-//!   rank by a factor. Plans parse from a compact CLI spec
-//!   (`crash:2@1;drop:0->3#7`); the stage list asks them what to do
-//!   ([`FaultPlan::fate`] for each ship).
+//! * [`plan`] — a deterministic, seedable [`FaultPlan`] (from
+//!   `msp_grid`): crash rank *r* at round *k*, drop/delay the *n*-th
+//!   merge ship on a link, slow a rank by a factor. Plans parse from a
+//!   compact CLI spec (`crash:2@1;drop:0->3#7`); the stage list asks
+//!   them what to do ([`FaultPlan::fate`] for each ship).
 //! * [`checkpoint`] — a versioned, CRC-protected [`Checkpoint`] of one
 //!   rank's state at a round boundary: merge-plan cursor, resolved
 //!   persistence threshold, and every living complex in the compact

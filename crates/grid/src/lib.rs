@@ -21,14 +21,15 @@
 //! blocks, only consider for pairing other cells also on the boundary of
 //! those same blocks").
 //!
-//! Beside it sit the merge plan (`plan`, the radix-k rounds of §IV-F)
-//! and the run layout (`layout`): decomposition mode, block-to-rank
-//! assignment and merge schedule, built and validated in one place,
-//! [`Layout::new`].
+//! Beside it sit the merge plan (`plan`, the radix-k rounds of §IV-F),
+//! the fault plan (`fault`) and the run layout (`layout`): decomposition
+//! mode, block-to-rank assignment and merge schedule, built and
+//! validated in one place, [`Layout::new`].
 
 pub mod coord;
 pub mod decomp;
 pub mod dims;
+pub mod fault;
 pub mod field;
 pub mod layout;
 pub mod offsets;
@@ -40,6 +41,7 @@ pub mod topology;
 pub use coord::{RCoord, SplitMix64};
 pub use decomp::{BlockBox, Decomposition, OwnerSet};
 pub use dims::{Dims, RefinedDims};
+pub use fault::{FaultEvent, FaultPlan, PlanParseError, SendFate};
 pub use field::{BlockField, ScalarField};
 pub use layout::{
     feature_weights, full_merge_plan, Assignment, DecompMode, Layout, LayoutError, MergeSchedule,

@@ -13,9 +13,10 @@
 //! and is what `oracle_fuzz` dumps as `.case` reproducers.
 
 use msp_grid::{
-    feature_weights, full_merge_plan, DecompMode, Dims, Layout, LayoutError, MergePlan,
-    ScalarField, SplitMix64,
+    feature_weights, full_merge_plan, DecompMode, Dims, FaultEvent, FaultPlan, Layout, LayoutError,
+    MergePlan, ScalarField, SplitMix64,
 };
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -81,6 +82,10 @@ pub const MAX_IRREGULAR_BLOCKS: u32 = 12;
 /// adaptive case's field to lay it out, so the cap bounds what parsing
 /// a `.case` file can allocate; generated cases stay below 9.
 pub const MAX_CASE_AXIS: u32 = 128;
+
+/// The merge-receive deadline of a fuzz run with a fault; a generated
+/// delay is at least twice as long, so its root replays the member.
+pub const FAULT_DEADLINE_MS: u64 = 50;
 
 /// Merge schedule, as radices only; [`Case::plan`] is its `MergePlan`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,15 +153,15 @@ pub struct Case {
     /// Record the cancellation hierarchy and check prefix-replay
     /// conformance (`--hierarchy`; implies segmentation).
     pub hierarchy: bool,
-    /// Injected fault, e.g. `crash:1@1` = rank 1 crashes before merge
-    /// round 1 (checkpointing is always enabled when a fault is set).
-    pub fault: Option<String>,
+    /// Injected faults, written in the `--faults` grammar: `crash:1@1` =
+    /// rank 1 crashes before merge round 1.
+    pub fault: Option<FaultPlan>,
 }
 
 impl Case {
     /// Internal-consistency check: a case the driver can actually run.
-    /// Its layout is the pipeline's ([`Case::layout`]), and the fault
-    /// round must fall within that layout's exact round count.
+    /// Its layout is the pipeline's ([`Case::layout`]), and its fault
+    /// plan must fit it as the pipeline checks ([`FaultPlan::check`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.dims.iter().any(|a| !(2..=MAX_CASE_AXIS).contains(a)) {
             return Err(format!(
@@ -182,21 +187,10 @@ impl Case {
             FieldKind::Bumps(0) => return Err("bumps needs >= 1 bump".into()),
             _ => {}
         }
-        let fault = self.fault.as_deref().map(parse_fault).transpose()?;
-        if let Some((r, _)) = fault {
-            if self.ranks < 2 {
-                return Err("fault injection needs >= 2 ranks".into());
-            }
-            if r == 0 || r >= self.ranks {
-                return Err(format!("fault rank {r} must be in 1..{}", self.ranks));
-            }
-        }
-        let rounds = self.exact_rounds().map_err(|e| e.to_string())?;
-        match fault {
-            Some((_, k)) if k == 0 || k > rounds => {
-                Err(format!("fault round {k} must be in 1..={rounds}"))
-            }
-            _ => Ok(()),
+        let layout = self.layout().map_err(|e| e.to_string())?;
+        match &self.fault {
+            Some(plan) => plan.check(self.ranks as usize, layout.sched.n_rounds() as u32),
+            None => Ok(()),
         }
     }
 
@@ -221,30 +215,40 @@ impl Case {
         }
     }
 
-    /// The layout the pipeline builds for this case on `field`, the
-    /// case's own field (decomposition, merge schedule, assignment), or
-    /// why it cannot run. Only an adaptive layout reads the field.
-    pub fn layout(&self, field: &ScalarField) -> Result<Layout, LayoutError> {
-        self.layout_weighed(|| feature_weights(field))
-    }
-
-    /// The merge round count of the case's layout. An adaptive layout
-    /// builds the case's field to weigh it.
-    fn exact_rounds(&self) -> Result<u32, LayoutError> {
-        let layout = self.layout_weighed(|| feature_weights(&self.field()))?;
-        Ok(layout.sched.n_rounds() as u32)
-    }
-
-    fn layout_weighed(&self, weights: impl FnOnce() -> Vec<u64>) -> Result<Layout, LayoutError> {
-        let dims = Dims::new(self.dims[0], self.dims[1], self.dims[2]);
-        let plan = self.plan();
+    /// The layout the pipeline builds for this case (decomposition,
+    /// merge schedule, assignment), or why it cannot run. Only an
+    /// adaptive layout builds the case's field, to weigh it.
+    pub fn layout(&self) -> Result<Layout, LayoutError> {
+        let (dims, plan) = (
+            Dims::new(self.dims[0], self.dims[1], self.dims[2]),
+            self.plan(),
+        );
         Layout::new(dims, self.decomp, &plan, self.ranks, self.blocks, || {
-            Ok(weights())
+            Ok(feature_weights(&self.field()))
         })
     }
 
-    /// Generate a random valid case from a PRNG, its fault fitted to
-    /// the case's exact round count.
+    /// The case's fault plan without the events its layout does not
+    /// have: a rank or cut out of range, or a drop or delay of a ship the
+    /// layout does not make (it would never fire). `None` when no event
+    /// is left.
+    pub fn fitted_fault(&self) -> Option<FaultPlan> {
+        let plan = self.fault.as_ref()?;
+        let layout = self.layout().ok()?;
+        let (ranks, rounds) = (self.ranks as usize, layout.sched.n_rounds() as u32);
+        let ships = cross_rank_ships(&layout);
+        let fits = |e: &&FaultEvent| match **e {
+            FaultEvent::DropMsg { from, to, nth } | FaultEvent::DelayMsg { from, to, nth, .. } => {
+                ships.contains(&(from, to, nth))
+            }
+            e => FaultPlan { events: vec![e] }.check(ranks, rounds).is_ok(),
+        };
+        let events: Vec<FaultEvent> = plan.events.iter().filter(fits).copied().collect();
+        (!events.is_empty()).then_some(FaultPlan { events })
+    }
+
+    /// Generate a random valid case from a PRNG; a third of them inject
+    /// one fault (`draw_fault`).
     pub fn generate(rng: &mut SplitMix64) -> Case {
         let kind = match rng.below(5) {
             0 => FieldKind::Noise,
@@ -316,22 +320,6 @@ impl Case {
         };
         let persistence = *rng.pick(&[0.0f32, 0.01, 0.05, 0.2]);
         let hierarchy = rng.below(3) == 0;
-        // the round is drawn below the radix tree's round count, or
-        // below `blocks - 1` on an irregular tree (each contraction
-        // round merges at least one slot), then clamped to the exact one
-        let rounds = match &schedule {
-            Schedule::None => 0,
-            _ if !decomp.is_uniform() => blocks - 1,
-            Schedule::Full => full_merge_plan(blocks).radices.len() as u32,
-            Schedule::Rounds(v) => v.len() as u32,
-        };
-        let fault = if ranks >= 2 && rounds >= 1 && rng.below(4) == 0 {
-            let r = 1 + rng.below((ranks - 1) as u64) as u32;
-            let k = 1 + rng.below(rounds as u64) as u32;
-            Some(format!("crash:{r}@{k}"))
-        } else {
-            None
-        };
         let mut case = Case {
             kind,
             dims,
@@ -343,20 +331,25 @@ impl Case {
             schedule,
             persistence,
             hierarchy,
-            fault,
+            fault: None,
         };
-        case.fault = clamp_fault(&case);
+        if rng.below(3) == 0 {
+            let layout = case.layout().expect("a generated case lays out");
+            case.fault = Some(draw_fault(rng, &layout, ranks));
+        }
         debug_assert!(case.validate().is_ok(), "{:?}", case.validate());
         case
     }
 
     /// Candidate one-step simplifications of this case, most aggressive
-    /// first. Each candidate is valid, its fault fitted to its layout;
-    /// the shrinker keeps a candidate if it still reproduces the failure.
+    /// first: the fault plan less one event, then smaller everything
+    /// else. Each candidate is valid, and keeps only the events its
+    /// layout still has ([`Case::fitted_fault`]); the shrinker keeps a
+    /// candidate if it still reproduces the failure.
     pub fn shrink_candidates(&self) -> Vec<Case> {
         let mut out = Vec::new();
         let mut push = |mut c: Case| {
-            c.fault = clamp_fault(&c);
+            c.fault = c.fitted_fault();
             if c != *self && c.validate().is_ok() {
                 out.push(c);
             }
@@ -372,9 +365,11 @@ impl Case {
                 };
             }
         };
-        if self.fault.is_some() {
+        for i in 0..self.fault.as_ref().map_or(0, |p| p.events.len()) {
             let mut c = self.clone();
-            c.fault = None;
+            if let Some(plan) = &mut c.fault {
+                plan.events.remove(i);
+            }
             push(c);
         }
         if self.hierarchy {
@@ -472,37 +467,46 @@ impl Case {
     }
 }
 
-/// Parse `crash:R@K` into `(R, K)`.
-pub fn parse_fault(s: &str) -> Result<(u32, u32), String> {
-    let body = s
-        .strip_prefix("crash:")
-        .ok_or_else(|| format!("unknown fault '{s}'"))?;
-    let (r, k) = body
-        .split_once('@')
-        .ok_or_else(|| format!("fault '{s}' must be crash:R@K"))?;
-    let r = r
-        .parse::<u32>()
-        .map_err(|e| format!("bad fault rank: {e}"))?;
-    let k = k
-        .parse::<u32>()
-        .map_err(|e| format!("bad fault round: {e}"))?;
-    Ok((r, k))
+/// The cross-rank merge ships `layout` makes, as the `(from, to, nth)`
+/// a drop or delay names: each link numbers its ships from 1 in round,
+/// group and member order, as the stage list sends them.
+fn cross_rank_ships(layout: &Layout) -> Vec<(usize, usize, u64)> {
+    let (mut seen, mut ships) = (HashMap::new(), Vec::new());
+    for round in &layout.sched.rounds {
+        for (root, members) in &round.groups {
+            let to = layout.assign.rank_of(*root) as usize;
+            for &mb in &members[1..] {
+                let from = layout.assign.rank_of(mb) as usize;
+                if from != to {
+                    let nth = seen.entry((from, to)).or_insert(0);
+                    *nth += 1;
+                    ships.push((from, to, *nth));
+                }
+            }
+        }
+    }
+    ships
 }
 
-/// Re-fit a fault spec to a (possibly shrunk) case: clamp its rank and
-/// its round to the merge rounds of the case's layout, or drop it if the
-/// case can no longer host one.
-pub fn clamp_fault(c: &Case) -> Option<String> {
-    let (r, k) = parse_fault(c.fault.as_deref()?).ok()?;
-    let rounds = c.exact_rounds().unwrap_or(0);
-    if c.ranks < 2 || rounds == 0 {
-        return None;
+/// One fault for a case laid out as `layout` on `ranks` ranks: a crash
+/// of any rank at any cut, the pre-write cut included, or a drop or a
+/// delay past [`FAULT_DEADLINE_MS`] of one of the layout's cross-rank
+/// ships.
+fn draw_fault(rng: &mut SplitMix64, layout: &Layout, ranks: u32) -> FaultPlan {
+    let (ships, plan) = (cross_rank_ships(layout), FaultPlan::new());
+    match if ships.is_empty() { 0 } else { rng.below(3) } {
+        0 => {
+            let cuts = layout.sched.n_rounds() as u64 + 1;
+            plan.crash(rng.below(ranks as u64) as usize, 1 + rng.below(cuts) as u32)
+        }
+        kind => {
+            let (from, to, nth) = *rng.pick(&ships);
+            match kind {
+                1 => plan.drop_msg(from, to, nth),
+                _ => plan.delay_msg(from, to, nth, FAULT_DEADLINE_MS * (2 + rng.below(3))),
+            }
+        }
     }
-    Some(format!(
-        "crash:{}@{}",
-        r.clamp(1, c.ranks - 1),
-        k.clamp(1, rounds)
-    ))
 }
 
 impl fmt::Display for Case {
@@ -527,8 +531,8 @@ impl fmt::Display for Case {
         if self.hierarchy {
             writeln!(f, "hierarchy = true")?;
         }
-        if let Some(fault) = &self.fault {
-            writeln!(f, "fault = {fault}")?;
+        if let Some(plan) = &self.fault {
+            writeln!(f, "fault = {plan}")?;
         }
         Ok(())
     }
@@ -582,10 +586,7 @@ impl FromStr for Case {
                     persistence = Some(v.parse::<f32>().map_err(|e| bad(e.to_string()))?)
                 }
                 "hierarchy" => hierarchy = v.parse::<bool>().map_err(|e| bad(e.to_string()))?,
-                "fault" => {
-                    parse_fault(v).map_err(bad)?;
-                    fault = Some(v.to_string());
-                }
+                "fault" => fault = Some(v.parse::<FaultPlan>().map_err(|e| bad(e.to_string()))?),
                 _ => return Err(bad(format!("unknown key '{k}'"))),
             }
         }
@@ -712,7 +713,7 @@ mod tests {
             schedule: Schedule::Rounds(vec![2, 4]),
             persistence: 0.05,
             hierarchy: true,
-            fault: Some("crash:1@2".into()),
+            fault: Some("crash:1@2".parse().unwrap()),
         };
         c.validate().unwrap();
         let text = c.to_string();
@@ -761,17 +762,19 @@ mod tests {
             "6 blocks needs an irregular decomp"
         );
 
-        // the fault round is checked against the exact round count of
-        // the contracted schedule, and refitting clamps it there
-        let rounds = c.exact_rounds().unwrap();
+        // the fault cut is checked against the exact round count of the
+        // contracted schedule (its last cut is the pre-write one), and
+        // refitting drops a crash past it
+        let rounds = c.layout().unwrap().sched.n_rounds() as u32;
         assert!((1..6).contains(&rounds), "{rounds} contracted rounds");
         let mut faulted = c.clone();
-        faulted.fault = Some(format!("crash:1@{rounds}"));
+        faulted.fault = Some(FaultPlan::new().crash(1, rounds + 1));
         faulted.validate().unwrap();
-        faulted.fault = Some(format!("crash:1@{}", rounds + 1));
+        faulted.fault = Some(FaultPlan::new().crash(1, rounds + 1).crash(1, rounds + 2));
         let err = faulted.validate().unwrap_err();
-        assert!(err.contains(&format!("1..={rounds}")), "{err}");
-        assert_eq!(clamp_fault(&faulted), Some(format!("crash:1@{rounds}")));
+        assert!(err.contains(&format!("1..={}", rounds + 1)), "{err}");
+        let fitted = faulted.fitted_fault();
+        assert_eq!(fitted, Some(FaultPlan::new().crash(1, rounds + 1)));
 
         let mut huge = c.clone();
         huge.blocks = MAX_IRREGULAR_BLOCKS + 1;
@@ -846,6 +849,70 @@ mod tests {
         assert!(shr.iter().all(|s| s.validate().is_ok()));
     }
 
+    /// Drops and delays name the ships the layout makes: on 4 uniform
+    /// blocks over 2 ranks with `rounds:2,2`, the one cross-rank ship is
+    /// slot 2's to root 0 in round 1. Shrinking removes one event at a
+    /// time, and a ship a smaller layout does not make leaves the plan.
+    #[test]
+    fn fault_plans_fit_the_ships_of_the_layout() {
+        let c = Case {
+            kind: FieldKind::Noise,
+            dims: [6, 6, 6],
+            seed: 9,
+            ranks: 2,
+            blocks: 4,
+            decomp: DecompMode::Uniform,
+            threads: 1,
+            schedule: Schedule::Rounds(vec![2, 2]),
+            persistence: 0.0,
+            hierarchy: false,
+            fault: Some("drop:1->0#1;delay:1->0#2+100;crash:0@3".parse().unwrap()),
+        };
+        let layout = c.layout().unwrap();
+        assert_eq!(cross_rank_ships(&layout), vec![(1, 0, 1)]);
+        let fitted = c.fitted_fault().unwrap();
+        assert_eq!(fitted.to_string(), "drop:1->0#1;crash:0@3");
+        let shr = c.shrink_candidates();
+        let plans: Vec<String> = (shr.iter().take(3))
+            .map(|s| s.fault.as_ref().unwrap().to_string())
+            .collect();
+        assert_eq!(plans, ["crash:0@3", "drop:1->0#1;crash:0@3", "drop:1->0#1"]);
+        // one rank makes no cross-rank ship, and has cuts 1..=3 still
+        let one = shr.iter().find(|s| s.ranks == 1).expect("a 1-rank shrink");
+        assert_eq!(one.fault, Some(FaultPlan::new().crash(0, 3)));
+    }
+
+    /// Generated faults reach every kind the fuzz draws: crashes of rank
+    /// 0 and at the pre-write cut, and drops and delays past the deadline
+    /// of ships the layout makes.
+    #[test]
+    fn generated_faults_draw_the_whole_grammar() {
+        let mut rng = SplitMix64::new(17);
+        let (mut rank0, mut pre_write, mut drops, mut delays) = (0, 0, 0, 0);
+        for _ in 0..400 {
+            let c = Case::generate(&mut rng);
+            let Some(plan) = &c.fault else { continue };
+            let rounds = c.layout().unwrap().sched.n_rounds() as u32;
+            assert_eq!(c.fitted_fault().as_ref(), Some(plan), "{c}");
+            match plan.events[..] {
+                [FaultEvent::Crash { rank, round }] => {
+                    rank0 += (rank == 0) as u32;
+                    pre_write += (round == rounds + 1) as u32;
+                }
+                [FaultEvent::DropMsg { .. }] => drops += 1,
+                [FaultEvent::DelayMsg { delay_ms, .. }] => {
+                    assert!(delay_ms >= 2 * FAULT_DEADLINE_MS, "{c}");
+                    delays += 1;
+                }
+                _ => panic!("one crash, drop or delay per generated case: {c}"),
+            }
+        }
+        for (what, n) in [("rank-0 crash", rank0), ("pre-write crash", pre_write)] {
+            assert!(n > 0, "no {what}");
+        }
+        assert!(drops > 0 && delays > 0, "{drops} drops, {delays} delays");
+    }
+
     #[test]
     fn fault_cases_shrink_away_their_fault_first() {
         let c = Case {
@@ -859,7 +926,7 @@ mod tests {
             schedule: Schedule::Rounds(vec![2]),
             persistence: 0.05,
             hierarchy: true,
-            fault: Some("crash:1@1".into()),
+            fault: Some("crash:1@1".parse().unwrap()),
         };
         c.validate().unwrap();
         let shr = c.shrink_candidates();

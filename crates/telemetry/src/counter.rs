@@ -6,9 +6,8 @@
 //! (nodes/arcs shipped, serialized payload bytes, and raw transport
 //! bytes/messages as counted by the comm layer) — plus the
 //! fault-tolerance taxonomy (checkpoint volume, detection retries,
-//! replayed rounds, recovery wall time, injected crashes, and blocks
-//! absorbed in degraded mode) so recovery cost is first-class in every
-//! run report.
+//! replayed rounds, recovery wall time and injected crashes) so
+//! recovery cost is first-class in every run report.
 
 /// One counter of the fixed taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,8 +51,6 @@ pub enum Counter {
     RecoveryMs,
     /// Injected rank crashes this rank suffered.
     Crashes,
-    /// Blocks absorbed (dropped) by a surviving root in degraded mode.
-    BlocksAbsorbed,
     /// Output complexes run through the invariant checker (`--check`).
     ChecksRun,
     /// Structural invariant violations (integrity, index steps, geometry
@@ -108,7 +105,7 @@ pub enum Counter {
 }
 
 /// All counters, in report order.
-pub const ALL_COUNTERS: [Counter; 37] = [
+pub const ALL_COUNTERS: [Counter; 36] = [
     Counter::CellsPaired,
     Counter::CriticalCells,
     Counter::ArcsTraced,
@@ -127,7 +124,6 @@ pub const ALL_COUNTERS: [Counter; 37] = [
     Counter::RoundsReplayed,
     Counter::RecoveryMs,
     Counter::Crashes,
-    Counter::BlocksAbsorbed,
     Counter::ChecksRun,
     Counter::CheckStructural,
     Counter::CheckEuler,
@@ -172,7 +168,6 @@ impl Counter {
             Counter::RoundsReplayed => "rounds_replayed",
             Counter::RecoveryMs => "recovery_ms",
             Counter::Crashes => "crashes",
-            Counter::BlocksAbsorbed => "blocks_absorbed",
             Counter::ChecksRun => "checks_run",
             Counter::CheckStructural => "check_structural",
             Counter::CheckEuler => "check_euler",

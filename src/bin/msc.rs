@@ -178,7 +178,8 @@ const USAGE: &str = "msc — parallel Morse-Smale complexes\n\
          \u{20}           adaptive splitting, or a seeded random block\n\
          \u{20}           tree; irregular modes take any --blocks count\n\
          \u{20}           and keep outputs byte-identical across ranks)\n\
-         \u{20}           [--faults SPEC] [--checkpoint] [--deadline-ms MS]\n\
+         \u{20}           [--faults SPEC] [--deadline-ms MS] [--checkpoint]\n\
+         \u{20}           (SPEC implies --checkpoint, which also runs alone)\n\
          \u{20}           [--trace [FILE]]  (Chrome trace + critical path;\n\
          \u{20}           default FILE: results/<output stem>.trace.json)\n\
          \u{20}           [--check]  (oracle invariant checker over every\n\
@@ -371,11 +372,10 @@ fn cmd_compute(o: &Opts) -> Result<(), String> {
     };
     let deadline_ms: u64 = o.num("deadline-ms", 5000u64)?;
     let fault = FaultConfig {
-        checkpoint: o.has("checkpoint") || fault_plan.is_some(),
+        checkpoint: o.has("checkpoint"),
         plan: fault_plan,
         deadline: std::time::Duration::from_millis(deadline_ms),
     };
-    let fault_active = fault.active();
     let threads: Option<usize> = match o.opt("threads") {
         Some(v) => Some(
             v.parse::<usize>()
@@ -496,15 +496,14 @@ fn cmd_compute(o: &Opts) -> Result<(), String> {
             ));
         }
     }
-    if fault_active {
+    if params.fault.active() {
         let tel = &r.telemetry;
         println!(
             "fault summary: {} crash(es), {} retry(ies), {} round(s) replayed, \
-             {} block(s) absorbed, {} checkpoint bytes, {} ms recovering",
+             {} checkpoint bytes, {} ms recovering",
             tel.counter_total("crashes"),
             tel.counter_total("retries"),
             tel.counter_total("rounds_replayed"),
-            tel.counter_total("blocks_absorbed"),
             tel.counter_total("checkpoint_bytes"),
             tel.counter_total("recovery_ms"),
         );

@@ -120,7 +120,7 @@ fn main() -> ExitCode {
                 case.schedule,
                 case.persistence,
                 case.fault
-                    .as_deref()
+                    .as_ref()
                     .map(|f| format!(" fault={f}"))
                     .unwrap_or_default()
             );

@@ -16,11 +16,12 @@
 //!    (`label_block`) against the reference implementations, byte for
 //!    byte / address by address.
 //! 2. **Pipeline run at the case's configuration** (ranks, threads,
-//!    decomposition, merge schedule, injected fault) with the invariant
+//!    decomposition, merge schedule, injected faults) with the invariant
 //!    checker and segmentation on: every `check_*` telemetry counter
-//!    of [`RunResult::check_verdict`] must come back zero, and the
+//!    of [`RunResult::check_verdict`] must come back zero, the
 //!    outputs' member blocks must partition the block set, one output
-//!    per slot the case's layout ([`Case::layout`]) leaves.
+//!    per slot the case's layout ([`Case::layout`]) leaves, and each
+//!    injected fault must have fired (`crashes`, else `retries`).
 //! 3. **Canonical replay** — the same field and schedule at 1 rank /
 //!    1 thread, no faults: outputs, resolved segmentations and
 //!    hierarchies must be bit-identical to run 2's, in memory and in the
@@ -46,15 +47,15 @@ use msp_complex::{
 use msp_core::{
     msh_output_path, run_parallel, seg_output_path, FaultConfig, Input, PipelineParams, RunResult,
 };
-use msp_fault::FaultPlan;
-use msp_grid::{ScalarField, SplitMix64};
+use msp_grid::{FaultEvent, ScalarField, SplitMix64};
 use msp_hierarchy::{compress_forwards, region_sizes, remap_tables, Materialized, Ordering};
 use msp_morse::{assign_gradient, assign_gradient_par};
+use msp_oracle::case::FAULT_DEADLINE_MS;
 use msp_oracle::reference::{
     arcs_of_complex, diff_arcs, diff_gradient, reference_arcs, reference_gradient,
 };
 use msp_oracle::segcheck::{diff_segmentation, reference_segmentation};
-use msp_oracle::{case::parse_fault, check_complex, check_glue_idempotent, Case, CheckOptions};
+use msp_oracle::{check_complex, check_glue_idempotent, Case, CheckOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -71,17 +72,12 @@ const WORK_COUNTERS: [&str; 5] = [
 ];
 
 fn pipeline_params(case: &Case, canonical: bool) -> PipelineParams {
-    let fault = match (&case.fault, canonical) {
-        (Some(f), false) => {
-            let (r, k) = parse_fault(f).expect("validated fault spec");
-            FaultConfig {
-                // a crashed member costs its root one deadline; waiting
-                // too short only replays a live member's identical bytes
-                deadline: Duration::from_millis(250),
-                ..FaultConfig::with_plan(FaultPlan::new().crash(r as usize, k))
-            }
-        }
-        _ => FaultConfig::default(),
+    // a lost or late member costs its root one deadline; waiting too
+    // short only replays a live member's identical bytes
+    let fault = FaultConfig {
+        plan: case.fault.clone().filter(|_| !canonical),
+        deadline: Duration::from_millis(FAULT_DEADLINE_MS),
+        ..Default::default()
     };
     PipelineParams {
         persistence_frac: case.persistence,
@@ -147,7 +143,7 @@ pub fn run_case(case: &Case) -> Result<(), String> {
 /// [`run_case`] with `dir` for the artifact files.
 fn run_case_inner(case: &Case, dir: &Path) -> Result<(), String> {
     let field = case.field();
-    let layout = case.layout(&field).map_err(|e| e.to_string())?;
+    let layout = case.layout().map_err(|e| e.to_string())?;
     let decomp = &layout.decomp;
 
     // 1. per-block differential against the reference oracle
@@ -218,6 +214,14 @@ fn run_case_inner(case: &Case, dir: &Path) -> Result<(), String> {
     let outputs = run.outputs.len();
     if members != (0..case.blocks).collect::<Vec<_>>() || outputs != layout.sched.outputs.len() {
         return Err(format!("{outputs} output(s) with members {members:?}"));
+    }
+    // a fault that never fires tests nothing
+    for e in case.fault.iter().flat_map(|p| &p.events) {
+        let crash = matches!(e, FaultEvent::Crash { .. });
+        let key = if crash { "crashes" } else { "retries" };
+        if run.telemetry.counter_total(key) == 0 {
+            return Err(format!("fault {e} never fired: {key} = 0"));
+        }
     }
 
     // 3. canonical replay: 1 rank, 1 thread, no fault — bit-identical
@@ -537,8 +541,7 @@ pub fn replay_path(path: &Path) -> Result<Vec<ReplayOutcome>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msp_grid::DecompMode;
-    use msp_oracle::case::clamp_fault;
+    use msp_grid::{DecompMode, FaultPlan};
     use msp_oracle::{FieldKind, Schedule};
 
     fn quick_case(kind: FieldKind, blocks: u32, ranks: u32, schedule: Schedule) -> Case {
@@ -581,7 +584,7 @@ mod tests {
     #[test]
     fn faulted_case_is_clean() {
         let mut c = quick_case(FieldKind::Noise, 4, 2, Schedule::Full);
-        c.fault = Some("crash:1@1".into());
+        c.fault = Some("crash:1@1".parse().unwrap());
         run_case(&c).unwrap();
     }
 
@@ -604,12 +607,26 @@ mod tests {
     fn irregular_faults_fit_the_contracted_schedule() {
         let mut c = quick_case(FieldKind::Noise, 6, 3, Schedule::Full);
         c.decomp = DecompMode::RandomTree { seed: 42 };
-        c.fault = Some("crash:2@5".into());
-        let rounds = c.layout(&c.field()).unwrap().sched.n_rounds();
+        let rounds = c.layout().unwrap().sched.n_rounds() as u32;
         assert!((1..5).contains(&rounds), "{rounds} contracted rounds");
-        assert!(run_case(&c).unwrap_err().contains("fault round 5"));
-        c.fault = clamp_fault(&c);
-        assert_eq!(c.fault, Some(format!("crash:2@{rounds}")));
+        c.fault = Some(FaultPlan::new().crash(2, rounds + 2));
+        let err = run_case(&c).unwrap_err();
+        let want = format!("fault clause \"crash:2@{}\" names cut", rounds + 2);
+        assert!(err.contains(&want), "{err}");
+        // the last cut is the pre-write one
+        c.fault = Some(FaultPlan::new().crash(2, rounds + 1));
+        run_case(&c).unwrap();
+    }
+
+    /// A fault that never fires is a failure: a delay within the
+    /// deadline makes no root replay anything.
+    #[test]
+    fn a_fault_that_never_fires_fails_the_case() {
+        let mut c = quick_case(FieldKind::Noise, 4, 2, Schedule::Rounds(vec![2, 2]));
+        c.fault = Some("delay:1->0#1+1".parse().unwrap());
+        let err = run_case(&c).unwrap_err();
+        assert!(err.contains("never fired: retries = 0"), "{err}");
+        c.fault = Some("drop:1->0#1".parse().unwrap());
         run_case(&c).unwrap();
     }
 
@@ -626,13 +643,13 @@ mod tests {
     #[test]
     fn short_fuzz_run_is_clean() {
         let mut seen = Vec::new();
-        let n = fuzz(40, 1234, |_, c| seen.push(c.clone())).unwrap_or_else(|f| {
+        let n = fuzz(60, 1234, |_, c| seen.push(c.clone())).unwrap_or_else(|f| {
             panic!(
                 "iteration {} failed: {}\nshrunk to:\n{}{}",
                 f.iteration, f.reason, f.shrunk, f.shrunk_reason
             )
         });
-        assert_eq!(n, 40);
+        assert_eq!(n, 60);
         let hit = |what: &str, p: &dyn Fn(&Case) -> bool| {
             assert!(seen.iter().any(p), "no generated case with {what}");
         };
@@ -648,7 +665,26 @@ mod tests {
         });
         hit("a hierarchy", &|c| c.hierarchy);
         hit("no hierarchy", &|c| !c.hierarchy);
-        hit("a crash", &|c| c.fault.is_some());
+        let event = |c: &Case, p: &dyn Fn(&FaultEvent, u32) -> bool| {
+            let Some(plan) = &c.fault else { return false };
+            let rounds = c.layout().unwrap().sched.n_rounds() as u32;
+            plan.events.iter().any(|e| p(e, rounds))
+        };
+        hit("a rank-0 crash", &|c| {
+            event(c, &|e, _| matches!(e, FaultEvent::Crash { rank: 0, .. }))
+        });
+        hit("a crash at the pre-write cut", &|c| {
+            event(
+                c,
+                &|e, rounds| matches!(e, FaultEvent::Crash { round, .. } if *round == rounds + 1),
+            )
+        });
+        hit("a dropped ship", &|c| {
+            event(c, &|e, _| matches!(e, FaultEvent::DropMsg { .. }))
+        });
+        hit("a delayed ship", &|c| {
+            event(c, &|e, _| matches!(e, FaultEvent::DelayMsg { .. }))
+        });
         hit("threads > 2", &|c| c.threads > 2);
         hit("a non-power-of-two rank count", &|c| {
             !c.ranks.is_power_of_two()

@@ -1,6 +1,6 @@
 //! End-to-end fault-tolerance tests on the threaded backend: injected
-//! crashes, dropped and delayed merge ships, checkpoint-based recovery, and
-//! the degraded (absorb) path. The central claim is the acceptance
+//! crashes, dropped and delayed merge ships, checkpoint-based recovery,
+//! and the plans a run refuses. The central claim is the acceptance
 //! criterion of DESIGN.md §9 — a run that loses a rank mid-merge and
 //! recovers from round-boundary checkpoints produces a final complex
 //! **bitwise identical** to the fault-free run.
@@ -35,19 +35,19 @@ fn base_params() -> PipelineParams {
 
 const DEADLINE: Duration = Duration::from_millis(400);
 
-fn faulted(plan: FaultPlan, checkpoint: bool, base: PipelineParams) -> PipelineParams {
+/// `base` with `plan` injected; the plan implies checkpoints.
+fn faulted(plan: FaultPlan, base: PipelineParams) -> PipelineParams {
     PipelineParams {
         fault: FaultConfig {
-            plan: Some(plan),
-            checkpoint,
             deadline: DEADLINE,
+            ..FaultConfig::with_plan(plan)
         },
         ..base
     }
 }
 
-fn fault_params(plan: FaultPlan, checkpoint: bool) -> PipelineParams {
-    faulted(plan, checkpoint, base_params())
+fn fault_params(plan: FaultPlan) -> PipelineParams {
+    faulted(plan, base_params())
 }
 
 /// Serialized output blocks of a fault-free reference run.
@@ -85,13 +85,12 @@ fn crash_during_merge_round_1_recovers_bitwise_identical() {
     // the deadline for its own member and replays block 7 from the same
     // checkpoint. Round 2 then ships slot 6 to rank 2 as usual.
     let input = test_input();
-    let r = assert_bitwise_identical(&input, &fault_params(FaultPlan::new().crash(3, 1), true));
+    let r = assert_bitwise_identical(&input, &fault_params(FaultPlan::new().crash(3, 1)));
     let tel = &r.telemetry;
     assert_eq!(tel.counter_total("crashes"), 1);
     assert_eq!(tel.counter_total("retries"), 1, "block 7 recovered");
     // rank 3's own restore, then block 7's replay
     assert_eq!(tel.counter_total("rounds_replayed"), 2);
-    assert_eq!(tel.counter_total("blocks_absorbed"), 0);
     assert!(tel.counter_total("checkpoint_bytes") > 0);
     assert!(
         tel.counter_total("recovery_ms") > 0,
@@ -107,7 +106,7 @@ fn crash_of_a_root_rank_recovers_bitwise_identical() {
     // round 2), reloads its own checkpoint and glues slot 2's message as
     // if nothing happened.
     let input = test_input();
-    let r = assert_bitwise_identical(&input, &fault_params(FaultPlan::new().crash(0, 2), true));
+    let r = assert_bitwise_identical(&input, &fault_params(FaultPlan::new().crash(0, 2)));
     let tel = &r.telemetry;
     assert_eq!(tel.counter_total("crashes"), 1);
     assert_eq!(tel.counter_total("retries"), 0, "no message was lost");
@@ -135,12 +134,11 @@ fn crash_of_a_rank_holding_its_own_members_recovers_bitwise_identical() {
     let bytes = |r: &RunResult| r.outputs.iter().map(wire::serialize).collect::<Vec<_>>();
     let want = bytes(&run(&params()));
     for (round, members) in [(1, 2), (2, 1)] {
-        let r = run(&faulted(FaultPlan::new().crash(0, round), true, params()));
+        let r = run(&faulted(FaultPlan::new().crash(0, round), params()));
         assert!(bytes(&r) == want, "crash:0@{round}: outputs differ");
         let tel = &r.telemetry;
         assert_eq!(tel.counter_total("crashes"), 1, "crash:0@{round}");
         assert_eq!(tel.counter_total("retries"), members, "crash:0@{round}");
-        assert_eq!(tel.counter_total("blocks_absorbed"), 0, "crash:0@{round}");
     }
 }
 
@@ -149,10 +147,9 @@ fn crash_at_the_pre_write_cut_recovers_bitwise_identical() {
     // Round 3 on a 2-round plan = after the last merge, before the
     // write: the fully-merged state must come back from the final cut.
     let input = test_input();
-    let r = assert_bitwise_identical(&input, &fault_params(FaultPlan::new().crash(0, 3), true));
+    let r = assert_bitwise_identical(&input, &fault_params(FaultPlan::new().crash(0, 3)));
     let tel = &r.telemetry;
     assert_eq!(tel.counter_total("crashes"), 1);
-    assert_eq!(tel.counter_total("blocks_absorbed"), 0);
 }
 
 #[test]
@@ -160,7 +157,7 @@ fn spec_parsed_plan_drives_the_same_recovery() {
     // the CLI path: `--faults crash:3@1` goes through FromStr
     let input = test_input();
     let plan: FaultPlan = "crash:3@1".parse().unwrap();
-    let r = assert_bitwise_identical(&input, &fault_params(plan, true));
+    let r = assert_bitwise_identical(&input, &fault_params(plan));
     assert_eq!(r.telemetry.counter_total("crashes"), 1);
 }
 
@@ -170,10 +167,7 @@ fn dropped_message_is_recovered_from_checkpoint() {
     // root 4) is lost in flight; the root times out and replays it from
     // the sender's checkpoint — same bytes, same result
     let input = test_input();
-    let r = assert_bitwise_identical(
-        &input,
-        &fault_params(FaultPlan::new().drop_msg(3, 2, 1), true),
-    );
+    let r = assert_bitwise_identical(&input, &fault_params(FaultPlan::new().drop_msg(3, 2, 1)));
     let tel = &r.telemetry;
     assert_eq!(tel.counter_total("crashes"), 0);
     assert_eq!(tel.counter_total("retries"), 1);
@@ -184,7 +178,7 @@ fn delayed_message_within_deadline_needs_no_recovery() {
     let input = test_input();
     let r = assert_bitwise_identical(
         &input,
-        &fault_params(FaultPlan::new().delay_msg(3, 2, 1, 100), true),
+        &fault_params(FaultPlan::new().delay_msg(3, 2, 1, 100)),
     );
     let tel = &r.telemetry;
     assert_eq!(tel.counter_total("retries"), 0);
@@ -192,57 +186,61 @@ fn delayed_message_within_deadline_needs_no_recovery() {
 }
 
 #[test]
-fn degraded_mode_absorbs_orphaned_blocks_without_checkpoints() {
-    // No checkpoints: the crashed rank's blocks are unrecoverable. The
-    // run must still complete, reporting the loss instead of hanging or
-    // panicking; the roots absorb the orphaned slots. Rank 3 loses
-    // blocks 6 and 7 in round 1 and counts each once. Slot 6 is a member
-    // in round 2, so rank 3 ships nothing and root 4 on rank 2 absorbs it
-    // after the deadline.
+fn crash_of_a_root_that_is_a_later_member_recovers_bitwise_identical() {
+    // One block per rank, so every placement puts block b on rank b.
+    // Rank 6 crashes at the cut before round 1 while it roots the group
+    // (6, 7): it restores slot 6 from its own checkpoint, glues block 7
+    // from rank 7's ship as usual and, in round 2, ships slot 6 to root
+    // 4, a member like any other: no root waits for anything.
     let input = test_input();
-    let params = fault_params(FaultPlan::new().crash(3, 1), false);
-    let r = run_parallel(&input, RANKS, BLOCKS, &params, None).unwrap();
+    let params = fault_params(FaultPlan::new().crash(6, 1));
+    let want = reference(&input);
+    let r = run_parallel(&input, 8, BLOCKS, &params, None).unwrap();
+    let got: Vec<_> = r.outputs.iter().map(wire::serialize).collect();
+    assert!(got == want, "outputs differ from the fault-free run");
     let tel = &r.telemetry;
     assert_eq!(tel.counter_total("crashes"), 1);
+    assert_eq!(tel.counter_total("retries"), 0);
     assert_eq!(
-        tel.counter_total("blocks_absorbed"),
-        2,
-        "blocks 6 and 7 are lost for good"
-    );
-    assert_eq!(
-        tel.counter_total("retries"),
+        tel.counter_total("rounds_replayed"),
         1,
-        "root 4's deadline on slot 6"
+        "rank 6's own restore"
     );
-    assert_eq!(tel.counter_total("rounds_replayed"), 0);
-    assert_eq!(tel.counter_total("checkpoint_bytes"), 0);
-    // the run still produces its output blocks (with reduced content)
-    assert_eq!(r.outputs.len(), 2);
-    for ms in &r.outputs {
-        ms.check_integrity().unwrap();
-    }
 }
 
+/// A plan that names a rank, a cut or a link the run does not have
+/// injects nothing silently: both machines refuse it before the run
+/// starts, naming the clause. 4 ranks and `--merge 2,2` have ranks 0-3
+/// and cuts 1..=3.
 #[test]
-fn degraded_mode_absorbs_a_lost_root_that_is_a_later_member() {
-    // One block per rank, so every placement puts block b on rank b.
-    // Rank 6 crashes in round 1 while it roots the group (6, 7): with no
-    // checkpoint, slot 6 is gone, and in round 2 it is a member of root
-    // 4. The lost slot ships nothing and its root absorbs it: its
-    // missing complex must not fail the run.
-    let input = test_input();
-    let params = fault_params(FaultPlan::new().crash(6, 1), false);
-    let r = run_parallel(&input, 8, BLOCKS, &params, None).unwrap();
-    let tel = &r.telemetry;
-    assert_eq!(tel.counter_total("crashes"), 1);
-    // block 6 on crashed rank 6, and block 7, which rank 7 cannot ship
-    // to its lost root
-    assert_eq!(tel.counter_total("blocks_absorbed"), 2);
-    assert_eq!(tel.counter_total("retries"), 1);
-    assert_eq!(r.outputs.len(), 2);
-    for ms in &r.outputs {
-        ms.check_integrity().unwrap();
-        assert!(!ms.member_blocks.contains(&6) && !ms.member_blocks.contains(&7));
+fn plans_outside_the_layout_are_refused_on_both_machines() {
+    let Input::Memory(field) = test_input() else {
+        unreachable!("test input is in memory")
+    };
+    let input = Input::Memory(field.clone());
+    for (spec, names) in [
+        ("crash:9@1", "rank 9 of a 4-rank run"),
+        ("crash:1@7", "cut 7 of a run with cuts 1..=3"),
+        ("drop:9->0#1", "rank 9 of a 4-rank run"),
+    ] {
+        let plan: FaultPlan = spec.parse().unwrap();
+        let want = format!("invalid pipeline config: fault clause \"{spec}\" names {names}");
+        match run_parallel(&input, RANKS, RANKS, &fault_params(plan.clone()), None) {
+            Err(e @ PipelineError::Config(_)) => assert_eq!(e.to_string(), want),
+            other => panic!("{spec}: expected a config error, got {:?}", other.err()),
+        }
+        let sim = SimParams {
+            plan: MergePlan::rounds(vec![2, 2]),
+            fault: FaultConfig::with_plan(plan),
+            ..Default::default()
+        };
+        match simulate(&field, RANKS, &sim) {
+            Err(e @ PipelineError::Config(_)) => assert_eq!(e.to_string(), want),
+            other => panic!(
+                "{spec}: simulate: expected a config error, got {:?}",
+                other.err()
+            ),
+        }
     }
 }
 
@@ -255,7 +253,7 @@ fn multithreaded_recovery_matches_serial_recovery_bitwise() {
     let input = test_input();
     let with_threads = |threads: usize| PipelineParams {
         threads: Some(threads),
-        ..fault_params(FaultPlan::new().crash(3, 1), true)
+        ..fault_params(FaultPlan::new().crash(3, 1))
     };
     let serial = run_parallel(&input, RANKS, BLOCKS, &with_threads(1), None).unwrap();
     let threaded = assert_bitwise_identical(&input, &with_threads(4));
@@ -277,18 +275,12 @@ fn an_injected_panic_ends_the_run_even_with_checkpoints() {
     // both backends end the run with it as the error, naming the rank
     let input = test_input();
     let plan: FaultPlan = "panic:1@1".parse().unwrap();
-    for checkpoint in [false, true] {
-        let params = fault_params(plan.clone(), checkpoint);
-        match run_parallel(&input, RANKS, BLOCKS, &params, None) {
-            Err(PipelineError::Panic(p)) => {
-                assert_eq!(p.rank, 1, "{p}");
-                assert!(p.to_string().starts_with("rank 1 panicked"), "{p}");
-            }
-            other => panic!(
-                "checkpoint {checkpoint}: expected rank 1's panic, got {:?}",
-                other.err()
-            ),
+    match run_parallel(&input, RANKS, BLOCKS, &fault_params(plan.clone()), None) {
+        Err(PipelineError::Panic(p)) => {
+            assert_eq!(p.rank, 1, "{p}");
+            assert!(p.to_string().starts_with("rank 1 panicked"), "{p}");
         }
+        other => panic!("expected rank 1's panic, got {:?}", other.err()),
     }
     let Input::Memory(field) = &input else {
         unreachable!("test input is in memory")
@@ -404,12 +396,11 @@ fn irregular_recovery_is_bitwise_identical(tree: Tree) {
     // only the member's crash leaves a root to replay a lost slot
     for (rank, round, replayed) in [(member, 1, true), (root, 1, false), (0, pre_write, false)] {
         let plan = FaultPlan::new().crash(rank as usize, round);
-        let r = tree.run(&faulted(plan, true, tree.params()));
+        let r = tree.run(&faulted(plan, tree.params()));
         let spec = format!("{} crash:{rank}@{round}", tree.mode);
         assert!(artifacts(&r) == want, "{spec}: artifacts differ");
         let tel = &r.telemetry;
         assert_eq!(tel.counter_total("crashes"), 1, "{spec}");
-        assert_eq!(tel.counter_total("blocks_absorbed"), 0, "{spec}");
         let replays = tel.counter_total("retries");
         assert_eq!(replays > 0, replayed, "{spec}: {replays} root replays");
     }

@@ -160,6 +160,12 @@ fn corpus_reproducers_replay_clean() {
             "randomtree-plateau.case",
             include_str!("cases/randomtree-plateau.case"),
         ),
+        ("drop-replay.case", include_str!("cases/drop-replay.case")),
+        ("delay-replay.case", include_str!("cases/delay-replay.case")),
+        (
+            "prewrite-rank0-crash.case",
+            include_str!("cases/prewrite-rank0-crash.case"),
+        ),
     ] {
         let case: Case = text.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
         run_case(&case).unwrap_or_else(|e| panic!("{name} failed: {e}"));

@@ -156,11 +156,10 @@ fn deterministic_ledger_is_pinned() {
         segment: true,
         ..base_params(MergePlan::none())
     };
-    let faulted = |plan: FaultPlan, checkpoint: bool| SimParams {
+    let faulted = |plan: FaultPlan| SimParams {
         fault: FaultConfig {
-            plan: Some(plan),
-            checkpoint,
             deadline: Duration::from_millis(250),
+            ..FaultConfig::with_plan(plan)
         },
         ..base_params(MergePlan::full_merge(8))
     };
@@ -170,15 +169,8 @@ fn deterministic_ledger_is_pinned() {
         jet_run(128),
         ledger(&simulate(&noise, 16, &seg16).unwrap()),
         ledger(&simulate(&noise, 6, &adaptive).unwrap()),
-        ledger(&simulate(&noise, 8, &faulted(FaultPlan::new().crash(3, 1), true)).unwrap()),
-        ledger(
-            &simulate(
-                &noise,
-                8,
-                &faulted(FaultPlan::new().drop_msg(1, 0, 1), false),
-            )
-            .unwrap(),
-        ),
+        ledger(&simulate(&noise, 8, &faulted(FaultPlan::new().crash(3, 1))).unwrap()),
+        ledger(&simulate(&noise, 8, &faulted(FaultPlan::new().drop_msg(1, 0, 1))).unwrap()),
     ];
     // captured from the simulator before the stage list was shared with
     // the threaded backend; `fig9_jet`'s small points come first
@@ -198,13 +190,14 @@ fn deterministic_ledger_is_pinned() {
         // `retry_bytes`, the root's replay from its checkpoint
         "out 1 75980 nodes 1327 arcs 4571 th 0x3ca396c8 rounds [8:74820] \
          seg 0 0 0 0 fault 1 1 11155",
-        // re-pinned on purpose: a dropped ship is lost on both machines,
-        // so with no checkpoint root 0 absorbs block 1 after the deadline
-        // instead of receiving it one retry late. It was "out 1 75980
-        // nodes 1327 arcs 4571 ... fault 0 1 11300"; the ship's bytes
-        // still count in `bytes_moved`
-        "out 1 69632 nodes 1263 arcs 4235 th 0x3ca396c8 rounds [8:85975] \
-         seg 0 0 0 0 fault 0 1 0",
+        // re-pinned on purpose: a plan always checkpoints, so root 0
+        // replays the dropped block 1 from rank 1's checkpoint after the
+        // deadline and the outputs are the crash row's. It was "out 1
+        // 69632 nodes 1263 arcs 4235 ... fault 0 1 0", block 1 absorbed
+        // with no checkpoint; the lost ship's bytes still count in
+        // `bytes_moved`
+        "out 1 75980 nodes 1327 arcs 4571 th 0x3ca396c8 rounds [8:85975] \
+         seg 0 0 0 0 fault 0 1 11300",
     ];
     for (g, w) in got.iter().zip(want) {
         assert_eq!(g, w);
