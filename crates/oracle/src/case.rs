@@ -247,9 +247,31 @@ impl Case {
         (!events.is_empty()).then_some(FaultPlan { events })
     }
 
-    /// Generate a random valid case from a PRNG; a third of them inject
-    /// one fault (`draw_fault`).
+    /// Generate a random valid case from a PRNG. A third of them inject
+    /// one fault, drawn before the layout: a crash, a drop or a delay
+    /// with equal odds. A drop or a delay needs a cross-rank ship, so its
+    /// layout has at least 2 ranks and a merge, and is redrawn until it
+    /// makes one (`draw_fault`).
     pub fn generate(rng: &mut SplitMix64) -> Case {
+        // the fault kind: 0 a crash, 1 a drop, 2 a delay
+        let fault = (rng.below(3) == 0).then(|| rng.below(3));
+        loop {
+            let mut case = Case::draw(rng, fault.is_some_and(|k| k > 0));
+            if let Some(kind) = fault {
+                let layout = case.layout().expect("a generated case lays out");
+                case.fault = draw_fault(rng, kind, &layout, case.ranks);
+                if case.fault.is_none() {
+                    continue;
+                }
+            }
+            debug_assert!(case.validate().is_ok(), "{:?}", case.validate());
+            return case;
+        }
+    }
+
+    /// A random valid case without a fault. With `ships`, it has at
+    /// least 2 ranks and a merging schedule.
+    fn draw(rng: &mut SplitMix64, ships: bool) -> Case {
         let kind = match rng.below(5) {
             0 => FieldKind::Noise,
             1 => FieldKind::Plateau(1 + rng.below(4) as u32),
@@ -271,25 +293,28 @@ impl Case {
                 seed: rng.below(1 << 16),
             },
         };
+        let min = 1 + ships as u32;
         let blocks = if decomp.is_uniform() {
-            *rng.pick(&[1u32, 2, 4, 8])
+            *rng.pick(&[1u32, 2, 4, 8][min as usize - 1..])
         } else {
             // any count, deliberately including non-powers-of-two
-            1 + rng.below(8) as u32
+            min + rng.below(9 - min as u64) as u32
         };
         // any rank count up to the block count: counts that do not
         // divide it give ranks uneven block sets
-        let ranks = 1 + rng.below(blocks as u64) as u32;
+        let ranks = min + rng.below((blocks - min + 1) as u64) as u32;
         let threads = 1 + rng.below(6) as u32;
+        // with `ships`, never the unmerged arm 0
+        let arm = ships as u64 + rng.below(3 - ships as u64);
         let schedule = if decomp.is_uniform() {
-            match rng.below(3) {
+            match arm {
                 0 => Schedule::None,
                 1 if blocks > 1 => Schedule::Full,
                 _ => {
                     // random radix factorization of a divisor of `blocks`
                     let mut left = blocks;
                     let mut v = Vec::new();
-                    while left > 1 && rng.below(3) > 0 {
+                    while left > 1 && (ships && v.is_empty() || rng.below(3) > 0) {
                         let r = *rng.pick(
                             &[2u32, 4, 8]
                                 .into_iter()
@@ -308,7 +333,7 @@ impl Case {
             }
         } else {
             // no divisibility constraint: radices only cap group sizes
-            match rng.below(3) {
+            match arm {
                 0 => Schedule::None,
                 1 if blocks > 1 => Schedule::Full,
                 1 => Schedule::None,
@@ -320,7 +345,7 @@ impl Case {
         };
         let persistence = *rng.pick(&[0.0f32, 0.01, 0.05, 0.2]);
         let hierarchy = rng.below(3) == 0;
-        let mut case = Case {
+        Case {
             kind,
             dims,
             seed: rng.next_u64(),
@@ -332,13 +357,7 @@ impl Case {
             persistence,
             hierarchy,
             fault: None,
-        };
-        if rng.below(3) == 0 {
-            let layout = case.layout().expect("a generated case lays out");
-            case.fault = Some(draw_fault(rng, &layout, ranks));
         }
-        debug_assert!(case.validate().is_ok(), "{:?}", case.validate());
-        case
     }
 
     /// Candidate one-step simplifications of this case, most aggressive
@@ -488,25 +507,26 @@ fn cross_rank_ships(layout: &Layout) -> Vec<(usize, usize, u64)> {
     ships
 }
 
-/// One fault for a case laid out as `layout` on `ranks` ranks: a crash
-/// of any rank at any cut, the pre-write cut included, or a drop or a
-/// delay past [`FAULT_DEADLINE_MS`] of one of the layout's cross-rank
-/// ships.
-fn draw_fault(rng: &mut SplitMix64, layout: &Layout, ranks: u32) -> FaultPlan {
-    let (ships, plan) = (cross_rank_ships(layout), FaultPlan::new());
-    match if ships.is_empty() { 0 } else { rng.below(3) } {
-        0 => {
-            let cuts = layout.sched.n_rounds() as u64 + 1;
-            plan.crash(rng.below(ranks as u64) as usize, 1 + rng.below(cuts) as u32)
-        }
-        kind => {
-            let (from, to, nth) = *rng.pick(&ships);
-            match kind {
-                1 => plan.drop_msg(from, to, nth),
-                _ => plan.delay_msg(from, to, nth, FAULT_DEADLINE_MS * (2 + rng.below(3))),
-            }
-        }
+/// One fault of `kind` for a case laid out as `layout` on `ranks` ranks:
+/// 0, a crash of any rank at any cut, the pre-write cut included, or 1, a
+/// drop, or 2, a delay past [`FAULT_DEADLINE_MS`], of one of the
+/// layout's cross-rank ships. `None` for a drop or a delay when the
+/// layout makes no such ship.
+fn draw_fault(rng: &mut SplitMix64, kind: u64, layout: &Layout, ranks: u32) -> Option<FaultPlan> {
+    let plan = FaultPlan::new();
+    if kind == 0 {
+        let cuts = layout.sched.n_rounds() as u64 + 1;
+        return Some(plan.crash(rng.below(ranks as u64) as usize, 1 + rng.below(cuts) as u32));
     }
+    let ships = cross_rank_ships(layout);
+    if ships.is_empty() {
+        return None;
+    }
+    let &(from, to, nth) = rng.pick(&ships);
+    Some(match kind {
+        1 => plan.drop_msg(from, to, nth),
+        _ => plan.delay_msg(from, to, nth, FAULT_DEADLINE_MS * (2 + rng.below(3))),
+    })
 }
 
 impl fmt::Display for Case {
@@ -884,11 +904,12 @@ mod tests {
 
     /// Generated faults reach every kind the fuzz draws: crashes of rank
     /// 0 and at the pre-write cut, and drops and delays past the deadline
-    /// of ships the layout makes.
+    /// of ships the layout makes. Crashes, drops and delays are each at
+    /// least a quarter of the faulted cases.
     #[test]
     fn generated_faults_draw_the_whole_grammar() {
         let mut rng = SplitMix64::new(17);
-        let (mut rank0, mut pre_write, mut drops, mut delays) = (0, 0, 0, 0);
+        let (mut rank0, mut pre_write, mut crashes, mut drops, mut delays) = (0, 0, 0, 0, 0);
         for _ in 0..400 {
             let c = Case::generate(&mut rng);
             let Some(plan) = &c.fault else { continue };
@@ -896,6 +917,7 @@ mod tests {
             assert_eq!(c.fitted_fault().as_ref(), Some(plan), "{c}");
             match plan.events[..] {
                 [FaultEvent::Crash { rank, round }] => {
+                    crashes += 1;
                     rank0 += (rank == 0) as u32;
                     pre_write += (round == rounds + 1) as u32;
                 }
@@ -910,7 +932,10 @@ mod tests {
         for (what, n) in [("rank-0 crash", rank0), ("pre-write crash", pre_write)] {
             assert!(n > 0, "no {what}");
         }
-        assert!(drops > 0 && delays > 0, "{drops} drops, {delays} delays");
+        let faulted = crashes + drops + delays;
+        for (what, n) in [("crashes", crashes), ("drops", drops), ("delays", delays)] {
+            assert!(4 * n >= faulted, "{n} {what} of {faulted} faulted cases");
+        }
     }
 
     #[test]

@@ -15,10 +15,14 @@
 //! two merge schedules (three on flat fields) on a uniform 4-block tree;
 //! the uniform and adaptive trees with a hierarchy sweep rank counts up
 //! to six.
+//!
+//! The corpus test replays every `.case` file in `tests/cases/`, so a
+//! file added there runs under `cargo test` with no edit here.
 
-use morse_smale_parallel::fuzz::run_case;
+use morse_smale_parallel::fuzz::{replay_path, run_case};
 use morse_smale_parallel::grid::DecompMode;
 use morse_smale_parallel::oracle::{Case, FieldKind, Schedule};
+use std::path::Path;
 
 const RANKS: [u32; 3] = [1, 2, 4];
 const THREADS: [u32; 3] = [1, 2, 4];
@@ -130,44 +134,16 @@ fn adaptive_tree_conforms_across_ranks_and_threads_with_hierarchy() {
     sweep(case, &MANY_RANKS, &[Schedule::Full]);
 }
 
+/// Every `.case` file in `tests/cases/`: the shrunk reproducers the fuzz
+/// found and the fault scenarios on the CLI's own 17³ noise field.
 #[test]
 fn corpus_reproducers_replay_clean() {
-    // The shrunk reproducers shipped in tests/cases/ (also replayed by
-    // `oracle_fuzz --replay` in the verify scripts). Embedded with
-    // include_str! so the test binary is location-independent.
-    for (name, text) in [
-        (
-            "plateau-multirank.case",
-            include_str!("cases/plateau-multirank.case"),
-        ),
-        (
-            "constant-degenerate.case",
-            include_str!("cases/constant-degenerate.case"),
-        ),
-        (
-            "sinusoid-fault.case",
-            include_str!("cases/sinusoid-fault.case"),
-        ),
-        (
-            "noise-hierarchy.case",
-            include_str!("cases/noise-hierarchy.case"),
-        ),
-        (
-            "adaptive-sixblock.case",
-            include_str!("cases/adaptive-sixblock.case"),
-        ),
-        (
-            "randomtree-plateau.case",
-            include_str!("cases/randomtree-plateau.case"),
-        ),
-        ("drop-replay.case", include_str!("cases/drop-replay.case")),
-        ("delay-replay.case", include_str!("cases/delay-replay.case")),
-        (
-            "prewrite-rank0-crash.case",
-            include_str!("cases/prewrite-rank0-crash.case"),
-        ),
-    ] {
-        let case: Case = text.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
-        run_case(&case).unwrap_or_else(|e| panic!("{name} failed: {e}"));
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/cases");
+    let outcomes = replay_path(Path::new(dir)).unwrap();
+    for (name, outcome) in &outcomes {
+        outcome
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{name} failed: {e}"));
     }
+    assert!(outcomes.len() >= 11, "{} cases", outcomes.len());
 }
