@@ -17,186 +17,6 @@ use crate::skeleton::MsComplex;
 use std::io::{self, Write};
 use std::path::Path;
 
-/// Error reading one of this module's text formats back in: what went
-/// wrong and the 1-based line it went wrong on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// 1-based line number in the input text.
-    pub line: usize,
-    /// What was expected / what was found.
-    pub context: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.context)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-fn parse_field<T: std::str::FromStr>(
-    tok: Option<&str>,
-    line: usize,
-    what: &str,
-) -> Result<T, ParseError> {
-    let tok = tok.ok_or_else(|| ParseError {
-        line,
-        context: format!("missing {what}"),
-    })?;
-    tok.parse().map_err(|_| ParseError {
-        line,
-        context: format!("malformed {what}: {tok:?}"),
-    })
-}
-
-/// One row of the [`write_nodes_csv`] table, read back in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsvNode {
-    pub node: u64,
-    pub index: u8,
-    pub value: f32,
-    pub x: f32,
-    pub y: f32,
-    pub z: f32,
-    pub boundary: bool,
-}
-
-/// Parse a node table produced by [`write_nodes_csv`]. Malformed rows
-/// are reported as a typed [`ParseError`] carrying the line number, not
-/// a panic.
-pub fn parse_nodes_csv(text: &str) -> Result<Vec<CsvNode>, ParseError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, "node,index,value,x,y,z,boundary")) => {}
-        Some((_, h)) => {
-            return Err(ParseError {
-                line: 1,
-                context: format!("unexpected CSV header: {h:?}"),
-            })
-        }
-        None => {
-            return Err(ParseError {
-                line: 1,
-                context: "empty input (missing CSV header)".into(),
-            })
-        }
-    }
-    let mut rows = Vec::new();
-    for (i, row) in lines {
-        let line = i + 1;
-        if row.trim().is_empty() {
-            continue;
-        }
-        let mut f = row.split(',');
-        let node = parse_field(f.next(), line, "node id")?;
-        let index = parse_field(f.next(), line, "morse index")?;
-        let value = parse_field(f.next(), line, "scalar value")?;
-        let x = parse_field(f.next(), line, "x coordinate")?;
-        let y = parse_field(f.next(), line, "y coordinate")?;
-        let z = parse_field(f.next(), line, "z coordinate")?;
-        let boundary: u8 = parse_field(f.next(), line, "boundary flag")?;
-        if let Some(extra) = f.next() {
-            return Err(ParseError {
-                line,
-                context: format!("trailing field {extra:?} (expected 7 columns)"),
-            });
-        }
-        rows.push(CsvNode {
-            node,
-            index,
-            value,
-            x,
-            y,
-            z,
-            boundary: boundary != 0,
-        });
-    }
-    Ok(rows)
-}
-
-/// Structural summary of a legacy-VTK polydata file written by
-/// [`write_vtk`]: point count and the LINES connectivity, validated
-/// against the declared counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VtkSkeleton {
-    pub n_points: usize,
-    /// Per-polyline point indices, each `< n_points`.
-    pub lines: Vec<Vec<usize>>,
-}
-
-/// Parse the POINTS/LINES structure of a [`write_vtk`] file. Returns a
-/// typed [`ParseError`] with the offending line number on malformed or
-/// truncated input instead of panicking.
-pub fn parse_vtk_skeleton(text: &str) -> Result<VtkSkeleton, ParseError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let find = |kw: &str| -> Result<usize, ParseError> {
-        lines
-            .iter()
-            .position(|l| l.starts_with(kw))
-            .ok_or_else(|| ParseError {
-                line: lines.len().max(1),
-                context: format!("missing {kw} section"),
-            })
-    };
-    let header_count = |pos: usize, kw: &str| -> Result<usize, ParseError> {
-        parse_field(
-            lines[pos].split_whitespace().nth(1),
-            pos + 1,
-            &format!("{kw} count"),
-        )
-    };
-
-    let p = find("POINTS")?;
-    let n_points = header_count(p, "POINTS")?;
-    for (off, l) in lines.iter().skip(p + 1).take(n_points).enumerate() {
-        let line = p + 2 + off;
-        let mut it = l.split_whitespace();
-        for axis in ["x", "y", "z"] {
-            let _: f32 = parse_field(it.next(), line, &format!("point {axis}"))?;
-        }
-    }
-    if lines.len() < p + 1 + n_points {
-        return Err(ParseError {
-            line: lines.len(),
-            context: format!("truncated POINTS section (expected {n_points} rows)"),
-        });
-    }
-
-    let lp = find("LINES")?;
-    let n_lines = header_count(lp, "LINES")?;
-    let mut polylines = Vec::with_capacity(n_lines);
-    for off in 0..n_lines {
-        let line = lp + 2 + off;
-        let l = lines.get(lp + 1 + off).ok_or_else(|| ParseError {
-            line: lines.len(),
-            context: format!("truncated LINES section (expected {n_lines} rows)"),
-        })?;
-        let mut it = l.split_whitespace();
-        let n: usize = parse_field(it.next(), line, "polyline length")?;
-        let ids = it
-            .map(|v| parse_field(Some(v), line, "point index"))
-            .collect::<Result<Vec<usize>, _>>()?;
-        if ids.len() != n {
-            return Err(ParseError {
-                line,
-                context: format!("polyline declares {n} points but has {}", ids.len()),
-            });
-        }
-        if let Some(&bad) = ids.iter().find(|&&i| i >= n_points) {
-            return Err(ParseError {
-                line,
-                context: format!("point index {bad} out of range (POINTS {n_points})"),
-            });
-        }
-        polylines.push(ids);
-    }
-    Ok(VtkSkeleton {
-        n_points,
-        lines: polylines,
-    })
-}
-
 /// Write the living 1-skeleton as legacy ASCII VTK polydata.
 pub fn write_vtk(ms: &MsComplex, path: &Path) -> io::Result<()> {
     let f = std::fs::File::create(path)?;
@@ -454,77 +274,6 @@ pub fn write_labels_vtk_to(v: &LabeledVolume, w: &mut impl Write) -> io::Result<
     w.flush()
 }
 
-/// Parse a [`write_labels_vtk`] file back into a [`LabeledVolume`].
-/// Validates that the declared DIMENSIONS match the POINT_DATA count and
-/// the number of emitted values; malformed input is a typed
-/// [`ParseError`], not a panic.
-pub fn parse_labels_vtk(text: &str) -> Result<LabeledVolume, ParseError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let find = |kw: &str| -> Result<usize, ParseError> {
-        lines
-            .iter()
-            .position(|l| l.starts_with(kw))
-            .ok_or_else(|| ParseError {
-                line: lines.len().max(1),
-                context: format!("missing {kw} section"),
-            })
-    };
-    let kind = lines
-        .get(1)
-        .and_then(|t| {
-            [SegKind::Descending, SegKind::Ascending, SegKind::Combined]
-                .into_iter()
-                .find(|k| t.contains(k.key()))
-        })
-        .ok_or_else(|| ParseError {
-            line: 2,
-            context: "title names no segmentation kind".into(),
-        })?;
-    let triple = |pos: usize, kw: &str| -> Result<[u32; 3], ParseError> {
-        let mut it = lines[pos].split_whitespace().skip(1);
-        let mut out = [0u32; 3];
-        for (i, axis) in ["x", "y", "z"].iter().enumerate() {
-            out[i] = parse_field(it.next(), pos + 1, &format!("{kw} {axis}"))?;
-        }
-        Ok(out)
-    };
-    let dp = find("DIMENSIONS")?;
-    let dims = triple(dp, "DIMENSIONS")?;
-    let op = find("ORIGIN")?;
-    let origin = triple(op, "ORIGIN")?;
-    let pp = find("POINT_DATA")?;
-    let n: usize = parse_field(
-        lines[pp].split_whitespace().nth(1),
-        pp + 1,
-        "POINT_DATA count",
-    )?;
-    if n != grid_len(dims) {
-        return Err(ParseError {
-            line: pp + 1,
-            context: format!(
-                "POINT_DATA {n} disagrees with DIMENSIONS {}x{}x{}",
-                dims[0], dims[1], dims[2]
-            ),
-        });
-    }
-    let lp = find("LOOKUP_TABLE")?;
-    let mut labels = Vec::with_capacity(n);
-    for off in 0..n {
-        let line = lp + 2 + off;
-        let l = lines.get(lp + 1 + off).ok_or_else(|| ParseError {
-            line: lines.len(),
-            context: format!("truncated data section (expected {n} values)"),
-        })?;
-        labels.push(parse_field(Some(l.trim()), line, "region label")?);
-    }
-    Ok(LabeledVolume {
-        kind,
-        dims,
-        origin,
-        labels,
-    })
-}
-
 /// Write a labeled volume as a CSV table: `x,y,z,region` with
 /// coordinates in the full dataset's vertex grid.
 pub fn write_labels_csv(v: &LabeledVolume, path: &Path) -> io::Result<()> {
@@ -554,46 +303,6 @@ pub fn write_labels_csv_to(v: &LabeledVolume, w: &mut impl Write) -> io::Result<
         }
     }
     w.flush()
-}
-
-/// Parse a [`write_labels_csv`] table into `(x, y, z, region)` rows.
-pub fn parse_labels_csv(text: &str) -> Result<Vec<(u32, u32, u32, i64)>, ParseError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, "x,y,z,region")) => {}
-        Some((_, h)) => {
-            return Err(ParseError {
-                line: 1,
-                context: format!("unexpected CSV header: {h:?}"),
-            })
-        }
-        None => {
-            return Err(ParseError {
-                line: 1,
-                context: "empty input (missing CSV header)".into(),
-            })
-        }
-    }
-    let mut rows = Vec::new();
-    for (i, row) in lines {
-        let line = i + 1;
-        if row.trim().is_empty() {
-            continue;
-        }
-        let mut f = row.split(',');
-        let x = parse_field(f.next(), line, "x coordinate")?;
-        let y = parse_field(f.next(), line, "y coordinate")?;
-        let z = parse_field(f.next(), line, "z coordinate")?;
-        let region = parse_field(f.next(), line, "region label")?;
-        if let Some(extra) = f.next() {
-            return Err(ParseError {
-                line,
-                context: format!("trailing field {extra:?} (expected 4 columns)"),
-            });
-        }
-        rows.push((x, y, z, region));
-    }
-    Ok(rows)
 }
 
 /// Write the living nodes as a CSV table:
@@ -639,31 +348,42 @@ mod tests {
         build_block_complex(&f.extract_block(d.block(0)), &d, TraceLimits::default()).0
     }
 
+    /// The count on the first line that starts with `key`, and the rows
+    /// after it up to the next section header.
+    fn section<'a>(text: &'a str, key: &str) -> (usize, Vec<&'a str>) {
+        let mut lines = text.lines().skip_while(|l| !l.starts_with(key));
+        let header = lines.next().unwrap_or_else(|| panic!("no {key} header"));
+        let count = header.split(' ').nth(1).unwrap().parse().unwrap();
+        let header_like = |l: &&str| l.starts_with(|c: char| c.is_ascii_uppercase());
+        (count, lines.take_while(|l| !header_like(l)).collect())
+    }
+
     #[test]
     fn vtk_structure_is_well_formed() {
         let ms = sample();
         let mut out = Vec::new();
         write_vtk_to(&ms, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("# vtk DataFile Version 3.0"));
-        // declared counts match emitted rows (the parser validates both)
-        let sk = parse_vtk_skeleton(&text).unwrap();
-        assert!(sk.n_points > 0);
-        assert_eq!(sk.lines.len() as u64, ms.n_live_arcs());
+        assert!(text.starts_with("# vtk DataFile Version 3.0\n"));
+        // declared counts match emitted rows, and every polyline names
+        // its length and points that exist
+        let (n_points, points) = section(&text, "POINTS ");
+        assert!(n_points > 0);
+        assert_eq!(points.len(), n_points);
+        assert!(points.iter().all(|p| p.split(' ').count() == 3));
+        let (n_vertices, vertices) = section(&text, "VERTICES ");
+        assert_eq!(n_vertices as u64, ms.n_live_nodes());
+        assert_eq!(vertices.len(), n_vertices);
+        let (n_lines, lines) = section(&text, "LINES ");
+        assert_eq!(n_lines as u64, ms.n_live_arcs());
+        assert_eq!(lines.len(), n_lines);
+        for line in lines {
+            let ids: Vec<usize> = line.split(' ').map(|x| x.parse().unwrap()).collect();
+            assert_eq!(ids[0], ids.len() - 1, "{line}");
+            assert!(ids[1..].iter().all(|&i| i < n_points), "{line}");
+        }
         assert!(text.contains("SCALARS morse_index int 1"));
         assert!(text.contains("SCALARS arc_persistence float 1"));
-    }
-
-    #[test]
-    fn vtk_round_trips_through_the_typed_parser() {
-        let ms = sample();
-        let mut out = Vec::new();
-        write_vtk_to(&ms, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let sk = parse_vtk_skeleton(&text).unwrap();
-        assert_eq!(sk.lines.len() as u64, ms.n_live_arcs());
-        // every polyline index validated < n_points by the parser
-        assert!(sk.n_points > 0);
     }
 
     #[test]
@@ -672,40 +392,15 @@ mod tests {
         let mut out = Vec::new();
         write_nodes_csv_to(&ms, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        let rows = parse_nodes_csv(&text).unwrap();
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some("node,index,value,x,y,z,boundary"));
+        let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
         assert_eq!(rows.len() as u64, ms.n_live_nodes());
         for r in &rows {
-            assert!(r.index <= 3);
-            assert!(r.value.is_finite());
+            assert_eq!(r.len(), 7, "{r:?}");
+            assert!(r[1].parse::<u8>().unwrap() <= 3);
+            assert!(r[2].parse::<f32>().unwrap().is_finite());
         }
-    }
-
-    #[test]
-    fn malformed_csv_reports_line_numbers_not_panics() {
-        // bad header
-        let e = parse_nodes_csv("id,value\n").unwrap_err();
-        assert_eq!(e.line, 1);
-        assert!(e.context.contains("header"), "{e}");
-        // empty input
-        let e = parse_nodes_csv("").unwrap_err();
-        assert_eq!(e.line, 1);
-        // non-numeric field on row 3 (line 3 of the file)
-        let text = "node,index,value,x,y,z,boundary\n\
-                    0,0,1.5,0.5,0.5,0.5,0\n\
-                    1,oops,2.5,1.0,1.0,1.0,1\n";
-        let e = parse_nodes_csv(text).unwrap_err();
-        assert_eq!(e.line, 3);
-        assert!(e.context.contains("morse index"), "{e}");
-        assert!(e.to_string().starts_with("line 3:"), "{e}");
-        // short row
-        let e = parse_nodes_csv("node,index,value,x,y,z,boundary\n5,1,2.0\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.context.contains("missing"), "{e}");
-        // too many fields
-        let e =
-            parse_nodes_csv("node,index,value,x,y,z,boundary\n5,1,2.0,0,0,0,1,9\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.context.contains("trailing"), "{e}");
     }
 
     fn sample_volume() -> LabeledVolume {
@@ -733,79 +428,30 @@ mod tests {
     }
 
     #[test]
-    fn labels_vtk_round_trips() {
-        let v = sample_volume();
+    fn labels_vtk_text_is_pinned() {
         let mut out = Vec::new();
-        write_labels_vtk_to(&v, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("DATASET STRUCTURED_POINTS"));
-        assert!(text.contains("(combined)"));
-        assert_eq!(parse_labels_vtk(&text).unwrap(), v);
+        write_labels_vtk_to(&sample_volume(), &mut out).unwrap();
+        let want = "# vtk DataFile Version 3.0\n\
+                    morse-smale segmentation (combined)\n\
+                    ASCII\n\
+                    DATASET STRUCTURED_POINTS\n\
+                    DIMENSIONS 2 1 1\n\
+                    ORIGIN 4 0 0\n\
+                    SPACING 1 1 1\n\
+                    POINT_DATA 2\n\
+                    SCALARS region int 1\n\
+                    LOOKUP_TABLE default\n\
+                    0\n\
+                    -1\n";
+        assert_eq!(String::from_utf8(out).unwrap(), want);
     }
 
     #[test]
-    fn labels_csv_round_trips() {
-        let v = sample_volume();
+    fn labels_csv_text_is_pinned() {
+        // origin offsets applied, x fastest
         let mut out = Vec::new();
-        write_labels_csv_to(&v, &mut out).unwrap();
-        let rows = parse_labels_csv(&String::from_utf8(out).unwrap()).unwrap();
-        assert_eq!(rows.len(), v.labels.len());
-        // origin offsets applied, x-fastest order preserved
-        assert_eq!(rows[0], (4, 0, 0, 0));
-        assert_eq!(rows[1], (5, 0, 0, DRAIN_REGION));
-    }
-
-    #[test]
-    fn malformed_labels_exports_report_lines_not_panics() {
-        let e = parse_labels_vtk("# vtk\nno kind here\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        let v = sample_volume();
-        let mut out = Vec::new();
-        write_labels_vtk_to(&v, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        // count mismatch
-        let bad = text.replace("DIMENSIONS 2 1 1", "DIMENSIONS 3 1 1");
-        assert!(parse_labels_vtk(&bad)
-            .unwrap_err()
-            .context
-            .contains("disagrees"));
-        // truncated values
-        let mut cut = text.trim_end().lines().collect::<Vec<_>>();
-        cut.pop();
-        let e = parse_labels_vtk(&cut.join("\n")).unwrap_err();
-        assert!(e.context.contains("truncated"), "{e}");
-        // csv errors
-        let e = parse_labels_csv("a,b\n").unwrap_err();
-        assert_eq!(e.line, 1);
-        let e = parse_labels_csv("x,y,z,region\n1,2\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        let e = parse_labels_csv("x,y,z,region\n1,2,3,4,5\n").unwrap_err();
-        assert!(e.context.contains("trailing"), "{e}");
-    }
-
-    #[test]
-    fn malformed_vtk_reports_line_numbers_not_panics() {
-        // missing sections
-        let e = parse_vtk_skeleton("# vtk DataFile Version 3.0\n").unwrap_err();
-        assert!(e.context.contains("POINTS"), "{e}");
-        // non-numeric coordinate on the first point row
-        let text = "DATASET POLYDATA\nPOINTS 1 float\nfoo 0 0\nLINES 0 0\n";
-        let e = parse_vtk_skeleton(text).unwrap_err();
-        assert_eq!(e.line, 3);
-        assert!(e.context.contains("point x"), "{e}");
-        // polyline referencing an out-of-range point
-        let text = "POINTS 2 float\n0 0 0\n1 0 0\nLINES 1 3\n2 0 7\n";
-        let e = parse_vtk_skeleton(text).unwrap_err();
-        assert_eq!(e.line, 5);
-        assert!(e.context.contains("out of range"), "{e}");
-        // declared length disagrees with the row
-        let text = "POINTS 2 float\n0 0 0\n1 0 0\nLINES 1 3\n3 0 1\n";
-        let e = parse_vtk_skeleton(text).unwrap_err();
-        assert_eq!(e.line, 5);
-        assert!(e.context.contains("declares"), "{e}");
-        // truncated LINES section
-        let text = "POINTS 1 float\n0 0 0\nLINES 2 6\n1 0\n";
-        let e = parse_vtk_skeleton(text).unwrap_err();
-        assert!(e.context.contains("truncated"), "{e}");
+        write_labels_csv_to(&sample_volume(), &mut out).unwrap();
+        let want = "x,y,z,region\n4,0,0,0\n5,0,0,-1\n";
+        assert_eq!(String::from_utf8(out).unwrap(), want);
     }
 }

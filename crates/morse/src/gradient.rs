@@ -229,12 +229,6 @@ impl GradientField {
         b & PAIRED != 0 && b & TAIL != 0
     }
 
-    /// True when `c` is the head of its vector (paired with a facet).
-    pub fn is_head(&self, c: RCoord) -> bool {
-        let b = self.byte(c);
-        b & PAIRED != 0 && b & TAIL == 0
-    }
-
     /// The cell `c` is paired with, if any.
     pub fn partner(&self, c: RCoord) -> Option<RCoord> {
         let b = self.byte(c);
@@ -368,7 +362,7 @@ mod tests {
         let e = RCoord::new(3, 2, 2);
         g.pair(v, e);
         assert!(g.is_tail(v));
-        assert!(g.is_head(e));
+        assert!(!g.is_tail(e));
         assert_eq!(g.partner(v), Some(e));
         assert_eq!(g.partner(e), Some(v));
         assert!(!g.is_critical(v));

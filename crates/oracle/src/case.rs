@@ -80,8 +80,13 @@ pub const MAX_IRREGULAR_BLOCKS: u32 = 12;
 
 /// Cap on each axis of a case's dims. [`Case::validate`] builds an
 /// adaptive case's field to lay it out, so the cap bounds what parsing
-/// a `.case` file can allocate; generated cases stay below 9.
+/// a `.case` file can allocate; generated cases stay at or below 16.
 pub const MAX_CASE_AXIS: u32 = 128;
+
+/// One generated case in this many is large: each axis in 9..=16, so a
+/// block can be wider than 8 cells, and a uniform tree may have 16 or 32
+/// blocks. The others draw axes in 5..=8 and at most 8 blocks.
+pub const LARGE_ONE_IN: u64 = 3;
 
 /// The merge-receive deadline of a fuzz run with a fault; a generated
 /// delay is at least twice as long, so its root replays the member.
@@ -247,16 +252,18 @@ impl Case {
         (!events.is_empty()).then_some(FaultPlan { events })
     }
 
-    /// Generate a random valid case from a PRNG. A third of them inject
-    /// one fault, drawn before the layout: a crash, a drop or a delay
-    /// with equal odds. A drop or a delay needs a cross-rank ship, so its
-    /// layout has at least 2 ranks and a merge, and is redrawn until it
-    /// makes one (`draw_fault`).
+    /// Generate a random valid case from a PRNG. One in
+    /// [`LARGE_ONE_IN`] is large. A third of them inject one fault, drawn
+    /// before the layout: a crash, a drop or a delay with equal odds. A
+    /// drop or a delay needs a cross-rank ship, so its layout has at
+    /// least 2 ranks and a merge, and is redrawn until it makes one
+    /// (`draw_fault`).
     pub fn generate(rng: &mut SplitMix64) -> Case {
         // the fault kind: 0 a crash, 1 a drop, 2 a delay
         let fault = (rng.below(3) == 0).then(|| rng.below(3));
+        let large = rng.below(LARGE_ONE_IN) == 0;
         loop {
-            let mut case = Case::draw(rng, fault.is_some_and(|k| k > 0));
+            let mut case = Case::draw(rng, fault.is_some_and(|k| k > 0), large);
             if let Some(kind) = fault {
                 let layout = case.layout().expect("a generated case lays out");
                 case.fault = draw_fault(rng, kind, &layout, case.ranks);
@@ -270,8 +277,9 @@ impl Case {
     }
 
     /// A random valid case without a fault. With `ships`, it has at
-    /// least 2 ranks and a merging schedule.
-    fn draw(rng: &mut SplitMix64, ships: bool) -> Case {
+    /// least 2 ranks and a merging schedule; `large` widens its axes and
+    /// its uniform block counts.
+    fn draw(rng: &mut SplitMix64, ships: bool, large: bool) -> Case {
         let kind = match rng.below(5) {
             0 => FieldKind::Noise,
             1 => FieldKind::Plateau(1 + rng.below(4) as u32),
@@ -279,7 +287,8 @@ impl Case {
             3 => FieldKind::Bumps(1 + rng.below(5) as u32),
             _ => FieldKind::Constant,
         };
-        let axis = |rng: &mut SplitMix64| 5 + rng.below(4) as u32;
+        let (low, span) = if large { (9, 8) } else { (5, 4) };
+        let axis = |rng: &mut SplitMix64| low + rng.below(span) as u32;
         let dims = if matches!(kind, FieldKind::Sinusoid(_)) {
             let a = axis(rng);
             [a, a, a]
@@ -295,7 +304,8 @@ impl Case {
         };
         let min = 1 + ships as u32;
         let blocks = if decomp.is_uniform() {
-            *rng.pick(&[1u32, 2, 4, 8][min as usize - 1..])
+            let counts = if large { 6 } else { 4 };
+            *rng.pick(&[1u32, 2, 4, 8, 16, 32][min as usize - 1..counts])
         } else {
             // any count, deliberately including non-powers-of-two
             min + rng.below(9 - min as u64) as u32

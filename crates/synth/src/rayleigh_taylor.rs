@@ -83,12 +83,6 @@ pub fn rayleigh_taylor_dims(dims: Dims, waves: usize, seed: u64) -> ScalarField 
     })
 }
 
-/// The paper's 1152³ grid scaled by `1/s`.
-pub fn rt_dims(scale_down: u32) -> Dims {
-    let s = scale_down.max(1);
-    Dims::cube((1152 / s).max(8))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,11 +116,5 @@ mod tests {
             vals.iter().map(|v| (v - m).powi(2)).sum::<f32>() / vals.len() as f32
         };
         assert!(var(32) > 10.0 * var(3), "mid-plane should be turbulent");
-    }
-
-    #[test]
-    fn rt_dims_scaling() {
-        assert_eq!(rt_dims(4).nx, 288);
-        assert_eq!(rt_dims(1).nx, 1152);
     }
 }

@@ -160,18 +160,6 @@ impl LiveHistogram {
         self.snapshot().quantile(pct)
     }
 
-    /// Fold another histogram's samples into this one. Bucket-wise
-    /// addition, so merging is associative and commutative.
-    pub fn merge_from(&self, other: &LiveHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
-    }
-
     /// Resident size — a constant, independent of how many samples have
     /// been recorded (the bounded-memory guarantee the serve layer
     /// relies on).
@@ -505,26 +493,6 @@ mod tests {
         }
         assert_eq!(h.mem_bytes(), before, "recording must not allocate");
         assert!(before < 32 * 1024, "fixed footprint stays under 32 KiB");
-    }
-
-    #[test]
-    fn histogram_merge_matches_combined_recording() {
-        let (a, b, combined) = (
-            LiveHistogram::new(),
-            LiveHistogram::new(),
-            LiveHistogram::new(),
-        );
-        for i in 0..500u64 {
-            let v = i * 37 % 4096;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            combined.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.snapshot(), combined.snapshot());
     }
 
     #[test]

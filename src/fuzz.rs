@@ -20,8 +20,11 @@
 //!    checker and segmentation on: every `check_*` telemetry counter
 //!    of [`RunResult::check_verdict`] must come back zero, the
 //!    outputs' member blocks must partition the block set, one output
-//!    per slot the case's layout ([`Case::layout`]) leaves, and each
-//!    injected fault must have fired (`crashes`, else `retries`).
+//!    per slot the case's layout ([`Case::layout`]) leaves, each
+//!    injected fault must have fired (`crashes`, else `retries`), and the
+//!    fault counters must account for the plan: with one, checkpoint
+//!    bytes and at least [`FAULT_DEADLINE_MS`] of `recovery_ms` per retry;
+//!    without, every recovery counter 0.
 //! 3. **Canonical replay** — the same field and schedule at 1 rank /
 //!    1 thread, no faults: outputs, resolved segmentations and
 //!    hierarchies must be bit-identical to run 2's, in memory and in the
@@ -69,6 +72,15 @@ const WORK_COUNTERS: [&str; 5] = [
     "arcs_traced",
     "cancellations",
     "seg_forwards",
+];
+
+/// Counters of fault recovery: each is 0 on a run without a fault.
+const FAULT_COUNTERS: [&str; 5] = [
+    "crashes",
+    "retries",
+    "rounds_replayed",
+    "recovery_ms",
+    "checkpoint_bytes",
 ];
 
 fn pipeline_params(case: &Case, canonical: bool) -> PipelineParams {
@@ -216,12 +228,27 @@ fn run_case_inner(case: &Case, dir: &Path) -> Result<(), String> {
         return Err(format!("{outputs} output(s) with members {members:?}"));
     }
     // a fault that never fires tests nothing
+    let counter = |key| run.telemetry.counter_total(key);
     for e in case.fault.iter().flat_map(|p| &p.events) {
         let crash = matches!(e, FaultEvent::Crash { .. });
         let key = if crash { "crashes" } else { "retries" };
-        if run.telemetry.counter_total(key) == 0 {
+        if counter(key) == 0 {
             return Err(format!("fault {e} never fired: {key} = 0"));
         }
+    }
+    // the fault counters account for the plan: a plan always
+    // checkpoints, and a timed-out receive is charged its wait, at least
+    // the deadline; a run without one recovers nothing
+    let tally: Vec<(&str, u64)> = FAULT_COUNTERS.iter().map(|&k| (k, counter(k))).collect();
+    let waits = counter("retries") * FAULT_DEADLINE_MS;
+    let accounted = match case.fault {
+        Some(_) => counter("checkpoint_bytes") > 0 && counter("recovery_ms") >= waits,
+        None => tally.iter().all(|&(_, n)| n == 0),
+    };
+    if !accounted {
+        return Err(format!(
+            "fault counters {tally:?} do not account for the plan"
+        ));
     }
 
     // 3. canonical replay: 1 rank, 1 thread, no fault — bit-identical
@@ -544,9 +571,9 @@ mod tests {
     use msp_grid::{DecompMode, FaultPlan};
     use msp_oracle::{FieldKind, Schedule};
 
-    fn quick_case(kind: FieldKind, blocks: u32, ranks: u32, schedule: Schedule) -> Case {
+    fn quick_case(blocks: u32, ranks: u32, schedule: Schedule) -> Case {
         Case {
-            kind,
+            kind: FieldKind::Noise,
             dims: [6, 6, 6],
             seed: 5,
             ranks,
@@ -561,51 +588,15 @@ mod tests {
     }
 
     #[test]
-    fn noise_case_is_clean() {
-        run_case(&quick_case(FieldKind::Noise, 4, 2, Schedule::Full)).unwrap();
-    }
-
-    #[test]
-    fn plateau_case_is_clean() {
-        run_case(&quick_case(FieldKind::Plateau(2), 2, 2, Schedule::None)).unwrap();
-    }
-
-    #[test]
-    fn constant_case_is_clean() {
-        run_case(&quick_case(
-            FieldKind::Constant,
-            4,
-            4,
-            Schedule::Rounds(vec![2]),
-        ))
-        .unwrap();
-    }
-
-    #[test]
     fn faulted_case_is_clean() {
-        let mut c = quick_case(FieldKind::Noise, 4, 2, Schedule::Full);
+        let mut c = quick_case(4, 2, Schedule::Full);
         c.fault = Some("crash:1@1".parse().unwrap());
         run_case(&c).unwrap();
     }
 
     #[test]
-    fn hierarchy_case_is_clean() {
-        let mut c = quick_case(FieldKind::Noise, 4, 2, Schedule::Full);
-        c.hierarchy = true;
-        run_case(&c).unwrap();
-    }
-
-    #[test]
-    fn adaptive_irregular_case_is_clean() {
-        // 6 blocks / 3 ranks: non-power-of-two everything
-        let mut c = quick_case(FieldKind::Noise, 6, 3, Schedule::Full);
-        c.decomp = DecompMode::Adaptive;
-        run_case(&c).unwrap();
-    }
-
-    #[test]
     fn irregular_faults_fit_the_contracted_schedule() {
-        let mut c = quick_case(FieldKind::Noise, 6, 3, Schedule::Full);
+        let mut c = quick_case(6, 3, Schedule::Full);
         c.decomp = DecompMode::RandomTree { seed: 42 };
         let rounds = c.layout().unwrap().sched.n_rounds() as u32;
         assert!((1..5).contains(&rounds), "{rounds} contracted rounds");
@@ -622,7 +613,7 @@ mod tests {
     /// deadline makes no root replay anything.
     #[test]
     fn a_fault_that_never_fires_fails_the_case() {
-        let mut c = quick_case(FieldKind::Noise, 4, 2, Schedule::Rounds(vec![2, 2]));
+        let mut c = quick_case(4, 2, Schedule::Rounds(vec![2, 2]));
         c.fault = Some("delay:1->0#1+1".parse().unwrap());
         let err = run_case(&c).unwrap_err();
         assert!(err.contains("never fired: retries = 0"), "{err}");
@@ -630,19 +621,14 @@ mod tests {
         run_case(&c).unwrap();
     }
 
-    #[test]
-    fn random_tree_case_is_clean() {
-        let mut c = quick_case(FieldKind::Plateau(3), 5, 2, Schedule::Rounds(vec![4]));
-        c.decomp = DecompMode::RandomTree { seed: 42 };
-        run_case(&c).unwrap();
-    }
-
     /// The property spine: generated cases from a fixed seed, which must
     /// reach every dimension the generator folds in, so a later edit to
     /// `Case::generate` cannot silently drop one. Seed 1234's 60 cases
-    /// fault 19 times (4 crashes, 10 drops, 5 delays; the first delay is
-    /// case 10), since the fault kind is drawn before the layout and a
+    /// fault 22 times (10 crashes, 7 drops, 5 delays; the first delay is
+    /// case 2), since the fault kind is drawn before the layout and a
     /// drop or a delay redraws its layout until it ships across ranks.
+    /// 23 of them are large; five are uniform trees of 16 or 32 blocks,
+    /// three of them merging 32 blocks (cases 5, 11 and 26).
     #[test]
     fn short_fuzz_run_is_clean() {
         let mut seen = Vec::new();
@@ -691,6 +677,24 @@ mod tests {
         hit("threads > 2", &|c| c.threads > 2);
         hit("a non-power-of-two rank count", &|c| {
             !c.ranks.is_power_of_two()
+        });
+        // the large draw: axes past 8 and uniform trees past 8 blocks
+        let large = |c: &Case| c.dims.iter().any(|&a| a >= 9);
+        hit("an axis >= 9", &large);
+        hit("a uniform tree of >= 16 blocks", &|c| {
+            c.decomp.is_uniform() && c.blocks >= 16
+        });
+        hit("a merging uniform tree of 32 blocks", &|c| {
+            c.decomp.is_uniform() && c.blocks == 32 && c.schedule != Schedule::None
+        });
+        hit("a large case with a hierarchy", &|c| {
+            large(c) && c.hierarchy
+        });
+        hit("a large case at >= 4 threads", &|c| {
+            large(c) && c.threads >= 4
+        });
+        hit("a large plateau or constant field", &|c| {
+            large(c) && matches!(c.kind, FieldKind::Plateau(_) | FieldKind::Constant)
         });
     }
 }

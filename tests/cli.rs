@@ -280,14 +280,35 @@ fn serve_and_the_read_only_commands_answer_on_one_artifact() {
 #[test]
 fn bad_flags_and_invalid_layouts_exit_1_by_name() {
     let d = noise17("refused");
-    let bad = ["--progress 1", "stray.raw", "--segment yes"];
-    let errors = [
-        "error: unknown flag --progress for compute",
-        "error: unexpected argument 'stray.raw' for compute",
-        "error: --segment takes no value (got 'yes')",
+    let compute = format!("{SEG} --output bad.msc");
+    let refused = [
+        (
+            format!("{compute} --progress 1"),
+            "unknown flag --progress for compute",
+        ),
+        (
+            format!("{compute} --checkpiont 1"),
+            "unknown flag --checkpiont for compute",
+        ),
+        (
+            format!("{compute} stray.raw"),
+            "unexpected argument 'stray.raw' for compute",
+        ),
+        (
+            format!("{compute} --segment yes"),
+            "--segment takes no value (got 'yes')",
+        ),
+        (
+            "synth --kind noise --size 9 --output f.raw --bogus-flag 3".into(),
+            "unknown flag --bogus-flag for synth",
+        ),
+        (
+            "info a.msc b.msc".into(),
+            "unexpected argument 'b.msc' for info",
+        ),
     ];
-    for (bad, error) in bad.iter().zip(errors) {
-        d.fails(&format!("{SEG} --output bad.msc {bad}"), error);
+    for (run, error) in &refused {
+        d.fails(run, &format!("error: {error}"));
     }
     let layouts = "6; 8 --merge 1; 8 --merge 3; 8 --merge 16; 8 --decomp adaptive --merge 3; \
         3000000000; 3000000000 --decomp adaptive; 5000 --merge none";

@@ -18,11 +18,19 @@
 //!
 //! The corpus test replays every `.case` file in `tests/cases/`, so a
 //! file added there runs under `cargo test` with no edit here.
+//!
+//! Every pipeline-level byte-identity run comes from one of three
+//! places: these sweeps, that corpus, or the generated cases of
+//! `Case::generate` (`short_fuzz_run_is_clean` in `src/fuzz.rs`, and
+//! `oracle_fuzz`), whose large draw reaches axes of 9-16 and uniform
+//! trees of 16 or 32 blocks.
 
 use morse_smale_parallel::fuzz::{replay_path, run_case};
 use morse_smale_parallel::grid::DecompMode;
 use morse_smale_parallel::oracle::{Case, FieldKind, Schedule};
 use std::path::Path;
+
+const CORPUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/cases");
 
 const RANKS: [u32; 3] = [1, 2, 4];
 const THREADS: [u32; 3] = [1, 2, 4];
@@ -135,15 +143,30 @@ fn adaptive_tree_conforms_across_ranks_and_threads_with_hierarchy() {
 }
 
 /// Every `.case` file in `tests/cases/`: the shrunk reproducers the fuzz
-/// found and the fault scenarios on the CLI's own 17³ noise field.
+/// found, the fault scenarios on the CLI's own 17³ noise field, the
+/// flat-plateau labels at 11³ over 4 ranks and 4 threads, and a fully
+/// merged random tree at 3 ranks.
 #[test]
 fn corpus_reproducers_replay_clean() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/cases");
-    let outcomes = replay_path(Path::new(dir)).unwrap();
+    let outcomes = replay_path(Path::new(CORPUS)).unwrap();
     for (name, outcome) in &outcomes {
         outcome
             .as_ref()
             .unwrap_or_else(|e| panic!("{name} failed: {e}"));
     }
-    assert!(outcomes.len() >= 11, "{} cases", outcomes.len());
+    assert!(outcomes.len() >= 16, "{} cases", outcomes.len());
+}
+
+/// Every corpus file, comments aside, is the text its case writes.
+#[test]
+fn corpus_files_are_the_text_their_cases_write() {
+    for entry in std::fs::read_dir(CORPUS).unwrap() {
+        let path = entry.unwrap().path();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let body: String = (text.lines().filter(|l| !l.starts_with('#')))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let case: Case = body.parse().unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        assert_eq!(case.to_string(), body, "{path:?}");
+    }
 }
